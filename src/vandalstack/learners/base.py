@@ -51,7 +51,17 @@ class BaseModel:
 
 
 def check_matrix(X: MatrixLike) -> sparse.csr_matrix:
-    """Coerce input to a canonical 2-D CSR matrix of float64."""
+    """Coerce input to a canonical 2-D CSR matrix of float64.
+
+    Input already in that form is returned as is; anything else is
+    converted into a new matrix.  The caller's matrix is never modified.
+    """
+    if (
+        isinstance(X, sparse.csr_matrix)
+        and X.dtype == np.float64
+        and X.has_sorted_indices
+    ):
+        return X
     if isinstance(X, sparse.spmatrix):
         mat = X.tocsr()
     elif isinstance(X, np.ndarray):
@@ -95,21 +105,25 @@ def check_X_y(X: MatrixLike, y) -> tuple[sparse.csr_matrix, np.ndarray]:
 def check_predict_input(model: BaseModel, X: MatrixLike) -> sparse.csr_matrix:
     model._check_is_fitted()
     mat = check_matrix(X)
-    if mat.shape[1] != model.n_features_:
-        raise DimensionMismatch(
-            f"model was fit with {model.n_features_} features, input has {mat.shape[1]}"
-        )
+    _check_width(model, mat.shape[1])
     return mat
 
 
-def as_dense_blocks(mat: sparse.csr_matrix, block_rows: int = 8192):
-    """Yield (row_start, dense_block) pairs.
+def check_predict_dense(model: BaseModel, X: MatrixLike) -> np.ndarray:
+    """:func:`check_predict_input` as a dense float64 array.
 
-    Trees evaluate on dense rows; doing it block-wise keeps peak memory at
-    ``block_rows * n_columns`` no matter how many rows are scored, and the
-    matrices reaching prediction are post-selection (narrow).
+    A 2-D ndarray is used as is (cast to float64 if needed) rather than
+    round-tripping through CSR; never modify the result in place.
     """
-    n = mat.shape[0]
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        yield start, np.asarray(mat[start:stop].todense())
+    if not (isinstance(X, np.ndarray) and X.ndim == 2):
+        return check_predict_input(model, X).toarray()
+    model._check_is_fitted()
+    _check_width(model, X.shape[1])
+    return X.astype(np.float64, copy=False)
+
+
+def _check_width(model: BaseModel, width: int) -> None:
+    if width != model.n_features_:
+        raise DimensionMismatch(
+            f"model was fit with {model.n_features_} features, input has {width}"
+        )

@@ -15,9 +15,8 @@ from typing import Optional
 import numpy as np
 
 from ..rng import derive_seed, generator
-from .base import BaseModel, as_dense_blocks, check_predict_input, check_X_y
-
-from .tree import TreeBuilder
+from .base import check_predict_dense, check_X_y
+from .tree import TreeBuilder, TreeEnsemble
 
 _PROB_EPS = 1e-12
 _HESSIAN_EPS = 1e-16
@@ -38,7 +37,7 @@ def log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-class GradientBoostingClassifier(BaseModel):
+class GradientBoostingClassifier(TreeEnsemble):
     def __init__(
         self,
         n_estimators: int = 100,
@@ -97,14 +96,8 @@ class GradientBoostingClassifier(BaseModel):
 
     def decision_function(self, X) -> np.ndarray:
         """Raw additive score before the sigmoid."""
-        mat = check_predict_input(self, X)
-        out = np.zeros(mat.shape[0])
-        for start, block in as_dense_blocks(mat):
-            acc = np.full(block.shape[0], self.base_score_)
-            for tree in self.trees_:
-                acc += self.learning_rate * tree.predict_dense(block)
-            out[start : start + block.shape[0]] = acc
-        return out
+        X = check_predict_dense(self, X)
+        return self.nodes_.sum_leaves(X, self.base_score_, self.learning_rate)
 
     def predict_proba(self, X) -> np.ndarray:
         return sigmoid(self.decision_function(X))

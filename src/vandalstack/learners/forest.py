@@ -15,11 +15,11 @@ from typing import Optional, Union
 import numpy as np
 
 from ..rng import derive_seed, generator
-from .base import BaseModel, as_dense_blocks, check_predict_input, check_X_y
-from .tree import TreeBuilder
+from .base import check_predict_dense, check_X_y
+from .tree import TreeBuilder, TreeEnsemble
 
 
-class _BaseForest(BaseModel):
+class _BaseForest(TreeEnsemble):
     random_threshold = False
 
     n_estimators: int
@@ -76,14 +76,8 @@ class _BaseForest(BaseModel):
 
     def predict_proba(self, X) -> np.ndarray:
         """P(positive) per row: the mean of the per-tree leaf fractions."""
-        mat = check_predict_input(self, X)
-        out = np.zeros(mat.shape[0])
-        for start, block in as_dense_blocks(mat):
-            acc = np.zeros(block.shape[0])
-            for tree in self.trees_:
-                acc += tree.predict_dense(block)
-            out[start : start + block.shape[0]] = acc / len(self.trees_)
-        return out
+        X = check_predict_dense(self, X)
+        return self.nodes_.sum_leaves(X, 0.0, 1.0) / self.nodes_.n_trees
 
 
 class RandomForestClassifier(_BaseForest):

@@ -26,7 +26,7 @@ from .boosting import GradientBoostingClassifier
 from .forest import ExtraTreesClassifier, RandomForestClassifier
 from .linear import LogisticRegression
 from .mlp import MLPClassifier
-from .tree import Tree
+from .tree import NodeTable, invalid_node
 
 MODEL_HEADER = "vandalstack-model v1"
 
@@ -136,6 +136,13 @@ class _LineReader:
             raise MalformedLine(f"expected {tag!r}, got {line!r}", self.line_no)
         return rest
 
+    def expect_int(self, tag: str) -> int:
+        rest = self.expect(tag)
+        try:
+            return int(rest)
+        except ValueError:
+            raise MalformedLine(f"expected an integer after {tag!r}, got {rest!r}", self.line_no)
+
     @property
     def line_no(self) -> int:
         return self.offset + self.pos
@@ -149,8 +156,8 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
     cls = BUILTIN_FAMILIES.get(family)
     if cls is None:
         raise UnsupportedFamily(f"unknown model family {family!r}")
-    dim = int(reader.expect("dim"))
-    seed = int(reader.expect("seed"))
+    dim = reader.expect_int("dim")
+    seed = reader.expect_int("seed")
     params = {"seed": seed}
     while True:
         line = reader.next()
@@ -172,8 +179,10 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
         if head != "importances":
             raise MalformedLine(f"expected importances, got {line!r}", reader.line_no)
         model.feature_importances_ = _parse_floats(rest)
-        n_trees = int(reader.expect("trees"))
-        model.trees_ = [_tree_from(reader) for _ in range(n_trees)]
+        n_trees = reader.expect_int("trees")
+        if n_trees < (0 if family == "gradient_boosting" else 1):
+            raise MalformedLine(f"bad tree count {n_trees}", reader.line_no)
+        model.nodes_ = _nodes_from(reader, n_trees, dim)
     elif family == "logistic_regression":
         head, _, rest = line.partition(" ")
         if head != "bias":
@@ -192,23 +201,68 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
     return model
 
 
-def _tree_from(reader: _LineReader) -> Tree:
-    n_nodes = int(reader.expect("tree"))
-    feature = np.empty(n_nodes, dtype=np.int64)
-    threshold = np.empty(n_nodes, dtype=np.float64)
-    left = np.empty(n_nodes, dtype=np.int64)
-    right = np.empty(n_nodes, dtype=np.int64)
-    value = np.empty(n_nodes, dtype=np.float64)
-    for i in range(n_nodes):
-        parts = reader.next().split(" ")
-        if len(parts) != 6 or parts[0] != "node":
-            raise MalformedLine("bad tree node line", reader.line_no)
-        feature[i] = int(parts[1])
-        threshold[i] = float(parts[2])
-        left[i] = int(parts[3])
-        right[i] = int(parts[4])
-        value[i] = float(parts[5])
-    return Tree(feature, threshold, left, right, value)
+_NODE_LINE = np.dtype(
+    [
+        ("tag", "U5"),
+        ("feature", np.intp),
+        ("threshold", np.float64),
+        ("left", np.intp),
+        ("right", np.intp),
+        ("value", np.float64),
+    ]
+)
+
+
+def _parse_nodes(lines: Sequence[str]) -> np.ndarray:
+    """``node <feature> <threshold> <left> <right> <value>`` lines, in bulk."""
+    if not lines:
+        return np.zeros(0, dtype=_NODE_LINE)
+    nodes = np.loadtxt(
+        lines, dtype=_NODE_LINE, delimiter=" ", comments=None, quotechar=None, ndmin=1
+    )
+    if nodes.size != len(lines) or not np.all(nodes["tag"] == "node"):
+        raise ValueError("not a node line")
+    return nodes
+
+
+def _nodes_from(reader: _LineReader, n_trees: int, dim: int) -> NodeTable:
+    """Read ``n_trees`` tree blocks into one table, parsing their nodes at once."""
+    sizes, firsts, lines = [], [], []
+    for _ in range(n_trees):
+        n_nodes = reader.expect_int("tree")
+        if n_nodes < 1:
+            raise MalformedLine(f"bad node count {n_nodes}", reader.line_no)
+        if reader.pos + n_nodes > len(reader.lines):
+            raise MalformedLine("tree runs past the end of the model block", reader.line_no)
+        firsts.append(reader.pos)
+        sizes.append(n_nodes)
+        lines.extend(reader.lines[reader.pos : reader.pos + n_nodes])
+        reader.pos += n_nodes
+
+    def line_of(k: int) -> int:
+        # the 1-based file line of the model's k-th node line
+        ends = np.cumsum(sizes)
+        t = int(np.searchsorted(ends, k, side="right"))
+        return reader.offset + firsts[t] + k - (ends[t] - sizes[t]) + 1
+
+    try:
+        nodes = _parse_nodes(lines)
+    except ValueError:
+        for k, line in enumerate(lines):
+            try:
+                _parse_nodes([line])
+            except ValueError:
+                raise MalformedLine(f"bad tree node line {line!r}", line_of(k))
+        raise MalformedLine("bad tree node lines", line_of(0))
+    feature, threshold = nodes["feature"], nodes["threshold"]
+    left, right = nodes["left"], nodes["right"]
+    bad = invalid_node(feature, threshold, left, right, sizes)
+    wide = np.nonzero(feature >= dim)[0]
+    if wide.size and (bad is None or wide[0] < bad[0]):
+        bad = (int(wide[0]), f"feature index not below dim {dim}")
+    if bad is not None:
+        raise MalformedLine(f"bad tree node: {bad[1]}", line_of(bad[0]))
+    return NodeTable(feature, threshold, right, nodes["value"], sizes)
 
 
 def save_model(model, path: Union[str, Path, IO[str]]) -> None:

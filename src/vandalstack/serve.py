@@ -111,10 +111,18 @@ class ScoringServer:
             self._sock = None
 
     def serve_one(self) -> ServeResult:
-        """Accept one client, stream every revision, evaluate the answers."""
+        """Accept one client, stream every revision, evaluate the answers.
+
+        ``timeout`` bounds the wait for the client as well as each answer;
+        either raises :class:`Timeout`.
+        """
         if self._sock is None:
             raise UsageError("serve_one called before bind")
-        conn, _ = self._sock.accept()
+        self._sock.settimeout(self.timeout)
+        try:
+            conn, _ = self._sock.accept()
+        except (socket.timeout, TimeoutError):
+            raise Timeout(f"no client connected within {self.timeout} s")
         if self.timeout is not None:
             conn.settimeout(self.timeout)
         try:
@@ -243,7 +251,14 @@ def run_client(
         with socket.create_connection(address, timeout=timeout) as sock, \
                 sock.makefile("rb") as reader:
             for raw in reader:
-                line = raw.decode("utf-8").rstrip("\n").rstrip("\r")
+                try:
+                    line = raw.decode("utf-8").rstrip("\n").rstrip("\r")
+                except UnicodeDecodeError:
+                    print(
+                        f"server sent a line that is not UTF-8 after {answered} answers",
+                        file=sys.stderr,
+                    )
+                    return 1
                 if line == "END":
                     return 0
                 if line.startswith("ERROR"):

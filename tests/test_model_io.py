@@ -89,3 +89,80 @@ def test_tampered_header_rejected():
 def test_unfitted_model_cannot_be_saved():
     with pytest.raises(Exception):
         model_to_lines(LogisticRegression())
+
+
+# a depth-2 boosted tree over two features; node lines are file lines 12-18
+TREE_MODEL = """vandalstack-model v1
+family gradient_boosting
+dim 2
+seed 0
+param learning_rate 0.1
+param max_depth 3
+param n_estimators 1
+base_score 0.0
+importances 0.5 0.5
+trees 1
+tree 7
+node 0 0.5 1 2 0.0
+node 1 0.5 3 4 0.0
+node 1 0.25 5 6 0.0
+node -1 nan -1 -1 0.1
+node -1 nan -1 -1 0.2
+node -1 nan -1 -1 0.3
+node -1 nan -1 -1 0.4
+end""".split("\n")
+
+
+def test_hand_written_tree_model_loads_and_scores():
+    model = model_from_lines(TREE_MODEL)
+    X = np.array([[0.5, 0.5], [0.5, 0.75], [0.75, 0.25], [np.nan, np.nan]])
+    assert np.array_equal(model.decision_function(X), 0.1 * np.array([0.1, 0.2, 0.3, 0.4]))
+
+
+@pytest.mark.parametrize(
+    "line_no, text, reported",
+    [
+        (13, "node 1 0.5 0 1 0.0", 13),  # back to the root: a cycle
+        (13, "node 1 0.5 1 2 0.0", 13),  # a node that is its own child
+        (14, "node 1 0.25 7 8 0.0", 14),  # children past the end of the tree
+        (12, "node 0 0.5 2 1 0.0", 12),  # right child is not left + 1
+        (14, "node 1 0.25 3 4 0.0", 15),  # node 15 gets two parents
+        (13, "node 2 0.5 3 4 0.0", 13),  # feature >= dim
+        (13, "node -2 0.5 3 4 0.0", 13),
+        (15, "node -1 0.5 -1 -1 0.1", 15),  # leaf with a threshold
+        (15, "node -1 nan 3 4 0.1", 15),  # leaf with children
+        (16, "node -1 nan -1 -1 abc", 16),  # non-numeric tokens
+        (12, "node x 0.5 1 2 0.0", 12),
+        (14, "node 1 0.25 5.0 6 0.0", 14),
+        (16, "nodes -1 nan -1 -1 0.2", 16),
+        (16, "node -1 nan -1 -1 0.2 7", 16),
+        (16, "node -1 nan -1 -1", 16),
+        (11, "tree 0", 11),
+        (11, "tree seven", 11),
+        (10, "trees -1", 10),
+        (3, "dim two", 3),
+    ],
+)
+def test_corrupt_tree_fails_at_load_naming_the_line(line_no, text, reported):
+    lines = list(TREE_MODEL)
+    lines[line_no - 1] = text
+    with pytest.raises(MalformedLine) as info:
+        model_from_lines(lines)
+    assert info.value.line_no == reported
+
+
+def test_tree_running_past_the_model_block_is_rejected():
+    lines = list(TREE_MODEL)
+    lines[10] = "tree 9"
+    with pytest.raises(MalformedLine) as info:
+        model_from_lines(lines)
+    assert info.value.line_no == 11
+
+
+def test_forest_without_trees_is_rejected():
+    models, _ = fitted_models()
+    lines = model_to_lines(models[0])
+    at = next(i for i, line in enumerate(lines) if line.startswith("trees "))
+    with pytest.raises(MalformedLine) as info:
+        model_from_lines(lines[:at] + ["trees 0", "end"])
+    assert info.value.line_no == at + 1

@@ -2,13 +2,14 @@
 
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from tests._util import rev
 from vandalstack.corpus import LabeledExample, format_line, write_corpus, write_labels
-from vandalstack.errors import ProtocolViolation, UsageError
+from vandalstack.errors import ProtocolViolation, Timeout, UsageError
 from vandalstack.featurize import build_schema, encode, extract_features, extract_many
 from vandalstack.learners import ModelSpec
 from vandalstack.serve import (
@@ -324,6 +325,44 @@ def test_run_client_stops_on_error_line(tmp_path):
     thread.join(timeout=10.0)
     listener.close()
     assert status == 1
+
+
+def test_run_client_rejects_a_line_that_is_not_utf8(tmp_path, capsys):
+    revisions, labels = labeled_corpus_for_pipeline()
+    pipeline, _ = small_pipeline(revisions, labels)
+
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    address = listener.getsockname()
+
+    def garbled_server():
+        conn, _ = listener.accept()
+        conn.sendall(b"REV\t\xff\xfe\n")
+        conn.recv(1024)
+        conn.close()
+
+    thread = threading.Thread(target=garbled_server, daemon=True)
+    thread.start()
+    status = run_client(pipeline, f"{address[0]}:{address[1]}", timeout=10.0)
+    thread.join(timeout=10.0)
+    listener.close()
+    assert not thread.is_alive()
+    assert status == 1
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_serve_one_times_out_when_no_client_connects():
+    revisions, labels = tiny_corpus()
+    server = ScoringServer(revisions, labels, timeout=0.2)
+    server.bind()
+    started = time.monotonic()
+    try:
+        with pytest.raises(Timeout):
+            server.serve_one()
+    finally:
+        server.close()
+    assert time.monotonic() - started < 5.0
 
 
 def test_write_corpus_files_round_trip_through_server(tmp_path):

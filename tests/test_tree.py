@@ -159,7 +159,7 @@ def test_predict_scalar_path_matches_vectorised_path():
     rng = np.random.default_rng(3)
     for _ in range(20):
         dense, _, tree, _ = build_random_tree(rng)
-        batch = tree.predict_dense(dense)  # > 8 rows: frontier walk
+        batch = tree.predict_dense(dense)  # all rows in one walk
         one_by_one = np.concatenate(
             [tree.predict_dense(dense[i : i + 1]) for i in range(dense.shape[0])]
         )
