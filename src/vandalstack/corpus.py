@@ -231,7 +231,7 @@ def write_labels(examples: Iterable[LabeledExample], path: str | Path) -> None:
 
 
 def _parse_rev_id(token: str, line_no: int | None) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise MalformedLine(f"rev_id must be a non-negative integer, got {token!r}", line_no)
     return int(token)
 

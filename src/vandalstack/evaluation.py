@@ -180,13 +180,15 @@ def load_scores(source: Source) -> dict[int, float]:
             raise MalformedLine(
                 f"expected 2 tab-separated fields, got {len(parts)}", line_no
             )
-        if not parts[0].isdigit():
+        if not (parts[0].isascii() and parts[0].isdigit()):
             raise MalformedLine(f"bad rev_id {parts[0]!r}", line_no)
         rev_id = int(parts[0])
         try:
             score = float(parts[1])
         except ValueError:
-            raise MalformedLine(f"bad score {parts[1]!r}", line_no) from None
+            score = np.nan
+        if not 0.0 <= score <= 1.0:
+            raise MalformedLine(f"bad score {parts[1]!r}, expected a number in [0, 1]", line_no)
         if rev_id in scores and scores[rev_id] != score:
             raise DuplicateConflict(f"rev_id {rev_id} scored twice, differently")
         scores[rev_id] = score

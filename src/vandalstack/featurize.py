@@ -437,25 +437,24 @@ def load_schema(path: str | Path | IO[str]) -> FeatureSchema:
     return schema_from_lines(text.splitlines())
 
 
-def schema_from_lines(lines: Sequence[str]) -> FeatureSchema:
+def schema_from_lines(lines: Sequence[str], offset: int = 0) -> FeatureSchema:
+    """Parse a schema file; ``offset`` lines precede it in the file read."""
     if not lines or lines[0] != SCHEMA_HEADER:
-        raise MalformedLine(f"expected schema header {SCHEMA_HEADER!r}", 1)
+        raise MalformedLine(f"expected schema header {SCHEMA_HEADER!r}", offset + 1)
     numeric: list[str] = []
     vocab: list[tuple[str, str]] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines[1:], start=offset + 2):
         if line == "":
             continue
         kind, _, rest = line.partition(" ")
         if kind == "N" and rest:
-            numeric.append(rest)
+            columns, column = numeric, rest
         elif kind == "C" and "\t" in rest:
-            feature, _, value = rest.partition("\t")
-            vocab.append((feature, value))
+            columns, column = vocab, tuple(rest.partition("\t")[::2])
         else:
             raise MalformedLine(f"bad schema line {line!r}", line_no)
-    schema = FeatureSchema(tuple(numeric), tuple(vocab))
-    if list(schema.numeric_names) != sorted(schema.numeric_names) or list(
-        schema.categorical_vocab
-    ) != sorted(schema.categorical_vocab):
-        raise MalformedLine("schema columns are not in canonical order")
-    return schema
+        # canonical order: each kind strictly ascending, so no duplicates
+        if columns and column <= columns[-1]:
+            raise MalformedLine(f"schema column {line!r} out of canonical order", line_no)
+        columns.append(column)
+    return FeatureSchema(tuple(numeric), tuple(vocab))

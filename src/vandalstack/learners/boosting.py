@@ -58,9 +58,8 @@ class GradientBoostingClassifier(TreeEnsemble):
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None")
         Xr, labels = check_X_y(X, y)
-        Xc = Xr.tocsc()
-        Xc.sort_indices()
-        n, d = Xc.shape
+        Xd = Xr.toarray()
+        n, d = Xd.shape
         prior = float(np.clip(labels.mean(), _PROB_EPS, 1.0 - _PROB_EPS))
         self.base_score_ = float(np.log(prior / (1.0 - prior)))
         rows = np.arange(n, dtype=np.int64)
@@ -83,7 +82,7 @@ class GradientBoostingClassifier(TreeEnsemble):
                 None,
                 generator(derive_seed(self.seed, "round", m)),
             )
-            tree, leaf_of = builder.build(Xc, rows, residual, newton_leaf, importances)
+            tree, leaf_of = builder.build(Xd, rows, residual, newton_leaf, importances)
             raw = raw + self.learning_rate * tree.value[leaf_of]
             trees.append(tree)
             losses.append(log_loss(labels, sigmoid(raw)))

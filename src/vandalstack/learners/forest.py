@@ -34,9 +34,8 @@ class _BaseForest(TreeEnsemble):
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None")
         Xr, labels = check_X_y(X, y)
-        Xc = Xr.tocsc()
-        Xc.sort_indices()
-        n, d = Xc.shape
+        Xd = Xr.toarray()
+        n, d = Xd.shape
         m = self._resolve_max_features(d)
         trees = []
         importances = np.zeros(d)
@@ -51,10 +50,11 @@ class _BaseForest(TreeEnsemble):
                 "gini", self.max_depth, m, rng, random_threshold=self.random_threshold
             )
             tree, _ = builder.build(
-                Xc,
+                Xd,
                 rows,
                 target,
-                leaf_value=lambda sel, tgt=target: tgt[sel].mean(),
+                # the mean, bit for bit, without np.mean's per-call overhead
+                leaf_value=lambda sel, tgt=target: tgt[sel].sum() / sel.size,
                 importances=importances,
             )
             trees.append(tree)

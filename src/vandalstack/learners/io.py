@@ -38,6 +38,11 @@ BUILTIN_FAMILIES = {
     "mlp": MLPClassifier,
 }
 
+# the parameters a model file may set on a `param` line, per family
+_PARAM_NAMES = {
+    name: frozenset(cls._param_names()) - {"seed"} for name, cls in BUILTIN_FAMILIES.items()
+}
+
 
 def family_name(model) -> str:
     for name, cls in BUILTIN_FAMILIES.items():
@@ -71,12 +76,6 @@ def _parse_value(token: str):
 
 def _floats_line(tag: str, values: np.ndarray) -> str:
     return tag + " " + " ".join(repr(float(v)) for v in values)
-
-
-def _parse_floats(rest: str) -> np.ndarray:
-    if rest == "":
-        return np.zeros(0)
-    return np.asarray([float(tok) for tok in rest.split(" ")], dtype=np.float64)
 
 
 def model_to_lines(model) -> list[str]:
@@ -143,6 +142,18 @@ class _LineReader:
         except ValueError:
             raise MalformedLine(f"expected an integer after {tag!r}, got {rest!r}", self.line_no)
 
+    def floats(self, tag: str, rest: str, size: int) -> np.ndarray:
+        """The ``size`` floats after ``tag`` on the line just read."""
+        try:
+            values = np.asarray([float(tok) for tok in rest.split(" ") if rest], dtype=np.float64)
+        except ValueError:
+            raise MalformedLine(f"non-numeric value after {tag!r}", self.line_no) from None
+        if values.size != size:
+            raise MalformedLine(
+                f"{tag!r} holds {values.size} values, expected {size}", self.line_no
+            )
+        return values
+
     @property
     def line_no(self) -> int:
         return self.offset + self.pos
@@ -163,7 +174,9 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
         line = reader.next()
         if not line.startswith("param "):
             break
-        _, name, value = line.split(" ", 2)
+        name, _, value = line[len("param ") :].partition(" ")
+        if name not in _PARAM_NAMES[family] or not value:
+            raise MalformedLine(f"bad {family} parameter line {line!r}", reader.line_no)
         params[name] = _parse_value(value)
     model = cls(**params)
     model.n_features_ = dim
@@ -173,12 +186,12 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
             head, _, rest = line.partition(" ")
             if head != "base_score":
                 raise MalformedLine(f"expected base_score, got {line!r}", reader.line_no)
-            model.base_score_ = float(rest)
+            model.base_score_ = float(reader.floats("base_score", rest, 1)[0])
             line = reader.next()
         head, _, rest = line.partition(" ")
         if head != "importances":
             raise MalformedLine(f"expected importances, got {line!r}", reader.line_no)
-        model.feature_importances_ = _parse_floats(rest)
+        model.feature_importances_ = reader.floats("importances", rest, dim)
         n_trees = reader.expect_int("trees")
         if n_trees < (0 if family == "gradient_boosting" else 1):
             raise MalformedLine(f"bad tree count {n_trees}", reader.line_no)
@@ -187,13 +200,15 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
         head, _, rest = line.partition(" ")
         if head != "bias":
             raise MalformedLine(f"expected bias, got {line!r}", reader.line_no)
-        model.intercept_ = float(rest)
-        model.coef_ = _parse_floats(reader.expect("coef"))
+        model.intercept_ = float(reader.floats("bias", rest, 1)[0])
+        model.coef_ = reader.floats("coef", reader.expect("coef"), dim)
     else:  # mlp
-        head, _, rest = line.partition(" ")
-        if head != "layers":
-            raise MalformedLine(f"expected layers, got {line!r}", reader.line_no)
-        model.theta_ = _parse_floats(reader.expect("theta"))
+        h = model.hidden_units
+        if type(h) is not int or h < 1 or line != f"layers {dim} {h}":
+            raise MalformedLine(
+                f"expected 'layers {dim} {h}' (dim, hidden_units), got {line!r}", reader.line_no
+            )
+        model.theta_ = reader.floats("theta", reader.expect("theta"), dim * h + 2 * h + 1)
     if reader.next() != "end":
         raise MalformedLine("model block missing 'end'", reader.line_no)
     if reader.pos != len(reader.lines):

@@ -1,4 +1,4 @@
-"""One CART-style binary tree, grown directly on a sparse column matrix.
+"""One CART-style binary tree, grown on a dense training matrix.
 
 The same builder serves every tree family in the package: classification
 trees split on Gini impurity, the regression trees inside the boosting
@@ -7,8 +7,12 @@ uniform threshold per candidate feature instead of scanning.  What a leaf
 stores is up to the caller (positive fraction, mean target, or a Newton
 step), supplied as a callback.
 
-Column values for the samples that reached a node are gathered on demand
-from the CSC structure; the training matrix is never densified.
+The models densify their training matrix once per fit.  Each node gathers
+the block of its rows and candidate features and searches all of them at
+once: the exact rule sorts every column and scans all boundaries between
+distinct values (the exact greedy enumeration of XGBoost), the random
+rule draws all thresholds in one call.  One gain formula per criterion
+serves both rules.
 
 Prediction goes through :class:`NodeTable`, which compiles all trees of
 an ensemble into one flat node table and walks them together.
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
 
 from ..errors import DimensionMismatch
 from .base import BaseModel
@@ -224,91 +227,81 @@ class TreeEnsemble(BaseModel):
         self.nodes_ = NodeTable.from_trees(trees)
 
 
-def column_values(Xc: sparse.csc_matrix, j: int, row_ids: np.ndarray) -> np.ndarray:
-    """Dense values of column ``j`` at ``row_ids`` (repeats allowed)."""
-    start, stop = Xc.indptr[j], Xc.indptr[j + 1]
-    out = np.zeros(row_ids.size, dtype=np.float64)
-    if start == stop:
-        return out
-    col_rows = Xc.indices[start:stop]
-    pos = np.searchsorted(col_rows, row_ids)
-    hit = pos < col_rows.size
-    hit[hit] = col_rows[pos[hit]] == row_ids[hit]
-    out[hit] = Xc.data[start:stop][pos[hit]]
-    return out
+# cells of a node's candidate block searched at once: a wider block is
+# searched in column chunks, so each float64 temporary stays within 512 KB
+SPLIT_BLOCK_CELLS = 1 << 16
 
 
-def _impurity_gain(t: np.ndarray, mask: np.ndarray, criterion: str) -> float:
-    """Impurity decrease of splitting ``t`` by ``mask`` (left = True)."""
-    n = t.size
-    nl = int(mask.sum())
+def split_gains(sl, nl, total, n: int, criterion: str) -> np.ndarray:
+    """Impurity decrease of splits that send ``nl`` of ``n`` rows left.
+
+    ``sl`` is the target sum on the left and ``total`` the column's sum
+    over all ``n`` rows; the arguments broadcast, one column per candidate
+    feature in the last axis.  Both split rules use this one formula.
+    """
     nr = n - nl
-    if nl == 0 or nr == 0:
-        return -np.inf
-    total = float(t.sum())
-    sl = float(t[mask].sum())
     sr = total - sl
     if criterion == "gini":
-        def gini(cnt: int, s: float) -> float:
+        def gini(s, cnt):
             p = s / cnt
             return 2.0 * p * (1.0 - p)
 
-        return gini(n, total) - (nl * gini(nl, sl) + nr * gini(nr, sr)) / n
-    # variance criterion: decrease reduces to a sum-of-squares identity
-    return (sl * sl / nl + sr * sr / nr) / n - (total / n) ** 2
+        return gini(total, n) - (nl * gini(sl, nl) + nr * gini(sr, nr)) / n
+    # variance criterion: decrease reduces to a sum-of-squares identity.  The
+    # parent term is squared one float at a time: numpy squares an array by a
+    # multiplication but a scalar with C pow, and the two differ in the last
+    # bit on about one value in a thousand, enough to flip an exact tie
+    mean_sq = np.array([float(m) ** 2 for m in np.ravel(total / n)])
+    return (sl * sl / nl + sr * sr / nr) / n - mean_sq.reshape(np.shape(total))
 
 
-def best_split_exact(
-    v: np.ndarray, t: np.ndarray, criterion: str
-) -> Optional[tuple[float, float]]:
-    """Scan every boundary between consecutive distinct values of ``v``.
+def exact_block_split(block: np.ndarray, t: np.ndarray, criterion: str):
+    """Scan every boundary between distinct values in each column of ``block``.
 
-    Returns ``(gain, threshold)`` for the best boundary, preferring the
-    lowest threshold on ties, or ``None`` when ``v`` is constant.
+    ``block`` holds the node's rows of its candidate features, ``t`` their
+    targets.  Returns per column the ``(gain, threshold)`` arrays of its
+    best boundary, the lowest threshold winning ties; the gain is ``-inf``
+    for a constant column.
     """
-    order = np.argsort(v, kind="mergesort")
-    vs = v[order]
-    ts = t[order]
-    cut = np.nonzero(vs[1:] > vs[:-1])[0] + 1
-    if cut.size == 0:
-        return None
-    csum = np.cumsum(ts)
-    n = v.size
-    total = csum[-1]
-    nl = cut.astype(np.float64)
-    nr = n - nl
-    sl = csum[cut - 1]
-    sr = total - sl
-    if criterion == "gini":
-        parent = 2.0 * (total / n) * (1.0 - total / n)
-        gl = 2.0 * (sl / nl) * (1.0 - sl / nl)
-        gr = 2.0 * (sr / nr) * (1.0 - sr / nr)
-        gains = parent - (nl * gl + nr * gr) / n
-    else:
-        gains = (sl * sl / nl + sr * sr / nr) / n - (total / n) ** 2
-    k = int(np.argmax(gains))
-    lo, hi = vs[cut[k] - 1], vs[cut[k]]
+    n, c = block.shape
+    cols = np.arange(c)
+    order = np.argsort(block, axis=0, kind="mergesort")
+    vs = block[order, cols]
+    csum = np.cumsum(t[order], axis=0)
+    gains = split_gains(csum[:-1], np.arange(1.0, n)[:, None], csum[-1], n, criterion)
+    gains[~(vs[1:] > vs[:-1])] = -np.inf
+    at = np.argmax(gains, axis=0)
+    lo, hi = vs[at, cols], vs[at + 1, cols]
     threshold = 0.5 * (lo + hi)
-    if not lo <= threshold < hi:
-        threshold = lo
-    return float(gains[k]), float(threshold)
+    threshold = np.where((lo <= threshold) & (threshold < hi), threshold, lo)
+    return gains[at, cols], threshold
 
 
-def random_split(
-    v: np.ndarray, t: np.ndarray, criterion: str, rng: np.random.Generator
-) -> Optional[tuple[float, float]]:
-    """One uniform threshold in ``[min(v), max(v))`` — the extra-trees rule."""
-    lo = float(v.min())
-    hi = float(v.max())
-    if lo == hi:
-        return None
-    threshold = float(rng.uniform(lo, hi))
-    if not lo <= threshold < hi:
-        threshold = lo
-    gain = _impurity_gain(t, v <= threshold, criterion)
-    if not np.isfinite(gain):
-        return None
-    return gain, threshold
+def random_block_split(
+    block: np.ndarray, t: np.ndarray, criterion: str, rng: np.random.Generator
+):
+    """One uniform threshold in ``[min, max)`` per column — the extra-trees rule.
+
+    Draws one double per non-constant column of ``block``, in column
+    order.  Returns per column the ``(gain, threshold)`` arrays; the gain
+    is ``-inf`` for a constant column.
+    """
+    n = block.shape[0]
+    lo, hi = block.min(axis=0), block.max(axis=0)
+    live = ~(lo == hi)
+    threshold = lo.copy()
+    drawn = rng.uniform(lo[live], hi[live])
+    threshold[live] = np.where((lo[live] <= drawn) & (drawn < hi[live]), drawn, lo[live])
+    go_left = block <= threshold
+    nl = go_left.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = split_gains(
+            np.where(go_left, t[:, None], 0.0).sum(axis=0), nl, t.sum(), n, criterion
+        )
+    # a constant column sends every row left; a drawn threshold, below the
+    # maximum, never does
+    gains[nl == n] = -np.inf
+    return gains, threshold
 
 
 class TreeBuilder:
@@ -341,13 +334,13 @@ class TreeBuilder:
 
     def build(
         self,
-        Xc: sparse.csc_matrix,
+        X: np.ndarray,
         rows: np.ndarray,
         target: np.ndarray,
         leaf_value: Callable[[np.ndarray], float],
         importances: Optional[np.ndarray] = None,
     ) -> tuple[Tree, np.ndarray]:
-        """Grow a tree over ``rows`` of ``Xc`` (repeats allowed, e.g. bootstrap).
+        """Grow a tree over ``rows`` of dense ``X`` (repeats allowed, e.g. bootstrap).
 
         ``target[i]`` belongs to ``rows[i]``; ``leaf_value`` receives the
         positions (into ``rows``) that land in a leaf.  Returns the tree
@@ -356,7 +349,6 @@ class TreeBuilder:
         feature (caller normalises).
         """
         n_total = rows.size
-        d = Xc.shape[1]
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
@@ -382,9 +374,9 @@ class TreeBuilder:
             can_split = (
                 sel.size >= 2
                 and (self.max_depth is None or depth < self.max_depth)
-                and not np.all(t == t[0])
+                and not (t == t[0]).all()
             )
-            split = self._find_split(Xc, rows, sel, t, d) if can_split else None
+            split = self._find_split(X, rows, sel, t) if can_split else None
             if split is None:
                 value[nid] = float(leaf_value(sel))
                 leaf_of[sel] = nid
@@ -411,13 +403,15 @@ class TreeBuilder:
         return tree, leaf_of
 
     def _find_split(
-        self,
-        Xc: sparse.csc_matrix,
-        rows: np.ndarray,
-        sel: np.ndarray,
-        t: np.ndarray,
-        d: int,
+        self, X: np.ndarray, rows: np.ndarray, sel: np.ndarray, t: np.ndarray
     ) -> Optional[tuple[float, int, float, np.ndarray]]:
+        """The best split of the node's rows ``rows[sel]``, or ``None``.
+
+        All candidate features are searched as one block of the node's
+        rows (in column chunks when it is large).  Among candidates whose
+        gain is >= 0 the highest gain wins, the lowest index on ties.
+        """
+        d = X.shape[1]
         if self.max_features is None or self.max_features >= d:
             candidates = np.arange(d)
         else:
@@ -425,23 +419,24 @@ class TreeBuilder:
                 self.rng.choice(d, size=self.max_features, replace=False)
             )
         node_rows = rows[sel]
+        step = max(1, SPLIT_BLOCK_CELLS // node_rows.size)
         best: Optional[tuple[float, int, float]] = None
-        for j in candidates:
-            v = column_values(Xc, int(j), node_rows)
+        for start in range(0, candidates.size, step):
+            cols = candidates[start : start + step]
+            block = X[node_rows[:, None], cols]
             if self.random_threshold:
-                found = random_split(v, t, self.criterion, self.rng)
+                gains, thresholds = random_block_split(block, t, self.criterion, self.rng)
             else:
-                found = best_split_exact(v, t, self.criterion)
-            if found is None:
-                continue
-            gain, thr = found
+                gains, thresholds = exact_block_split(block, t, self.criterion)
             # zero-gain splits are kept: a boundary that does not reduce
             # impurity can still expose one deeper down (the XOR pattern),
             # so only constant columns and pure nodes stop the recursion
-            if gain >= 0.0 and (best is None or gain > best[0]):
-                best = (gain, int(j), thr)
+            gains = np.where(gains >= 0.0, gains, -np.inf)
+            k = int(np.argmax(gains))
+            # the first best column wins, so a later chunk needs a higher gain
+            if gains[k] >= 0.0 and (best is None or gains[k] > best[0]):
+                best = (float(gains[k]), int(cols[k]), float(thresholds[k]))
         if best is None:
             return None
         gain, j, thr = best
-        go_left = column_values(Xc, j, node_rows) <= thr
-        return gain, j, thr, go_left
+        return gain, j, thr, X[node_rows, j] <= thr

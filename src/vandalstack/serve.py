@@ -42,7 +42,7 @@ def format_score(score: float) -> str:
 
 def parse_address(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
+    if not sep or not (port.isascii() and port.isdigit()):
         raise UsageError(f"address must be host:port, got {text!r}")
     return (host or "127.0.0.1", int(port))
 
@@ -184,7 +184,7 @@ class ScoringServer:
         parts = line.split("\t")
         if len(parts) != 3 or parts[0] != "SCORE":
             self._violation(conn, f"malformed answer line {line!r}")
-        if not parts[1].isdigit():
+        if not (parts[1].isascii() and parts[1].isdigit()):
             self._violation(conn, f"malformed rev_id {parts[1]!r}")
         rev_id = int(parts[1])
         if rev_id in scores:

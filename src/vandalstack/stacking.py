@@ -16,6 +16,7 @@ per-spec ``seed`` field matters only when a spec is trained standalone.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -252,8 +253,19 @@ def _spec_to_json(spec: ModelSpec) -> str:
     )
 
 
-def _spec_from_json(text: str) -> ModelSpec:
-    raw = json.loads(text)
+def _spec_from_json(text: str, line_no: int) -> ModelSpec:
+    try:
+        raw = json.loads(text)
+    except ValueError:
+        raw = None
+    if not (
+        isinstance(raw, dict)
+        and sorted(raw) == ["family", "hyperparameters", "seed"]
+        and isinstance(raw["family"], str)
+        and isinstance(raw["hyperparameters"], dict)
+        and type(raw["seed"]) is int
+    ):
+        raise MalformedLine(f"bad model spec {text!r}", line_no)
     return ModelSpec(raw["family"], raw["hyperparameters"], raw["seed"])
 
 
@@ -297,6 +309,7 @@ def pipeline_to_lines(pipeline: StackedPipeline) -> list[str]:
 
 
 def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
+    """Parse a pipeline file; any violation raises ``MalformedLine`` naming its line."""
     if not lines or lines[0] != PIPELINE_HEADER:
         raise MalformedLine(f"expected pipeline header {PIPELINE_HEADER!r}", 1)
     pos = 1
@@ -311,81 +324,119 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
         pos += 1
         return rest
 
-    k = int(take("k"))
-    seed = int(take("seed"))
-    refit_full = take("refit_full") == "1"
-    n_first = int(take("first_stage"))
-    n_second = int(take("second_stage"))
-    first = []
-    for j in range(n_first):
-        rest = take("spec")
-        stage, idx, payload = rest.split(" ", 2)
-        if stage != "first" or int(idx) != j:
-            raise MalformedLine(f"unexpected spec line order at {rest!r}", pos)
-        first.append(_spec_from_json(payload))
-    second = []
-    for j in range(n_second):
-        rest = take("spec")
-        stage, idx, payload = rest.split(" ", 2)
-        if stage != "second" or int(idx) != j:
-            raise MalformedLine(f"unexpected spec line order at {rest!r}", pos)
-        second.append(_spec_from_json(payload))
+    def take_int(tag: str, minimum: Optional[int]) -> int:
+        rest = take(tag)
+        try:
+            value = int(rest)
+        except ValueError:
+            value = None
+        if value is None or (minimum is not None and value < minimum):
+            raise MalformedLine(f"bad {tag!r} value {rest!r}", pos)
+        return value
+
+    def take_specs(stage: str, count: int) -> tuple[ModelSpec, ...]:
+        specs = []
+        for j in range(count):
+            parts = take("spec").split(" ", 2)
+            if len(parts) != 3 or parts[:2] != [stage, str(j)]:
+                raise MalformedLine(f"expected 'spec {stage} {j} <json>'", pos)
+            specs.append(_spec_from_json(parts[2], pos))
+        return tuple(specs)
+
+    k = take_int("k", 1)
+    seed = take_int("seed", None)
+    refit_raw = take("refit_full")
+    if refit_raw not in ("0", "1"):
+        raise MalformedLine(f"bad 'refit_full' value {refit_raw!r}", pos)
+    refit_full = refit_raw == "1"
+    n_first = take_int("first_stage", 1)
+    n_second = take_int("second_stage", 1)
+    first = take_specs("first", n_first)
+    second = take_specs("second", n_second)
     selected_raw = take("selected")
+    selected_line = pos
     if selected_raw == "none":
         selected = None
     elif selected_raw == "empty":
         selected = ()
     else:
-        selected = tuple(int(tok) for tok in selected_raw.split(" "))
+        try:
+            selected = tuple(int(tok) for tok in selected_raw.split(" "))
+        except ValueError:
+            raise MalformedLine(f"bad selected columns {selected_raw!r}", pos) from None
+        if selected[0] < 0 or any(a >= b for a, b in zip(selected, selected[1:])):
+            raise MalformedLine("selected columns must ascend from 0 or more", pos)
 
-    sections: list[tuple[str, list[str]]] = []
+    # (name, 1-based line of the section header, body)
+    sections: list[tuple[str, int, list[str]]] = []
     while pos < len(lines) and lines[pos] != "end":
         head, _, rest = lines[pos].partition(" ")
-        if head != "section":
-            raise MalformedLine(f"expected section, got {lines[pos]!r}", pos + 1)
         name, _, count_raw = rest.rpartition(" ")
+        if head != "section" or not count_raw.isdecimal():
+            raise MalformedLine(f"expected section, got {lines[pos]!r}", pos + 1)
         count = int(count_raw)
         body = list(lines[pos + 1 : pos + 1 + count])
         if len(body) != count:
             raise MalformedLine(f"truncated section {name!r}", pos + 1)
-        sections.append((name, body))
+        sections.append((name, pos + 1, body))
         pos += 1 + count
     if pos >= len(lines) or lines[pos] != "end":
         raise MalformedLine("pipeline file missing 'end'", pos + 1)
+    if pos + 1 != len(lines):
+        raise MalformedLine("trailing content after 'end'", pos + 2)
 
     schema = None
-    fold_models: dict[tuple[int, int], BaseModel] = {}
-    full_models: dict[int, BaseModel] = {}
-    second_models: dict[int, BaseModel] = {}
-    for name, body in sections:
-        parts = name.split(" ")
-        if parts == ["schema"]:
-            schema = schema_from_lines(body)
-        elif parts[0] == "model" and parts[1] == "first":
-            fold_models[(int(parts[2]), int(parts[3]))] = model_from_lines(body)
-        elif parts[0] == "model" and parts[1] == "full":
-            full_models[int(parts[2])] = model_from_lines(body)
-        elif parts[0] == "model" and parts[1] == "second":
-            second_models[int(parts[2])] = model_from_lines(body)
-        else:
-            raise MalformedLine(f"unknown pipeline section {name!r}")
+    if sections and sections[0][0] == "schema":
+        _, at, body = sections.pop(0)
+        schema = schema_from_lines(body, offset=at)
+        if selected and selected[-1] >= schema.total_dim:
+            raise MalformedLine(
+                f"selected column {selected[-1]} outside the schema's {schema.total_dim}",
+                selected_line,
+            )
+    # generated, not listed: a huge count in the header costs nothing
+    expected = itertools.chain(
+        (f"model first {j} {f}" for j in range(n_first) for f in range(k)),
+        (f"model full {j}" for j in range(n_first if refit_full else 0)),
+        (f"model second {j}" for j in range(n_second)),
+    )
+    for i, name in enumerate(expected):
+        if i >= len(sections) or sections[i][0] != name:
+            raise MalformedLine(
+                f"expected section {name!r}", sections[i][1] if i < len(sections) else pos + 1
+            )
+    n_models = n_first * (k + refit_full) + n_second
+    if len(sections) > n_models:
+        name, at, _ = sections[n_models]
+        raise MalformedLine(f"unexpected section {name!r}", at)
+    models = [model_from_lines(body, offset=at) for _, at, body in sections]
+    if selected is not None:
+        width = len(selected)
+    else:
+        width = schema.total_dim if schema is not None else models[0].n_features_
+    specs = [spec for spec in first for _ in range(k)] + list(first if refit_full else ())
+    specs += second
+    widths = [width] * (len(models) - n_second) + [n_first] * n_second
+    for (name, at, body), model, spec, want in zip(sections, models, specs, widths):
+        # a model's family and dim lines are the second and third of its section
+        if body[1] != f"family {spec.family}":
+            raise MalformedLine(f"{name} is not a {spec.family} model", at + 2)
+        if model.n_features_ != want:
+            raise MalformedLine(f"{name} has dim {model.n_features_}, expected {want}", at + 3)
 
     config = StackConfig(
-        first_stage=tuple(first),
-        second_stage=tuple(second),
+        first_stage=first,
+        second_stage=second,
         k=k,
         seed=seed,
         refit_full=refit_full,
     )
+    n_folds = n_first * k
     return StackedPipeline(
         config=config,
-        fold_models=tuple(
-            tuple(fold_models[(j, f)] for f in range(k)) for j in range(n_first)
-        ),
-        second_models=tuple(second_models[j] for j in range(n_second)),
-        full_models=(
-            tuple(full_models[j] for j in range(n_first)) if full_models else None
-        ),
+        fold_models=tuple(tuple(models[j * k : (j + 1) * k]) for j in range(n_first)),
+        second_models=tuple(models[-n_second:]),
+        full_models=tuple(models[n_folds : n_folds + n_first]) if refit_full else None,
         schema=schema,
         selected=selected,
     )

@@ -215,6 +215,24 @@ def test_evaluate_mds_needs_corpus_and_schema(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "1.5", "-0.5"])
+def test_evaluate_rejects_a_score_outside_the_unit_interval(tmp_path, capsys, bad):
+    corpus, truth, _ = write_tiny_corpus(tmp_path, n_pos=3, n_neg=5)
+    scores = tmp_path / "scores.tsv"
+    write_scores(scores, load_labels(truth))
+    lines = scores.read_text().splitlines()
+    lines[1] = lines[1].split("\t")[0] + "\t" + bad
+    scores.write_text("\n".join(lines) + "\n")
+    # a typed error is reported and exits 1; anything else would raise here
+    rc = cli.main(
+        ["evaluate", "--scores", str(scores), "--truth", str(truth),
+         "--report", str(tmp_path / "report.txt")]
+    )
+    assert rc == 1
+    assert "error: line 2: bad score" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_evaluate_with_vectors_writes_mds_and_distinct_counts(stack_dir, tmp_path):
     labels = load_labels(stack_dir / "small_truth.tsv")
     scores = tmp_path / "scores.tsv"

@@ -64,6 +64,8 @@ def test_parse_seven_field_meta_has_no_tag():
 def test_parse_rejects_bad_rev_id():
     with pytest.raises(MalformedLine):
         parse_line("abc\tx\t1\t0,,,,,,")
+    with pytest.raises(MalformedLine):
+        parse_line("1²\tx\t1\t0,,,,,,")  # a digit that int() refuses
 
 
 def test_parse_rejects_wrong_field_counts():

@@ -173,6 +173,21 @@ def test_load_scores_round_trip_and_errors(tmp_path):
         load_scores(io.StringIO("5\tnot-a-float\n"))
 
 
+@pytest.mark.parametrize(
+    "bad", ["nan", "-nan", "inf", "-inf", "1.5", "-0.25", "1e400", "0x1p-1"]
+)
+def test_load_scores_rejects_scores_outside_the_unit_interval(bad):
+    with pytest.raises(MalformedLine) as info:
+        load_scores(io.StringIO(f"1\t0.5\n2\t{bad}\n"))
+    assert info.value.line_no == 2
+
+
+def test_load_scores_rejects_rev_ids_int_refuses():
+    with pytest.raises(MalformedLine) as info:
+        load_scores(io.StringIO("1²\t0.5\n"))
+    assert info.value.line_no == 1
+
+
 def pairwise(coords):
     diff = coords[:, None, :] - coords[None, :, :]
     return np.sqrt((diff ** 2).sum(axis=2))

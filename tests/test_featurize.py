@@ -301,8 +301,16 @@ def test_load_schema_rejects_bad_files():
     )
     lines = schema_to_lines(schema)
     lines[1], lines[2] = lines[2], lines[1]
-    with pytest.raises(MalformedLine):
+    with pytest.raises(MalformedLine) as info:
         load_schema(io.StringIO("\n".join(lines) + "\n"))
+    assert info.value.line_no == 3
+    # a repeated column is out of order too, not a second column
+    for at in (1, len(lines) - 1):
+        repeated = schema_to_lines(schema)
+        repeated.insert(at, repeated[at])
+        with pytest.raises(MalformedLine) as info:
+            load_schema(io.StringIO("\n".join(repeated) + "\n"))
+        assert info.value.line_no == at + 2
 
 
 def test_feature_vector_validation():

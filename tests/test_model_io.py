@@ -166,3 +166,75 @@ def test_forest_without_trees_is_rejected():
     with pytest.raises(MalformedLine) as info:
         model_from_lines(lines[:at] + ["trees 0", "end"])
     assert info.value.line_no == at + 1
+
+
+# hand-written models of the other families; the fitted block is on lines 8-9
+# (logistic regression) and 12-13 (mlp: dim 2, 2 hidden units, 9 parameters)
+LINEAR_MODEL = """vandalstack-model v1
+family logistic_regression
+dim 2
+seed 0
+param l2 1.0
+param max_iter 1000
+param tol 1e-06
+bias 0.5
+coef 0.25 -0.5
+end""".split("\n")
+
+MLP_MODEL = """vandalstack-model v1
+family mlp
+dim 2
+seed 0
+param alpha 0.0001
+param batch_size 32
+param hidden_units 2
+param learning_rate 0.001
+param max_epochs 200
+param patience 10
+param tol 1e-05
+layers 2 2
+theta 0.1 0.2 0.3 0.4 0.0 0.0 0.5 -0.5 0.0
+end""".split("\n")
+
+
+def test_hand_written_models_load_and_round_trip():
+    for lines in (TREE_MODEL, LINEAR_MODEL, MLP_MODEL):
+        model = model_from_lines(lines)
+        assert model_to_lines(model) == lines
+        assert model.predict_proba(np.array([[0.5, 0.25]])).shape == (1,)
+
+
+@pytest.mark.parametrize(
+    "model, line_no, text, reported",
+    [
+        (TREE_MODEL, 9, "importances x 0.5", 9),
+        (TREE_MODEL, 9, "importances 0.5", 9),  # dim is 2
+        (TREE_MODEL, 9, "importances 0.5 0.25 0.25", 9),
+        (TREE_MODEL, 9, "importances 0.5  0.5", 9),
+        (TREE_MODEL, 8, "base_score zero", 8),
+        (TREE_MODEL, 8, "base_score 0.1 0.2", 8),
+        (TREE_MODEL, 5, "param bogus 3", 5),  # not a parameter of the family
+        (TREE_MODEL, 5, "param lonely", 5),
+        (TREE_MODEL, 5, "param learning_rate", 5),
+        (TREE_MODEL, 5, "param seed 3", 5),  # the seed has its own line
+        (LINEAR_MODEL, 8, "bias x", 8),
+        (LINEAR_MODEL, 8, "bias", 8),
+        (LINEAR_MODEL, 9, "coef 1.0", 9),
+        (LINEAR_MODEL, 9, "coef 1.0 y", 9),
+        (LINEAR_MODEL, 9, "coef 1.0 2.0 3.0", 9),
+        (MLP_MODEL, 13, "theta 0.1 0.2", 13),  # needs d*h + 2h + 1 = 9
+        (MLP_MODEL, 13, "theta 0.1 0.2 0.3 0.4 0.0 0.0 0.5 -0.5 0.0 0.0", 13),
+        (MLP_MODEL, 13, "theta 0.1 0.2 0.3 0.4 0.0 0.0 0.5 -0.5 zz", 13),
+        (MLP_MODEL, 12, "layers 3 2", 12),  # disagrees with dim
+        (MLP_MODEL, 12, "layers 2 3", 12),  # disagrees with hidden_units
+        (MLP_MODEL, 12, "layers 2", 12),
+        (MLP_MODEL, 7, "param hidden_units 3", 12),
+        (MLP_MODEL, 7, "param hidden_units x", 12),
+    ],
+)
+def test_corrupt_model_line_fails_at_load_naming_the_line(model, line_no, text, reported):
+    lines = list(model)
+    lines[line_no - 1] = text
+    with pytest.raises(MalformedLine) as info:
+        model_from_lines(lines)
+    assert info.value.line_no == reported

@@ -53,7 +53,7 @@ def test_parse_address():
     assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
     assert parse_address("localhost:80") == ("localhost", 80)
     assert parse_address(":0") == ("127.0.0.1", 0)
-    for bad in ("nocolon", "host:", "host:abc", ""):
+    for bad in ("nocolon", "host:", "host:abc", "", "host:8²"):
         with pytest.raises(UsageError):
             parse_address(bad)
 
@@ -173,6 +173,7 @@ def test_window_limits_outstanding_revisions():
         ("SCORE\t1\t1.5\n", "range"),
         ("SCORE\t1\tnot-a-number\n", "malformed score"),
         ("SCORE\tabc\t0.5\n", "rev_id"),
+        ("SCORE\t1²\t0.5\n", "rev_id"),  # a digit that int() refuses
     ],
 )
 def test_violations_send_error_line_and_close(answer, detail):

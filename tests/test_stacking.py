@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from vandalstack.errors import DimensionMismatch, EmptyList, TooFewExamples, UsageError
+from vandalstack.errors import (
+    DimensionMismatch,
+    EmptyList,
+    MalformedLine,
+    TooFewExamples,
+    UsageError,
+)
 from vandalstack.featurize import FeatureVector, build_schema, extract_many
 from vandalstack.learners import ModelSpec, register_family, _REGISTRY
 from vandalstack.learners.base import check_matrix
@@ -277,3 +283,136 @@ def test_selected_projection_applied_inside_predict():
     assert scores.shape == (24,)
     manual = fit_stack(X.tocsc()[:, [1, 3, 5]].tocsr(), y, small_real_config())
     assert np.array_equal(scores, predict_stack_batch(manual, X.tocsc()[:, [1, 3, 5]].tocsr()))
+
+
+def corruptible_pipeline_lines():
+    """A small saved pipeline: 3 selected of 5 columns, 2 first-stage specs."""
+    rng = np.random.default_rng(10)
+    X, y = random_data(rng, n=24, d=5)
+    return pipeline_to_lines(fit_stack(X, y, small_real_config(), selected=(0, 2, 4)))
+
+
+def line_index(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def replace_line(prefix, text):
+    def corrupt(lines):
+        at = line_index(lines, prefix)
+        lines[at] = text
+        return at + 1
+
+    return corrupt
+
+
+def drop_section(name):
+    def corrupt(lines):
+        at = line_index(lines, f"section {name} ")
+        count = int(lines[at].rsplit(" ", 1)[1])
+        del lines[at : at + 1 + count]
+        return at + 1  # now the header of the section after it
+
+    return corrupt
+
+
+def rename_section(name, new_name):
+    def corrupt(lines):
+        at = line_index(lines, f"section {name} ")
+        lines[at] = lines[at].replace(name, new_name)
+        return at + 1
+
+    return corrupt
+
+
+def huge_fold_count(lines):
+    # must fail at the first section it lacks, without listing them all
+    lines[line_index(lines, "k ")] = "k 1000000000000"
+    return line_index(lines, "section model first 1 0 ") + 1
+
+
+def swap_second_stage_for_a_fold_model(lines):
+    # a well-formed model of the first stage's width where the second
+    # stage's (width 2, one column per first-stage spec) belongs
+    fold = line_index(lines, "section model first 0 0 ")
+    fold_body = lines[fold + 1 : fold + 1 + int(lines[fold].rsplit(" ", 1)[1])]
+    at = line_index(lines, "section model second 0 ")
+    del lines[at:-1]
+    lines[at:at] = [f"section model second 0 {len(fold_body)}"] + fold_body
+    return at + 4  # the model's dim line, third of the section
+
+
+def spec_of_another_family(lines):
+    # the second spec is logistic regression, its fold models too
+    at = line_index(lines, "spec first 1 ")
+    lines[at] = lines[at].replace('"logistic_regression"', '"mlp"')
+    return line_index(lines, "section model first 1 0 ") + 3
+
+
+def corrupt_inside_a_model(lines):
+    at = line_index(lines, "section model first 1 0 ")
+    at += line_index(lines[at:], "coef ")
+    lines[at] = "coef 1.0 x 2.0"
+    return at + 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        replace_line("k ", "k x"),
+        replace_line("k ", "k 0"),
+        huge_fold_count,
+        replace_line("seed ", "seed 1.5"),
+        replace_line("refit_full ", "refit_full 2"),
+        replace_line("first_stage ", "first_stage two"),
+        replace_line("first_stage ", "first_stage 0"),
+        replace_line("second_stage ", "second_stage -1"),
+        replace_line("spec first 0 ", "spec first 0 {not json"),
+        replace_line("spec first 0 ", 'spec first 0 {"family": "mlp"}'),
+        replace_line("spec first 1 ", 'spec first 1 ["logistic_regression", {}, 0]'),
+        replace_line("spec second 0 ", "spec second 0"),
+        replace_line(  # a well-formed spec in the wrong stage
+            "spec second 0 ", 'spec first 0 {"family": "mlp", "hyperparameters": {}, "seed": 0}'
+        ),
+        replace_line("selected ", "selected 0 x 4"),
+        replace_line("selected ", "selected 4 2 0"),
+        replace_line("selected ", "selected -1 2 4"),
+        replace_line("selected ", "selected 0 0 4"),
+        replace_line("section model first 0 0 ", "section model first 0 0 many"),
+        rename_section("model first 0 1", "model first 0 7"),
+        rename_section("model first 1 2", "model first x 2"),
+        replace_line("end", "the end"),
+        drop_section("model first 0 1"),
+        drop_section("model second 0"),
+        swap_second_stage_for_a_fold_model,
+        spec_of_another_family,
+        corrupt_inside_a_model,
+    ],
+)
+def test_corrupt_pipeline_fails_at_load_naming_the_line(corrupt):
+    lines = corruptible_pipeline_lines()
+    assert pipeline_to_lines(pipeline_from_lines(lines)) == lines
+    reported = corrupt(lines)
+    with pytest.raises(MalformedLine) as info:
+        pipeline_from_lines(lines)
+    assert info.value.line_no == reported
+
+
+def test_pipeline_schema_errors_name_the_file_line():
+    from tests._util import rev
+
+    revisions = [rev(i, comment=f"word{i}") for i in range(1, 25)]
+    schema = build_schema(extract_many(revisions))
+    rng = np.random.default_rng(11)
+    X, y = random_data(rng, n=24, d=schema.total_dim)
+    lines = pipeline_to_lines(fit_stack(X, y, small_real_config(), schema=schema, selected=(0, 1)))
+    at = line_index(lines, "section schema ") + 2  # the schema's first column
+    lines[at] = "X bogus"
+    with pytest.raises(MalformedLine) as info:
+        pipeline_from_lines(lines)
+    assert info.value.line_no == at + 1
+    lines = pipeline_to_lines(fit_stack(X, y, small_real_config(), schema=schema, selected=(0, 1)))
+    at = line_index(lines, "selected ")
+    lines[at] = f"selected 0 {schema.total_dim}"
+    with pytest.raises(MalformedLine) as info:
+        pipeline_from_lines(lines)
+    assert info.value.line_no == at + 1
