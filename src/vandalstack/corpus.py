@@ -193,7 +193,7 @@ def load_labels(
             raise MalformedLine(f"unknown label spelling {parts[1]!r}", line_no)
         if rev_id in labels and labels[rev_id] != label:
             raise DuplicateConflict(
-                f"rev_id {rev_id} labeled both {labels[rev_id]} and {label}"
+                f"rev_id {rev_id} labeled both {labels[rev_id]} and {label}", line_no
             )
         labels[rev_id] = label
     return labels

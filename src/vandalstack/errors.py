@@ -21,8 +21,8 @@ class MalformedLine(VandalstackError):
         self.line_no = line_no
 
 
-class DuplicateConflict(VandalstackError):
-    """The same rev_id appears twice with contradictory labels."""
+class DuplicateConflict(MalformedLine):
+    """The same rev_id twice with contradictory labels or scores (the second line)."""
 
 
 class EmptyDataset(VandalstackError):

@@ -190,7 +190,7 @@ def load_scores(source: Source) -> dict[int, float]:
         if not 0.0 <= score <= 1.0:
             raise MalformedLine(f"bad score {parts[1]!r}, expected a number in [0, 1]", line_no)
         if rev_id in scores and scores[rev_id] != score:
-            raise DuplicateConflict(f"rev_id {rev_id} scored twice, differently")
+            raise DuplicateConflict(f"rev_id {rev_id} scored twice, differently", line_no)
         scores[rev_id] = score
     return scores
 

@@ -9,15 +9,11 @@ and ``get_params`` / ``set_params`` expose the constructor arguments.
 from __future__ import annotations
 
 import inspect
-from typing import Sequence, Union
 
 import numpy as np
 from scipy import sparse
 
 from ..errors import DimensionMismatch, EmptyDataset, NotFitted
-from ..featurize import FeatureVector, vectors_to_csr
-
-MatrixLike = Union[sparse.spmatrix, np.ndarray, Sequence[FeatureVector]]
 
 
 class BaseModel:
@@ -50,42 +46,44 @@ class BaseModel:
             raise NotFitted(f"{type(self).__name__} has not been fit")
 
 
-def check_matrix(X: MatrixLike) -> sparse.csr_matrix:
+def check_matrix(X) -> sparse.csr_matrix:
     """Coerce input to a canonical 2-D CSR matrix of float64.
 
-    Input already in that form is returned as is; anything else is
-    converted into a new matrix.  The caller's matrix is never modified.
+    For registered families that work on CSR rows; the built-in learners
+    take :func:`check_dense`.  Input already in that form is returned as
+    is; anything else is copied.  The caller's matrix is never modified.
     """
-    if (
-        isinstance(X, sparse.csr_matrix)
-        and X.dtype == np.float64
-        and X.has_sorted_indices
-    ):
+    if isinstance(X, sparse.csr_matrix) and X.dtype == np.float64 and X.has_sorted_indices:
         return X
-    if isinstance(X, sparse.spmatrix):
-        mat = X.tocsr()
-    elif isinstance(X, np.ndarray):
-        if X.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-D array, got shape {X.shape}")
-        mat = sparse.csr_matrix(X)
-    else:
-        seq = list(X)
-        if seq and isinstance(seq[0], FeatureVector):
-            mat = vectors_to_csr(seq)
-        else:
-            mat = sparse.csr_matrix(np.asarray(seq, dtype=np.float64))
-    mat = mat.astype(np.float64)
+    if isinstance(X, np.ndarray) and X.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D array, got shape {X.shape}")
+    mat = sparse.csr_matrix(X, dtype=np.float64, copy=True)
     mat.sort_indices()
     return mat
 
 
-def check_X_y(X: MatrixLike, y) -> tuple[sparse.csr_matrix, np.ndarray]:
+def check_dense(X) -> np.ndarray:
+    """Coerce input to a 2-D C-contiguous float64 array.
+
+    Sparse input is densified here, once.  An array already in that form
+    is returned as is: never modify the result in place.
+    """
+    if not isinstance(X, np.ndarray) and sparse.issparse(X):
+        X = X.toarray()
+    mat = np.ascontiguousarray(X, dtype=np.float64)
+    if mat.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
+    return mat
+
+
+def check_X_y(X, y) -> tuple[np.ndarray, np.ndarray]:
     """Validate a training pair: matching lengths, binary 0/1 labels.
 
+    ``X`` comes back as a dense float64 array (see :func:`check_dense`).
     Single-class data is legal — trees emit constant leaves and the
     gradient models fit the prior.
     """
-    mat = check_matrix(X)
+    mat = check_dense(X)
     labels = np.asarray(y)
     if labels.dtype == bool:
         labels = labels.astype(np.float64)
@@ -102,28 +100,12 @@ def check_X_y(X: MatrixLike, y) -> tuple[sparse.csr_matrix, np.ndarray]:
     return mat, labels
 
 
-def check_predict_input(model: BaseModel, X: MatrixLike) -> sparse.csr_matrix:
+def check_predict_input(model: BaseModel, X) -> np.ndarray:
+    """Prediction input for a fitted model, as a dense float64 array."""
     model._check_is_fitted()
-    mat = check_matrix(X)
-    _check_width(model, mat.shape[1])
-    return mat
-
-
-def check_predict_dense(model: BaseModel, X: MatrixLike) -> np.ndarray:
-    """:func:`check_predict_input` as a dense float64 array.
-
-    A 2-D ndarray is used as is (cast to float64 if needed) rather than
-    round-tripping through CSR; never modify the result in place.
-    """
-    if not (isinstance(X, np.ndarray) and X.ndim == 2):
-        return check_predict_input(model, X).toarray()
-    model._check_is_fitted()
-    _check_width(model, X.shape[1])
-    return X.astype(np.float64, copy=False)
-
-
-def _check_width(model: BaseModel, width: int) -> None:
-    if width != model.n_features_:
+    mat = check_dense(X)
+    if mat.shape[1] != model.n_features_:
         raise DimensionMismatch(
-            f"model was fit with {model.n_features_} features, input has {width}"
+            f"model was fit with {model.n_features_} features, input has {mat.shape[1]}"
         )
+    return mat

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..rng import derive_seed, generator
-from .base import check_predict_dense, check_X_y
+from .base import check_predict_input, check_X_y
 from .tree import TreeBuilder, TreeEnsemble
 
 _PROB_EPS = 1e-12
@@ -24,12 +24,10 @@ _MAX_LEAF_VALUE = 16.0
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """The logistic function; ``exp`` sees only ``-|z|``, so it cannot overflow."""
+    e = np.exp(-np.abs(z))
+    denom = 1.0 + e
+    return np.where(z >= 0, 1.0 / denom, e / denom)
 
 
 def log_loss(y: np.ndarray, p: np.ndarray) -> float:
@@ -57,8 +55,7 @@ class GradientBoostingClassifier(TreeEnsemble):
             raise ValueError("learning_rate must be > 0")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None")
-        Xr, labels = check_X_y(X, y)
-        Xd = Xr.toarray()
+        Xd, labels = check_X_y(X, y)
         n, d = Xd.shape
         prior = float(np.clip(labels.mean(), _PROB_EPS, 1.0 - _PROB_EPS))
         self.base_score_ = float(np.log(prior / (1.0 - prior)))
@@ -95,7 +92,7 @@ class GradientBoostingClassifier(TreeEnsemble):
 
     def decision_function(self, X) -> np.ndarray:
         """Raw additive score before the sigmoid."""
-        X = check_predict_dense(self, X)
+        X = check_predict_input(self, X)
         return self.nodes_.sum_leaves(X, self.base_score_, self.learning_rate)
 
     def predict_proba(self, X) -> np.ndarray:

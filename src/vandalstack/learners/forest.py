@@ -15,7 +15,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..rng import derive_seed, generator
-from .base import check_predict_dense, check_X_y
+from .base import check_predict_input, check_X_y
 from .tree import TreeBuilder, TreeEnsemble
 
 
@@ -33,8 +33,7 @@ class _BaseForest(TreeEnsemble):
             raise ValueError("n_estimators must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None")
-        Xr, labels = check_X_y(X, y)
-        Xd = Xr.toarray()
+        Xd, labels = check_X_y(X, y)
         n, d = Xd.shape
         m = self._resolve_max_features(d)
         trees = []
@@ -76,7 +75,7 @@ class _BaseForest(TreeEnsemble):
 
     def predict_proba(self, X) -> np.ndarray:
         """P(positive) per row: the mean of the per-tree leaf fractions."""
-        X = check_predict_dense(self, X)
+        X = check_predict_input(self, X)
         return self.nodes_.sum_leaves(X, 0.0, 1.0) / self.nodes_.n_trees
 
 

@@ -166,7 +166,7 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
     family = reader.expect("family")
     cls = BUILTIN_FAMILIES.get(family)
     if cls is None:
-        raise UnsupportedFamily(f"unknown model family {family!r}")
+        raise MalformedLine(f"unknown model family {family!r}", reader.line_no)
     dim = reader.expect_int("dim")
     seed = reader.expect_int("seed")
     params = {"seed": seed}
@@ -232,6 +232,8 @@ def _parse_nodes(lines: Sequence[str]) -> np.ndarray:
     """``node <feature> <threshold> <left> <right> <value>`` lines, in bulk."""
     if not lines:
         return np.zeros(0, dtype=_NODE_LINE)
+    if not all(lines):  # loadtxt would skip an empty line, with a warning
+        raise ValueError("empty node line")
     nodes = np.loadtxt(
         lines, dtype=_NODE_LINE, delimiter=" ", comments=None, quotechar=None, ndmin=1
     )

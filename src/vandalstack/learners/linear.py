@@ -71,8 +71,9 @@ class LogisticRegression(BaseModel):
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        mat = check_predict_input(self, X)
-        return np.asarray(mat @ self.coef_ + self.intercept_).ravel()
+        # einsum, not BLAS, so a row scores the same alone or in a batch
+        X = check_predict_input(self, X)
+        return np.einsum("ij,j->i", X, self.coef_) + self.intercept_
 
     def predict_proba(self, X) -> np.ndarray:
         return sigmoid(self.decision_function(X))

@@ -10,7 +10,6 @@ checked directly against finite differences.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from ..rng import derive_seed, generator
 from .base import BaseModel, check_predict_input, check_X_y
@@ -42,7 +41,7 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean log-loss + (alpha/2)(||W1||^2 + ||w2||^2) and its gradient.
 
-    ``X`` may be a CSR matrix or a dense array; biases are unpenalised.
+    ``X`` is a dense n x d float64 array; biases are unpenalised.
     """
     W1, b1, w2, b2 = unpack_params(theta, d, h)
     n = y.shape[0]
@@ -59,7 +58,7 @@ def loss_and_grad(
     grad_b2 = float(dz2.sum())
     dA1 = np.outer(dz2, w2)
     dZ1 = dA1 * (Z1 > 0.0)
-    grad_W1 = np.asarray(X.T @ dZ1) + alpha * W1
+    grad_W1 = X.T @ dZ1 + alpha * W1
     grad_b1 = dZ1.sum(axis=0)
     return loss, pack_params(grad_W1, grad_b1, grad_w2, grad_b2)
 
@@ -134,11 +133,10 @@ class MLPClassifier(BaseModel):
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        # Row-independent arithmetic on purpose: the sparse matvec and the
-        # einsum both accumulate per row in a fixed order, so scoring rows
-        # one at a time or in a batch gives bitwise-equal results (the
-        # streaming client and offline predict must agree exactly).
-        mat = check_predict_input(self, X)
+        # einsum, not BLAS: BLAS picks gemv for one row and gemm for a block,
+        # which can round differently, and a row must score bit for bit the
+        # same alone (the streaming client) as in a batch (offline predict).
+        X = check_predict_input(self, X)
         W1, b1, w2, b2 = unpack_params(self.theta_, self.n_features_, self.hidden_units)
-        A1 = np.maximum(mat @ W1 + b1, 0.0)
+        A1 = np.maximum(np.einsum("ij,jk->ik", X, W1) + b1, 0.0)
         return sigmoid(np.einsum("ij,j->i", A1, w2) + b2)

@@ -77,10 +77,10 @@ def project(x: FeatureVector, selected: Sequence[int]) -> FeatureVector:
     return FeatureVector(dim=len(sel), entries=tuple(entries))
 
 
-def project_matrix(X: sparse.spmatrix, selected: Sequence[int]) -> sparse.csr_matrix:
+def project_matrix(X, selected: Sequence[int]) -> np.ndarray:
+    """The selected columns of a CSR or dense matrix, as a dense float64 array."""
     sel = np.asarray(list(selected), dtype=np.int64)
     if sel.size and (sel.min() < 0 or sel.max() >= X.shape[1]):
         raise IndexOutOfRange(f"selected column outside input dim {X.shape[1]}")
-    out = sparse.csr_matrix(X.tocsc()[:, sel])
-    out.sort_indices()
-    return out
+    out = X.tocsr()[:, sel].toarray() if sparse.issparse(X) else X[:, sel]
+    return np.ascontiguousarray(out, dtype=np.float64)

@@ -34,10 +34,17 @@ from .stacking import StackedPipeline, load_pipeline, predict_stack
 
 
 def format_score(score: float) -> str:
-    """9 significant digits, dot separator, no exponent — e.g. 0.123456789."""
-    return np.format_float_positional(
-        float(score), precision=9, unique=False, fractional=False, trim="k"
-    )
+    """9 significant digits, dot separator, no exponent — e.g. 0.123456789.
+
+    numpy may print a trailing zero for a score but not for the float read
+    back from its text, or the reverse (``0.391996050`` → ``0.39199605``),
+    so the text printed is the read-back float's: a fixed point of reading.
+    """
+    for _ in range(2):
+        score = np.format_float_positional(
+            float(score), precision=9, unique=False, fractional=False, trim="k"
+        )
+    return score
 
 
 def parse_address(text: str) -> tuple[str, int]:
@@ -114,7 +121,8 @@ class ScoringServer:
         """Accept one client, stream every revision, evaluate the answers.
 
         ``timeout`` bounds the wait for the client as well as each answer;
-        either raises :class:`Timeout`.
+        either raises :class:`Timeout`.  A connection that fails mid-session
+        (reset, broken pipe) raises :class:`ProtocolViolation`.
         """
         if self._sock is None:
             raise UsageError("serve_one called before bind")
@@ -127,6 +135,10 @@ class ScoringServer:
             conn.settimeout(self.timeout)
         try:
             scores = self._run_session(conn)
+        except (socket.timeout, TimeoutError):
+            raise Timeout("timeout sending to the client") from None
+        except OSError as exc:
+            raise ProtocolViolation(f"connection lost: {exc}") from None
         finally:
             conn.close()
         scored = [
@@ -222,6 +234,12 @@ def run_server(
     revisions = load_corpus(corpus_path).revisions
     labels = load_labels(truth_path)
     server = ScoringServer(revisions, labels, window=window, timeout=timeout)
+    positives = sum(labels[rev.rev_id] for rev in revisions)
+    if positives in (0, len(revisions)):
+        raise UsageError(
+            f"the session's AUC needs both classes, but the corpus has {positives} positive "
+            f"and {len(revisions) - positives} negative revisions"
+        )
     host, port = parse_address(listen)
     server.bind(host, port)
     print(f"listening on {server.address[0]}:{server.address[1]}", file=sys.stderr)

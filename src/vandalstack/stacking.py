@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     DimensionMismatch,
@@ -46,7 +47,7 @@ from .learners import (
     project_matrix,
     train,
 )
-from .learners.base import check_matrix, check_X_y
+from .learners.base import check_dense, check_X_y
 from .rng import derive_seed, generator
 
 PIPELINE_HEADER = "vandalstack-pipeline v1"
@@ -139,18 +140,14 @@ def fit_stack(
 ) -> StackedPipeline:
     """Train the full stack on encoded data.
 
-    ``X`` is the full-width matrix (or FeatureVector sequence); when
-    ``selected`` is given the projection is applied here and again inside
-    every predict call, keeping train and serve paths identical.
+    ``X`` is the full-width matrix, CSR or dense (or FeatureVector
+    sequence); when ``selected`` is given the projection is applied here
+    and again inside every predict call, keeping train and serve paths
+    identical.
     """
-    Xmat, labels = check_X_y(X, y)
-    if schema is not None and Xmat.shape[1] != schema.total_dim:
-        raise DimensionMismatch(
-            f"matrix width {Xmat.shape[1]} != schema dim {schema.total_dim}"
-        )
     if selected is not None:
         selected = tuple(int(j) for j in selected)
-        Xmat = project_matrix(Xmat, selected)
+    Xmat, labels = check_X_y(_model_input(X, schema, selected), y)
     n = Xmat.shape[0]
     plan = kfold_assign(n, config.k, derive_seed(config.seed, "folds", 0))
     n_first = len(config.first_stage)
@@ -190,13 +187,24 @@ def fit_stack(
     )
 
 
+def _model_input(X, schema: Optional[FeatureSchema], selected) -> np.ndarray:
+    """Full-width input checked against ``schema``, as the dense block of ``selected``."""
+    if isinstance(X, (list, tuple)) and X and isinstance(X[0], FeatureVector):
+        X = vectors_to_csr(X)
+    elif not sparse.issparse(X):
+        X = check_dense(X)
+    if schema is not None and X.shape[1] != schema.total_dim:
+        raise DimensionMismatch(f"input width {X.shape[1]} != schema dim {schema.total_dim}")
+    return check_dense(X) if selected is None else project_matrix(X, selected)
+
+
 def stack_meta_features(pipeline: StackedPipeline, X) -> np.ndarray:
     """Meta-feature matrix for already-projected input.
 
     Column j is the mean of spec j's k fold models (or its single
     refit-on-all model when the pipeline was built with ``refit_full``).
     """
-    Xmat = check_matrix(X)
+    Xmat = check_dense(X)
     n_first = len(pipeline.config.first_stage)
     meta = np.zeros((Xmat.shape[0], n_first))
     if pipeline.full_models is not None:
@@ -213,14 +221,7 @@ def stack_meta_features(pipeline: StackedPipeline, X) -> np.ndarray:
 
 def predict_stack_batch(pipeline: StackedPipeline, X) -> np.ndarray:
     """Scores for full-width input (projection applied internally)."""
-    Xmat = check_matrix(X)
-    if pipeline.schema is not None and Xmat.shape[1] != pipeline.schema.total_dim:
-        raise DimensionMismatch(
-            f"input width {Xmat.shape[1]} != schema dim {pipeline.schema.total_dim}"
-        )
-    if pipeline.selected is not None:
-        Xmat = project_matrix(Xmat, pipeline.selected)
-    meta = stack_meta_features(pipeline, Xmat)
+    meta = stack_meta_features(pipeline, _model_input(X, pipeline.schema, pipeline.selected))
     scores = np.zeros((meta.shape[0], len(pipeline.second_models)))
     for j, model in enumerate(pipeline.second_models):
         scores[:, j] = model.predict_proba(meta)
@@ -228,7 +229,7 @@ def predict_stack_batch(pipeline: StackedPipeline, X) -> np.ndarray:
 
 
 def predict_stack(pipeline: StackedPipeline, x: FeatureVector) -> float:
-    return float(predict_stack_batch(pipeline, vectors_to_csr([x]))[0])
+    return float(predict_stack_batch(pipeline, x.to_dense()[None, :])[0])
 
 
 def mean_ensemble(scores: Sequence[float]) -> float:

@@ -344,3 +344,16 @@ def test_serve_and_client_commands(stack_dir, tmp_path):
     text = report_path.read_text()
     assert text.startswith("examples 300")
     assert "auc" in text
+
+
+@pytest.mark.parametrize("n_pos, n_neg", [(0, 5), (4, 0)])
+def test_serve_refuses_a_one_class_session_before_binding(tmp_path, capsys, n_pos, n_neg):
+    corpus, truth, _ = write_tiny_corpus(tmp_path, n_pos=n_pos, n_neg=n_neg)
+    rc = cli.main(
+        ["serve", "--corpus", str(corpus), "--truth", str(truth),
+         "--listen", "127.0.0.1:0", "--timeout", "5"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{n_pos} positive and {n_neg} negative" in err
+    assert "listening on" not in err

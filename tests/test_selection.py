@@ -103,10 +103,30 @@ def test_project_matrix_matches_dense_slice():
     X = sparse.csr_matrix(dense)
     for selected in ((0, 3, 6), (), (2,), tuple(range(7))):
         out = project_matrix(X, selected)
+        assert type(out) is np.ndarray and out.dtype == np.float64
+        assert out.flags.c_contiguous
         assert out.shape == (20, len(selected))
-        assert np.array_equal(out.toarray(), dense[:, list(selected)])
+        assert np.array_equal(out, dense[:, list(selected)])
     with pytest.raises(IndexOutOfRange):
         project_matrix(X, (7,))
+
+
+def test_project_matrix_same_array_from_sparse_and_dense():
+    rng = np.random.default_rng(3)
+    # +0.0 for the gaps: CSR stores no zeros, so a -0.0 would come back as +0.0
+    dense = np.where(rng.random((15, 9)) < 0.4, rng.normal(size=(15, 9)), 0.0)
+    dense[1, 2] = 5e-324
+    dense[2, 3] = 1e300
+    for selected in ((1, 4, 8), (), (0,), tuple(range(9))):
+        from_sparse = project_matrix(sparse.csr_matrix(dense), selected)
+        from_dense = project_matrix(dense, selected)
+        assert from_sparse.shape == from_dense.shape == (15, len(selected))
+        assert from_sparse.tobytes() == from_dense.tobytes()
+        assert from_dense.flags.c_contiguous and from_dense.dtype == np.float64
+    with pytest.raises(IndexOutOfRange):
+        project_matrix(dense, (9,))
+    with pytest.raises(IndexOutOfRange):
+        project_matrix(dense, (-1,))
 
 
 def test_select_project_retrain_round_trip():

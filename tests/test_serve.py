@@ -1,11 +1,13 @@
 """The streaming scoring protocol: framing, flow control, violations."""
 
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies
 
 from tests._util import rev
 from vandalstack.corpus import LabeledExample, format_line, write_corpus, write_labels
@@ -45,6 +47,16 @@ def test_format_score_never_uses_exponent_and_round_trips_precisely():
         text = format_score(float(value))
         assert "e" not in text and "E" not in text
         assert abs(float(text) - float(value)) < 1e-7  # >= 8 significant digits
+
+
+# each prints a trailing zero for itself or for the float read back from its text
+@example(0.39199605018578665)
+@example(0.9190886196338225)
+@given(strategies.floats(0.0, 1.0, allow_nan=False))
+def test_format_score_is_a_fixed_point(value):
+    text = format_score(value)
+    assert format_score(float(text)) == text
+    assert abs(float(text) - value) <= 5e-9 * max(value, 1e-300) or value < 1e-290
 
 
 # --- address parsing --------------------------------------------------------
@@ -217,6 +229,19 @@ def test_early_close_is_a_violation():
     # shutdown forces the FIN out even though the makefile reader still
     # holds a reference to the underlying socket
     sock.shutdown(socket.SHUT_RDWR)
+    reader.close()
+    sock.close()
+    st.join()
+    assert isinstance(st.error, ProtocolViolation)
+
+
+def test_reset_connection_is_a_violation():
+    revisions, labels = tiny_corpus(3)
+    st = ServerThread(revisions, labels, window=1)
+    sock, reader = connect(st.address)
+    read_line(reader)
+    # linger 0: close() resets the connection instead of closing it
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
     reader.close()
     sock.close()
     st.join()
