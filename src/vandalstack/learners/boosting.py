@@ -16,7 +16,8 @@ import numpy as np
 
 from ..rng import derive_seed, generator
 from .base import check_predict_input, check_X_y
-from .tree import TreeBuilder, TreeEnsemble
+from .grower import Presort, TreeBuilder
+from .tree import TreeEnsemble
 
 _PROB_EPS = 1e-12
 _HESSIAN_EPS = 1e-16
@@ -60,6 +61,8 @@ class GradientBoostingClassifier(TreeEnsemble):
         prior = float(np.clip(labels.mean(), _PROB_EPS, 1.0 - _PROB_EPS))
         self.base_score_ = float(np.log(prior / (1.0 - prior)))
         rows = np.arange(n, dtype=np.int64)
+        # every round grows on all rows: one presort serves them all
+        presort = Presort.of(Xd, rows)
         raw = np.full(n, self.base_score_)
         importances = np.zeros(d)
         trees = []
@@ -79,7 +82,7 @@ class GradientBoostingClassifier(TreeEnsemble):
                 None,
                 generator(derive_seed(self.seed, "round", m)),
             )
-            tree, leaf_of = builder.build(Xd, rows, residual, newton_leaf, importances)
+            tree, leaf_of = builder.build(Xd, rows, residual, newton_leaf, importances, presort)
             raw = raw + self.learning_rate * tree.value[leaf_of]
             trees.append(tree)
             losses.append(log_loss(labels, sigmoid(raw)))

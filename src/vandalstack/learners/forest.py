@@ -16,7 +16,8 @@ import numpy as np
 
 from ..rng import derive_seed, generator
 from .base import check_predict_input, check_X_y
-from .tree import TreeBuilder, TreeEnsemble
+from .grower import TreeBuilder, TreeJob
+from .tree import TreeEnsemble
 
 
 class _BaseForest(TreeEnsemble):
@@ -36,32 +37,26 @@ class _BaseForest(TreeEnsemble):
         Xd, labels = check_X_y(X, y)
         n, d = Xd.shape
         m = self._resolve_max_features(d)
-        trees = []
+        every_row = np.arange(n, dtype=np.int64)
+        # each tree's generator and bootstrap draw are made as its group comes up
+        jobs = (self._job(t, labels, every_row) for t in range(self.n_estimators))
+        builder = TreeBuilder("gini", self.max_depth, m, random_threshold=self.random_threshold)
         importances = np.zeros(d)
-        for t in range(self.n_estimators):
-            rng = generator(derive_seed(self.seed, "tree", t))
-            if self.bootstrap:
-                rows = np.sort(rng.integers(0, n, size=n))
-            else:
-                rows = np.arange(n, dtype=np.int64)
-            target = labels[rows]
-            builder = TreeBuilder(
-                "gini", self.max_depth, m, rng, random_threshold=self.random_threshold
-            )
-            tree, _ = builder.build(
-                Xd,
-                rows,
-                target,
-                # the mean, bit for bit, without np.mean's per-call overhead
-                leaf_value=lambda sel, tgt=target: tgt[sel].sum() / sel.size,
-                importances=importances,
-            )
-            trees.append(tree)
-        self.trees_ = trees
+        self.trees_ = [tree for tree, _ in builder.build_many(Xd, jobs, importances)]
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
         self.n_features_ = d
         return self
+
+    def _job(self, t: int, labels: np.ndarray, every_row: np.ndarray) -> TreeJob:
+        """Tree ``t``: its generator, its rows (a bootstrap draw, if any), its leaf rule."""
+        rng = generator(derive_seed(self.seed, "tree", t))
+        rows, target = every_row, labels
+        if self.bootstrap:
+            rows = np.sort(rng.integers(0, labels.size, size=labels.size))
+            target = labels[rows]
+        # the mean, bit for bit, without np.mean's per-call overhead
+        return TreeJob(rows, target, lambda sel: target[sel].sum() / sel.size, rng)
 
     def _resolve_max_features(self, d: int) -> Optional[int]:
         if self.max_features is None:

@@ -16,6 +16,8 @@ a reloaded model predicts identically to the one saved.
 
 from __future__ import annotations
 
+import math
+import typing
 from pathlib import Path
 from typing import IO, Iterator, Sequence, Union
 
@@ -38,10 +40,21 @@ BUILTIN_FAMILIES = {
     "mlp": MLPClassifier,
 }
 
-# the parameters a model file may set on a `param` line, per family
-_PARAM_NAMES = {
-    name: frozenset(cls._param_names()) - {"seed"} for name, cls in BUILTIN_FAMILIES.items()
-}
+
+def _param_types(cls) -> dict[str, tuple[type, ...]]:
+    """The types each constructor parameter but ``seed`` takes, from its annotation."""
+    hints = typing.get_type_hints(cls.__init__)
+    types = {}
+    for name in cls._param_names():
+        if name != "seed":
+            allowed = typing.get_args(hints[name]) or (hints[name],)
+            # an int is a float value (and `repr` writes it as an int)
+            types[name] = allowed + (int,) if float in allowed else allowed
+    return types
+
+
+# the parameters a model file may set on a `param` line, and their types, per family
+_PARAM_TYPES = {name: _param_types(cls) for name, cls in BUILTIN_FAMILIES.items()}
 
 
 def family_name(model) -> str:
@@ -174,10 +187,20 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
         line = reader.next()
         if not line.startswith("param "):
             break
-        name, _, value = line[len("param ") :].partition(" ")
-        if name not in _PARAM_NAMES[family] or not value:
+        name, _, token = line[len("param ") :].partition(" ")
+        types = _PARAM_TYPES[family].get(name)
+        if types is None or not token:
             raise MalformedLine(f"bad {family} parameter line {line!r}", reader.line_no)
-        params[name] = _parse_value(value)
+        value = _parse_value(token)
+        # exact types: a bool is no int here, nor an int a bool
+        if type(value) not in types or (type(value) is float and not math.isfinite(value)):
+            expected = " or ".join(t.__name__ for t in types)
+            raise MalformedLine(
+                f"bad {family} parameter line {line!r}: {name} takes {expected}"
+                + (", finite" if float in types else ""),
+                reader.line_no,
+            )
+        params[name] = value
     model = cls(**params)
     model.n_features_ = dim
     # `line` now holds the first line of the fitted block
@@ -204,7 +227,7 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
         model.coef_ = reader.floats("coef", reader.expect("coef"), dim)
     else:  # mlp
         h = model.hidden_units
-        if type(h) is not int or h < 1 or line != f"layers {dim} {h}":
+        if h < 1 or line != f"layers {dim} {h}":
             raise MalformedLine(
                 f"expected 'layers {dim} {h}' (dim, hidden_units), got {line!r}", reader.line_no
             )

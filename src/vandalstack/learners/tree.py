@@ -1,19 +1,7 @@
-"""One CART-style binary tree, grown on a dense training matrix.
+"""CART-style binary trees: their layout, and one evaluator for an ensemble.
 
-The same builder serves every tree family in the package: classification
-trees split on Gini impurity, the regression trees inside the boosting
-model split on variance, and the extremely-randomised variant draws one
-uniform threshold per candidate feature instead of scanning.  What a leaf
-stores is up to the caller (positive fraction, mean target, or a Newton
-step), supplied as a callback.
-
-The models densify their training matrix once per fit.  Each node gathers
-the block of its rows and candidate features and searches all of them at
-once: the exact rule sorts every column and scans all boundaries between
-distinct values (the exact greedy enumeration of XGBoost), the random
-rule draws all thresholds in one call.  One gain formula per criterion
-serves both rules.
-
+Every tree family in the package grows its trees with
+:mod:`vandalstack.learners.grower` into the :class:`Tree` layout.
 Prediction goes through :class:`NodeTable`, which compiles all trees of
 an ensemble into one flat node table and walks them together.
 """
@@ -21,7 +9,7 @@ an ensemble into one flat node table and walks them together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -225,218 +213,3 @@ class TreeEnsemble(BaseModel):
     @trees_.setter
     def trees_(self, trees) -> None:
         self.nodes_ = NodeTable.from_trees(trees)
-
-
-# cells of a node's candidate block searched at once: a wider block is
-# searched in column chunks, so each float64 temporary stays within 512 KB
-SPLIT_BLOCK_CELLS = 1 << 16
-
-
-def split_gains(sl, nl, total, n: int, criterion: str) -> np.ndarray:
-    """Impurity decrease of splits that send ``nl`` of ``n`` rows left.
-
-    ``sl`` is the target sum on the left and ``total`` the column's sum
-    over all ``n`` rows; the arguments broadcast, one column per candidate
-    feature in the last axis.  Both split rules use this one formula.
-    """
-    nr = n - nl
-    sr = total - sl
-    if criterion == "gini":
-        def gini(s, cnt):
-            p = s / cnt
-            return 2.0 * p * (1.0 - p)
-
-        return gini(total, n) - (nl * gini(sl, nl) + nr * gini(sr, nr)) / n
-    # variance criterion: decrease reduces to a sum-of-squares identity.  The
-    # parent term is squared one float at a time: numpy squares an array by a
-    # multiplication but a scalar with C pow, and the two differ in the last
-    # bit on about one value in a thousand, enough to flip an exact tie
-    mean_sq = np.array([float(m) ** 2 for m in np.ravel(total / n)])
-    return (sl * sl / nl + sr * sr / nr) / n - mean_sq.reshape(np.shape(total))
-
-
-def exact_block_split(block: np.ndarray, t: np.ndarray, criterion: str):
-    """Scan every boundary between distinct values in each column of ``block``.
-
-    ``block`` holds the node's rows of its candidate features, ``t`` their
-    targets.  Returns per column the ``(gain, threshold)`` arrays of its
-    best boundary, the lowest threshold winning ties; the gain is ``-inf``
-    for a constant column.
-    """
-    n, c = block.shape
-    cols = np.arange(c)
-    order = np.argsort(block, axis=0, kind="mergesort")
-    vs = block[order, cols]
-    csum = np.cumsum(t[order], axis=0)
-    gains = split_gains(csum[:-1], np.arange(1.0, n)[:, None], csum[-1], n, criterion)
-    gains[~(vs[1:] > vs[:-1])] = -np.inf
-    at = np.argmax(gains, axis=0)
-    lo, hi = vs[at, cols], vs[at + 1, cols]
-    threshold = 0.5 * (lo + hi)
-    threshold = np.where((lo <= threshold) & (threshold < hi), threshold, lo)
-    return gains[at, cols], threshold
-
-
-def random_block_split(
-    block: np.ndarray, t: np.ndarray, criterion: str, rng: np.random.Generator
-):
-    """One uniform threshold in ``[min, max)`` per column — the extra-trees rule.
-
-    Draws one double per non-constant column of ``block``, in column
-    order.  Returns per column the ``(gain, threshold)`` arrays; the gain
-    is ``-inf`` for a constant column.
-    """
-    n = block.shape[0]
-    lo, hi = block.min(axis=0), block.max(axis=0)
-    live = ~(lo == hi)
-    threshold = lo.copy()
-    drawn = rng.uniform(lo[live], hi[live])
-    threshold[live] = np.where((lo[live] <= drawn) & (drawn < hi[live]), drawn, lo[live])
-    go_left = block <= threshold
-    nl = go_left.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = split_gains(
-            np.where(go_left, t[:, None], 0.0).sum(axis=0), nl, t.sum(), n, criterion
-        )
-    # a constant column sends every row left; a drawn threshold, below the
-    # maximum, never does
-    gains[nl == n] = -np.inf
-    return gains, threshold
-
-
-class TreeBuilder:
-    """Grows one tree.  Construction parameters, not fitted state.
-
-    criterion
-        ``"gini"`` (binary 0/1 targets) or ``"variance"`` (real targets).
-    max_features
-        Number of candidate features drawn (without replacement) per
-        node; ``None`` means all.
-    random_threshold
-        Replace the exact scan with one uniform threshold per candidate.
-    """
-
-    def __init__(
-        self,
-        criterion: str,
-        max_depth: Optional[int],
-        max_features: Optional[int],
-        rng: np.random.Generator,
-        random_threshold: bool = False,
-    ):
-        if criterion not in ("gini", "variance"):
-            raise ValueError(f"unknown criterion {criterion!r}")
-        self.criterion = criterion
-        self.max_depth = max_depth
-        self.max_features = max_features
-        self.rng = rng
-        self.random_threshold = random_threshold
-
-    def build(
-        self,
-        X: np.ndarray,
-        rows: np.ndarray,
-        target: np.ndarray,
-        leaf_value: Callable[[np.ndarray], float],
-        importances: Optional[np.ndarray] = None,
-    ) -> tuple[Tree, np.ndarray]:
-        """Grow a tree over ``rows`` of dense ``X`` (repeats allowed, e.g. bootstrap).
-
-        ``target[i]`` belongs to ``rows[i]``; ``leaf_value`` receives the
-        positions (into ``rows``) that land in a leaf.  Returns the tree
-        and, per position, the id of the leaf it reached.  When given,
-        ``importances`` accumulates weighted impurity decreases per
-        feature (caller normalises).
-        """
-        n_total = rows.size
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
-        leaf_of = np.full(n_total, -1, dtype=np.int64)
-
-        def new_node() -> int:
-            feature.append(-1)
-            threshold.append(np.nan)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
-            return len(feature) - 1
-
-        root = new_node()
-        stack: list[tuple[int, np.ndarray, int]] = [
-            (root, np.arange(n_total, dtype=np.int64), 0)
-        ]
-        while stack:
-            nid, sel, depth = stack.pop()
-            t = target[sel]
-            can_split = (
-                sel.size >= 2
-                and (self.max_depth is None or depth < self.max_depth)
-                and not (t == t[0]).all()
-            )
-            split = self._find_split(X, rows, sel, t) if can_split else None
-            if split is None:
-                value[nid] = float(leaf_value(sel))
-                leaf_of[sel] = nid
-                continue
-            gain, j, thr, go_left = split
-            if importances is not None:
-                importances[j] += (sel.size / n_total) * gain
-            feature[nid] = j
-            threshold[nid] = thr
-            left_id = new_node()
-            right_id = new_node()
-            left[nid] = left_id
-            right[nid] = right_id
-            stack.append((right_id, sel[~go_left], depth + 1))
-            stack.append((left_id, sel[go_left], depth + 1))
-
-        tree = Tree(
-            feature=np.asarray(feature, dtype=np.int64),
-            threshold=np.asarray(threshold, dtype=np.float64),
-            left=np.asarray(left, dtype=np.int64),
-            right=np.asarray(right, dtype=np.int64),
-            value=np.asarray(value, dtype=np.float64),
-        )
-        return tree, leaf_of
-
-    def _find_split(
-        self, X: np.ndarray, rows: np.ndarray, sel: np.ndarray, t: np.ndarray
-    ) -> Optional[tuple[float, int, float, np.ndarray]]:
-        """The best split of the node's rows ``rows[sel]``, or ``None``.
-
-        All candidate features are searched as one block of the node's
-        rows (in column chunks when it is large).  Among candidates whose
-        gain is >= 0 the highest gain wins, the lowest index on ties.
-        """
-        d = X.shape[1]
-        if self.max_features is None or self.max_features >= d:
-            candidates = np.arange(d)
-        else:
-            candidates = np.sort(
-                self.rng.choice(d, size=self.max_features, replace=False)
-            )
-        node_rows = rows[sel]
-        step = max(1, SPLIT_BLOCK_CELLS // node_rows.size)
-        best: Optional[tuple[float, int, float]] = None
-        for start in range(0, candidates.size, step):
-            cols = candidates[start : start + step]
-            block = X[node_rows[:, None], cols]
-            if self.random_threshold:
-                gains, thresholds = random_block_split(block, t, self.criterion, self.rng)
-            else:
-                gains, thresholds = exact_block_split(block, t, self.criterion)
-            # zero-gain splits are kept: a boundary that does not reduce
-            # impurity can still expose one deeper down (the XOR pattern),
-            # so only constant columns and pure nodes stop the recursion
-            gains = np.where(gains >= 0.0, gains, -np.inf)
-            k = int(np.argmax(gains))
-            # the first best column wins, so a later chunk needs a higher gain
-            if gains[k] >= 0.0 and (best is None or gains[k] > best[0]):
-                best = (float(gains[k]), int(cols[k]), float(thresholds[k]))
-        if best is None:
-            return None
-        gain, j, thr = best
-        return gain, j, thr, X[node_rows, j] <= thr

@@ -204,6 +204,15 @@ def test_hand_written_models_load_and_round_trip():
         assert model.predict_proba(np.array([[0.5, 0.25]])).shape == (1,)
 
 
+def test_param_values_load_with_their_types():
+    lines = list(TREE_MODEL)
+    lines[4] = "param learning_rate 1"  # an int is a float value
+    lines[5] = "param max_depth None"
+    model = model_from_lines(lines)
+    assert type(model.learning_rate) is int and model.max_depth is None
+    assert model_to_lines(model) == lines
+
+
 @pytest.mark.parametrize(
     "model, line_no, text, reported",
     [
@@ -229,7 +238,13 @@ def test_hand_written_models_load_and_round_trip():
         (MLP_MODEL, 12, "layers 2 3", 12),  # disagrees with hidden_units
         (MLP_MODEL, 12, "layers 2", 12),
         (MLP_MODEL, 7, "param hidden_units 3", 12),
-        (MLP_MODEL, 7, "param hidden_units x", 12),
+        (MLP_MODEL, 7, "param hidden_units x", 7),  # not an int
+        (TREE_MODEL, 5, "param learning_rate nan", 5),  # a float must be finite
+        (TREE_MODEL, 7, "param n_estimators 1²", 7),  # int refuses it
+        (TREE_MODEL, 5, "param learning_rate inf", 5),
+        (TREE_MODEL, 6, "param max_depth 2.5", 6),
+        (TREE_MODEL, 7, "param n_estimators True", 7),  # a bool is no int
+        (LINEAR_MODEL, 5, "param l2 False", 5),
     ],
 )
 def test_corrupt_model_line_fails_at_load_naming_the_line(model, line_no, text, reported):

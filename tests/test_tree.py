@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from vandalstack.learners import (
@@ -13,14 +13,16 @@ from vandalstack.learners import (
     GradientBoostingClassifier,
     RandomForestClassifier,
 )
-from vandalstack.learners import tree as tree_module
-from vandalstack.learners.io import model_to_lines
-from vandalstack.learners.tree import (
-    Tree,
+from vandalstack.learners import grower as grower_module
+from vandalstack.learners.grower import (
     TreeBuilder,
+    TreeJob,
     exact_block_split,
+    midpoint,
     random_block_split,
 )
+from vandalstack.learners.io import model_to_lines
+from vandalstack.learners.tree import Tree
 from vandalstack.rng import generator
 
 
@@ -176,15 +178,38 @@ def assert_same_split(got, want):
 
 
 def block_and_reference(X, rows, sel, t, criterion, max_features, seed, random_threshold):
-    """Both searches from equal generators; also checks the generators end equal."""
+    """Both searches from equal generators; also checks the generators end equal.
+
+    The grower's search runs on a grove of one tree, over one node: one
+    segment of the random rule's block, or one node of the exact rule.
+    """
     rng_block, rng_ref = generator(seed), generator(seed)
-    builder = TreeBuilder(
-        criterion, None, max_features, rng_block, random_threshold=random_threshold
-    )
-    got = builder._find_split(X, rows, sel, t)
+    builder = TreeBuilder(criterion, None, max_features, random_threshold=random_threshold)
+    target = np.zeros(rows.size)
+    target[sel] = t
+    grove = grower_module._Grove(builder, X, [TreeJob(rows, target, None, rng_block)])
+    [got] = grove.splits(grove.trees, [sel])
     want = ref_find_split(X, rows, sel, t, criterion, max_features, rng_ref, random_threshold)
     assert rng_block.bit_generator.state == rng_ref.bit_generator.state
     return got, want
+
+
+def exact_split(block, t, criterion):
+    """``exact_block_split`` over the columns of ``block``, stably sorted here.
+
+    Returns per column the ``(gain, threshold)`` arrays of its best boundary.
+    """
+    order = np.argsort(block, axis=0, kind="mergesort")
+    vs = np.take_along_axis(block, order, axis=0).T
+    gains, at = exact_block_split(vs, t[order].T, criterion)
+    thresholds = [midpoint(float(v[a]), float(v[a + 1])) for v, a in zip(vs, at)]
+    return gains, np.array(thresholds)
+
+
+def random_split(block, t, criterion, rng):
+    """``random_block_split`` over one node: its ``(gain, threshold)`` per column."""
+    gains, thresholds, _ = random_block_split(block, t, np.array([0]), criterion, [rng])
+    return gains[0], thresholds[0]
 
 
 COLUMN_KINDS = ("few", "float", "adjacent", "constant", "sparse")
@@ -229,7 +254,7 @@ def node_searches(draw):
         t = rng.choice([-0.5, 0.25, 1.0], size=sel.size)
     max_features = draw(st.one_of(st.none(), st.integers(1, d)))
     # a small budget forces the column-chunked scan
-    cells = draw(st.sampled_from((tree_module.SPLIT_BLOCK_CELLS, 1, 5, 40)))
+    cells = draw(st.sampled_from((grower_module.SPLIT_BLOCK_CELLS, 1, 5, 40)))
     seed = draw(st.integers(0, 2**31))
     return X, rows, sel, t, criterion, max_features, seed, random_threshold, cells
 
@@ -238,9 +263,165 @@ def node_searches(draw):
 @given(node_searches())
 def test_block_search_matches_per_column_reference_bit_for_bit(case):
     *args, cells = case
-    with mock.patch.object(tree_module, "SPLIT_BLOCK_CELLS", cells):
+    with mock.patch.object(grower_module, "SPLIT_BLOCK_CELLS", cells):
         got, want = block_and_reference(*args)
     assert_same_split(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Reference: one tree grown alone, depth first, one node at a time, as the
+# grower ran before the trees of a forest grew in lockstep.  Its split
+# search is the per-column reference above.
+
+
+def ref_build(X, rows, target, leaf_value, importances, criterion, max_depth,
+              max_features, rng, random_threshold):
+    """``(tree, leaf_of)`` of one tree; adds its splits to ``importances``."""
+    n_total = rows.size
+    feature, threshold, left, right, value = [], [], [], [], []
+    leaf_of = np.full(n_total, -1, dtype=np.int64)
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    stack = [(new_node(), np.arange(n_total, dtype=np.int64), 0)]
+    while stack:
+        nid, sel, depth = stack.pop()
+        t = target[sel]
+        can_split = (
+            sel.size >= 2
+            and (max_depth is None or depth < max_depth)
+            and not (t == t[0]).all()
+        )
+        split = None
+        if can_split:
+            split = ref_find_split(
+                X, rows, sel, t, criterion, max_features, rng, random_threshold
+            )
+        if split is None:
+            value[nid] = float(leaf_value(sel))
+            leaf_of[sel] = nid
+            continue
+        gain, j, thr, go_left = split
+        importances[j] += (sel.size / n_total) * gain
+        feature[nid] = j
+        threshold[nid] = thr
+        left[nid] = new_node()
+        right[nid] = new_node()
+        stack.append((right[nid], sel[~go_left], depth + 1))
+        stack.append((left[nid], sel[go_left], depth + 1))
+    tree = Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=np.float64),
+    )
+    return tree, leaf_of
+
+
+@st.composite
+def forest_growths(draw):
+    """Trees of one fit: data, per tree rows/targets/seed, the grower's settings."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.empty((n, d))
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=d, max_size=d))):
+        if kind == "few":
+            X[:, j] = rng.integers(0, 3, size=n)
+        elif kind == "float":
+            X[:, j] = rng.normal(size=n)
+        elif kind == "adjacent":
+            X[:, j] = np.where(rng.random(n) < 0.5, 1.0, np.nextafter(1.0, 2.0))
+        elif kind == "constant":
+            X[:, j] = 3.0
+        else:
+            X[:, j] = rng.random(n) * (rng.random(n) < 0.3)
+    if draw(st.booleans()):  # repeated rows
+        X = X[rng.integers(0, n, size=n)]
+    criterion = draw(st.sampled_from(("gini", "variance")))
+    random_threshold = draw(st.booleans())
+    labels = draw(st.sampled_from(("mixed", "zeros", "ones")))
+    if criterion == "gini":
+        y = {"mixed": rng.integers(0, 2, size=n), "zeros": np.zeros(n), "ones": np.ones(n)}[labels]
+    elif random_threshold:  # exact sums only, as for the block search
+        y = rng.integers(-3, 4, size=n)
+    elif labels == "mixed":
+        y = rng.normal(size=n)
+    else:
+        y = rng.choice([-0.5, 0.25, 1.0], size=n)
+    y = y.astype(np.float64)
+    bootstrap = draw(st.booleans())
+    trees = []
+    for _ in range(draw(st.integers(1, 5))):
+        rows = np.sort(rng.integers(0, n, size=n)) if bootstrap else np.arange(n, dtype=np.int64)
+        trees.append((rows, y[rows], draw(st.integers(0, 2**31))))
+    max_features = draw(st.sampled_from((None, "sqrt", "int")))
+    if max_features == "sqrt":
+        max_features = max(1, int(round(np.sqrt(d))))
+    elif max_features == "int":
+        max_features = draw(st.integers(1, d + 1))
+    max_depth = draw(st.one_of(st.none(), st.integers(1, 4)))
+    cells = draw(st.sampled_from((grower_module.SPLIT_BLOCK_CELLS, 1, 5, 40)))
+    return X, trees, criterion, max_depth, max_features, random_threshold, cells
+
+
+def mean_leaf(target):
+    return lambda sel: target[sel].sum() / sel.size
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(forest_growths())
+def test_lockstep_grower_matches_per_tree_reference_bit_for_bit(case):
+    X, trees, criterion, max_depth, max_features, random_threshold, cells = case
+    builder = TreeBuilder(criterion, max_depth, max_features, random_threshold=random_threshold)
+    jobs = [
+        TreeJob(rows, target, mean_leaf(target), generator(seed)) for rows, target, seed in trees
+    ]
+    importances = np.zeros(X.shape[1])
+    # a small budget splits the trees into groups and a node's columns into chunks
+    with mock.patch.object(grower_module, "SPLIT_BLOCK_CELLS", cells):
+        grown = list(builder.build_many(X, jobs, importances))
+    want_importances = np.zeros(X.shape[1])
+    for (tree, leaf_of), job, (rows, target, seed) in zip(grown, jobs, trees):
+        rng = generator(seed)
+        want, want_leaf_of = ref_build(
+            X, rows, target, mean_leaf(target), want_importances, criterion, max_depth,
+            max_features, rng, random_threshold,
+        )
+        for name in ("feature", "threshold", "left", "right", "value"):
+            got_array, want_array = getattr(tree, name), getattr(want, name)
+            assert got_array.dtype == want_array.dtype
+            assert got_array.tobytes() == want_array.tobytes(), name
+        assert np.array_equal(leaf_of, want_leaf_of)
+        assert job.rng.bit_generator.state == rng.bit_generator.state
+    assert len(grown) == len(trees)
+    assert importances.tobytes() == want_importances.tobytes()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(finite, finite), max_size=8), st.integers(0, 2**63))
+def test_uniform_is_low_plus_width_times_a_random_double(bounds, seed):
+    # the random rule draws rng.random(k) and scales it itself; that must be
+    # what rng.uniform(lo, hi) returns, and leave the generator where it does
+    lo = np.array([min(pair) for pair in bounds])
+    hi = np.array([max(pair) for pair in bounds])
+    with np.errstate(over="ignore"):
+        assume(np.isfinite(hi - lo).all())  # uniform refuses an infinite range
+    by_uniform, by_random = generator(seed), generator(seed)
+    want = by_uniform.uniform(lo, hi)
+    got = lo + (hi - lo) * by_random.random(lo.size)
+    assert got.tobytes() == want.tobytes()
+    assert by_random.bit_generator.state == by_uniform.bit_generator.state
 
 
 @pytest.mark.parametrize("random_threshold", [False, True])
@@ -248,8 +429,8 @@ def test_block_search_matches_per_column_reference_bit_for_bit(case):
 def test_block_larger_than_the_cell_budget_is_searched_in_chunks(criterion, random_threshold):
     rng = np.random.default_rng(11)
     n, d = 300, 260
-    chunk = tree_module.SPLIT_BLOCK_CELLS // n
-    assert n * d > tree_module.SPLIT_BLOCK_CELLS and d > chunk
+    chunk = grower_module.SPLIT_BLOCK_CELLS // n
+    assert n * d > grower_module.SPLIT_BLOCK_CELLS and d > chunk
     X = rng.integers(0, 6, size=(n, d)).astype(np.float64)
     # the best column, once in the first chunk and once in the second:
     # the tie must go to the first
@@ -277,9 +458,9 @@ def test_variance_parent_term_is_squared_as_a_scalar():
     assert float(m) ** 2 != (np.array([m]) ** 2)[0]
     v = np.array([0.0, 1.0])
     t = np.array([m - 0.5, m + 0.5])  # mean exactly m
-    gains, _ = exact_block_split(v[:, None], t, "variance")
+    gains, _ = exact_split(v[:, None], t, "variance")
     assert bits(gains[0]) == bits(ref_best_split_exact(v, t, "variance")[0])
-    gains, _ = random_block_split(v[:, None], t, "variance", generator(0))
+    gains, _ = random_split(v[:, None], t, "variance", generator(0))
     assert bits(gains[0]) == bits(ref_random_split(v, t, "variance", generator(0))[0])
 
 
@@ -328,7 +509,7 @@ def test_best_split_matches_enumeration_oracle():
         else:
             t = rng.normal(size=n)
             criterion = "variance"
-        gains, thresholds = exact_block_split(v[:, None], t, criterion)
+        gains, thresholds = exact_split(v[:, None], t, criterion)
         want = oracle_best_split(v, t, criterion)
         if want is None:
             assert gains[0] == -np.inf
@@ -346,7 +527,7 @@ def test_best_split_tie_prefers_lowest_threshold():
     # both boundaries give exactly the same gain by symmetry
     v = np.array([0.0, 1.0, 2.0])
     t = np.array([1.0, 0.0, 1.0])
-    (gain,), (threshold,) = exact_block_split(v[:, None], t, "gini")
+    (gain,), (threshold,) = exact_split(v[:, None], t, "gini")
     assert threshold == 0.5
     assert gain == pytest.approx(1.0 / 9.0, abs=1e-15)
 
@@ -354,7 +535,7 @@ def test_best_split_tie_prefers_lowest_threshold():
 def test_best_split_constant_column():
     v = np.full(6, 3.0)
     t = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-    gains, _ = exact_block_split(v[:, None], t, "gini")
+    gains, _ = exact_split(v[:, None], t, "gini")
     assert gains[0] == -np.inf
 
 
@@ -365,7 +546,7 @@ def test_best_split_threshold_strictly_below_upper_value():
     hi = np.nextafter(1.0, 2.0)
     v = np.array([lo, hi, hi])
     t = np.array([0.0, 1.0, 1.0])
-    (gain,), (threshold,) = exact_block_split(v[:, None], t, "gini")
+    (gain,), (threshold,) = exact_split(v[:, None], t, "gini")
     assert threshold == lo
     assert (v <= threshold).tolist() == [True, False, False]
     assert gain > 0
@@ -377,7 +558,7 @@ def test_random_split_within_range_and_gain_definition():
         n = int(rng.integers(2, 30))
         v = rng.integers(0, 4, size=n).astype(np.float64)
         t = rng.integers(0, 2, size=n).astype(np.float64)
-        (gain,), (threshold,) = random_block_split(
+        (gain,), (threshold,) = random_split(
             v[:, None], t, "gini", generator(int(rng.integers(1 << 30)))
         )
         if v.min() == v.max():
