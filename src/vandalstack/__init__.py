@@ -57,6 +57,7 @@ from .featurize import (
     build_schema,
     encode,
     encode_many,
+    encode_matrix,
     extract_content,
     extract_context,
     extract_features,
@@ -130,6 +131,7 @@ __all__ = [
     "build_schema",
     "encode",
     "encode_many",
+    "encode_matrix",
     "extract_content",
     "extract_context",
     "extract_features",

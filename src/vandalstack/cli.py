@@ -41,10 +41,11 @@ from .evaluation import (
     histogram_rows,
     load_scores,
 )
-from .featurize import (
+from .featurize import (  # noqa: F401 - perfbench's tracer wraps encode_many, vectors_to_csr
     build_schema,
     encode,
     encode_many,
+    encode_matrix,
     extract_features,
     extract_many,
     load_schema,
@@ -169,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="corpus for feature-vector dedup / MDS")
     p.add_argument("--schema", help="schema matching --corpus")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, out_dir=None)
 
     p = sub.add_parser("analyze", help="evaluate + histogram/error/MDS data files")
     p.add_argument("--scores", required=True)
@@ -178,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--schema")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_evaluate, report=None, mds=None)
 
     p = sub.add_parser("serve", help="serve one scoring session over TCP")
     p.add_argument("--corpus", required=True)
@@ -248,7 +249,7 @@ def _cmd_train(args) -> int:
     schema = build_schema(raws)
     if args.schema:
         save_schema(schema, args.schema)
-    X = vectors_to_csr(encode_many(raws, schema))
+    X = encode_matrix(raws, schema)
     spec = (
         default_spec(args.model, args.seed)
         if args.preset == "default"
@@ -298,7 +299,7 @@ def _cmd_train_stack(args) -> int:
     raws = extract_many(revisions)
     schema = build_schema(raws)
     save_schema(schema, cfg.schema_path())
-    X = vectors_to_csr(encode_many(raws, schema))
+    X = encode_matrix(raws, schema)
 
     selection_model = train(
         ModelSpec("gradient_boosting", {}, cfg.selection_seed), X, labels
@@ -328,9 +329,7 @@ def _cmd_predict(args) -> int:
     if pipeline.schema is None:
         raise UsageError("pipeline has no embedded schema; cannot featurize")
     loaded = load_corpus(args.input, on_malformed=args.malformed)
-    raws = extract_many(loaded.revisions)
-    vectors = encode_many(raws, pipeline.schema)
-    X = vectors_to_csr(vectors, dim=pipeline.schema.total_dim)
+    X = encode_matrix(extract_many(loaded.revisions), pipeline.schema)
     scores = predict_stack_batch(pipeline, X)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         for rev, score in zip(loaded.revisions, scores):
@@ -374,11 +373,15 @@ def _write_report(report: EvalReport, fh) -> None:
     if report.fn_distinct is not None:
         fh.write(f"fn_distinct {report.fn_distinct}\n")
     fh.write("histogram\n")
+    _write_histogram(report, fh)
+
+
+def _write_histogram(report: EvalReport, fh) -> None:
     for lo, hi, count in histogram_rows(report.histogram):
         fh.write(f"{lo!r}\t{hi!r}\t{count}\n")
 
 
-def _write_mds(scored, vectors, threshold: float, path: str) -> None:
+def _write_mds(scored, vectors, threshold: float, path) -> None:
     errors = error_sets(scored, threshold, vectors)
     tagged = [(rev_id, "FP") for rev_id in errors.fp]
     tagged += [(rev_id, "FN") for rev_id in errors.fn]
@@ -393,6 +396,7 @@ def _write_mds(scored, vectors, threshold: float, path: str) -> None:
 
 
 def _cmd_evaluate(args) -> int:
+    """``evaluate`` writes ``--report`` (and ``--mds``); ``analyze`` fills ``--out-dir``."""
     scores = load_scores(args.scores)
     labels = load_labels(args.truth)
     scored, missing = _join_scored(scores, labels)
@@ -405,35 +409,28 @@ def _cmd_evaluate(args) -> int:
         vectors = _vectors_for(args.corpus, args.schema)
     elif args.mds:
         raise UsageError("--mds needs --corpus and --schema for feature vectors")
+    report_path, mds_path = args.report, args.mds
+    if args.out_dir is not None:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report_path = out_dir / "report.txt"
+        mds_path = out_dir / "mds.tsv" if vectors is not None else None
     report = evaluate_scored(scored, vectors, args.threshold)
-    with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         _write_report(report, fh)
-    if args.mds:
-        _write_mds(scored, vectors, args.threshold, args.mds)
+    if mds_path:
+        _write_mds(scored, vectors, args.threshold, mds_path)
     print(f"auc {report.auc!r}")
+    if args.out_dir is not None:
+        _write_analysis(report, scored, vectors, args.threshold, out_dir)
+        print(f"wrote {out_dir}")
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    scores = load_scores(args.scores)
-    labels = load_labels(args.truth)
-    scored, missing = _join_scored(scores, labels)
-    if missing:
-        print(f"warning: {missing} scored rev_ids have no label", file=sys.stderr)
-    if not scored:
-        raise UsageError("no scored examples with labels")
-    vectors = None
-    if args.corpus and args.schema:
-        vectors = _vectors_for(args.corpus, args.schema)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = evaluate_scored(scored, vectors, args.threshold)
-    with open(out_dir / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
-        _write_report(report, fh)
+def _write_analysis(report: EvalReport, scored, vectors, threshold: float, out_dir: Path) -> None:
     with open(out_dir / "histogram.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for lo, hi, count in histogram_rows(report.histogram):
-            fh.write(f"{lo!r}\t{hi!r}\t{count}\n")
-    errors = error_sets(scored, args.threshold, vectors)
+        _write_histogram(report, fh)
+    errors = error_sets(scored, threshold, vectors)
     distinct_fp = set(errors.fp_distinct)
     distinct_fn = set(errors.fn_distinct)
     with open(out_dir / "errors.tsv", "w", encoding="utf-8", newline="\n") as fh:
@@ -441,11 +438,6 @@ def _cmd_analyze(args) -> int:
             fh.write(f"{rev_id}\tFP\t{1 if rev_id in distinct_fp else 0}\n")
         for rev_id in errors.fn:
             fh.write(f"{rev_id}\tFN\t{1 if rev_id in distinct_fn else 0}\n")
-    if vectors is not None:
-        _write_mds(scored, vectors, args.threshold, str(out_dir / "mds.tsv"))
-    print(f"auc {report.auc!r}")
-    print(f"wrote {out_dir}")
-    return 0
 
 
 def _cmd_serve(args) -> int:

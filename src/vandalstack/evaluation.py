@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Source, _iter_lines, _strip_eol
 from .errors import DuplicateConflict, EmptyDataset, MalformedLine, SingleClass
-from .featurize import FeatureVector, vectors_to_csr
+from .featurize import FeatureVector
 
 MDS_CAP = 2000
 N_BINS = 20
@@ -211,7 +211,7 @@ def classical_mds(
     else:
         if len(vectors) == 0:
             raise EmptyDataset("classical_mds needs at least one point")
-        dense = np.asarray(vectors_to_csr(list(vectors)).todense())
+        dense = np.stack([v.to_dense() for v in vectors])
     n = dense.shape[0]
     if n == 1:
         return np.zeros((1, target_dim))

@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Revision
 from .errors import (
@@ -341,12 +340,10 @@ def build_schema(dataset: Iterable[RawFeatures]) -> FeatureSchema:
     return FeatureSchema(tuple(sorted(names)), tuple(sorted(pairs)))
 
 
-def encode(raw: RawFeatures, schema: FeatureSchema) -> FeatureVector:
-    """Encode one example against a fixed schema.
+def _entries(raw: RawFeatures, schema: FeatureSchema) -> list[tuple[int, float]]:
+    """The nonzero ``(column, value)`` pairs of one example, unsorted.
 
-    Numeric features missing from ``raw`` become 0.0; categorical values
-    outside the vocabulary (and ``None``) leave their group all-zero;
-    names unknown to the schema are ignored.
+    The one encoding rule, shared by :func:`encode` and :func:`encode_matrix`.
     """
     entries: list[tuple[int, float]] = []
     numeric_lookup = schema._numeric_lookup()
@@ -363,18 +360,43 @@ def encode(raw: RawFeatures, schema: FeatureSchema) -> FeatureVector:
         idx = vocab_lookup.get((feature, value))
         if idx is not None:
             entries.append((idx, 1.0))
-    entries.sort()
-    return FeatureVector(dim=schema.total_dim, entries=tuple(entries))
+    return entries
+
+
+def encode(raw: RawFeatures, schema: FeatureSchema) -> FeatureVector:
+    """Encode one example against a fixed schema.
+
+    Numeric features missing from ``raw`` become 0.0; categorical values
+    outside the vocabulary (and ``None``) leave their group all-zero;
+    names unknown to the schema are ignored.
+    """
+    return FeatureVector(dim=schema.total_dim, entries=tuple(sorted(_entries(raw, schema))))
 
 
 def encode_many(dataset: Sequence[RawFeatures], schema: FeatureSchema) -> list[FeatureVector]:
     return [encode(raw, schema) for raw in dataset]
 
 
-def vectors_to_csr(
-    vectors: Sequence[FeatureVector], dim: int | None = None
-) -> sparse.csr_matrix:
-    """Stack feature vectors into one CSR matrix without densifying."""
+def encode_matrix(raws: Sequence[RawFeatures], schema: FeatureSchema) -> np.ndarray:
+    """Encode examples straight into an n x ``total_dim`` C-contiguous float64 block.
+
+    Row ``i`` equals ``encode(raws[i], schema).to_dense()`` bit for bit.
+    """
+    out = np.zeros((len(raws), schema.total_dim))
+    for i, raw in enumerate(raws):
+        for idx, value in _entries(raw, schema):
+            out[i, idx] = value
+    return out
+
+
+def vectors_to_csr(vectors: Sequence[FeatureVector], dim: int | None = None):
+    """Stack feature vectors into one ``scipy.sparse.csr_matrix`` without densifying.
+
+    API only: no command calls it (they encode with :func:`encode_matrix`),
+    so scipy is imported here, on first use, and never on a command path.
+    """
+    from scipy import sparse
+
     if dim is None:
         if not vectors:
             raise EmptyDataset("need at least one vector or an explicit dim")

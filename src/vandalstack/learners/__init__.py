@@ -29,7 +29,6 @@ from .selection import (
     DEFAULT_THRESHOLD,
     ImportanceReport,
     feature_importances,
-    project,
     project_matrix,
     select_features,
 )

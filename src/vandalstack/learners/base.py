@@ -11,7 +11,6 @@ from __future__ import annotations
 import inspect
 
 import numpy as np
-from scipy import sparse
 
 from ..errors import DimensionMismatch, EmptyDataset, NotFitted
 
@@ -46,13 +45,16 @@ class BaseModel:
             raise NotFitted(f"{type(self).__name__} has not been fit")
 
 
-def check_matrix(X) -> sparse.csr_matrix:
-    """Coerce input to a canonical 2-D CSR matrix of float64.
+def check_matrix(X):
+    """Coerce input to a canonical 2-D ``scipy.sparse.csr_matrix`` of float64.
 
     For registered families that work on CSR rows; the built-in learners
     take :func:`check_dense`.  Input already in that form is returned as
     is; anything else is copied.  The caller's matrix is never modified.
+    scipy is imported here, on first use, so that no command loads it.
     """
+    from scipy import sparse
+
     if isinstance(X, sparse.csr_matrix) and X.dtype == np.float64 and X.has_sorted_indices:
         return X
     if isinstance(X, np.ndarray) and X.ndim != 2:
@@ -65,10 +67,12 @@ def check_matrix(X) -> sparse.csr_matrix:
 def check_dense(X) -> np.ndarray:
     """Coerce input to a 2-D C-contiguous float64 array.
 
-    Sparse input is densified here, once.  An array already in that form
-    is returned as is: never modify the result in place.
+    The one place that accepts sparse input: anything with a ``toarray``
+    method (a scipy sparse matrix) is densified here, once.  An array
+    already in that form is returned as is: never modify the result in
+    place.
     """
-    if not isinstance(X, np.ndarray) and sparse.issparse(X):
+    if not isinstance(X, np.ndarray) and hasattr(X, "toarray"):
         X = X.toarray()
     mat = np.ascontiguousarray(X, dtype=np.float64)
     if mat.ndim != 2:

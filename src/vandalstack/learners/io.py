@@ -200,6 +200,13 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
                 + (", finite" if float in types else ""),
                 reader.line_no,
             )
+        if name == "max_features" and not (
+            value is None or value == "sqrt" or (type(value) is int and value >= 1)
+        ):
+            raise MalformedLine(
+                f"bad {family} parameter line {line!r}: max_features takes sqrt, None or an int >= 1",
+                reader.line_no,
+            )
         params[name] = value
     model = cls(**params)
     model.n_features_ = dim

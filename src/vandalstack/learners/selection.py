@@ -8,16 +8,13 @@ and an all-zero report selects none at a positive threshold.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from ..errors import IndexOutOfRange, UnsupportedFamily
-from ..featurize import FeatureVector
-from .base import BaseModel
+from .base import BaseModel, check_dense
 
 DEFAULT_THRESHOLD = 1e-5
 
@@ -64,23 +61,10 @@ def select_features(report, threshold: float) -> tuple[int, ...]:
     return tuple(int(j) for j in np.nonzero(imp >= threshold)[0])
 
 
-def project(x: FeatureVector, selected: Sequence[int]) -> FeatureVector:
-    """Reindex a vector onto the selected columns (new dim = len(selected))."""
-    sel = list(selected)
-    if any(j >= x.dim or j < 0 for j in sel):
-        raise IndexOutOfRange(f"selected column outside input dim {x.dim}")
-    entries = []
-    for idx, value in x.entries:
-        k = bisect.bisect_left(sel, idx)
-        if k < len(sel) and sel[k] == idx:
-            entries.append((k, value))
-    return FeatureVector(dim=len(sel), entries=tuple(entries))
-
-
 def project_matrix(X, selected: Sequence[int]) -> np.ndarray:
-    """The selected columns of a CSR or dense matrix, as a dense float64 array."""
+    """The selected columns of a matrix (see :func:`check_dense`), as a dense float64 array."""
+    X = check_dense(X)
     sel = np.asarray(list(selected), dtype=np.int64)
     if sel.size and (sel.min() < 0 or sel.max() >= X.shape[1]):
         raise IndexOutOfRange(f"selected column outside input dim {X.shape[1]}")
-    out = X.tocsr()[:, sel].toarray() if sparse.issparse(X) else X[:, sel]
-    return np.ascontiguousarray(out, dtype=np.float64)
+    return np.ascontiguousarray(X[:, sel])

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import IO, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DimensionMismatch,
@@ -37,7 +36,7 @@ from .featurize import (
     FeatureVector,
     schema_from_lines,
     schema_to_lines,
-    vectors_to_csr,
+    vectors_to_csr,  # noqa: F401 - a name perfbench's tracer wraps
 )
 from .learners import (
     BaseModel,
@@ -140,10 +139,10 @@ def fit_stack(
 ) -> StackedPipeline:
     """Train the full stack on encoded data.
 
-    ``X`` is the full-width matrix, CSR or dense (or FeatureVector
-    sequence); when ``selected`` is given the projection is applied here
-    and again inside every predict call, keeping train and serve paths
-    identical.
+    ``X`` is the full-width matrix, dense or sparse (see
+    :func:`~vandalstack.learners.base.check_dense`); when ``selected`` is
+    given the projection is applied here and again inside every predict
+    call, keeping train and serve paths identical.
     """
     if selected is not None:
         selected = tuple(int(j) for j in selected)
@@ -189,13 +188,10 @@ def fit_stack(
 
 def _model_input(X, schema: Optional[FeatureSchema], selected) -> np.ndarray:
     """Full-width input checked against ``schema``, as the dense block of ``selected``."""
-    if isinstance(X, (list, tuple)) and X and isinstance(X[0], FeatureVector):
-        X = vectors_to_csr(X)
-    elif not sparse.issparse(X):
-        X = check_dense(X)
+    X = check_dense(X)
     if schema is not None and X.shape[1] != schema.total_dim:
         raise DimensionMismatch(f"input width {X.shape[1]} != schema dim {schema.total_dim}")
-    return check_dense(X) if selected is None else project_matrix(X, selected)
+    return X if selected is None else project_matrix(X, selected)
 
 
 def stack_meta_features(pipeline: StackedPipeline, X) -> np.ndarray:

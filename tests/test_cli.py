@@ -1,5 +1,9 @@
 """The command-line surface, end to end on small corpora."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 from pathlib import Path
 
@@ -177,6 +181,69 @@ def test_predict_rejects_pipeline_garbage(tmp_path):
     assert rc == 1
 
 
+def test_predict_on_an_empty_corpus_scores_nothing(stack_dir, tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    out = tmp_path / "scores.tsv"
+    rc = cli.main(
+        ["predict", "--pipeline", str(stack_dir / "pipeline.txt"),
+         "--input", str(empty), "--output", str(out)]
+    )
+    assert rc == 0
+    assert f"scored 0 revisions -> {out}" in capsys.readouterr().out
+    assert out.read_bytes() == b""
+
+
+NO_SCIPY_SESSION = """
+import socket, sys, threading, time
+from pathlib import Path
+from vandalstack import cli
+from vandalstack.benchmark import make_benchmark, write_split
+
+root = Path(sys.argv[1])
+write_split(make_benchmark(n=300, positive_rate=0.1, seed=3), root, "small")
+data = ["--corpus", str(root / "small_corpus.tsv"), "--truth", str(root / "small_truth.tsv")]
+pipeline = str(root / "pipeline.txt")
+assert cli.main(["train-stack", *data, "--schema", str(root / "schema.txt"),
+                 "--pipeline", pipeline, "--fraction", "1/3"]) == 0
+assert cli.main(["predict", "--pipeline", pipeline, "--input", str(root / "small_corpus.tsv"),
+                 "--output", str(root / "scores.tsv")]) == 0
+assert cli.main(["evaluate", "--scores", str(root / "scores.tsv"), "--truth", data[3],
+                 "--report", str(root / "report.txt"), "--mds", str(root / "mds.tsv"),
+                 "--corpus", data[1], "--schema", str(root / "schema.txt"),
+                 "--threshold", "0.99"]) == 0
+probe = socket.socket()
+probe.bind(("127.0.0.1", 0))
+port = probe.getsockname()[1]
+probe.close()
+served = {}
+server = threading.Thread(target=lambda: served.update(rc=cli.main(
+    ["serve", *data, "--listen", f"127.0.0.1:{port}", "--timeout", "30",
+     "--report", str(root / "serve.txt")])), daemon=True)
+server.start()
+for _ in range(100):
+    if cli.main(["client", "--pipeline", pipeline, "--connect", f"127.0.0.1:{port}",
+                 "--timeout", "30"]) == 0:
+        break
+    time.sleep(0.1)
+server.join(timeout=30)
+assert served.get("rc") == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(NO_SCIPY_SESSION), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "mds.tsv").read_text() and (tmp_path / "serve.txt").read_text()
+
+
 def write_scores(path, labels, good=0.9, bad=0.1):
     with open(path, "w", encoding="utf-8") as fh:
         for rev_id, label in sorted(labels.items()):
@@ -299,6 +366,32 @@ def test_analyze_without_vectors_skips_mds(tmp_path):
     assert rc == 0
     assert (out_dir / "report.txt").exists()
     assert not (out_dir / "mds.tsv").exists()
+
+
+def test_evaluate_and_analyze_write_the_same_report_and_mds(stack_dir, tmp_path, capsys):
+    labels = load_labels(stack_dir / "small_truth.tsv")
+    scores = tmp_path / "scores.tsv"
+    with open(scores, "w", encoding="utf-8") as fh:
+        for rev_id, label in sorted(labels.items()):
+            fh.write(f"{rev_id}\t{0.3 if label == (rev_id % 4 == 0) else 0.7}\n")
+    common = ["--scores", str(scores), "--truth", str(stack_dir / "small_truth.tsv"),
+              "--threshold", "0.6"]
+    vectors = ["--corpus", str(stack_dir / "small_corpus.tsv"),
+               "--schema", str(stack_dir / "schema.txt")]
+    report, mds, out_dir = tmp_path / "report.txt", tmp_path / "mds.tsv", tmp_path / "d"
+    capsys.readouterr()
+    assert cli.main(["evaluate", *common, "--report", str(report), "--mds", str(mds), *vectors]) == 0
+    evaluated = capsys.readouterr().out
+    assert cli.main(["analyze", *common, "--out-dir", str(out_dir), *vectors]) == 0
+    assert capsys.readouterr().out == evaluated + f"wrote {out_dir}\n"
+    assert report.read_bytes() == (out_dir / "report.txt").read_bytes()
+    assert mds.read_bytes() == (out_dir / "mds.tsv").read_bytes()
+    assert "fp_distinct" in report.read_text() and mds.read_text()
+
+    bare = tmp_path / "bare"
+    assert cli.main(["analyze", *common, "--out-dir", str(bare), "--schema",
+                     str(stack_dir / "schema.txt")]) == 0
+    assert sorted(p.name for p in bare.iterdir()) == ["errors.tsv", "histogram.tsv", "report.txt"]
 
 
 def test_serve_and_client_commands(stack_dir, tmp_path):

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _util import rev
 from vandalstack.corpus import parse_line
@@ -11,9 +13,11 @@ from vandalstack.errors import EmptyDataset, IndexOutOfRange, MalformedLine
 from vandalstack.featurize import (
     FeatureSchema,
     FeatureVector,
+    RawFeatures,
     build_schema,
     encode,
     encode_many,
+    encode_matrix,
     extract_content,
     extract_context,
     extract_features,
@@ -344,3 +348,73 @@ def test_encode_many_matches_encode():
     raws = [extract_features(rev(i, f"c{i}", country="GB")) for i in range(5)]
     schema = build_schema(raws)
     assert encode_many(raws, schema) == [encode(raw, schema) for raw in raws]
+
+
+def fixture_raws():
+    """Features of revisions with every kind of column, from this file's examples."""
+    revisions = [
+        parse_line(FULL_LINE),
+        rev(1, "Hello WORLD 123", country="GB", city="LEEDS"),
+        rev(2, "see www.example.com #autolist2 [[Special:Contributions/abcd]]"),
+        rev(3, "/* wbsetlabel-add:1|en */ item", registered=True, country="US"),
+        rev(4, ""),
+        rev(5, "#tag", country="FR", continent="EU", timezone="CET"),
+    ]
+    return [extract_features(r) for r in revisions]
+
+
+def csr_reference(raws, schema):
+    return vectors_to_csr(encode_many(raws, schema), dim=schema.total_dim).toarray()
+
+
+def assert_same_block(got, want):
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_encode_matrix_matches_csr_of_encode_many_bit_for_bit():
+    raws = fixture_raws()
+    for schema in (build_schema(raws), build_schema(raws[2:4])):
+        assert_same_block(encode_matrix(raws, schema), csr_reference(raws, schema))
+        for i, raw in enumerate(raws):
+            assert encode_matrix(raws, schema)[i].tobytes() == encode(raw, schema).to_dense().tobytes()
+
+
+NAMES = st.sampled_from(["a", "b", "c", "d"])
+VALUES = st.sampled_from(["x", "y", "z", None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            RawFeatures,
+            numeric=st.dictionaries(NAMES, st.floats(allow_nan=False, allow_infinity=False)),
+            categorical=st.dictionaries(NAMES, VALUES),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(1, 8),
+)
+def test_encode_matrix_matches_csr_reference_on_any_features(raws, n_schema):
+    # a schema built from a prefix leaves later names and values unseen
+    schema = build_schema(raws[:n_schema])
+    assert_same_block(encode_matrix(raws, schema), csr_reference(raws, schema))
+
+
+def test_encode_matrix_of_no_rows_keeps_the_width():
+    schema = build_schema(fixture_raws())
+    assert_same_block(encode_matrix([], schema), np.zeros((0, schema.total_dim)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_numeric_feature_fails_the_same_way_in_both_encoders(bad):
+    schema = build_schema([RawFeatures(numeric={"a": 1.0, "b": 2.0})])
+    raws = [RawFeatures(numeric={"a": 1.0}), RawFeatures(numeric={"a": 3.0, "b": bad})]
+    with pytest.raises(ValueError) as via_encode:
+        encode(raws[1], schema)
+    with pytest.raises(ValueError) as via_matrix:
+        encode_matrix(raws, schema)
+    assert str(via_matrix.value) == str(via_encode.value) == f"numeric feature b is not finite: {bad!r}"

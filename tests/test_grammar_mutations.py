@@ -29,7 +29,7 @@ from vandalstack.errors import MalformedLine, VandalstackError
 from vandalstack.evaluation import load_scores
 from vandalstack.featurize import (
     build_schema,
-    encode_many,
+    encode_matrix,
     extract_many,
     load_schema,
     save_schema,
@@ -156,7 +156,7 @@ def fitted():
         seed=3,
     )
     selected = tuple(range(0, schema.total_dim, 2))
-    pipeline = fit_stack(encode_many(raws, schema), y, config, schema=schema, selected=selected)
+    pipeline = fit_stack(encode_matrix(raws, schema), y, config, schema=schema, selected=selected)
     return schema, pipeline
 
 
@@ -252,6 +252,23 @@ def test_empty_node_line_fails_closed():
     lines[at] = ""
     error = assert_fails_closed(reload_model, lines)["error"]
     assert error.line_no == at + 1
+
+
+@pytest.mark.parametrize("value", ["x", "1²", "sqrt2", "0", "-3", "True", "2.0"])
+def test_max_features_outside_sqrt_none_or_a_positive_int_fails_at_its_line(value):
+    lines = list(model_documents()[0])
+    at = lines.index("param max_features sqrt")
+    lines[at] = f"param max_features {value}"
+    error = assert_fails_closed(reload_model, lines)["error"]
+    assert error.line_no == at + 1 and "max_features" in str(error)
+
+
+@pytest.mark.parametrize("value", ["None", "1", "4"])
+def test_max_features_none_or_a_positive_int_loads(value):
+    lines = list(model_documents()[0])
+    lines[lines.index("param max_features sqrt")] = f"param max_features {value}"
+    text = text_of(lines)
+    assert run_bounded(reload_model, text)["value"] == text
 
 
 def file_case(name):

@@ -5,7 +5,6 @@ import pytest
 from scipy import sparse
 
 from vandalstack.errors import IndexOutOfRange, NotFitted, UnsupportedFamily
-from vandalstack.featurize import FeatureVector
 from vandalstack.learners import (
     GradientBoostingClassifier,
     LogisticRegression,
@@ -15,7 +14,6 @@ from vandalstack.learners import (
 from vandalstack.learners.selection import (
     ImportanceReport,
     feature_importances,
-    project,
     project_matrix,
     select_features,
 )
@@ -72,29 +70,6 @@ def test_feature_importances_by_family():
             feature_importances(model)
     with pytest.raises(NotFitted):
         feature_importances(RandomForestClassifier())
-
-
-def test_project_reindexes_onto_selected():
-    x = FeatureVector(dim=6, entries=((0, 1.0), (5, 0.3)))
-    out = project(x, (0, 2, 5))
-    assert out.dim == 3
-    assert out.entries == ((0, 1.0), (2, 0.3))
-
-
-def test_project_identity_and_empty_overlap():
-    x = FeatureVector(dim=4, entries=((1, 2.0), (3, 4.0)))
-    ident = project(x, (0, 1, 2, 3))
-    assert ident.dim == 4 and ident.entries == x.entries
-    none = project(x, (0, 2))
-    assert none.dim == 2 and none.entries == ()
-
-
-def test_project_rejects_out_of_range_selection():
-    x = FeatureVector(dim=3, entries=((0, 1.0),))
-    with pytest.raises(IndexOutOfRange):
-        project(x, (0, 3))
-    with pytest.raises(IndexOutOfRange):
-        project(x, (-1,))
 
 
 def test_project_matrix_matches_dense_slice():

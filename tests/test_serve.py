@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies
 from tests._util import rev
 from vandalstack.corpus import LabeledExample, format_line, write_corpus, write_labels
 from vandalstack.errors import ProtocolViolation, Timeout, UsageError
-from vandalstack.featurize import build_schema, encode, extract_features, extract_many
+from vandalstack.featurize import build_schema, encode, encode_matrix, extract_features, extract_many
 from vandalstack.learners import ModelSpec
 from vandalstack.serve import (
     ScoringServer,
@@ -271,8 +271,8 @@ def labeled_corpus_for_pipeline():
 
 
 def small_pipeline(revisions, labels):
-    schema = build_schema(extract_many(revisions))
-    vectors = [encode(extract_features(r), schema) for r in revisions]
+    raws = extract_many(revisions)
+    schema = build_schema(raws)
     y = np.array([labels[r.rev_id] for r in revisions], dtype=np.int64)
     config = StackConfig(
         first_stage=(
@@ -283,7 +283,7 @@ def small_pipeline(revisions, labels):
         k=3,
         seed=1,
     )
-    return fit_stack(vectors, y, config, schema=schema), schema
+    return fit_stack(encode_matrix(raws, schema), y, config, schema=schema), schema
 
 
 def test_run_client_scores_match_offline_prediction(tmp_path):
