@@ -61,6 +61,7 @@ from .learners import (
     select_features,
     train,
 )
+from .lines import write_lines
 from .sampling import dedup, undersample
 from .serve import format_score, run_client, run_server
 from .stacking import (
@@ -331,9 +332,8 @@ def _cmd_predict(args) -> int:
     loaded = load_corpus(args.input, on_malformed=args.malformed)
     X = encode_matrix(extract_many(loaded.revisions), pipeline.schema)
     scores = predict_stack_batch(pipeline, X)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        for rev, score in zip(loaded.revisions, scores):
-            fh.write(f"{rev.rev_id}\t{format_score(float(score))}\n")
+    rows = zip(loaded.revisions, scores)
+    write_lines(args.output, (f"{rev.rev_id}\t{format_score(float(score))}" for rev, score in rows))
     if loaded.malformed_count:
         print(f"skipped {loaded.malformed_count} malformed lines", file=sys.stderr)
     print(f"scored {len(loaded.revisions)} revisions -> {args.output}")
@@ -360,39 +360,37 @@ def _vectors_for(corpus_path: str, schema_path: str, malformed: str = "skip"):
     }
 
 
-def _write_report(report: EvalReport, fh) -> None:
-    fh.write(f"examples {report.n}\n")
-    fh.write(f"positives {report.positives}\n")
-    fh.write(f"negatives {report.negatives}\n")
-    fh.write(f"auc {report.auc!r}\n")
-    fh.write(f"misclassified {report.misclassified_count}\n")
-    fh.write(f"fp_total {report.fp_total}\n")
-    fh.write(f"fn_total {report.fn_total}\n")
+def _report_lines(report: EvalReport) -> list[str]:
+    lines = [
+        f"examples {report.n}",
+        f"positives {report.positives}",
+        f"negatives {report.negatives}",
+        f"auc {report.auc!r}",
+        f"misclassified {report.misclassified_count}",
+        f"fp_total {report.fp_total}",
+        f"fn_total {report.fn_total}",
+    ]
     if report.fp_distinct is not None:
-        fh.write(f"fp_distinct {report.fp_distinct}\n")
+        lines.append(f"fp_distinct {report.fp_distinct}")
     if report.fn_distinct is not None:
-        fh.write(f"fn_distinct {report.fn_distinct}\n")
-    fh.write("histogram\n")
-    _write_histogram(report, fh)
+        lines.append(f"fn_distinct {report.fn_distinct}")
+    return lines + ["histogram"] + _histogram_lines(report)
 
 
-def _write_histogram(report: EvalReport, fh) -> None:
-    for lo, hi, count in histogram_rows(report.histogram):
-        fh.write(f"{lo!r}\t{hi!r}\t{count}\n")
+def _histogram_lines(report: EvalReport) -> list[str]:
+    return [f"{lo!r}\t{hi!r}\t{count}" for lo, hi, count in histogram_rows(report.histogram)]
 
 
-def _write_mds(scored, vectors, threshold: float, path) -> None:
+def _mds_lines(scored, vectors, threshold: float) -> list[str]:
     errors = error_sets(scored, threshold, vectors)
     tagged = [(rev_id, "FP") for rev_id in errors.fp]
     tagged += [(rev_id, "FN") for rev_id in errors.fn]
     tagged.sort()
     tagged = tagged[:MDS_CAP]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if not tagged:
-            return
-        coords = classical_mds([vectors[rev_id] for rev_id, _ in tagged])
-        for (rev_id, tag), (x, y) in zip(tagged, coords):
-            fh.write(f"{rev_id}\t{float(x)!r}\t{float(y)!r}\t{tag}\n")
+    if not tagged:
+        return []
+    coords = classical_mds([vectors[rev_id] for rev_id, _ in tagged]).tolist()
+    return [f"{rev_id}\t{x!r}\t{y!r}\t{tag}" for (rev_id, tag), (x, y) in zip(tagged, coords)]
 
 
 def _cmd_evaluate(args) -> int:
@@ -416,10 +414,9 @@ def _cmd_evaluate(args) -> int:
         report_path = out_dir / "report.txt"
         mds_path = out_dir / "mds.tsv" if vectors is not None else None
     report = evaluate_scored(scored, vectors, args.threshold)
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_report(report, fh)
+    write_lines(report_path, _report_lines(report))
     if mds_path:
-        _write_mds(scored, vectors, args.threshold, mds_path)
+        write_lines(mds_path, _mds_lines(scored, vectors, args.threshold))
     print(f"auc {report.auc!r}")
     if args.out_dir is not None:
         _write_analysis(report, scored, vectors, args.threshold, out_dir)
@@ -428,16 +425,15 @@ def _cmd_evaluate(args) -> int:
 
 
 def _write_analysis(report: EvalReport, scored, vectors, threshold: float, out_dir: Path) -> None:
-    with open(out_dir / "histogram.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        _write_histogram(report, fh)
+    write_lines(out_dir / "histogram.tsv", _histogram_lines(report))
     errors = error_sets(scored, threshold, vectors)
     distinct_fp = set(errors.fp_distinct)
     distinct_fn = set(errors.fn_distinct)
-    with open(out_dir / "errors.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for rev_id in errors.fp:
-            fh.write(f"{rev_id}\tFP\t{1 if rev_id in distinct_fp else 0}\n")
-        for rev_id in errors.fn:
-            fh.write(f"{rev_id}\tFN\t{1 if rev_id in distinct_fn else 0}\n")
+    write_lines(
+        out_dir / "errors.tsv",
+        [f"{rev_id}\tFP\t{1 if rev_id in distinct_fp else 0}" for rev_id in errors.fp]
+        + [f"{rev_id}\tFN\t{1 if rev_id in distinct_fn else 0}" for rev_id in errors.fn],
+    )
 
 
 def _cmd_serve(args) -> int:
@@ -448,11 +444,7 @@ def _cmd_serve(args) -> int:
         window=args.window,
         timeout=args.timeout,
     )
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            _write_report(result.report, fh)
-    else:
-        _write_report(result.report, sys.stdout)
+    write_lines(args.report or sys.stdout, _report_lines(result.report))
     return 0
 
 

@@ -10,36 +10,48 @@ derives from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
 from .errors import UsageError
+from .lines import read_lines
 from .rng import derive_seed
 from .sampling import SamplingConfig
 
-_KNOWN_KEYS = {
-    "corpus",
-    "truth",
-    "schema",
-    "pipeline",
-    "output",
-    "master_seed",
-    "malformed",
-    "sampling.fraction",
-    "sampling.window",
-    "sampling.seed",
-    "sampling.dedup",
-    "sampling.dedup_order",
-    "selection.threshold",
-    "selection.seed",
-    "stack.k",
-    "stack.refit_full",
-}
-
 _TRUTHY = {"1", "true", "yes", "on"}
 _FALSY = {"0", "false", "no", "off"}
+
+
+def _parse_bool(value: str) -> bool:
+    low = value.lower()
+    if low in _TRUTHY:
+        return True
+    if low in _FALSY:
+        return False
+    raise ValueError(value)
+
+
+# config key -> (RunConfig field, parser of its text)
+_KEYS = {
+    "corpus": ("corpus", str),
+    "truth": ("truth", str),
+    "schema": ("schema", str),
+    "pipeline": ("pipeline", str),
+    "master_seed": ("master_seed", int),
+    "malformed": ("malformed", str),
+    "sampling.fraction": ("sampling_fraction", Fraction),
+    "sampling.window": ("sampling_window", lambda value: None if value == "all" else int(value)),
+    "sampling.seed": ("sampling_seed", int),
+    "sampling.dedup": ("dedup", _parse_bool),
+    "sampling.dedup_order": ("dedup_order", str),
+    "selection.threshold": ("selection_threshold", float),
+    "selection.seed": ("selection_seed", int),
+    "stack.k": ("stack_k", int),
+    "stack.refit_full": ("refit_full", _parse_bool),
+}
 
 
 @dataclass
@@ -48,7 +60,6 @@ class RunConfig:
     truth: Optional[str] = None
     schema: Optional[str] = None
     pipeline: Optional[str] = None
-    output: Optional[str] = None
     master_seed: int = 0
     malformed: str = "skip"
     sampling_fraction: Fraction = Fraction(1, 50)
@@ -63,11 +74,11 @@ class RunConfig:
 
     def __post_init__(self):
         if self.malformed not in ("skip", "abort"):
-            raise UsageError(f"malformed policy must be skip|abort, got {self.malformed!r}")
+            raise UsageError(f"malformed must be skip|abort, got {self.malformed!r}")
         if self.dedup_order not in ("after", "before"):
-            raise UsageError(f"dedup order must be after|before, got {self.dedup_order!r}")
-        if self.selection_threshold < 0:
-            raise UsageError("selection.threshold must be >= 0")
+            raise UsageError(f"sampling.dedup_order must be after|before, got {self.dedup_order!r}")
+        if not (math.isfinite(self.selection_threshold) and self.selection_threshold >= 0):
+            raise UsageError("selection.threshold must be finite and >= 0")
         if self.stack_k < 2:
             raise UsageError("stack.k must be >= 2")
 
@@ -91,66 +102,40 @@ class RunConfig:
 
 
 def parse_config_file(path: Union[str, Path]) -> dict[str, str]:
-    """Read ``key = value`` pairs; '#' starts a comment, blanks ignored."""
+    """Read ``key = value`` pairs; '#' starts a comment, blanks ignored.
+
+    Each value is checked as :func:`build_run_config` would take it, and a
+    bad one is a :class:`UsageError` naming its ``path:line``.
+    """
     pairs: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key = value, got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _KNOWN_KEYS:
-                raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            pairs[key] = value
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{line_no}: expected key = value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        try:
+            build_run_config({key: value})
+        except UsageError as exc:
+            raise UsageError(f"{path}:{line_no}: {exc}") from None
+        pairs[key] = value
     return pairs
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    low = value.lower()
-    if low in _TRUTHY:
-        return True
-    if low in _FALSY:
-        return False
-    raise UsageError(f"config {key}: expected a boolean, got {value!r}")
 
 
 def build_run_config(pairs: dict[str, str]) -> RunConfig:
     """Typed RunConfig from raw string pairs (file values + CLI overrides)."""
     kwargs: dict[str, object] = {}
     for key, value in pairs.items():
-        if key in ("corpus", "truth", "schema", "pipeline", "output"):
-            kwargs[key] = value
-        elif key == "master_seed":
-            kwargs["master_seed"] = int(value)
-        elif key == "malformed":
-            kwargs["malformed"] = value
-        elif key == "sampling.fraction":
-            try:
-                kwargs["sampling_fraction"] = Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"bad sampling.fraction {value!r}") from exc
-        elif key == "sampling.window":
-            kwargs["sampling_window"] = None if value == "all" else int(value)
-        elif key == "sampling.seed":
-            kwargs["sampling_seed"] = int(value)
-        elif key == "sampling.dedup":
-            kwargs["dedup"] = _parse_bool(key, value)
-        elif key == "sampling.dedup_order":
-            kwargs["dedup_order"] = value
-        elif key == "selection.threshold":
-            kwargs["selection_threshold"] = float(value)
-        elif key == "selection.seed":
-            kwargs["selection_seed"] = int(value)
-        elif key == "stack.k":
-            kwargs["stack_k"] = int(value)
-        elif key == "stack.refit_full":
-            kwargs["refit_full"] = _parse_bool(key, value)
-        else:  # pragma: no cover - guarded by _KNOWN_KEYS
+        if key not in _KEYS:
             raise UsageError(f"unknown config key {key!r}")
+        name, parse = _KEYS[key]
+        try:
+            kwargs[name] = parse(value)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"config {key}: bad value {value!r}") from None
     return RunConfig(**kwargs)
 
 
@@ -158,9 +143,5 @@ def load_run_config(
     path: Optional[Union[str, Path]], overrides: Optional[dict[str, str]] = None
 ) -> RunConfig:
     pairs = parse_config_file(path) if path is not None else {}
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            if key not in _KNOWN_KEYS:
-                raise UsageError(f"unknown config key {key!r}")
-            pairs[key] = value
+    pairs.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     return build_run_config(pairs)

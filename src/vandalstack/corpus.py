@@ -1,6 +1,6 @@
 """Parsing and serialisation of the merged revision-record format.
 
-Corpus line grammar (UTF-8, LF-terminated, one revision per line)::
+Corpus line grammar (one revision per line; lines as read by :mod:`.lines`)::
 
     rev_id <TAB> comment <TAB> has_contributor <TAB> meta_csv
 
@@ -12,7 +12,7 @@ with seven or eight fields::
 ``registered`` is ``0`` or ``1``; the remaining fields are free text where
 the empty string means *missing*.  When a ``user_tag`` is present it is
 everything after the seventh comma, so tags containing commas survive a
-round trip verbatim.  Truth line grammar::
+round trip verbatim.  No field holds a CR.  Truth line grammar::
 
     rev_id <TAB> label
 """
@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from .errors import DuplicateConflict, MalformedLine
-
-Source = Union[str, Path, IO[str], IO[bytes], Iterable[str]]
+from .lines import Source, read_lines, write_lines
 
 GEO_FIELDS = ("country", "continent", "timezone", "region", "city", "county")
 
@@ -72,11 +71,13 @@ class JoinResult:
 
 
 def parse_line(line: str, line_no: int | None = None) -> Revision:
-    """Parse one canonical corpus line into a :class:`Revision`.
+    """Parse one canonical corpus line, without its line end, into a :class:`Revision`.
 
-    Raises :class:`MalformedLine` on any deviation from the grammar.
+    Raises :class:`MalformedLine` on any deviation from the grammar,
+    a CR or LF inside a field included.
     """
-    line = _strip_eol(line)
+    if "\r" in line or "\n" in line:
+        raise MalformedLine("a field holds a line break", line_no)
     parts = line.split("\t")
     if len(parts) != 4:
         raise MalformedLine(
@@ -120,16 +121,22 @@ def format_line(rev: Revision) -> str:
     Parsing the result yields a revision equal to ``rev`` (ignoring any
     attached label, which lives in the truth file, not the corpus).
     """
-    if "\t" in rev.comment or "\n" in rev.comment or "\r" in rev.comment:
+    # chained `in` tests: a generator over the characters costs 4x here
+    comment, tag = rev.comment, rev.user_tag
+    if "\t" in comment or "\n" in comment or "\r" in comment:
         raise ValueError("comment must not contain tabs or line breaks")
     meta = ["1" if rev.registered else "0"]
     for name in GEO_FIELDS:
         value = getattr(rev, name)
-        if value is not None and ("," in value or "\t" in value or "\n" in value):
+        if value is not None and (
+            "," in value or "\t" in value or "\n" in value or "\r" in value
+        ):
             raise ValueError(f"{name} must not contain commas or separators")
         meta.append(value if value is not None else "")
-    if rev.user_tag is not None:
-        meta.append(rev.user_tag)
+    if tag is not None:
+        if "\t" in tag or "\n" in tag or "\r" in tag:
+            raise ValueError("user_tag must not contain tabs or line breaks")
+        meta.append(tag)
     return "\t".join(
         [
             str(rev.rev_id),
@@ -144,16 +151,18 @@ def load_corpus(source: Source, on_malformed: str = "skip") -> CorpusLoad:
     """Read every corpus line from ``source`` in file order.
 
     ``on_malformed`` is ``"skip"`` (count and continue) or ``"abort"``
-    (raise the first :class:`MalformedLine`).
+    (raise the first :class:`MalformedLine`).  A blank line and a line
+    that is not UTF-8 are malformed like any other.
     """
     if on_malformed not in ("skip", "abort"):
         raise ValueError(f"unknown malformed-line policy {on_malformed!r}")
     revisions: list[Revision] = []
     bad = 0
-    for line_no, line in enumerate(_iter_lines(source), start=1):
-        if line == "":
-            continue
+    undecodable: set[int] = set()
+    for line_no, line in enumerate(read_lines(source, undecodable), start=1):
         try:
+            if line_no in undecodable:
+                raise MalformedLine("not valid UTF-8", line_no)
             revisions.append(parse_line(line, line_no))
         except MalformedLine:
             if on_malformed == "abort":
@@ -174,11 +183,8 @@ def load_labels(
     :class:`DuplicateConflict`.
     """
     labels: dict[int, bool] = {}
-    for line_no, line in enumerate(_iter_lines(source), start=1):
-        if line == "":
-            continue
-        stripped = _strip_eol(line)
-        parts = stripped.split("\t")
+    for line_no, line in enumerate(read_lines(source), start=1):
+        parts = line.split("\t")
         if len(parts) != 2:
             raise MalformedLine(
                 f"expected 2 tab-separated fields, got {len(parts)}", line_no
@@ -218,16 +224,11 @@ def join_labels(
 
 
 def write_corpus(revisions: Iterable[Revision], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rev in revisions:
-            fh.write(format_line(rev))
-            fh.write("\n")
+    write_lines(path, (format_line(rev) for rev in revisions))
 
 
 def write_labels(examples: Iterable[LabeledExample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ex in examples:
-            fh.write(f"{ex.revision.rev_id}\t{1 if ex.label else 0}\n")
+    write_lines(path, (f"{ex.revision.rev_id}\t{1 if ex.label else 0}" for ex in examples))
 
 
 def _parse_rev_id(token: str, line_no: int | None) -> int:
@@ -235,25 +236,3 @@ def _parse_rev_id(token: str, line_no: int | None) -> int:
         raise MalformedLine(f"rev_id must be a non-negative integer, got {token!r}", line_no)
     return int(token)
 
-
-def _strip_eol(line: str) -> str:
-    if line.endswith("\n"):
-        line = line[:-1]
-    if line.endswith("\r"):
-        line = line[:-1]
-    return line
-
-
-def _iter_lines(source: Source) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="\n") as fh:
-            yield from fh
-        return
-    if hasattr(source, "read"):
-        for raw in source:
-            if isinstance(raw, bytes):
-                yield raw.decode("utf-8")
-            else:
-                yield raw
-        return
-    yield from iter(source)

@@ -13,9 +13,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Source, _iter_lines, _strip_eol
 from .errors import DuplicateConflict, EmptyDataset, MalformedLine, SingleClass
 from .featurize import FeatureVector
+from .lines import Source, read_lines
 
 MDS_CAP = 2000
 N_BINS = 20
@@ -167,12 +167,11 @@ def evaluate_scored(
 def load_scores(source: Source) -> dict[int, float]:
     """Read a ``rev_id <TAB> score`` file into a mapping.
 
-    Repeating a rev_id with the same score is tolerated; a contradiction
-    raises :class:`DuplicateConflict`.
+    Blank lines are skipped.  Repeating a rev_id with the same score is
+    tolerated; a contradiction raises :class:`DuplicateConflict`.
     """
     scores: dict[int, float] = {}
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
-        line = _strip_eol(raw)
+    for line_no, line in enumerate(read_lines(source), start=1):
         if line == "":
             continue
         parts = line.split("\t")

@@ -23,8 +23,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .errors import (
     IndexOutOfRange,
     MalformedLine,
 )
+from .lines import Source, Target, read_lines, write_lines
 
 SCHEMA_HEADER = "vandalstack-schema v1"
 
@@ -98,7 +98,7 @@ def _load_wordlist(name: str) -> frozenset[str]:
         encoding="utf-8"
     )
     words = set()
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if line and not line.startswith("#"):
             words.add(line.lower())
@@ -421,20 +421,14 @@ def vectors_to_csr(vectors: Sequence[FeatureVector], dim: int | None = None):
     )
 
 
-def save_schema(schema: FeatureSchema, path: str | Path | IO[str]) -> None:
+def save_schema(schema: FeatureSchema, path: Target) -> None:
     """Write the schema file (stable bytes for equal schemas).
 
     Format: a header line, then one ``N <name>`` line per numeric column,
     then one ``C <feature><TAB><value>`` line per categorical column, in
     column order.
     """
-    lines = schema_to_lines(schema)
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    write_lines(path, schema_to_lines(schema))
 
 
 def schema_to_lines(schema: FeatureSchema) -> list[str]:
@@ -444,23 +438,21 @@ def schema_to_lines(schema: FeatureSchema) -> list[str]:
             raise ValueError(f"numeric name {name!r} not serialisable")
         lines.append(f"N {name}")
     for feature, value in schema.categorical_vocab:
-        if "\t" in value or "\n" in value or "\r" in value:
-            raise ValueError(f"categorical value {value!r} not serialisable")
+        if any(c in feature + value for c in "\t\n\r"):
+            raise ValueError(f"categorical column {(feature, value)!r} not serialisable")
         lines.append(f"C {feature}\t{value}")
     return lines
 
 
-def load_schema(path: str | Path | IO[str]) -> FeatureSchema:
-    if hasattr(path, "read"):
-        text = path.read()
-    else:
-        with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            text = fh.read()
-    return schema_from_lines(text.splitlines())
+def load_schema(path: Source) -> FeatureSchema:
+    return schema_from_lines(read_lines(path))
 
 
 def schema_from_lines(lines: Sequence[str], offset: int = 0) -> FeatureSchema:
-    """Parse a schema file; ``offset`` lines precede it in the file read."""
+    """Parse a schema file; ``offset`` lines precede it in the file read.
+
+    Blank lines are skipped.
+    """
     if not lines or lines[0] != SCHEMA_HEADER:
         raise MalformedLine(f"expected schema header {SCHEMA_HEADER!r}", offset + 1)
     numeric: list[str] = []
@@ -469,10 +461,11 @@ def schema_from_lines(lines: Sequence[str], offset: int = 0) -> FeatureSchema:
         if line == "":
             continue
         kind, _, rest = line.partition(" ")
-        if kind == "N" and rest:
+        # exactly what schema_to_lines writes: no CR in a column
+        if kind == "N" and rest and not any(c in rest for c in "\t\r "):
             columns, column = numeric, rest
-        elif kind == "C" and "\t" in rest:
-            columns, column = vocab, tuple(rest.partition("\t")[::2])
+        elif kind == "C" and rest.count("\t") == 1 and "\r" not in rest:
+            columns, column = vocab, tuple(rest.split("\t"))
         else:
             raise MalformedLine(f"bad schema line {line!r}", line_no)
         # canonical order: each kind strictly ascending, so no duplicates

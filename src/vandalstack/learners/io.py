@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import typing
-from pathlib import Path
-from typing import IO, Iterator, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import MalformedLine, UnsupportedFamily
+from ..lines import LineReader, Source, Target, read_lines, write_lines
 from .boosting import GradientBoostingClassifier
 from .forest import ExtraTreesClassifier, RandomForestClassifier
 from .linear import LogisticRegression
@@ -55,6 +55,26 @@ def _param_types(cls) -> dict[str, tuple[type, ...]]:
 
 # the parameters a model file may set on a `param` line, and their types, per family
 _PARAM_TYPES = {name: _param_types(cls) for name, cls in BUILTIN_FAMILIES.items()}
+
+
+def param_problem(family: str, name: str, value) -> Optional[str]:
+    """Why ``value`` cannot be the ``family`` parameter ``name``, or None if it can.
+
+    The one check for a model file's ``param`` lines and a pipeline's spec
+    hyperparameters.
+    """
+    types = _PARAM_TYPES.get(family, {}).get(name)
+    if types is None:
+        return f"{family} takes no parameter {name!r}"
+    # exact types: a bool is no int here, nor an int a bool
+    if type(value) not in types or (type(value) is float and not math.isfinite(value)):
+        expected = " or ".join(t.__name__ for t in types)
+        return f"{name} takes {expected}" + (", finite" if float in types else "")
+    if name == "max_features" and not (
+        value is None or value == "sqrt" or (type(value) is int and value >= 1)
+    ):
+        return "max_features takes sqrt, None or an int >= 1"
+    return None
 
 
 def family_name(model) -> str:
@@ -126,54 +146,19 @@ def model_to_lines(model) -> list[str]:
     return lines
 
 
-class _LineReader:
-    """Sequential reader with one-token dispatch and error positions."""
-
-    def __init__(self, lines: Sequence[str], offset: int = 0):
-        self.lines = lines
-        self.pos = 0
-        self.offset = offset
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise MalformedLine("unexpected end of model block", self.line_no)
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect(self, tag: str) -> str:
-        line = self.next()
-        head, _, rest = line.partition(" ")
-        if head != tag:
-            raise MalformedLine(f"expected {tag!r}, got {line!r}", self.line_no)
-        return rest
-
-    def expect_int(self, tag: str) -> int:
-        rest = self.expect(tag)
-        try:
-            return int(rest)
-        except ValueError:
-            raise MalformedLine(f"expected an integer after {tag!r}, got {rest!r}", self.line_no)
-
-    def floats(self, tag: str, rest: str, size: int) -> np.ndarray:
-        """The ``size`` floats after ``tag`` on the line just read."""
-        try:
-            values = np.asarray([float(tok) for tok in rest.split(" ") if rest], dtype=np.float64)
-        except ValueError:
-            raise MalformedLine(f"non-numeric value after {tag!r}", self.line_no) from None
-        if values.size != size:
-            raise MalformedLine(
-                f"{tag!r} holds {values.size} values, expected {size}", self.line_no
-            )
-        return values
-
-    @property
-    def line_no(self) -> int:
-        return self.offset + self.pos
+def _floats(reader: LineReader, tag: str, rest: str, size: int) -> np.ndarray:
+    """The ``size`` floats after ``tag`` on the line just read."""
+    try:
+        values = np.asarray([float(tok) for tok in rest.split(" ") if rest], dtype=np.float64)
+    except ValueError:
+        raise MalformedLine(f"non-numeric value after {tag!r}", reader.line_no) from None
+    if values.size != size:
+        raise MalformedLine(f"{tag!r} holds {values.size} values, expected {size}", reader.line_no)
+    return values
 
 
 def model_from_lines(lines: Sequence[str], offset: int = 0):
-    reader = _LineReader(lines, offset)
+    reader = LineReader(lines, offset)
     if reader.next() != MODEL_HEADER:
         raise MalformedLine(f"expected model header {MODEL_HEADER!r}", reader.line_no)
     family = reader.expect("family")
@@ -188,25 +173,10 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
         if not line.startswith("param "):
             break
         name, _, token = line[len("param ") :].partition(" ")
-        types = _PARAM_TYPES[family].get(name)
-        if types is None or not token:
-            raise MalformedLine(f"bad {family} parameter line {line!r}", reader.line_no)
         value = _parse_value(token)
-        # exact types: a bool is no int here, nor an int a bool
-        if type(value) not in types or (type(value) is float and not math.isfinite(value)):
-            expected = " or ".join(t.__name__ for t in types)
-            raise MalformedLine(
-                f"bad {family} parameter line {line!r}: {name} takes {expected}"
-                + (", finite" if float in types else ""),
-                reader.line_no,
-            )
-        if name == "max_features" and not (
-            value is None or value == "sqrt" or (type(value) is int and value >= 1)
-        ):
-            raise MalformedLine(
-                f"bad {family} parameter line {line!r}: max_features takes sqrt, None or an int >= 1",
-                reader.line_no,
-            )
+        problem = param_problem(family, name, value) if token else "no value"
+        if problem:
+            raise MalformedLine(f"bad {family} parameter line {line!r}: {problem}", reader.line_no)
         params[name] = value
     model = cls(**params)
     model.n_features_ = dim
@@ -216,29 +186,27 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
             head, _, rest = line.partition(" ")
             if head != "base_score":
                 raise MalformedLine(f"expected base_score, got {line!r}", reader.line_no)
-            model.base_score_ = float(reader.floats("base_score", rest, 1)[0])
+            model.base_score_ = float(_floats(reader, "base_score", rest, 1)[0])
             line = reader.next()
         head, _, rest = line.partition(" ")
         if head != "importances":
             raise MalformedLine(f"expected importances, got {line!r}", reader.line_no)
-        model.feature_importances_ = reader.floats("importances", rest, dim)
-        n_trees = reader.expect_int("trees")
-        if n_trees < (0 if family == "gradient_boosting" else 1):
-            raise MalformedLine(f"bad tree count {n_trees}", reader.line_no)
+        model.feature_importances_ = _floats(reader, "importances", rest, dim)
+        n_trees = reader.expect_int("trees", 0 if family == "gradient_boosting" else 1)
         model.nodes_ = _nodes_from(reader, n_trees, dim)
     elif family == "logistic_regression":
         head, _, rest = line.partition(" ")
         if head != "bias":
             raise MalformedLine(f"expected bias, got {line!r}", reader.line_no)
-        model.intercept_ = float(reader.floats("bias", rest, 1)[0])
-        model.coef_ = reader.floats("coef", reader.expect("coef"), dim)
+        model.intercept_ = float(_floats(reader, "bias", rest, 1)[0])
+        model.coef_ = _floats(reader, "coef", reader.expect("coef"), dim)
     else:  # mlp
         h = model.hidden_units
         if h < 1 or line != f"layers {dim} {h}":
             raise MalformedLine(
                 f"expected 'layers {dim} {h}' (dim, hidden_units), got {line!r}", reader.line_no
             )
-        model.theta_ = reader.floats("theta", reader.expect("theta"), dim * h + 2 * h + 1)
+        model.theta_ = _floats(reader, "theta", reader.expect("theta"), dim * h + 2 * h + 1)
     if reader.next() != "end":
         raise MalformedLine("model block missing 'end'", reader.line_no)
     if reader.pos != len(reader.lines):
@@ -272,13 +240,11 @@ def _parse_nodes(lines: Sequence[str]) -> np.ndarray:
     return nodes
 
 
-def _nodes_from(reader: _LineReader, n_trees: int, dim: int) -> NodeTable:
+def _nodes_from(reader: LineReader, n_trees: int, dim: int) -> NodeTable:
     """Read ``n_trees`` tree blocks into one table, parsing their nodes at once."""
     sizes, firsts, lines = [], [], []
     for _ in range(n_trees):
-        n_nodes = reader.expect_int("tree")
-        if n_nodes < 1:
-            raise MalformedLine(f"bad node count {n_nodes}", reader.line_no)
+        n_nodes = reader.expect_int("tree", 1)
         if reader.pos + n_nodes > len(reader.lines):
             raise MalformedLine("tree runs past the end of the model block", reader.line_no)
         firsts.append(reader.pos)
@@ -312,19 +278,9 @@ def _nodes_from(reader: _LineReader, n_trees: int, dim: int) -> NodeTable:
     return NodeTable(feature, threshold, right, nodes["value"], sizes)
 
 
-def save_model(model, path: Union[str, Path, IO[str]]) -> None:
-    text = "\n".join(model_to_lines(model)) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def save_model(model, path: Target) -> None:
+    write_lines(path, model_to_lines(model))
 
 
-def load_model(path: Union[str, Path, IO[str]]):
-    if hasattr(path, "read"):
-        text = path.read()
-    else:
-        with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            text = fh.read()
-    return model_from_lines(text.splitlines())
+def load_model(path: Source):
+    return model_from_lines(read_lines(path))

@@ -30,6 +30,7 @@ from .corpus import Revision, format_line, load_corpus, load_labels, parse_line
 from .errors import MalformedLine, ProtocolViolation, Timeout, UsageError
 from .evaluation import EvalReport, ScoredExample, evaluate_scored
 from .featurize import encode, extract_features
+from .lines import decode_line
 from .stacking import StackedPipeline, load_pipeline, predict_stack
 
 
@@ -52,17 +53,6 @@ def parse_address(text: str) -> tuple[str, int]:
     if not sep or not (port.isascii() and port.isdigit()):
         raise UsageError(f"address must be host:port, got {text!r}")
     return (host or "127.0.0.1", int(port))
-
-
-@dataclass
-class SessionState:
-    window: int
-    sent: int = 0
-    answered: int = 0
-
-    @property
-    def in_flight(self) -> int:
-        return self.sent - self.answered
 
 
 @dataclass
@@ -155,15 +145,13 @@ class ScoringServer:
         # session aborts on a raised violation
         with conn.makefile("rb") as reader:
             queue = deque(self.revisions)
-            state = SessionState(window=self.window)
             outstanding: set[int] = set()
             scores: dict[int, float] = {}
             while queue or outstanding:
-                if queue and state.in_flight < self.window:
+                if queue and len(outstanding) < self.window:
                     rev = queue.popleft()
                     conn.sendall(f"REV\t{format_line(rev)}\n".encode("utf-8"))
                     outstanding.add(rev.rev_id)
-                    state.sent += 1
                     self.trace.append(("send", rev.rev_id))
                     continue
                 try:
@@ -176,7 +164,6 @@ class ScoringServer:
                 rev_id, score = self._parse_answer(conn, raw, outstanding, scores)
                 outstanding.discard(rev_id)
                 scores[rev_id] = score
-                state.answered += 1
                 self.trace.append(("recv", rev_id))
             conn.sendall(b"END\n")
             return scores
@@ -189,10 +176,9 @@ class ScoringServer:
         scores: dict[int, float],
     ) -> tuple[int, float]:
         try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError:
+            line = decode_line(raw)
+        except MalformedLine:
             self._violation(conn, "answer is not valid UTF-8")
-        line = line.rstrip("\n").rstrip("\r")
         parts = line.split("\t")
         if len(parts) != 3 or parts[0] != "SCORE":
             self._violation(conn, f"malformed answer line {line!r}")
@@ -270,8 +256,8 @@ def run_client(
                 sock.makefile("rb") as reader:
             for raw in reader:
                 try:
-                    line = raw.decode("utf-8").rstrip("\n").rstrip("\r")
-                except UnicodeDecodeError:
+                    line = decode_line(raw)
+                except MalformedLine:
                     print(
                         f"server sent a line that is not UTF-8 after {answered} answers",
                         file=sys.stderr,

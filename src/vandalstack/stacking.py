@@ -19,8 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +46,8 @@ from .learners import (
     train,
 )
 from .learners.base import check_dense, check_X_y
+from .learners.io import param_problem
+from .lines import LineReader, Source, Target, read_lines, write_lines
 from .rng import derive_seed, generator
 
 PIPELINE_HEADER = "vandalstack-pipeline v1"
@@ -263,6 +264,10 @@ def _spec_from_json(text: str, line_no: int) -> ModelSpec:
         and type(raw["seed"]) is int
     ):
         raise MalformedLine(f"bad model spec {text!r}", line_no)
+    for name, value in raw["hyperparameters"].items():
+        problem = param_problem(raw["family"], name, value)
+        if problem:
+            raise MalformedLine(f"bad model spec {text!r}: {problem}", line_no)
     return ModelSpec(raw["family"], raw["hyperparameters"], raw["seed"])
 
 
@@ -309,49 +314,30 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
     """Parse a pipeline file; any violation raises ``MalformedLine`` naming its line."""
     if not lines or lines[0] != PIPELINE_HEADER:
         raise MalformedLine(f"expected pipeline header {PIPELINE_HEADER!r}", 1)
-    pos = 1
-
-    def take(tag: str) -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise MalformedLine("unexpected end of pipeline file", pos + 1)
-        head, _, rest = lines[pos].partition(" ")
-        if head != tag:
-            raise MalformedLine(f"expected {tag!r}, got {lines[pos]!r}", pos + 1)
-        pos += 1
-        return rest
-
-    def take_int(tag: str, minimum: Optional[int]) -> int:
-        rest = take(tag)
-        try:
-            value = int(rest)
-        except ValueError:
-            value = None
-        if value is None or (minimum is not None and value < minimum):
-            raise MalformedLine(f"bad {tag!r} value {rest!r}", pos)
-        return value
+    reader = LineReader(lines, end_line=len(lines) + 1)
+    reader.next()
 
     def take_specs(stage: str, count: int) -> tuple[ModelSpec, ...]:
         specs = []
         for j in range(count):
-            parts = take("spec").split(" ", 2)
+            parts = reader.expect("spec").split(" ", 2)
             if len(parts) != 3 or parts[:2] != [stage, str(j)]:
-                raise MalformedLine(f"expected 'spec {stage} {j} <json>'", pos)
-            specs.append(_spec_from_json(parts[2], pos))
+                raise MalformedLine(f"expected 'spec {stage} {j} <json>'", reader.line_no)
+            specs.append(_spec_from_json(parts[2], reader.line_no))
         return tuple(specs)
 
-    k = take_int("k", 1)
-    seed = take_int("seed", None)
-    refit_raw = take("refit_full")
+    k = reader.expect_int("k", 1)
+    seed = reader.expect_int("seed")
+    refit_raw = reader.expect("refit_full")
     if refit_raw not in ("0", "1"):
-        raise MalformedLine(f"bad 'refit_full' value {refit_raw!r}", pos)
+        raise MalformedLine(f"bad 'refit_full' value {refit_raw!r}", reader.line_no)
     refit_full = refit_raw == "1"
-    n_first = take_int("first_stage", 1)
-    n_second = take_int("second_stage", 1)
+    n_first = reader.expect_int("first_stage", 1)
+    n_second = reader.expect_int("second_stage", 1)
     first = take_specs("first", n_first)
     second = take_specs("second", n_second)
-    selected_raw = take("selected")
-    selected_line = pos
+    selected_raw = reader.expect("selected")
+    selected_line = reader.line_no
     if selected_raw == "none":
         selected = None
     elif selected_raw == "empty":
@@ -360,12 +346,13 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
         try:
             selected = tuple(int(tok) for tok in selected_raw.split(" "))
         except ValueError:
-            raise MalformedLine(f"bad selected columns {selected_raw!r}", pos) from None
+            raise MalformedLine(f"bad selected columns {selected_raw!r}", selected_line) from None
         if selected[0] < 0 or any(a >= b for a, b in zip(selected, selected[1:])):
-            raise MalformedLine("selected columns must ascend from 0 or more", pos)
+            raise MalformedLine("selected columns must ascend from 0 or more", selected_line)
 
     # (name, 1-based line of the section header, body)
     sections: list[tuple[str, int, list[str]]] = []
+    pos = reader.pos
     while pos < len(lines) and lines[pos] != "end":
         head, _, rest = lines[pos].partition(" ")
         name, _, count_raw = rest.rpartition(" ")
@@ -420,6 +407,13 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
             raise MalformedLine(f"{name} is not a {spec.family} model", at + 2)
         if model.n_features_ != want:
             raise MalformedLine(f"{name} has dim {model.n_features_}, expected {want}", at + 3)
+        for key, value in spec.hyperparameters.items():
+            held = getattr(model, key)  # a model keeps each parameter as an attribute
+            if held != value:
+                # name the model's `param` line, or its section header when it has none
+                tag = f"param {key} "
+                where = next((i for i, line in enumerate(body) if line.startswith(tag)), -1)
+                raise MalformedLine(f"{name} has {key} {held!r}, spec {value!r}", at + 1 + where)
 
     config = StackConfig(
         first_stage=first,
@@ -439,19 +433,9 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
     )
 
 
-def save_pipeline(pipeline: StackedPipeline, path: Union[str, Path, IO[str]]) -> None:
-    text = "\n".join(pipeline_to_lines(pipeline)) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def save_pipeline(pipeline: StackedPipeline, path: Target) -> None:
+    write_lines(path, pipeline_to_lines(pipeline))
 
 
-def load_pipeline(path: Union[str, Path, IO[str]]) -> StackedPipeline:
-    if hasattr(path, "read"):
-        text = path.read()
-    else:
-        with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            text = fh.read()
-    return pipeline_from_lines(text.splitlines())
+def load_pipeline(path: Source) -> StackedPipeline:
+    return pipeline_from_lines(read_lines(path))

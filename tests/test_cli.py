@@ -1,5 +1,6 @@
 """The command-line surface, end to end on small corpora."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from tests._util import labeled
 from vandalstack import cli
 from vandalstack.benchmark import make_benchmark, write_split
 from vandalstack.corpus import load_corpus, load_labels, write_corpus, write_labels
+from vandalstack.featurize import load_schema
 from vandalstack.learners.io import load_model
 from vandalstack.serve import format_score
 
@@ -450,3 +452,94 @@ def test_serve_refuses_a_one_class_session_before_binding(tmp_path, capsys, n_po
     err = capsys.readouterr().err
     assert f"{n_pos} positive and {n_neg} negative" in err
     assert "listening on" not in err
+
+
+def test_train_stack_and_predict_with_a_line_separator_in_a_city(tmp_path):
+    examples = [
+        dataclasses.replace(
+            ex, revision=dataclasses.replace(ex.revision, city=f"Sao\u2028Paulo{i % 2}")
+        )
+        for i, ex in enumerate(make_benchmark(n=300, positive_rate=0.1, seed=3))
+    ]
+    write_split(examples, tmp_path, "odd")
+    pipeline, scores = tmp_path / "pipeline.txt", tmp_path / "scores.tsv"
+    assert cli.main(
+        ["train-stack", "--corpus", str(tmp_path / "odd_corpus.tsv"),
+         "--truth", str(tmp_path / "odd_truth.tsv"), "--pipeline", str(pipeline),
+         "--fraction", "1/3"]
+    ) == 0
+    assert ("userCity", "Sao\u2028Paulo1") in load_schema(tmp_path / "pipeline.txt.schema").categorical_vocab
+    assert cli.main(
+        ["predict", "--pipeline", str(pipeline), "--input", str(tmp_path / "odd_corpus.tsv"),
+         "--output", str(scores)]
+    ) == 0
+    assert len(scores.read_text(encoding="utf-8").split("\n")) == 301
+
+
+def test_paths_that_cannot_be_opened_exit_2_naming_the_path(stack_dir, tmp_path, capsys):
+    missing = tmp_path / "nope.tsv"
+    assert cli.main(
+        ["predict", "--pipeline", str(stack_dir / "pipeline.txt"), "--input", str(missing),
+         "--output", str(tmp_path / "scores.tsv")]
+    ) == 2
+    assert str(missing) in capsys.readouterr().err
+    unwritable = tmp_path / "no-dir" / "scores.tsv"
+    assert cli.main(
+        ["predict", "--pipeline", str(stack_dir / "pipeline.txt"),
+         "--input", str(stack_dir / "small_corpus.tsv"), "--output", str(unwritable)]
+    ) == 2
+    assert str(unwritable) in capsys.readouterr().err
+
+
+def test_train_stack_bad_config_values_exit_2_naming_the_key(stack_dir, tmp_path, capsys):
+    base = ["train-stack", "--corpus", str(stack_dir / "small_corpus.tsv"),
+            "--truth", str(stack_dir / "small_truth.tsv"), "--pipeline", str(tmp_path / "p.txt")]
+    assert cli.main(base + ["--k", "abc"]) == 2
+    assert "stack.k" in capsys.readouterr().err
+    assert cli.main(base + ["--threshold", "nan"]) == 2
+    assert "selection.threshold" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text("master_seed = 1\nsampling.window = soon\n", encoding="utf-8")
+    assert cli.main(base + ["--config", str(config)]) == 2
+    assert f"{config}:2: config sampling.window" in capsys.readouterr().err
+
+
+def test_a_cr_or_a_bad_byte_in_a_corpus_line_is_counted_as_malformed(tmp_path, capsys):
+    corpus, truth, _ = write_tiny_corpus(tmp_path, n_pos=2, n_neg=3)
+    with open(corpus, "ab") as fh:
+        fh.write(b"7\tab\rcd\t0\t0,,,,,,\n")
+        fh.write(b"8\tc\t0\t0,,,,,A\rB,\n")
+        fh.write(b"9\t\xff\t0\t0,,,,,,\n")
+    out_copy = tmp_path / "normalised.tsv"
+    assert cli.main(
+        ["ingest", "--corpus", str(corpus), "--truth", str(truth), "--output", str(out_copy)]
+    ) == 0
+    assert "malformed 3" in capsys.readouterr().out
+    assert out_copy.read_bytes() == b"".join(
+        line + b"\n" for line in corpus.read_bytes().split(b"\n")[:5]
+    )
+    assert cli.main(
+        ["ingest", "--corpus", str(corpus), "--truth", str(truth), "--malformed", "abort"]
+    ) == 1
+    assert "line 6:" in capsys.readouterr().err
+
+
+def test_train_stack_skips_cities_with_a_cr(tmp_path, capsys):
+    examples = make_benchmark(n=300, positive_rate=0.1, seed=3)
+    write_split(examples, tmp_path, "small")
+    corpus = tmp_path / "small_corpus.tsv"
+    lines = corpus.read_bytes().split(b"\n")
+    for i in range(0, len(lines) - 1, 2):
+        head, _, meta = lines[i].rpartition(b"\t")
+        fields = meta.split(b",")
+        fields[5] = b"A\rB"
+        lines[i] = head + b"\t" + b",".join(fields)
+    corpus.write_bytes(b"\n".join(lines))
+    assert cli.main(
+        ["train-stack", "--corpus", str(corpus), "--truth", str(tmp_path / "small_truth.tsv"),
+         "--pipeline", str(tmp_path / "p.txt"), "--fraction", "1/3"]
+    ) == 0
+    assert cli.main(
+        ["ingest", "--corpus", str(corpus), "--truth", str(tmp_path / "small_truth.tsv")]
+    ) == 0
+    assert "malformed 150" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Run-configuration parsing, overrides and derived seeds."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -138,3 +139,46 @@ def test_validation_errors():
     bad = build_run_config({"sampling.fraction": "3/2"})
     with pytest.raises(UsageError):
         bad.sampling_config()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("stack.k", "abc"),
+        ("master_seed", "1.5"),
+        ("sampling.window", "some"),
+        ("sampling.seed", ""),
+        ("sampling.dedup", "maybe"),
+        ("sampling.fraction", "1/0"),
+        ("selection.threshold", "x"),
+        ("selection.threshold", "nan"),
+        ("selection.threshold", "inf"),
+        ("selection.seed", "0x1"),
+        ("stack.refit_full", "2"),
+    ],
+)
+def test_every_bad_value_is_a_usage_error_naming_its_key_and_line(tmp_path, key, value):
+    with pytest.raises(UsageError, match=re.escape(key)):
+        build_run_config({key: value})
+    path = write_config(tmp_path, f"# header\nmaster_seed = 4\n{key} = {value}\n")
+    for load in (parse_config_file, lambda p: load_run_config(p)):
+        with pytest.raises(UsageError, match=re.escape(f"{path}:3:")):
+            load(path)
+
+
+def test_output_is_not_a_config_key(tmp_path):
+    with pytest.raises(UsageError):
+        build_run_config({"output": "scores.tsv"})
+    path = write_config(tmp_path, "output = scores.tsv\n")
+    with pytest.raises(UsageError, match=re.escape(f"{path}:1: unknown config key 'output'")):
+        parse_config_file(path)
+    assert not hasattr(RunConfig(), "output")
+
+
+def test_a_lone_cr_does_not_end_a_config_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"master_seed = 1\r\nstack.k = 4\rmaster_seed = 2\n")
+    with pytest.raises(UsageError, match=re.escape(f"{path}:2:")):
+        parse_config_file(path)
+    path.write_bytes(b"master_seed = 1\r\nstack.k = 4\r\n")
+    assert parse_config_file(path) == {"master_seed": "1", "stack.k": "4"}

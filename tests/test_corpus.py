@@ -116,6 +116,52 @@ def test_format_line_rejects_separator_bytes():
         format_line(Revision(rev_id=1, country="a,b"))
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "1\tab\rcd\t0\t0,,,,,,",  # comment
+        "1\tc\t0\t0,,,,,A\rB,",  # city
+        "1\tc\t0\t0,,,,,,,tag\r",  # user tag
+        "1\tc\t0\r\t0,,,,,,",  # has_contributor
+        "1\tc\t0\t0,,,,,,\n",
+    ],
+)
+def test_parse_line_rejects_a_line_break_inside_a_field(line):
+    with pytest.raises(MalformedLine) as info:
+        parse_line(line, line_no=4)
+    assert info.value.line_no == 4
+
+
+def test_format_line_refuses_what_parse_line_rejects():
+    for bad in (
+        Revision(rev_id=1, comment="a\rb"),
+        Revision(rev_id=1, city="A\rB"),
+        Revision(rev_id=1, user_tag="t\tu"),
+        Revision(rev_id=1, user_tag="t\ru"),
+    ):
+        with pytest.raises(ValueError):
+            format_line(bad)
+
+
+def test_a_cr_inside_a_corpus_line_is_malformed():
+    text = "1\ta\t0\t0,,,,,,\r\n2\tab\rcd\t0\t0,,,,,,\r\n3\tc\t0\t0,,,,,,\n"
+    loaded = load_corpus(io.StringIO(text))
+    assert [r.rev_id for r in loaded.revisions] == [1, 3]
+    assert loaded.malformed_count == 1
+    with pytest.raises(MalformedLine) as info:
+        load_corpus(io.StringIO(text), on_malformed="abort")
+    assert info.value.line_no == 2
+
+
+def test_blank_lines_are_malformed_corpus_and_truth_lines():
+    loaded = load_corpus(io.StringIO("1\ta\t0\t0,,,,,,\n\n2\tb\t0\t0,,,,,,\n"))
+    assert [r.rev_id for r in loaded.revisions] == [1, 2]
+    assert loaded.malformed_count == 1
+    with pytest.raises(MalformedLine) as info:
+        load_labels(io.StringIO("5\t1\n\n6\t0\n"))
+    assert info.value.line_no == 2
+
+
 def test_load_corpus_order_and_counts():
     text = "\n".join(
         [

@@ -24,6 +24,7 @@ from vandalstack.featurize import (
     load_schema,
     parse_comment_header,
     save_schema,
+    schema_from_lines,
     schema_to_lines,
     vectors_to_csr,
 )
@@ -315,6 +316,30 @@ def test_load_schema_rejects_bad_files():
         with pytest.raises(MalformedLine) as info:
             load_schema(io.StringIO("\n".join(repeated) + "\n"))
         assert info.value.line_no == at + 2
+
+
+def test_schema_loader_accepts_exactly_what_the_writer_writes():
+    schema = FeatureSchema(("a", "b"), (("userCity", "LEEDS"),))
+    lines = schema_to_lines(schema)
+    for at, bad in (
+        (1, "N a\rz"),
+        (2, "N b z"),
+        (3, "C userCity\tLEE\rDS"),
+        (3, "C userCity\tLEE\tDS"),
+        (3, "C user\rCity\tLEEDS"),
+    ):
+        corrupted = list(lines)
+        corrupted[at] = bad
+        with pytest.raises(MalformedLine) as info:
+            schema_from_lines(corrupted, offset=10)
+        assert info.value.line_no == at + 11
+    for value in ("LEE\rDS", "LEE\tDS"):
+        with pytest.raises(ValueError):
+            schema_to_lines(FeatureSchema(("a",), (("userCity", value),)))
+    with pytest.raises(ValueError):
+        schema_to_lines(FeatureSchema(("a",), (("user\tCity", "x"),)))
+    # blank lines are skipped
+    assert schema_from_lines(lines[:2] + [""] + lines[2:]) == schema
 
 
 def test_feature_vector_validation():

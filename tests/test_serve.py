@@ -16,7 +16,6 @@ from vandalstack.featurize import build_schema, encode, encode_matrix, extract_f
 from vandalstack.learners import ModelSpec
 from vandalstack.serve import (
     ScoringServer,
-    SessionState,
     format_score,
     parse_address,
     run_client,
@@ -68,11 +67,6 @@ def test_parse_address():
     for bad in ("nocolon", "host:", "host:abc", "", "host:8²"):
         with pytest.raises(UsageError):
             parse_address(bad)
-
-
-def test_session_state_in_flight():
-    state = SessionState(window=4, sent=7, answered=5)
-    assert state.in_flight == 2
 
 
 # --- live sessions ----------------------------------------------------------

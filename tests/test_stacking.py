@@ -416,3 +416,52 @@ def test_pipeline_schema_errors_name_the_file_line():
     with pytest.raises(MalformedLine) as info:
         pipeline_from_lines(lines)
     assert info.value.line_no == at + 1
+
+
+@pytest.mark.parametrize(
+    "family, hyperparameters",
+    [
+        ("gradient_boosting", '{"max_features": "x", "bogus": 1}'),
+        ("gradient_boosting", '{"bogus": 1}'),
+        ("gradient_boosting", '{"n_estimators": true}'),
+        ("gradient_boosting", '{"n_estimators": 2.5}'),
+        ("gradient_boosting", '{"learning_rate": NaN}'),
+        ("gradient_boosting", '{"learning_rate": 1e999}'),
+        ("gradient_boosting", '{"max_depth": [2]}'),
+        ("gradient_boosting", '{"seed": 3}'),
+        ("extra_trees", '{"max_features": "x"}'),
+        ("extra_trees", '{"max_features": 0}'),
+        ("no_such_family", '{"n_estimators": 3}'),
+    ],
+)
+def test_spec_hyperparameters_get_the_model_parameter_check(family, hyperparameters):
+    lines = corruptible_pipeline_lines()
+    at = line_index(lines, "spec first 0 ")
+    lines[at] = (
+        f'spec first 0 {{"family": "{family}", "hyperparameters": {hyperparameters}, "seed": 0}}'
+    )
+    with pytest.raises(MalformedLine) as info:
+        pipeline_from_lines(lines)
+    assert info.value.line_no == at + 1
+
+
+def test_spec_hyperparameters_must_match_their_models_param_lines():
+    lines = corruptible_pipeline_lines()
+    at = line_index(lines, "spec first 0 ")
+    lines[at] = lines[at].replace('"n_estimators": 3', '"n_estimators": 4')
+    section = line_index(lines, "section model first 0 0 ")
+    param = section + line_index(lines[section:], "param n_estimators ")
+    with pytest.raises(MalformedLine) as info:
+        pipeline_from_lines(lines)
+    assert info.value.line_no == param + 1
+    # a model without the `param` line has the default, and is named by its header
+    lines = corruptible_pipeline_lines()
+    at = line_index(lines, "spec second 0 ")
+    lines[at] = lines[at].replace('{"n_estimators": 3}', '{"learning_rate": 0.5, "n_estimators": 3}')
+    section = line_index(lines, "section model second 0 ")
+    del lines[section + line_index(lines[section:], "param learning_rate ")]
+    head, count = lines[section].rsplit(" ", 1)
+    lines[section] = f"{head} {int(count) - 1}"
+    with pytest.raises(MalformedLine) as info:
+        pipeline_from_lines(lines)
+    assert info.value.line_no == section + 1
