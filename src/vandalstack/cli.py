@@ -17,9 +17,12 @@ inputs and seeds writes byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_run_config
@@ -33,20 +36,19 @@ from .corpus import (
 from .errors import UsageError, VandalstackError
 from .evaluation import (
     MDS_CAP,
+    ErrorSets,
     EvalReport,
-    ScoredExample,
     classical_mds,
     error_sets,
     evaluate_scored,
     histogram_rows,
+    join_scored,
     load_scores,
 )
 from .featurize import (  # noqa: F401 - perfbench's tracer wraps encode_many, vectors_to_csr
     build_schema,
-    encode,
     encode_many,
     encode_matrix,
-    extract_features,
     extract_many,
     load_schema,
     save_schema,
@@ -114,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-truth", required=True)
     p.add_argument("--fraction", default="1/50")
     p.add_argument("--window", default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--dedup-order", choices=["after", "before"], default="after")
     p.add_argument("--no-dedup", action="store_true")
     p.add_argument("--malformed", choices=["skip", "abort"], default="skip")
@@ -221,18 +223,35 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    from .sampling import SamplingConfig
+def _reduce(examples, cfg: RunConfig):
+    """The training-set reduction: under-sample negatives, drop repeated content.
 
-    _, _, joined = _load_joined(args.corpus, args.truth, args.malformed)
-    window = None if args.window == "all" else int(args.window)
-    config = SamplingConfig(fraction=args.fraction, window=window, seed=args.seed)
-    examples = joined.examples
-    if not args.no_dedup and args.dedup_order == "before":
+    ``dedup`` runs before or after ``undersample`` as ``cfg`` says, or not
+    at all.  Both are looked up as names of this module, where perfbench's
+    tracer wraps them.
+    """
+    if cfg.dedup and cfg.dedup_order == "before":
         examples = dedup(examples)
-    examples = undersample(examples, config)
-    if not args.no_dedup and args.dedup_order == "after":
+    examples = undersample(examples, cfg.sampling_config())
+    if cfg.dedup and cfg.dedup_order == "after":
         examples = dedup(examples)
+    return examples
+
+
+def _cmd_sample(args) -> int:
+    cfg = load_run_config(
+        None,
+        {
+            "sampling.fraction": args.fraction,
+            "sampling.window": args.window,
+            "sampling.seed": args.seed,
+            "sampling.dedup": "0" if args.no_dedup else None,
+            "sampling.dedup_order": args.dedup_order,
+            "malformed": args.malformed,
+        },
+    )
+    _, _, joined = _load_joined(args.corpus, args.truth, cfg.malformed)
+    examples = _reduce(joined.examples, cfg)
     write_corpus((ex.revision for ex in examples), args.output_corpus)
     write_labels(examples, args.output_truth)
     positives = sum(1 for ex in examples if ex.label)
@@ -286,14 +305,9 @@ def _cmd_train_stack(args) -> int:
     if cfg.pipeline is None:
         raise UsageError("train-stack needs a pipeline output path")
     _, _, joined = _load_joined(cfg.corpus, cfg.truth, cfg.malformed)
-    examples = joined.examples
-    if not examples:
+    if not joined.examples:
         raise UsageError("no labeled examples to train on")
-    if cfg.dedup and cfg.dedup_order == "before":
-        examples = dedup(examples)
-    examples = undersample(examples, cfg.sampling_config())
-    if cfg.dedup and cfg.dedup_order == "after":
-        examples = dedup(examples)
+    examples = _reduce(joined.examples, cfg)
     revisions = [ex.revision for ex in examples]
     labels = [ex.label for ex in examples]
 
@@ -340,24 +354,19 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _join_scored(scores: dict[int, float], labels: dict[int, bool]):
-    scored = []
-    missing = 0
-    for rev_id in sorted(scores):
-        label = labels.get(rev_id)
-        if label is None:
-            missing += 1
-        else:
-            scored.append(ScoredExample(rev_id, scores[rev_id], label))
-    return scored, missing
+def _corpus_rows(corpus_path: str, schema_path: str, scored) -> dict:
+    """Each scored rev_id's row of ``--corpus`` encoded against ``--schema``.
 
-
-def _vectors_for(corpus_path: str, schema_path: str, malformed: str = "skip"):
+    A rev_id on several corpus lines gets its last line's row.
+    """
     schema = load_schema(schema_path)
-    loaded = load_corpus(corpus_path, on_malformed=malformed)
-    return {
-        rev.rev_id: encode(extract_features(rev), schema) for rev in loaded.revisions
-    }
+    revisions = load_corpus(corpus_path).revisions
+    X = encode_matrix(extract_many(revisions), schema)
+    rows = {rev.rev_id: X[i] for i, rev in enumerate(revisions)}
+    for ex in scored:
+        if ex.rev_id not in rows:
+            raise UsageError(f"scored rev_id {ex.rev_id} is not in --corpus {corpus_path}")
+    return rows
 
 
 def _report_lines(report: EvalReport) -> list[str]:
@@ -381,59 +390,61 @@ def _histogram_lines(report: EvalReport) -> list[str]:
     return [f"{lo!r}\t{hi!r}\t{count}" for lo, hi, count in histogram_rows(report.histogram)]
 
 
-def _mds_lines(scored, vectors, threshold: float) -> list[str]:
-    errors = error_sets(scored, threshold, vectors)
+def _mds_lines(errors: ErrorSets, rows: dict) -> list[str]:
     tagged = [(rev_id, "FP") for rev_id in errors.fp]
     tagged += [(rev_id, "FN") for rev_id in errors.fn]
     tagged.sort()
     tagged = tagged[:MDS_CAP]
     if not tagged:
         return []
-    coords = classical_mds([vectors[rev_id] for rev_id, _ in tagged]).tolist()
+    coords = classical_mds(np.stack([rows[rev_id] for rev_id, _ in tagged])).tolist()
     return [f"{rev_id}\t{x!r}\t{y!r}\t{tag}" for (rev_id, tag), (x, y) in zip(tagged, coords)]
+
+
+def _error_lines(errors: ErrorSets) -> list[str]:
+    distinct_fp = set(errors.fp_distinct)
+    distinct_fn = set(errors.fn_distinct)
+    return [f"{rev_id}\tFP\t{1 if rev_id in distinct_fp else 0}" for rev_id in errors.fp] + [
+        f"{rev_id}\tFN\t{1 if rev_id in distinct_fn else 0}" for rev_id in errors.fn
+    ]
 
 
 def _cmd_evaluate(args) -> int:
     """``evaluate`` writes ``--report`` (and ``--mds``); ``analyze`` fills ``--out-dir``."""
+    if not math.isfinite(args.threshold):
+        raise UsageError(f"--threshold must be finite, got {args.threshold!r}")
     scores = load_scores(args.scores)
     labels = load_labels(args.truth)
-    scored, missing = _join_scored(scores, labels)
+    scored, missing = join_scored(scores, labels)
     if missing:
         print(f"warning: {missing} scored rev_ids have no label", file=sys.stderr)
     if not scored:
         raise UsageError("no scored examples with labels")
-    vectors = None
+    rows = None
     if args.corpus and args.schema:
-        vectors = _vectors_for(args.corpus, args.schema)
+        rows = _corpus_rows(args.corpus, args.schema, scored)
     elif args.mds:
         raise UsageError("--mds needs --corpus and --schema for feature vectors")
     report_path, mds_path = args.report, args.mds
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create {out_dir}: {exc.strerror or exc}") from None
         report_path = out_dir / "report.txt"
-        mds_path = out_dir / "mds.tsv" if vectors is not None else None
-    report = evaluate_scored(scored, vectors, args.threshold)
+        mds_path = out_dir / "mds.tsv" if rows is not None else None
+    errors = error_sets(scored, args.threshold, rows)
+    report = evaluate_scored(scored, errors, distinct=rows is not None)
     write_lines(report_path, _report_lines(report))
     if mds_path:
-        write_lines(mds_path, _mds_lines(scored, vectors, args.threshold))
+        write_lines(mds_path, _mds_lines(errors, rows))
     print(f"auc {report.auc!r}")
     if args.out_dir is not None:
-        _write_analysis(report, scored, vectors, args.threshold, out_dir)
+        write_lines(out_dir / "histogram.tsv", _histogram_lines(report))
+        write_lines(out_dir / "errors.tsv", _error_lines(errors))
         print(f"wrote {out_dir}")
     return 0
-
-
-def _write_analysis(report: EvalReport, scored, vectors, threshold: float, out_dir: Path) -> None:
-    write_lines(out_dir / "histogram.tsv", _histogram_lines(report))
-    errors = error_sets(scored, threshold, vectors)
-    distinct_fp = set(errors.fp_distinct)
-    distinct_fn = set(errors.fn_distinct)
-    write_lines(
-        out_dir / "errors.tsv",
-        [f"{rev_id}\tFP\t{1 if rev_id in distinct_fp else 0}" for rev_id in errors.fp]
-        + [f"{rev_id}\tFN\t{1 if rev_id in distinct_fn else 0}" for rev_id in errors.fn],
-    )
 
 
 def _cmd_serve(args) -> int:

@@ -49,7 +49,6 @@ class Revision:
     city: Optional[str] = None
     county: Optional[str] = None
     user_tag: Optional[str] = None
-    label: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,7 @@ def parse_line(line: str, line_no: int | None = None) -> Revision:
 def format_line(rev: Revision) -> str:
     """Serialise a revision back to the canonical line (no trailing newline).
 
-    Parsing the result yields a revision equal to ``rev`` (ignoring any
-    attached label, which lives in the truth file, not the corpus).
+    Parsing the result yields a revision equal to ``rev``.
     """
     # chained `in` tests: a generator over the characters costs 4x here
     comment, tag = rev.comment, rev.user_tag

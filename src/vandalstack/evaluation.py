@@ -14,7 +14,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import DuplicateConflict, EmptyDataset, MalformedLine, SingleClass
-from .featurize import FeatureVector
 from .lines import Source, read_lines
 
 MDS_CAP = 2000
@@ -48,7 +47,7 @@ class EvalReport:
 
 @dataclass
 class ErrorSets:
-    """rev_id sets (sorted tuples): raw FP/FN and their distinct-vector reductions."""
+    """rev_id sets (sorted tuples): raw FP/FN and their distinct-content reductions."""
 
     fp: tuple[int, ...]
     fn: tuple[int, ...]
@@ -113,51 +112,66 @@ def histogram_rows(histogram: np.ndarray) -> list[tuple[float, float, int]]:
     ]
 
 
+def join_scored(
+    scores: Mapping[int, float], labels: Mapping[int, bool]
+) -> tuple[list[ScoredExample], int]:
+    """Scored examples in rev_id order, and the count of scored rev_ids with no label."""
+    scored = []
+    missing = 0
+    for rev_id in sorted(scores):
+        label = labels.get(rev_id)
+        if label is None:
+            missing += 1
+        else:
+            scored.append(ScoredExample(rev_id, scores[rev_id], label))
+    return scored, missing
+
+
 def error_sets(
     scored: Sequence[ScoredExample],
     threshold: float = 0.5,
-    vectors: Optional[Mapping[int, FeatureVector]] = None,
+    rows: Optional[Mapping[int, np.ndarray]] = None,
 ) -> ErrorSets:
     """FP/FN rev_id sets plus their content-distinct reductions.
 
     FP = negatives scored >= threshold; FN = positives scored < threshold.
     The distinct sets keep one representative (lowest rev_id) per distinct
-    encoded feature vector; without ``vectors`` every example counts as
-    distinct.
+    encoded row, compared by its bytes: an encoding holds no ``-0.0`` and
+    no NaN, so equal bytes mean equal values.  Without ``rows`` every
+    example counts as distinct.
     """
     fp = sorted(ex.rev_id for ex in scored if not ex.label and ex.score >= threshold)
     fn = sorted(ex.rev_id for ex in scored if ex.label and ex.score < threshold)
 
     def distinct(ids: list[int]) -> tuple[int, ...]:
-        if vectors is None:
+        if rows is None:
             return tuple(ids)
-        best: dict[object, int] = {}
-        for rev_id in ids:
-            key = vectors[rev_id]
-            if key not in best or rev_id < best[key]:
-                best[key] = rev_id
-        return tuple(sorted(best.values()))
+        first: dict[bytes, int] = {}
+        for rev_id in ids:  # ascending, so the first seen is the lowest
+            first.setdefault(rows[rev_id].tobytes(), rev_id)
+        return tuple(sorted(first.values()))
 
     return ErrorSets(tuple(fp), tuple(fn), distinct(fp), distinct(fn))
 
 
 def evaluate_scored(
-    scored: Sequence[ScoredExample],
-    vectors: Optional[Mapping[int, FeatureVector]] = None,
-    threshold: float = 0.5,
+    scored: Sequence[ScoredExample], errors: ErrorSets, distinct: bool
 ) -> EvalReport:
-    """Assemble the full report: AUC, histogram, error counts."""
+    """Assemble the full report: AUC, histogram and the counts of ``errors``.
+
+    ``distinct`` says whether ``errors`` was reduced by content, so that
+    its distinct counts are reported.
+    """
     histogram, misclassified = score_diff_histogram(scored)
-    errors = error_sets(scored, threshold, vectors)
     positives = sum(1 for ex in scored if ex.label)
     return EvalReport(
         auc=auc_roc(scored),
         histogram=histogram,
         misclassified_count=misclassified,
         fp_total=len(errors.fp),
-        fp_distinct=len(errors.fp_distinct) if vectors is not None else None,
+        fp_distinct=len(errors.fp_distinct) if distinct else None,
         fn_total=len(errors.fn),
-        fn_distinct=len(errors.fn_distinct) if vectors is not None else None,
+        fn_distinct=len(errors.fn_distinct) if distinct else None,
         n=len(scored),
         positives=positives,
         negatives=len(scored) - positives,
@@ -194,10 +208,8 @@ def load_scores(source: Source) -> dict[int, float]:
     return scores
 
 
-def classical_mds(
-    vectors: Sequence[FeatureVector] | np.ndarray, target_dim: int = 2
-) -> np.ndarray:
-    """Torgerson MDS of Euclidean distances onto ``target_dim`` axes.
+def classical_mds(points: np.ndarray, target_dim: int = 2) -> np.ndarray:
+    """Torgerson MDS of the Euclidean distances between the rows of ``points``.
 
     Double-centers the squared-distance matrix, takes the top eigenpairs
     of the symmetric Gram matrix, and scales eigenvectors by
@@ -205,13 +217,10 @@ def classical_mds(
     each axis's sign is fixed so its largest-magnitude coordinate is
     positive — distances are invariant, bytes are deterministic.
     """
-    if isinstance(vectors, np.ndarray):
-        dense = np.asarray(vectors, dtype=np.float64)
-    else:
-        if len(vectors) == 0:
-            raise EmptyDataset("classical_mds needs at least one point")
-        dense = np.stack([v.to_dense() for v in vectors])
+    dense = np.asarray(points, dtype=np.float64)
     n = dense.shape[0]
+    if n == 0:
+        raise EmptyDataset("classical_mds needs at least one point")
     if n == 1:
         return np.zeros((1, target_dim))
     gram = dense @ dense.T

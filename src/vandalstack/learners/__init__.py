@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..errors import UnsupportedFamily
-from .base import BaseModel, check_matrix, check_X_y
+from .base import BaseModel, check_X_y
 from .boosting import GradientBoostingClassifier, log_loss, sigmoid
 from .forest import ExtraTreesClassifier, RandomForestClassifier
 from .io import (
@@ -82,8 +82,3 @@ def optimized_spec(family: str, seed: int = 0) -> ModelSpec:
     if params is None:
         raise UnsupportedFamily(f"no optimized preset for family {family!r}")
     return ModelSpec(family, dict(params), seed)
-
-
-def predict_proba(model: BaseModel, X):
-    """Uniform prediction entry point (delegates to the estimator)."""
-    return model.predict_proba(X)

@@ -45,27 +45,8 @@ class BaseModel:
             raise NotFitted(f"{type(self).__name__} has not been fit")
 
 
-def check_matrix(X):
-    """Coerce input to a canonical 2-D ``scipy.sparse.csr_matrix`` of float64.
-
-    For registered families that work on CSR rows; the built-in learners
-    take :func:`check_dense`.  Input already in that form is returned as
-    is; anything else is copied.  The caller's matrix is never modified.
-    scipy is imported here, on first use, so that no command loads it.
-    """
-    from scipy import sparse
-
-    if isinstance(X, sparse.csr_matrix) and X.dtype == np.float64 and X.has_sorted_indices:
-        return X
-    if isinstance(X, np.ndarray) and X.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got shape {X.shape}")
-    mat = sparse.csr_matrix(X, dtype=np.float64, copy=True)
-    mat.sort_indices()
-    return mat
-
-
 def check_dense(X) -> np.ndarray:
-    """Coerce input to a 2-D C-contiguous float64 array.
+    """Coerce input to a 2-D C-contiguous float64 array: every learner's input rule.
 
     The one place that accepts sparse input: anything with a ``toarray``
     method (a scipy sparse matrix) is densified here, once.  An array

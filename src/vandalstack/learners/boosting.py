@@ -5,7 +5,9 @@ depth-limited variance-split regression tree to the negative gradient
 ``y - p`` and replaces every leaf with one Newton step
 ``sum(residual) / sum(p * (1 - p))``, then the raw score advances by
 ``learning_rate`` times the leaf values.  ``n_estimators=0`` is legal and
-reduces the model to the prior.
+reduces the model to the prior.  Every split is the exact best over all
+features, so nothing is drawn at random; ``seed`` exists only for
+interface uniformity with the other families.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..rng import derive_seed, generator
 from .base import check_predict_input, check_X_y
 from .grower import Presort, TreeBuilder
 from .tree import TreeEnsemble
@@ -63,11 +64,12 @@ class GradientBoostingClassifier(TreeEnsemble):
         rows = np.arange(n, dtype=np.int64)
         # every round grows on all rows: one presort serves them all
         presort = Presort.of(Xd, rows)
+        builder = TreeBuilder("variance", self.max_depth, None)
         raw = np.full(n, self.base_score_)
         importances = np.zeros(d)
         trees = []
         losses = [log_loss(labels, sigmoid(raw))]
-        for m in range(self.n_estimators):
+        for _ in range(self.n_estimators):
             p = sigmoid(raw)
             residual = labels - p
             hessian = p * (1.0 - p)
@@ -76,12 +78,6 @@ class GradientBoostingClassifier(TreeEnsemble):
                 step = residual[sel].sum() / (hessian[sel].sum() + _HESSIAN_EPS)
                 return float(np.clip(step, -_MAX_LEAF_VALUE, _MAX_LEAF_VALUE))
 
-            builder = TreeBuilder(
-                "variance",
-                self.max_depth,
-                None,
-                generator(derive_seed(self.seed, "round", m)),
-            )
             tree, leaf_of = builder.build(Xd, rows, residual, newton_leaf, importances, presort)
             raw = raw + self.learning_rate * tree.value[leaf_of]
             trees.append(tree)

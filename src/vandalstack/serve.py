@@ -17,6 +17,7 @@ reproducible against offline prediction.
 
 from __future__ import annotations
 
+import math
 import socket
 import sys
 from collections import deque
@@ -28,7 +29,7 @@ import numpy as np
 
 from .corpus import Revision, format_line, load_corpus, load_labels, parse_line
 from .errors import MalformedLine, ProtocolViolation, Timeout, UsageError
-from .evaluation import EvalReport, ScoredExample, evaluate_scored
+from .evaluation import EvalReport, error_sets, evaluate_scored, join_scored
 from .featurize import encode, extract_features
 from .lines import decode_line
 from .stacking import StackedPipeline, load_pipeline, predict_stack
@@ -53,6 +54,12 @@ def parse_address(text: str) -> tuple[str, int]:
     if not sep or not (port.isascii() and port.isdigit()):
         raise UsageError(f"address must be host:port, got {text!r}")
     return (host or "127.0.0.1", int(port))
+
+
+def _check_timeout(timeout: Optional[float]) -> None:
+    """``None`` waits forever; anything else must be a finite number of seconds > 0."""
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise UsageError(f"timeout must be finite and > 0 seconds, got {timeout!r}")
 
 
 @dataclass
@@ -80,6 +87,7 @@ class ScoringServer:
     ):
         if window < 1:
             raise UsageError(f"window must be >= 1, got {window}")
+        _check_timeout(timeout)
         missing = [rev.rev_id for rev in revisions if rev.rev_id not in labels]
         if missing:
             raise UsageError(
@@ -131,13 +139,9 @@ class ScoringServer:
             raise ProtocolViolation(f"connection lost: {exc}") from None
         finally:
             conn.close()
-        scored = [
-            ScoredExample(rev_id, score, self.labels[rev_id])
-            for rev_id, score in sorted(scores.items())
-        ]
-        return ServeResult(
-            report=evaluate_scored(scored), scores=scores, trace=list(self.trace)
-        )
+        scored, _ = join_scored(scores, self.labels)
+        report = evaluate_scored(scored, error_sets(scored), distinct=False)
+        return ServeResult(report=report, scores=scores, trace=list(self.trace))
 
     def _run_session(self, conn: socket.socket) -> dict[int, float]:
         # the reader must be closed before conn.close() can send FIN;
@@ -245,6 +249,7 @@ def run_client(
     Every received revision is parsed, featurized against the pipeline's
     schema, scored, and answered as ``SCORE\\t<rev_id>\\t<score>``.
     """
+    _check_timeout(timeout)
     if not isinstance(pipeline, StackedPipeline):
         pipeline = load_pipeline(pipeline)
     if pipeline.schema is None:

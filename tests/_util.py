@@ -45,17 +45,3 @@ def random_scored_dataset(rng, max_n=200):
     scores = rng.integers(0, levels, size=n) / (levels - 1 + 1e-12)
     scores = np.clip(scores, 0.0, 1.0)
     return labels, scores
-
-
-def dense_to_vectors(X):
-    """Dense rows -> FeatureVector list (test convenience)."""
-    from vandalstack.featurize import FeatureVector
-
-    X = np.asarray(X, dtype=np.float64)
-    out = []
-    for row in X:
-        entries = tuple(
-            (int(j), float(row[j])) for j in np.nonzero(row)[0]
-        )
-        out.append(FeatureVector(dim=X.shape[1], entries=entries))
-    return out

@@ -46,7 +46,7 @@ from vandalstack.featurize import (
 )
 from vandalstack.learners import ModelSpec, make_model, register_family, train
 from vandalstack.learners import _REGISTRY
-from vandalstack.learners.base import check_matrix
+from vandalstack.learners.base import check_dense
 from vandalstack.learners.mlp import init_params, loss_and_grad
 from vandalstack.learners.selection import (
     feature_importances,
@@ -272,17 +272,16 @@ class _MemorizerModel:
 
     @staticmethod
     def _key(X, i):
-        row = X.getrow(i)
-        return row.indices.tobytes(), row.data.tobytes()
+        return X[i].tobytes()
 
     def fit(self, X, y):
-        X = check_matrix(X)
+        X = check_dense(X)
         self.table_ = {self._key(X, i): float(y[i]) for i in range(X.shape[0])}
         self.n_features_ = X.shape[1]
         return self
 
     def predict_proba(self, X):
-        X = check_matrix(X)
+        X = check_dense(X)
         return np.array(
             [self.table_.get(self._key(X, i), 0.5) for i in range(X.shape[0])]
         )

@@ -66,9 +66,20 @@ def test_fit_is_deterministic_and_seed_sensitive():
     a = GradientBoostingClassifier(seed=0, **kw).fit(X, y).predict_proba(X)
     b = GradientBoostingClassifier(seed=0, **kw).fit(X, y).predict_proba(X)
     assert np.array_equal(a, b)
-    # boosting with full feature scans has no random component per round
-    # beyond the builder's candidate draw, which covers all features here,
-    # so different seeds may coincide; we only pin same-seed stability.
+    # every split is the exact best over all features: the seed is inert
+    c = GradientBoostingClassifier(seed=5, **kw).fit(X, y).predict_proba(X)
+    assert np.array_equal(a, c)
+
+
+def test_fit_makes_no_random_generator(monkeypatch):
+    made = []
+    pcg64 = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda *args: made.append(args) or pcg64(*args))
+    rng = np.random.default_rng(2)
+    X = rng.random((80, 6))
+    y = (X[:, 0] > 0.3).astype(np.int64)
+    GradientBoostingClassifier(n_estimators=12, max_depth=2, seed=3).fit(X, y)
+    assert made == []
 
 
 def test_single_class_converges_to_confident_prediction():

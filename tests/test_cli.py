@@ -1,5 +1,6 @@
 """The command-line surface, end to end on small corpora."""
 
+import ast
 import dataclasses
 import os
 import subprocess
@@ -244,6 +245,21 @@ def test_no_command_imports_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "mds.tsv").read_text() and (tmp_path / "serve.txt").read_text()
+
+
+def test_no_learner_module_imports_scipy():
+    learners = Path(cli.__file__).resolve().parent / "learners"
+    offenders = []
+    for path in sorted(learners.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert offenders == []
 
 
 def write_scores(path, labels, good=0.9, bad=0.1):
@@ -543,3 +559,88 @@ def test_train_stack_skips_cities_with_a_cr(tmp_path, capsys):
         ["ingest", "--corpus", str(corpus), "--truth", str(tmp_path / "small_truth.tsv")]
     ) == 0
     assert "malformed 150" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [("--window", "abc", "sampling.window"), ("--seed", "x", "sampling.seed"),
+     ("--fraction", "1/0", "sampling.fraction")],
+)
+def test_sample_bad_values_exit_2_naming_the_key(tmp_path, capsys, flag, value, key):
+    corpus, truth, _ = write_tiny_corpus(tmp_path, n_pos=1, n_neg=1)
+    rc = cli.main(
+        ["sample", "--corpus", str(corpus), "--truth", str(truth),
+         "--output-corpus", str(tmp_path / "c.tsv"), "--output-truth", str(tmp_path / "t.tsv"),
+         flag, value]
+    )
+    assert rc == 2
+    assert f"config {key}: bad value {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "analyze"])
+def test_a_scored_rev_id_missing_from_the_corpus_exits_2_naming_it(
+    stack_dir, tmp_path, capsys, command
+):
+    truth = stack_dir / "small_truth.tsv"
+    scores = tmp_path / "scores.tsv"
+    write_scores(scores, load_labels(truth), good=0.2, bad=0.8)  # every example an error
+    lines = (stack_dir / "small_corpus.tsv").read_text(encoding="utf-8").split("\n")
+    dropped = lines.pop(5).split("\t")[0]
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("\n".join(lines), encoding="utf-8")
+    out = ["--report", str(tmp_path / "r.txt")] if command == "evaluate" else [
+        "--out-dir", str(tmp_path / "d")]
+    rc = cli.main(
+        [command, "--scores", str(scores), "--truth", str(truth), *out,
+         "--corpus", str(corpus), "--schema", str(stack_dir / "schema.txt")]
+    )
+    assert rc == 2
+    assert f"scored rev_id {dropped} is not in --corpus {corpus}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "analyze"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_threshold_exits_2(tmp_path, capsys, command, value):
+    corpus, truth, _ = write_tiny_corpus(tmp_path, n_pos=2, n_neg=2)
+    scores = tmp_path / "scores.tsv"
+    write_scores(scores, load_labels(truth))
+    out = ["--report", str(tmp_path / "r.txt")] if command == "evaluate" else [
+        "--out-dir", str(tmp_path / "d")]
+    rc = cli.main(
+        [command, "--scores", str(scores), "--truth", str(truth), *out, f"--threshold={value}"]
+    )
+    assert rc == 2
+    assert "--threshold must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists() and not (tmp_path / "d").exists()
+
+
+def test_analyze_out_dir_naming_a_file_exits_2_naming_it(tmp_path, capsys):
+    corpus, truth, _ = write_tiny_corpus(tmp_path, n_pos=2, n_neg=2)
+    scores = tmp_path / "scores.tsv"
+    write_scores(scores, load_labels(truth))
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n", encoding="utf-8")
+    rc = cli.main(
+        ["analyze", "--scores", str(scores), "--truth", str(truth), "--out-dir", str(afile)]
+    )
+    assert rc == 2
+    assert f"cannot create {afile}" in capsys.readouterr().err
+    assert afile.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_serve_and_client_refuse_a_bad_timeout(stack_dir, tmp_path, capsys, value):
+    corpus, truth, _ = write_tiny_corpus(tmp_path, n_pos=2, n_neg=2)
+    rc = cli.main(
+        ["serve", "--corpus", str(corpus), "--truth", str(truth),
+         "--listen", "127.0.0.1:0", "--timeout", value]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "timeout must be finite and > 0" in err and "listening on" not in err
+    rc = cli.main(
+        ["client", "--pipeline", str(stack_dir / "pipeline.txt"),
+         "--connect", "127.0.0.1:9", "--timeout", value]
+    )
+    assert rc == 2
+    assert "timeout must be finite and > 0" in capsys.readouterr().err

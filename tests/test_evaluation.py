@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from tests._util import auc_bruteforce, dense_to_vectors, random_scored_dataset
+from tests._util import auc_bruteforce, random_scored_dataset, rev
 from vandalstack.errors import (
     DuplicateConflict,
     EmptyDataset,
@@ -24,7 +24,7 @@ from vandalstack.evaluation import (
     load_scores,
     score_diff_histogram,
 )
-from vandalstack.featurize import FeatureVector
+from vandalstack.featurize import build_schema, encode, encode_matrix, extract_many
 
 
 def se(rev_id, score, label):
@@ -119,9 +119,9 @@ def test_error_sets_threshold_is_inclusive_for_fp():
 
 
 def test_error_sets_distinct_keeps_lowest_rev_id():
-    same = FeatureVector(dim=3, entries=((0, 1.0),))
-    other = FeatureVector(dim=3, entries=((1, 2.0),))
-    vectors = {10: same, 7: same, 9: other, 3: other, 5: same}
+    same = np.array([1.0, 0.0, 0.0])
+    other = np.array([0.0, 2.0, 0.0])
+    rows = {10: same, 7: same.copy(), 9: other, 3: other, 5: same}
     scored = [
         se(10, 0.9, False),
         se(7, 0.8, False),
@@ -129,7 +129,7 @@ def test_error_sets_distinct_keeps_lowest_rev_id():
         se(3, 0.1, True),
         se(5, 0.2, True),
     ]
-    errors = error_sets(scored, vectors=vectors)
+    errors = error_sets(scored, rows=rows)
     assert errors.fp == (7, 9, 10)
     assert errors.fp_distinct == (7, 9)  # 10 collapses onto 7
     assert errors.fn == (3, 5)
@@ -143,7 +143,7 @@ def test_evaluate_scored_assembles_report():
         se(3, 0.25, False),
         se(4, 0.75, False),  # FP, diff 0.75 -> misclassified
     ]
-    report = evaluate_scored(scored)
+    report = evaluate_scored(scored, error_sets(scored), distinct=False)
     assert report.n == 4
     assert report.positives == 2 and report.negatives == 2
     assert report.auc == 0.5
@@ -152,9 +152,9 @@ def test_evaluate_scored_assembles_report():
     assert report.misclassified_count == 2
     assert report.histogram.sum() == 4
 
-    vectors = {i: FeatureVector(dim=2, entries=((0, float(i)),)) for i in range(1, 5)}
-    with_vectors = evaluate_scored(scored, vectors=vectors)
-    assert with_vectors.fp_distinct == 1 and with_vectors.fn_distinct == 1
+    rows = {i: np.array([float(i), 0.0]) for i in range(1, 5)}
+    with_rows = evaluate_scored(scored, error_sets(scored, rows=rows), distinct=True)
+    assert with_rows.fp_distinct == 1 and with_rows.fn_distinct == 1
 
 
 def test_load_scores_round_trip_and_errors(tmp_path):
@@ -216,8 +216,6 @@ def test_mds_recovers_planar_configurations():
 
 def test_mds_single_point_maps_to_origin():
     assert np.array_equal(classical_mds(np.array([[3.0, 4.0, 5.0]])), np.zeros((1, 2)))
-    one = [FeatureVector(dim=3, entries=((1, 2.0),))]
-    assert np.array_equal(classical_mds(one), np.zeros((1, 2)))
 
 
 def test_mds_deterministic_and_sign_fixed():
@@ -231,10 +229,26 @@ def test_mds_deterministic_and_sign_fixed():
         assert a[peak, axis] >= 0
 
 
-def test_mds_vector_input_matches_dense_input():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(8, 4)) * (rng.random((8, 4)) < 0.7)
-    assert np.allclose(classical_mds(X), classical_mds(dense_to_vectors(X)), atol=1e-12)
+def test_equal_row_bytes_mean_equal_feature_vectors():
+    # the distinct-content key of error_sets is an encoded row's bytes
+    revisions = [
+        rev(1, "[[a]] hi"),
+        rev(2, "[[a]] hi"),
+        rev(3, "[[a]] hi!", registered=True),
+        rev(4, "", country="DE"),
+        rev(5, "", country="DE"),
+        rev(6, "", country="FR"),
+        rev(7, "HELLO"),
+        rev(8, "hello"),
+    ]
+    raws = extract_many(revisions)
+    schema = build_schema(raws[:-1])  # the last row's values fall outside it
+    X = encode_matrix(raws, schema)
+    vectors = [encode(raw, schema) for raw in raws]
+    for i in range(len(raws)):
+        for j in range(len(raws)):
+            assert (X[i].tobytes() == X[j].tobytes()) == (vectors[i] == vectors[j])
+    assert X[0].tobytes() == X[1].tobytes() and X[3].tobytes() == X[4].tobytes()
 
 
 def test_mds_empty_input_rejected():

@@ -250,6 +250,21 @@ def test_server_requires_complete_labels_and_valid_window():
         ScoringServer(revisions, labels, window=0)
 
 
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_a_timeout_that_is_not_finite_and_positive_is_refused(timeout):
+    revisions, labels = tiny_corpus(3)
+    with pytest.raises(UsageError, match="timeout"):
+        ScoringServer(revisions, labels, timeout=timeout)
+    # refused before the pipeline is loaded or a connection is tried
+    with pytest.raises(UsageError, match="timeout"):
+        run_client("no-such-pipeline.txt", "127.0.0.1:9", timeout=timeout)
+
+
+def test_no_timeout_means_wait_forever():
+    revisions, labels = tiny_corpus(3)
+    assert ScoringServer(revisions, labels, timeout=None).timeout is None
+
+
 # --- the real client against a trained pipeline -----------------------------
 
 def labeled_corpus_for_pipeline():

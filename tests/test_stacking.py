@@ -15,7 +15,7 @@ from vandalstack.errors import (
 )
 from vandalstack.featurize import FeatureVector, build_schema, extract_many
 from vandalstack.learners import ModelSpec, register_family, _REGISTRY
-from vandalstack.learners.base import check_matrix
+from vandalstack.learners.base import check_dense
 from vandalstack.stacking import (
     StackConfig,
     default_stack_config,
@@ -40,11 +40,11 @@ class ConstModel:
         self.seed = seed
 
     def fit(self, X, y):
-        self.n_features_ = check_matrix(X).shape[1]
+        self.n_features_ = check_dense(X).shape[1]
         return self
 
     def predict_proba(self, X):
-        return np.full(check_matrix(X).shape[0], self.value)
+        return np.full(check_dense(X).shape[0], self.value)
 
 
 class MemorizerModel:
@@ -60,17 +60,16 @@ class MemorizerModel:
 
     @staticmethod
     def _key(X, i):
-        row = X.getrow(i)
-        return row.indices.tobytes(), row.data.tobytes()
+        return X[i].tobytes()
 
     def fit(self, X, y):
-        X = check_matrix(X)
+        X = check_dense(X)
         self.table_ = {self._key(X, i): float(y[i]) for i in range(X.shape[0])}
         self.n_features_ = X.shape[1]
         return self
 
     def predict_proba(self, X):
-        X = check_matrix(X)
+        X = check_dense(X)
         return np.array(
             [self.table_.get(self._key(X, i), 0.5) for i in range(X.shape[0])]
         )
