@@ -55,6 +55,7 @@ from .featurize import (  # noqa: F401 - perfbench's tracer wraps encode_many, v
     vectors_to_csr,
 )
 from .learners import (
+    BUILTIN_FAMILIES,
     ModelSpec,
     default_spec,
     feature_importances,
@@ -128,13 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--model",
         required=True,
-        choices=[
-            "random_forest",
-            "extra_trees",
-            "gradient_boosting",
-            "logistic_regression",
-            "mlp",
-        ],
+        choices=list(BUILTIN_FAMILIES),
     )
     p.add_argument("--preset", choices=["default", "optimized"], default="default")
     p.add_argument("--seed", type=int, default=0)

@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .base import check_predict_input, check_X_y
-from .grower import Presort, TreeBuilder
-from .tree import TreeEnsemble
+from .base import BaseModel, check_predict_input, check_X_y
+from .grower import Presort, TreeBuilder, TreeJob
+from .tree import NodeTable
 
 _PROB_EPS = 1e-12
 _HESSIAN_EPS = 1e-16
@@ -37,7 +37,7 @@ def log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-class GradientBoostingClassifier(TreeEnsemble):
+class GradientBoostingClassifier(BaseModel):
     def __init__(
         self,
         n_estimators: int = 100,
@@ -78,11 +78,12 @@ class GradientBoostingClassifier(TreeEnsemble):
                 step = residual[sel].sum() / (hessian[sel].sum() + _HESSIAN_EPS)
                 return float(np.clip(step, -_MAX_LEAF_VALUE, _MAX_LEAF_VALUE))
 
-            tree, leaf_of = builder.build(Xd, rows, residual, newton_leaf, importances, presort)
+            job = TreeJob(rows, residual, newton_leaf, None, presort)
+            [(tree, leaf_of)] = builder.build_many(Xd, [job], importances)
             raw = raw + self.learning_rate * tree.value[leaf_of]
             trees.append(tree)
             losses.append(log_loss(labels, sigmoid(raw)))
-        self.trees_ = trees
+        self.nodes_ = NodeTable.from_trees(trees)
         self.train_losses_ = np.asarray(losses)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances

@@ -15,12 +15,12 @@ from typing import Optional, Union
 import numpy as np
 
 from ..rng import derive_seed, generator
-from .base import check_predict_input, check_X_y
+from .base import BaseModel, check_predict_input, check_X_y
 from .grower import TreeBuilder, TreeJob
-from .tree import TreeEnsemble
+from .tree import NodeTable
 
 
-class _BaseForest(TreeEnsemble):
+class _BaseForest(BaseModel):
     random_threshold = False
 
     n_estimators: int
@@ -42,7 +42,8 @@ class _BaseForest(TreeEnsemble):
         jobs = (self._job(t, labels, every_row) for t in range(self.n_estimators))
         builder = TreeBuilder("gini", self.max_depth, m, random_threshold=self.random_threshold)
         importances = np.zeros(d)
-        self.trees_ = [tree for tree, _ in builder.build_many(Xd, jobs, importances)]
+        grown = builder.build_many(Xd, jobs, importances)
+        self.nodes_ = NodeTable.from_trees(tree for tree, _ in grown)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
         self.n_features_ = d

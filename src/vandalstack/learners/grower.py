@@ -6,6 +6,11 @@ variant draws one uniform threshold per candidate feature instead of
 scanning.  What a leaf stores is up to the caller (positive fraction,
 mean target, or a Newton step), supplied as a callback.
 
+:meth:`TreeBuilder.build_many` is the one entry point: each tree comes
+as a :class:`TreeJob` that carries its rows, targets, leaf rule and
+generator, and goes out as a :class:`~vandalstack.learners.tree.Tree`,
+which the models compile into their ``NodeTable``.
+
 The models densify their training matrix once per fit.  All trees of a
 forest grow together (a boosting round grows one): each step takes the
 next node of every unfinished tree, each tree in its own depth-first
@@ -148,9 +153,11 @@ class TreeJob(NamedTuple):
     """One tree to grow: its rows, their targets, its leaf rule, its generator.
 
     ``target[i]`` belongs to ``rows[i]``; ``leaf_value`` receives the
-    positions (into ``rows``) that land in a leaf.  The exact rule makes
-    ``presort`` (:meth:`Presort.of` of the grower's ``X`` and ``rows``)
-    when it is not given.
+    positions (into ``rows``) that land in a leaf.  ``rng`` draws the
+    tree's candidate features and thresholds; it may be ``None`` when
+    nothing is drawn (the exact rule over every feature).  The exact rule
+    makes ``presort`` (:meth:`Presort.of` of the grower's ``X`` and
+    ``rows``) when it is not given.
     """
 
     rows: np.ndarray
@@ -168,8 +175,6 @@ class TreeBuilder:
     max_features
         Number of candidate features drawn (without replacement) per
         node; ``None`` means all.
-    rng
-        The generator of the one tree :meth:`build` grows.
     random_threshold
         Replace the exact scan with one uniform threshold per candidate.
     """
@@ -179,7 +184,6 @@ class TreeBuilder:
         criterion: str,
         max_depth: Optional[int],
         max_features: Optional[int],
-        rng: Optional[np.random.Generator] = None,
         random_threshold: bool = False,
     ):
         if criterion not in ("gini", "variance"):
@@ -187,27 +191,7 @@ class TreeBuilder:
         self.criterion = criterion
         self.max_depth = max_depth
         self.max_features = max_features
-        self.rng = rng
         self.random_threshold = random_threshold
-
-    def build(
-        self,
-        X: np.ndarray,
-        rows: np.ndarray,
-        target: np.ndarray,
-        leaf_value: Callable[[np.ndarray], float],
-        importances: Optional[np.ndarray] = None,
-        presort: Optional[Presort] = None,
-    ) -> tuple[Tree, np.ndarray]:
-        """Grow a tree over ``rows`` of dense ``X`` (repeats allowed, e.g. bootstrap).
-
-        Draws from the builder's ``rng``.  Returns the tree and, per
-        position of ``rows``, the id of the leaf it reached; see
-        :meth:`build_many` and :class:`TreeJob`.
-        """
-        job = TreeJob(rows, target, leaf_value, self.rng, presort)
-        [(tree, leaf_of)] = self.build_many(X, [job], importances)
-        return tree, leaf_of
 
     def build_many(
         self, X: np.ndarray, jobs: Iterable[TreeJob], importances: Optional[np.ndarray] = None

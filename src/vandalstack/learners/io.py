@@ -12,6 +12,9 @@ Grammar (see docs/formats.md)::
 
 Floats are written with ``repr`` so loading restores them bit-for-bit and
 a reloaded model predicts identically to the one saved.
+
+A tree model's ``NodeTable`` (``nodes_``) is written by :func:`_tree_lines`
+and read back by :func:`_nodes_from`, both on whole node columns.
 """
 
 from __future__ import annotations
@@ -123,19 +126,7 @@ def model_to_lines(model) -> list[str]:
         if family == "gradient_boosting":
             lines.append(f"base_score {model.base_score_!r}")
         lines.append(_floats_line("importances", model.feature_importances_))
-        lines.append(f"trees {len(model.trees_)}")
-        for tree in model.trees_:
-            lines.append(f"tree {tree.n_nodes}")
-            for i in range(tree.n_nodes):
-                lines.append(
-                    "node {} {} {} {} {}".format(
-                        tree.feature[i],
-                        repr(float(tree.threshold[i])),
-                        tree.left[i],
-                        tree.right[i],
-                        repr(float(tree.value[i])),
-                    )
-                )
+        lines.extend(_tree_lines(model.nodes_))
     elif family == "logistic_regression":
         lines.append(f"bias {model.intercept_!r}")
         lines.append(_floats_line("coef", model.coef_))
@@ -192,8 +183,7 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
         if head != "importances":
             raise MalformedLine(f"expected importances, got {line!r}", reader.line_no)
         model.feature_importances_ = _floats(reader, "importances", rest, dim)
-        n_trees = reader.expect_int("trees", 0 if family == "gradient_boosting" else 1)
-        model.nodes_ = _nodes_from(reader, n_trees, dim)
+        model.nodes_ = _nodes_from(reader, model, 0 if family == "gradient_boosting" else 1)
     elif family == "logistic_regression":
         head, _, rest = line.partition(" ")
         if head != "bias":
@@ -240,8 +230,43 @@ def _parse_nodes(lines: Sequence[str]) -> np.ndarray:
     return nodes
 
 
-def _nodes_from(reader: LineReader, n_trees: int, dim: int) -> NodeTable:
-    """Read ``n_trees`` tree blocks into one table, parsing their nodes at once."""
+def _tree_lines(nodes: NodeTable) -> list[str]:
+    """The ``trees``, ``tree`` and ``node`` lines of a table; :func:`_nodes_from` reads them.
+
+    Undoes the walk form on whole columns: the feature index less one,
+    tree-local children with the left one ``right - 1``, and ``-1 nan -1
+    -1`` at a leaf.  Only one tree's values are Python objects at a time.
+    """
+    starts, ends = nodes.roots, np.append(nodes.roots[1:], nodes.value.size)
+    leaf = nodes.feature == 0
+    right = np.where(leaf, -1, nodes.right - np.repeat(starts, ends - starts))
+    columns = (
+        nodes.feature - 1,
+        np.where(leaf, np.nan, nodes.threshold),
+        np.where(leaf, -1, right - 1),
+        right,
+        nodes.value,
+    )
+    lines = [f"trees {nodes.n_trees}"]
+    for start, stop in zip(starts.tolist(), ends.tolist()):
+        lines.append(f"tree {stop - start}")
+        lines.extend(
+            f"node {f} {t!r} {lo} {r} {v!r}"
+            for f, t, lo, r, v in zip(*(c[start:stop].tolist() for c in columns))
+        )
+    return lines
+
+
+def _nodes_from(reader: LineReader, model, min_trees: int) -> NodeTable:
+    """Read the ``trees`` line and its tree blocks into one table, parsing the nodes at once.
+
+    The trees must be as many as the model's ``n_estimators`` and, when
+    its ``max_depth`` is set, no deeper.
+    """
+    n_trees = reader.expect_int("trees", min_trees)
+    if n_trees != model.n_estimators:
+        raise MalformedLine(f"trees must equal n_estimators {model.n_estimators}", reader.line_no)
+    dim, max_depth = model.n_features_, model.max_depth
     sizes, firsts, lines = [], [], []
     for _ in range(n_trees):
         n_nodes = reader.expect_int("tree", 1)
@@ -275,7 +300,14 @@ def _nodes_from(reader: LineReader, n_trees: int, dim: int) -> NodeTable:
         bad = (int(wide[0]), f"feature index not below dim {dim}")
     if bad is not None:
         raise MalformedLine(f"bad tree node: {bad[1]}", line_of(bad[0]))
-    return NodeTable(feature, threshold, right, nodes["value"], sizes)
+    table = NodeTable(feature, threshold, right, nodes["value"], sizes)
+    if max_depth is not None and table.depth > max_depth:
+        t = int(np.argmax(table.depths > max_depth))
+        raise MalformedLine(  # named at the tree's `tree` line
+            f"tree {t} is {table.depths[t]} deep, but max_depth is {max_depth}",
+            reader.offset + firsts[t],
+        )
+    return table
 
 
 def save_model(model, path: Target) -> None:

@@ -1,9 +1,11 @@
-"""CART-style binary trees: their layout, and one evaluator for an ensemble.
+"""CART-style binary trees: their layout, and the one fitted form of an ensemble.
 
 Every tree family in the package grows its trees with
-:mod:`vandalstack.learners.grower` into the :class:`Tree` layout.
-Prediction goes through :class:`NodeTable`, which compiles all trees of
-an ensemble into one flat node table and walks them together.
+:mod:`vandalstack.learners.grower` into the :class:`Tree` layout.  A
+fitted ensemble keeps them only as one :class:`NodeTable` (``nodes_``):
+it walks all trees together to predict, and
+:mod:`vandalstack.learners.io` writes and reads it without going back
+through :class:`Tree`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from ..errors import DimensionMismatch
-from .base import BaseModel
 
 
 @dataclass
@@ -112,7 +113,8 @@ class NodeTable:
         self.right = np.where(leaf, own, right + np.repeat(self.roots, sizes))
         self.value = np.ascontiguousarray(value, dtype=np.float64)
         self.width = int(self.feature.max(initial=0))
-        self.depth = self._max_depth()
+        self.depths = self._tree_depths()
+        self.depth = int(self.depths.max(initial=0))
 
     @classmethod
     def from_trees(cls, trees) -> "NodeTable":
@@ -133,36 +135,18 @@ class NodeTable:
     def n_trees(self) -> int:
         return self.roots.size
 
-    def _max_depth(self) -> int:
+    def _tree_depths(self) -> np.ndarray:
+        """Splits on the longest root-to-leaf path, per tree."""
         # level by level from the roots; in a tree each node is on one level
-        depth = 0
-        level = self.roots
-        while True:
-            level = level[self.feature[level] > 0]
-            if level.size == 0:
-                return depth
-            right = self.right[level]
-            level = np.concatenate((right - 1, right))
+        depths = np.zeros(self.n_trees, dtype=np.intp)
+        level, owner, depth = self.roots, np.arange(self.n_trees), 0
+        while level.size:
+            split = self.feature[level] > 0
+            right, owner = self.right[level[split]], owner[split]
             depth += 1
-
-    def trees(self) -> list[Tree]:
-        """The trees as :class:`Tree` objects with tree-local indices."""
-        bounds = np.append(self.roots, self.value.size)
-        out = []
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            feature = self.feature[start:stop] - 1
-            leaf = feature < 0
-            right = np.where(leaf, -1, self.right[start:stop] - start)
-            out.append(
-                Tree(
-                    feature=feature,
-                    threshold=np.where(leaf, np.nan, self.threshold[start:stop]),
-                    left=np.where(leaf, -1, right - 1),
-                    right=right,
-                    value=self.value[start:stop].copy(),
-                )
-            )
-        return out
+            depths[owner] = depth
+            level, owner = np.concatenate((right - 1, right)), np.tile(owner, 2)
+        return depths
 
     def leaf_ids(self, X: np.ndarray) -> np.ndarray:
         """Global leaf index, shape ``(rows, trees)``, for a dense block."""
@@ -201,15 +185,3 @@ class NodeTable:
             out[lo : lo + step] = np.add.accumulate(terms, axis=1)[:, -1]
         return out
 
-
-class TreeEnsemble(BaseModel):
-    """A model whose fitted trees are stored once, as the table ``nodes_``."""
-
-    @property
-    def trees_(self) -> list[Tree]:
-        """The member trees, rebuilt from ``nodes_``; assigning recompiles."""
-        return self.nodes_.trees()
-
-    @trees_.setter
-    def trees_(self, trees) -> None:
-        self.nodes_ = NodeTable.from_trees(trees)

@@ -51,8 +51,8 @@ def format_score(score: float) -> str:
 
 def parse_address(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not (port.isascii() and port.isdigit()):
-        raise UsageError(f"address must be host:port, got {text!r}")
+    if not sep or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise UsageError(f"address must be host:port with a port of 0-65535, got {text!r}")
     return (host or "127.0.0.1", int(port))
 
 
@@ -103,9 +103,13 @@ class ScoringServer:
 
     def bind(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(1)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((host, port))
+            sock.listen(1)
+        except OSError:
+            sock.close()
+            raise
         self._sock = sock
         self.address = sock.getsockname()[:2]
         return self.address
@@ -221,6 +225,7 @@ def run_server(
     timeout: Optional[float] = 60.0,
 ) -> ServeResult:
     """Load corpus + truth, serve one scoring session, return the report."""
+    host, port = parse_address(listen)
     revisions = load_corpus(corpus_path).revisions
     labels = load_labels(truth_path)
     server = ScoringServer(revisions, labels, window=window, timeout=timeout)
@@ -230,8 +235,10 @@ def run_server(
             f"the session's AUC needs both classes, but the corpus has {positives} positive "
             f"and {len(revisions) - positives} negative revisions"
         )
-    host, port = parse_address(listen)
-    server.bind(host, port)
+    try:
+        server.bind(host, port)
+    except OSError as exc:
+        raise UsageError(f"cannot listen on --listen {listen}: {exc.strerror or exc}") from None
     print(f"listening on {server.address[0]}:{server.address[1]}", file=sys.stderr)
     try:
         return server.serve_one()
@@ -250,11 +257,11 @@ def run_client(
     schema, scored, and answered as ``SCORE\\t<rev_id>\\t<score>``.
     """
     _check_timeout(timeout)
+    address = parse_address(connect)
     if not isinstance(pipeline, StackedPipeline):
         pipeline = load_pipeline(pipeline)
     if pipeline.schema is None:
         raise UsageError("pipeline has no embedded schema; cannot featurize")
-    address = parse_address(connect)
     answered = 0
     try:
         with socket.create_connection(address, timeout=timeout) as sock, \

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from vandalstack.corpus import LabeledExample, Revision
+from vandalstack.learners.tree import Tree
 
 
 def rev(rev_id, comment="", **kwargs):
@@ -45,3 +46,47 @@ def random_scored_dataset(rng, max_n=200):
     scores = rng.integers(0, levels, size=n) / (levels - 1 + 1e-12)
     scores = np.clip(scores, 0.0, 1.0)
     return labels, scores
+
+
+def reference_tree_lines(members) -> list[str]:
+    """The ``trees``/``tree``/``node`` lines of :class:`Tree` objects, node by node.
+
+    The reference for the model writer's tree block, which formats the
+    node table on whole columns instead.
+    """
+    lines = [f"trees {len(members)}"]
+    for tree in members:
+        lines.append(f"tree {tree.n_nodes}")
+        for i in range(tree.n_nodes):
+            lines.append(
+                "node {} {} {} {} {}".format(
+                    tree.feature[i],
+                    repr(float(tree.threshold[i])),
+                    tree.left[i],
+                    tree.right[i],
+                    repr(float(tree.value[i])),
+                )
+            )
+    return lines
+
+
+def trees_from_lines(lines) -> list[Tree]:
+    """The member trees of a tree model's text, read node by node."""
+    at = next(i for i, line in enumerate(lines) if line.startswith("trees "))
+    members = []
+    for _ in range(int(lines[at].split(" ")[1])):
+        at += 1
+        size = int(lines[at].split(" ")[1])
+        rows = [line.split(" ")[1:] for line in lines[at + 1 : at + 1 + size]]
+        at += size
+        feature, threshold, left, right, value = zip(*rows)
+        members.append(
+            Tree(
+                feature=np.array(feature, dtype=np.int64),
+                threshold=np.array(threshold, dtype=np.float64),
+                left=np.array(left, dtype=np.int64),
+                right=np.array(right, dtype=np.int64),
+                value=np.array(value, dtype=np.float64),
+            )
+        )
+    return members

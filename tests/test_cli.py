@@ -628,6 +628,43 @@ def test_analyze_out_dir_naming_a_file_exits_2_naming_it(tmp_path, capsys):
     assert afile.read_text(encoding="utf-8") == "keep\n"
 
 
+@pytest.mark.parametrize(
+    "listen, message",
+    [
+        ("127.0.0.1:99999", "port of 0-65535"),
+        ("127.0.0.1:65536", "port of 0-65535"),
+        ("192.0.2.1:0", "cannot listen on --listen 192.0.2.1:0"),  # not this host's
+    ],
+)
+def test_serve_refuses_an_address_it_cannot_listen_on(tmp_path, capsys, listen, message):
+    corpus, truth, _ = write_tiny_corpus(tmp_path, n_pos=2, n_neg=2)
+    rc = cli.main(
+        ["serve", "--corpus", str(corpus), "--truth", str(truth),
+         "--listen", listen, "--timeout", "5"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "listening on" not in err
+
+
+def test_client_refuses_a_port_out_of_range(stack_dir, capsys):
+    # not dialled modulo 65536 (99999 would be port 34463)
+    rc = cli.main(
+        ["client", "--pipeline", str(stack_dir / "pipeline.txt"),
+         "--connect", "127.0.0.1:99999", "--timeout", "5"]
+    )
+    assert rc == 2
+    assert "port of 0-65535" in capsys.readouterr().err
+
+
+def test_train_model_choices_are_the_builtin_families(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["train", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    families = "random_forest,extra_trees,gradient_boosting,logistic_regression,mlp"
+    assert f"--model {{{families}}}" in help_text
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_serve_and_client_refuse_a_bad_timeout(stack_dir, tmp_path, capsys, value):
     corpus, truth, _ = write_tiny_corpus(tmp_path, n_pos=2, n_neg=2)

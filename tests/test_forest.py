@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from tests._util import trees_from_lines
 from vandalstack.errors import DimensionMismatch, NotFitted
 from vandalstack.learners.forest import ExtraTreesClassifier, RandomForestClassifier
-from vandalstack.learners.tree import Tree
+from vandalstack.learners.io import model_to_lines
+from vandalstack.learners.tree import NodeTable, Tree
 
 
 def two_class_data(rng, n=120, d=4):
@@ -32,7 +34,9 @@ def test_forest_prediction_is_mean_of_member_trees():
     X, y = two_class_data(rng)
     model = RandomForestClassifier(n_estimators=7, max_depth=4, seed=3).fit(X, y)
     Xq = rng.random((30, 4))
-    member = np.mean([t.predict_dense(Xq) for t in model.trees_], axis=0)
+    members = trees_from_lines(model_to_lines(model))
+    assert len(members) == 7
+    member = np.mean([t.predict_dense(Xq) for t in members], axis=0)
     assert np.array_equal(model.predict_proba(Xq), member)
 
 
@@ -47,7 +51,7 @@ def test_hand_built_two_tree_forest_averages():
         )
 
     model = RandomForestClassifier(n_estimators=2)
-    model.trees_ = [leaf(0.5), leaf(1.0)]
+    model.nodes_ = NodeTable.from_trees([leaf(0.5), leaf(1.0)])
     model.n_features_ = 3
     model.feature_importances_ = np.zeros(3)
     assert model.predict_proba(np.zeros((1, 3)))[0] == 0.75

@@ -168,6 +168,19 @@ def test_forest_without_trees_is_rejected():
     assert info.value.line_no == at + 1
 
 
+def test_the_first_tree_deeper_than_max_depth_is_named():
+    # a leaf, then TREE_MODEL's depth-2 tree, under max_depth 1 and then 2
+    at = TREE_MODEL.index("trees 1")
+    lines = TREE_MODEL[:at] + ["trees 2", "tree 1", "node -1 nan -1 -1 0.5"] + TREE_MODEL[at + 1 :]
+    lines[6] = "param n_estimators 2"
+    lines[5] = "param max_depth 1"
+    with pytest.raises(MalformedLine) as info:
+        model_from_lines(lines)
+    assert info.value.line_no == at + 4  # the second `tree` line
+    lines[5] = "param max_depth 2"
+    assert model_from_lines(lines).nodes_.n_trees == 2
+
+
 # hand-written models of the other families; the fitted block is on lines 8-9
 # (logistic regression) and 12-13 (mlp: dim 2, 2 hidden units, 9 parameters)
 LINEAR_MODEL = """vandalstack-model v1
@@ -245,6 +258,9 @@ def test_param_values_load_with_their_types():
         (TREE_MODEL, 6, "param max_depth 2.5", 6),
         (TREE_MODEL, 7, "param n_estimators True", 7),  # a bool is no int
         (LINEAR_MODEL, 5, "param l2 False", 5),
+        (TREE_MODEL, 7, "param n_estimators 5", 10),  # `trees 1` disagrees
+        (TREE_MODEL, 7, "param n_estimators 0", 10),
+        (TREE_MODEL, 6, "param max_depth 1", 11),  # the tree is 2 deep
     ],
 )
 def test_corrupt_model_line_fails_at_load_naming_the_line(model, line_no, text, reported):

@@ -1,18 +1,21 @@
-"""The compiled tree walk against a node-by-node reference walk.
+"""The node table against node-by-node references: its walk and its writer.
 
 Every tree model predicts through one :class:`NodeTable` walk.  These
 properties pin it to the plain definition of a tree: start at the root,
 go left iff ``x <= threshold`` (so NaN goes right), stop at a leaf, and
-sum the leaf values one tree after another.  Agreement is bitwise.
+sum the leaf values one tree after another.  Agreement is bitwise.  The
+model writer formats the table on whole columns; it must write what a
+writer going node by node over the member trees writes.
 """
 
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from tests._util import reference_tree_lines
 from vandalstack.errors import MalformedLine
 from vandalstack.learners import (
     ExtraTreesClassifier,
@@ -30,12 +33,12 @@ leaf_values = st.floats(-1e3, 1e3, allow_nan=False, width=64)
 
 
 @st.composite
-def trees(draw, max_nodes=25):
+def trees(draw, max_nodes=25, cuts=st.sampled_from(CUTS), values=leaf_values):
     """A random tree in the grower's layout: children appended in pairs.
 
     Nodes are expanded in a drawn order, so shapes are unbalanced and
-    single leaves occur; thresholds come from a few values that the
-    inputs also take, so ties are common.
+    single leaves occur; thresholds come by default from a few values
+    that the inputs also take, so ties are common.
     """
     feature, threshold, left, right, value = [-1], [np.nan], [-1], [-1], [0.0]
     pending = [0]
@@ -43,7 +46,7 @@ def trees(draw, max_nodes=25):
         nid = pending.pop(draw(st.integers(0, len(pending) - 1)))
         if len(feature) + 2 <= max_nodes and draw(st.booleans()):
             feature[nid] = draw(st.integers(0, N_FEATURES - 1))
-            threshold[nid] = draw(st.sampled_from(CUTS))
+            threshold[nid] = draw(cuts)
             left[nid], right[nid] = len(feature), len(feature) + 1
             for _ in range(2):
                 pending.append(len(feature))
@@ -53,7 +56,7 @@ def trees(draw, max_nodes=25):
                 right.append(-1)
                 value.append(0.0)
         else:
-            value[nid] = draw(leaf_values)
+            value[nid] = draw(values)
     return Tree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold),
@@ -109,15 +112,19 @@ def bitwise_equal(a, b):
 
 def forest_of(members):
     model = RandomForestClassifier(n_estimators=len(members))
-    model.trees_ = members
+    model.nodes_ = NodeTable.from_trees(members)
+    model.feature_importances_ = np.zeros(N_FEATURES)
     model.n_features_ = N_FEATURES
     return model
 
 
 def boosting_of(members, base, rate):
-    model = GradientBoostingClassifier(n_estimators=len(members), learning_rate=rate)
-    model.trees_ = members
+    model = GradientBoostingClassifier(
+        n_estimators=len(members), learning_rate=rate, max_depth=None
+    )
+    model.nodes_ = NodeTable.from_trees(members)
     model.base_score_ = base
+    model.feature_importances_ = np.zeros(N_FEATURES)
     model.n_features_ = N_FEATURES
     return model
 
@@ -177,20 +184,45 @@ def test_one_row_at_a_time_equals_all_rows(members, X):
 def test_reassigned_trees_are_never_served_stale(first, second, X):
     model = forest_of(first)
     assert bitwise_equal(model.predict_proba(X), forest_reference(first, X))
-    model.trees_ = second
+    model.nodes_ = NodeTable.from_trees(second)
     assert bitwise_equal(model.predict_proba(X), forest_reference(second, X))
 
 
+# floats a writer may get wrong: signed zeros, subnormals, the extremes
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e300, 1 / 3, np.inf, -np.inf,
+]
+edge_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, width=64))
+edge_trees = trees(cuts=edge_floats, values=edge_floats)
+
+
+def model_of(members, boosting):
+    return boosting_of(members, -0.0, 0.1) if boosting else forest_of(members)
+
+
 @SETTINGS
-@given(st.lists(trees(), min_size=0, max_size=4))
-def test_trees_round_trip_through_the_table(members):
-    back = NodeTable.from_trees(members).trees()
-    assert len(back) == len(members)
-    for a, b in zip(members, back):
-        for name in ("feature", "left", "right"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-        for name in ("threshold", "value"):
-            assert bitwise_equal(getattr(a, name), getattr(b, name))
+@given(st.lists(edge_trees, min_size=0, max_size=6), st.booleans())
+@example([], True)  # boosting with n_estimators=0
+def test_tree_block_is_the_reference_writers(members, boosting):
+    assume(boosting or members)  # a forest has a tree, boosting may have none
+    lines = model_to_lines(model_of(members, boosting))
+    at = lines.index(f"trees {len(members)}")
+    assert lines[at:-1] == reference_tree_lines(members)
+    assert model_to_lines(model_from_lines(lines)) == lines
+
+
+@SETTINGS
+@given(st.lists(edge_trees, min_size=0, max_size=4), st.booleans())
+def test_trees_round_trip_through_model_text(members, boosting):
+    assume(boosting or members)
+    table = NodeTable.from_trees(members)
+    back = model_from_lines(model_to_lines(model_of(members, boosting))).nodes_
+    for name in ("roots", "feature", "right"):
+        assert np.array_equal(getattr(back, name), getattr(table, name))
+    for name in ("threshold", "value"):
+        assert bitwise_equal(getattr(back, name), getattr(table, name))
+    assert np.array_equal(back.depths, table.depths)
 
 
 def test_boosting_without_trees_predicts_the_prior():
@@ -242,7 +274,7 @@ def test_trees_that_are_not_trees_are_refused():
     ]
     for member in bad:
         with pytest.raises(ValueError):
-            RandomForestClassifier().trees_ = [member]
+            NodeTable.from_trees([member])
 
 
 def fitted_tree_lines():

@@ -19,6 +19,7 @@ from vandalstack.serve import (
     format_score,
     parse_address,
     run_client,
+    run_server,
 )
 from vandalstack.stacking import (
     StackConfig,
@@ -64,8 +65,13 @@ def test_parse_address():
     assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
     assert parse_address("localhost:80") == ("localhost", 80)
     assert parse_address(":0") == ("127.0.0.1", 0)
+    assert parse_address("127.0.0.1:65535") == ("127.0.0.1", 65535)
     for bad in ("nocolon", "host:", "host:abc", "", "host:8²"):
         with pytest.raises(UsageError):
+            parse_address(bad)
+    # socket calls would take these modulo 65536, or overflow
+    for bad in ("127.0.0.1:65536", "127.0.0.1:99999", ":18446744073709551617"):
+        with pytest.raises(UsageError, match="port of 0-65535"):
             parse_address(bad)
 
 
@@ -258,6 +264,31 @@ def test_a_timeout_that_is_not_finite_and_positive_is_refused(timeout):
     # refused before the pipeline is loaded or a connection is tried
     with pytest.raises(UsageError, match="timeout"):
         run_client("no-such-pipeline.txt", "127.0.0.1:9", timeout=timeout)
+
+
+def test_an_address_that_cannot_be_bound_is_a_usage_error(tmp_path):
+    revisions, labels = tiny_corpus(6)
+    corpus, truth = tmp_path / "corpus.tsv", tmp_path / "truth.tsv"
+    write_corpus(revisions, corpus)
+    write_labels([LabeledExample(r, labels[r.rev_id]) for r in revisions], truth)
+    taken = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    taken.bind(("127.0.0.1", 0))
+    taken.listen(1)
+    busy = f"127.0.0.1:{taken.getsockname()[1]}"
+    try:
+        # 192.0.2.1 is a documentation address, not one of this host's
+        for listen in (busy, "192.0.2.1:0"):
+            with pytest.raises(UsageError, match=f"--listen {listen}"):
+                run_server(corpus, truth, listen=listen, timeout=5.0)
+    finally:
+        taken.close()
+
+
+def test_a_port_out_of_range_is_refused_before_anything_else():
+    with pytest.raises(UsageError, match="port of 0-65535"):
+        run_client("no-such-pipeline.txt", "127.0.0.1:99999")
+    with pytest.raises(UsageError, match="port of 0-65535"):
+        run_server("no-such-corpus.tsv", "no-such-truth.tsv", listen="127.0.0.1:99999")
 
 
 def test_no_timeout_means_wait_forever():

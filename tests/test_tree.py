@@ -573,12 +573,18 @@ def test_random_split_within_range_and_gain_definition():
         assert gain == pytest.approx(want, abs=1e-12)
 
 
+def grow_one(builder, X, y, importances=None, seed=0):
+    """One tree over every row of ``X``, through the grower's one entry point."""
+    job = TreeJob(np.arange(X.shape[0]), y, lambda sel: y[sel].mean(), generator(seed))
+    [(tree, leaf_of)] = builder.build_many(X, [job], importances)
+    return tree, leaf_of
+
+
 def build_random_tree(rng, n=60, d=5, depth=4):
     dense = rng.random((n, d)) * (rng.random((n, d)) < 0.6)
     y = (dense @ rng.random(d) + 0.2 * rng.normal(size=n) > 0.5).astype(np.float64)
-    builder = TreeBuilder("gini", depth, None, generator(int(rng.integers(1 << 30))))
-    rows = np.arange(n, dtype=np.int64)
-    tree, leaf_of = builder.build(dense, rows, y, leaf_value=lambda sel: y[sel].mean())
+    seed = int(rng.integers(1 << 30))
+    tree, leaf_of = grow_one(TreeBuilder("gini", depth, None), dense, y, seed=seed)
     return dense, y, tree, leaf_of
 
 
@@ -604,10 +610,7 @@ def test_builder_respects_max_depth():
     dense = rng.random((80, 4))
     y = (dense[:, 0] > 0.5).astype(np.float64)
     for depth in (1, 2, 3):
-        builder = TreeBuilder("gini", depth, None, generator(0))
-        tree, _ = builder.build(
-            dense, np.arange(80), y, leaf_value=lambda sel: y[sel].mean()
-        )
+        tree, _ = grow_one(TreeBuilder("gini", depth, None), dense, y)
         # walk every root-to-leaf path
         stack = [(0, 0)]
         while stack:
@@ -622,10 +625,7 @@ def test_builder_respects_max_depth():
 def test_builder_pure_node_stays_leaf():
     dense = np.array([[0.0], [1.0], [2.0]])
     y = np.ones(3)
-    builder = TreeBuilder("gini", None, None, generator(0))
-    tree, leaf_of = builder.build(
-        dense, np.arange(3), y, leaf_value=lambda sel: y[sel].mean()
-    )
+    tree, leaf_of = grow_one(TreeBuilder("gini", None, None), dense, y)
     assert tree.n_nodes == 1
     assert tree.value[0] == 1.0
     assert np.array_equal(leaf_of, np.zeros(3, dtype=np.int64))
@@ -637,8 +637,7 @@ def test_builder_prefers_lowest_feature_index_on_ties():
     col = rng.random(50)
     y = (col > 0.5).astype(np.float64)
     dense = np.column_stack([col, col])
-    builder = TreeBuilder("gini", 1, None, generator(0))
-    tree, _ = builder.build(dense, np.arange(50), y, leaf_value=lambda sel: y[sel].mean())
+    tree, _ = grow_one(TreeBuilder("gini", 1, None), dense, y)
     assert tree.feature[0] == 0
 
 
@@ -647,18 +646,14 @@ def test_builder_accumulates_importances():
     dense = rng.random((100, 3))
     y = (dense[:, 1] > 0.5).astype(np.float64)  # only column 1 matters
     importances = np.zeros(3)
-    builder = TreeBuilder("gini", None, None, generator(0))
-    builder.build(
-        dense, np.arange(100), y, leaf_value=lambda sel: y[sel].mean(),
-        importances=importances,
-    )
+    grow_one(TreeBuilder("gini", None, None), dense, y, importances)
     assert importances[1] > 0
     assert importances[0] == 0.0 and importances[2] == 0.0
 
 
 def test_builder_rejects_unknown_criterion():
     with pytest.raises(ValueError):
-        TreeBuilder("entropy", None, None, generator(0))
+        TreeBuilder("entropy", None, None)
 
 
 def test_leaf_tree_prediction_paths():
