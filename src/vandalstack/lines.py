@@ -6,11 +6,14 @@ line: ``\\v``, ``\\f``, ``\\x1c``–``\\x1e``, ``\\x85``, ``\\u2028`` and
 ``\\u2029`` are ordinary text.  Writers emit UTF-8 with a ``\\n`` after
 every line.  A path that cannot be opened is a :class:`UsageError` naming
 it, and bytes that are not UTF-8 are a :class:`MalformedLine` naming
-their line.  Stdlib only.
+their line.  :class:`LineReceiver` reads the scoring protocol's lines
+from a socket by the same rule, through one bounded buffer.  Stdlib only.
 """
 
 from __future__ import annotations
 
+import re
+import socket
 from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Optional, Sequence, Union
@@ -21,6 +24,14 @@ Source = Union[str, Path, IO[str], IO[bytes], Iterable[str]]
 Target = Union[str, Path, IO[str]]
 
 _CHUNK = 4096
+
+# The longest protocol line, in bytes, its LF included.  The longest legal
+# line is a REV line, whose corpus line is led by a 500-character edit
+# summary (at most 2,000 bytes of UTF-8); 64 KiB is far above that and
+# still bounds what a peer can make a reader hold.
+MAX_PROTOCOL_LINE = 65536
+
+_LINE = re.compile(rb"[^\n]*\n")
 
 
 def read_lines(source: Source, undecodable: Optional[set[int]] = None) -> list[str]:
@@ -60,6 +71,41 @@ def decode_line(raw: bytes) -> str:
     if line.endswith("\n"):
         line = line[:-2] if line.endswith("\r\n") else line[:-1]
     return line
+
+
+class LineReceiver:
+    """The lines a stream socket delivers, read through one fixed buffer.
+
+    Each :meth:`receive` makes one ``recv`` and returns every line it
+    completes, LF included, for :func:`decode_line`.  It never waits for
+    more: the part of a line not yet received stays in the buffer.  A line
+    longer than :data:`MAX_PROTOCOL_LINE` bytes does not fit there, and
+    raises :class:`MalformedLine` as soon as the buffer fills.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buf = bytearray(MAX_PROTOCOL_LINE)
+        self._view = memoryview(self._buf)
+        self._held = 0  # bytes of an incomplete line at the start of the buffer
+
+    def receive(self) -> Optional[list[bytes]]:
+        """The lines completed by one ``recv``, possibly none; ``None`` at end of stream.
+
+        At end of stream a last line without its LF is returned on its own.
+        """
+        n = self._sock.recv_into(self._view[self._held:])
+        if n == 0:
+            rest, self._held = bytes(self._view[: self._held]), 0
+            return [rest] if rest else None
+        end = self._held + n
+        done = self._buf.rfind(b"\n", 0, end) + 1
+        lines = _LINE.findall(self._buf, 0, done)
+        self._held = end - done
+        self._view[: self._held] = self._view[done:end]  # memmove: may overlap
+        if self._held == len(self._buf):
+            raise MalformedLine(f"protocol line longer than {MAX_PROTOCOL_LINE} bytes")
+        return lines
 
 
 def write_lines(target: Target, lines: Iterable[str]) -> None:

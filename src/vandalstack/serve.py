@@ -9,10 +9,14 @@ Protocol (one line per message, LF-terminated)::
 
 The server never has more than ``window`` revisions outstanding; answers
 may arrive out of order and are matched by rev_id.  Any client deviation
-(unknown rev_id, duplicate answer, malformed line, score outside [0,1])
-closes the session with an ERROR line.  Scores travel as text with 9
-significant digits, never in exponent notation, so the stream is exactly
-reproducible against offline prediction.
+(unknown rev_id, duplicate answer, malformed line, score outside [0,1],
+a line longer than ``lines.MAX_PROTOCOL_LINE`` bytes) closes the session
+with an ERROR line.  Both ends read through ``lines.LineReceiver`` and
+take every complete line already received at once: the server refills
+its window in one write, and the client scores its REV lines as one
+block.  Scores travel as text with 9 significant digits, never in
+exponent notation, so the stream is exactly reproducible against
+offline prediction.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 import math
 import socket
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -30,9 +33,18 @@ import numpy as np
 from .corpus import Revision, format_line, load_corpus, load_labels, parse_line
 from .errors import MalformedLine, ProtocolViolation, Timeout, UsageError
 from .evaluation import EvalReport, error_sets, evaluate_scored, join_scored
-from .featurize import encode, extract_features
-from .lines import decode_line
-from .stacking import StackedPipeline, load_pipeline, predict_stack
+# encode and predict_stack are not called here, but perfbench/tracer.install
+# wraps serve.encode and serve.predict_stack (with parse_line,
+# extract_features, format_score and load_pipeline) and fails on a missing
+# name, as perfbench/tests/test_tracer.py shows
+from .featurize import encode, encode_matrix, extract_features  # noqa: F401
+from .lines import LineReceiver, decode_line
+from .stacking import (  # noqa: F401
+    StackedPipeline,
+    load_pipeline,
+    predict_stack,
+    predict_stack_batch,
+)
 
 
 def format_score(score: float) -> str:
@@ -148,33 +160,38 @@ class ScoringServer:
         return ServeResult(report=report, scores=scores, trace=list(self.trace))
 
     def _run_session(self, conn: socket.socket) -> dict[int, float]:
-        # the reader must be closed before conn.close() can send FIN;
-        # an open makefile() keeps the descriptor alive even after the
-        # session aborts on a raised violation
-        with conn.makefile("rb") as reader:
-            queue = deque(self.revisions)
-            outstanding: set[int] = set()
-            scores: dict[int, float] = {}
-            while queue or outstanding:
-                if queue and len(outstanding) < self.window:
-                    rev = queue.popleft()
-                    conn.sendall(f"REV\t{format_line(rev)}\n".encode("utf-8"))
+        receiver = LineReceiver(conn)
+        sent = 0
+        outstanding: set[int] = set()
+        scores: dict[int, float] = {}
+        while True:
+            # greedy: fill the window, in one write
+            batch = self.revisions[sent : sent + self.window - len(outstanding)]
+            sent += len(batch)
+            if batch:
+                conn.sendall("".join(f"REV\t{format_line(rev)}\n" for rev in batch).encode("utf-8"))
+                for rev in batch:
                     outstanding.add(rev.rev_id)
                     self.trace.append(("send", rev.rev_id))
-                    continue
-                try:
-                    raw = reader.readline()
-                except (socket.timeout, TimeoutError):
-                    self._send_error(conn, "timeout waiting for answer")
-                    raise Timeout("timeout waiting for answer")
-                if raw == b"":
-                    raise ProtocolViolation("client closed the connection early")
+            if not outstanding:
+                break
+            try:
+                raws = receiver.receive()
+            except (socket.timeout, TimeoutError):
+                self._send_error(conn, "timeout waiting for answer")
+                raise Timeout("timeout waiting for answer")
+            except MalformedLine as exc:
+                self._violation(conn, str(exc))
+            if raws is None:
+                raise ProtocolViolation("client closed the connection early")
+            # every answer already received, before the window is refilled
+            for raw in raws:
                 rev_id, score = self._parse_answer(conn, raw, outstanding, scores)
                 outstanding.discard(rev_id)
                 scores[rev_id] = score
                 self.trace.append(("recv", rev_id))
-            conn.sendall(b"END\n")
-            return scores
+        conn.sendall(b"END\n")
+        return scores
 
     def _parse_answer(
         self,
@@ -253,8 +270,10 @@ def run_client(
 ) -> int:
     """Answer one scoring session; returns a process exit status.
 
-    Every received revision is parsed, featurized against the pipeline's
-    schema, scored, and answered as ``SCORE\\t<rev_id>\\t<score>``.
+    Every complete REV line already received is parsed and featurized
+    against the pipeline's schema, and the run of them is scored as one
+    block and answered in one write, as ``SCORE\\t<rev_id>\\t<score>``
+    lines in arrival order.  It never waits for more lines to fill a block.
     """
     _check_timeout(timeout)
     address = parse_address(connect)
@@ -264,34 +283,54 @@ def run_client(
         raise UsageError("pipeline has no embedded schema; cannot featurize")
     answered = 0
     try:
-        with socket.create_connection(address, timeout=timeout) as sock, \
-                sock.makefile("rb") as reader:
-            for raw in reader:
-                try:
-                    line = decode_line(raw)
-                except MalformedLine:
-                    print(
-                        f"server sent a line that is not UTF-8 after {answered} answers",
-                        file=sys.stderr,
-                    )
-                    return 1
-                if line == "END":
-                    return 0
-                if line.startswith("ERROR"):
-                    print(f"server error: {line}", file=sys.stderr)
-                    return 1
-                if not line.startswith("REV\t"):
-                    print(f"malformed server line: {line!r}", file=sys.stderr)
-                    return 1
-                rev = parse_line(line[4:])
-                vector = encode(extract_features(rev), pipeline.schema)
-                score = predict_stack(pipeline, vector)
-                sock.sendall(
-                    f"SCORE\t{rev.rev_id}\t{format_score(score)}\n".encode("utf-8")
-                )
-                answered += 1
+        with socket.create_connection(address, timeout=timeout) as sock:
+            receiver = LineReceiver(sock)
+            while (raws := receiver.receive()) is not None:
+                block, end = _rev_block(raws, answered)
+                if block:
+                    X = encode_matrix([extract_features(rev) for rev in block], pipeline.schema)
+                    scores = predict_stack_batch(pipeline, X)
+                    sock.sendall("".join(
+                        f"SCORE\t{rev.rev_id}\t{format_score(score)}\n"
+                        for rev, score in zip(block, scores)
+                    ).encode("utf-8"))
+                    answered += len(block)
+                if end is not None:
+                    status, message = end
+                    if message:
+                        print(message, file=sys.stderr)
+                    return status
     except (OSError, MalformedLine) as exc:
         print(f"connection failed after {answered} answers: {exc}", file=sys.stderr)
         return 1
     print(f"connection closed by server after {answered} answers", file=sys.stderr)
     return 1
+
+
+def _rev_block(
+    raws: list[bytes], answered: int
+) -> tuple[list[Revision], Optional[tuple[int, str]]]:
+    """The revisions of the REV lines that lead ``raws``, and how the session ends, if it does.
+
+    The first other line ends the session after the block is answered:
+    ``(exit status, message for stderr)``, the message counting the
+    block's answers.
+    """
+    block: list[Revision] = []
+    for raw in raws:
+        after = answered + len(block)
+        try:
+            line = decode_line(raw)
+        except MalformedLine:
+            return block, (1, f"server sent a line that is not UTF-8 after {after} answers")
+        if line == "END":
+            return block, (0, "")
+        if line.startswith("ERROR"):
+            return block, (1, f"server error: {line}")
+        if not line.startswith("REV\t"):
+            return block, (1, f"malformed server line: {line!r}")
+        try:
+            block.append(parse_line(line[4:]))
+        except MalformedLine as exc:
+            return block, (1, f"connection failed after {after} answers: {exc}")
+    return block, None

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -271,43 +271,41 @@ def _spec_from_json(text: str, line_no: int) -> ModelSpec:
     return ModelSpec(raw["family"], raw["hyperparameters"], raw["seed"])
 
 
-def pipeline_to_lines(pipeline: StackedPipeline) -> list[str]:
+def pipeline_to_lines(pipeline: StackedPipeline) -> Iterator[str]:
+    """The pipeline file's lines, built one section at a time as they are taken."""
     cfg = pipeline.config
-    lines = [
-        PIPELINE_HEADER,
-        f"k {cfg.k}",
-        f"seed {cfg.seed}",
-        f"refit_full {1 if cfg.refit_full else 0}",
-        f"first_stage {len(cfg.first_stage)}",
-        f"second_stage {len(cfg.second_stage)}",
-    ]
+    yield PIPELINE_HEADER
+    yield f"k {cfg.k}"
+    yield f"seed {cfg.seed}"
+    yield f"refit_full {1 if cfg.refit_full else 0}"
+    yield f"first_stage {len(cfg.first_stage)}"
+    yield f"second_stage {len(cfg.second_stage)}"
     for j, spec in enumerate(cfg.first_stage):
-        lines.append(f"spec first {j} {_spec_to_json(spec)}")
+        yield f"spec first {j} {_spec_to_json(spec)}"
     for j, spec in enumerate(cfg.second_stage):
-        lines.append(f"spec second {j} {_spec_to_json(spec)}")
+        yield f"spec second {j} {_spec_to_json(spec)}"
     if pipeline.selected is None:
-        lines.append("selected none")
+        yield "selected none"
     elif len(pipeline.selected) == 0:
-        lines.append("selected empty")
+        yield "selected empty"
     else:
-        lines.append("selected " + " ".join(str(j) for j in pipeline.selected))
+        yield "selected " + " ".join(str(j) for j in pipeline.selected)
 
-    def add_section(name: str, body: list[str]) -> None:
-        lines.append(f"section {name} {len(body)}")
-        lines.extend(body)
+    def section(name: str, body: list[str]) -> Iterator[str]:
+        yield f"section {name} {len(body)}"
+        yield from body
 
     if pipeline.schema is not None:
-        add_section("schema", schema_to_lines(pipeline.schema))
+        yield from section("schema", schema_to_lines(pipeline.schema))
     for j, per_fold in enumerate(pipeline.fold_models):
         for f, model in enumerate(per_fold):
-            add_section(f"model first {j} {f}", model_to_lines(model))
+            yield from section(f"model first {j} {f}", model_to_lines(model))
     if pipeline.full_models is not None:
         for j, model in enumerate(pipeline.full_models):
-            add_section(f"model full {j}", model_to_lines(model))
+            yield from section(f"model full {j}", model_to_lines(model))
     for j, model in enumerate(pipeline.second_models):
-        add_section(f"model second {j}", model_to_lines(model))
-    lines.append("end")
-    return lines
+        yield from section(f"model second {j}", model_to_lines(model))
+    yield "end"
 
 
 def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:

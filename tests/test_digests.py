@@ -1,4 +1,4 @@
-"""``tools/digests.py``: the byte check of schema, pipeline and scores."""
+"""``tools/digests.py``: the byte check of schema, pipeline and scores, streamed or not."""
 
 import hashlib
 import importlib.util
@@ -32,4 +32,4 @@ def test_digests_are_the_sha256_of_the_files_the_commands_write(tmp_path, capsys
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("schema.txt", "pipeline.txt", "scores.tsv")
     }
-    assert got == want
+    assert got == {**want, "stream.tsv": want["scores.tsv"]}

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import io
 import re
+import socket
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,14 @@ from vandalstack.featurize import (
     schema_to_lines,
 )
 from vandalstack.learners import LogisticRegression, ModelSpec, load_model, model_to_lines
-from vandalstack.lines import LineReader, decode_line, read_lines, write_lines
+from vandalstack.lines import (
+    MAX_PROTOCOL_LINE,
+    LineReader,
+    LineReceiver,
+    decode_line,
+    read_lines,
+    write_lines,
+)
 from vandalstack.stacking import (
     StackConfig,
     fit_stack,
@@ -77,6 +85,46 @@ def test_decode_line_uses_the_same_rule():
     assert decode_line(b"no end") == "no end"
     with pytest.raises(MalformedLine):
         decode_line(b"\xff\n")
+
+
+def receive_all(receiver):
+    """Every line up to the end of stream, one ``receive`` result per item."""
+    got = []
+    while (lines := receiver.receive()) is not None:
+        got.append(lines)
+    return got
+
+
+def test_the_receiver_returns_each_line_once_complete():
+    near, far = socket.socketpair()
+    with near, far:
+        receiver = LineReceiver(near)
+        far.sendall(b"SCORE\t1\t0.5\r\nSCO")
+        assert receiver.receive() == [b"SCORE\t1\t0.5\r\n"]
+        far.sendall(b"RE\t2")
+        assert receiver.receive() == []  # never waits for the rest
+        far.sendall("\t0.25\nx\u2028y\n".encode() + b"\xff\n")
+        lines = receiver.receive()
+        assert lines == [b"SCORE\t2\t0.25\n", "x\u2028y\n".encode(), b"\xff\n"]
+        assert [decode_line(raw) for raw in lines[:2]] == ["SCORE\t2\t0.25", "x\u2028y"]
+        far.sendall(b"no end")
+        far.shutdown(socket.SHUT_WR)
+        assert receive_all(receiver) == [[], [b"no end"]]  # the cut-off line comes at the end
+
+
+def test_the_receiver_caps_a_line_at_max_protocol_line_bytes():
+    longest = b"x" * (MAX_PROTOCOL_LINE - 1) + b"\n"
+    near, far = socket.socketpair()
+    with near, far:
+        far.sendall(longest + b"ok\n")
+        far.shutdown(socket.SHUT_WR)
+        assert b"".join(sum(receive_all(LineReceiver(near)), [])) == longest + b"ok\n"
+    near, far = socket.socketpair()
+    with near, far:
+        far.sendall(b"ok\n" + b"x" * MAX_PROTOCOL_LINE + b"\n")
+        far.shutdown(socket.SHUT_WR)
+        with pytest.raises(MalformedLine, match=f"longer than {MAX_PROTOCOL_LINE} bytes"):
+            receive_all(LineReceiver(near))
 
 
 def test_write_lines_writes_lf_terminated_utf8(tmp_path):
@@ -167,7 +215,11 @@ LOADERS = {
     "scores": (load_scores, lambda: ["1\t0.5", "2\t0.25", "3\t1", "4\t0"], dict),
     "schema": (load_schema, lambda: schema_to_lines(small_fit()[1]), lambda r: r),
     "model": (load_model, lambda: model_to_lines(small_fit()[2]), model_to_lines),
-    "pipeline": (load_pipeline, lambda: pipeline_to_lines(small_fit()[3]), pipeline_to_lines),
+    "pipeline": (
+        load_pipeline,
+        lambda: list(pipeline_to_lines(small_fit()[3])),
+        lambda p: list(pipeline_to_lines(p)),
+    ),
     "config": (
         parse_config_file,
         lambda: ["corpus = c.tsv", "master_seed = 3", "stack.k = 4", "# done"],

@@ -4,6 +4,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import example, given, strategies
 
 from tests._util import rev
 from vandalstack.corpus import LabeledExample, format_line, write_corpus, write_labels
+from vandalstack import serve
 from vandalstack.errors import ProtocolViolation, Timeout, UsageError
 from vandalstack.featurize import build_schema, encode, encode_matrix, extract_features, extract_many
 from vandalstack.learners import ModelSpec
+from vandalstack.lines import MAX_PROTOCOL_LINE
 from vandalstack.serve import (
     ScoringServer,
     format_score,
@@ -248,6 +251,88 @@ def test_reset_connection_is_a_violation():
     assert isinstance(st.error, ProtocolViolation)
 
 
+def test_a_window_answered_in_one_write_is_refilled_in_one_write(monkeypatch):
+    writes = []
+    real_sendall = socket.socket.sendall
+
+    def recording_sendall(self, data, *args):
+        writes.append((self.getsockname()[1], bytes(data)))
+        return real_sendall(self, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+    revisions, labels = tiny_corpus(8)
+    st = ServerThread(revisions, labels, window=4)
+    sock, reader = connect(st.address)
+    with sock:
+        for _ in range(2):
+            ids = [int(read_line(reader).split("\t")[1]) for _ in range(4)]
+            sock.sendall("".join(f"SCORE\t{i}\t0.5\n" for i in ids).encode())
+        assert read_line(reader) == "END"
+    st.join()
+    assert st.error is None
+    server_writes = [data for port, data in writes if port == st.address[1]]
+    assert [w.count(b"REV\t") for w in server_writes] == [4, 4, 0]
+    assert server_writes[-1] == b"END\n"
+    kinds = [kind for kind, _ in st.result.trace]
+    assert kinds == ["send"] * 4 + ["recv"] * 4 + ["send"] * 4 + ["recv"] * 4
+    in_flight = 0
+    for kind in kinds:
+        in_flight += 1 if kind == "send" else -1
+        assert 0 <= in_flight <= 4
+
+
+def test_a_bad_answer_inside_a_chunk_ends_the_session_before_any_refill():
+    revisions, labels = tiny_corpus(6)
+    st = ServerThread(revisions, labels, window=4)
+    sock, reader = connect(st.address)
+    with sock:
+        ids = [int(read_line(reader).split("\t")[1]) for _ in range(4)]
+        sock.sendall(f"SCORE\t{ids[0]}\t0.5\nBOGUS LINE\nSCORE\t{ids[1]}\t0.5\n".encode())
+        assert read_line(reader) == "ERROR\tmalformed answer line 'BOGUS LINE'"
+    st.join()
+    assert isinstance(st.error, ProtocolViolation)
+    assert str(st.error) == "malformed answer line 'BOGUS LINE'"
+    # the answer before it counts; nothing is sent after it
+    assert st.server.trace == [("send", i) for i in ids] + [("recv", ids[0])]
+
+
+def measured(fn):
+    """``fn()``, its seconds, and the peak of the memory traced while it ran (every thread's)."""
+    tracemalloc.start()
+    started = time.monotonic()
+    try:
+        result = fn()
+    finally:
+        elapsed = time.monotonic() - started
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return result, elapsed, peak
+
+
+def test_a_flooding_client_is_cut_off_with_bounded_memory():
+    revisions, labels = tiny_corpus(3)
+    st = ServerThread(revisions, labels, window=1)
+    sock, reader = connect(st.address)
+    flood = b"x" * (1 << 16)
+
+    def flood_and_wait():
+        try:
+            for _ in range(128):  # 8 MiB on one line, never an LF
+                sock.sendall(flood)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the server hung up: the point of the test
+        st.join()
+
+    with sock:
+        assert read_line(reader).startswith("REV\t")
+        _, elapsed, peak = measured(flood_and_wait)
+    assert isinstance(st.error, ProtocolViolation)
+    assert str(st.error) == f"protocol line longer than {MAX_PROTOCOL_LINE} bytes"
+    assert elapsed < 5.0
+    assert peak < 8 * MAX_PROTOCOL_LINE
+
+
 def test_server_requires_complete_labels_and_valid_window():
     revisions, labels = tiny_corpus(3)
     with pytest.raises(UsageError):
@@ -445,3 +530,131 @@ def test_write_corpus_files_round_trip_through_server(tmp_path):
 
     assert [r.rev_id for r in load_corpus(corpus_path).revisions] == [1, 2, 3, 4]
     assert load_labels(truth_path) == labels
+
+
+# --- the client's blocks ------------------------------------------------------
+
+class FakeServer:
+    """Plays the server's end from a script, then records the answers to the end.
+
+    Each step of the script is bytes to send, an int (wait for that many
+    answer lines) or a float (seconds to sleep).
+    """
+
+    def __init__(self, *script):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.connect = f"127.0.0.1:{self.listener.getsockname()[1]}"
+        self.script = script
+        self.answers = []
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+
+    def _run(self):
+        with self.listener:
+            conn, _ = self.listener.accept()
+        with conn, conn.makefile("rb") as reader:
+            try:
+                for step in self.script:
+                    if isinstance(step, bytes):
+                        conn.sendall(step)
+                    elif isinstance(step, int):
+                        self.answers += [reader.readline() for _ in range(step)]
+                    else:
+                        time.sleep(step)
+                self.answers += list(reader)
+            except OSError:
+                pass  # the client hung up
+
+    def join(self):
+        self.thread.join(timeout=10.0)
+        assert not self.thread.is_alive(), "fake server hung"
+        return [raw.decode("utf-8") for raw in self.answers]
+
+
+def rev_lines(revisions):
+    return "".join(f"REV\t{format_line(r)}\n" for r in revisions).encode("utf-8")
+
+
+def alone(pipeline, schema, revision):
+    """The answer for ``revision`` scored on its own."""
+    score = predict_stack(pipeline, encode(extract_features(revision), schema))
+    return f"SCORE\t{revision.rev_id}\t{format_score(score)}\n"
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """The row count of every block the client scores."""
+    sizes = []
+    real = serve.predict_stack_batch
+
+    def recording(pipeline, X):
+        sizes.append(X.shape[0])
+        return real(pipeline, X)
+
+    monkeypatch.setattr(serve, "predict_stack_batch", recording)
+    return sizes
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    revisions, labels = labeled_corpus_for_pipeline()
+    pipeline, schema = small_pipeline(revisions, labels)
+    return revisions, pipeline, schema
+
+
+def test_the_client_scores_a_whole_window_as_one_block(fitted, blocks):
+    revisions, pipeline, schema = fitted
+    window = revisions[:16]
+    server = FakeServer(rev_lines(window), 16, b"END\n")
+    status = run_client(pipeline, server.connect, timeout=10.0)
+    answers = server.join()
+    assert status == 0
+    assert blocks == [16]
+    assert answers == [alone(pipeline, schema, r) for r in window]
+
+
+@pytest.mark.parametrize(
+    "tail, status, message",
+    [
+        (b"END\n", 0, None),
+        (b"ERROR\tgo away\n", 1, "server error: ERROR\tgo away"),
+        (b"HELLO\n", 1, "malformed server line: 'HELLO'"),
+        (b"REV\t\xff\xfe\n", 1, "server sent a line that is not UTF-8 after 3 answers"),
+        (b"REV\t7\tno meta\n", 1, "connection failed after 3 answers: expected 4 tab-separated"),
+    ],
+)
+def test_revisions_before_the_last_line_are_answered_first(
+    fitted, blocks, capsys, tail, status, message
+):
+    revisions, pipeline, schema = fitted
+    server = FakeServer(rev_lines(revisions[:3]) + tail)
+    assert run_client(pipeline, server.connect, timeout=10.0) == status
+    answers = server.join()
+    assert blocks == [3]
+    assert answers == [alone(pipeline, schema, r) for r in revisions[:3]]
+    err = capsys.readouterr().err
+    assert (message in err) if message else err == ""
+
+
+def test_a_line_split_across_two_writes_is_scored_once_complete(fitted, blocks):
+    revisions, pipeline, schema = fitted
+    line = rev_lines(revisions[:1])
+    server = FakeServer(line[:20], 0.2, line[20:], 1, b"END\n")
+    assert run_client(pipeline, server.connect, timeout=10.0) == 0
+    assert server.join() == [alone(pipeline, schema, revisions[0])]
+    assert blocks == [1]
+
+
+def test_a_flooding_server_is_cut_off_with_bounded_memory(fitted, capsys):
+    _, pipeline, _ = fitted
+    flood = b"x" * (8 << 20)  # 8 MiB on one line, never an LF
+    server = FakeServer(b"REV\t" + flood)
+    status, elapsed, peak = measured(lambda: run_client(pipeline, server.connect, timeout=10.0))
+    server.join()
+    assert status == 1
+    assert (
+        f"connection failed after 0 answers: protocol line longer than {MAX_PROTOCOL_LINE} bytes"
+        in capsys.readouterr().err
+    )
+    assert elapsed < 5.0
+    assert peak < 8 * MAX_PROTOCOL_LINE

@@ -206,10 +206,10 @@ def test_pipeline_persistence_round_trip(tmp_path):
     pipeline = fit_stack(X, y, small_real_config())
     before = predict_stack_batch(pipeline, X)
 
-    lines = pipeline_to_lines(pipeline)
+    lines = list(pipeline_to_lines(pipeline))
     loaded = pipeline_from_lines(lines)
     assert np.array_equal(predict_stack_batch(loaded, X), before)
-    assert pipeline_to_lines(loaded) == lines
+    assert list(pipeline_to_lines(loaded)) == lines
 
     path = tmp_path / "pipeline.txt"
     save_pipeline(pipeline, path)
@@ -225,8 +225,8 @@ def test_pipeline_persistence_round_trip(tmp_path):
 def test_fit_twice_gives_identical_pipeline_bytes():
     rng = np.random.default_rng(5)
     X, y = random_data(rng, n=24)
-    a = pipeline_to_lines(fit_stack(X, y, small_real_config()))
-    b = pipeline_to_lines(fit_stack(X, y, small_real_config()))
+    a = list(pipeline_to_lines(fit_stack(X, y, small_real_config())))
+    b = list(pipeline_to_lines(fit_stack(X, y, small_real_config())))
     assert a == b
 
 
@@ -239,7 +239,7 @@ def test_refit_full_replaces_fold_averaging():
     for j, model in enumerate(pipeline.full_models):
         assert np.array_equal(meta[:, j], model.predict_proba(X))
     # round trip keeps the refit models
-    loaded = pipeline_from_lines(pipeline_to_lines(pipeline))
+    loaded = pipeline_from_lines(list(pipeline_to_lines(pipeline)))
     assert loaded.full_models is not None
     assert np.array_equal(
         predict_stack_batch(loaded, X), predict_stack_batch(pipeline, X)
@@ -288,7 +288,7 @@ def corruptible_pipeline_lines():
     """A small saved pipeline: 3 selected of 5 columns, 2 first-stage specs."""
     rng = np.random.default_rng(10)
     X, y = random_data(rng, n=24, d=5)
-    return pipeline_to_lines(fit_stack(X, y, small_real_config(), selected=(0, 2, 4)))
+    return list(pipeline_to_lines(fit_stack(X, y, small_real_config(), selected=(0, 2, 4))))
 
 
 def line_index(lines, prefix):
@@ -389,7 +389,7 @@ def corrupt_inside_a_model(lines):
 )
 def test_corrupt_pipeline_fails_at_load_naming_the_line(corrupt):
     lines = corruptible_pipeline_lines()
-    assert pipeline_to_lines(pipeline_from_lines(lines)) == lines
+    assert list(pipeline_to_lines(pipeline_from_lines(lines))) == lines
     reported = corrupt(lines)
     with pytest.raises(MalformedLine) as info:
         pipeline_from_lines(lines)
@@ -403,13 +403,15 @@ def test_pipeline_schema_errors_name_the_file_line():
     schema = build_schema(extract_many(revisions))
     rng = np.random.default_rng(11)
     X, y = random_data(rng, n=24, d=schema.total_dim)
-    lines = pipeline_to_lines(fit_stack(X, y, small_real_config(), schema=schema, selected=(0, 1)))
+    pipeline = fit_stack(X, y, small_real_config(), schema=schema, selected=(0, 1))
+    lines = list(pipeline_to_lines(pipeline))
     at = line_index(lines, "section schema ") + 2  # the schema's first column
     lines[at] = "X bogus"
     with pytest.raises(MalformedLine) as info:
         pipeline_from_lines(lines)
     assert info.value.line_no == at + 1
-    lines = pipeline_to_lines(fit_stack(X, y, small_real_config(), schema=schema, selected=(0, 1)))
+    pipeline = fit_stack(X, y, small_real_config(), schema=schema, selected=(0, 1))
+    lines = list(pipeline_to_lines(pipeline))
     at = line_index(lines, "selected ")
     lines[at] = f"selected 0 {schema.total_dim}"
     with pytest.raises(MalformedLine) as info:
