@@ -41,9 +41,7 @@ from .errors import (
 from .evaluation import (
     ErrorSets,
     EvalReport,
-    ScoredExample,
     auc_from_arrays,
-    auc_roc,
     classical_mds,
     error_sets,
     evaluate_scored,
@@ -116,9 +114,7 @@ __all__ = [
     # evaluation
     "ErrorSets",
     "EvalReport",
-    "ScoredExample",
     "auc_from_arrays",
-    "auc_roc",
     "classical_mds",
     "error_sets",
     "evaluate_scored",

@@ -349,7 +349,7 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _corpus_rows(corpus_path: str, schema_path: str, scored) -> dict:
+def _corpus_rows(corpus_path: str, schema_path: str, rev_ids: np.ndarray) -> dict:
     """Each scored rev_id's row of ``--corpus`` encoded against ``--schema``.
 
     A rev_id on several corpus lines gets its last line's row.
@@ -358,9 +358,9 @@ def _corpus_rows(corpus_path: str, schema_path: str, scored) -> dict:
     revisions = load_corpus(corpus_path).revisions
     X = encode_matrix(extract_many(revisions), schema)
     rows = {rev.rev_id: X[i] for i, rev in enumerate(revisions)}
-    for ex in scored:
-        if ex.rev_id not in rows:
-            raise UsageError(f"scored rev_id {ex.rev_id} is not in --corpus {corpus_path}")
+    for rev_id in rev_ids.tolist():
+        if rev_id not in rows:
+            raise UsageError(f"scored rev_id {rev_id} is not in --corpus {corpus_path}")
     return rows
 
 
@@ -410,14 +410,15 @@ def _cmd_evaluate(args) -> int:
         raise UsageError(f"--threshold must be finite, got {args.threshold!r}")
     scores = load_scores(args.scores)
     labels = load_labels(args.truth)
-    scored, missing = join_scored(scores, labels)
+    rev_ids, values, flags = join_scored(scores, labels)
+    missing = len(scores) - rev_ids.size
     if missing:
         print(f"warning: {missing} scored rev_ids have no label", file=sys.stderr)
-    if not scored:
+    if not rev_ids.size:
         raise UsageError("no scored examples with labels")
     rows = None
     if args.corpus and args.schema:
-        rows = _corpus_rows(args.corpus, args.schema, scored)
+        rows = _corpus_rows(args.corpus, args.schema, rev_ids)
     elif args.mds:
         raise UsageError("--mds needs --corpus and --schema for feature vectors")
     report_path, mds_path = args.report, args.mds
@@ -429,8 +430,8 @@ def _cmd_evaluate(args) -> int:
             raise UsageError(f"cannot create {out_dir}: {exc.strerror or exc}") from None
         report_path = out_dir / "report.txt"
         mds_path = out_dir / "mds.tsv" if rows is not None else None
-    errors = error_sets(scored, args.threshold, rows)
-    report = evaluate_scored(scored, errors, distinct=rows is not None)
+    errors = error_sets(rev_ids, values, flags, args.threshold, rows)
+    report = evaluate_scored(values, flags, errors, distinct=rows is not None)
     write_lines(report_path, _report_lines(report))
     if mds_path:
         write_lines(mds_path, _mds_lines(errors, rows))

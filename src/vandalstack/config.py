@@ -1,7 +1,9 @@
 """Line-oriented ``key = value`` run configuration.
 
 Sections are spelled as dotted prefixes (``sampling.fraction = 1/50``).
-Every key has a command-line override; the defaults reproduce the
+Every key but ``sampling.seed``, ``sampling.dedup``, ``selection.seed``
+and ``stack.refit_full`` has a ``train-stack`` flag that overrides it;
+those four are set in the file only.  The defaults reproduce the
 reference configuration: 1/50 under-sampling, dedup after sampling,
 selection threshold 1e-5 with a seed-0 selection model, the standard
 6+4 model stages with k=3, and one master seed that every other seed

@@ -1,7 +1,10 @@
 """AUC-ROC, score-difference analysis, error sets and classical MDS.
 
-``auc_roc`` is the Mann-Whitney statistic computed from rank sums with
-average ranks on ties — O(n log n) and exact: tied-rank averages are
+A scored set is three aligned arrays in rev_id order, as
+:func:`join_scored` returns them: rev_ids, scores and labels.
+
+``auc_from_arrays`` is the Mann-Whitney statistic computed from rank sums
+with average ranks on ties — O(n log n) and exact: tied-rank averages are
 multiples of 0.5, so the rank sum is an exact float for any realistic n
 and matches brute-force pair counting to the last bit.
 """
@@ -9,7 +12,7 @@ and matches brute-force pair counting to the last bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -18,17 +21,6 @@ from .lines import Source, read_lines
 
 MDS_CAP = 2000
 N_BINS = 20
-
-
-@dataclass(frozen=True)
-class ScoredExample:
-    rev_id: int
-    score: float
-    label: bool
-
-    def __post_init__(self):
-        if not np.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be finite in [0,1], got {self.score!r}")
 
 
 @dataclass
@@ -56,6 +48,7 @@ class ErrorSets:
 
 
 def auc_from_arrays(labels: np.ndarray, scores: np.ndarray) -> float:
+    """P(random positive outranks random negative), ties credited 0.5."""
     labels = np.asarray(labels, dtype=bool)
     scores = np.asarray(scores, dtype=np.float64)
     n = labels.size
@@ -79,30 +72,14 @@ def auc_from_arrays(labels: np.ndarray, scores: np.ndarray) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def auc_roc(scored: Sequence[ScoredExample]) -> float:
-    """P(random positive outranks random negative), ties credited 0.5."""
-    labels = np.fromiter((ex.label for ex in scored), dtype=bool, count=len(scored))
-    scores = np.fromiter(
-        (ex.score for ex in scored), dtype=np.float64, count=len(scored)
-    )
-    return auc_from_arrays(labels, scores)
-
-
-def score_diff_histogram(
-    scored: Sequence[ScoredExample],
-) -> tuple[np.ndarray, int]:
+def score_diff_histogram(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, int]:
     """20-bin histogram of |label - score| and the count above 0.5.
 
     Bins are equal width over [0,1], right-open except the last.
     """
-    histogram = np.zeros(N_BINS, dtype=np.int64)
-    misclassified = 0
-    for ex in scored:
-        diff = abs((1.0 if ex.label else 0.0) - ex.score)
-        histogram[min(int(diff * N_BINS), N_BINS - 1)] += 1
-        if diff > 0.5:
-            misclassified += 1
-    return histogram, misclassified
+    diff = np.abs(labels.astype(np.float64) - scores)
+    bins = np.minimum((diff * N_BINS).astype(np.int64), N_BINS - 1)
+    return np.bincount(bins, minlength=N_BINS), int(np.count_nonzero(diff > 0.5))
 
 
 def histogram_rows(histogram: np.ndarray) -> list[tuple[float, float, int]]:
@@ -114,25 +91,30 @@ def histogram_rows(histogram: np.ndarray) -> list[tuple[float, float, int]]:
 
 def join_scored(
     scores: Mapping[int, float], labels: Mapping[int, bool]
-) -> tuple[list[ScoredExample], int]:
-    """Scored examples in rev_id order, and the count of scored rev_ids with no label."""
-    scored = []
-    missing = 0
-    for rev_id in sorted(scores):
-        label = labels.get(rev_id)
-        if label is None:
-            missing += 1
-        else:
-            scored.append(ScoredExample(rev_id, scores[rev_id], label))
-    return scored, missing
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scored rev_ids that have a label, as one scored set.
+
+    Returns ``(rev_ids, scores, labels)``: aligned int64, float64 and
+    bool arrays in rev_id order.  Every score must be finite and in [0, 1].
+    """
+    joined = [rev_id for rev_id in sorted(scores) if rev_id in labels]
+    rev_ids = np.array(joined, dtype=np.int64)
+    values = np.array([scores[rev_id] for rev_id in joined], dtype=np.float64)
+    bad = ~((values >= 0.0) & (values <= 1.0))  # NaN fails both
+    if bad.any():
+        raise ValueError(f"score must be finite in [0,1], got {float(values[np.argmax(bad)])!r}")
+    flags = np.array([bool(labels[rev_id]) for rev_id in joined], dtype=bool)
+    return rev_ids, values, flags
 
 
 def error_sets(
-    scored: Sequence[ScoredExample],
+    rev_ids: np.ndarray,
+    scores: np.ndarray,
+    labels: np.ndarray,
     threshold: float = 0.5,
     rows: Optional[Mapping[int, np.ndarray]] = None,
 ) -> ErrorSets:
-    """FP/FN rev_id sets plus their content-distinct reductions.
+    """FP/FN rev_id sets of a scored set plus their content-distinct reductions.
 
     FP = negatives scored >= threshold; FN = positives scored < threshold.
     The distinct sets keep one representative (lowest rev_id) per distinct
@@ -140,8 +122,8 @@ def error_sets(
     no NaN, so equal bytes mean equal values.  Without ``rows`` every
     example counts as distinct.
     """
-    fp = sorted(ex.rev_id for ex in scored if not ex.label and ex.score >= threshold)
-    fn = sorted(ex.rev_id for ex in scored if ex.label and ex.score < threshold)
+    fp = rev_ids[~labels & (scores >= threshold)].tolist()
+    fn = rev_ids[labels & (scores < threshold)].tolist()
 
     def distinct(ids: list[int]) -> tuple[int, ...]:
         if rows is None:
@@ -155,26 +137,26 @@ def error_sets(
 
 
 def evaluate_scored(
-    scored: Sequence[ScoredExample], errors: ErrorSets, distinct: bool
+    scores: np.ndarray, labels: np.ndarray, errors: ErrorSets, distinct: bool
 ) -> EvalReport:
-    """Assemble the full report: AUC, histogram and the counts of ``errors``.
+    """Assemble the full report of a scored set: AUC, histogram and the counts of ``errors``.
 
     ``distinct`` says whether ``errors`` was reduced by content, so that
     its distinct counts are reported.
     """
-    histogram, misclassified = score_diff_histogram(scored)
-    positives = sum(1 for ex in scored if ex.label)
+    histogram, misclassified = score_diff_histogram(scores, labels)
+    positives = int(np.count_nonzero(labels))
     return EvalReport(
-        auc=auc_roc(scored),
+        auc=auc_from_arrays(labels, scores),
         histogram=histogram,
         misclassified_count=misclassified,
         fp_total=len(errors.fp),
         fp_distinct=len(errors.fp_distinct) if distinct else None,
         fn_total=len(errors.fn),
         fn_distinct=len(errors.fn_distinct) if distinct else None,
-        n=len(scored),
+        n=labels.size,
         positives=positives,
-        negatives=len(scored) - positives,
+        negatives=labels.size - positives,
     )
 
 

@@ -4,11 +4,21 @@ Models follow the usual estimator conventions: hyperparameters are
 constructor keyword arguments stored verbatim on the instance, ``fit``
 returns ``self``, fitted state lives in trailing-underscore attributes,
 and ``get_params`` / ``set_params`` expose the constructor arguments.
+
+Each constructor annotation is the parameter's whole domain: its types,
+and a bound as ``Annotated`` metadata (``Annotated[int, ">= 1"]``).
+:func:`param_problem` reads it, for ``fit`` and for every file that
+names a parameter.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
+import operator
+import typing
+from functools import lru_cache
+from typing import Annotated, Literal, Optional, Union
 
 import numpy as np
 
@@ -43,6 +53,63 @@ class BaseModel:
     def _check_is_fitted(self) -> None:
         if not hasattr(self, "n_features_"):
             raise NotFitted(f"{type(self).__name__} has not been fit")
+
+    def _check_params(self) -> None:
+        """Raise ``ValueError`` for the first parameter outside its domain: ``fit``'s first step."""
+        for name in _domains(type(self)):
+            problem = param_problem(type(self), name, getattr(self, name))
+            if problem:
+                raise ValueError(problem)
+
+
+_BOUNDS = {">=": operator.ge, ">": operator.gt}
+_NAMES = {type(None): "None", float: "finite number"}
+
+
+def _forms(hint) -> list[tuple]:
+    """A parameter's annotation as (type or Literal value, bound or None) forms."""
+    if typing.get_origin(hint) in (Union, Literal):
+        return [form for member in typing.get_args(hint) for form in _forms(member)]
+    return [typing.get_args(hint) if typing.get_origin(hint) is Annotated else (hint, None)]
+
+
+@lru_cache(maxsize=None)
+def _domains(cls) -> dict[str, list[tuple]]:
+    """Each constructor parameter but ``seed`` (it has its own line in every file): its forms."""
+    hints = typing.get_type_hints(cls.__init__, include_extras=True)
+    return {name: _forms(hints[name]) for name in cls._param_names() if name != "seed"}
+
+
+def _admits(kind, bound: Optional[str], value) -> bool:
+    if not isinstance(kind, type):  # a Literal's value
+        return type(value) is type(kind) and value == kind
+    # exact types: a bool is no int here, nor an int a bool; an int is a float value
+    if type(value) not in ((float, int) if kind is float else (kind,)):
+        return False
+    if kind is float and not math.isfinite(value):
+        return False
+    op, _, limit = (bound or "").partition(" ")
+    return not op or _BOUNDS[op](value, float(limit))
+
+
+def _describe(kind, bound: Optional[str]) -> str:
+    text = _NAMES.get(kind, kind.__name__) if isinstance(kind, type) else kind
+    return f"{text} {bound}" if bound else text
+
+
+def param_problem(cls, name: str, value) -> Optional[str]:
+    """Why ``value`` cannot be the ``cls`` parameter ``name``, or None if it can.
+
+    The one parameter rule: ``fit`` raises its text as ``ValueError``,
+    and a model file's ``param`` lines and a pipeline's ``spec`` lines as
+    ``MalformedLine``.
+    """
+    forms = _domains(cls).get(name)
+    if forms is None:
+        return f"{cls.__name__} takes no parameter {name!r}"
+    if any(_admits(kind, bound, value) for kind, bound in forms):
+        return None
+    return f"{name} takes " + " or ".join(_describe(kind, bound) for kind, bound in forms)
 
 
 def check_dense(X) -> np.ndarray:

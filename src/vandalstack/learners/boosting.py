@@ -12,7 +12,7 @@ interface uniformity with the other families.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Annotated, Optional
 
 import numpy as np
 
@@ -40,9 +40,9 @@ def log_loss(y: np.ndarray, p: np.ndarray) -> float:
 class GradientBoostingClassifier(BaseModel):
     def __init__(
         self,
-        n_estimators: int = 100,
-        learning_rate: float = 0.1,
-        max_depth: Optional[int] = 3,
+        n_estimators: Annotated[int, ">= 0"] = 100,
+        learning_rate: Annotated[float, "> 0"] = 0.1,
+        max_depth: Optional[Annotated[int, ">= 1"]] = 3,
         seed: int = 0,
     ):
         self.n_estimators = n_estimators
@@ -51,12 +51,7 @@ class GradientBoostingClassifier(BaseModel):
         self.seed = seed
 
     def fit(self, X, y) -> "GradientBoostingClassifier":
-        if self.n_estimators < 0:
-            raise ValueError("n_estimators must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
+        self._check_params()
         Xd, labels = check_X_y(X, y)
         n, d = Xd.shape
         prior = float(np.clip(labels.mean(), _PROB_EPS, 1.0 - _PROB_EPS))

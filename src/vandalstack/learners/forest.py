@@ -10,7 +10,7 @@ sample and draws one uniform threshold per candidate feature.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Annotated, Literal, Optional, Union
 
 import numpy as np
 
@@ -23,17 +23,8 @@ from .tree import NodeTable
 class _BaseForest(BaseModel):
     random_threshold = False
 
-    n_estimators: int
-    max_depth: Optional[int]
-    max_features: Union[str, int, None]
-    bootstrap: bool
-    seed: int
-
     def fit(self, X, y) -> "_BaseForest":
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
+        self._check_params()
         Xd, labels = check_X_y(X, y)
         n, d = Xd.shape
         m = self._resolve_max_features(d)
@@ -60,14 +51,9 @@ class _BaseForest(BaseModel):
         return TreeJob(rows, target, lambda sel: target[sel].sum() / sel.size, rng)
 
     def _resolve_max_features(self, d: int) -> Optional[int]:
-        if self.max_features is None:
-            return None
         if self.max_features == "sqrt":
             return max(1, int(round(math.sqrt(d))))
-        m = int(self.max_features)
-        if m < 1:
-            raise ValueError("max_features must be >= 1, 'sqrt', or None")
-        return min(m, d)
+        return None if self.max_features is None else min(self.max_features, d)
 
     def predict_proba(self, X) -> np.ndarray:
         """P(positive) per row: the mean of the per-tree leaf fractions."""
@@ -80,9 +66,9 @@ class RandomForestClassifier(_BaseForest):
 
     def __init__(
         self,
-        n_estimators: int = 100,
-        max_depth: Optional[int] = None,
-        max_features: Union[str, int, None] = "sqrt",
+        n_estimators: Annotated[int, ">= 1"] = 100,
+        max_depth: Optional[Annotated[int, ">= 1"]] = None,
+        max_features: Union[Literal["sqrt"], Annotated[int, ">= 1"], None] = "sqrt",
         bootstrap: bool = True,
         seed: int = 0,
     ):
@@ -100,9 +86,9 @@ class ExtraTreesClassifier(_BaseForest):
 
     def __init__(
         self,
-        n_estimators: int = 100,
-        max_depth: Optional[int] = None,
-        max_features: Union[str, int, None] = "sqrt",
+        n_estimators: Annotated[int, ">= 1"] = 100,
+        max_depth: Optional[Annotated[int, ">= 1"]] = None,
+        max_features: Union[Literal["sqrt"], Annotated[int, ">= 1"], None] = "sqrt",
         bootstrap: bool = False,
         seed: int = 0,
     ):

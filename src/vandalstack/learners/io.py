@@ -19,14 +19,13 @@ and read back by :func:`_nodes_from`, both on whole node columns.
 
 from __future__ import annotations
 
-import math
-import typing
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import MalformedLine, UnsupportedFamily
 from ..lines import LineReader, Source, Target, read_lines, write_lines
+from .base import param_problem
 from .boosting import GradientBoostingClassifier
 from .forest import ExtraTreesClassifier, RandomForestClassifier
 from .linear import LogisticRegression
@@ -42,42 +41,6 @@ BUILTIN_FAMILIES = {
     "logistic_regression": LogisticRegression,
     "mlp": MLPClassifier,
 }
-
-
-def _param_types(cls) -> dict[str, tuple[type, ...]]:
-    """The types each constructor parameter but ``seed`` takes, from its annotation."""
-    hints = typing.get_type_hints(cls.__init__)
-    types = {}
-    for name in cls._param_names():
-        if name != "seed":
-            allowed = typing.get_args(hints[name]) or (hints[name],)
-            # an int is a float value (and `repr` writes it as an int)
-            types[name] = allowed + (int,) if float in allowed else allowed
-    return types
-
-
-# the parameters a model file may set on a `param` line, and their types, per family
-_PARAM_TYPES = {name: _param_types(cls) for name, cls in BUILTIN_FAMILIES.items()}
-
-
-def param_problem(family: str, name: str, value) -> Optional[str]:
-    """Why ``value`` cannot be the ``family`` parameter ``name``, or None if it can.
-
-    The one check for a model file's ``param`` lines and a pipeline's spec
-    hyperparameters.
-    """
-    types = _PARAM_TYPES.get(family, {}).get(name)
-    if types is None:
-        return f"{family} takes no parameter {name!r}"
-    # exact types: a bool is no int here, nor an int a bool
-    if type(value) not in types or (type(value) is float and not math.isfinite(value)):
-        expected = " or ".join(t.__name__ for t in types)
-        return f"{name} takes {expected}" + (", finite" if float in types else "")
-    if name == "max_features" and not (
-        value is None or value == "sqrt" or (type(value) is int and value >= 1)
-    ):
-        return "max_features takes sqrt, None or an int >= 1"
-    return None
 
 
 def family_name(model) -> str:
@@ -110,41 +73,72 @@ def _parse_value(token: str):
         return token
 
 
-def _floats_line(tag: str, values: np.ndarray) -> str:
-    return tag + " " + " ".join(repr(float(v)) for v in values)
+def _unscorable(split: np.ndarray, threshold: np.ndarray, value: np.ndarray) -> Optional[int]:
+    """The first node whose split threshold or value is not finite, or None.
+
+    The one rule for a node's fitted values, on write and on load.
+    """
+    bad = (split & ~np.isfinite(threshold)) | ~np.isfinite(value)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def model_to_lines(model) -> list[str]:
+    """The model file's lines; a value the loader would refuse is refused, naming its line.
+
+    That covers a parameter outside its domain (set after ``fit``) and a
+    non-finite fitted value.
+    """
     model._check_is_fitted()
     family = family_name(model)
     lines = [MODEL_HEADER, f"family {family}", f"dim {model.n_features_}"]
     params = model.get_params()
     lines.append(f"seed {params.pop('seed')}")
     for name in sorted(params):
+        problem = param_problem(type(model), name, params[name])
+        if problem:
+            raise MalformedLine(f"cannot write a parameter: {problem}", len(lines) + 1)
         lines.append(f"param {name} {_format_value(params[name])}")
+
+    def floats(tag: str, values) -> None:
+        values = np.ravel(values)
+        if not np.isfinite(values).all():
+            raise MalformedLine(f"cannot write a non-finite value on {tag!r}", len(lines) + 1)
+        lines.append(tag + " " + " ".join(repr(float(v)) for v in values))
+
     if family in ("random_forest", "extra_trees", "gradient_boosting"):
         if family == "gradient_boosting":
-            lines.append(f"base_score {model.base_score_!r}")
-        lines.append(_floats_line("importances", model.feature_importances_))
-        lines.extend(_tree_lines(model.nodes_))
+            floats("base_score", model.base_score_)
+        floats("importances", model.feature_importances_)
+        nodes = model.nodes_
+        bad = _unscorable(nodes.feature > 0, nodes.threshold, nodes.value)
+        if bad is not None:
+            # below the `trees` line, a `tree` line leads each tree's node lines
+            tree = int(np.searchsorted(nodes.roots, bad, side="right"))
+            raise MalformedLine("cannot write a non-finite tree node", len(lines) + 2 + tree + bad)
+        lines.extend(_tree_lines(nodes))
     elif family == "logistic_regression":
-        lines.append(f"bias {model.intercept_!r}")
-        lines.append(_floats_line("coef", model.coef_))
+        floats("bias", model.intercept_)
+        floats("coef", model.coef_)
     else:  # mlp
         lines.append(f"layers {model.n_features_} {model.hidden_units}")
-        lines.append(_floats_line("theta", model.theta_))
+        floats("theta", model.theta_)
     lines.append("end")
     return lines
 
 
-def _floats(reader: LineReader, tag: str, rest: str, size: int) -> np.ndarray:
-    """The ``size`` floats after ``tag`` on the line just read."""
+def _floats(reader: LineReader, tag: str, line: str, size: int) -> np.ndarray:
+    """The fitted values on ``line``, just read: ``tag``, then ``size`` finite floats."""
+    head, _, rest = line.partition(" ")
+    if head != tag:
+        raise MalformedLine(f"expected {tag!r}, got {line!r}", reader.line_no)
     try:
         values = np.asarray([float(tok) for tok in rest.split(" ") if rest], dtype=np.float64)
     except ValueError:
         raise MalformedLine(f"non-numeric value after {tag!r}", reader.line_no) from None
     if values.size != size:
         raise MalformedLine(f"{tag!r} holds {values.size} values, expected {size}", reader.line_no)
+    if not np.isfinite(values).all():
+        raise MalformedLine(f"non-finite value after {tag!r}", reader.line_no)
     return values
 
 
@@ -165,7 +159,7 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
             break
         name, _, token = line[len("param ") :].partition(" ")
         value = _parse_value(token)
-        problem = param_problem(family, name, value) if token else "no value"
+        problem = param_problem(cls, name, value) if token else "no value"
         if problem:
             raise MalformedLine(f"bad {family} parameter line {line!r}: {problem}", reader.line_no)
         params[name] = value
@@ -174,29 +168,20 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
     # `line` now holds the first line of the fitted block
     if family in ("random_forest", "extra_trees", "gradient_boosting"):
         if family == "gradient_boosting":
-            head, _, rest = line.partition(" ")
-            if head != "base_score":
-                raise MalformedLine(f"expected base_score, got {line!r}", reader.line_no)
-            model.base_score_ = float(_floats(reader, "base_score", rest, 1)[0])
+            model.base_score_ = float(_floats(reader, "base_score", line, 1)[0])
             line = reader.next()
-        head, _, rest = line.partition(" ")
-        if head != "importances":
-            raise MalformedLine(f"expected importances, got {line!r}", reader.line_no)
-        model.feature_importances_ = _floats(reader, "importances", rest, dim)
-        model.nodes_ = _nodes_from(reader, model, 0 if family == "gradient_boosting" else 1)
+        model.feature_importances_ = _floats(reader, "importances", line, dim)
+        model.nodes_ = _nodes_from(reader, model)
     elif family == "logistic_regression":
-        head, _, rest = line.partition(" ")
-        if head != "bias":
-            raise MalformedLine(f"expected bias, got {line!r}", reader.line_no)
-        model.intercept_ = float(_floats(reader, "bias", rest, 1)[0])
-        model.coef_ = _floats(reader, "coef", reader.expect("coef"), dim)
+        model.intercept_ = float(_floats(reader, "bias", line, 1)[0])
+        model.coef_ = _floats(reader, "coef", reader.next(), dim)
     else:  # mlp
         h = model.hidden_units
-        if h < 1 or line != f"layers {dim} {h}":
+        if line != f"layers {dim} {h}":
             raise MalformedLine(
                 f"expected 'layers {dim} {h}' (dim, hidden_units), got {line!r}", reader.line_no
             )
-        model.theta_ = _floats(reader, "theta", reader.expect("theta"), dim * h + 2 * h + 1)
+        model.theta_ = _floats(reader, "theta", reader.next(), dim * h + 2 * h + 1)
     if reader.next() != "end":
         raise MalformedLine("model block missing 'end'", reader.line_no)
     if reader.pos != len(reader.lines):
@@ -257,13 +242,14 @@ def _tree_lines(nodes: NodeTable) -> list[str]:
     return lines
 
 
-def _nodes_from(reader: LineReader, model, min_trees: int) -> NodeTable:
+def _nodes_from(reader: LineReader, model) -> NodeTable:
     """Read the ``trees`` line and its tree blocks into one table, parsing the nodes at once.
 
     The trees must be as many as the model's ``n_estimators`` and, when
-    its ``max_depth`` is set, no deeper.
+    its ``max_depth`` is set, no deeper; each split's threshold and each
+    node's value must be finite.
     """
-    n_trees = reader.expect_int("trees", min_trees)
+    n_trees = reader.expect_int("trees")
     if n_trees != model.n_estimators:
         raise MalformedLine(f"trees must equal n_estimators {model.n_estimators}", reader.line_no)
     dim, max_depth = model.n_features_, model.max_depth
@@ -294,10 +280,14 @@ def _nodes_from(reader: LineReader, model, min_trees: int) -> NodeTable:
         raise MalformedLine("bad tree node lines", line_of(0))
     feature, threshold = nodes["feature"], nodes["threshold"]
     left, right = nodes["left"], nodes["right"]
-    bad = invalid_node(feature, threshold, left, right, sizes)
+    problems = [invalid_node(feature, threshold, left, right, sizes)]
     wide = np.nonzero(feature >= dim)[0]
-    if wide.size and (bad is None or wide[0] < bad[0]):
-        bad = (int(wide[0]), f"feature index not below dim {dim}")
+    if wide.size:
+        problems.append((int(wide[0]), f"feature index not below dim {dim}"))
+    unscorable = _unscorable(feature >= 0, threshold, nodes["value"])
+    if unscorable is not None:
+        problems.append((unscorable, "a split's threshold and a node's value must be finite"))
+    bad = min((problem for problem in problems if problem is not None), default=None)
     if bad is not None:
         raise MalformedLine(f"bad tree node: {bad[1]}", line_of(bad[0]))
     table = NodeTable(feature, threshold, right, nodes["value"], sizes)

@@ -12,6 +12,8 @@ for interface uniformity with the other families.
 
 from __future__ import annotations
 
+from typing import Annotated
+
 import numpy as np
 
 from .base import BaseModel, check_predict_input, check_X_y
@@ -21,7 +23,7 @@ from .boosting import sigmoid
 class LogisticRegression(BaseModel):
     def __init__(
         self,
-        l2: float = 1.0,
+        l2: Annotated[float, ">= 0"] = 1.0,
         max_iter: int = 1000,
         tol: float = 1e-6,
         seed: int = 0,
@@ -32,8 +34,7 @@ class LogisticRegression(BaseModel):
         self.seed = seed
 
     def fit(self, X, y) -> "LogisticRegression":
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        self._check_params()
         Xr, labels = check_X_y(X, y)
         n, d = Xr.shape
         w = np.zeros(d)

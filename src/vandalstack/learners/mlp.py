@@ -9,6 +9,8 @@ checked directly against finite differences.
 
 from __future__ import annotations
 
+from typing import Annotated
+
 import numpy as np
 
 from ..rng import derive_seed, generator
@@ -66,10 +68,10 @@ def loss_and_grad(
 class MLPClassifier(BaseModel):
     def __init__(
         self,
-        hidden_units: int = 100,
-        learning_rate: float = 1e-3,
+        hidden_units: Annotated[int, ">= 1"] = 100,
+        learning_rate: Annotated[float, "> 0"] = 1e-3,
         batch_size: int = 32,
-        max_epochs: int = 200,
+        max_epochs: Annotated[int, ">= 1"] = 200,
         alpha: float = 1e-4,
         tol: float = 1e-5,
         patience: int = 10,
@@ -85,12 +87,7 @@ class MLPClassifier(BaseModel):
         self.seed = seed
 
     def fit(self, X, y) -> "MLPClassifier":
-        if self.hidden_units < 1:
-            raise ValueError("hidden_units must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+        self._check_params()
         Xr, labels = check_X_y(X, y)
         n, d = Xr.shape
         h = self.hidden_units

@@ -155,8 +155,8 @@ class ScoringServer:
             raise ProtocolViolation(f"connection lost: {exc}") from None
         finally:
             conn.close()
-        scored, _ = join_scored(scores, self.labels)
-        report = evaluate_scored(scored, error_sets(scored), distinct=False)
+        rev_ids, values, flags = join_scored(scores, self.labels)
+        report = evaluate_scored(values, flags, error_sets(rev_ids, values, flags), distinct=False)
         return ServeResult(report=report, scores=scores, trace=list(self.trace))
 
     def _run_session(self, conn: socket.socket) -> dict[int, float]:

@@ -38,6 +38,7 @@ from .featurize import (
     vectors_to_csr,  # noqa: F401 - a name perfbench's tracer wraps
 )
 from .learners import (
+    BUILTIN_FAMILIES,
     BaseModel,
     ModelSpec,
     model_from_lines,
@@ -45,8 +46,7 @@ from .learners import (
     project_matrix,
     train,
 )
-from .learners.base import check_dense, check_X_y
-from .learners.io import param_problem
+from .learners.base import check_dense, check_X_y, param_problem
 from .lines import LineReader, Source, Target, read_lines, write_lines
 from .rng import derive_seed, generator
 
@@ -262,10 +262,11 @@ def _spec_from_json(text: str, line_no: int) -> ModelSpec:
         and isinstance(raw["family"], str)
         and isinstance(raw["hyperparameters"], dict)
         and type(raw["seed"]) is int
+        and raw["family"] in BUILTIN_FAMILIES
     ):
         raise MalformedLine(f"bad model spec {text!r}", line_no)
     for name, value in raw["hyperparameters"].items():
-        problem = param_problem(raw["family"], name, value)
+        problem = param_problem(BUILTIN_FAMILIES[raw["family"]], name, value)
         if problem:
             raise MalformedLine(f"bad model spec {text!r}: {problem}", line_no)
     return ModelSpec(raw["family"], raw["hyperparameters"], raw["seed"])

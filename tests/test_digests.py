@@ -1,4 +1,4 @@
-"""``tools/digests.py``: the byte check of schema, pipeline and scores, streamed or not."""
+"""``tools/digests.py``: the byte check of schema, pipeline, scores and reports, streamed or not."""
 
 import hashlib
 import importlib.util
@@ -19,7 +19,8 @@ def load_tool():
 
 
 def test_digests_are_the_sha256_of_the_files_the_commands_write(tmp_path, capsys):
-    got = load_tool().digests(3, SMALL)
+    tool = load_tool()
+    got = tool.digests(3, SMALL)
     assert capsys.readouterr().out == ""  # the commands' own output goes to stderr
     write_labeled(SMALL, 3, tmp_path)
     d = str(tmp_path)
@@ -28,8 +29,23 @@ def test_digests_are_the_sha256_of_the_files_the_commands_write(tmp_path, capsys
                      "--pipeline", f"{d}/pipeline.txt"]) == 0
     assert cli.main(["predict", "--pipeline", f"{d}/pipeline.txt",
                      "--input", f"{d}/test_corpus.tsv", "--output", f"{d}/scores.tsv"]) == 0
+    assert cli.main(["analyze", "--scores", f"{d}/scores.tsv", "--truth", f"{d}/test_truth.tsv",
+                     "--corpus", f"{d}/test_corpus.tsv", "--schema", f"{d}/schema.txt",
+                     "--out-dir", f"{d}/analysis"]) == 0
+    # the session's report is what `evaluate --report` makes of the streamed scores
+    tool.stream(tmp_path / "pipeline.txt", tmp_path / "test_corpus.tsv",
+                tmp_path / "test_truth.tsv", tmp_path)
+    assert cli.main(["evaluate", "--scores", f"{d}/stream.tsv", "--truth", f"{d}/test_truth.tsv",
+                     "--report", f"{d}/evaluated.txt"]) == 0
+    evaluated = (tmp_path / "evaluated.txt").read_bytes()
+    assert (tmp_path / "session.txt").read_bytes() == evaluated
     want = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("schema.txt", "pipeline.txt", "scores.tsv")
     }
-    assert got == {**want, "stream.tsv": want["scores.tsv"]}
+    analysis = b"".join(
+        (tmp_path / "analysis" / name).read_bytes()
+        for name in ("report.txt", "histogram.tsv", "errors.tsv", "mds.tsv")
+    )
+    report = hashlib.sha256(analysis + evaluated).hexdigest()
+    assert got == {**want, "stream.tsv": want["scores.tsv"], "report": report}

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests._util import auc_bruteforce, random_scored_dataset, rev
 from vandalstack.errors import (
@@ -13,45 +15,56 @@ from vandalstack.errors import (
     SingleClass,
 )
 from vandalstack.evaluation import (
-    ErrorSets,
-    ScoredExample,
+    N_BINS,
     auc_from_arrays,
-    auc_roc,
     classical_mds,
     error_sets,
     evaluate_scored,
     histogram_rows,
+    join_scored,
     load_scores,
     score_diff_histogram,
 )
 from vandalstack.featurize import build_schema, encode, encode_matrix, extract_many
 
 
-def se(rev_id, score, label):
-    return ScoredExample(rev_id=rev_id, score=score, label=label)
+def joined(*examples):
+    """The scored set of ``(rev_id, score, label)`` examples, as join_scored builds it."""
+    return join_scored(
+        {rev_id: score for rev_id, score, _ in examples},
+        {rev_id: label for rev_id, _, label in examples},
+    )
 
 
-def test_scored_example_validates_score():
-    se(1, 0.0, True)
-    se(2, 1.0, False)
+def test_join_scored_validates_score():
+    joined((1, 0.0, True))
+    joined((2, 1.0, False))
     with pytest.raises(ValueError):
-        se(3, 1.5, True)
+        joined((3, 1.5, True))
     with pytest.raises(ValueError):
-        se(4, -0.1, False)
+        joined((4, -0.1, False))
     with pytest.raises(ValueError):
-        se(5, float("nan"), True)
+        joined((5, float("nan"), True))
+
+
+def test_join_scored_aligns_labelled_rev_ids_in_order():
+    rev_ids, scores, labels = join_scored({9: 0.25, 2: 0.75, 5: 0.5}, {5: False, 9: True, 7: True})
+    assert rev_ids.tolist() == [5, 9]
+    assert scores.tolist() == [0.5, 0.25]
+    assert labels.tolist() == [False, True]
+    assert (rev_ids.dtype, scores.dtype, labels.dtype) == (np.int64, np.float64, bool)
 
 
 def test_auc_hand_computed():
-    scored = [se(1, 0.8, True), se(2, 0.4, True), se(3, 0.6, False), se(4, 0.2, False)]
-    assert auc_roc(scored) == 0.75
+    _, scores, labels = joined((1, 0.8, True), (2, 0.4, True), (3, 0.6, False), (4, 0.2, False))
+    assert auc_from_arrays(labels, scores) == 0.75
 
 
 def test_auc_perfect_and_tied():
-    perfect = [se(1, 0.9, True), se(2, 0.1, False), se(3, 0.95, True)]
-    assert auc_roc(perfect) == 1.0
-    tied = [se(1, 0.5, True), se(2, 0.5, False), se(3, 0.5, True)]
-    assert auc_roc(tied) == 0.5
+    _, scores, labels = joined((1, 0.9, True), (2, 0.1, False), (3, 0.95, True))
+    assert auc_from_arrays(labels, scores) == 1.0
+    _, scores, labels = joined((1, 0.5, True), (2, 0.5, False), (3, 0.5, True))
+    assert auc_from_arrays(labels, scores) == 0.5
 
 
 def test_auc_reversal_identity():
@@ -73,19 +86,20 @@ def test_auc_matches_bruteforce_pair_counting():
 
 
 def test_auc_single_class_rejected():
+    _, scores, labels = joined((1, 0.5, True), (2, 0.6, True))
     with pytest.raises(SingleClass):
-        auc_roc([se(1, 0.5, True), se(2, 0.6, True)])
+        auc_from_arrays(labels, scores)
 
 
 def test_histogram_bin_placement():
-    scored = [
-        se(1, 1.0, True),     # diff 0.0   -> bin 0
-        se(2, 0.75, True),    # diff 0.25  -> bin 5
-        se(3, 0.5, True),     # diff 0.5   -> bin 10, not misclassified
-        se(4, 0.75, False),   # diff 0.75  -> bin 15, misclassified
-        se(5, 1.0, False),    # diff 1.0   -> bin 19 (last bin closed)
-    ]
-    histogram, misclassified = score_diff_histogram(scored)
+    _, scores, labels = joined(
+        (1, 1.0, True),     # diff 0.0   -> bin 0
+        (2, 0.75, True),    # diff 0.25  -> bin 5
+        (3, 0.5, True),     # diff 0.5   -> bin 10, not misclassified
+        (4, 0.75, False),   # diff 0.75  -> bin 15, misclassified
+        (5, 1.0, False),    # diff 1.0   -> bin 19 (last bin closed)
+    )
+    histogram, misclassified = score_diff_histogram(scores, labels)
     assert histogram.sum() == 5
     assert histogram[0] == 1
     assert histogram[5] == 1
@@ -96,7 +110,8 @@ def test_histogram_bin_placement():
 
 
 def test_histogram_rows_layout():
-    histogram, _ = score_diff_histogram([se(1, 1.0, True)])
+    _, scores, labels = joined((1, 1.0, True))
+    histogram, _ = score_diff_histogram(scores, labels)
     rows = histogram_rows(histogram)
     assert len(rows) == 20
     assert rows[0] == (0.0, 0.05, 1)
@@ -105,13 +120,14 @@ def test_histogram_rows_layout():
 
 
 def test_error_sets_threshold_is_inclusive_for_fp():
-    scored = [
-        se(1, 0.5, False),   # FP: score == threshold counts
-        se(2, 0.49, False),  # true negative
-        se(3, 0.5, True),    # true positive (score >= threshold)
-        se(4, 0.49, True),   # FN
-    ]
-    errors = error_sets(scored)
+    errors = error_sets(
+        *joined(
+            (1, 0.5, False),   # FP: score == threshold counts
+            (2, 0.49, False),  # true negative
+            (3, 0.5, True),    # true positive (score >= threshold)
+            (4, 0.49, True),   # FN
+        )
+    )
     assert errors.fp == (1,)
     assert errors.fn == (4,)
     assert errors.fp_distinct == (1,)
@@ -122,14 +138,14 @@ def test_error_sets_distinct_keeps_lowest_rev_id():
     same = np.array([1.0, 0.0, 0.0])
     other = np.array([0.0, 2.0, 0.0])
     rows = {10: same, 7: same.copy(), 9: other, 3: other, 5: same}
-    scored = [
-        se(10, 0.9, False),
-        se(7, 0.8, False),
-        se(9, 0.7, False),
-        se(3, 0.1, True),
-        se(5, 0.2, True),
-    ]
-    errors = error_sets(scored, rows=rows)
+    scored = joined(
+        (10, 0.9, False),
+        (7, 0.8, False),
+        (9, 0.7, False),
+        (3, 0.1, True),
+        (5, 0.2, True),
+    )
+    errors = error_sets(*scored, rows=rows)
     assert errors.fp == (7, 9, 10)
     assert errors.fp_distinct == (7, 9)  # 10 collapses onto 7
     assert errors.fn == (3, 5)
@@ -137,13 +153,13 @@ def test_error_sets_distinct_keeps_lowest_rev_id():
 
 
 def test_evaluate_scored_assembles_report():
-    scored = [
-        se(1, 0.75, True),
-        se(2, 0.25, True),   # FN, diff 0.75 -> misclassified
-        se(3, 0.25, False),
-        se(4, 0.75, False),  # FP, diff 0.75 -> misclassified
-    ]
-    report = evaluate_scored(scored, error_sets(scored), distinct=False)
+    rev_ids, scores, labels = joined(
+        (1, 0.75, True),
+        (2, 0.25, True),   # FN, diff 0.75 -> misclassified
+        (3, 0.25, False),
+        (4, 0.75, False),  # FP, diff 0.75 -> misclassified
+    )
+    report = evaluate_scored(scores, labels, error_sets(rev_ids, scores, labels), distinct=False)
     assert report.n == 4
     assert report.positives == 2 and report.negatives == 2
     assert report.auc == 0.5
@@ -153,8 +169,49 @@ def test_evaluate_scored_assembles_report():
     assert report.histogram.sum() == 4
 
     rows = {i: np.array([float(i), 0.0]) for i in range(1, 5)}
-    with_rows = evaluate_scored(scored, error_sets(scored, rows=rows), distinct=True)
+    errors = error_sets(rev_ids, scores, labels, rows=rows)
+    with_rows = evaluate_scored(scores, labels, errors, distinct=True)
     assert with_rows.fp_distinct == 1 and with_rows.fn_distinct == 1
+
+
+# scores on a coarse grid, so that ties, the bin edges and 0.5 come up often
+grid_scores = st.integers(0, 40).map(lambda k: k / 40)
+scored_sets = st.dictionaries(
+    st.integers(1, 10**6), st.tuples(grid_scores, st.booleans()), min_size=1, max_size=60
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_sets, grid_scores)
+def test_the_array_forms_match_a_per_example_reference(examples, threshold):
+    rev_ids, scores, labels = joined(*((r, s, l) for r, (s, l) in examples.items()))
+    order = sorted(examples)
+    assert rev_ids.tolist() == order
+    histogram, misclassified = score_diff_histogram(scores, labels)
+    want = [0] * N_BINS
+    for rev_id in order:
+        score, label = examples[rev_id]
+        diff = abs((1.0 if label else 0.0) - score)
+        want[min(int(diff * N_BINS), N_BINS - 1)] += 1
+    assert histogram.tolist() == want
+    assert misclassified == sum(
+        abs((1.0 if label else 0.0) - score) > 0.5 for score, label in examples.values()
+    )
+    errors = error_sets(rev_ids, scores, labels, threshold)
+    negatives = [r for r in order if not examples[r][1]]
+    positives = [r for r in order if examples[r][1]]
+    assert errors.fp == tuple(r for r in negatives if examples[r][0] >= threshold)
+    assert errors.fn == tuple(r for r in positives if examples[r][0] < threshold)
+    if labels.all() or not labels.any():
+        with pytest.raises(SingleClass):
+            auc_from_arrays(labels, scores)
+        return
+    pairs = [
+        1.0 if p > n else 0.5 if p == n else 0.0
+        for p, lp in examples.values() if lp
+        for n, ln in examples.values() if not ln
+    ]
+    assert auc_from_arrays(labels, scores) == sum(pairs) / len(pairs)
 
 
 def test_load_scores_round_trip_and_errors(tmp_path):

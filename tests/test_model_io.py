@@ -269,3 +269,53 @@ def test_corrupt_model_line_fails_at_load_naming_the_line(model, line_no, text, 
     with pytest.raises(MalformedLine) as info:
         model_from_lines(lines)
     assert info.value.line_no == reported
+
+
+def set_item(attribute, index, value):
+    def mutate(model):
+        getattr(model, attribute)[index] = value
+
+    return mutate
+
+
+def set_node(column, index, value):
+    return lambda model: set_item(column, index, value)(model.nodes_)
+
+
+@pytest.mark.parametrize(
+    "model, line_no, text, mutate",
+    [
+        (TREE_MODEL, 8, "base_score nan", lambda m: setattr(m, "base_score_", np.nan)),
+        (TREE_MODEL, 9, "importances 0.5 inf", set_item("feature_importances_", 1, np.inf)),
+        (TREE_MODEL, 12, "node 0 nan 1 2 0.0", set_node("threshold", 0, np.nan)),
+        (TREE_MODEL, 14, "node 1 -inf 5 6 0.0", set_node("threshold", 2, -np.inf)),
+        (TREE_MODEL, 13, "node 1 0.5 3 4 inf", set_node("value", 1, np.inf)),
+        (TREE_MODEL, 16, "node -1 nan -1 -1 nan", set_node("value", 4, np.nan)),
+        (LINEAR_MODEL, 8, "bias nan", lambda m: setattr(m, "intercept_", np.nan)),
+        (LINEAR_MODEL, 9, "coef 0.25 -inf", set_item("coef_", 1, -np.inf)),
+        (
+            MLP_MODEL, 13, "theta 0.1 0.2 0.3 0.4 0.0 nan 0.5 -0.5 0.0",
+            set_item("theta_", 5, np.nan),
+        ),
+    ],
+)
+def test_a_non_finite_fitted_value_is_neither_loaded_nor_written(model, line_no, text, mutate):
+    lines = list(model)
+    lines[line_no - 1] = text
+    with pytest.raises(MalformedLine) as info:
+        model_from_lines(lines)
+    assert info.value.line_no == line_no
+    # the writer refuses the same value, naming the line it would have written
+    loaded = model_from_lines(model)
+    mutate(loaded)
+    with pytest.raises(MalformedLine) as info:
+        model_to_lines(loaded)
+    assert info.value.line_no == line_no
+
+
+@pytest.mark.parametrize("value", [-0.5, np.float64(0.1), True])
+def test_a_parameter_set_after_fit_outside_its_domain_is_not_written(value):
+    model = model_from_lines(TREE_MODEL).set_params(learning_rate=value)
+    with pytest.raises(MalformedLine) as info:
+        model_to_lines(model)
+    assert info.value.line_no == TREE_MODEL.index("param learning_rate 0.1") + 1

@@ -189,11 +189,14 @@ def test_reassigned_trees_are_never_served_stale(first, second, X):
 
 
 # floats a writer may get wrong: signed zeros, subnormals, the extremes
+# (finite ones: a model file refuses the others)
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-    1.7976931348623157e308, -1.7976931348623157e308, 1e300, 1 / 3, np.inf, -np.inf,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e300, 1 / 3,
 ]
-edge_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, width=64))
+edge_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False, width=64)
+)
 edge_trees = trees(cuts=edge_floats, values=edge_floats)
 
 

@@ -1,4 +1,4 @@
-"""Print the sha256 of the schema, pipeline and scores written on benchmark splits.
+"""Print the sha256 of the schema, pipeline, scores and reports written on benchmark splits.
 
 Usage, from the root of a checkout::
 
@@ -6,16 +6,19 @@ Usage, from the root of a checkout::
 
 For each seed (7 and 1 when none is given) it writes the split with
 ``perfbench.corpusgen.write_labeled(SPEC, seed, dir)`` into a temporary
-directory, runs ``train-stack`` on its train files and ``predict`` on its
-test corpus through ``vandalstack.cli.main``, then streams the test corpus
-through a loopback ``ScoringServer`` session answered by ``run_client``
-and writes the answers as a scores file in corpus order.  It prints one
-line::
+directory, runs ``train-stack`` on its train files, ``predict`` on its
+test corpus and ``analyze --corpus --schema`` on those scores through
+``vandalstack.cli.main``, then streams the test corpus through a loopback
+``ScoringServer`` session answered by ``run_client``.  It writes the
+answers as a scores file in corpus order, and the session's report as
+``serve --report`` writes it.  It prints one line::
 
-    seed 7 schema <sha256> pipeline <sha256> scores <sha256> stream <sha256>
+    seed 7 schema <sha256> pipeline <sha256> scores <sha256> stream <sha256> report <sha256>
 
 ``stream`` equals ``scores`` when streaming scores every revision exactly
-as ``predict`` does.
+as ``predict`` does.  ``report`` is the sha256 of the files in
+:data:`REPORTS`, one after another: what ``analyze`` writes, then the
+session's report.
 
 Two checkouts write the same bytes when they print the same lines; run
 the script with each checkout's ``src`` first on ``PYTHONPATH``.  It only
@@ -39,7 +42,22 @@ from vandalstack.corpus import load_corpus, load_labels
 from vandalstack.lines import write_lines
 from vandalstack.serve import ScoringServer, format_score, run_client
 
-OUTPUTS = ("schema.txt", "pipeline.txt", "scores.tsv", "stream.tsv")
+OUTPUTS = ("schema.txt", "pipeline.txt", "scores.tsv", "stream.tsv", "report")
+# the files hashed together as `report`: analyze's out-dir, then the session's report
+REPORTS = (
+    "analysis/report.txt",
+    "analysis/histogram.tsv",
+    "analysis/errors.tsv",
+    "analysis/mds.tsv",
+    "session.txt",
+)
+
+
+def sha256_of(paths) -> str:
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(Path(path).read_bytes())
+    return digest.hexdigest()
 
 
 def digests(seed: int, spec=SPEC) -> dict[str, str]:
@@ -53,18 +71,26 @@ def digests(seed: int, spec=SPEC) -> dict[str, str]:
              "--schema", str(d / "schema.txt"), "--pipeline", str(d / "pipeline.txt")],
             ["predict", "--pipeline", str(d / "pipeline.txt"),
              "--input", str(d / "test_corpus.tsv"), "--output", str(d / "scores.tsv")],
+            ["analyze", "--scores", str(d / "scores.tsv"), "--truth", str(d / "test_truth.tsv"),
+             "--corpus", str(d / "test_corpus.tsv"), "--schema", str(d / "schema.txt"),
+             "--out-dir", str(d / "analysis")],
         )
         for argv in commands:
             with contextlib.redirect_stdout(sys.stderr):
                 status = cli.main(argv)
             if status != 0:
                 raise SystemExit(f"{argv[0]} exited with {status}")
-        stream(d / "pipeline.txt", d / "test_corpus.tsv", d / "test_truth.tsv", d / "stream.tsv")
-        return {name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name in OUTPUTS}
+        stream(d / "pipeline.txt", d / "test_corpus.tsv", d / "test_truth.tsv", d)
+        sums = {name: sha256_of([d / name]) for name in OUTPUTS[:-1]}
+        return {**sums, "report": sha256_of(d / name for name in REPORTS)}
 
 
-def stream(pipeline: Path, corpus: Path, truth: Path, out: Path) -> None:
-    """Score ``corpus`` in one loopback session and write the answers in corpus order."""
+def stream(pipeline: Path, corpus: Path, truth: Path, out_dir: Path) -> None:
+    """Score ``corpus`` in one loopback session, then write its answers and its report.
+
+    The answers go to ``stream.tsv`` in corpus order, and the report to
+    ``session.txt`` as ``serve --report`` writes it.
+    """
     revisions = load_corpus(corpus).revisions
     server = ScoringServer(revisions, load_labels(truth))
     host, port = server.bind()
@@ -72,12 +98,17 @@ def stream(pipeline: Path, corpus: Path, truth: Path, out: Path) -> None:
         with ThreadPoolExecutor(1) as pool:
             session = pool.submit(server.serve_one)
             status = run_client(pipeline, f"{host}:{port}")
-            answers = session.result().scores
+            result = session.result()
     finally:
         server.close()
     if status != 0:
         raise SystemExit(f"client exited with {status}")
-    write_lines(out, (f"{rev.rev_id}\t{format_score(answers[rev.rev_id])}" for rev in revisions))
+    answers = result.scores
+    write_lines(
+        out_dir / "stream.tsv",
+        (f"{rev.rev_id}\t{format_score(answers[rev.rev_id])}" for rev in revisions),
+    )
+    write_lines(out_dir / "session.txt", cli._report_lines(result.report))
 
 
 def main(argv: list[str]) -> int:
