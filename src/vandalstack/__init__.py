@@ -68,14 +68,11 @@ from .rng import derive_seed, generator
 from .sampling import SamplingConfig, content_key, dedup, undersample
 from .serve import ScoringServer, format_score, run_client, run_server
 from .stacking import (
-    FoldPlan,
     StackConfig,
     StackedPipeline,
-    default_stack_config,
     fit_stack,
     kfold_assign,
     load_pipeline,
-    mean_ensemble,
     predict_stack,
     predict_stack_batch,
     save_pipeline,
@@ -149,14 +146,11 @@ __all__ = [
     "run_client",
     "run_server",
     # stacking
-    "FoldPlan",
     "StackConfig",
     "StackedPipeline",
-    "default_stack_config",
     "fit_stack",
     "kfold_assign",
     "load_pipeline",
-    "mean_ensemble",
     "predict_stack",
     "predict_stack_batch",
     "save_pipeline",

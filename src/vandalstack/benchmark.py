@@ -199,14 +199,21 @@ def main(argv=None) -> int:
         help="also write train_/test_ splits holding out this trailing fraction",
     )
     args = parser.parse_args(argv)
+    if args.n < 0:
+        parser.error(f"--n must be >= 0, got {args.n}")
+    if not 0.0 <= args.positive_rate <= 1.0:
+        parser.error(f"--positive-rate must be in [0, 1], got {args.positive_rate}")
+    examples = make_benchmark(args.n, args.positive_rate, args.seed)
+    splits = {"bench": examples}
+    if args.holdout is not None:
+        try:
+            splits["train"], splits["test"] = split_holdout(examples, args.holdout)
+        except ValueError as exc:
+            parser.error(f"--holdout {args.holdout}: {exc}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    examples = make_benchmark(args.n, args.positive_rate, args.seed)
-    write_split(examples, out_dir, "bench")
-    if args.holdout is not None:
-        train, test = split_holdout(examples, args.holdout)
-        write_split(train, out_dir, "train")
-        write_split(test, out_dir, "test")
+    for stem, split in splits.items():
+        write_split(split, out_dir, stem)
     positives = sum(1 for ex in examples if ex.label)
     print(f"wrote {len(examples)} examples ({positives} positive) to {out_dir}")
     return 0

@@ -67,13 +67,7 @@ from .learners import (
 from .lines import write_lines
 from .sampling import dedup, undersample
 from .serve import format_score, run_client, run_server
-from .stacking import (
-    StackConfig,
-    fit_stack,
-    load_pipeline,
-    predict_stack_batch,
-    save_pipeline,
-)
+from .stacking import fit_stack, load_pipeline, predict_stack_batch, save_pipeline
 
 _FORMAT_VERSIONS = "schema v1, model v1, pipeline v1"
 
@@ -321,10 +315,7 @@ def _cmd_train_stack(args) -> int:
             "feature selection removed every column; lower selection.threshold"
         )
 
-    stack_config = StackConfig(
-        k=cfg.stack_k, seed=cfg.stack_seed(), refit_full=cfg.refit_full
-    )
-    pipeline = fit_stack(X, labels, stack_config, schema=schema, selected=selected)
+    pipeline = fit_stack(X, labels, cfg.stack_config(), schema=schema, selected=selected)
     save_pipeline(pipeline, cfg.pipeline)
     print(f"training examples {len(examples)}")
     print(f"encoded dim {schema.total_dim}")

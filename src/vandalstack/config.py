@@ -1,13 +1,14 @@
 """Line-oriented ``key = value`` run configuration.
 
 Sections are spelled as dotted prefixes (``sampling.fraction = 1/50``).
-Every key but ``sampling.seed``, ``sampling.dedup``, ``selection.seed``
-and ``stack.refit_full`` has a ``train-stack`` flag that overrides it;
-those four are set in the file only.  The defaults reproduce the
-reference configuration: 1/50 under-sampling, dedup after sampling,
-selection threshold 1e-5 with a seed-0 selection model, the standard
-6+4 model stages with k=3, and one master seed that every other seed
-derives from.
+Every key but ``sampling.seed``, ``sampling.dedup`` and
+``selection.seed`` has a ``train-stack`` flag that overrides it; those
+three are set in the file only.  The defaults reproduce the reference
+configuration: 1/50 under-sampling, dedup after sampling, selection
+threshold 1e-5 with a seed-0 selection model, the standard 6+4 model
+stages with k=3, and one master seed that every other seed derives from.
+``stack.k`` is checked by :class:`~vandalstack.stacking.StackConfig`,
+which states the stack's rule for the pipeline loader too.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import UsageError
 from .lines import read_lines
 from .rng import derive_seed
 from .sampling import SamplingConfig
+from .stacking import StackConfig
 
 _TRUTHY = {"1", "true", "yes", "on"}
 _FALSY = {"0", "false", "no", "off"}
@@ -52,7 +54,6 @@ _KEYS = {
     "selection.threshold": ("selection_threshold", float),
     "selection.seed": ("selection_seed", int),
     "stack.k": ("stack_k", int),
-    "stack.refit_full": ("refit_full", _parse_bool),
 }
 
 
@@ -72,7 +73,6 @@ class RunConfig:
     selection_threshold: float = 1e-5
     selection_seed: int = 0
     stack_k: int = 3
-    refit_full: bool = False
 
     def __post_init__(self):
         if self.malformed not in ("skip", "abort"):
@@ -81,8 +81,10 @@ class RunConfig:
             raise UsageError(f"sampling.dedup_order must be after|before, got {self.dedup_order!r}")
         if not (math.isfinite(self.selection_threshold) and self.selection_threshold >= 0):
             raise UsageError("selection.threshold must be finite and >= 0")
-        if self.stack_k < 2:
-            raise UsageError("stack.k must be >= 2")
+        try:
+            self.stack_config()
+        except UsageError as exc:
+            raise UsageError(f"stack.k: {exc}") from None
 
     def sampling_config(self) -> SamplingConfig:
         seed = self.sampling_seed
@@ -94,6 +96,9 @@ class RunConfig:
 
     def stack_seed(self) -> int:
         return derive_seed(self.master_seed, "stack", 0)
+
+    def stack_config(self) -> StackConfig:
+        return StackConfig(k=self.stack_k, seed=self.stack_seed())
 
     def schema_path(self) -> str:
         if self.schema is not None:

@@ -28,7 +28,7 @@ from .lines import Source, read_lines, write_lines
 
 GEO_FIELDS = ("country", "continent", "timezone", "region", "city", "county")
 
-# Label spellings accepted by default, lower-cased.  Projects that export
+# The label spellings a truth file may use, lower-cased.  Projects that export
 # reverts straight from wiki dumps tend to use the ROLLBACK_REVERTED tag.
 TRUE_LABELS = frozenset({"1", "true", "t", "yes", "vandalism", "rollback_reverted"})
 FALSE_LABELS = frozenset({"0", "false", "f", "no", "regular", "safe"})
@@ -169,14 +169,11 @@ def load_corpus(source: Source, on_malformed: str = "skip") -> CorpusLoad:
     return CorpusLoad(revisions, bad)
 
 
-def load_labels(
-    source: Source,
-    true_labels: frozenset[str] = TRUE_LABELS,
-    false_labels: frozenset[str] = FALSE_LABELS,
-) -> dict[int, bool]:
+def load_labels(source: Source) -> dict[int, bool]:
     """Read a truth file into ``{rev_id: label}``.
 
-    Label spellings are matched case-insensitively against the two sets.
+    Label spellings are matched case-insensitively against
+    :data:`TRUE_LABELS` and :data:`FALSE_LABELS`.
     Re-stating the same label for a rev_id is fine; a contradiction raises
     :class:`DuplicateConflict`.
     """
@@ -189,9 +186,9 @@ def load_labels(
             )
         rev_id = _parse_rev_id(parts[0], line_no)
         token = parts[1].strip().lower()
-        if token in true_labels:
+        if token in TRUE_LABELS:
             label = True
-        elif token in false_labels:
+        elif token in FALSE_LABELS:
             label = False
         else:
             raise MalformedLine(f"unknown label spelling {parts[1]!r}", line_no)

@@ -190,10 +190,10 @@ def load_scores(source: Source) -> dict[int, float]:
     return scores
 
 
-def classical_mds(points: np.ndarray, target_dim: int = 2) -> np.ndarray:
-    """Torgerson MDS of the Euclidean distances between the rows of ``points``.
+def classical_mds(points: np.ndarray) -> np.ndarray:
+    """2-D Torgerson MDS of the Euclidean distances between the rows of ``points``.
 
-    Double-centers the squared-distance matrix, takes the top eigenpairs
+    Double-centers the squared-distance matrix, takes the top two eigenpairs
     of the symmetric Gram matrix, and scales eigenvectors by
     sqrt(max(eigenvalue, 0)).  The output is centered at the origin, and
     each axis's sign is fixed so its largest-magnitude coordinate is
@@ -204,7 +204,7 @@ def classical_mds(points: np.ndarray, target_dim: int = 2) -> np.ndarray:
     if n == 0:
         raise EmptyDataset("classical_mds needs at least one point")
     if n == 1:
-        return np.zeros((1, target_dim))
+        return np.zeros((1, 2))
     gram = dense @ dense.T
     norms = np.diag(gram).copy()
     squared = norms[:, None] + norms[None, :] - 2.0 * gram
@@ -213,13 +213,13 @@ def classical_mds(points: np.ndarray, target_dim: int = 2) -> np.ndarray:
     centered += squared.mean()
     b_matrix = -0.5 * centered
     eigenvalues, eigenvectors = np.linalg.eigh(b_matrix)
-    top = np.argsort(eigenvalues)[::-1][:target_dim]
-    coords = np.zeros((n, target_dim))
+    top = np.argsort(eigenvalues)[::-1][:2]
+    coords = np.zeros((n, 2))
     for axis, idx in enumerate(top):
         scale = np.sqrt(max(float(eigenvalues[idx]), 0.0))
         coords[:, axis] = eigenvectors[:, idx] * scale
     coords -= coords.mean(axis=0)
-    for axis in range(target_dim):
+    for axis in range(2):
         column = coords[:, axis]
         peak = int(np.argmax(np.abs(column)))
         if column[peak] < 0:

@@ -7,11 +7,13 @@ else does: the second stage never sees the original features.  The final
 score is the arithmetic mean of the second-stage probabilities.
 
 At prediction time each first-stage meta-feature is the mean of that
-spec's k fold models (or one refit-on-everything model when
-``refit_full`` is set).  Every seed below — fold shuffle, each
+spec's k fold models.  Every seed below — fold shuffle, each
 (spec, fold) training, each second-stage training — derives from the one
 ``StackConfig.seed``, so a single integer pins the whole pipeline; the
 per-spec ``seed`` field matters only when a spec is trained standalone.
+:class:`StackConfig` states the stack's one rule (k >= 2 folds, both
+stages non-empty) for ``fit_stack``, the run configuration's ``stack.k``
+and the pipeline loader, which reports a breach at the ``k`` line.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptyList,
     MalformedLine,
     TooFewExamples,
     UsageError,
@@ -53,23 +54,14 @@ from .rng import derive_seed, generator
 PIPELINE_HEADER = "vandalstack-pipeline v1"
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    k: int
-    assignment: np.ndarray
-    seed: int
-
-
-def kfold_assign(n: int, k: int, seed: int) -> FoldPlan:
-    """Seeded shuffle, then round-robin fold labels over the shuffled order."""
-    if k < 2:
-        raise UsageError(f"need k >= 2 folds, got {k}")
+def kfold_assign(n: int, k: int, seed: int) -> np.ndarray:
+    """Each row's fold: a seeded shuffle, then round-robin fold labels over it."""
     if n < k:
         raise TooFewExamples(f"cannot split {n} examples into {k} folds")
     order = generator(seed).permutation(n)
     assignment = np.empty(n, dtype=np.int64)
     assignment[order] = np.arange(n, dtype=np.int64) % k
-    return FoldPlan(k=k, assignment=assignment, seed=seed)
+    return assignment
 
 
 def _default_first_stage() -> tuple[ModelSpec, ...]:
@@ -98,17 +90,14 @@ class StackConfig:
     second_stage: tuple[ModelSpec, ...] = field(default_factory=_default_second_stage)
     k: int = 3
     seed: int = 0
-    refit_full: bool = False
 
     def __post_init__(self):
+        if self.k < 2:
+            raise UsageError(f"need k >= 2 folds, got {self.k}")
         if not self.first_stage or not self.second_stage:
             raise UsageError("both model stages must be non-empty")
         object.__setattr__(self, "first_stage", tuple(self.first_stage))
         object.__setattr__(self, "second_stage", tuple(self.second_stage))
-
-
-def default_stack_config(seed: int = 0, k: int = 3, refit_full: bool = False) -> StackConfig:
-    return StackConfig(k=k, seed=seed, refit_full=refit_full)
 
 
 @dataclass
@@ -125,7 +114,6 @@ class StackedPipeline:
     config: StackConfig
     fold_models: tuple[tuple[BaseModel, ...], ...]
     second_models: tuple[BaseModel, ...]
-    full_models: Optional[tuple[BaseModel, ...]] = None
     schema: Optional[FeatureSchema] = None
     selected: Optional[tuple[int, ...]] = None
     oof_: Optional[np.ndarray] = None
@@ -149,14 +137,14 @@ def fit_stack(
         selected = tuple(int(j) for j in selected)
     Xmat, labels = check_X_y(_model_input(X, schema, selected), y)
     n = Xmat.shape[0]
-    plan = kfold_assign(n, config.k, derive_seed(config.seed, "folds", 0))
+    folds = kfold_assign(n, config.k, derive_seed(config.seed, "folds", 0))
     n_first = len(config.first_stage)
     oof = np.zeros((n, n_first))
     fold_models = []
     for j, spec in enumerate(config.first_stage):
         per_fold = []
         for f in range(config.k):
-            train_rows = plan.assignment != f
+            train_rows = folds != f
             model = train(
                 spec,
                 Xmat[train_rows],
@@ -170,17 +158,10 @@ def fit_stack(
         train(spec, oof, labels, seed=derive_seed(config.seed, "second-stage", j))
         for j, spec in enumerate(config.second_stage)
     )
-    full_models = None
-    if config.refit_full:
-        full_models = tuple(
-            train(spec, Xmat, labels, seed=derive_seed(config.seed, "first-full", j))
-            for j, spec in enumerate(config.first_stage)
-        )
     return StackedPipeline(
         config=config,
         fold_models=tuple(fold_models),
         second_models=second_models,
-        full_models=full_models,
         schema=schema,
         selected=tuple(selected) if selected is not None else None,
         oof_=oof,
@@ -198,16 +179,11 @@ def _model_input(X, schema: Optional[FeatureSchema], selected) -> np.ndarray:
 def stack_meta_features(pipeline: StackedPipeline, X) -> np.ndarray:
     """Meta-feature matrix for already-projected input.
 
-    Column j is the mean of spec j's k fold models (or its single
-    refit-on-all model when the pipeline was built with ``refit_full``).
+    Column j is the mean of spec j's k fold models.
     """
     Xmat = check_dense(X)
     n_first = len(pipeline.config.first_stage)
     meta = np.zeros((Xmat.shape[0], n_first))
-    if pipeline.full_models is not None:
-        for j, model in enumerate(pipeline.full_models):
-            meta[:, j] = model.predict_proba(Xmat)
-        return meta
     for j, per_fold in enumerate(pipeline.fold_models):
         acc = np.zeros(Xmat.shape[0])
         for model in per_fold:
@@ -227,13 +203,6 @@ def predict_stack_batch(pipeline: StackedPipeline, X) -> np.ndarray:
 
 def predict_stack(pipeline: StackedPipeline, x: FeatureVector) -> float:
     return float(predict_stack_batch(pipeline, x.to_dense()[None, :])[0])
-
-
-def mean_ensemble(scores: Sequence[float]) -> float:
-    scores = list(scores)
-    if not scores:
-        raise EmptyList("mean_ensemble needs at least one score")
-    return float(sum(scores) / len(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +247,7 @@ def pipeline_to_lines(pipeline: StackedPipeline) -> Iterator[str]:
     yield PIPELINE_HEADER
     yield f"k {cfg.k}"
     yield f"seed {cfg.seed}"
-    yield f"refit_full {1 if cfg.refit_full else 0}"
+    yield "refit_full 0"  # a fixed line: fold averaging is the one meta-feature rule
     yield f"first_stage {len(cfg.first_stage)}"
     yield f"second_stage {len(cfg.second_stage)}"
     for j, spec in enumerate(cfg.first_stage):
@@ -301,9 +270,6 @@ def pipeline_to_lines(pipeline: StackedPipeline) -> Iterator[str]:
     for j, per_fold in enumerate(pipeline.fold_models):
         for f, model in enumerate(per_fold):
             yield from section(f"model first {j} {f}", model_to_lines(model))
-    if pipeline.full_models is not None:
-        for j, model in enumerate(pipeline.full_models):
-            yield from section(f"model full {j}", model_to_lines(model))
     for j, model in enumerate(pipeline.second_models):
         yield from section(f"model second {j}", model_to_lines(model))
     yield "end"
@@ -325,16 +291,20 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
             specs.append(_spec_from_json(parts[2], reader.line_no))
         return tuple(specs)
 
-    k = reader.expect_int("k", 1)
+    k = reader.expect_int("k")
+    k_line = reader.line_no
     seed = reader.expect_int("seed")
     refit_raw = reader.expect("refit_full")
-    if refit_raw not in ("0", "1"):
-        raise MalformedLine(f"bad 'refit_full' value {refit_raw!r}", reader.line_no)
-    refit_full = refit_raw == "1"
+    if refit_raw != "0":
+        raise MalformedLine(f"bad 'refit_full' value {refit_raw!r}; only 0 is read", reader.line_no)
     n_first = reader.expect_int("first_stage", 1)
     n_second = reader.expect_int("second_stage", 1)
     first = take_specs("first", n_first)
     second = take_specs("second", n_second)
+    try:
+        config = StackConfig(first_stage=first, second_stage=second, k=k, seed=seed)
+    except UsageError as exc:
+        raise MalformedLine(str(exc), k_line) from None
     selected_raw = reader.expect("selected")
     selected_line = reader.line_no
     if selected_raw == "none":
@@ -380,7 +350,6 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
     # generated, not listed: a huge count in the header costs nothing
     expected = itertools.chain(
         (f"model first {j} {f}" for j in range(n_first) for f in range(k)),
-        (f"model full {j}" for j in range(n_first if refit_full else 0)),
         (f"model second {j}" for j in range(n_second)),
     )
     for i, name in enumerate(expected):
@@ -388,7 +357,7 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
             raise MalformedLine(
                 f"expected section {name!r}", sections[i][1] if i < len(sections) else pos + 1
             )
-    n_models = n_first * (k + refit_full) + n_second
+    n_models = n_first * k + n_second
     if len(sections) > n_models:
         name, at, _ = sections[n_models]
         raise MalformedLine(f"unexpected section {name!r}", at)
@@ -397,9 +366,8 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
         width = len(selected)
     else:
         width = schema.total_dim if schema is not None else models[0].n_features_
-    specs = [spec for spec in first for _ in range(k)] + list(first if refit_full else ())
-    specs += second
-    widths = [width] * (len(models) - n_second) + [n_first] * n_second
+    specs = [spec for spec in first for _ in range(k)] + list(second)
+    widths = [width] * (n_first * k) + [n_first] * n_second
     for (name, at, body), model, spec, want in zip(sections, models, specs, widths):
         # a model's family and dim lines are the second and third of its section
         if body[1] != f"family {spec.family}":
@@ -414,19 +382,10 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
                 where = next((i for i, line in enumerate(body) if line.startswith(tag)), -1)
                 raise MalformedLine(f"{name} has {key} {held!r}, spec {value!r}", at + 1 + where)
 
-    config = StackConfig(
-        first_stage=first,
-        second_stage=second,
-        k=k,
-        seed=seed,
-        refit_full=refit_full,
-    )
-    n_folds = n_first * k
     return StackedPipeline(
         config=config,
         fold_models=tuple(tuple(models[j * k : (j + 1) * k]) for j in range(n_first)),
         second_models=tuple(models[-n_second:]),
-        full_models=tuple(models[n_folds : n_folds + n_first]) if refit_full else None,
         schema=schema,
         selected=selected,
     )

@@ -58,7 +58,6 @@ from vandalstack.sampling import SamplingConfig, dedup, undersample
 from vandalstack.serve import ScoringServer, format_score, run_client
 from vandalstack.stacking import (
     StackConfig,
-    default_stack_config,
     fit_stack,
     load_pipeline,
 )
@@ -328,7 +327,7 @@ def test_criterion_06_synthetic_benchmark(bench, bench_data, bench_gbt):
 
     # (b) stacking does not lose to any single first-stage model
     single_aucs = {}
-    for spec in default_stack_config().first_stage:
+    for spec in StackConfig().first_stage:
         model = train(spec, data.X_selected, data.y)
         single_aucs[(spec.family, tuple(sorted(spec.hyperparameters)))] = (
             auc_from_arrays(data.yh, model.predict_proba(data.Xh_selected))

@@ -122,3 +122,34 @@ def test_main_without_holdout_writes_only_bench(tmp_path):
     assert (out / "bench_corpus.tsv").exists()
     assert not (out / "train_corpus.tsv").exists()
     assert not (out / "test_corpus.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--holdout", "1.5"], "--holdout"),
+        (["--holdout", "0"], "--holdout"),
+        (["--holdout", "nan"], "--holdout"),
+        (["--n", "3", "--holdout", "0.1"], "--holdout"),
+        (["--positive-rate", "2"], "--positive-rate"),
+        (["--positive-rate", "-1"], "--positive-rate"),
+        (["--positive-rate", "nan"], "--positive-rate"),
+        (["--n", "-1"], "--n"),
+    ],
+)
+def test_main_refuses_a_bad_flag_naming_it_and_writes_nothing(tmp_path, capsys, args, flag):
+    out = tmp_path / "refused"
+    with pytest.raises(SystemExit) as info:
+        benchmark.main(["--out", str(out), "--n", "20", *args])
+    assert info.value.code == 2
+    assert f"error: {flag} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_takes_the_bounds_of_each_flag(tmp_path):
+    for rate, positives in (("0", 0), ("1", 20)):
+        out = tmp_path / f"rate{rate}"
+        assert benchmark.main(
+            ["--out", str(out), "--n", "20", "--positive-rate", rate, "--holdout", "0.5"]
+        ) == 0
+        assert sum(load_labels(out / "bench_truth.tsv").values()) == positives

@@ -13,6 +13,7 @@ from vandalstack.config import (
 )
 from vandalstack.errors import UsageError
 from vandalstack.rng import derive_seed
+from vandalstack.stacking import StackConfig
 
 
 def write_config(tmp_path, text):
@@ -54,7 +55,6 @@ def test_typed_parsing():
             "sampling.dedup": "false",
             "sampling.dedup_order": "before",
             "selection.threshold": "1e-5",
-            "stack.refit_full": "yes",
             "master_seed": "11",
         }
     )
@@ -63,7 +63,6 @@ def test_typed_parsing():
     assert cfg.dedup is False
     assert cfg.dedup_order == "before"
     assert cfg.selection_threshold == 1e-5
-    assert cfg.refit_full is True
     assert cfg.master_seed == 11
 
 
@@ -80,7 +79,6 @@ def test_defaults_match_reference_setup():
     assert cfg.selection_threshold == 1e-5
     assert cfg.selection_seed == 0
     assert cfg.stack_k == 3
-    assert cfg.refit_full is False
     assert cfg.master_seed == 0
 
 
@@ -131,7 +129,7 @@ def test_validation_errors():
         RunConfig(dedup_order="during")
     with pytest.raises(UsageError):
         RunConfig(selection_threshold=-1.0)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="stack.k"):
         RunConfig(stack_k=1)
     with pytest.raises(UsageError):
         build_run_config({"sampling.fraction": "nope"})
@@ -154,6 +152,8 @@ def test_validation_errors():
         ("selection.threshold", "nan"),
         ("selection.threshold", "inf"),
         ("selection.seed", "0x1"),
+        ("stack.k", "1"),
+        ("stack.k", "0"),
         ("stack.refit_full", "2"),
     ],
 )
@@ -173,6 +173,20 @@ def test_output_is_not_a_config_key(tmp_path):
     with pytest.raises(UsageError, match=re.escape(f"{path}:1: unknown config key 'output'")):
         parse_config_file(path)
     assert not hasattr(RunConfig(), "output")
+
+
+def test_refit_full_is_not_a_config_key(tmp_path):
+    path = write_config(tmp_path, "master_seed = 4\nstack.refit_full = 1\n")
+    message = re.escape(f"{path}:2: unknown config key 'stack.refit_full'")
+    for load in (parse_config_file, lambda p: load_run_config(p)):
+        with pytest.raises(UsageError, match=message):
+            load(path)
+    assert not hasattr(RunConfig(), "refit_full")
+
+
+def test_stack_config_carries_k_and_the_derived_seed():
+    cfg = RunConfig(master_seed=5, stack_k=4)
+    assert cfg.stack_config() == StackConfig(k=4, seed=cfg.stack_seed())
 
 
 def test_a_lone_cr_does_not_end_a_config_line(tmp_path):

@@ -8,7 +8,6 @@ from scipy import sparse
 
 from vandalstack.errors import (
     DimensionMismatch,
-    EmptyList,
     MalformedLine,
     TooFewExamples,
     UsageError,
@@ -18,11 +17,9 @@ from vandalstack.learners import ModelSpec, register_family, _REGISTRY
 from vandalstack.learners.base import check_dense
 from vandalstack.stacking import (
     StackConfig,
-    default_stack_config,
     fit_stack,
     kfold_assign,
     load_pipeline,
-    mean_ensemble,
     pipeline_from_lines,
     pipeline_to_lines,
     predict_stack,
@@ -92,10 +89,10 @@ def random_data(rng, n=30, d=4):
 
 
 def test_kfold_sizes_balanced():
-    plan = kfold_assign(6, 3, seed=0)
-    assert np.bincount(plan.assignment, minlength=3).tolist() == [2, 2, 2]
-    plan = kfold_assign(7, 3, seed=5)
-    assert sorted(np.bincount(plan.assignment, minlength=3).tolist()) == [2, 2, 3]
+    folds = kfold_assign(6, 3, seed=0)
+    assert np.bincount(folds, minlength=3).tolist() == [2, 2, 2]
+    folds = kfold_assign(7, 3, seed=5)
+    assert sorted(np.bincount(folds, minlength=3).tolist()) == [2, 2, 3]
 
 
 def test_kfold_assignment_properties():
@@ -104,24 +101,24 @@ def test_kfold_assignment_properties():
         n = int(rng.integers(2, 60))
         k = int(rng.integers(2, min(n, 6) + 1))
         seed = int(rng.integers(1 << 30))
-        plan = kfold_assign(n, k, seed)
-        assert plan.assignment.shape == (n,)
-        assert plan.assignment.min() >= 0 and plan.assignment.max() < k
-        counts = np.bincount(plan.assignment, minlength=k)
+        folds = kfold_assign(n, k, seed)
+        assert folds.shape == (n,)
+        assert folds.min() >= 0 and folds.max() < k
+        counts = np.bincount(folds, minlength=k)
         assert counts.max() - counts.min() <= 1
-        again = kfold_assign(n, k, seed)
-        assert np.array_equal(plan.assignment, again.assignment)
+        assert np.array_equal(folds, kfold_assign(n, k, seed))
 
 
 def test_kfold_rejects_bad_arguments():
+    # the fold rule is StackConfig's; kfold_assign only refuses too few rows
     with pytest.raises(UsageError):
-        kfold_assign(10, 1, seed=0)
+        StackConfig(k=1)
     with pytest.raises(TooFewExamples):
         kfold_assign(2, 3, seed=0)
 
 
 def test_default_config_has_six_meta_columns():
-    cfg = default_stack_config()
+    cfg = StackConfig()
     assert len(cfg.first_stage) == 6
     assert len(cfg.second_stage) == 4
     assert cfg.k == 3
@@ -150,32 +147,23 @@ def test_out_of_fold_rows_never_seen_by_their_model(probe_families):
 def test_constant_fold_models_pin_meta_and_final_score(probe_families):
     rng = np.random.default_rng(2)
     X, y = random_data(rng)
-    cfg = StackConfig(
-        first_stage=(ModelSpec("const", {"value": 0.7}),),
-        second_stage=tuple(
-            ModelSpec("const", {"value": v}) for v in (0.2, 0.4, 0.6, 0.8)
-        ),
-        k=3,
-        seed=0,
-    )
-    pipeline = fit_stack(X, y, cfg)
-    meta = stack_meta_features(pipeline, X)
-    assert meta.shape == (X.shape[0], 1)
-    assert np.allclose(meta, 0.7, atol=1e-12)
-    scores = predict_stack_batch(pipeline, X)
-    # the final score is the plain mean of the second-stage outputs
-    assert np.allclose(scores, 0.5, atol=1e-15)
+    for second, mean in [((0.2, 0.4, 0.6, 0.8), 0.5), ((0.37,), 0.37), ((0.0, 1.0), 0.5)]:
+        cfg = StackConfig(
+            first_stage=(ModelSpec("const", {"value": 0.7}),),
+            second_stage=tuple(ModelSpec("const", {"value": v}) for v in second),
+            k=3,
+            seed=0,
+        )
+        pipeline = fit_stack(X, y, cfg)
+        meta = stack_meta_features(pipeline, X)
+        assert meta.shape == (X.shape[0], 1)
+        assert np.allclose(meta, 0.7, atol=1e-12)
+        scores = predict_stack_batch(pipeline, X)
+        # the final score is the plain mean of the second-stage outputs
+        assert np.allclose(scores, mean, atol=1e-15)
 
 
-def test_mean_ensemble_pins():
-    assert mean_ensemble([0.2, 0.4, 0.6, 0.8]) == pytest.approx(0.5, abs=1e-15)
-    assert mean_ensemble([0.37]) == 0.37
-    assert mean_ensemble([0.0, 1.0]) == 0.5
-    with pytest.raises(EmptyList):
-        mean_ensemble([])
-
-
-def small_real_config(k=3, refit_full=False):
+def small_real_config(k=3):
     return StackConfig(
         first_stage=(
             ModelSpec("gradient_boosting", {"n_estimators": 3, "max_depth": 2}),
@@ -184,7 +172,6 @@ def small_real_config(k=3, refit_full=False):
         second_stage=(ModelSpec("gradient_boosting", {"n_estimators": 3}),),
         k=k,
         seed=4,
-        refit_full=refit_full,
     )
 
 
@@ -197,7 +184,6 @@ def test_fold_model_count_and_oof_range():
     assert all(len(per) == cfg.k for per in pipeline.fold_models)
     assert pipeline.oof_.shape == (24, len(cfg.first_stage))
     assert np.all((pipeline.oof_ >= 0) & (pipeline.oof_ <= 1))
-    assert pipeline.full_models is None
 
 
 def test_pipeline_persistence_round_trip(tmp_path):
@@ -230,20 +216,18 @@ def test_fit_twice_gives_identical_pipeline_bytes():
     assert a == b
 
 
-def test_refit_full_replaces_fold_averaging():
+def test_meta_feature_is_the_mean_of_the_fold_models():
     rng = np.random.default_rng(6)
     X, y = random_data(rng, n=24)
-    pipeline = fit_stack(X, y, small_real_config(refit_full=True))
-    assert pipeline.full_models is not None
+    pipeline = fit_stack(X, y, small_real_config())
     meta = stack_meta_features(pipeline, X)
-    for j, model in enumerate(pipeline.full_models):
-        assert np.array_equal(meta[:, j], model.predict_proba(X))
-    # round trip keeps the refit models
+    for j, per_fold in enumerate(pipeline.fold_models):
+        total = np.zeros(X.shape[0])
+        for model in per_fold:
+            total += model.predict_proba(X)
+        assert np.array_equal(meta[:, j], total / len(per_fold))
     loaded = pipeline_from_lines(list(pipeline_to_lines(pipeline)))
-    assert loaded.full_models is not None
-    assert np.array_equal(
-        predict_stack_batch(loaded, X), predict_stack_batch(pipeline, X)
-    )
+    assert np.array_equal(stack_meta_features(loaded, X), meta)
 
 
 def test_single_vector_prediction_matches_batch():
@@ -329,6 +313,14 @@ def huge_fold_count(lines):
     return line_index(lines, "section model first 1 0 ") + 1
 
 
+def one_fold_pipeline(lines):
+    # every section consistent with `k 1`: the fold rule alone refuses it
+    for j in range(2):
+        for f in (1, 2):
+            drop_section(f"model first {j} {f}")(lines)
+    return replace_line("k ", "k 1")(lines)
+
+
 def swap_second_stage_for_a_fold_model(lines):
     # a well-formed model of the first stage's width where the second
     # stage's (width 2, one column per first-stage spec) belongs
@@ -359,8 +351,12 @@ def corrupt_inside_a_model(lines):
     [
         replace_line("k ", "k x"),
         replace_line("k ", "k 0"),
+        replace_line("k ", "k 1"),
+        replace_line("k ", "k -3"),
+        one_fold_pipeline,
         huge_fold_count,
         replace_line("seed ", "seed 1.5"),
+        replace_line("refit_full ", "refit_full 1"),
         replace_line("refit_full ", "refit_full 2"),
         replace_line("first_stage ", "first_stage two"),
         replace_line("first_stage ", "first_stage 0"),
