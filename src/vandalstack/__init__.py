@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateConflict,
     EmptyDataset,
-    EmptyList,
     IndexOutOfRange,
     MalformedLine,
     NotFitted,
@@ -97,7 +96,6 @@ __all__ = [
     "DimensionMismatch",
     "DuplicateConflict",
     "EmptyDataset",
-    "EmptyList",
     "IndexOutOfRange",
     "MalformedLine",
     "NotFitted",

@@ -139,7 +139,14 @@ def _comment(
 def make_benchmark(
     n: int = 20000, positive_rate: float = 0.02, seed: int = 7
 ) -> list[LabeledExample]:
-    """Generate ``n`` labeled examples with exactly round(n*rate) positives."""
+    """Generate ``n`` labeled examples with exactly round(n*rate) positives.
+
+    ``n`` below 0, or a ``positive_rate`` outside [0, 1], raises ``ValueError``.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if not 0.0 <= positive_rate <= 1.0:  # NaN fails both
+        raise ValueError(f"positive_rate must be in [0, 1], got {positive_rate}")
     rng = generator(derive_seed(seed, "benchmark", 0))
     n_pos = int(round(n * positive_rate))
     labels = np.zeros(n, dtype=bool)
@@ -199,11 +206,12 @@ def main(argv=None) -> int:
         help="also write train_/test_ splits holding out this trailing fraction",
     )
     args = parser.parse_args(argv)
-    if args.n < 0:
-        parser.error(f"--n must be >= 0, got {args.n}")
-    if not 0.0 <= args.positive_rate <= 1.0:
-        parser.error(f"--positive-rate must be in [0, 1], got {args.positive_rate}")
-    examples = make_benchmark(args.n, args.positive_rate, args.seed)
+    try:
+        examples = make_benchmark(args.n, args.positive_rate, args.seed)
+    except ValueError as exc:
+        # the message leads with the parameter's name, and its flag is that name
+        name, _, problem = str(exc).partition(" ")
+        parser.error(f"--{name.replace('_', '-')} {problem}")
     splits = {"bench": examples}
     if args.holdout is not None:
         try:

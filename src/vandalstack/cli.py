@@ -109,12 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--output-corpus", required=True)
     p.add_argument("--output-truth", required=True)
-    p.add_argument("--fraction", default="1/50")
-    p.add_argument("--window", default="all")
-    p.add_argument("--seed", default="0")
-    p.add_argument("--dedup-order", choices=["after", "before"], default="after")
+    # no defaults here: the run configuration's, as train-stack reduces with them
+    p.add_argument("--fraction")
+    p.add_argument("--window")
+    p.add_argument("--seed")
+    p.add_argument("--dedup-order", choices=["after", "before"])
     p.add_argument("--no-dedup", action="store_true")
-    p.add_argument("--malformed", choices=["skip", "abort"], default="skip")
+    p.add_argument("--malformed", choices=["skip", "abort"])
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("train", help="fit a single model family (debug utility)")

@@ -15,6 +15,10 @@ everything after the seventh comma, so tags containing commas survive a
 round trip verbatim.  No field holds a CR.  Truth line grammar::
 
     rev_id <TAB> label
+
+Every file keyed by rev_id (corpus, truth, scores) and the scoring
+protocol's answers read it by one rule, :func:`parse_rev_id`: ASCII
+digits whose value is below 2^63, so that it fits an int64.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from .errors import DuplicateConflict, MalformedLine
 from .lines import Source, read_lines, write_lines
 
 GEO_FIELDS = ("country", "continent", "timezone", "region", "city", "county")
+
+# A rev_id is below this bound, so that every one fits an int64 array.
+REV_ID_BOUND = 1 << 63
 
 # The label spellings a truth file may use, lower-cased.  Projects that export
 # reverts straight from wiki dumps tend to use the ROLLBACK_REVERTED tag.
@@ -83,7 +90,7 @@ def parse_line(line: str, line_no: int | None = None) -> Revision:
             f"expected 4 tab-separated fields, got {len(parts)}", line_no
         )
     rev_raw, comment, contrib_raw, meta_csv = parts
-    rev_id = _parse_rev_id(rev_raw, line_no)
+    rev_id = parse_rev_id(rev_raw, line_no)
     if contrib_raw not in ("0", "1"):
         raise MalformedLine(f"has_contributor must be 0 or 1, got {contrib_raw!r}", line_no)
     meta = meta_csv.split(",")
@@ -179,19 +186,14 @@ def load_labels(source: Source) -> dict[int, bool]:
     """
     labels: dict[int, bool] = {}
     for line_no, line in enumerate(read_lines(source), start=1):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise MalformedLine(
-                f"expected 2 tab-separated fields, got {len(parts)}", line_no
-            )
-        rev_id = _parse_rev_id(parts[0], line_no)
-        token = parts[1].strip().lower()
+        rev_id, text = split_keyed(line, line_no)
+        token = text.strip().lower()
         if token in TRUE_LABELS:
             label = True
         elif token in FALSE_LABELS:
             label = False
         else:
-            raise MalformedLine(f"unknown label spelling {parts[1]!r}", line_no)
+            raise MalformedLine(f"unknown label spelling {text!r}", line_no)
         if rev_id in labels and labels[rev_id] != label:
             raise DuplicateConflict(
                 f"rev_id {rev_id} labeled both {labels[rev_id]} and {label}", line_no
@@ -226,8 +228,20 @@ def write_labels(examples: Iterable[LabeledExample], path: str | Path) -> None:
     write_lines(path, (f"{ex.revision.rev_id}\t{1 if ex.label else 0}" for ex in examples))
 
 
-def _parse_rev_id(token: str, line_no: int | None) -> int:
-    if not (token.isascii() and token.isdigit()):
-        raise MalformedLine(f"rev_id must be a non-negative integer, got {token!r}", line_no)
-    return int(token)
+def parse_rev_id(token: str, line_no: int | None = None) -> int:
+    """A rev_id: ASCII digits, leading zeros allowed, whose value is below :data:`REV_ID_BOUND`."""
+    significant = token.lstrip("0")
+    # 2^63 has 19 digits; the length test comes first, as int() refuses over 4,300 of them
+    if token.isascii() and token.isdigit() and len(significant) <= 19:
+        rev_id = int(significant or "0")
+        if rev_id < REV_ID_BOUND:
+            return rev_id
+    raise MalformedLine(f"rev_id must be ASCII digits below 2^63, got {token!r}", line_no)
 
+
+def split_keyed(line: str, line_no: int | None = None) -> tuple[int, str]:
+    """A ``rev_id <TAB> value`` line: its rev_id, by :func:`parse_rev_id`, and its value's text."""
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise MalformedLine(f"expected 2 tab-separated fields, got {len(parts)}", line_no)
+    return parse_rev_id(parts[0], line_no), parts[1]

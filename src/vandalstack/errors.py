@@ -53,10 +53,6 @@ class NotFitted(VandalstackError):
     """predict was called on a model that has not been fit."""
 
 
-class EmptyList(VandalstackError):
-    """An aggregation over models received an empty list."""
-
-
 class ProtocolViolation(VandalstackError):
     """The scoring client broke the streaming protocol."""
 

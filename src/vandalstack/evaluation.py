@@ -11,11 +11,13 @@ and matches brute-force pair counting to the last bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
+from .corpus import split_keyed
 from .errors import DuplicateConflict, EmptyDataset, MalformedLine, SingleClass
 from .lines import Source, read_lines
 
@@ -160,6 +162,17 @@ def evaluate_scored(
     )
 
 
+def parse_score(text: str, line_no: int | None = None) -> float:
+    """A score's text: a float in [0, 1]; ``nan`` and ``±inf`` are refused."""
+    try:
+        score = float(text)
+    except ValueError:
+        score = math.nan
+    if not 0.0 <= score <= 1.0:  # NaN fails both
+        raise MalformedLine(f"bad score {text!r}, expected a number in [0, 1]", line_no)
+    return score
+
+
 def load_scores(source: Source) -> dict[int, float]:
     """Read a ``rev_id <TAB> score`` file into a mapping.
 
@@ -170,20 +183,8 @@ def load_scores(source: Source) -> dict[int, float]:
     for line_no, line in enumerate(read_lines(source), start=1):
         if line == "":
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise MalformedLine(
-                f"expected 2 tab-separated fields, got {len(parts)}", line_no
-            )
-        if not (parts[0].isascii() and parts[0].isdigit()):
-            raise MalformedLine(f"bad rev_id {parts[0]!r}", line_no)
-        rev_id = int(parts[0])
-        try:
-            score = float(parts[1])
-        except ValueError:
-            score = np.nan
-        if not 0.0 <= score <= 1.0:
-            raise MalformedLine(f"bad score {parts[1]!r}, expected a number in [0, 1]", line_no)
+        rev_id, text = split_keyed(line, line_no)
+        score = parse_score(text, line_no)
         if rev_id in scores and scores[rev_id] != score:
             raise DuplicateConflict(f"rev_id {rev_id} scored twice, differently", line_no)
         scores[rev_id] = score

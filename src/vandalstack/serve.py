@@ -30,9 +30,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .corpus import Revision, format_line, load_corpus, load_labels, parse_line
+from .corpus import Revision, format_line, load_corpus, load_labels, parse_line, split_keyed
 from .errors import MalformedLine, ProtocolViolation, Timeout, UsageError
-from .evaluation import EvalReport, error_sets, evaluate_scored, join_scored
+from .evaluation import EvalReport, error_sets, evaluate_scored, join_scored, parse_score
 # encode and predict_stack are not called here, but perfbench/tracer.install
 # wraps serve.encode and serve.predict_stack (with parse_line,
 # extract_features, format_score and load_pipeline) and fails on a missing
@@ -204,23 +204,20 @@ class ScoringServer:
             line = decode_line(raw)
         except MalformedLine:
             self._violation(conn, "answer is not valid UTF-8")
-        parts = line.split("\t")
-        if len(parts) != 3 or parts[0] != "SCORE":
+        if not line.startswith("SCORE\t"):
             self._violation(conn, f"malformed answer line {line!r}")
-        if not (parts[1].isascii() and parts[1].isdigit()):
-            self._violation(conn, f"malformed rev_id {parts[1]!r}")
-        rev_id = int(parts[1])
+        try:
+            rev_id, text = split_keyed(line[6:])
+        except MalformedLine as exc:
+            self._violation(conn, str(exc))
         if rev_id in scores:
             self._violation(conn, f"duplicate answer for rev_id {rev_id}")
         if rev_id not in outstanding:
             self._violation(conn, f"unknown rev_id {rev_id}")
         try:
-            score = float(parts[2])
-        except ValueError:
-            self._violation(conn, f"malformed score {parts[2]!r}")
-        if not np.isfinite(score) or not 0.0 <= score <= 1.0:
-            self._violation(conn, f"score out of range: {parts[2]}")
-        return rev_id, score
+            return rev_id, parse_score(text)
+        except MalformedLine as exc:
+            self._violation(conn, str(exc))
 
     def _violation(self, conn: socket.socket, reason: str) -> None:
         self._send_error(conn, reason)

@@ -18,7 +18,6 @@ and the pipeline loader, which reports a breach at the ``k`` line.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -54,13 +53,13 @@ from .rng import derive_seed, generator
 PIPELINE_HEADER = "vandalstack-pipeline v1"
 
 
-def kfold_assign(n: int, k: int, seed: int) -> np.ndarray:
-    """Each row's fold: a seeded shuffle, then round-robin fold labels over it."""
-    if n < k:
-        raise TooFewExamples(f"cannot split {n} examples into {k} folds")
-    order = generator(seed).permutation(n)
+def kfold_assign(n: int, config: StackConfig) -> np.ndarray:
+    """Each of ``n`` rows' fold: a shuffle seeded from ``config.seed``, then round-robin folds."""
+    if n < config.k:
+        raise TooFewExamples(f"cannot split {n} examples into {config.k} folds")
+    order = generator(derive_seed(config.seed, "folds", 0)).permutation(n)
     assignment = np.empty(n, dtype=np.int64)
-    assignment[order] = np.arange(n, dtype=np.int64) % k
+    assignment[order] = np.arange(n, dtype=np.int64) % config.k
     return assignment
 
 
@@ -137,7 +136,7 @@ def fit_stack(
         selected = tuple(int(j) for j in selected)
     Xmat, labels = check_X_y(_model_input(X, schema, selected), y)
     n = Xmat.shape[0]
-    folds = kfold_assign(n, config.k, derive_seed(config.seed, "folds", 0))
+    folds = kfold_assign(n, config)
     n_first = len(config.first_stage)
     oof = np.zeros((n, n_first))
     fold_models = []
@@ -319,61 +318,29 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
         if selected[0] < 0 or any(a >= b for a, b in zip(selected, selected[1:])):
             raise MalformedLine("selected columns must ascend from 0 or more", selected_line)
 
-    # (name, 1-based line of the section header, body)
-    sections: list[tuple[str, int, list[str]]] = []
-    pos = reader.pos
-    while pos < len(lines) and lines[pos] != "end":
-        head, _, rest = lines[pos].partition(" ")
-        name, _, count_raw = rest.rpartition(" ")
-        if head != "section" or not count_raw.isdecimal():
-            raise MalformedLine(f"expected section, got {lines[pos]!r}", pos + 1)
-        count = int(count_raw)
-        body = list(lines[pos + 1 : pos + 1 + count])
-        if len(body) != count:
-            raise MalformedLine(f"truncated section {name!r}", pos + 1)
-        sections.append((name, pos + 1, body))
-        pos += 1 + count
-    if pos >= len(lines) or lines[pos] != "end":
-        raise MalformedLine("pipeline file missing 'end'", pos + 1)
-    if pos + 1 != len(lines):
-        raise MalformedLine("trailing content after 'end'", pos + 2)
+    def section(name: str) -> tuple[Sequence[str], int]:
+        """The body of the next section, which must be ``name``, and its header's line."""
+        header = reader.next()
+        at = reader.line_no
+        head, _, rest = header.partition(" ")
+        found, _, count_raw = rest.rpartition(" ")
+        if head != "section" or not count_raw.isdecimal() or found != name:
+            raise MalformedLine(f"expected section {name!r}, got {header!r}", at)
+        body = lines[reader.pos : reader.pos + int(count_raw)]
+        if len(body) != int(count_raw):
+            raise MalformedLine(f"truncated section {name!r}", at)
+        reader.pos += len(body)
+        return body, at
 
-    schema = None
-    if sections and sections[0][0] == "schema":
-        _, at, body = sections.pop(0)
-        schema = schema_from_lines(body, offset=at)
-        if selected and selected[-1] >= schema.total_dim:
-            raise MalformedLine(
-                f"selected column {selected[-1]} outside the schema's {schema.total_dim}",
-                selected_line,
-            )
-    # generated, not listed: a huge count in the header costs nothing
-    expected = itertools.chain(
-        (f"model first {j} {f}" for j in range(n_first) for f in range(k)),
-        (f"model second {j}" for j in range(n_second)),
-    )
-    for i, name in enumerate(expected):
-        if i >= len(sections) or sections[i][0] != name:
-            raise MalformedLine(
-                f"expected section {name!r}", sections[i][1] if i < len(sections) else pos + 1
-            )
-    n_models = n_first * k + n_second
-    if len(sections) > n_models:
-        name, at, _ = sections[n_models]
-        raise MalformedLine(f"unexpected section {name!r}", at)
-    models = [model_from_lines(body, offset=at) for _, at, body in sections]
-    if selected is not None:
-        width = len(selected)
-    else:
-        width = schema.total_dim if schema is not None else models[0].n_features_
-    specs = [spec for spec in first for _ in range(k)] + list(second)
-    widths = [width] * (n_first * k) + [n_first] * n_second
-    for (name, at, body), model, spec, want in zip(sections, models, specs, widths):
+    def take_model(name: str, spec: ModelSpec, width: Optional[int]) -> BaseModel:
+        """The next section's model, checked against its spec and, unless ``None``, its width."""
+        body, at = section(name)
+        model = model_from_lines(body, offset=at)
         # a model's family and dim lines are the second and third of its section
         if body[1] != f"family {spec.family}":
             raise MalformedLine(f"{name} is not a {spec.family} model", at + 2)
-        if model.n_features_ != want:
-            raise MalformedLine(f"{name} has dim {model.n_features_}, expected {want}", at + 3)
+        if width is not None and model.n_features_ != width:
+            raise MalformedLine(f"{name} has dim {model.n_features_}, expected {width}", at + 3)
         for key, value in spec.hyperparameters.items():
             held = getattr(model, key)  # a model keeps each parameter as an attribute
             if held != value:
@@ -381,11 +348,41 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
                 tag = f"param {key} "
                 where = next((i for i, line in enumerate(body) if line.startswith(tag)), -1)
                 raise MalformedLine(f"{name} has {key} {held!r}, spec {value!r}", at + 1 + where)
+        return model
 
+    schema = None
+    if reader.pos < len(lines) and lines[reader.pos].startswith("section schema "):
+        body, at = section("schema")
+        schema = schema_from_lines(body, offset=at)
+        if selected and selected[-1] >= schema.total_dim:
+            raise MalformedLine(
+                f"selected column {selected[-1]} outside the schema's {schema.total_dim}",
+                selected_line,
+            )
+    # the width the first stage sees; with neither selection nor schema, its first model's
+    if selected is not None:
+        width = len(selected)
+    else:
+        width = schema.total_dim if schema is not None else None
+    fold_models = []
+    for j, spec in enumerate(first):
+        per_fold = []
+        for f in range(k):  # a huge `k` fails at the first section it lacks
+            per_fold.append(take_model(f"model first {j} {f}", spec, width))
+            width = per_fold[-1].n_features_
+        fold_models.append(tuple(per_fold))
+    second_models = tuple(
+        take_model(f"model second {j}", spec, n_first) for j, spec in enumerate(second)
+    )
+    last = reader.next()
+    if last != "end":
+        raise MalformedLine(f"expected 'end', got {last!r}", reader.line_no)
+    if reader.pos != len(lines):
+        raise MalformedLine("trailing content after 'end'", reader.line_no + 1)
     return StackedPipeline(
         config=config,
-        fold_models=tuple(tuple(models[j * k : (j + 1) * k]) for j in range(n_first)),
-        second_models=tuple(models[-n_second:]),
+        fold_models=tuple(fold_models),
+        second_models=second_models,
         schema=schema,
         selected=selected,
     )

@@ -146,6 +146,12 @@ def test_main_refuses_a_bad_flag_naming_it_and_writes_nothing(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, rate", [(-1, 0.1), (10, 1.5), (10, -0.1), (10, float("nan"))])
+def test_make_benchmark_refuses_a_bad_size_or_rate(n, rate):
+    with pytest.raises(ValueError, match="n must be" if n < 0 else "positive_rate must be"):
+        benchmark.make_benchmark(n=n, positive_rate=rate, seed=1)
+
+
 def test_main_takes_the_bounds_of_each_flag(tmp_path):
     for rate, positives in (("0", 0), ("1", 20)):
         out = tmp_path / f"rate{rate}"

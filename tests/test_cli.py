@@ -112,6 +112,25 @@ def test_sample_undersamples_negatives(tmp_path, capsys):
     assert len(load_corpus(out_corpus).revisions) == 7
 
 
+def test_sample_keeps_by_default_the_rows_train_stack_keeps(tmp_path):
+    examples = make_benchmark(n=4000, positive_rate=0.02, seed=3)
+    write_split(examples, tmp_path, "bench")
+    corpus, truth = tmp_path / "bench_corpus.tsv", tmp_path / "bench_truth.tsv"
+
+    def sample(*flags):
+        out = tmp_path / "sampled_truth.tsv"
+        assert cli.main(
+            ["sample", "--corpus", str(corpus), "--truth", str(truth), *flags,
+             "--output-corpus", str(tmp_path / "sampled_corpus.tsv"), "--output-truth", str(out)]
+        ) == 0
+        return list(load_labels(out))
+
+    # the sampling seed derives from master seed 0, as in train-stack
+    kept = cli._reduce(examples, cli.load_run_config(None, {}))
+    assert sample() == [ex.revision.rev_id for ex in kept]
+    assert sample("--seed", "0") != sample()
+
+
 def test_train_writes_loadable_model(tmp_path):
     corpus, truth, _ = write_tiny_corpus(tmp_path, n_pos=10, n_neg=30)
     out = tmp_path / "model.txt"

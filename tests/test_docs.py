@@ -1,0 +1,45 @@
+"""The documents state what the code does: config keys, their flags and the commands."""
+
+import argparse
+import re
+from pathlib import Path
+
+from vandalstack import cli, config
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def doc_section(path, heading):
+    """The text under a ``## heading`` of a markdown file, up to the next one."""
+    text = (ROOT / path).read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def subparsers():
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_the_config_section_lists_exactly_the_config_keys():
+    section = doc_section("docs/formats.md", "Config file")
+    listed = section.split("Recognized keys:", 1)[1]
+    # the list ends with its sentence; parentheses hold each key's values
+    listed = re.sub(r"\([^)]*\)", "", " ".join(listed.split())).split(". ", 1)[0]
+    assert sorted(re.findall(r"`([^`]+)`", listed)) == sorted(config._KEYS)
+
+
+def test_every_flag_the_config_section_names_is_a_train_stack_flag():
+    section = " ".join(doc_section("docs/formats.md", "Config file").split())
+    flags = set(re.findall(r"`(--[a-z-]+)`", section))
+    same_name = re.search(r"((?:`[a-z_.]+`,? (?:and )?)+)by the flag of the same name", section)
+    flags.update(f"--{key}" for key in re.findall(r"`([a-z_.]+)`", same_name.group(1)))
+    assert len(flags) == 11
+    options = subparsers()["train-stack"]._option_string_actions
+    assert flags <= set(options), flags - set(options)
+
+
+def test_the_readme_command_table_lists_exactly_the_subcommands():
+    section = doc_section("README.md", "Commands")
+    rows = re.findall(r"^\| `([a-z-]+)` +\|", section, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(subparsers())

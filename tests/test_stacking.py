@@ -15,6 +15,7 @@ from vandalstack.errors import (
 from vandalstack.featurize import FeatureVector, build_schema, extract_many
 from vandalstack.learners import ModelSpec, register_family, _REGISTRY
 from vandalstack.learners.base import check_dense
+from vandalstack.rng import derive_seed, generator
 from vandalstack.stacking import (
     StackConfig,
     fit_stack,
@@ -89,9 +90,9 @@ def random_data(rng, n=30, d=4):
 
 
 def test_kfold_sizes_balanced():
-    folds = kfold_assign(6, 3, seed=0)
+    folds = kfold_assign(6, StackConfig(k=3, seed=0))
     assert np.bincount(folds, minlength=3).tolist() == [2, 2, 2]
-    folds = kfold_assign(7, 3, seed=5)
+    folds = kfold_assign(7, StackConfig(k=3, seed=5))
     assert sorted(np.bincount(folds, minlength=3).tolist()) == [2, 2, 3]
 
 
@@ -100,13 +101,16 @@ def test_kfold_assignment_properties():
     for _ in range(50):
         n = int(rng.integers(2, 60))
         k = int(rng.integers(2, min(n, 6) + 1))
-        seed = int(rng.integers(1 << 30))
-        folds = kfold_assign(n, k, seed)
+        config = StackConfig(k=k, seed=int(rng.integers(1 << 30)))
+        folds = kfold_assign(n, config)
         assert folds.shape == (n,)
         assert folds.min() >= 0 and folds.max() < k
         counts = np.bincount(folds, minlength=k)
         assert counts.max() - counts.min() <= 1
-        assert np.array_equal(folds, kfold_assign(n, k, seed))
+        assert np.array_equal(folds, kfold_assign(n, config))
+        # the shuffle's seed derives from the stack's one seed
+        order = generator(derive_seed(config.seed, "folds", 0)).permutation(n)
+        assert np.array_equal(folds[order], np.arange(n) % k)
 
 
 def test_kfold_rejects_bad_arguments():
@@ -114,7 +118,7 @@ def test_kfold_rejects_bad_arguments():
     with pytest.raises(UsageError):
         StackConfig(k=1)
     with pytest.raises(TooFewExamples):
-        kfold_assign(2, 3, seed=0)
+        kfold_assign(2, StackConfig(k=3))
 
 
 def test_default_config_has_six_meta_columns():
