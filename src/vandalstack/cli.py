@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_run_config
+from .config import _KEYS, RunConfig, load_run_config
 from .corpus import (
     join_labels,
     load_corpus,
@@ -109,14 +109,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--output-corpus", required=True)
     p.add_argument("--output-truth", required=True)
-    # no defaults here: the run configuration's, as train-stack reduces with them
-    p.add_argument("--fraction")
-    p.add_argument("--window")
-    p.add_argument("--seed")
-    p.add_argument("--dedup-order", choices=["after", "before"])
-    p.add_argument("--no-dedup", action="store_true")
+    # each setting's dest is its config key, and its default the run config's
+    p.add_argument("--fraction", dest="sampling.fraction")
+    p.add_argument("--window", dest="sampling.window")
+    p.add_argument("--seed", dest="sampling.seed")
+    p.add_argument("--dedup-order", dest="sampling.dedup_order", choices=["after", "before"])
+    p.add_argument("--no-dedup", dest="sampling.dedup", action="store_const", const="0")
     p.add_argument("--malformed", choices=["skip", "abort"])
-    p.set_defaults(func=_cmd_sample)
+    p.set_defaults(func=_cmd_sample, config=None)
 
     p = sub.add_parser("train", help="fit a single model family (debug utility)")
     p.add_argument("--corpus", required=True)
@@ -135,16 +135,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-stack", help="full training flow from a config file")
     p.add_argument("--config", help="key = value config file")
+    # each setting's dest is the config key it overrides
     p.add_argument("--corpus")
     p.add_argument("--truth")
     p.add_argument("--schema")
     p.add_argument("--pipeline")
     p.add_argument("--master-seed", dest="master_seed")
-    p.add_argument("--fraction", dest="sampling_fraction")
-    p.add_argument("--window", dest="sampling_window")
-    p.add_argument("--dedup-order", dest="dedup_order", choices=["after", "before"])
-    p.add_argument("--threshold", dest="selection_threshold")
-    p.add_argument("--k", dest="stack_k")
+    p.add_argument("--fraction", dest="sampling.fraction")
+    p.add_argument("--window", dest="sampling.window")
+    p.add_argument("--dedup-order", dest="sampling.dedup_order", choices=["after", "before"])
+    p.add_argument("--threshold", dest="selection.threshold")
+    p.add_argument("--k", dest="stack.k")
     p.add_argument("--malformed", choices=["skip", "abort"])
     p.set_defaults(func=_cmd_train_stack)
 
@@ -228,19 +229,14 @@ def _reduce(examples, cfg: RunConfig):
     return examples
 
 
+def _run_config(args) -> RunConfig:
+    """``--config``'s file, then each flag given, stored at its dest: the key it sets."""
+    return load_run_config(args.config, {k: v for k, v in vars(args).items() if k in _KEYS})
+
+
 def _cmd_sample(args) -> int:
-    cfg = load_run_config(
-        None,
-        {
-            "sampling.fraction": args.fraction,
-            "sampling.window": args.window,
-            "sampling.seed": args.seed,
-            "sampling.dedup": "0" if args.no_dedup else None,
-            "sampling.dedup_order": args.dedup_order,
-            "malformed": args.malformed,
-        },
-    )
-    _, _, joined = _load_joined(args.corpus, args.truth, cfg.malformed)
+    cfg = _run_config(args)
+    _, _, joined = _load_joined(cfg.corpus, cfg.truth, cfg.malformed)
     examples = _reduce(joined.examples, cfg)
     write_corpus((ex.revision for ex in examples), args.output_corpus)
     write_labels(examples, args.output_truth)
@@ -271,25 +267,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _run_config_from_args(args) -> RunConfig:
-    overrides = {
-        "corpus": args.corpus,
-        "truth": args.truth,
-        "schema": args.schema,
-        "pipeline": args.pipeline,
-        "master_seed": args.master_seed,
-        "sampling.fraction": args.sampling_fraction,
-        "sampling.window": args.sampling_window,
-        "sampling.dedup_order": args.dedup_order,
-        "selection.threshold": args.selection_threshold,
-        "stack.k": args.stack_k,
-        "malformed": args.malformed,
-    }
-    return load_run_config(args.config, overrides)
-
-
 def _cmd_train_stack(args) -> int:
-    cfg = _run_config_from_args(args)
+    cfg = _run_config(args)
     if cfg.corpus is None or cfg.truth is None:
         raise UsageError("train-stack needs corpus and truth paths")
     if cfg.pipeline is None:

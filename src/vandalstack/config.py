@@ -7,8 +7,13 @@ three are set in the file only.  The defaults reproduce the reference
 configuration: 1/50 under-sampling, dedup after sampling, selection
 threshold 1e-5 with a seed-0 selection model, the standard 6+4 model
 stages with k=3, and one master seed that every other seed derives from.
-``stack.k`` is checked by :class:`~vandalstack.stacking.StackConfig`,
-which states the stack's rule for the pipeline loader too.
+
+Each default is taken from its owner: ``sampling.fraction`` and
+``sampling.window`` from :class:`~vandalstack.sampling.SamplingConfig`,
+``stack.k`` from :class:`~vandalstack.stacking.StackConfig` and
+``selection.threshold`` from :mod:`~vandalstack.learners.selection`.
+The two configs also check their values when a :class:`RunConfig` is
+made, so a bad one fails at config load, before any input file is read.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import UsageError
+from .learners.selection import DEFAULT_THRESHOLD
 from .lines import read_lines
 from .rng import derive_seed
 from .sampling import SamplingConfig
@@ -65,14 +71,14 @@ class RunConfig:
     pipeline: Optional[str] = None
     master_seed: int = 0
     malformed: str = "skip"
-    sampling_fraction: Fraction = Fraction(1, 50)
-    sampling_window: Optional[int] = None
+    sampling_fraction: Fraction = SamplingConfig.fraction
+    sampling_window: Optional[int] = SamplingConfig.window
     sampling_seed: Optional[int] = None  # None -> derived from master_seed
     dedup: bool = True
     dedup_order: str = "after"
-    selection_threshold: float = 1e-5
+    selection_threshold: float = DEFAULT_THRESHOLD
     selection_seed: int = 0
-    stack_k: int = 3
+    stack_k: int = StackConfig.k
 
     def __post_init__(self):
         if self.malformed not in ("skip", "abort"):
@@ -81,6 +87,7 @@ class RunConfig:
             raise UsageError(f"sampling.dedup_order must be after|before, got {self.dedup_order!r}")
         if not (math.isfinite(self.selection_threshold) and self.selection_threshold >= 0):
             raise UsageError("selection.threshold must be finite and >= 0")
+        self.sampling_config()  # its errors name their keys
         try:
             self.stack_config()
         except UsageError as exc:

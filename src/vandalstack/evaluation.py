@@ -163,9 +163,14 @@ def evaluate_scored(
 
 
 def parse_score(text: str, line_no: int | None = None) -> float:
-    """A score's text: a float in [0, 1]; ``nan`` and ``±inf`` are refused."""
+    """A score's text: a float in [0, 1]; ``nan`` and ``±inf`` are refused.
+
+    The text is ASCII with no ``_`` and no whitespace, though ``float()``
+    takes all three; an exponent is allowed.
+    """
+    plain = text.isascii() and "_" not in text and text.split() == [text]
     try:
-        score = float(text)
+        score = float(text) if plain else math.nan
     except ValueError:
         score = math.nan
     if not 0.0 <= score <= 1.0:  # NaN fails both

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import MalformedLine, UnsupportedFamily
-from ..lines import LineReader, Source, Target, read_lines, write_lines
+from ..lines import LineReader, Source, Target, parse_int, read_lines, write_lines
 from .base import param_problem
 from .boosting import GradientBoostingClassifier
 from .forest import ExtraTreesClassifier, RandomForestClassifier
@@ -63,10 +63,9 @@ def _parse_value(token: str):
         return True
     if token == "False":
         return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
+    value = parse_int(token)
+    if value is not None:
+        return value
     try:
         return float(token)
     except ValueError:

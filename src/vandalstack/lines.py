@@ -7,7 +7,8 @@ line: ``\\v``, ``\\f``, ``\\x1c``–``\\x1e``, ``\\x85``, ``\\u2028`` and
 every line.  A path that cannot be opened is a :class:`UsageError` naming
 it, and bytes that are not UTF-8 are a :class:`MalformedLine` naming
 their line.  :class:`LineReceiver` reads the scoring protocol's lines
-from a socket by the same rule, through one bounded buffer.  Stdlib only.
+from a socket by the same rule, through one bounded buffer.
+:func:`parse_int` is the one rule for an integer in a file.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -120,6 +121,22 @@ def write_lines(target: Target, lines: Iterable[str]) -> None:
         raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from None
 
 
+def parse_int(text: str) -> Optional[int]:
+    """``text`` as an integer: ASCII digits with an optional leading ``-`` and nothing else.
+
+    Returns None for any other text, such as the ``+3``, ``1_0``, `` 3``
+    and non-ASCII digits that ``int()`` takes, and for more digits than
+    ``int()`` converts.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # over 4,300 digits
+        return None
+
+
 class LineReader:
     """Sequential reader over a block of lines, with tag dispatch and error positions.
 
@@ -151,11 +168,9 @@ class LineReader:
         return rest
 
     def expect_int(self, tag: str, minimum: Optional[int] = None) -> int:
+        """The next line's integer (see :func:`parse_int`) after ``tag`` and a space."""
         rest = self.expect(tag)
-        try:
-            value = int(rest)
-        except ValueError:
-            value = None
+        value = parse_int(rest)
         if value is None or (minimum is not None and value < minimum):
             raise MalformedLine(f"bad {tag!r} value {rest!r}", self.line_no)
         return value

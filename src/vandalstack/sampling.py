@@ -31,6 +31,9 @@ class SamplingConfig:
         (highest rev_ids).  ``None`` means all negatives are eligible.
     seed
         Seed of the sampling generator.
+
+    A bad value is a :class:`UsageError` naming its run-config key
+    (``sampling.fraction``, ``sampling.window``).
     """
 
     fraction: FractionLike = Fraction(1, 50)
@@ -41,12 +44,12 @@ class SamplingConfig:
         try:
             frac = Fraction(self.fraction)
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad sampling fraction {self.fraction!r}") from exc
+            raise UsageError(f"sampling.fraction: bad value {self.fraction!r}") from exc
         if not 0 < frac <= 1:
-            raise UsageError(f"sampling fraction must be in (0, 1], got {frac}")
+            raise UsageError(f"sampling.fraction must be in (0, 1], got {frac}")
         object.__setattr__(self, "fraction", frac)
         if self.window is not None and self.window < 0:
-            raise UsageError(f"sampling window must be >= 0, got {self.window}")
+            raise UsageError(f"sampling.window must be >= 0, got {self.window}")
 
 
 def undersample(

@@ -41,13 +41,15 @@ from .learners import (
     BUILTIN_FAMILIES,
     BaseModel,
     ModelSpec,
+    default_spec,
     model_from_lines,
     model_to_lines,
+    optimized_spec,
     project_matrix,
     train,
 )
 from .learners.base import check_dense, check_X_y, param_problem
-from .lines import LineReader, Source, Target, read_lines, write_lines
+from .lines import LineReader, Source, Target, parse_int, read_lines, write_lines
 from .rng import derive_seed, generator
 
 PIPELINE_HEADER = "vandalstack-pipeline v1"
@@ -75,11 +77,12 @@ def _default_first_stage() -> tuple[ModelSpec, ...]:
 
 
 def _default_second_stage() -> tuple[ModelSpec, ...]:
+    # the paper's optimized RF, default MLP, optimized GBT and default GBT
     return (
-        ModelSpec("random_forest", {"n_estimators": 200, "max_depth": 8}),
-        ModelSpec("mlp"),
-        ModelSpec("gradient_boosting", {"n_estimators": 200, "max_depth": 6}),
-        ModelSpec("gradient_boosting"),
+        optimized_spec("random_forest"),
+        default_spec("mlp"),
+        optimized_spec("gradient_boosting"),
+        default_spec("gradient_boosting"),
     )
 
 
@@ -311,10 +314,9 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
     elif selected_raw == "empty":
         selected = ()
     else:
-        try:
-            selected = tuple(int(tok) for tok in selected_raw.split(" "))
-        except ValueError:
-            raise MalformedLine(f"bad selected columns {selected_raw!r}", selected_line) from None
+        selected = tuple(parse_int(tok) for tok in selected_raw.split(" "))
+        if None in selected:
+            raise MalformedLine(f"bad selected columns {selected_raw!r}", selected_line)
         if selected[0] < 0 or any(a >= b for a, b in zip(selected, selected[1:])):
             raise MalformedLine("selected columns must ascend from 0 or more", selected_line)
 
@@ -324,10 +326,11 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
         at = reader.line_no
         head, _, rest = header.partition(" ")
         found, _, count_raw = rest.rpartition(" ")
-        if head != "section" or not count_raw.isdecimal() or found != name:
+        count = parse_int(count_raw)
+        if head != "section" or count is None or count < 0 or found != name:
             raise MalformedLine(f"expected section {name!r}, got {header!r}", at)
-        body = lines[reader.pos : reader.pos + int(count_raw)]
-        if len(body) != int(count_raw):
+        body = lines[reader.pos : reader.pos + count]
+        if len(body) != count:
             raise MalformedLine(f"truncated section {name!r}", at)
         reader.pos += len(body)
         return body, at

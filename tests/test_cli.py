@@ -596,6 +596,31 @@ def test_sample_bad_values_exit_2_naming_the_key(tmp_path, capsys, flag, value, 
     assert f"config {key}: bad value {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config_text, flags, message",
+    [
+        ("train-stack", "sampling.fraction = 2", [],
+         "{cfg}:1: sampling.fraction must be in (0, 1], got 2"),
+        ("train-stack", "sampling.window = -5", [], "{cfg}:1: sampling.window must be >= 0, got -5"),
+        ("train-stack", "", ["--fraction", "0"], "sampling.fraction must be in (0, 1], got 0"),
+        ("sample", "", ["--fraction", "3/2"], "sampling.fraction must be in (0, 1], got 3/2"),
+    ],
+)
+def test_a_bad_sampling_value_is_reported_before_a_missing_corpus(
+    tmp_path, capsys, command, config_text, flags, message
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config_text + "\n", encoding="utf-8")
+    outputs = {
+        "train-stack": ["--pipeline", str(tmp_path / "p.txt"), "--config", str(cfg)],
+        "sample": ["--output-corpus", str(tmp_path / "c.tsv"), "--output-truth", str(tmp_path / "t")],
+    }
+    args = [command, "--corpus", str(tmp_path / "missing_corpus.tsv"),
+            "--truth", str(tmp_path / "missing_truth.tsv"), *outputs[command], *flags]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+
+
 @pytest.mark.parametrize("command", ["evaluate", "analyze"])
 def test_a_scored_rev_id_missing_from_the_corpus_exits_2_naming_it(
     stack_dir, tmp_path, capsys, command

@@ -133,10 +133,9 @@ def test_validation_errors():
         RunConfig(stack_k=1)
     with pytest.raises(UsageError):
         build_run_config({"sampling.fraction": "nope"})
-    # an out-of-range fraction passes the parse and fails where it is used
-    bad = build_run_config({"sampling.fraction": "3/2"})
-    with pytest.raises(UsageError):
-        bad.sampling_config()
+    # an out-of-range fraction parses, and SamplingConfig refuses it at once
+    with pytest.raises(UsageError, match=re.escape("sampling.fraction must be in (0, 1]")):
+        build_run_config({"sampling.fraction": "3/2"})
 
 
 @pytest.mark.parametrize(
@@ -148,6 +147,10 @@ def test_validation_errors():
         ("sampling.seed", ""),
         ("sampling.dedup", "maybe"),
         ("sampling.fraction", "1/0"),
+        ("sampling.fraction", "2"),
+        ("sampling.fraction", "0"),
+        ("sampling.fraction", "3/2"),
+        ("sampling.window", "-5"),
         ("selection.threshold", "x"),
         ("selection.threshold", "nan"),
         ("selection.threshold", "inf"),

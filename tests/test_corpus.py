@@ -1,6 +1,10 @@
 """Corpus line grammar, truth files, joining, and round trips."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,3 +247,18 @@ def test_write_and_reload_files(tmp_path):
     write_labels(examples, truth_path)
     assert load_corpus(corpus_path).revisions == revisions
     assert load_labels(truth_path) == {308612969: True, 2: False}
+
+
+def test_importing_the_corpus_module_loads_no_model_or_protocol_code():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, vandalstack.corpus; print(*sorted(m for m in sys.modules if 'vandal' in m))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "vandalstack.corpus" in loaded
+    for module in ("vandalstack.serve", "vandalstack.stacking", "vandalstack.learners"):
+        assert module not in loaded

@@ -31,12 +31,21 @@ def test_the_config_section_lists_exactly_the_config_keys():
 
 def test_every_flag_the_config_section_names_is_a_train_stack_flag():
     section = " ".join(doc_section("docs/formats.md", "Config file").split())
-    flags = set(re.findall(r"`(--[a-z-]+)`", section))
+    pairs = dict(re.findall(r"`([a-z_.]+)` by `(--[a-z-]+)`", section))
     same_name = re.search(r"((?:`[a-z_.]+`,? (?:and )?)+)by the flag of the same name", section)
-    flags.update(f"--{key}" for key in re.findall(r"`([a-z_.]+)`", same_name.group(1)))
-    assert len(flags) == 11
+    pairs.update((key, f"--{key}") for key in re.findall(r"`([a-z_.]+)`", same_name.group(1)))
     options = subparsers()["train-stack"]._option_string_actions
-    assert flags <= set(options), flags - set(options)
+    # each "`key` by `--flag`" pair is the flag's dest, and every flag that sets a key is named
+    assert {key: options[flag].dest for key, flag in pairs.items()} == {k: k for k in pairs}
+    setting_flags = {a.option_strings[0] for a in options.values() if a.dest in config._KEYS}
+    assert set(pairs.values()) == setting_flags
+
+
+def test_the_readme_python_api_imports_run():
+    section = doc_section("README.md", "Python API")
+    imports = re.findall(r"^from vandalstack[.\w]* import .+$", section, flags=re.MULTILINE)
+    assert len(imports) >= 5
+    exec("\n".join(imports), {})
 
 
 def test_the_readme_command_table_lists_exactly_the_subcommands():

@@ -231,7 +231,8 @@ def test_load_scores_round_trip_and_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", ["nan", "-nan", "inf", "-inf", "1.5", "-0.25", "1e400", "0x1p-1"]
+    "bad",
+    ["nan", "-nan", "inf", "-inf", "1.5", "-0.25", "1e400", "0x1p-1", "٠.٥", "0.2_5", " 0.5 "],
 )
 def test_load_scores_rejects_scores_outside_the_unit_interval(bad):
     with pytest.raises(MalformedLine) as info:

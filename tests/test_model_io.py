@@ -141,6 +141,9 @@ def test_hand_written_tree_model_loads_and_scores():
         (11, "tree seven", 11),
         (10, "trees -1", 10),
         (3, "dim two", 3),
+        (3, "dim +2", 3),
+        (10, "trees 0_1", 10),
+        (11, "tree ٧", 11),
     ],
 )
 def test_corrupt_tree_fails_at_load_naming_the_line(line_no, text, reported):
@@ -254,6 +257,10 @@ def test_param_values_load_with_their_types():
         (MLP_MODEL, 7, "param hidden_units x", 7),  # not an int
         (TREE_MODEL, 5, "param learning_rate nan", 5),  # a float must be finite
         (TREE_MODEL, 7, "param n_estimators 1²", 7),  # int refuses it
+        (TREE_MODEL, 7, "param n_estimators +1", 7),  # int takes these three
+        (TREE_MODEL, 7, "param n_estimators ١", 7),
+        (TREE_MODEL, 6, "param max_depth 0_3", 6),
+        (LINEAR_MODEL, 6, "param max_iter  1000", 6),
         (TREE_MODEL, 5, "param learning_rate inf", 5),
         (TREE_MODEL, 6, "param max_depth 2.5", 6),
         (TREE_MODEL, 7, "param n_estimators True", 7),  # a bool is no int

@@ -311,6 +311,23 @@ def rename_section(name, new_name):
     return corrupt
 
 
+def replace_in_section(name, prefix, text):
+    def corrupt(lines):
+        at = line_index(lines, f"section {name} ")
+        at += line_index(lines[at:], prefix)
+        lines[at] = text
+        return at + 1
+
+    return corrupt
+
+
+def section_count_in_arabic_indic_digits(lines):
+    at = line_index(lines, "section model first 0 0 ")
+    head, _, count = lines[at].rpartition(" ")
+    lines[at] = f"{head} {count.translate(str.maketrans('0123456789', '٠١٢٣٤٥٦٧٨٩'))}"
+    return at + 1
+
+
 def huge_fold_count(lines):
     # must fail at the first section it lacks, without listing them all
     lines[line_index(lines, "k ")] = "k 1000000000000"
@@ -357,6 +374,10 @@ def corrupt_inside_a_model(lines):
         replace_line("k ", "k 0"),
         replace_line("k ", "k 1"),
         replace_line("k ", "k -3"),
+        replace_line("k ", "k 1_0"),
+        replace_line("k ", "k +3"),
+        replace_line("k ", "k  3"),
+        replace_line("k ", "k ٢"),
         one_fold_pipeline,
         huge_fold_count,
         replace_line("seed ", "seed 1.5"),
@@ -376,7 +397,10 @@ def corrupt_inside_a_model(lines):
         replace_line("selected ", "selected 4 2 0"),
         replace_line("selected ", "selected -1 2 4"),
         replace_line("selected ", "selected 0 0 4"),
+        replace_line("selected ", "selected +0 1 2"),
         replace_line("section model first 0 0 ", "section model first 0 0 many"),
+        section_count_in_arabic_indic_digits,
+        replace_in_section("model first 0 0", "dim ", "dim +3"),
         rename_section("model first 0 1", "model first 0 7"),
         rename_section("model first 1 2", "model first x 2"),
         replace_line("end", "the end"),
