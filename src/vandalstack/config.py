@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 from .errors import UsageError
 from .learners.selection import DEFAULT_THRESHOLD
-from .lines import read_lines
+from .lines import is_plain, parse_int, read_lines
 from .rng import derive_seed
 from .sampling import SamplingConfig
 from .stacking import StackConfig
@@ -44,22 +44,42 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(value)
 
 
+def _parse_int(value: str) -> int:
+    number = parse_int(value)
+    if number is None:
+        raise ValueError(value)
+    return number
+
+
+def _plain(parse):
+    """``parse``, on text that :func:`~vandalstack.lines.is_plain` accepts only."""
+
+    def parse_plain(value: str):
+        if not is_plain(value):
+            raise ValueError(value)
+        return parse(value)
+
+    return parse_plain
+
+
 # config key -> (RunConfig field, parser of its text)
 _KEYS = {
     "corpus": ("corpus", str),
     "truth": ("truth", str),
     "schema": ("schema", str),
     "pipeline": ("pipeline", str),
-    "master_seed": ("master_seed", int),
+    "master_seed": ("master_seed", _parse_int),
     "malformed": ("malformed", str),
-    "sampling.fraction": ("sampling_fraction", Fraction),
-    "sampling.window": ("sampling_window", lambda value: None if value == "all" else int(value)),
-    "sampling.seed": ("sampling_seed", int),
+    "sampling.fraction": ("sampling_fraction", _plain(Fraction)),
+    "sampling.window": (
+        "sampling_window", lambda value: None if value == "all" else _parse_int(value)
+    ),
+    "sampling.seed": ("sampling_seed", _parse_int),
     "sampling.dedup": ("dedup", _parse_bool),
     "sampling.dedup_order": ("dedup_order", str),
-    "selection.threshold": ("selection_threshold", float),
-    "selection.seed": ("selection_seed", int),
-    "stack.k": ("stack_k", int),
+    "selection.threshold": ("selection_threshold", _plain(float)),
+    "selection.seed": ("selection_seed", _parse_int),
+    "stack.k": ("stack_k", _parse_int),
 }
 
 
@@ -118,19 +138,21 @@ class RunConfig:
 def parse_config_file(path: Union[str, Path]) -> dict[str, str]:
     """Read ``key = value`` pairs; '#' starts a comment, blanks ignored.
 
+    Only ASCII spaces and tabs around a key or value are stripped.
+
     Each value is checked as :func:`build_run_config` would take it, and a
     bad one is a :class:`UsageError` naming its ``path:line``.
     """
     pairs: dict[str, str] = {}
     for line_no, raw in enumerate(read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(" \t")
         if not line:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{line_no}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key = key.strip(" \t")
+        value = value.strip(" \t")
         try:
             build_run_config({key: value})
         except UsageError as exc:

@@ -179,15 +179,19 @@ def load_corpus(source: Source, on_malformed: str = "skip") -> CorpusLoad:
 def load_labels(source: Source) -> dict[int, bool]:
     """Read a truth file into ``{rev_id: label}``.
 
-    Label spellings are matched case-insensitively against
-    :data:`TRUE_LABELS` and :data:`FALSE_LABELS`.
+    Label spellings are matched ASCII case-insensitively against
+    :data:`TRUE_LABELS` and :data:`FALSE_LABELS`, after ASCII spaces and
+    tabs around the label are stripped; any other character is part of
+    the label.
     Re-stating the same label for a rev_id is fine; a contradiction raises
     :class:`DuplicateConflict`.
     """
     labels: dict[int, bool] = {}
     for line_no, line in enumerate(read_lines(source), start=1):
         rev_id, text = split_keyed(line, line_no)
-        token = text.strip().lower()
+        token = text.strip(" \t")
+        # only ASCII is case-folded: lower() would read the Kelvin sign as k
+        token = token.lower() if token.isascii() else token
         if token in TRUE_LABELS:
             label = True
         elif token in FALSE_LABELS:

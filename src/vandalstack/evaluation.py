@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import split_keyed
 from .errors import DuplicateConflict, EmptyDataset, MalformedLine, SingleClass
-from .lines import Source, read_lines
+from .lines import Source, is_plain, read_lines
 
 MDS_CAP = 2000
 N_BINS = 20
@@ -168,9 +168,8 @@ def parse_score(text: str, line_no: int | None = None) -> float:
     The text is ASCII with no ``_`` and no whitespace, though ``float()``
     takes all three; an exponent is allowed.
     """
-    plain = text.isascii() and "_" not in text and text.split() == [text]
     try:
-        score = float(text) if plain else math.nan
+        score = float(text) if is_plain(text) else math.nan
     except ValueError:
         score = math.nan
     if not 0.0 <= score <= 1.0:  # NaN fails both

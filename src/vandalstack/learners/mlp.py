@@ -4,7 +4,9 @@ Trained on mean log-loss plus an L2 penalty on the weight matrices, with
 mini-batch Adam (step 1e-3, batch 32, at most 200 epochs) and early stop
 when the full training loss stops improving.  The parameters live in one
 flat vector so the analytic gradient in :func:`loss_and_grad` can be
-checked directly against finite differences.
+checked directly against finite differences.  The end-of-epoch check
+runs only :func:`forward`, the loss half of :func:`loss_and_grad`, so
+it computes no gradient.
 """
 
 from __future__ import annotations
@@ -38,24 +40,32 @@ def init_params(d: int, h: int, rng: np.random.Generator) -> np.ndarray:
     return pack_params(W1, np.zeros(h), w2, 0.0)
 
 
-def loss_and_grad(
+def forward(
     theta: np.ndarray, X, y: np.ndarray, d: int, h: int, alpha: float
-) -> tuple[float, np.ndarray]:
-    """Mean log-loss + (alpha/2)(||W1||^2 + ||w2||^2) and its gradient.
+) -> tuple[float, tuple]:
+    """Mean log-loss + (alpha/2)(||W1||^2 + ||w2||^2), and the activations.
 
-    ``X`` is a dense n x d float64 array; biases are unpenalised.
+    ``X`` is a dense n x d float64 array; biases are unpenalised.  The
+    activations are what :func:`loss_and_grad`'s backward pass reuses.
     """
     W1, b1, w2, b2 = unpack_params(theta, d, h)
-    n = y.shape[0]
     Z1 = X @ W1 + b1
     A1 = np.maximum(Z1, 0.0)
     z2 = A1 @ w2 + b2
-    p = sigmoid(z2)
     loss = float(
         np.mean(np.logaddexp(0.0, z2) - y * z2)
         + 0.5 * alpha * (np.sum(W1 * W1) + np.sum(w2 * w2))
     )
-    dz2 = (p - y) / n
+    return loss, (W1, w2, Z1, A1, z2)
+
+
+def loss_and_grad(
+    theta: np.ndarray, X, y: np.ndarray, d: int, h: int, alpha: float
+) -> tuple[float, np.ndarray]:
+    """The loss of :func:`forward` and its gradient."""
+    loss, (W1, w2, Z1, A1, z2) = forward(theta, X, y, d, h, alpha)
+    p = sigmoid(z2)
+    dz2 = (p - y) / y.shape[0]
     grad_w2 = A1.T @ dz2 + alpha * w2
     grad_b2 = float(dz2.sum())
     dA1 = np.outer(dz2, w2)
@@ -115,7 +125,7 @@ class MLPClassifier(BaseModel):
                 m_hat = first_moment / (1 - beta1**step_count)
                 v_hat = second_moment / (1 - beta2**step_count)
                 theta = theta - self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-            epoch_loss, _ = loss_and_grad(theta, Xr, labels, d, h, self.alpha)
+            epoch_loss, _ = forward(theta, Xr, labels, d, h, self.alpha)
             if epoch_loss < best_loss - self.tol:
                 best_loss = epoch_loss
                 stale_epochs = 0

@@ -137,6 +137,15 @@ def parse_int(text: str) -> Optional[int]:
         return None
 
 
+def is_plain(text: str) -> bool:
+    """Whether ``text`` is ASCII with no ``_`` and no whitespace.
+
+    ``float()`` and ``Fraction()`` also take non-ASCII digits, ``_``
+    between digits and whitespace around the number; no writer writes them.
+    """
+    return text.isascii() and "_" not in text and text.split() == [text]
+
+
 class LineReader:
     """Sequential reader over a block of lines, with tag dispatch and error positions.
 

@@ -158,6 +158,19 @@ def test_validation_errors():
         ("stack.k", "1"),
         ("stack.k", "0"),
         ("stack.refit_full", "2"),
+        # int(), float() and Fraction() take these; the config does not
+        ("stack.k", "1_0"),
+        ("stack.k", "+3"),
+        ("master_seed", "\u0663"),
+        ("master_seed", "3\x85"),
+        ("sampling.window", "+5"),
+        ("sampling.window", "1_0"),
+        ("sampling.seed", "\u0663"),
+        ("selection.seed", "1_0"),
+        ("sampling.fraction", "1/5_0"),
+        ("sampling.fraction", "\u0661/\u0665\u0660"),
+        ("selection.threshold", "1_0e-6"),
+        ("selection.threshold", "\u0661e-5"),
     ],
 )
 def test_every_bad_value_is_a_usage_error_naming_its_key_and_line(tmp_path, key, value):
@@ -167,6 +180,22 @@ def test_every_bad_value_is_a_usage_error_naming_its_key_and_line(tmp_path, key,
     for load in (parse_config_file, lambda p: load_run_config(p)):
         with pytest.raises(UsageError, match=re.escape(f"{path}:3:")):
             load(path)
+
+
+@pytest.mark.parametrize("key", ["sampling.fraction", "selection.threshold"])
+@pytest.mark.parametrize("space", [" ", "\t", "\x0b", "\x1f", "\x85", "\u2028"])
+def test_a_number_with_whitespace_around_it_is_refused(tmp_path, key, space):
+    value = "1/50" if key == "sampling.fraction" else "1e-5"
+    for text in (space + value, value + space):
+        with pytest.raises(UsageError, match=re.escape(f"config {key}: bad value")):
+            build_run_config({key: text})
+    # the file strips ASCII spaces and tabs around a value, and nothing else
+    path = write_config(tmp_path, f"{key} = {value}{space}\n")
+    if space in " \t":
+        assert parse_config_file(path) == {key: value}
+    else:
+        with pytest.raises(UsageError, match=re.escape(f"{path}:1: config {key}")):
+            parse_config_file(path)
 
 
 def test_output_is_not_a_config_key(tmp_path):

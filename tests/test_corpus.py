@@ -219,6 +219,14 @@ def test_load_labels_rejects_unknown_spelling():
         load_labels(io.StringIO("5\tmaybe\n"))
 
 
+def test_load_labels_strips_only_ascii_spaces_around_a_label():
+    assert load_labels(io.StringIO("5\t  yes \n6\tno \n")) == {5: True, 6: False}
+    # str.strip() and str.lower() would make each of these a label
+    for text in ("1\x1c", "\x1ftrue", "0\x85", "\u2028yes", "ROLLBAC\u212a_REVERTED"):
+        with pytest.raises(MalformedLine, match="line 2: unknown label spelling"):
+            load_labels(io.StringIO(f"4\t1\n5\t{text}\n"))
+
+
 def test_join_labels_counts_and_order():
     revisions = [Revision(rev_id=i) for i in (10, 11, 12)]
     joined = join_labels(revisions, {10: True, 12: False})

@@ -1,5 +1,7 @@
 """One-hidden-layer network: gradient correctness and training behaviour."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -7,6 +9,7 @@ from scipy import sparse
 from tests._util import auc_bruteforce
 from vandalstack.learners.mlp import (
     MLPClassifier,
+    forward,
     init_params,
     loss_and_grad,
     pack_params,
@@ -148,3 +151,33 @@ def test_early_stop_plateau():
 def test_invalid_hidden_units():
     with pytest.raises(ValueError):
         MLPClassifier(hidden_units=0).fit(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+
+
+def test_forward_loss_is_the_loss_of_loss_and_grad():
+    # the end-of-epoch check runs forward alone; its loss must be the one
+    # the gradient step reports, bit for bit
+    d, h, n = 5, 7, 33
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(n, d)) * np.array([1e-3, 1.0, 10.0, 100.0, 1.0])
+    y = rng.integers(0, 2, size=n).astype(np.float64)
+    for point in range(5):
+        theta = init_params(d, h, generator(200 + point)) + rng.normal(size=(d + 2) * h + 1)
+        loss, _ = forward(theta, X, y, d, h, alpha=1e-4)
+        want, _ = loss_and_grad(theta, X, y, d, h, alpha=1e-4)
+        assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+
+
+def test_seeded_fit_is_pinned():
+    # digest of theta_ from the fit loop that called loss_and_grad for the
+    # end-of-epoch loss (numpy 2.4, x86-64); it stops early, at epoch 60
+    rng = np.random.default_rng(20)
+    n, d = 90, 5
+    X = rng.normal(size=(n, d))
+    y = (X[:, 0] + 0.5 * X[:, 1] + 0.8 * rng.normal(size=n) > 0).astype(int)
+    model = MLPClassifier(
+        hidden_units=6, learning_rate=0.02, max_epochs=100, patience=3, tol=1e-3, seed=3
+    ).fit(X, y)
+    digest = hashlib.sha256(model.theta_.tobytes()).hexdigest()
+    assert digest == "f00ea4363763e4919cfabc096e74f68ca254c08824a6a067ea2ed8cafb712afc"
+    assert model.n_epochs_ == 60
+    assert model.train_loss_.hex() == "0x1.b4c4113549ee7p-3"
