@@ -96,6 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
         version=f"vandalstack {__version__} ({_FORMAT_VERSIONS})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each setting's dest is its config key, and its default the run config's
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--fraction", dest="sampling.fraction")
+    sampling.add_argument("--window", dest="sampling.window")
+    sampling.add_argument("--dedup-order", dest="sampling.dedup_order", choices=["after", "before"])
+    sampling.add_argument("--malformed", choices=["skip", "abort"])
+    scored = argparse.ArgumentParser(add_help=False)
+    scored.add_argument("--scores", required=True)
+    scored.add_argument("--truth", required=True)
+    scored.add_argument("--corpus", help="corpus for feature-vector dedup / MDS")
+    scored.add_argument("--schema", help="schema matching --corpus")
+    scored.add_argument("--threshold", type=float, default=0.5)
 
     p = sub.add_parser("ingest", help="parse a corpus, join labels, print counts")
     p.add_argument("--corpus", required=True)
@@ -104,18 +116,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the parsed corpus back out (normalised)")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("sample", help="under-sample negatives and drop duplicates")
+    p = sub.add_parser(
+        "sample", parents=[sampling], help="under-sample negatives and drop duplicates"
+    )
     p.add_argument("--corpus", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--output-corpus", required=True)
     p.add_argument("--output-truth", required=True)
-    # each setting's dest is its config key, and its default the run config's
-    p.add_argument("--fraction", dest="sampling.fraction")
-    p.add_argument("--window", dest="sampling.window")
     p.add_argument("--seed", dest="sampling.seed")
-    p.add_argument("--dedup-order", dest="sampling.dedup_order", choices=["after", "before"])
     p.add_argument("--no-dedup", dest="sampling.dedup", action="store_const", const="0")
-    p.add_argument("--malformed", choices=["skip", "abort"])
     p.set_defaults(func=_cmd_sample, config=None)
 
     p = sub.add_parser("train", help="fit a single model family (debug utility)")
@@ -133,20 +142,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--malformed", choices=["skip", "abort"], default="skip")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("train-stack", help="full training flow from a config file")
+    p = sub.add_parser(
+        "train-stack", parents=[sampling], help="full training flow from a config file"
+    )
     p.add_argument("--config", help="key = value config file")
-    # each setting's dest is the config key it overrides
     p.add_argument("--corpus")
     p.add_argument("--truth")
     p.add_argument("--schema")
     p.add_argument("--pipeline")
     p.add_argument("--master-seed", dest="master_seed")
-    p.add_argument("--fraction", dest="sampling.fraction")
-    p.add_argument("--window", dest="sampling.window")
-    p.add_argument("--dedup-order", dest="sampling.dedup_order", choices=["after", "before"])
     p.add_argument("--threshold", dest="selection.threshold")
     p.add_argument("--k", dest="stack.k")
-    p.add_argument("--malformed", choices=["skip", "abort"])
     p.set_defaults(func=_cmd_train_stack)
 
     p = sub.add_parser("predict", help="score a corpus with a saved pipeline")
@@ -156,23 +162,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--malformed", choices=["skip", "abort"], default="skip")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("evaluate", help="AUC and error report for a scores file")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--truth", required=True)
+    p = sub.add_parser(
+        "evaluate", parents=[scored], help="AUC and error report for a scores file"
+    )
     p.add_argument("--report", required=True)
     p.add_argument("--mds", help="write an error-embedding TSV here")
-    p.add_argument("--corpus", help="corpus for feature-vector dedup / MDS")
-    p.add_argument("--schema", help="schema matching --corpus")
-    p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=_cmd_evaluate, out_dir=None)
 
-    p = sub.add_parser("analyze", help="evaluate + histogram/error/MDS data files")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--truth", required=True)
+    p = sub.add_parser(
+        "analyze", parents=[scored], help="evaluate + histogram/error/MDS data files"
+    )
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--corpus")
-    p.add_argument("--schema")
-    p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=_cmd_evaluate, report=None, mds=None)
 
     p = sub.add_parser("serve", help="serve one scoring session over TCP")
@@ -245,17 +245,24 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _encode(examples, schema_path: Optional[str]):
+    """Extract, build the schema (saved to ``schema_path`` if given) and encode: schema, X, labels.
+
+    The steps are looked up as names of this module, where perfbench's
+    tracer wraps them.
+    """
+    raws = extract_many([ex.revision for ex in examples])
+    schema = build_schema(raws)
+    if schema_path:
+        save_schema(schema, schema_path)
+    return schema, encode_matrix(raws, schema), [ex.label for ex in examples]
+
+
 def _cmd_train(args) -> int:
     _, _, joined = _load_joined(args.corpus, args.truth, args.malformed)
     if not joined.examples:
         raise UsageError("no labeled examples to train on")
-    revisions = [ex.revision for ex in joined.examples]
-    labels = [ex.label for ex in joined.examples]
-    raws = extract_many(revisions)
-    schema = build_schema(raws)
-    if args.schema:
-        save_schema(schema, args.schema)
-    X = encode_matrix(raws, schema)
+    _, X, labels = _encode(joined.examples, args.schema)
     spec = (
         default_spec(args.model, args.seed)
         if args.preset == "default"
@@ -277,13 +284,7 @@ def _cmd_train_stack(args) -> int:
     if not joined.examples:
         raise UsageError("no labeled examples to train on")
     examples = _reduce(joined.examples, cfg)
-    revisions = [ex.revision for ex in examples]
-    labels = [ex.label for ex in examples]
-
-    raws = extract_many(revisions)
-    schema = build_schema(raws)
-    save_schema(schema, cfg.schema_path())
-    X = encode_matrix(raws, schema)
+    schema, X, labels = _encode(examples, cfg.schema_path())
 
     selection_model = train(
         ModelSpec("gradient_boosting", {}, cfg.selection_seed), X, labels

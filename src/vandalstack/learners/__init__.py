@@ -32,7 +32,6 @@ from .selection import (
     project_matrix,
     select_features,
 )
-from .tree import Tree
 
 _REGISTRY: dict[str, type] = dict(BUILTIN_FAMILIES)
 

@@ -17,8 +17,7 @@ from typing import Annotated, Optional
 import numpy as np
 
 from .base import BaseModel, check_predict_input, check_X_y
-from .grower import Presort, TreeBuilder, TreeJob
-from .tree import NodeTable
+from .grower import Presort, TreeBuilder, TreeJob, node_table
 
 _PROB_EPS = 1e-12
 _HESSIAN_EPS = 1e-16
@@ -75,10 +74,11 @@ class GradientBoostingClassifier(BaseModel):
 
             job = TreeJob(rows, residual, newton_leaf, None, presort)
             [(tree, leaf_of)] = builder.build_many(Xd, [job], importances)
-            raw = raw + self.learning_rate * tree.value[leaf_of]
+            _, _, _, value = tree
+            raw = raw + self.learning_rate * value[leaf_of]
             trees.append(tree)
             losses.append(log_loss(labels, sigmoid(raw)))
-        self.nodes_ = NodeTable.from_trees(trees)
+        self.nodes_ = node_table(trees)
         self.train_losses_ = np.asarray(losses)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances

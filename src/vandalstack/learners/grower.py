@@ -8,8 +8,10 @@ mean target, or a Newton step), supplied as a callback.
 
 :meth:`TreeBuilder.build_many` is the one entry point: each tree comes
 as a :class:`TreeJob` that carries its rows, targets, leaf rule and
-generator, and goes out as a :class:`~vandalstack.learners.tree.Tree`,
-which the models compile into their ``NodeTable``.
+generator, and goes out as its node columns in the tree-local layout of
+:func:`~vandalstack.learners.tree.invalid_node`, which
+:func:`node_table` joins into the model's one
+:class:`~vandalstack.learners.tree.NodeTable`.
 
 The models densify their training matrix once per fit.  All trees of a
 forest grow together (a boosting round grows one): each step takes the
@@ -29,7 +31,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .tree import Tree
+from .tree import NodeTable
 
 
 # cells searched at once: the trees grown together are grouped so that a
@@ -200,11 +202,12 @@ class TreeBuilder:
 
     def build_many(
         self, X: np.ndarray, jobs: Iterable[TreeJob], importances: Optional[np.ndarray] = None
-    ) -> Iterator[tuple[Tree, np.ndarray]]:
+    ) -> Iterator[tuple[tuple, np.ndarray]]:
         """Grow one tree per :class:`TreeJob` over dense ``X``, in lockstep.
 
-        Yields per job, in order, the tree and, per position of its rows,
-        the id of the leaf it reached.  When given, ``importances``
+        Yields per job, in order, the tree's node columns ``(feature,
+        threshold, right, value)`` and, per position of its rows, the id of
+        the leaf it reached.  When given, ``importances``
         accumulates weighted impurity decreases per feature (caller
         normalises), tree by tree and within a tree in depth-first order;
         it is complete once every tree is yielded.  The jobs are taken and
@@ -228,6 +231,16 @@ class TreeBuilder:
             yield from _Grove(self, X, group).grow(importances)
 
 
+def node_table(trees: Iterable[tuple]) -> NodeTable:
+    """One table of grown trees' node columns, in order."""
+    trees = list(trees)
+    columns = (
+        np.concatenate([np.zeros(0, dtype)] + [tree[i] for tree in trees])
+        for i, dtype in enumerate((np.int64, np.float64, np.int64, np.float64))
+    )
+    return NodeTable(*columns, [tree[0].size for tree in trees])
+
+
 class _Growing:
     """One tree while it grows: its generator, its DFS stack and its nodes.
 
@@ -236,7 +249,7 @@ class _Growing:
 
     __slots__ = (
         "rng", "leaf_value", "base", "size", "pre", "vals", "stack", "n_nodes",
-        "feature", "threshold", "left", "value", "n_splits", "split_features", "split_weights",
+        "feature", "threshold", "right", "value", "n_splits", "split_features", "split_weights",
     )
 
     def __init__(self, job: TreeJob, base: int, nodes: tuple, splits: tuple):
@@ -246,9 +259,9 @@ class _Growing:
         self.size = job.rows.size
         # the nodes still to search, as (id, positions, depth), next on top
         self.stack: list[tuple[int, np.ndarray, int]] = []
-        # per node: split feature (-1 at a leaf), threshold, left child, value
+        # per node: split feature (-1 at a leaf), threshold, right child, value
         self.n_nodes = 1
-        self.feature, self.threshold, self.left, self.value = nodes
+        self.feature, self.threshold, self.right, self.value = nodes
         # feature and weighted gain of each split, in depth-first order
         self.n_splits = 0
         self.split_features, self.split_weights = splits
@@ -257,21 +270,15 @@ class _Growing:
         """Turn leaf ``nid`` into a split; returns its left child, the right is next."""
         left = self.n_nodes
         self.n_nodes += 2
-        self.feature[nid], self.threshold[nid], self.left[nid] = feature, threshold, left
+        self.feature[nid], self.threshold[nid], self.right[nid] = feature, threshold, left + 1
         self.split_features[self.n_splits], self.split_weights[self.n_splits] = feature, weight
         self.n_splits += 1
         return left
 
-    def tree(self) -> Tree:
+    def columns(self) -> tuple:
+        """The tree's ``(feature, threshold, right, value)``, copied out of the grove's arrays."""
         n = self.n_nodes
-        left = self.left[:n].copy()
-        return Tree(
-            feature=self.feature[:n].copy(),
-            threshold=self.threshold[:n].copy(),
-            left=left,
-            right=np.where(left < 0, -1, left + 1),
-            value=self.value[:n].copy(),
-        )
+        return tuple(a[:n].copy() for a in (self.feature, self.threshold, self.right, self.value))
 
 
 class _Grove:
@@ -322,8 +329,8 @@ class _Grove:
                 tree.vals = presort.values
             self.columns = columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
 
-    def grow(self, importances: Optional[np.ndarray]) -> list[tuple[Tree, np.ndarray]]:
-        """Per tree: the tree and each position's leaf id; see :meth:`TreeBuilder.build_many`."""
+    def grow(self, importances: Optional[np.ndarray]) -> list[tuple[tuple, np.ndarray]]:
+        """Per tree: its node columns and each position's leaf id, as ``build_many`` yields."""
         self.leaf_of = np.full(self.rows.size, -1, dtype=np.int64)
         self._place(
             [(tree, 0, np.arange(tree.base, tree.base + tree.size), 0) for tree in self.trees]
@@ -351,7 +358,8 @@ class _Grove:
                 k = tree.n_splits
                 np.add.at(importances, tree.split_features[:k], tree.split_weights[:k])
         return [
-            (tree.tree(), self.leaf_of[tree.base : tree.base + tree.size]) for tree in self.trees
+            (tree.columns(), self.leaf_of[tree.base : tree.base + tree.size])
+            for tree in self.trees
         ]
 
     def _place(self, nodes: list) -> None:

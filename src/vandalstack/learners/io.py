@@ -11,10 +11,14 @@ Grammar (see docs/formats.md)::
     end
 
 Floats are written with ``repr`` so loading restores them bit-for-bit and
-a reloaded model predicts identically to the one saved.
+a reloaded model predicts identically to the one saved.  Every number
+read is ASCII text with no ``_`` and no whitespace: an integer is read by
+:func:`~vandalstack.lines.parse_int`, and a float passes
+:func:`~vandalstack.lines.is_plain` and ``float()``.
 
 A tree model's ``NodeTable`` (``nodes_``) is written by :func:`_tree_lines`
-and read back by :func:`_nodes_from`, both on whole node columns.
+and read back by :func:`_nodes_from`, both on whole tree-local node
+columns, which only the table converts to and from its walk form.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import MalformedLine, UnsupportedFamily
-from ..lines import LineReader, Source, Target, parse_int, read_lines, write_lines
+from ..lines import LineReader, Source, Target, is_plain, parse_int, read_lines, write_lines
 from .base import param_problem
 from .boosting import GradientBoostingClassifier
 from .forest import ExtraTreesClassifier, RandomForestClassifier
@@ -67,7 +71,7 @@ def _parse_value(token: str):
     if value is not None:
         return value
     try:
-        return float(token)
+        return float(token) if is_plain(token) else token
     except ValueError:
         return token
 
@@ -108,13 +112,15 @@ def model_to_lines(model) -> list[str]:
         if family == "gradient_boosting":
             floats("base_score", model.base_score_)
         floats("importances", model.feature_importances_)
-        nodes = model.nodes_
-        bad = _unscorable(nodes.feature > 0, nodes.threshold, nodes.value)
+        columns = model.nodes_.local()
+        feature, threshold, _, value, sizes = columns
+        bad = _unscorable(feature >= 0, threshold, value)
         if bad is not None:
-            # below the `trees` line, a `tree` line leads each tree's node lines
-            tree = int(np.searchsorted(nodes.roots, bad, side="right"))
-            raise MalformedLine("cannot write a non-finite tree node", len(lines) + 2 + tree + bad)
-        lines.extend(_tree_lines(nodes))
+            # the `trees` line comes next
+            raise MalformedLine(
+                "cannot write a non-finite tree node", len(lines) + 1 + _below_trees(sizes, bad)
+            )
+        lines.extend(_tree_lines(*columns))
     elif family == "logistic_regression":
         floats("bias", model.intercept_)
         floats("coef", model.coef_)
@@ -131,7 +137,10 @@ def _floats(reader: LineReader, tag: str, line: str, size: int) -> np.ndarray:
     if head != tag:
         raise MalformedLine(f"expected {tag!r}, got {line!r}", reader.line_no)
     try:
-        values = np.asarray([float(tok) for tok in rest.split(" ") if rest], dtype=np.float64)
+        # each value is plain when the text, less its single spaces, is
+        if rest and not is_plain(rest.replace(" ", "")):
+            raise ValueError(rest)
+        values = np.array(rest.split(" ") if rest else [], dtype=np.float64)
     except ValueError:
         raise MalformedLine(f"non-numeric value after {tag!r}", reader.line_no) from None
     if values.size != size:
@@ -200,39 +209,62 @@ _NODE_LINE = np.dtype(
 )
 
 
-def _parse_nodes(lines: Sequence[str]) -> np.ndarray:
-    """``node <feature> <threshold> <left> <right> <value>`` lines, in bulk."""
-    if not lines:
-        return np.zeros(0, dtype=_NODE_LINE)
-    if not all(lines):  # loadtxt would skip an empty line, with a warning
-        raise ValueError("empty node line")
-    nodes = np.loadtxt(
-        lines, dtype=_NODE_LINE, delimiter=" ", comments=None, quotechar=None, ndmin=1
-    )
-    if nodes.size != len(lines) or not np.all(nodes["tag"] == "node"):
-        raise ValueError("not a node line")
-    return nodes
+def _parse_nodes(lines: Sequence[str]) -> tuple:
+    """The ``(feature, threshold, left, right, value)`` columns of node lines, parsed in bulk."""
+    nodes = np.zeros(0, dtype=_NODE_LINE)
+    if lines:
+        if not _bulk_parsable("\n".join(lines)):
+            raise ValueError("not node lines in the file's number text")
+        nodes = np.loadtxt(
+            lines, dtype=_NODE_LINE, delimiter=" ", comments=None, quotechar=None, ndmin=1
+        )
+        if nodes.size != len(lines) or not np.all(nodes["tag"] == "node"):
+            raise ValueError("not a node line")
+    return tuple(nodes[name] for name in _NODE_LINE.names[1:])
 
 
-def _tree_lines(nodes: NodeTable) -> list[str]:
-    """The ``trees``, ``tree`` and ``node`` lines of a table; :func:`_nodes_from` reads them.
+def _bulk_parsable(text: str) -> bool:
+    """Whether node lines, joined by LF, are fit for ``loadtxt``: it takes only what the rule does.
 
-    Undoes the walk form on whole columns: the feature index less one,
-    tree-local children with the left one ``right - 1``, and ``-1 nan -1
-    -1`` at a leaf.  Only one tree's values are Python objects at a time.
+    ``loadtxt`` skips an empty line, and warns if every line is: a first
+    one is refused here, a later one by the row count after the parse.
+    It refuses ``_`` and non-ASCII digits itself, but takes whitespace
+    around a field and a ``+`` before an integer.  So the text must be
+    ASCII with no whitespace but the LFs and the single spaces between
+    fields, and no field ``+``-signed but a float's (a threshold or
+    value).  Each test runs over the whole text at once.
     """
-    starts, ends = nodes.roots, np.append(nodes.roots[1:], nodes.value.size)
-    leaf = nodes.feature == 0
-    right = np.where(leaf, -1, nodes.right - np.repeat(starts, ends - starts))
-    columns = (
-        nodes.feature - 1,
-        np.where(leaf, np.nan, nodes.threshold),
-        np.where(leaf, -1, right - 1),
-        right,
-        nodes.value,
-    )
-    lines = [f"trees {nodes.n_trees}"]
-    for start, stop in zip(starts.tolist(), ends.tolist()):
+    if not text.startswith("node ") or not text.isascii():
+        return False
+    if any(c in text for c in "\t\v\f\r\x1c\x1d\x1e\x1f"):
+        return False
+    at = text.find(" +") if "+" in text else -1
+    while at >= 0:
+        # the signed field's index on its line: 1, 3 and 4 are integers
+        if text.count(" ", text.rfind("\n", 0, at) + 1, at + 1) in (1, 3, 4):
+            return False
+        at = text.find(" +", at + 1)
+    return True
+
+
+def _below_trees(sizes: Sequence[int], k: int) -> int:
+    """How many lines below the ``trees`` line the ``k``-th node line is.
+
+    Each tree's node lines follow its own ``tree`` line.
+    """
+    return k + 2 + int(np.searchsorted(np.cumsum(sizes), k, side="right"))
+
+
+def _tree_lines(feature, threshold, right, value, sizes) -> list[str]:
+    """The ``trees``, ``tree`` and ``node`` lines of tree-local columns, for :func:`_nodes_from`.
+
+    A node line also lists the left child: ``right - 1``, or ``-1`` at a
+    leaf.  Only one tree's values are Python objects at a time.
+    """
+    columns = (feature, threshold, np.where(feature >= 0, right - 1, -1), right, value)
+    ends = np.cumsum(sizes)
+    lines = [f"trees {len(sizes)}"]
+    for start, stop in zip((ends - sizes).tolist(), ends.tolist()):
         lines.append(f"tree {stop - start}")
         lines.extend(
             f"node {f} {t!r} {lo} {r} {v!r}"
@@ -251,25 +283,23 @@ def _nodes_from(reader: LineReader, model) -> NodeTable:
     n_trees = reader.expect_int("trees")
     if n_trees != model.n_estimators:
         raise MalformedLine(f"trees must equal n_estimators {model.n_estimators}", reader.line_no)
+    trees_line = reader.line_no
     dim, max_depth = model.n_features_, model.max_depth
-    sizes, firsts, lines = [], [], []
+    sizes, lines = [], []
     for _ in range(n_trees):
         n_nodes = reader.expect_int("tree", 1)
         if reader.pos + n_nodes > len(reader.lines):
             raise MalformedLine("tree runs past the end of the model block", reader.line_no)
-        firsts.append(reader.pos)
         sizes.append(n_nodes)
         lines.extend(reader.lines[reader.pos : reader.pos + n_nodes])
         reader.pos += n_nodes
 
     def line_of(k: int) -> int:
-        # the 1-based file line of the model's k-th node line
-        ends = np.cumsum(sizes)
-        t = int(np.searchsorted(ends, k, side="right"))
-        return reader.offset + firsts[t] + k - (ends[t] - sizes[t]) + 1
+        # the file line of the model's k-th node line
+        return trees_line + _below_trees(sizes, k)
 
     try:
-        nodes = _parse_nodes(lines)
+        feature, threshold, left, right, value = _parse_nodes(lines)
     except ValueError:
         for k, line in enumerate(lines):
             try:
@@ -277,24 +307,22 @@ def _nodes_from(reader: LineReader, model) -> NodeTable:
             except ValueError:
                 raise MalformedLine(f"bad tree node line {line!r}", line_of(k))
         raise MalformedLine("bad tree node lines", line_of(0))
-    feature, threshold = nodes["feature"], nodes["threshold"]
-    left, right = nodes["left"], nodes["right"]
     problems = [invalid_node(feature, threshold, left, right, sizes)]
     wide = np.nonzero(feature >= dim)[0]
     if wide.size:
         problems.append((int(wide[0]), f"feature index not below dim {dim}"))
-    unscorable = _unscorable(feature >= 0, threshold, nodes["value"])
+    unscorable = _unscorable(feature >= 0, threshold, value)
     if unscorable is not None:
         problems.append((unscorable, "a split's threshold and a node's value must be finite"))
     bad = min((problem for problem in problems if problem is not None), default=None)
     if bad is not None:
         raise MalformedLine(f"bad tree node: {bad[1]}", line_of(bad[0]))
-    table = NodeTable(feature, threshold, right, nodes["value"], sizes)
+    table = NodeTable(feature, threshold, right, value, sizes)
     if max_depth is not None and table.depth > max_depth:
         t = int(np.argmax(table.depths > max_depth))
         raise MalformedLine(  # named at the tree's `tree` line
             f"tree {t} is {table.depths[t]} deep, but max_depth is {max_depth}",
-            reader.offset + firsts[t],
+            line_of(sum(sizes[:t])) - 1,
         )
     return table
 

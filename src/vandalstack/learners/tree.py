@@ -1,48 +1,20 @@
-"""CART-style binary trees: their layout, and the one fitted form of an ensemble.
+"""CART-style binary trees in one node table: the one fitted form of an ensemble.
 
-Every tree family in the package grows its trees with
-:mod:`vandalstack.learners.grower` into the :class:`Tree` layout.  A
-fitted ensemble keeps them only as one :class:`NodeTable` (``nodes_``):
-it walks all trees together to predict, and
-:mod:`vandalstack.learners.io` writes and reads it without going back
-through :class:`Tree`.
+Every tree family grows its trees with :mod:`vandalstack.learners.grower`
+straight into the tree-local layout that :func:`invalid_node` checks and a
+model file lists, and keeps them as one :class:`NodeTable` (``nodes_``).
+The table compiles that layout into its walk form, walks all trees
+together to predict, and alone turns the walk form back into the layout
+(:meth:`NodeTable.local`), which :mod:`vandalstack.learners.io` formats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..errors import DimensionMismatch
-
-
-@dataclass
-class Tree:
-    """Flat-array binary tree.  ``feature[i] == -1`` marks a leaf.
-
-    Node 0 is the root.  A split node ``i`` sends ``x[feature[i]] <=
-    threshold[i]`` to ``left[i]`` and everything else, NaN included, to
-    ``right[i] == left[i] + 1``, both after ``i``; a leaf reads
-    ``-1 nan -1 -1``.  The grower produces exactly this layout and
-    :func:`invalid_node` checks it.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.size
-
-    def predict_dense(self, Xd: np.ndarray) -> np.ndarray:
-        """The leaf value every row of a dense block reaches."""
-        table = NodeTable.from_trees([self])
-        return table.value[table.leaf_ids(Xd)[:, 0]]
 
 
 def invalid_node(
@@ -52,14 +24,16 @@ def invalid_node(
     right: np.ndarray,
     sizes: np.ndarray,
 ) -> Optional[tuple[int, str]]:
-    """The first node that breaks the :class:`Tree` layout, and why.
+    """The first node that breaks the tree-local layout, and why.
 
     The arrays hold the nodes of ``len(sizes)`` trees back to back, each
-    with tree-local child indices.  Children strictly after their parent,
-    and one parent for every node but the root, make every tree a tree:
-    acyclic, with each node on one path from the root.  The fixed-depth
-    walk of :class:`NodeTable` relies on it.  Returns ``None`` when all
-    nodes pass.
+    tree's from its root, node 0, with tree-local child indices.  A split
+    node ``i`` sends ``x[feature[i]] <= threshold[i]`` to ``left[i]`` and
+    everything else, NaN included, to ``right[i] == left[i] + 1``; a leaf
+    reads ``-1 nan -1 -1``.  Children strictly after their parent, and one
+    parent for every node but the root, make every tree a tree: acyclic,
+    with each node on one path from the root.  The fixed-depth walk of
+    :class:`NodeTable` relies on it.  Returns ``None`` when all nodes pass.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     if sizes.size and sizes.min() < 1:
@@ -99,10 +73,11 @@ class NodeTable:
     BLOCK_CELLS = 1 << 14
 
     def __init__(self, feature, threshold, right, value, sizes):
-        """Compile trees from their tree-local arrays, concatenated.
+        """Compile trees from their tree-local columns, concatenated, and their sizes.
 
-        The trees must already pass :func:`invalid_node`, which makes every
-        left child ``right - 1``.
+        The trees must pass :func:`invalid_node`, which makes every left
+        child ``right - 1``: the grower's trees do by construction, and the
+        model loader checks a file's.
         """
         sizes = np.asarray(sizes, dtype=np.intp)
         self.roots = np.cumsum(sizes) - sizes
@@ -116,20 +91,18 @@ class NodeTable:
         self.depths = self._tree_depths()
         self.depth = int(self.depths.max(initial=0))
 
-    @classmethod
-    def from_trees(cls, trees) -> "NodeTable":
-        trees = list(trees)
+    def local(self) -> tuple:
+        """``(feature, threshold, right, value, sizes)``: the constructor's arguments.
 
-        def joined(name, dtype):
-            return np.concatenate([np.zeros(0, dtype)] + [getattr(t, name) for t in trees])
-
-        feature, left, right = (joined(name, np.intp) for name in ("feature", "left", "right"))
-        threshold, value = (joined(name, np.float64) for name in ("threshold", "value"))
-        sizes = [t.n_nodes for t in trees]
-        bad = invalid_node(feature, threshold, left, right, sizes)
-        if bad is not None:
-            raise ValueError(f"node {bad[0]} of the ensemble: {bad[1]}")
-        return cls(feature, threshold, right, value, sizes)
+        Undoes the walk form on whole columns: the feature index less one,
+        tree-local right children, and ``-1 nan -1`` at a leaf.
+        """
+        sizes = np.diff(self.roots, append=self.value.size)
+        leaf = self.feature == 0
+        feature = self.feature - 1
+        threshold = np.where(leaf, np.nan, self.threshold)
+        right = np.where(leaf, -1, self.right - np.repeat(self.roots, sizes))
+        return feature, threshold, right, self.value, sizes
 
     @property
     def n_trees(self) -> int:
@@ -145,7 +118,7 @@ class NodeTable:
             right, owner = self.right[level[split]], owner[split]
             depth += 1
             depths[owner] = depth
-            level, owner = np.concatenate((right - 1, right)), np.tile(owner, 2)
+            level, owner = np.concatenate((right - 1, right)), np.concatenate((owner, owner))
         return depths
 
     def leaf_ids(self, X: np.ndarray) -> np.ndarray:

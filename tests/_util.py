@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from vandalstack.corpus import LabeledExample, Revision
-from vandalstack.learners.tree import Tree
+from vandalstack.learners.grower import node_table
+from vandalstack.learners.tree import NodeTable
 
 
 def rev(rev_id, comment="", **kwargs):
@@ -48,8 +51,55 @@ def random_scored_dataset(rng, max_n=200):
     return labels, scores
 
 
+class LocalTree(NamedTuple):
+    """One tree's tree-local node columns, as a model file's node lines list them.
+
+    Node 0 is the root; a split sends ``x[feature] <= threshold`` to
+    ``left`` and the rest to ``right == left + 1``; a leaf reads ``-1 nan
+    -1 -1``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def grown(cls, columns) -> "LocalTree":
+        """The grower's ``(feature, threshold, right, value)`` of one tree."""
+        feature, threshold, right, value = columns
+        return cls(feature, threshold, np.where(right < 0, -1, right - 1), right, value)
+
+    @classmethod
+    def leaf(cls, value) -> "LocalTree":
+        """A tree of one leaf."""
+        return cls(
+            feature=np.array([-1], dtype=np.int64),
+            threshold=np.array([np.nan]),
+            left=np.array([-1], dtype=np.int64),
+            right=np.array([-1], dtype=np.int64),
+            value=np.array([float(value)]),
+        )
+
+    @property
+    def n_nodes(self) -> int:
+        return self.feature.size
+
+
+def table_of(members) -> NodeTable:
+    """One node table of the members, joined as a model joins its grown trees."""
+    return node_table((t.feature, t.threshold, t.right, t.value) for t in members)
+
+
+def predict_dense(tree: LocalTree, X: np.ndarray) -> np.ndarray:
+    """The leaf value every row of dense ``X`` reaches in one tree."""
+    table = table_of([tree])
+    return table.value[table.leaf_ids(X)[:, 0]]
+
+
 def reference_tree_lines(members) -> list[str]:
-    """The ``trees``/``tree``/``node`` lines of :class:`Tree` objects, node by node.
+    """The ``trees``/``tree``/``node`` lines of :class:`LocalTree` members, node by node.
 
     The reference for the model writer's tree block, which formats the
     node table on whole columns instead.
@@ -70,7 +120,7 @@ def reference_tree_lines(members) -> list[str]:
     return lines
 
 
-def trees_from_lines(lines) -> list[Tree]:
+def trees_from_lines(lines) -> list[LocalTree]:
     """The member trees of a tree model's text, read node by node."""
     at = next(i for i, line in enumerate(lines) if line.startswith("trees "))
     members = []
@@ -81,7 +131,7 @@ def trees_from_lines(lines) -> list[Tree]:
         at += size
         feature, threshold, left, right, value = zip(*rows)
         members.append(
-            Tree(
+            LocalTree(
                 feature=np.array(feature, dtype=np.int64),
                 threshold=np.array(threshold, dtype=np.float64),
                 left=np.array(left, dtype=np.int64),

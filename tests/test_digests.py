@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 from perfbench.corpusgen import CorpusSpec, write_labeled
 from vandalstack import cli
 
@@ -49,3 +50,22 @@ def test_digests_are_the_sha256_of_the_files_the_commands_write(tmp_path, capsys
     )
     report = hashlib.sha256(analysis + evaluated).hexdigest()
     assert got == {**want, "stream.tsv": want["scores.tsv"], "report": report}
+
+
+def test_the_context_line_comes_before_the_seed_lines(monkeypatch, capsys):
+    tool = load_tool()
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    want = f"context numpy {np.__version__} blas {blas['name']} {blas['version']}"
+    assert tool.context() == want + " OPENBLAS_CORETYPE=Haswell"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert tool.context() == want + " OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Haswell"
+    sums = {name: name.upper() for name in tool.OUTPUTS}
+    monkeypatch.setattr(tool, "digests", lambda seed: sums)
+    assert tool.main(["5"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        tool.context(),
+        "seed 5 schema SCHEMA.TXT pipeline PIPELINE.TXT scores SCORES.TSV"
+        " stream STREAM.TSV report REPORT",
+    ]

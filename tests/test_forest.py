@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from tests._util import trees_from_lines
+from tests._util import LocalTree, predict_dense, table_of, trees_from_lines
 from vandalstack.errors import DimensionMismatch, NotFitted
 from vandalstack.learners.forest import ExtraTreesClassifier, RandomForestClassifier
 from vandalstack.learners.io import model_to_lines
-from vandalstack.learners.tree import NodeTable, Tree
 
 
 def two_class_data(rng, n=120, d=4):
@@ -36,22 +35,13 @@ def test_forest_prediction_is_mean_of_member_trees():
     Xq = rng.random((30, 4))
     members = trees_from_lines(model_to_lines(model))
     assert len(members) == 7
-    member = np.mean([t.predict_dense(Xq) for t in members], axis=0)
+    member = np.mean([predict_dense(t, Xq) for t in members], axis=0)
     assert np.array_equal(model.predict_proba(Xq), member)
 
 
 def test_hand_built_two_tree_forest_averages():
-    def leaf(value):
-        return Tree(
-            feature=np.array([-1], dtype=np.int64),
-            threshold=np.array([np.nan]),
-            left=np.array([-1], dtype=np.int64),
-            right=np.array([-1], dtype=np.int64),
-            value=np.array([float(value)]),
-        )
-
     model = RandomForestClassifier(n_estimators=2)
-    model.nodes_ = NodeTable.from_trees([leaf(0.5), leaf(1.0)])
+    model.nodes_ = table_of([LocalTree.leaf(0.5), LocalTree.leaf(1.0)])
     model.n_features_ = 3
     model.feature_importances_ = np.zeros(3)
     assert model.predict_proba(np.zeros((1, 3)))[0] == 0.75

@@ -144,6 +144,15 @@ def test_hand_written_tree_model_loads_and_scores():
         (3, "dim +2", 3),
         (10, "trees 0_1", 10),
         (11, "tree ٧", 11),
+        # loadtxt takes a `+` on an integer and whitespace around a field
+        (12, "node +0 0.5 1 2 0.0", 12),
+        (12, "node 0 0.5 +1 2 0.0", 12),
+        (12, "node 0 0.5 1 +2 0.0", 12),
+        (12, "node 0 0.5\t 1 2 0.0", 12),
+        (12, "node 0 0.5 1 2 0.0\x1c", 12),
+        (12, "node 0 0.5 1 2 0.0\xa0", 12),
+        (12, "node 0 \u0660.5 1 2 0.0", 12),
+        (16, "node -1 nan -1 -1 0_2", 16),
     ],
 )
 def test_corrupt_tree_fails_at_load_naming_the_line(line_no, text, reported):
@@ -152,6 +161,17 @@ def test_corrupt_tree_fails_at_load_naming_the_line(line_no, text, reported):
     with pytest.raises(MalformedLine) as info:
         model_from_lines(lines)
     assert info.value.line_no == reported
+
+
+def test_every_plain_spelling_of_a_float_loads():
+    # a sign, an exponent, no leading or trailing digit: float()'s own forms
+    lines = list(TREE_MODEL)
+    lines[4] = "param learning_rate 1e-1"
+    lines[8] = "importances +.5 5E-1"
+    lines[11] = "node 0 +0.5 1 2 0e+0"
+    lines[12] = "node 1 5.e-1 3 4 0."
+    model = model_from_lines(lines)
+    assert model_to_lines(model) == TREE_MODEL
 
 
 def test_tree_running_past_the_model_block_is_rejected():
@@ -268,6 +288,14 @@ def test_param_values_load_with_their_types():
         (TREE_MODEL, 7, "param n_estimators 5", 10),  # `trees 1` disagrees
         (TREE_MODEL, 7, "param n_estimators 0", 10),
         (TREE_MODEL, 6, "param max_depth 1", 11),  # the tree is 2 deep
+        # float() takes `_`, non-ASCII digits and whitespace around a number
+        (TREE_MODEL, 9, "importances 0.5_0 0.5", 9),
+        (TREE_MODEL, 9, "importances \u0660.\u0665 0.5", 9),
+        (TREE_MODEL, 9, "importances 0.5\t 0.5", 9),
+        (TREE_MODEL, 9, "importances 0.5 0.5\x85", 9),
+        (TREE_MODEL, 5, "param learning_rate 0.1_0", 5),
+        (TREE_MODEL, 5, "param learning_rate \u0660.1", 5),
+        (TREE_MODEL, 5, "param learning_rate 0.1\x0b", 5),
     ],
 )
 def test_corrupt_model_line_fails_at_load_naming_the_line(model, line_no, text, reported):

@@ -1,11 +1,12 @@
-"""The node table against node-by-node references: its walk and its writer.
+"""The node table against node-by-node references: its walk, its writer and its layout.
 
 Every tree model predicts through one :class:`NodeTable` walk.  These
 properties pin it to the plain definition of a tree: start at the root,
 go left iff ``x <= threshold`` (so NaN goes right), stop at a leaf, and
 sum the leaf values one tree after another.  Agreement is bitwise.  The
 model writer formats the table on whole columns; it must write what a
-writer going node by node over the member trees writes.
+writer going node by node over the member trees writes.  A fitted table
+must convert to the file's tree-local layout and back without a change.
 """
 
 import threading
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from tests._util import reference_tree_lines
+from tests._util import LocalTree, predict_dense, reference_tree_lines, table_of
 from vandalstack.errors import MalformedLine
 from vandalstack.learners import (
     ExtraTreesClassifier,
@@ -23,7 +24,7 @@ from vandalstack.learners import (
     RandomForestClassifier,
 )
 from vandalstack.learners.io import model_from_lines, model_to_lines
-from vandalstack.learners.tree import NodeTable, Tree
+from vandalstack.learners.tree import NodeTable, invalid_node
 
 N_FEATURES = 3
 CUTS = [-np.inf, -1.0, 0.0, 0.5, 1.0, 2.5, np.inf]
@@ -57,7 +58,7 @@ def trees(draw, max_nodes=25, cuts=st.sampled_from(CUTS), values=leaf_values):
                 value.append(0.0)
         else:
             value[nid] = draw(values)
-    return Tree(
+    return LocalTree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold),
         left=np.array(left, dtype=np.int64),
@@ -112,7 +113,7 @@ def bitwise_equal(a, b):
 
 def forest_of(members):
     model = RandomForestClassifier(n_estimators=len(members))
-    model.nodes_ = NodeTable.from_trees(members)
+    model.nodes_ = table_of(members)
     model.feature_importances_ = np.zeros(N_FEATURES)
     model.n_features_ = N_FEATURES
     return model
@@ -122,7 +123,7 @@ def boosting_of(members, base, rate):
     model = GradientBoostingClassifier(
         n_estimators=len(members), learning_rate=rate, max_depth=None
     )
-    model.nodes_ = NodeTable.from_trees(members)
+    model.nodes_ = table_of(members)
     model.base_score_ = base
     model.feature_importances_ = np.zeros(N_FEATURES)
     model.n_features_ = N_FEATURES
@@ -163,7 +164,7 @@ def test_boosting_matches_reference_walk(members, X, base, rate, cells):
 @SETTINGS
 @given(trees(), inputs())
 def test_single_tree_matches_reference_walk(tree, X):
-    assert bitwise_equal(tree.predict_dense(X), reference_leaf_values(tree, X))
+    assert bitwise_equal(predict_dense(tree, X), reference_leaf_values(tree, X))
 
 
 @SETTINGS
@@ -184,7 +185,7 @@ def test_one_row_at_a_time_equals_all_rows(members, X):
 def test_reassigned_trees_are_never_served_stale(first, second, X):
     model = forest_of(first)
     assert bitwise_equal(model.predict_proba(X), forest_reference(first, X))
-    model.nodes_ = NodeTable.from_trees(second)
+    model.nodes_ = table_of(second)
     assert bitwise_equal(model.predict_proba(X), forest_reference(second, X))
 
 
@@ -219,13 +220,56 @@ def test_tree_block_is_the_reference_writers(members, boosting):
 @given(st.lists(edge_trees, min_size=0, max_size=4), st.booleans())
 def test_trees_round_trip_through_model_text(members, boosting):
     assume(boosting or members)
-    table = NodeTable.from_trees(members)
+    table = table_of(members)
     back = model_from_lines(model_to_lines(model_of(members, boosting))).nodes_
     for name in ("roots", "feature", "right"):
         assert np.array_equal(getattr(back, name), getattr(table, name))
     for name in ("threshold", "value"):
         assert bitwise_equal(getattr(back, name), getattr(table, name))
     assert np.array_equal(back.depths, table.depths)
+
+
+@st.composite
+def fitted_tree_models(draw):
+    """A forest, extra trees or boosting fit on small data with ties and constant columns."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.empty((n, d))
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(("few", "float", "constant")),
+                                           min_size=d, max_size=d))):
+        X[:, j] = {
+            "few": rng.integers(0, 3, size=n),  # ties
+            "float": rng.normal(size=n),
+            "constant": np.full(n, 2.5),
+        }[kind]
+    y = rng.integers(0, 2, size=n)
+    family = draw(st.sampled_from((RandomForestClassifier, ExtraTreesClassifier,
+                                   GradientBoostingClassifier)))
+    max_depth = draw(st.one_of(st.none(), st.integers(1, 4)))
+    if family is GradientBoostingClassifier:
+        model = family(n_estimators=draw(st.integers(0, 4)), max_depth=max_depth)
+    else:
+        model = family(n_estimators=draw(st.integers(1, 4)), max_depth=max_depth,
+                       bootstrap=draw(st.booleans()), seed=draw(st.integers(0, 2**31)))
+    return model.fit(X, y)
+
+
+@SETTINGS
+@given(fitted_tree_models())
+def test_a_fitted_table_has_the_file_layout_and_converts_back_exactly(model):
+    table = model.nodes_
+    feature, threshold, right, value, sizes = table.local()
+    left = np.where(feature >= 0, right - 1, -1)
+    assert invalid_node(feature, threshold, left, right, sizes) is None
+    again = NodeTable(*table.local())
+    for name in ("roots", "feature", "right", "depths"):
+        assert np.array_equal(getattr(again, name), getattr(table, name)), name
+    for name in ("threshold", "value"):
+        assert bitwise_equal(getattr(again, name), getattr(table, name)), name
+    assert (again.width, again.depth) == (table.width, table.depth)
+    lines = model_to_lines(model)
+    assert model_to_lines(model_from_lines(lines)) == lines
 
 
 def test_boosting_without_trees_predicts_the_prior():
@@ -241,7 +285,7 @@ def test_boosting_without_trees_predicts_the_prior():
 
 
 def test_nan_goes_right_and_ties_go_left():
-    tree = Tree(
+    tree = LocalTree(
         feature=np.array([0, -1, -1]),
         threshold=np.array([0.5, np.nan, np.nan]),
         left=np.array([1, -1, -1]),
@@ -249,13 +293,13 @@ def test_nan_goes_right_and_ties_go_left():
         value=np.array([0.0, 10.0, 20.0]),
     )
     X = np.array([[0.5], [np.nan], [np.inf], [-np.inf], [0.75]])
-    assert np.array_equal(tree.predict_dense(X), [10.0, 20.0, 20.0, 10.0, 20.0])
+    assert np.array_equal(predict_dense(tree, X), [10.0, 20.0, 20.0, 10.0, 20.0])
 
 
 def test_trees_that_are_not_trees_are_refused():
     def tree(feature, left, right):
         n = len(feature)
-        return Tree(
+        return LocalTree(
             feature=np.array(feature),
             threshold=np.where(np.array(feature) >= 0, 0.5, np.nan),
             left=np.array(left),
@@ -276,8 +320,8 @@ def test_trees_that_are_not_trees_are_refused():
         tree([-2], [-1], [-1]),
     ]
     for member in bad:
-        with pytest.raises(ValueError):
-            NodeTable.from_trees([member])
+        feature, threshold, left, right, _ = member
+        assert invalid_node(feature, threshold, left, right, [member.n_nodes]) is not None
 
 
 def fitted_tree_lines():

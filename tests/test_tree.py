@@ -21,8 +21,8 @@ from vandalstack.learners.grower import (
     midpoint,
     random_block_split,
 )
+from tests._util import LocalTree, predict_dense
 from vandalstack.learners.io import model_to_lines
-from vandalstack.learners.tree import Tree
 from vandalstack.rng import generator
 
 
@@ -53,16 +53,6 @@ def oracle_best_split(v, t, criterion):
             best_gain = gain
             best_thr = thr
     return best_gain, best_thr
-
-
-def leaf_tree(value):
-    return Tree(
-        feature=np.array([-1], dtype=np.int64),
-        threshold=np.array([np.nan]),
-        left=np.array([-1], dtype=np.int64),
-        right=np.array([-1], dtype=np.int64),
-        value=np.array([float(value)]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +305,7 @@ def ref_build(X, rows, target, leaf_value, importances, criterion, max_depth,
         right[nid] = new_node()
         stack.append((right[nid], sel[~go_left], depth + 1))
         stack.append((left[nid], sel[go_left], depth + 1))
-    tree = Tree(
+    tree = LocalTree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int64),
@@ -389,7 +379,8 @@ def test_lockstep_grower_matches_per_tree_reference_bit_for_bit(case):
     with mock.patch.object(grower_module, "SPLIT_BLOCK_CELLS", cells):
         grown = list(builder.build_many(X, jobs, importances))
     want_importances = np.zeros(X.shape[1])
-    for (tree, leaf_of), job, (rows, target, seed) in zip(grown, jobs, trees):
+    for (columns, leaf_of), job, (rows, target, seed) in zip(grown, jobs, trees):
+        tree = LocalTree.grown(columns)
         rng = generator(seed)
         want, want_leaf_of = ref_build(
             X, rows, target, mean_leaf(target), want_importances, criterion, max_depth,
@@ -576,8 +567,8 @@ def test_random_split_within_range_and_gain_definition():
 def grow_one(builder, X, y, importances=None, seed=0):
     """One tree over every row of ``X``, through the grower's one entry point."""
     job = TreeJob(np.arange(X.shape[0]), y, lambda sel: y[sel].mean(), generator(seed))
-    [(tree, leaf_of)] = builder.build_many(X, [job], importances)
-    return tree, leaf_of
+    [(columns, leaf_of)] = builder.build_many(X, [job], importances)
+    return LocalTree.grown(columns), leaf_of
 
 
 def build_random_tree(rng, n=60, d=5, depth=4):
@@ -592,9 +583,9 @@ def test_predict_scalar_path_matches_vectorised_path():
     rng = np.random.default_rng(3)
     for _ in range(20):
         dense, _, tree, _ = build_random_tree(rng)
-        batch = tree.predict_dense(dense)  # all rows in one walk
+        batch = predict_dense(tree, dense)  # all rows in one walk
         one_by_one = np.concatenate(
-            [tree.predict_dense(dense[i : i + 1]) for i in range(dense.shape[0])]
+            [predict_dense(tree, dense[i : i + 1]) for i in range(dense.shape[0])]
         )
         assert np.array_equal(batch, one_by_one)
 
@@ -602,7 +593,7 @@ def test_predict_scalar_path_matches_vectorised_path():
 def test_leaf_of_agrees_with_prediction():
     rng = np.random.default_rng(4)
     dense, _, tree, leaf_of = build_random_tree(rng)
-    assert np.array_equal(tree.predict_dense(dense), tree.value[leaf_of])
+    assert np.array_equal(predict_dense(tree, dense), tree.value[leaf_of])
 
 
 def test_builder_respects_max_depth():
@@ -657,6 +648,6 @@ def test_builder_rejects_unknown_criterion():
 
 
 def test_leaf_tree_prediction_paths():
-    tree = leaf_tree(0.25)
-    assert np.array_equal(tree.predict_dense(np.zeros((3, 2))), np.full(3, 0.25))
-    assert np.array_equal(tree.predict_dense(np.zeros((20, 2))), np.full(20, 0.25))
+    tree = LocalTree.leaf(0.25)
+    assert np.array_equal(predict_dense(tree, np.zeros((3, 2))), np.full(3, 0.25))
+    assert np.array_equal(predict_dense(tree, np.zeros((20, 2))), np.full(20, 0.25))

@@ -15,6 +15,15 @@ answers as a scores file in corpus order, and the session's report as
 
     seed 7 schema <sha256> pipeline <sha256> scores <sha256> stream <sha256> report <sha256>
 
+Before those lines it prints what besides the code fixes the bytes: the
+numpy version, the BLAS numpy was built with, and ``OPENBLAS_NUM_THREADS``
+and ``OPENBLAS_CORETYPE`` when they are set, as in::
+
+    context numpy 2.4.6 blas scipy-openblas 0.3.31.188.0 OPENBLAS_NUM_THREADS=1
+
+The ``report`` digest, for one, differs with the OpenBLAS thread count,
+so digests are comparable only under the same context.
+
 ``stream`` equals ``scores`` when streaming scores every revision exactly
 as ``predict`` does.  ``report`` is the sha256 of the files in
 :data:`REPORTS`, one after another: what ``analyze`` writes, then the
@@ -29,10 +38,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 import vandalstack
 from perfbench.corpusgen import write_labeled
@@ -43,6 +55,8 @@ from vandalstack.lines import write_lines
 from vandalstack.serve import ScoringServer, format_score, run_client
 
 OUTPUTS = ("schema.txt", "pipeline.txt", "scores.tsv", "stream.tsv", "report")
+# the environment variables that change OpenBLAS's arithmetic, printed when set
+BLAS_SETTINGS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")
 # the files hashed together as `report`: analyze's out-dir, then the session's report
 REPORTS = (
     "analysis/report.txt",
@@ -58,6 +72,14 @@ def sha256_of(paths) -> str:
     for path in paths:
         digest.update(Path(path).read_bytes())
     return digest.hexdigest()
+
+
+def context() -> str:
+    """The line that says what besides the code fixed the digests' bytes."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    words = ["context", "numpy", np.__version__, "blas", blas["name"], blas["version"]]
+    words += [f"{name}={os.environ[name]}" for name in BLAS_SETTINGS if name in os.environ]
+    return " ".join(words)
 
 
 def digests(seed: int, spec=SPEC) -> dict[str, str]:
@@ -113,6 +135,7 @@ def stream(pipeline: Path, corpus: Path, truth: Path, out_dir: Path) -> None:
 
 def main(argv: list[str]) -> int:
     print(f"vandalstack from {Path(vandalstack.__file__).parent}", file=sys.stderr)
+    print(context())
     for seed in [int(arg) for arg in argv] or [7, 1]:
         sums = digests(seed)
         print(f"seed {seed} " + " ".join(f"{Path(n).stem} {sums[n]}" for n in OUTPUTS))
