@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import _KEYS, RunConfig, load_run_config
+from .config import _KEYS, RunConfig, integer, load_run_config, plain_float
 from .corpus import (
     join_labels,
     load_corpus,
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scored.add_argument("--truth", required=True)
     scored.add_argument("--corpus", help="corpus for feature-vector dedup / MDS")
     scored.add_argument("--schema", help="schema matching --corpus")
-    scored.add_argument("--threshold", type=float, default=0.5)
+    scored.add_argument("--threshold", type=plain_float, default=0.5)
 
     p = sub.add_parser("ingest", help="parse a corpus, join labels, print counts")
     p.add_argument("--corpus", required=True)
@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(BUILTIN_FAMILIES),
     )
     p.add_argument("--preset", choices=["default", "optimized"], default="default")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--output", required=True, help="model file to write")
     p.add_argument("--schema", help="also write the feature schema here")
     p.add_argument("--malformed", choices=["skip", "abort"], default="skip")
@@ -179,15 +179,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--listen", default="127.0.0.1:0")
-    p.add_argument("--window", type=int, default=16)
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--window", type=integer, default=16)
+    p.add_argument("--timeout", type=plain_float, default=60.0)
     p.add_argument("--report", help="write the session report here (default stdout)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("client", help="answer a scoring session")
     p.add_argument("--pipeline", required=True)
     p.add_argument("--connect", required=True)
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=plain_float, default=60.0)
     p.set_defaults(func=_cmd_client)
 
     return parser
@@ -289,8 +289,7 @@ def _cmd_train_stack(args) -> int:
     selection_model = train(
         ModelSpec("gradient_boosting", {}, cfg.selection_seed), X, labels
     )
-    report = feature_importances(selection_model)
-    selected = select_features(report, cfg.selection_threshold)
+    selected = select_features(feature_importances(selection_model), cfg.selection_threshold)
     if not selected:
         raise UsageError(
             "feature selection removed every column; lower selection.threshold"
@@ -308,8 +307,6 @@ def _cmd_train_stack(args) -> int:
 
 def _cmd_predict(args) -> int:
     pipeline = load_pipeline(args.pipeline)
-    if pipeline.schema is None:
-        raise UsageError("pipeline has no embedded schema; cannot featurize")
     loaded = load_corpus(args.input, on_malformed=args.malformed)
     X = encode_matrix(extract_many(loaded.revisions), pipeline.schema)
     scores = predict_stack_batch(pipeline, X)

@@ -44,7 +44,12 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(value)
 
 
-def _parse_int(value: str) -> int:
+def integer(value: str) -> int:
+    """``value`` by :func:`~vandalstack.lines.parse_int`; a ``ValueError`` if it is not one.
+
+    The parser of every integer key, and the argparse type of every
+    integer flag that sets no key.
+    """
     number = parse_int(value)
     if number is None:
         raise ValueError(value)
@@ -52,14 +57,22 @@ def _parse_int(value: str) -> int:
 
 
 def _plain(parse):
-    """``parse``, on text that :func:`~vandalstack.lines.is_plain` accepts only."""
+    """``parse``, on text that :func:`~vandalstack.lines.is_plain` accepts only.
+
+    It keeps ``parse``'s name, which argparse shows in its error message.
+    """
 
     def parse_plain(value: str):
         if not is_plain(value):
             raise ValueError(value)
         return parse(value)
 
+    parse_plain.__name__ = parse.__name__
     return parse_plain
+
+
+# the parser of every float key, and the argparse type of every float flag that sets no key
+plain_float = _plain(float)
 
 
 # config key -> (RunConfig field, parser of its text)
@@ -68,18 +81,18 @@ _KEYS = {
     "truth": ("truth", str),
     "schema": ("schema", str),
     "pipeline": ("pipeline", str),
-    "master_seed": ("master_seed", _parse_int),
+    "master_seed": ("master_seed", integer),
     "malformed": ("malformed", str),
     "sampling.fraction": ("sampling_fraction", _plain(Fraction)),
     "sampling.window": (
-        "sampling_window", lambda value: None if value == "all" else _parse_int(value)
+        "sampling_window", lambda value: None if value == "all" else integer(value)
     ),
-    "sampling.seed": ("sampling_seed", _parse_int),
+    "sampling.seed": ("sampling_seed", integer),
     "sampling.dedup": ("dedup", _parse_bool),
     "sampling.dedup_order": ("dedup_order", str),
-    "selection.threshold": ("selection_threshold", _plain(float)),
-    "selection.seed": ("selection_seed", _parse_int),
-    "stack.k": ("stack_k", _parse_int),
+    "selection.threshold": ("selection_threshold", plain_float),
+    "selection.seed": ("selection_seed", integer),
+    "stack.k": ("stack_k", integer),
 }
 
 

@@ -27,7 +27,6 @@ from .linear import LogisticRegression
 from .mlp import MLPClassifier, loss_and_grad
 from .selection import (
     DEFAULT_THRESHOLD,
-    ImportanceReport,
     feature_importances,
     project_matrix,
     select_features,

@@ -1,14 +1,16 @@
 """Importance-threshold feature selection and column projection.
 
-The selection model is a default gradient boosting classifier with seed 0;
-columns whose normalised impurity-decrease importance is >= the threshold
+The selection model is a default gradient boosting classifier with seed 0.
+Its importances are one plain float64 vector, the normalised
+impurity-decrease importances every tree ensemble keeps as
+``feature_importances_``: finite, non-negative, and summing to 1, or to 0
+when no tree splits.  Columns whose importance is >= the threshold
 (default 1e-5) survive.  A threshold of 0 therefore selects every column,
-and an all-zero report selects none at a positive threshold.
+and all-zero importances select none at a positive threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,45 +21,26 @@ from .base import BaseModel, check_dense
 DEFAULT_THRESHOLD = 1e-5
 
 
-@dataclass
-class ImportanceReport:
-    importances: np.ndarray
-
-    def __post_init__(self):
-        imp = np.asarray(self.importances, dtype=np.float64)
-        if imp.ndim != 1:
-            raise ValueError("importances must be a vector")
-        if not np.all(np.isfinite(imp)) or imp.min() < 0:
-            raise ValueError("importances must be finite and non-negative")
-        total = imp.sum()
-        if not (abs(total) <= 1e-9 or abs(total - 1.0) <= 1e-9):
-            raise ValueError(f"importances must sum to 0 or 1, got {total!r}")
-        self.importances = imp
-
-
-def feature_importances(model: BaseModel) -> ImportanceReport:
-    """Normalised impurity-decrease importances of a fitted tree model."""
+def feature_importances(model: BaseModel) -> np.ndarray:
+    """A float64 copy of a fitted tree model's normalised impurity-decrease importances."""
     model._check_is_fitted()
     if not hasattr(model, "feature_importances_"):
         raise UnsupportedFamily(
             f"{type(model).__name__} has no impurity-based importances"
         )
-    return ImportanceReport(np.array(model.feature_importances_))
+    return np.array(model.feature_importances_, dtype=np.float64)
 
 
-def select_features(report, threshold: float) -> tuple[int, ...]:
-    """Ascending indices of columns with importance >= threshold.
+def select_features(importances, threshold: float) -> tuple[int, ...]:
+    """Ascending indices of the columns whose importance is >= ``threshold``.
 
-    ``report`` is an :class:`ImportanceReport` or any raw non-negative
-    vector (handy for thresholding scores that are not normalised).
+    ``importances`` is any array-like vector, normalised or not.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    imp = (
-        report.importances
-        if isinstance(report, ImportanceReport)
-        else np.asarray(report, dtype=np.float64)
-    )
+    imp = np.asarray(importances, dtype=np.float64)
+    if imp.ndim != 1:
+        raise ValueError(f"importances must be a vector, got shape {imp.shape}")
     return tuple(int(j) for j in np.nonzero(imp >= threshold)[0])
 
 

@@ -14,13 +14,18 @@ per-spec ``seed`` field matters only when a spec is trained standalone.
 :class:`StackConfig` states the stack's one rule (k >= 2 folds, both
 stages non-empty) for ``fit_stack``, the run configuration's ``stack.k``
 and the pipeline loader, which reports a breach at the ``k`` line.
+:func:`check_selection` states the one rule for the columns the models
+see (a non-empty, strictly ascending tuple of indices below the input
+width) for ``fit_stack`` and the loader, which reports a breach at the
+``selected`` line.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -102,22 +107,41 @@ class StackConfig:
         object.__setattr__(self, "second_stage", tuple(self.second_stage))
 
 
+def check_selection(columns: Iterable[int], width: int) -> tuple[int, ...]:
+    """``columns`` as a selection of an input ``width`` wide; else a :class:`UsageError`.
+
+    A selection is a non-empty, strictly ascending tuple of integer column
+    indices, each at least 0 and below ``width``.
+    """
+    try:
+        selected = tuple(operator.index(j) for j in columns)
+    except TypeError:
+        raise UsageError("selected columns must be integers") from None
+    if not selected:
+        raise UsageError("a selection needs at least one column")
+    if selected[0] < 0 or any(a >= b for a, b in zip(selected, selected[1:])):
+        raise UsageError("selected columns must ascend strictly from 0 or more")
+    if selected[-1] >= width:
+        raise UsageError(f"selected column {selected[-1]} is not below the input width {width}")
+    return selected
+
+
 @dataclass
 class StackedPipeline:
     """Everything needed to score a revision, plus training diagnostics.
 
-    ``schema``/``selected`` are optional: when present, predict accepts
-    full-width encoded vectors and projects internally; when absent the
-    input must already have the width the models were fit on.  ``oof_``
-    (the training-time out-of-fold meta-feature matrix) is a diagnostic
-    and is not persisted.
+    Predict takes full-width input and projects it onto ``selected``, the
+    columns the models were fit on.  ``schema``, when present, fixes that
+    width; only a pipeline with one can be saved.  ``oof_`` (the
+    training-time out-of-fold meta-feature matrix) is a diagnostic and is
+    not persisted.
     """
 
     config: StackConfig
     fold_models: tuple[tuple[BaseModel, ...], ...]
     second_models: tuple[BaseModel, ...]
+    selected: tuple[int, ...]
     schema: Optional[FeatureSchema] = None
-    selected: Optional[tuple[int, ...]] = None
     oof_: Optional[np.ndarray] = None
 
 
@@ -131,12 +155,15 @@ def fit_stack(
     """Train the full stack on encoded data.
 
     ``X`` is the full-width matrix, dense or sparse (see
-    :func:`~vandalstack.learners.base.check_dense`); when ``selected`` is
-    given the projection is applied here and again inside every predict
-    call, keeping train and serve paths identical.
+    :func:`~vandalstack.learners.base.check_dense`).  ``selected`` (every
+    column when ``None``) must pass :func:`check_selection`, which is
+    checked before anything is fitted; the projection is applied here and
+    again inside every predict call, keeping train and serve paths
+    identical.
     """
-    if selected is not None:
-        selected = tuple(int(j) for j in selected)
+    X = check_dense(X)
+    width = X.shape[1]
+    selected = check_selection(range(width) if selected is None else selected, width)
     Xmat, labels = check_X_y(_model_input(X, schema, selected), y)
     n = Xmat.shape[0]
     folds = kfold_assign(n, config)
@@ -164,8 +191,8 @@ def fit_stack(
         config=config,
         fold_models=tuple(fold_models),
         second_models=second_models,
+        selected=selected,
         schema=schema,
-        selected=tuple(selected) if selected is not None else None,
         oof_=oof,
     )
 
@@ -175,7 +202,7 @@ def _model_input(X, schema: Optional[FeatureSchema], selected) -> np.ndarray:
     X = check_dense(X)
     if schema is not None and X.shape[1] != schema.total_dim:
         raise DimensionMismatch(f"input width {X.shape[1]} != schema dim {schema.total_dim}")
-    return X if selected is None else project_matrix(X, selected)
+    return project_matrix(X, selected)
 
 
 def stack_meta_features(pipeline: StackedPipeline, X) -> np.ndarray:
@@ -244,7 +271,17 @@ def _spec_from_json(text: str, line_no: int) -> ModelSpec:
 
 
 def pipeline_to_lines(pipeline: StackedPipeline) -> Iterator[str]:
-    """The pipeline file's lines, built one section at a time as they are taken."""
+    """The pipeline file's lines, built one section at a time as they are taken.
+
+    Every pipeline file embeds its schema, so a pipeline without one is
+    refused here, before any line is made.
+    """
+    if pipeline.schema is None:
+        raise UsageError("a pipeline without a schema cannot be saved")
+    return _pipeline_lines(pipeline, pipeline.schema)
+
+
+def _pipeline_lines(pipeline: StackedPipeline, schema: FeatureSchema) -> Iterator[str]:
     cfg = pipeline.config
     yield PIPELINE_HEADER
     yield f"k {cfg.k}"
@@ -256,19 +293,13 @@ def pipeline_to_lines(pipeline: StackedPipeline) -> Iterator[str]:
         yield f"spec first {j} {_spec_to_json(spec)}"
     for j, spec in enumerate(cfg.second_stage):
         yield f"spec second {j} {_spec_to_json(spec)}"
-    if pipeline.selected is None:
-        yield "selected none"
-    elif len(pipeline.selected) == 0:
-        yield "selected empty"
-    else:
-        yield "selected " + " ".join(str(j) for j in pipeline.selected)
+    yield "selected " + " ".join(str(j) for j in pipeline.selected)
 
     def section(name: str, body: list[str]) -> Iterator[str]:
         yield f"section {name} {len(body)}"
         yield from body
 
-    if pipeline.schema is not None:
-        yield from section("schema", schema_to_lines(pipeline.schema))
+    yield from section("schema", schema_to_lines(schema))
     for j, per_fold in enumerate(pipeline.fold_models):
         for f, model in enumerate(per_fold):
             yield from section(f"model first {j} {f}", model_to_lines(model))
@@ -309,16 +340,9 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
         raise MalformedLine(str(exc), k_line) from None
     selected_raw = reader.expect("selected")
     selected_line = reader.line_no
-    if selected_raw == "none":
-        selected = None
-    elif selected_raw == "empty":
-        selected = ()
-    else:
-        selected = tuple(parse_int(tok) for tok in selected_raw.split(" "))
-        if None in selected:
-            raise MalformedLine(f"bad selected columns {selected_raw!r}", selected_line)
-        if selected[0] < 0 or any(a >= b for a, b in zip(selected, selected[1:])):
-            raise MalformedLine("selected columns must ascend from 0 or more", selected_line)
+    columns = [parse_int(tok) for tok in selected_raw.split(" ")]
+    if None in columns:
+        raise MalformedLine(f"bad selected columns {selected_raw!r}", selected_line)
 
     def section(name: str) -> tuple[Sequence[str], int]:
         """The body of the next section, which must be ``name``, and its header's line."""
@@ -335,14 +359,14 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
         reader.pos += len(body)
         return body, at
 
-    def take_model(name: str, spec: ModelSpec, width: Optional[int]) -> BaseModel:
-        """The next section's model, checked against its spec and, unless ``None``, its width."""
+    def take_model(name: str, spec: ModelSpec, width: int) -> BaseModel:
+        """The next section's model, checked against its spec and its width."""
         body, at = section(name)
         model = model_from_lines(body, offset=at)
         # a model's family and dim lines are the second and third of its section
         if body[1] != f"family {spec.family}":
             raise MalformedLine(f"{name} is not a {spec.family} model", at + 2)
-        if width is not None and model.n_features_ != width:
+        if model.n_features_ != width:
             raise MalformedLine(f"{name} has dim {model.n_features_}, expected {width}", at + 3)
         for key, value in spec.hyperparameters.items():
             held = getattr(model, key)  # a model keeps each parameter as an attribute
@@ -353,27 +377,17 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
                 raise MalformedLine(f"{name} has {key} {held!r}, spec {value!r}", at + 1 + where)
         return model
 
-    schema = None
-    if reader.pos < len(lines) and lines[reader.pos].startswith("section schema "):
-        body, at = section("schema")
-        schema = schema_from_lines(body, offset=at)
-        if selected and selected[-1] >= schema.total_dim:
-            raise MalformedLine(
-                f"selected column {selected[-1]} outside the schema's {schema.total_dim}",
-                selected_line,
-            )
-    # the width the first stage sees; with neither selection nor schema, its first model's
-    if selected is not None:
-        width = len(selected)
-    else:
-        width = schema.total_dim if schema is not None else None
-    fold_models = []
-    for j, spec in enumerate(first):
-        per_fold = []
-        for f in range(k):  # a huge `k` fails at the first section it lacks
-            per_fold.append(take_model(f"model first {j} {f}", spec, width))
-            width = per_fold[-1].n_features_
-        fold_models.append(tuple(per_fold))
+    body, at = section("schema")
+    schema = schema_from_lines(body, offset=at)
+    try:
+        selected = check_selection(columns, schema.total_dim)
+    except UsageError as exc:
+        raise MalformedLine(str(exc), selected_line) from None
+    fold_models = tuple(
+        # a huge `k` fails at the first section it lacks
+        tuple(take_model(f"model first {j} {f}", spec, len(selected)) for f in range(k))
+        for j, spec in enumerate(first)
+    )
     second_models = tuple(
         take_model(f"model second {j}", spec, n_first) for j, spec in enumerate(second)
     )
@@ -384,10 +398,10 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
         raise MalformedLine("trailing content after 'end'", reader.line_no + 1)
     return StackedPipeline(
         config=config,
-        fold_models=tuple(fold_models),
+        fold_models=fold_models,
         second_models=second_models,
-        schema=schema,
         selected=selected,
+        schema=schema,
     )
 
 

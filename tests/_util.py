@@ -5,8 +5,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
 from vandalstack.corpus import LabeledExample, Revision
+from vandalstack.featurize import FeatureSchema
+from vandalstack.learners import (
+    ExtraTreesClassifier,
+    GradientBoostingClassifier,
+    RandomForestClassifier,
+)
 from vandalstack.learners.grower import node_table
 from vandalstack.learners.tree import NodeTable
 
@@ -18,6 +25,15 @@ def rev(rev_id, comment="", **kwargs):
 
 def labeled(rev_id, label, comment="", **kwargs):
     return LabeledExample(rev(rev_id, comment, **kwargs), label)
+
+
+def schema_of_width(width: int) -> FeatureSchema:
+    """A schema of ``width`` numeric columns, for a pipeline fitted on synthetic matrices.
+
+    Every pipeline file embeds its schema, so a saved pipeline needs one
+    of its input's width.
+    """
+    return FeatureSchema(tuple(f"x{j:04d}" for j in range(width)), ())
 
 
 def auc_bruteforce(labels, scores) -> float:
@@ -140,3 +156,29 @@ def trees_from_lines(lines) -> list[LocalTree]:
             )
         )
     return members
+
+
+@st.composite
+def fitted_tree_models(draw):
+    """A forest, extra trees or boosting fit on small data with ties and constant columns."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.empty((n, d))
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(("few", "float", "constant")),
+                                           min_size=d, max_size=d))):
+        X[:, j] = {
+            "few": rng.integers(0, 3, size=n),  # ties
+            "float": rng.normal(size=n),
+            "constant": np.full(n, 2.5),
+        }[kind]
+    y = rng.integers(0, 2, size=n)
+    family = draw(st.sampled_from((RandomForestClassifier, ExtraTreesClassifier,
+                                   GradientBoostingClassifier)))
+    max_depth = draw(st.one_of(st.none(), st.integers(1, 4)))
+    if family is GradientBoostingClassifier:
+        model = family(n_estimators=draw(st.integers(0, 4)), max_depth=max_depth)
+    else:
+        model = family(n_estimators=draw(st.integers(1, 4)), max_depth=max_depth,
+                       bootstrap=draw(st.booleans()), seed=draw(st.integers(0, 2**31)))
+    return model.fit(X, y)

@@ -725,3 +725,51 @@ def test_serve_and_client_refuse_a_bad_timeout(stack_dir, tmp_path, capsys, valu
     )
     assert rc == 2
     assert "timeout must be finite and > 0" in capsys.readouterr().err
+
+
+NUMBER_FLAG_ARGS = {
+    "evaluate": ["--scores", "s", "--truth", "t", "--report", "r"],
+    "analyze": ["--scores", "s", "--truth", "t", "--out-dir", "d"],
+    "serve": ["--corpus", "c", "--truth", "t"],
+    "client": ["--pipeline", "p", "--connect", "127.0.0.1:9"],
+    "train": ["--corpus", "c", "--truth", "t", "--model", "mlp", "--output", "o"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("evaluate", "--threshold", "0_5"),
+        ("evaluate", "--threshold", "٠.٥"),
+        ("evaluate", "--threshold", " 0.5"),
+        ("analyze", "--threshold", "0.5\t"),
+        ("serve", "--window", "1_6"),
+        ("serve", "--window", "+16"),
+        ("serve", "--timeout", "6_0"),
+        ("client", "--timeout", "٦٠"),
+        ("train", "--seed", "+3"),
+        ("train", "--seed", "٣"),
+        ("train", "--seed", "1.0"),
+    ],
+)
+def test_a_number_flag_takes_only_the_config_files_spelling(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *NUMBER_FLAG_ARGS[command], f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, parsed",
+    [
+        ("evaluate", "--threshold", "5e-1", 0.5),
+        ("analyze", "--threshold", "-0.25", -0.25),
+        ("serve", "--window", "8", 8),
+        ("serve", "--timeout", "1.5", 1.5),
+        ("client", "--timeout", "30", 30.0),
+        ("train", "--seed", "-3", -3),
+    ],
+)
+def test_a_number_flag_reads_a_plain_number(command, flag, value, parsed):
+    args = cli._build_parser().parse_args([command, *NUMBER_FLAG_ARGS[command], flag, value])
+    assert getattr(args, flag.lstrip("-")) == parsed

@@ -1,10 +1,15 @@
-"""The documents state what the code does: config keys, their flags and the commands."""
+"""The documents state what the code does: config keys, flags, commands and the pipeline grammar."""
 
 import argparse
 import re
 from pathlib import Path
 
+import numpy as np
+
+from tests._util import schema_of_width
 from vandalstack import cli, config
+from vandalstack.learners import ModelSpec
+from vandalstack.stacking import StackConfig, fit_stack, pipeline_to_lines
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,3 +57,24 @@ def test_the_readme_command_table_lists_exactly_the_subcommands():
     section = doc_section("README.md", "Commands")
     rows = re.findall(r"^\| `([a-z-]+)` +\|", section, flags=re.MULTILINE)
     assert sorted(rows) == sorted(subparsers())
+
+
+def test_the_pipeline_grammar_lists_the_writers_line_tags_in_order():
+    def tags(lines):
+        """Each line's first word, a run of one word as one."""
+        words = [line.split(" ", 1)[0] for line in lines]
+        return [word for i, word in enumerate(words) if i == 0 or words[i - 1] != word]
+
+    section = doc_section("docs/formats.md", "Pipeline file (`vandalstack-pipeline v1`)")
+    grammar = section.split("```\n", 2)[1].splitlines()
+    # a line that starts with a space or `…` continues or elides the one above
+    documented = tags(line for line in grammar if line[:1] not in (" ", "…"))
+    X = np.arange(12.0).reshape(6, 2)
+    lr = (ModelSpec("logistic_regression"),)
+    stack = StackConfig(first_stage=lr, second_stage=lr, k=2)
+    lines = list(pipeline_to_lines(fit_stack(X, [0, 1] * 3, stack, schema=schema_of_width(2))))
+    written, at = [], 0
+    while at < len(lines):  # the file's own lines, each section's body skipped
+        written.append(lines[at])
+        at += 1 + (int(lines[at].rsplit(" ", 1)[1]) if lines[at].startswith("section ") else 0)
+    assert documented == tags(written)

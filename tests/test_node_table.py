@@ -16,7 +16,13 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from tests._util import LocalTree, predict_dense, reference_tree_lines, table_of
+from tests._util import (
+    LocalTree,
+    fitted_tree_models,
+    predict_dense,
+    reference_tree_lines,
+    table_of,
+)
 from vandalstack.errors import MalformedLine
 from vandalstack.learners import (
     ExtraTreesClassifier,
@@ -227,32 +233,6 @@ def test_trees_round_trip_through_model_text(members, boosting):
     for name in ("threshold", "value"):
         assert bitwise_equal(getattr(back, name), getattr(table, name))
     assert np.array_equal(back.depths, table.depths)
-
-
-@st.composite
-def fitted_tree_models(draw):
-    """A forest, extra trees or boosting fit on small data with ties and constant columns."""
-    n = draw(st.integers(1, 30))
-    d = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = np.empty((n, d))
-    for j, kind in enumerate(draw(st.lists(st.sampled_from(("few", "float", "constant")),
-                                           min_size=d, max_size=d))):
-        X[:, j] = {
-            "few": rng.integers(0, 3, size=n),  # ties
-            "float": rng.normal(size=n),
-            "constant": np.full(n, 2.5),
-        }[kind]
-    y = rng.integers(0, 2, size=n)
-    family = draw(st.sampled_from((RandomForestClassifier, ExtraTreesClassifier,
-                                   GradientBoostingClassifier)))
-    max_depth = draw(st.one_of(st.none(), st.integers(1, 4)))
-    if family is GradientBoostingClassifier:
-        model = family(n_estimators=draw(st.integers(0, 4)), max_depth=max_depth)
-    else:
-        model = family(n_estimators=draw(st.integers(1, 4)), max_depth=max_depth,
-                       bootstrap=draw(st.booleans()), seed=draw(st.integers(0, 2**31)))
-    return model.fit(X, y)
 
 
 @SETTINGS

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tests._util import schema_of_width
 from vandalstack.errors import MalformedLine
 from vandalstack.learners import BUILTIN_FAMILIES, ModelSpec
 from vandalstack.learners.base import _domains, param_problem
@@ -57,7 +58,7 @@ def pipeline_lines(family, params):
         k=2,
         seed=1,
     )
-    return list(pipeline_to_lines(fit_stack(*data(), config)))
+    return list(pipeline_to_lines(fit_stack(*data(), config, schema=schema_of_width(3))))
 
 
 def test_every_bounded_parameter_is_listed():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 from scipy import sparse
 
+from tests._util import fitted_tree_models
 from vandalstack.errors import IndexOutOfRange, NotFitted, UnsupportedFamily
 from vandalstack.learners import (
     GradientBoostingClassifier,
@@ -12,7 +14,6 @@ from vandalstack.learners import (
     RandomForestClassifier,
 )
 from vandalstack.learners.selection import (
-    ImportanceReport,
     feature_importances,
     project_matrix,
     select_features,
@@ -25,13 +26,11 @@ def test_threshold_keeps_documented_indices():
 
 def test_threshold_zero_selects_every_column():
     assert select_features([0.5, 0.0, 2e-5, 5e-6], 0.0) == (0, 1, 2, 3)
-    report = ImportanceReport(np.array([0.0, 0.0, 0.0]))
-    assert select_features(report, 0.0) == (0, 1, 2)
+    assert select_features(np.zeros(3), 0.0) == (0, 1, 2)
 
 
-def test_all_zero_report_selects_nothing_at_positive_threshold():
-    report = ImportanceReport(np.zeros(4))
-    assert select_features(report, 1e-5) == ()
+def test_all_zero_importances_select_nothing_at_positive_threshold():
+    assert select_features(np.zeros(4), 1e-5) == ()
 
 
 def test_comparison_is_inclusive():
@@ -43,17 +42,25 @@ def test_negative_threshold_rejected():
         select_features([0.5, 0.5], -1.0)
 
 
-def test_importance_report_invariants():
-    ImportanceReport(np.array([0.25, 0.75]))
-    ImportanceReport(np.zeros(3))
-    with pytest.raises(ValueError):
-        ImportanceReport(np.array([0.5, 0.0, 2e-5, 5e-6]))  # sums to 0.500025
-    with pytest.raises(ValueError):
-        ImportanceReport(np.array([-0.1, 1.1]))
-    with pytest.raises(ValueError):
-        ImportanceReport(np.array([[0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        ImportanceReport(np.array([np.nan, 1.0]))
+def test_importances_must_be_a_vector():
+    # np.nonzero of a matrix gives row indices: (0, 0) here, not a selection
+    for importances in ([[0.5, 0.5]], 0.5):
+        with pytest.raises(ValueError):
+            select_features(importances, 0.1)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fitted_tree_models())
+def test_fitted_importances_are_finite_non_negative_and_sum_to_0_or_1(model):
+    importances = feature_importances(model)
+    assert importances.dtype == np.float64 and importances.shape == (model.n_features_,)
+    assert np.all(np.isfinite(importances)) and importances.min() >= 0
+    total = importances.sum()
+    assert abs(total) <= 1e-9 or abs(total - 1.0) <= 1e-9
+    # a copy: thresholding it cannot change the model
+    assert importances is not model.feature_importances_
+    importances[:] = -1.0
+    assert model.feature_importances_.min() >= 0
 
 
 def test_feature_importances_by_family():
@@ -62,8 +69,7 @@ def test_feature_importances_by_family():
     y = (X[:, 0] > 0.5).astype(int)
     for cls in (RandomForestClassifier, GradientBoostingClassifier):
         model = cls(n_estimators=4, seed=0).fit(X, y)
-        report = feature_importances(model)
-        assert report.importances.shape == (3,)
+        assert feature_importances(model).shape == (3,)
     for model in (LogisticRegression().fit(X, y),
                   MLPClassifier(hidden_units=3, max_epochs=5).fit(X, y)):
         with pytest.raises(UnsupportedFamily):

@@ -4,8 +4,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+from tests._util import schema_of_width
+from vandalstack import stacking
 from vandalstack.errors import (
     DimensionMismatch,
     MalformedLine,
@@ -193,7 +197,7 @@ def test_fold_model_count_and_oof_range():
 def test_pipeline_persistence_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     X, y = random_data(rng, n=24)
-    pipeline = fit_stack(X, y, small_real_config())
+    pipeline = fit_stack(X, y, small_real_config(), schema=schema_of_width(4))
     before = predict_stack_batch(pipeline, X)
 
     lines = list(pipeline_to_lines(pipeline))
@@ -215,15 +219,15 @@ def test_pipeline_persistence_round_trip(tmp_path):
 def test_fit_twice_gives_identical_pipeline_bytes():
     rng = np.random.default_rng(5)
     X, y = random_data(rng, n=24)
-    a = list(pipeline_to_lines(fit_stack(X, y, small_real_config())))
-    b = list(pipeline_to_lines(fit_stack(X, y, small_real_config())))
+    a = list(pipeline_to_lines(fit_stack(X, y, small_real_config(), schema=schema_of_width(4))))
+    b = list(pipeline_to_lines(fit_stack(X, y, small_real_config(), schema=schema_of_width(4))))
     assert a == b
 
 
 def test_meta_feature_is_the_mean_of_the_fold_models():
     rng = np.random.default_rng(6)
     X, y = random_data(rng, n=24)
-    pipeline = fit_stack(X, y, small_real_config())
+    pipeline = fit_stack(X, y, small_real_config(), schema=schema_of_width(4))
     meta = stack_meta_features(pipeline, X)
     for j, per_fold in enumerate(pipeline.fold_models):
         total = np.zeros(X.shape[0])
@@ -276,7 +280,8 @@ def corruptible_pipeline_lines():
     """A small saved pipeline: 3 selected of 5 columns, 2 first-stage specs."""
     rng = np.random.default_rng(10)
     X, y = random_data(rng, n=24, d=5)
-    return list(pipeline_to_lines(fit_stack(X, y, small_real_config(), selected=(0, 2, 4))))
+    pipeline = fit_stack(X, y, small_real_config(), schema=schema_of_width(5), selected=(0, 2, 4))
+    return list(pipeline_to_lines(pipeline))
 
 
 def line_index(lines, prefix):
@@ -398,6 +403,9 @@ def corrupt_inside_a_model(lines):
         replace_line("selected ", "selected -1 2 4"),
         replace_line("selected ", "selected 0 0 4"),
         replace_line("selected ", "selected +0 1 2"),
+        replace_line("selected ", "selected none"),
+        replace_line("selected ", "selected empty"),
+        drop_section("schema"),
         replace_line("section model first 0 0 ", "section model first 0 0 many"),
         section_count_in_arabic_indic_digits,
         replace_in_section("model first 0 0", "dim ", "dim +3"),
@@ -490,3 +498,50 @@ def test_spec_hyperparameters_must_match_their_models_param_lines():
     with pytest.raises(MalformedLine) as info:
         pipeline_from_lines(lines)
     assert info.value.line_no == section + 1
+
+
+@pytest.mark.parametrize("selected", [(3, 1), (1, 1, 2), (), (0, 5), (-1, 2), (0.0, 1)])
+def test_fit_stack_refuses_a_bad_selection_before_fitting(monkeypatch, selected):
+    fits = []
+    monkeypatch.setattr(stacking, "train", lambda *args, **kwargs: fits.append(args))
+    rng = np.random.default_rng(12)
+    X, y = random_data(rng, n=24, d=5)
+    with pytest.raises(UsageError):
+        fit_stack(X, y, small_real_config(), schema=schema_of_width(5), selected=selected)
+    assert fits == []
+
+
+def test_save_pipeline_refuses_a_pipeline_without_a_schema(tmp_path):
+    rng = np.random.default_rng(13)
+    X, y = random_data(rng, n=24)
+    pipeline = fit_stack(X, y, small_real_config())
+    path = tmp_path / "pipeline.txt"
+    with pytest.raises(UsageError):
+        save_pipeline(pipeline, path)
+    assert not path.exists()
+    with pytest.raises(UsageError):
+        pipeline_to_lines(pipeline)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_every_pipeline_save_accepts_loads_and_scores_the_same(data):
+    d = data.draw(st.integers(1, 6), label="width")
+    selected = data.draw(
+        st.one_of(st.none(), st.sets(st.integers(0, d - 1), min_size=1).map(sorted)),
+        label="selected",
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+    X, y = random_data(rng, n=24, d=d)
+    config = small_real_config(k=data.draw(st.integers(2, 3), label="k"))
+    pipeline = fit_stack(X, y, config, schema=schema_of_width(d), selected=selected)
+    # None selects every column, and is saved as the full list
+    assert pipeline.selected == tuple(range(d) if selected is None else selected)
+    buffer = io.StringIO()
+    save_pipeline(pipeline, buffer)
+    lines = buffer.getvalue().splitlines()
+    assert "selected " + " ".join(str(j) for j in pipeline.selected) in lines
+    loaded = pipeline_from_lines(lines)
+    assert loaded.selected == pipeline.selected and loaded.schema == pipeline.schema
+    assert predict_stack_batch(loaded, X).tobytes() == predict_stack_batch(pipeline, X).tobytes()
+    assert list(pipeline_to_lines(loaded)) == lines
