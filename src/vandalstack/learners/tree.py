@@ -32,8 +32,9 @@ def invalid_node(
     everything else, NaN included, to ``right[i] == left[i] + 1``; a leaf
     reads ``-1 nan -1 -1``.  Children strictly after their parent, and one
     parent for every node but the root, make every tree a tree: acyclic,
-    with each node on one path from the root.  The fixed-depth walk of
-    :class:`NodeTable` relies on it.  Returns ``None`` when all nodes pass.
+    with each node on one path from the root.  The walk of
+    :class:`NodeTable`, which takes at most the deepest tree's depth in
+    steps, relies on it.  Returns ``None`` when all nodes pass.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     if sizes.size and sizes.min() < 1:
@@ -60,17 +61,32 @@ class NodeTable:
     """Every tree of one ensemble in a single flat node table.
 
     Tree ``t`` owns nodes ``roots[t]`` up to the next root; child indices
-    are global.  All trees are walked together, ``depth`` vectorised steps
-    for a block of rows, in the walk form: the block is padded with a
-    leading column of zeros that every leaf tests against ``+inf`` and
-    goes left to itself, so a walk that has reached its leaf stays there
-    and the step needs no branch.  Only ``right`` is stored: the left
-    child is ``right - 1``.  The comparison is the trees' own
+    are global.  All trees are walked together, at most ``depth``
+    vectorised steps for a block of rows, in the walk form: the block is
+    padded with a leading column of zeros that every leaf tests against
+    ``+inf`` and goes left to itself, so a cell (a row in a tree) that
+    has reached its leaf stays there and the step needs no branch.  A
+    block of at least :attr:`COMPACT_CELLS` cells sets its finished cells
+    aside whenever they are at least half of the cells it walks, walks on
+    with the rest, and stops when none moves.  Only ``right`` is stored:
+    the left child is ``right - 1``.  The comparison is the trees' own
     ``x <= threshold``, so NaN goes right.
     """
 
-    # rows x trees cells walked per step: keeps every temporary in cache
+    # rows x trees cells walked per step: keeps every temporary in cache.
+    # predict_stack_batch on the benchmark's 4,000-revision batch with its
+    # seed-7 pipeline, finished cells set aside (CPU s, best of 11, one
+    # core of a 2-core x86-64 host): 2^13 0.437, 2^14 0.407, 2^15 0.410,
+    # 2^16 0.461.  Leaf ids are the same at any value.
     BLOCK_CELLS = 1 << 14
+    # cells a block needs before its walk sets finished cells aside.  Below
+    # it a step costs its numpy calls more than its cells, and counting and
+    # setting aside add calls.  The 12 first-stage walks of that pipeline,
+    # in µs per block of 1 / 4 / 8 / 16 / 81 rows (best of 9, same host):
+    # 2^8 557 / 913 / 1200 / 1659 / 5336, 2^10 547 / 856 / 1198 / 1618 /
+    # 5324, 2^12 537 / 845 / 1283 / 1923 / 5245, never 551 / 865 / 1264 /
+    # 1932 / 7576.  A one-row block (100-200 cells a model) stays below it.
+    COMPACT_CELLS = 1 << 10
 
     def __init__(self, feature, threshold, right, value, sizes):
         """Compile trees from their tree-local columns, concatenated, and their sizes.
@@ -135,10 +151,28 @@ class NodeTable:
         row_base = np.repeat(np.arange(0, n * (d + 1), d + 1), self.n_trees)
         node = np.tile(self.roots, n)
         feature, threshold, right = self.feature, self.threshold, self.right
+        # `node` holds the walked cells; `cell` their indices once finished
+        # cells have been set aside in `leaf`, or None while all are walked
+        cell = None
+        compact = node.size >= self.COMPACT_CELLS
         for _ in range(self.depth):
-            x = flat.take(row_base + feature.take(node))
+            f = feature.take(node)  # 0 at a leaf
+            if compact and 2 * np.count_nonzero(f) <= node.size:
+                moving = (f != 0).nonzero()[0]  # 4x faster than on int64 `f`
+                if cell is None:
+                    leaf, cell = node, moving
+                else:
+                    leaf[cell] = node
+                    cell = cell[moving]
+                node, row_base, f = node[moving], row_base[moving], f[moving]
+                if not node.size:
+                    break
+            x = flat.take(row_base + f)
             node = right.take(node) - (x <= threshold.take(node))
-        return node.reshape(n, self.n_trees)
+        if cell is None:
+            return node.reshape(n, self.n_trees)
+        leaf[cell] = node
+        return leaf.reshape(n, self.n_trees)
 
     def sum_leaves(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
         """``start + weight*v_1 + ... + weight*v_T`` per row of dense ``X``.

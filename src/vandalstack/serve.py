@@ -271,12 +271,15 @@ def run_client(
     against the pipeline's schema, and the run of them is scored as one
     block and answered in one write, as ``SCORE\\t<rev_id>\\t<score>``
     lines in arrival order.  It never waits for more lines to fill a block.
-    A pipeline passed in memory, not as a file, must have a schema.
+    A pipeline passed in memory, not as a file, must have a schema: one
+    without is refused before connecting.
     """
     _check_timeout(timeout)
     address = parse_address(connect)
     if not isinstance(pipeline, StackedPipeline):
         pipeline = load_pipeline(pipeline)
+    elif pipeline.schema is None:
+        raise UsageError("the pipeline has no schema to encode revisions with")
     answered = 0
     try:
         with socket.create_connection(address, timeout=timeout) as sock:

@@ -3,9 +3,9 @@
 The streaming client scores one revision at a time and ``predict`` scores
 thousands at once; both must write the same bytes.  These properties pin
 the dense paths that make that true: the branch-free sigmoid against the
-masked formula it replaced, MLP and logistic-regression scoring of single
-rows against the whole block, and ``predict_stack`` on feature vectors
-against ``predict_stack_batch`` on the same rows.
+masked formula it replaced, MLP, logistic-regression and tree-ensemble
+scoring of single rows against the whole block, and ``predict_stack`` on
+feature vectors against ``predict_stack_batch`` on the same rows.
 """
 
 import numpy as np
@@ -15,8 +15,16 @@ from hypothesis.extra import numpy as hnp
 
 from vandalstack.benchmark import make_benchmark
 from vandalstack.featurize import build_schema, encode_many, extract_many, vectors_to_csr
-from vandalstack.learners import LogisticRegression, MLPClassifier, ModelSpec
+from vandalstack.learners import (
+    ExtraTreesClassifier,
+    GradientBoostingClassifier,
+    LogisticRegression,
+    MLPClassifier,
+    ModelSpec,
+    RandomForestClassifier,
+)
 from vandalstack.learners.boosting import sigmoid
+from vandalstack.learners.tree import NodeTable
 from vandalstack.stacking import StackConfig, fit_stack, predict_stack, predict_stack_batch
 
 
@@ -118,9 +126,22 @@ def test_fitted_models_rows_alone_match_a_large_block():
     rng = np.random.default_rng(11)
     X = np.where(rng.random((4000, 25)) < 0.3, rng.normal(size=(4000, 25)), 0.0)
     y = (X[:, 0] + X[:, 3] > 0.2).astype(int)
+    fit = (X[:300], y[:300])
+    trees = (
+        ExtraTreesClassifier(n_estimators=200, max_depth=None, seed=3).fit(*fit),
+        RandomForestClassifier(n_estimators=100, seed=4).fit(*fit),
+        GradientBoostingClassifier(n_estimators=100, max_depth=3, seed=5).fit(*fit),
+    )
+    for model in trees:
+        # a row alone walks fewer cells than it takes to set finished cells
+        # aside; each row block of the 4,000 walks more
+        n_trees = model.nodes_.n_trees
+        block_rows = NodeTable.BLOCK_CELLS // n_trees
+        assert n_trees < NodeTable.COMPACT_CELLS <= block_rows * n_trees < 4000 * n_trees
     for model in (
-        MLPClassifier(hidden_units=100, max_epochs=3, seed=2).fit(X[:300], y[:300]),
-        LogisticRegression(max_iter=50).fit(X[:300], y[:300]),
+        MLPClassifier(hidden_units=100, max_epochs=3, seed=2).fit(*fit),
+        LogisticRegression(max_iter=50).fit(*fit),
+        *trees,
     ):
         block = model.predict_proba(X)
         rows = [0, 1, 777, 2048, 3999]

@@ -138,16 +138,24 @@ def boosting_of(members, base, rate):
 
 # small blocks make the walk split every input into several row blocks
 block_cells = st.sampled_from([1, 3, 7, NodeTable.BLOCK_CELLS])
+# small sizes make the walk set finished cells aside in blocks this small;
+# at the default it never does here (6 trees x 20 rows is under it)
+compact_cells = st.sampled_from([1, 2, 7, NodeTable.COMPACT_CELLS])
 SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 
+def sizes(mp, block=NodeTable.BLOCK_CELLS, compact=NodeTable.COMPACT_CELLS):
+    mp.setattr(NodeTable, "BLOCK_CELLS", block)
+    mp.setattr(NodeTable, "COMPACT_CELLS", compact)
+
+
 @SETTINGS
-@given(st.lists(trees(), min_size=1, max_size=6), inputs(), block_cells)
-def test_forest_matches_reference_walk(members, X, cells):
+@given(st.lists(trees(), min_size=1, max_size=6), inputs(), block_cells, compact_cells)
+def test_forest_matches_reference_walk(members, X, cells, compact):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(NodeTable, "BLOCK_CELLS", cells)
+        sizes(mp, cells, compact)
         got = forest_of(members).predict_proba(X)
     assert bitwise_equal(got, forest_reference(members, X))
 
@@ -159,10 +167,11 @@ def test_forest_matches_reference_walk(members, X, cells):
     leaf_values,
     st.floats(0.01, 1.0),
     block_cells,
+    compact_cells,
 )
-def test_boosting_matches_reference_walk(members, X, base, rate, cells):
+def test_boosting_matches_reference_walk(members, X, base, rate, cells, compact):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(NodeTable, "BLOCK_CELLS", cells)
+        sizes(mp, cells, compact)
         got = boosting_of(members, base, rate).decision_function(X)
     assert bitwise_equal(got, boosting_reference(members, X, base, rate))
 
@@ -174,12 +183,124 @@ def test_single_tree_matches_reference_walk(tree, X):
 
 
 @SETTINGS
-@given(st.lists(trees(), min_size=1, max_size=6), inputs(max_rows=20))
-def test_one_row_at_a_time_equals_all_rows(members, X):
+@given(st.lists(trees(), min_size=1, max_size=6), inputs(max_rows=20), compact_cells)
+def test_one_row_at_a_time_equals_all_rows(members, X, compact):
     model = boosting_of(members, 0.125, 0.1)
-    whole = model.decision_function(X)
-    rows = np.concatenate([model.decision_function(X[i : i + 1]) for i in range(len(X))])
+    with pytest.MonkeyPatch.context() as mp:
+        sizes(mp, compact=compact)
+        whole = model.decision_function(X)
+        rows = np.concatenate([model.decision_function(X[i : i + 1]) for i in range(len(X))])
     assert bitwise_equal(whole, rows)
+
+
+def chain(depth):
+    """A tree that splits ``x[0] <= k + 0.5`` at its k-th level, going right.
+
+    Each split's left child is a leaf worth ``k``; the last right child is
+    a leaf worth ``depth``.  A row with ``x[0] = k`` leaves after ``k + 1``
+    steps, so rows ``0 .. depth`` finish at every step of the walk.
+    """
+    feature, threshold, left, right, value = [], [], [], [], []
+    for k in range(depth):
+        here = len(feature)
+        feature += [0, -1]
+        threshold += [k + 0.5, np.nan]
+        left += [here + 1, -1]
+        right += [here + 2, -1]
+        value += [0.0, float(k)]
+    feature.append(-1)
+    threshold.append(np.nan)
+    left.append(-1)
+    right.append(-1)
+    value.append(float(depth))
+    tree = LocalTree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        value=np.array(value),
+    )
+    assert invalid_node(tree.feature, tree.threshold, tree.left, tree.right, [tree.n_nodes]) is None
+    return tree
+
+
+def stump(feature, cut, low, high):
+    """One split on ``x[feature] <= cut``: leaves worth ``low`` and ``high``."""
+    return LocalTree(
+        feature=np.array([feature, -1, -1]),
+        threshold=np.array([cut, np.nan, np.nan]),
+        left=np.array([1, -1, -1]),
+        right=np.array([2, -1, -1]),
+        value=np.array([0.0, low, high]),
+    )
+
+
+def chain_rows(depth, repeats):
+    """``repeats`` rows for each exit step of :func:`chain`, NaN and ties mixed in."""
+    exits = np.repeat(np.arange(depth + 1, dtype=np.float64), repeats)
+    X = np.zeros((exits.size, N_FEATURES))
+    X[:, 0] = exits
+    X[::5, 0] = np.nan  # NaN goes right: to the chain's last leaf
+    X[1::5, 0] += 0.5  # a tie at k + 0.5 goes left: out at step k + 1
+    X[:, 1] = np.resize(CUTS, exits.size)
+    return X
+
+
+# every branch of the walk, each at the default sizes and at small ones
+walk_sizes = pytest.mark.parametrize(
+    "compact", [1, 2, 7, NodeTable.COMPACT_CELLS], ids=lambda c: f"compact{c}"
+)
+
+
+def assert_walk_matches_reference(members, X, compact):
+    with pytest.MonkeyPatch.context() as mp:
+        sizes(mp, compact=compact)
+        table = table_of(members)
+        leaves = table.value[table.leaf_ids(X)]
+        got = boosting_of(members, 0.25, 0.5).decision_function(X)
+    want = np.stack([reference_leaf_values(t, X) for t in members], axis=1)
+    assert bitwise_equal(leaves, want)
+    assert bitwise_equal(got, boosting_reference(members, X, 0.25, 0.5))
+
+
+@walk_sizes
+def test_a_long_chain_beside_stumps_sets_cells_aside_at_several_steps(compact):
+    # the stumps finish after one step and the chain's rows one exit step
+    # at a time, so the share of finished cells reaches half again and again
+    members = [stump(1, 0.5, -1.0, 1.0), chain(24), stump(2, 0.0, 3.0, -3.0)]
+    members += [LocalTree.leaf(0.5)] * 3
+    X = chain_rows(24, 20)
+    assert X.shape[0] * len(members) >= NodeTable.COMPACT_CELLS
+    assert_walk_matches_reference(members, X, compact)
+
+
+@walk_sizes
+def test_a_walk_whose_cells_all_finish_early_stops(compact):
+    # every row leaves the 30-level chain at its first split
+    members = [chain(30), stump(1, 0.5, -1.0, 1.0)]
+    X = np.zeros((600, N_FEATURES))
+    X[:, 1] = np.resize(INPUTS, 600)
+    assert X.shape[0] * len(members) >= NodeTable.COMPACT_CELLS
+    assert_walk_matches_reference(members, X, compact)
+
+
+@walk_sizes
+def test_a_table_of_leaves_takes_no_step(compact):
+    members = [LocalTree.leaf(v) for v in (1.5, -0.0, 2.0)]
+    X = chain_rows(3, 400)
+    assert table_of(members).depth == 0
+    assert_walk_matches_reference(members, X, compact)
+
+
+@walk_sizes
+def test_a_table_without_trees_has_no_leaves(compact):
+    X = chain_rows(3, 400)
+    with pytest.MonkeyPatch.context() as mp:
+        sizes(mp, compact=compact)
+        table = table_of([])
+        assert table.leaf_ids(X).shape == (X.shape[0], 0)
+        got = boosting_of([], 0.25, 0.5).decision_function(X)
+    assert bitwise_equal(got, np.full(X.shape[0], 0.25))
 
 
 @SETTINGS

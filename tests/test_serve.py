@@ -1,5 +1,6 @@
 """The streaming scoring protocol: framing, flow control, violations."""
 
+import dataclasses
 import socket
 import struct
 import threading
@@ -430,6 +431,24 @@ def test_run_client_scores_match_offline_prediction(tmp_path):
         for r in revisions
     }
     assert st.result.scores == offline
+
+
+def test_run_client_refuses_a_pipeline_without_a_schema_before_connecting():
+    revisions, labels = labeled_corpus_for_pipeline()
+    pipeline, _ = small_pipeline(revisions, labels)
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    address = listener.getsockname()
+    try:
+        with pytest.raises(UsageError, match="no schema"):
+            run_client(dataclasses.replace(pipeline, schema=None), f"{address[0]}:{address[1]}")
+        # a connection the client had made would be waiting here
+        listener.settimeout(0.0)
+        with pytest.raises(BlockingIOError):
+            listener.accept()
+    finally:
+        listener.close()
 
 
 def test_run_client_reports_failure_on_early_server_exit(tmp_path):
