@@ -62,22 +62,25 @@ class GradientBoostingClassifier(BaseModel):
         raw = np.full(n, self.base_score_)
         importances = np.zeros(d)
         trees = []
-        losses = [log_loss(labels, sigmoid(raw))]
+        # one sigmoid per round: round r's loss and round r + 1's residual share it
+        p = sigmoid(raw)
+        losses = [log_loss(labels, p)]
         for _ in range(self.n_estimators):
-            p = sigmoid(raw)
             residual = labels - p
             hessian = p * (1.0 - p)
 
             def newton_leaf(sel: np.ndarray) -> float:
                 step = residual[sel].sum() / (hessian[sel].sum() + _HESSIAN_EPS)
-                return float(np.clip(step, -_MAX_LEAF_VALUE, _MAX_LEAF_VALUE))
+                # clamped, NaN passing through as np.clip lets it
+                return float(min(max(step, -_MAX_LEAF_VALUE), _MAX_LEAF_VALUE))
 
             job = TreeJob(rows, residual, newton_leaf, None, presort)
             [(tree, leaf_of)] = builder.build_many(Xd, [job], importances)
             _, _, _, value = tree
             raw = raw + self.learning_rate * value[leaf_of]
             trees.append(tree)
-            losses.append(log_loss(labels, sigmoid(raw)))
+            p = sigmoid(raw)
+            losses.append(log_loss(labels, p))
         self.nodes_ = node_table(trees)
         self.train_losses_ = np.asarray(losses)
         total = importances.sum()

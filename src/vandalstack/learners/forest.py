@@ -46,8 +46,8 @@ class _BaseForest(BaseModel):
         if self.bootstrap:
             rows = np.sort(rng.integers(0, labels.size, size=labels.size))
             target = labels[rows]
-        # the mean, bit for bit, without np.mean's per-call overhead
-        return TreeJob(rows, target, lambda sel: target[sel].sum() / sel.size, rng)
+        # no leaf rule: each leaf holds its mean label, summed exactly as 0/1
+        return TreeJob(rows, target, None, rng)
 
     def _resolve_max_features(self, d: int) -> Optional[int]:
         if self.max_features == "sqrt":

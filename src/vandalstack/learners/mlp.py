@@ -4,9 +4,9 @@ Trained on mean log-loss plus an L2 penalty on the weight matrices, with
 mini-batch Adam (step 1e-3, batch 32, at most 200 epochs) and early stop
 when the full training loss stops improving.  The parameters live in one
 flat vector so the analytic gradient in :func:`loss_and_grad` can be
-checked directly against finite differences.  The end-of-epoch check
-runs only :func:`forward`, the loss half of :func:`loss_and_grad`, so
-it computes no gradient.
+checked directly against finite differences.  A mini-batch step
+computes only :func:`gradient`, and the end-of-epoch check only
+:func:`forward`'s loss; :func:`loss_and_grad` is the two together.
 """
 
 from __future__ import annotations
@@ -40,39 +40,50 @@ def init_params(d: int, h: int, rng: np.random.Generator) -> np.ndarray:
     return pack_params(W1, np.zeros(h), w2, 0.0)
 
 
-def forward(
-    theta: np.ndarray, X, y: np.ndarray, d: int, h: int, alpha: float
-) -> tuple[float, tuple]:
-    """Mean log-loss + (alpha/2)(||W1||^2 + ||w2||^2), and the activations.
-
-    ``X`` is a dense n x d float64 array; biases are unpenalised.  The
-    activations are what :func:`loss_and_grad`'s backward pass reuses.
-    """
+def activations(theta: np.ndarray, X, d: int, h: int) -> tuple:
+    """``(W1, w2, Z1, A1, z2)``: the weights the loss penalises and each layer's values."""
     W1, b1, w2, b2 = unpack_params(theta, d, h)
     Z1 = X @ W1 + b1
     A1 = np.maximum(Z1, 0.0)
-    z2 = A1 @ w2 + b2
+    return W1, w2, Z1, A1, A1 @ w2 + b2
+
+
+def forward(
+    theta: np.ndarray, X, y: np.ndarray, d: int, h: int, alpha: float
+) -> tuple[float, tuple]:
+    """Mean log-loss + (alpha/2)(||W1||^2 + ||w2||^2), and the :func:`activations`.
+
+    ``X`` is a dense n x d float64 array; biases are unpenalised.
+    """
+    acts = W1, w2, _, _, z2 = activations(theta, X, d, h)
     loss = float(
         np.mean(np.logaddexp(0.0, z2) - y * z2)
         + 0.5 * alpha * (np.sum(W1 * W1) + np.sum(w2 * w2))
     )
-    return loss, (W1, w2, Z1, A1, z2)
+    return loss, acts
+
+
+def gradient(
+    X, y: np.ndarray, alpha: float, acts: tuple, out: np.ndarray
+) -> np.ndarray:
+    """The gradient of :func:`forward`'s loss, from its ``acts``, written into ``out``."""
+    W1, w2, Z1, A1, z2 = acts
+    d, h = W1.shape
+    dz2 = (sigmoid(z2) - y) / y.shape[0]
+    np.add(A1.T @ dz2, alpha * w2, out=out[d * h + h : d * h + 2 * h])
+    out[-1] = dz2.sum()
+    dZ1 = np.outer(dz2, w2) * (Z1 > 0.0)
+    np.add(X.T @ dZ1, alpha * W1, out=out[: d * h].reshape(d, h))
+    dZ1.sum(axis=0, out=out[d * h : d * h + h])
+    return out
 
 
 def loss_and_grad(
     theta: np.ndarray, X, y: np.ndarray, d: int, h: int, alpha: float
 ) -> tuple[float, np.ndarray]:
-    """The loss of :func:`forward` and its gradient."""
-    loss, (W1, w2, Z1, A1, z2) = forward(theta, X, y, d, h, alpha)
-    p = sigmoid(z2)
-    dz2 = (p - y) / y.shape[0]
-    grad_w2 = A1.T @ dz2 + alpha * w2
-    grad_b2 = float(dz2.sum())
-    dA1 = np.outer(dz2, w2)
-    dZ1 = dA1 * (Z1 > 0.0)
-    grad_W1 = X.T @ dZ1 + alpha * W1
-    grad_b1 = dZ1.sum(axis=0)
-    return loss, pack_params(grad_W1, grad_b1, grad_w2, grad_b2)
+    """The loss of :func:`forward` and its :func:`gradient`."""
+    loss, acts = forward(theta, X, y, d, h, alpha)
+    return loss, gradient(X, y, alpha, acts, np.empty_like(theta))
 
 
 class MLPClassifier(BaseModel):
@@ -104,8 +115,12 @@ class MLPClassifier(BaseModel):
         rng = generator(derive_seed(self.seed, "mlp-init", 0))
         theta = init_params(d, h, rng)
 
+        # Adam's moments and step, updated in place in the order of
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        # theta -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
         first_moment = np.zeros_like(theta)
         second_moment = np.zeros_like(theta)
+        grad, scratch, step = (np.empty_like(theta) for _ in range(3))
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step_count = 0
 
@@ -116,15 +131,20 @@ class MLPClassifier(BaseModel):
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 rows = order[start : start + batch]
-                _, grad = loss_and_grad(
-                    theta, Xr[rows], labels[rows], d, h, self.alpha
-                )
+                Xb = Xr[rows]
+                gradient(Xb, labels[rows], self.alpha, activations(theta, Xb, d, h), grad)
                 step_count += 1
-                first_moment = beta1 * first_moment + (1 - beta1) * grad
-                second_moment = beta2 * second_moment + (1 - beta2) * grad * grad
-                m_hat = first_moment / (1 - beta1**step_count)
-                v_hat = second_moment / (1 - beta2**step_count)
-                theta = theta - self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                first_moment *= beta1
+                first_moment += np.multiply(grad, 1 - beta1, out=scratch)
+                second_moment *= beta2
+                np.multiply(grad, 1 - beta2, out=scratch)
+                second_moment += np.multiply(scratch, grad, out=scratch)
+                np.divide(first_moment, 1 - beta1**step_count, out=step)
+                step *= self.learning_rate
+                np.divide(second_moment, 1 - beta2**step_count, out=scratch)
+                np.sqrt(scratch, out=scratch)
+                scratch += eps
+                theta -= np.divide(step, scratch, out=step)
             epoch_loss, _ = forward(theta, Xr, labels, d, h, self.alpha)
             if epoch_loss < best_loss - self.tol:
                 best_loss = epoch_loss

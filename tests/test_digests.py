@@ -52,6 +52,41 @@ def test_digests_are_the_sha256_of_the_files_the_commands_write(tmp_path, capsys
     assert got == {**want, "stream.tsv": want["scores.tsv"], "report": report}
 
 
+def section_lines(lines, stage, specs):
+    """The ``section model <stage> <spec> <fold> <count>`` ... ``end`` lines of ``specs``, in order."""
+    kept, inside = [], False
+    for line in lines:
+        if line.startswith("section "):
+            words = line.split()
+            inside = words[1:3] == ["model", stage] and int(words[3]) in specs
+        if inside:
+            kept.append(line)
+            inside = line != "end"
+    return kept
+
+
+def test_grown_tree_sections_and_selection_are_pinned(tmp_path):
+    # The first-stage trees (extra trees 1-2, gradient boosting 3-4) and the
+    # selection take no BLAS product, so their bytes are the same on every
+    # host; the extra trees' draws replay numpy's Generator streams.  These
+    # are the digests the per-node choice and random calls wrote.
+    write_labeled(SMALL, 3, tmp_path)
+    d = str(tmp_path)
+    assert cli.main(["train-stack", "--corpus", f"{d}/train_corpus.tsv",
+                     "--truth", f"{d}/train_truth.tsv", "--schema", f"{d}/schema.txt",
+                     "--pipeline", f"{d}/pipeline.txt"]) == 0
+    lines = (tmp_path / "pipeline.txt").read_text().splitlines()
+    trees = section_lines(lines, "first", {1, 2, 3, 4})
+    assert len(trees) == 12260
+    assert hashlib.sha256(("\n".join(trees) + "\n").encode()).hexdigest() == (
+        "171577e28fa675b27aff0ec50401ed7987350f877fa501216da9e716e2618866"
+    )
+    [selected] = [line for line in lines if line.startswith("selected ")]
+    assert hashlib.sha256((selected + "\n").encode()).hexdigest() == (
+        "196dbea5eef6743327d16ba1331d433f762acb7a303b95c432d11441f1919136"
+    )
+
+
 def test_the_context_line_comes_before_the_seed_lines(monkeypatch, capsys):
     tool = load_tool()
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

@@ -179,6 +179,7 @@ def block_and_reference(X, rows, sel, t, criterion, max_features, seed, random_t
     target[sel] = t
     grove = grower_module._Grove(builder, X, [TreeJob(rows, target, None, rng_block)])
     [got] = grove.splits(grove.trees, [sel])
+    grove.finish()
     want = ref_find_split(X, rows, sel, t, criterion, max_features, rng_ref, random_threshold)
     assert rng_block.bit_generator.state == rng_ref.bit_generator.state
     return got, want
@@ -198,7 +199,9 @@ def exact_split(block, t, criterion):
 
 def random_split(block, t, criterion, rng):
     """``random_block_split`` over one node: its ``(gain, threshold)`` per column."""
-    gains, thresholds, _ = random_block_split(block, t, np.array([0]), criterion, [rng])
+    gains, thresholds, _ = random_block_split(
+        block, t, np.array([0]), criterion, lambda live: rng.random(int(live.sum()))
+    )
     return gains[0], thresholds[0]
 
 
@@ -359,7 +362,11 @@ def forest_growths(draw):
         max_features = draw(st.integers(1, d + 1))
     max_depth = draw(st.one_of(st.none(), st.integers(1, 4)))
     cells = draw(st.sampled_from((grower_module.SPLIT_BLOCK_CELLS, 1, 5, 40)))
-    return X, trees, criterion, max_depth, max_features, random_threshold, cells
+    raw_words = draw(st.sampled_from((grower_module.RAW_WORDS, 1, 3)))
+    # integer targets: the grower's own mean leaves, summed in one pass per step
+    grove_means = (criterion == "gini" or random_threshold) and draw(st.booleans())
+    return (X, trees, criterion, max_depth, max_features, random_threshold, cells, raw_words,
+            grove_means)
 
 
 def mean_leaf(target):
@@ -369,14 +376,18 @@ def mean_leaf(target):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(forest_growths())
 def test_lockstep_grower_matches_per_tree_reference_bit_for_bit(case):
-    X, trees, criterion, max_depth, max_features, random_threshold, cells = case
+    (X, trees, criterion, max_depth, max_features, random_threshold, cells, raw_words,
+     grove_means) = case
     builder = TreeBuilder(criterion, max_depth, max_features, random_threshold=random_threshold)
     jobs = [
-        TreeJob(rows, target, mean_leaf(target), generator(seed)) for rows, target, seed in trees
+        TreeJob(rows, target, None if grove_means else mean_leaf(target), generator(seed))
+        for rows, target, seed in trees
     ]
     importances = np.zeros(X.shape[1])
-    # a small budget splits the trees into groups and a node's columns into chunks
-    with mock.patch.object(grower_module, "SPLIT_BLOCK_CELLS", cells):
+    # a small budget splits the trees into groups and a node's columns into
+    # chunks; a small read-ahead refills the generators' words
+    with mock.patch.object(grower_module, "SPLIT_BLOCK_CELLS", cells), \
+            mock.patch.object(grower_module, "RAW_WORDS", raw_words):
         grown = list(builder.build_many(X, jobs, importances))
     want_importances = np.zeros(X.shape[1])
     for (columns, leaf_of), job, (rows, target, seed) in zip(grown, jobs, trees):
