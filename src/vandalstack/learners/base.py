@@ -129,13 +129,19 @@ def check_dense(X) -> np.ndarray:
 
 
 def check_X_y(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a training pair: matching lengths, binary 0/1 labels.
+    """Validate a training pair: matching lengths, finite ``X``, binary 0/1 labels.
 
     ``X`` comes back as a dense float64 array (see :func:`check_dense`).
-    Single-class data is legal — trees emit constant leaves and the
-    gradient models fit the prior.
+    A NaN or infinite cell is refused, naming its row and column; only
+    prediction takes NaN, which every tree sends right.  Single-class
+    data is legal — trees emit constant leaves and the gradient models
+    fit the prior.
     """
     mat = check_dense(X)
+    finite = np.isfinite(mat)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0].tolist()
+        raise ValueError(f"X must be finite: row {row}, column {col} holds {mat[row, col]}")
     labels = np.asarray(y)
     if labels.dtype == bool:
         labels = labels.astype(np.float64)

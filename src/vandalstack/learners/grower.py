@@ -13,23 +13,27 @@ generator, and goes out as its node columns in the tree-local layout of
 :func:`node_table` joins into the model's one
 :class:`~vandalstack.learners.tree.NodeTable`.
 
-The models densify their training matrix once per fit.  All trees of a
-forest grow together (a boosting round grows one): each step takes the
-next node of every unfinished tree, each tree in its own depth-first
-order with its own generator.  A step draws every tree's candidate
-features and thresholds in one pass over raw words read ahead from the
-trees' ``PCG64`` generators (:class:`_Streams`), and values its new
-leaves together.  The draws reproduce numpy ``Generator`` streams bit
-for bit, as ``choice(d, m, replace=False)`` then ``random(k)`` per node
-would draw them, and leave each generator where those calls would;
+The models densify their training matrix once per fit.  Trees grow
+together in groves, and each grove step is a fixed number of array passes
+over all of its nodes.  Trees that draw take the next node of every
+unfinished tree, each tree in its own depth-first order with its own
+generator.  A step draws every tree's candidate features and thresholds
+in one pass over raw words read ahead from the trees' ``PCG64``
+generators (:class:`_Streams`).  The draws reproduce numpy ``Generator``
+streams bit for bit, as ``choice(d, m, replace=False)`` then
+``random(k)`` per node would draw them, and leave each generator where
+those calls would;
 ``tests/test_draws.py::test_batched_draw_reads_each_stream_as_choice_then_random``
-fails if a numpy upgrade moves them.  The random rule searches all of a
-step's nodes as one segmented block.  The exact rule searches one node
-at a time: every candidate column of the node, in the order of a
-presort made once per tree, scanned over all boundaries between distinct
-values (the exact greedy enumeration of XGBoost).  One gain formula per
-criterion serves both rules, and the trees are bit for bit those grown
-one at a time.
+fails if a numpy upgrade moves them.  Trees that draw nothing (boosting,
+the selection model) take all their open nodes at once, a level a step,
+and are numbered depth first when grown.  The random rule searches all of
+a step's nodes as one segmented block.  The exact rule does too, with
+nothing padded: every candidate column of every node, in the order of a
+presort made once per tree and filtered to the step's nodes, scanned
+over all boundaries between distinct values (the exact greedy
+enumeration of XGBoost).  One gain formula per criterion serves both
+rules, and the trees are bit for bit those grown one at a time, one
+node at a time.
 """
 
 from __future__ import annotations
@@ -43,13 +47,16 @@ from .tree import NodeTable
 
 # cells searched at once: the trees grown together are grouped so that a
 # step's block of candidate values (or, for the exact rule, the trees'
-# presorts) stays within this many, and a single node over it is searched
-# in column chunks.  A grove step's cost is mostly per call, so bigger
-# groves are cheaper until their temporaries outgrow the cache.  Measured
-# on the extra-trees and random-forest fits of two benchmark train-stack
-# runs (14 fits, 120-181 rows; CPU s, best of 7, one core of a 2-core
-# x86-64 host): 2^14 3.21, 2^15 2.76, 2^16 2.58, 2^17 2.71, 2^18 2.87.
-# Trees are bit for bit the same at any value.
+# presorts) stays within this many, and a step over more is searched in
+# column chunks.  A grove step's cost is mostly per call, so bigger groves
+# are cheaper, but their temporaries grow with them.  Measured on the
+# extra-trees and random-forest fits of two benchmark train-stack runs
+# (seeds 81 and 205, 14 fits, 120-181 rows; CPU s, best of 7, one core of
+# a 2-core x86-64 host): 2^14 1.78, 2^15 1.19, 2^16 0.89, 2^17 0.77, 2^18
+# 0.71.  The largest traced peak of the seed-81 fits (MB): 2^16 3.43,
+# 2^17 6.12, 2^18 7.07: the value stays at 2^16, as the CPU a bigger
+# grove saves costs more memory than the fit's own.  Trees are bit for bit
+# the same at any value.
 SPLIT_BLOCK_CELLS = 1 << 16
 
 # raw 64-bit words read ahead from each drawing tree's generator at a time
@@ -63,54 +70,150 @@ RAW_WORDS = 256
 _LOW_HALF = np.uint64(0xFFFFFFFF)
 
 
-def split_gains(sl, nl, total, n, criterion: str) -> np.ndarray:
-    """Impurity decrease of splits that send ``nl`` of ``n`` rows left.
+def parent_term(total, n, criterion: str) -> np.ndarray:
+    """The node's own term of :func:`split_gains`, one per entry of ``total / n``.
 
-    ``sl`` is the target sum on the left and ``total`` the sum over all
-    ``n`` rows; the arguments broadcast, one entry per candidate split.
-    Both split rules use this one formula.
+    Gini: the impurity of the ``n`` rows whose targets sum to ``total``.
+    Variance: their squared mean, squared one float at a time: numpy
+    squares an array by a multiplication but a scalar with C pow, and the
+    two differ in the last bit on about one value in a thousand, enough
+    to flip an exact tie.
+    """
+    if criterion == "gini":
+        return _gini(total, n)
+    return np.array([m**2 for m in np.ravel(total / n).tolist()]).reshape(np.shape(total))
+
+
+def _gini(s, cnt):
+    # 2 p (1 - p), with p = s / cnt
+    p = s / cnt
+    q = 1.0 - p
+    p *= 2.0
+    p *= q
+    return p
+
+
+def split_scores(sl, nl, total, n, criterion: str) -> np.ndarray:
+    """The part of :func:`split_gains` that tells one node's splits apart, higher for the better.
+
+    Variance: ``sl sl / nl + sr sr / nr``; Gini: ``-(nl gini(sl, nl) + nr
+    gini(sr, nr))``, with ``sr = total - sl`` and ``nr = n - nl`` rows on
+    the right.  The arguments broadcast to ``sl``'s shape, and the terms
+    are computed in place in the order written.
     """
     nr = n - nl
     sr = total - sl
     if criterion == "gini":
-        def gini(s, cnt):
-            p = s / cnt
-            return 2.0 * p * (1.0 - p)
+        score = _gini(sl, nl)
+        score *= -nl
+        sr = _gini(sr, nr)
+        sr *= nr
+        score -= sr
+        return score
+    score = sl * sl
+    score /= nl
+    sr *= sr
+    sr /= nr
+    score += sr
+    return score
 
-        return gini(total, n) - (nl * gini(sl, nl) + nr * gini(sr, nr)) / n
-    # variance criterion: decrease reduces to a sum-of-squares identity.  The
-    # parent term is squared one float at a time: numpy squares an array by a
-    # multiplication but a scalar with C pow, and the two differ in the last
-    # bit on about one value in a thousand, enough to flip an exact tie
-    mean_sq = np.array([m**2 for m in np.ravel(total / n).tolist()])
-    return (sl * sl / nl + sr * sr / nr) / n - mean_sq.reshape(np.shape(total))
 
+def gains_of(score, n, parent, criterion: str) -> np.ndarray:
+    """The impurity decreases of splits with :func:`split_scores` ``score`` in nodes of ``n`` rows.
 
-def exact_block_split(vs: np.ndarray, ts: np.ndarray, criterion: str):
-    """Scan every boundary between distinct values in each row of ``vs``.
-
-    A row of ``vs`` holds one candidate feature's values over the node's
-    rows, sorted stably; ``ts`` holds the targets in the same order.
-    Returns per row the gain of its best boundary and the boundary's
-    index ``at``, between ``vs[at]`` and ``vs[at + 1]``, the lowest
-    winning ties; the gain is ``-inf`` for a constant row.
+    ``parent`` is the nodes' :func:`parent_term`.  Variance: ``score / n -
+    parent``; Gini: ``parent - (-score) / n``, which is ``score / n +
+    parent`` bit for bit.  Both increase with ``score``, so the best of a
+    node's scores gives its best gain.
     """
-    c, n = vs.shape
-    csum = ts.cumsum(axis=1)
-    gains = split_gains(csum[:, :-1], np.arange(1.0, n), csum[:, -1:], n, criterion)
-    gains[~(vs[:, 1:] > vs[:, :-1])] = -np.inf
-    at = gains.argmax(axis=1)
-    return gains[np.arange(c), at], at
+    gains = score / n
+    if criterion == "gini":
+        gains += parent
+    else:
+        gains -= parent
+    return gains
 
 
-def midpoint(lo: float, hi: float) -> float:
-    """The threshold between adjacent distinct values ``lo < hi``.
+def split_gains(sl, nl, total, n, parent, criterion: str) -> np.ndarray:
+    """Impurity decrease of splits that send ``nl`` of ``n`` rows left.
+
+    ``sl`` is the target sum on the left, ``total`` the sum over all
+    ``n`` rows and ``parent`` their :func:`parent_term`; the arguments
+    broadcast to ``sl``'s shape, one entry per candidate split.  Both
+    split rules use this one formula, the exact rule in two parts.
+    """
+    return gains_of(split_scores(sl, nl, total, n, criterion), n, parent, criterion)
+
+
+class Segments(NamedTuple):
+    """Nodes laid back to back: ``sizes[k]`` positions for node ``k``, two or more, from ``starts[k]`` on.
+
+    ``last`` holds each node's last position; ``nodes`` counts the nodes
+    and ``index`` the positions, and ``node`` holds each position's node.
+    """
+
+    sizes: np.ndarray
+    starts: np.ndarray
+    last: np.ndarray
+    nodes: np.ndarray
+    index: np.ndarray
+    node: np.ndarray
+
+    @classmethod
+    def of(cls, sizes: np.ndarray) -> "Segments":
+        last = sizes.cumsum() - 1
+        nodes = np.arange(sizes.size)
+        return cls(sizes, last + 1 - sizes, last, nodes, np.arange(last[-1] + 1), nodes.repeat(sizes))
+
+
+def exact_block_split(vs: np.ndarray, ts: np.ndarray, seg: Segments, criterion: str):
+    """Scan every boundary between distinct values of several nodes at once.
+
+    ``vs`` holds the nodes' positions back to back along its second axis,
+    as ``seg`` lays them out; a row of ``vs`` holds one candidate
+    feature's values, each node's sorted stably, and ``ts`` the targets in
+    the same order.  Returns per ``(row, node)`` the gain of its best
+    boundary (``-inf`` for a constant row), per node the row of the
+    highest gain >= 0 (the first on ties), and per node that row's first
+    best boundary ``at``, an index into the second axis, between
+    ``vs[:, at]`` and ``vs[:, at + 1]``.
+    """
+    starts, last, nodes, index, node = seg.starts, seg.last, seg.nodes, seg.index, seg.node
+    n = seg.sizes.astype(np.float64)
+    n_at = n[node]
+    # the boundary after a node's position q sends q + 1 rows left; the
+    # node's last position is no boundary, and is scored with one row
+    # right, then masked
+    nl = index + 1.0 - starts[node]
+    nl[last] -= 1.0
+    # running sums per node, each in its own sequential order
+    csum = np.empty_like(ts)
+    for lo, hi in zip(starts.tolist(), (last + 1).tolist()):
+        ts[:, lo:hi].cumsum(axis=1, out=csum[:, lo:hi])
+    total = csum[:, last]
+    score = split_scores(csum, nl, total[:, node], n_at, criterion)
+    score[:, :-1][~(vs[:, 1:] > vs[:, :-1])] = -np.inf
+    score[:, last] = -np.inf
+    # each row's best gain, from its best score: the gain grows with it
+    parent = parent_term(total, n, criterion)
+    best = gains_of(np.maximum.reduceat(score, starts, axis=1), n, parent, criterion)
+    slot = np.where(best >= 0.0, best, -np.inf).argmax(axis=0)
+    # the chosen row's gains, to find its first best boundary; a row whose
+    # best is NaN has none, and reports a valid index
+    row = gains_of(score[slot[node], index], n_at, parent[slot, nodes][node], criterion)
+    first = np.where(row == best[slot, nodes][node], index, index.size - 2)
+    return best, slot, np.minimum.reduceat(first, starts)
+
+
+def midpoint(lo, hi):
+    """The thresholds between adjacent distinct values ``lo < hi``.
 
     Their midpoint, or ``lo`` where the midpoint rounds onto ``hi``, so
-    that ``x <= threshold`` still separates them.
+    that ``x <= threshold`` still separates them.  Where ``lo`` equals
+    ``hi`` it is ``lo``.
     """
     threshold = 0.5 * (lo + hi)
-    return threshold if lo <= threshold < hi else lo
+    return np.where((lo <= threshold) & (threshold < hi), threshold, lo)
 
 
 def random_block_split(
@@ -149,10 +252,9 @@ def random_block_split(
     go_left = block <= np.repeat(threshold, sizes, axis=0)
     nl = np.add.reduceat(go_left, starts, axis=0, dtype=np.intp)
     sl = np.add.reduceat(np.where(go_left, t[:, None], 0.0), starts, axis=0)
+    total, n = np.add.reduceat(t, starts)[:, None], sizes[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = split_gains(
-            sl, nl, np.add.reduceat(t, starts)[:, None], sizes[:, None], criterion
-        )
+        gains = split_gains(sl, nl, total, n, parent_term(total, n, criterion), criterion)
     # a constant column sends every row left; a drawn threshold, below the
     # maximum, never does
     gains[nl == sizes[:, None]] = -np.inf
@@ -183,10 +285,10 @@ class TreeJob(NamedTuple):
     """One tree to grow: its rows, their targets, its leaf rule, its generator.
 
     ``target[i]`` belongs to ``rows[i]``; ``leaf_value`` receives the
-    positions (into ``rows``) that land in a leaf.  ``None`` values a leaf
-    at the mean of its targets, summed in row order with the grove step's
-    other leaves: the sum of ``target[sel]``, bit for bit, when the targets
-    are integers (the 0/1 labels of a forest).  ``rng``, a ``PCG64``
+    positions (into ``rows``) that land in a leaf, ascending.  ``None``
+    values a leaf at the mean of its targets, summed with the grove's other
+    leaves in one pass: the sum of ``target[sel]``, bit for bit, when the
+    targets are integers (the 0/1 labels of a forest).  ``rng``, a ``PCG64``
     generator, draws the tree's candidate features and thresholds; it may
     be ``None`` when nothing is drawn (the exact rule over every feature).
     The exact rule makes ``presort`` (:meth:`Presort.of` of the grower's
@@ -378,17 +480,17 @@ class _Streams:
     def choose(self, idx: np.ndarray) -> np.ndarray:
         """Per row of ``idx``, the sorted ``m`` of ``d`` features ``Generator.choice`` draws."""
         d, m = self.d, self.m
-        draws = (self.bounded(idx) >> 32).tolist()
+        draws = (self.bounded(idx) >> 32).astype(np.int64)
         if self.tail:
-            return np.array([_tail_shuffle(d, row) for row in draws], dtype=np.int64)
-        chosen = []
-        for row in draws:
-            # Floyd: step j draws r <= j and adds it, or j if r is in already
-            kept = set()
-            for j, r in zip(range(d - m, d), row):
-                kept.add(j if r in kept else r)
-            chosen.append(sorted(kept))
-        return np.array(chosen, dtype=np.int64)
+            return np.array([_tail_shuffle(d, row) for row in draws.tolist()], dtype=np.int64)
+        # Floyd, one round for every row: step j draws r <= j and adds it,
+        # or j if r is in already
+        chosen = np.empty((idx.size, m), dtype=np.int64)
+        for i, j in enumerate(range(d - m, d)):
+            r = draws[:, i]
+            chosen[:, i] = np.where((chosen[:, :i] == r[:, None]).any(axis=1), j, r)
+        chosen.sort(axis=1)
+        return chosen
 
     def doubles(self, idx: np.ndarray, live: np.ndarray) -> np.ndarray:
         """One double per true cell of ``live``, row by row, row ``i`` from row ``idx[i]``."""
@@ -429,88 +531,70 @@ def _tail_shuffle(d: int, draws: list) -> list:
     return sorted(kept)
 
 
-class _Growing:
-    """One tree while it grows: its stream row, its DFS stack and its nodes.
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``keys.argsort(axis=-1, kind="stable")`` for keys in ``[0, bound)``, by one plain sort.
 
-    Positions are the tree's offsets into its grove's concatenated rows.
+    Each key becomes ``key * n + i`` for its index ``i`` of ``n``: the
+    keys are distinct, so any sort is stable, and numpy's plain integer
+    sort is much the faster.
     """
+    n = keys.shape[-1]
+    composite = keys.astype(np.int32 if bound * n < 2**31 else np.int64)
+    composite *= n
+    composite += np.arange(n, dtype=composite.dtype)
+    composite.sort(axis=-1)
+    composite %= n
+    return composite
 
-    __slots__ = (
-        "row", "leaf_value", "base", "size", "pre", "vals", "stack", "n_nodes",
-        "feature", "threshold", "right", "value", "n_splits", "split_features", "split_weights",
-    )
 
-    def __init__(self, job: TreeJob, row: int, base: int, nodes: tuple, splits: tuple):
-        self.row = row
-        self.leaf_value = job.leaf_value
-        self.base = base
-        self.size = job.rows.size
-        # the nodes still to search, as (id, positions, depth), next on top
-        self.stack: list[tuple[int, np.ndarray, int]] = []
-        # per node: split feature (-1 at a leaf), threshold, right child, value
-        self.n_nodes = 1
-        self.feature, self.threshold, self.right, self.value = nodes
-        # feature and weighted gain of each split, in depth-first order
-        self.n_splits = 0
-        self.split_features, self.split_weights = splits
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i]`` up to ``starts[i] + counts[i]``, one after another."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1]) + (starts - (ends - counts)).repeat(counts)
 
-    def split(self, nid: int, feature: int, threshold: float, weight: float) -> int:
-        """Turn leaf ``nid`` into a split; returns its left child, the right is next."""
-        left = self.n_nodes
-        self.n_nodes += 2
-        self.feature[nid], self.threshold[nid], self.right[nid] = feature, threshold, left + 1
-        self.split_features[self.n_splits], self.split_weights[self.n_splits] = feature, weight
-        self.n_splits += 1
-        return left
 
-    def columns(self) -> tuple:
-        """The tree's ``(feature, threshold, right, value)``, copied out of the grove's arrays."""
-        n = self.n_nodes
-        return tuple(a[:n].copy() for a in (self.feature, self.threshold, self.right, self.value))
+# the rows of a node record: its tree, its id, its range of the grove's
+# permutation, its depth.  Tree t's root has id t; the i-th node searched
+# gives its children ids T + 2i and T + 2i + 1, for T trees
+TREE, NID, LO, HI, DEPTH = range(5)
+_RIGHT_LEFT = np.array([0, 1])
+_INT16_MAX = int(np.iinfo(np.int16).max)
+# a grove step's records before any: nodes, gains, features, threshold bounds
+_NOT_SEARCHED = (np.zeros((5, 0), dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
 
 
 class _Grove:
-    """Trees grown in lockstep over one dense ``X``.
+    """Trees grown in lockstep over one dense ``X``, a fixed number of array passes a step.
 
-    Each step pops the top node of every unfinished tree's own DFS stack
-    and searches those nodes together.  A node goes on the stack only if
-    it can split (two rows or more, targets not all equal, above
-    ``max_depth``); any other node becomes a leaf at once, and a step
-    values its new leaves together.  Each tree draws from its own
-    generator in its own DFS order, all of a step's draws in one pass
-    (:class:`_Streams`), so every tree comes out bit for bit as if grown
-    alone, and its generator ends where that would leave it.
+    Each node is a range of one permutation of the grove's positions (the
+    trees' rows, back to back); a split reorders its range so that its
+    left child's positions come first.  A node is opened for search only
+    if it can split (two rows or more, targets not all equal, above
+    ``max_depth``); any other node is a leaf.  Trees that draw take the
+    top node of their depth-first stacks each step: each draws from its
+    own generator in its own depth-first order, all of a step's draws in
+    one pass (:class:`_Streams`), so every tree comes out bit for bit as
+    if grown alone, and its generator ends where that would leave it.
+    Trees that draw nothing take every open node, a level a step.  When
+    all are grown, the trees are numbered depth first, as if grown one
+    node at a time, and their leaves are valued.
     """
 
     def __init__(self, builder: TreeBuilder, X: np.ndarray, jobs):
         self.builder = builder
         self.X = X
-        sizes = [job.rows.size for job in jobs]
-        bases = np.cumsum(sizes) - sizes
+        self.size = np.array([job.rows.size for job in jobs], dtype=np.intp)
+        self.base = self.size.cumsum() - self.size
         self.rows = np.concatenate([job.rows for job in jobs])
         self.target = np.concatenate([job.target for job in jobs])
-        # every tree's node and split arrays, in one allocation each: every
-        # leaf holds a position, so a tree has fewer nodes than twice its
-        # positions, and fewer splits than its positions
-        n = self.rows.size
-        nodes = (
-            np.full(2 * n, -1, dtype=np.int64),
-            np.full(2 * n, np.nan),
-            np.full(2 * n, -1, dtype=np.int64),
-            np.zeros(2 * n),
-        )
-        self.value = nodes[3]
-        splits = (np.empty(n, dtype=np.intp), np.empty(n))
-        self.trees = [
-            _Growing(
-                job,
-                row,
-                base,
-                tuple(a[2 * base : 2 * (base + job.rows.size)] for a in nodes),
-                tuple(a[base : base + job.rows.size] for a in splits),
-            )
-            for row, (job, base) in enumerate(zip(jobs, bases.tolist()))
-        ]
+        self.leaf_values = [job.leaf_value for job in jobs]
+        self.has_rule = np.array([rule is not None for rule in self.leaf_values])
+        n, n_trees = self.rows.size, len(jobs)
+        self.perm = np.arange(n)
+        # every node made, and every step's nodes with their searches
+        self.made: list[np.ndarray] = []
+        self.searched: list[tuple] = []
+        self.next_id = n_trees
         d, m = X.shape[1], builder.max_features
         if m is not None and m >= d:
             m = None  # every feature, none drawn
@@ -518,139 +602,221 @@ class _Grove:
         if m is not None or builder.random_threshold:
             doubles = (m or d) if builder.random_threshold else 0
             self.streams = _Streams([job.rng for job in jobs], d, m, doubles)
+            # tree t's stack of open nodes at [base + t, base + t + size],
+            # top last: a tree holds fewer open nodes than positions
+            self.stack = np.empty((5, n + n_trees), dtype=np.intp)
+            self.bottom = self.base + np.arange(n_trees)
+            self.height = np.zeros(n_trees, dtype=np.intp)
+        self.level = np.zeros((5, 0), dtype=np.intp)  # the open nodes of drawless trees
         if not builder.random_threshold:
-            self.member = np.zeros(self.rows.size, dtype=bool)
-            columns = []
-            for tree, job in zip(self.trees, jobs):
-                presort = Presort.of(X, job.rows) if job.presort is None else job.presort
-                columns.append(presort.columns)
-                tree.pre = presort.order + tree.base if tree.base else presort.order
-                tree.vals = presort.values
-            self.columns = columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
+            presorts = [Presort.of(X, job.rows) if job.presort is None else job.presort for job in jobs]
+            if n_trees == 1:
+                self.columns, self.pre, self.vals = presorts[0]
+            else:
+                self.columns, self.pre, self.vals = (
+                    np.concatenate(arrays, axis=1) for arrays in zip(*presorts)
+                )
+                self.pre += np.repeat(self.base, self.size)
+            self.every_position = np.arange(n)
+            self.every_column = np.arange(d)[:, None]
+            # each position's node in the step, no_node outside them; a node
+            # has two positions or more, and small keys sort faster
+            small = n < 2 * _INT16_MAX
+            self.no_node = _INT16_MAX if small else np.iinfo(np.intp).max
+            self.node_of = np.full(n, self.no_node, dtype=np.int16 if small else np.intp)
 
     def grow(self, importances: Optional[np.ndarray]) -> list[tuple[tuple, np.ndarray]]:
         """Per tree: its node columns and each position's leaf id, as ``build_many`` yields."""
-        self.leaf_of = np.full(self.rows.size, -1, dtype=np.int64)
+        n_trees = self.size.size
+        roots = np.zeros((5, n_trees, 1), dtype=np.intp)
+        roots[TREE, :, 0] = roots[NID, :, 0] = np.arange(n_trees)
+        roots[LO, :, 0], roots[HI, :, 0] = self.base, self.base + self.size
+        t = self.target
         try:
-            self._place(
-                [(tree, 0, np.arange(tree.base, tree.base + tree.size), 0) for tree in self.trees],
-                [],
-            )
-            growing = [tree for tree in self.trees if tree.stack]
-            while growing:
-                nodes = [tree.stack.pop() for tree in growing]
-                found = self.splits(growing, [sel for _, sel, _ in nodes])
-                children, leaves = [], []  # the right child before the left, as DFS pushes them
-                for tree, (nid, sel, depth), split in zip(growing, nodes, found):
-                    if split is None:
-                        leaves.append((tree, nid, sel))
-                        continue
-                    gain, j, thr, go_left = split
-                    left = tree.split(nid, j, thr, (sel.size / tree.size) * gain)
-                    children += [
-                        (tree, left + 1, sel[~go_left], depth + 1),
-                        (tree, left, sel[go_left], depth + 1),
-                    ]
-                self._place(children, leaves)
-                growing = [tree for tree in growing if tree.stack]
+            self.made.append(roots[..., 0])
+            mixed = np.minimum.reduceat(t, self.base) != np.maximum.reduceat(t, self.base)
+            self._open(roots, mixed[:, None])
+            while True:
+                nodes = self._take()
+                if not nodes.shape[1]:
+                    break
+                self._step(nodes)
         finally:
             self.finish()
-        if importances is not None:
-            for tree in self.trees:
-                # unbuffered: one addition after another, in depth-first order
-                k = tree.n_splits
-                np.add.at(importances, tree.split_features[:k], tree.split_weights[:k])
-        return [
-            (tree.columns(), self.leaf_of[tree.base : tree.base + tree.size])
-            for tree in self.trees
-        ]
+        return self._trees(importances)
 
     def finish(self) -> None:
         """Leave every tree's generator where its draws so far end."""
         if self.streams is not None:
             self.streams.close()
 
-    def _place(self, nodes: list, leaves: list) -> None:
-        """Push each node that can split onto its tree's stack, in order; value the rest and ``leaves``."""
-        max_depth = self.builder.max_depth
-        rest = []
-        for tree, nid, sel, depth in nodes:
-            if sel.size >= 2 and (max_depth is None or depth < max_depth):
-                rest.append((tree, nid, sel, depth))
-            else:
-                leaves.append((tree, nid, sel))
-        if rest:
-            sels = [sel for _, _, sel, _ in rest]
-            sizes = np.array([sel.size for sel in sels])
-            starts = sizes.cumsum() - sizes
-            t = self.target[np.concatenate(sels)]
-            mixed = np.minimum.reduceat(t, starts) != np.maximum.reduceat(t, starts)
-            for (tree, nid, sel, depth), can_split in zip(rest, mixed.tolist()):
-                if can_split:
-                    tree.stack.append((nid, sel, depth))
-                else:
-                    leaves.append((tree, nid, sel))
-        if leaves:
-            self._value(leaves)
+    def _open(self, kids: np.ndarray, mixed: np.ndarray) -> None:
+        """Open each node of ``kids`` whose targets are ``mixed`` and that can split.
 
-    def _value(self, leaves: list) -> None:
-        """Value each ``(tree, nid, positions)`` leaf and mark its positions' leaf id.
-
-        Leaves of a tree without a leaf rule take the mean of their targets,
-        all summed in one pass.
+        ``kids`` holds the node records of one or two children of
+        searched nodes, of one tree each: the right child first.
         """
-        means = []
-        for tree, nid, sel in leaves:
-            if tree.leaf_value is None:
-                means.append((tree, nid, sel))
-            else:
-                tree.value[nid] = float(tree.leaf_value(sel - tree.base))
-                self.leaf_of[sel] = nid
-        if not means:
+        can = mixed & (kids[HI] - kids[LO] >= 2)
+        if self.builder.max_depth is not None:
+            can &= kids[DEPTH] < self.builder.max_depth
+        if self.streams is None:
+            self.level = kids[:, can]
             return
-        sels = [sel for _, _, sel in means]
-        sizes = np.array([sel.size for sel in sels])
-        at = np.concatenate(sels)
-        nids = np.array([nid for _, nid, _ in means])
-        value = np.add.reduceat(self.target[at], sizes.cumsum() - sizes) / sizes
-        self.value[nids + np.array([2 * tree.base for tree, _, _ in means])] = value
-        self.leaf_of[at] = np.repeat(nids, sizes)
+        # one node a tree: its right child goes on its stack first, the left on top
+        tree = kids[TREE, :, 0]
+        spot = (self.bottom[tree] + self.height[tree])[:, None] + can.cumsum(axis=1) - 1
+        self.stack[:, spot[can]] = kids[:, can]
+        self.height[tree] += can.sum(axis=1)
 
-    def splits(self, trees: list, sels: list) -> list:
-        """The best split of node ``sels[i]`` of ``trees[i]``, or ``None``, each.
+    def _take(self) -> np.ndarray:
+        """This step's node records: each tree's top node, or every open node of drawless trees."""
+        if self.streams is None:
+            nodes, self.level = self.level, self.level[:, :0]
+            return nodes
+        live = self.height.nonzero()[0]
+        self.height[live] -= 1
+        return self.stack[:, self.bottom[live] + self.height[live]]
 
-        A split is ``(gain, feature, threshold, go_left)``.  Among the
+    def _step(self, nodes: np.ndarray) -> None:
+        """Search ``nodes``, split those that can, and open their children."""
+        tree, _, lo, _, depth = nodes
+        seg = Segments.of(nodes[HI] - lo)
+        at = seg.index + (lo - seg.starts)[seg.node]
+        gain, feature, low, high, order, cut = self._search(tree, seg, self.perm[at])
+        # each node's positions, its left child's first
+        self.perm[at] = order
+        self.searched.append((nodes, gain, feature, low, high))
+        first = self.next_id
+        self.next_id += 2 * tree.size
+        s = (gain >= 0.0).nonzero()[0]
+        if not s.size:
+            return
+        # the right child before the left, as depth-first order pushes them
+        kids = nodes[:, s, None].repeat(2, axis=2)
+        kids[NID] = (first + 1 + 2 * s)[:, None] - _RIGHT_LEFT
+        kids[LO, :, 0] = kids[HI, :, 1] = (lo - seg.starts + cut)[s]
+        kids[DEPTH] += 1
+        self.made.append(kids.reshape(5, -1))
+        max_depth = self.builder.max_depth
+        if max_depth is not None and depth.min() + 1 >= max_depth:
+            return  # every child is a leaf
+        # each node's left and right positions, for the children's purity
+        t = self.target[order]
+        cuts = np.empty((tree.size, 2), dtype=np.intp)
+        cuts[:, 0] = seg.starts
+        cuts[:, 1] = cut
+        cuts = cuts.ravel()
+        mixed = np.minimum.reduceat(t, cuts) != np.maximum.reduceat(t, cuts)
+        self._open(kids, mixed.reshape(-1, 2)[s, ::-1])
+
+    def _trees(self, importances: Optional[np.ndarray]) -> list[tuple[tuple, np.ndarray]]:
+        """Number every tree depth first, value its leaves, add its splits to ``importances``."""
+        n_trees = self.size.size
+        made = np.concatenate(self.made, axis=1)
+        nodes, gain, feature, low, high = (
+            np.concatenate(arrays, axis=-1) for arrays in zip(_NOT_SEARCHED, *self.searched)
+        )
+        split = (gain >= 0.0).nonzero()[0]
+        tree, nid, lo, hi, depth = nodes[:, split]
+        # depth first, a tree's splits come by where their ranges start,
+        # and a parent before its left child, which starts where it does
+        order = (lo * self.rows.size + depth).argsort()
+        n_splits = np.bincount(tree, minlength=n_trees)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        if n_trees > 1:  # less the splits of the trees before
+            rank -= (n_splits.cumsum() - n_splits)[tree]
+        # the k-th split in depth-first order makes children 2k + 1 and 2k + 2
+        new = np.zeros(self.next_id, dtype=np.intp)
+        left = n_trees + 2 * split
+        new[left] = rank = 2 * rank + 1
+        new[left + 1] = rank + 1
+        counts = 2 * n_splits + 1
+        ends = counts.cumsum()
+        offset = ends - counts
+        # per node: split feature and right child (-1 at a leaf), threshold
+        # (NaN at a leaf) and value
+        ints = np.full((2, ends[-1]), -1, dtype=np.int64)
+        floats = np.zeros((2, ends[-1]))
+        floats[0] = np.nan
+        at = offset[tree] + new[nid]
+        ints[0, at], ints[1, at] = feature[split], rank + 1
+        floats[0, at] = midpoint(low[split], high[split])
+        columns = (ints[0], floats[0], ints[1], floats[1])
+        is_split = np.zeros(self.next_id, dtype=bool)
+        is_split[nid] = True
+        self._value(made[:, ~is_split[made[NID]]], new, offset, columns[3])
+        if importances is not None:
+            # unbuffered: one addition after another, tree by tree, each in
+            # depth-first order
+            weight = (hi - lo) / self.size[tree] * gain[split]
+            np.add.at(importances, feature[split][order], weight[order])
+        return [
+            (tuple(c[o : o + n].copy() for c in columns), self.leaf_of[b : b + s])
+            for o, n, b, s in zip(offset.tolist(), counts.tolist(), self.base.tolist(), self.size.tolist())
+        ]
+
+    def _value(self, leaves: np.ndarray, new: np.ndarray, offset: np.ndarray, value: np.ndarray) -> None:
+        """Value each leaf into ``value`` and mark its positions' leaf id.
+
+        Leaves of a tree without a leaf rule take the mean of their
+        targets, summed in one pass; a leaf rule is called per leaf with
+        the leaf's positions in ascending order.
+        """
+        # in order, the leaves' ranges tile the permutation
+        tree, nid, lo, hi, _ = leaves[:, leaves[LO].argsort()]
+        sizes = hi - lo
+        ids = new[nid]
+        self.leaf_of = np.empty(self.rows.size, dtype=np.int64)
+        self.leaf_of[self.perm] = ids.repeat(sizes)
+        into = offset[tree] + ids
+        rule = self.has_rule[tree]
+        if not rule.all():
+            mean = np.add.reduceat(self.target[self.perm], lo) / sizes
+            value[into[~rule]] = mean[~rule]
+            if not rule.any():
+                return
+        # each leaf's positions, ascending: a stable sort of the positions
+        # by leaf, the leaves in the order of their ranges
+        leaf = np.empty(self.rows.size, dtype=np.intp)
+        leaf[self.perm] = np.arange(lo.size).repeat(sizes)
+        at = _stable_order(leaf, lo.size)
+        for i, t, a, b in zip(*(x[rule].tolist() for x in (into, tree, lo, hi))):
+            value[i] = float(self.leaf_values[t](at[a:b] - self.base[t]))
+
+    def _search(self, tree: np.ndarray, seg: Segments, pos: np.ndarray):
+        """The best split of each node, and its positions with its left child's first.
+
+        Node ``k``, of tree ``tree[k]``, holds the positions of ``pos``
+        that ``seg`` gives it, ascending.  Returns per node the gain and
+        feature of its best split and the two values its threshold lies
+        between (:func:`midpoint`; a drawn threshold is both), ``pos``
+        reordered, and per node where its right child's positions begin.  Among the
         candidates whose gain is >= 0 the highest gain wins, the lowest
         feature index on ties.  Zero-gain splits are kept: a boundary that
         does not reduce impurity can still expose one deeper down (the XOR
         pattern), so only constant columns and pure nodes stop the
-        recursion.  Each tree draws its candidates, then its thresholds.
+        recursion.  A node without a split has gain ``-inf``, and its
+        positions in any order.  Each tree draws its candidates, then its
+        thresholds.
         """
         streams = self.streams
         candidates = None  # every feature
         if streams is not None:
-            idx = np.array([tree.row for tree in trees])
             streams.reserve()
             if streams.m is not None:
-                candidates = streams.choose(idx)
+                candidates = streams.choose(tree)
         if self.builder.random_threshold:
-            return self._random_splits(sels, candidates, lambda live: streams.doubles(idx, live))
-        return [
-            self._exact_split(tree, sel, None if candidates is None else candidates[i])
-            for i, (tree, sel) in enumerate(zip(trees, sels))
-        ]
+            return self._random_splits(seg, pos, candidates, lambda live: streams.doubles(tree, live))
+        return self._exact_splits(tree, seg, pos, candidates)
 
-    def _random_splits(self, sels: list, candidates, uniform) -> list:
-        # all nodes as one segmented block: node i's rows from starts[i] on
-        nodes = np.concatenate(sels)
-        rows, t = self.rows[nodes], self.target[nodes]
-        sizes = np.array([sel.size for sel in sels])
-        starts = sizes.cumsum() - sizes
-        seg = np.repeat(np.arange(len(sels)), sizes)
-        node = np.arange(len(sels))
-        best_gain = np.full(len(sels), -np.inf)
-        best_feature = np.zeros(len(sels), dtype=np.int64)
-        best_threshold = np.zeros(len(sels))
+    def _random_splits(self, seg: Segments, pos: np.ndarray, candidates, uniform):
+        # all nodes as one segmented block: node k's rows from starts[k] on
+        rows, t = self.rows[pos], self.target[pos]
+        k, starts, node, nodes = seg.sizes.size, seg.starts, seg.node, seg.nodes
+        best_gain = np.full(k, -np.inf)
+        best_feature = np.zeros(k, dtype=np.int64)
+        best_threshold = np.zeros(k)
         go = np.zeros(rows.size, dtype=bool)
         width = self.X.shape[1] if candidates is None else candidates.shape[1]
         step = max(1, SPLIT_BLOCK_CELLS // rows.size)
@@ -658,52 +824,91 @@ class _Grove:
             if candidates is None:
                 block = self.X[rows, start : start + step]
             else:
-                block = self.X[rows[:, None], candidates[:, start : start + step][seg]]
+                block = self.X[rows[:, None], candidates[:, start : start + step][node]]
             gains, thresholds, go_left = random_block_split(
                 block, t, starts, self.builder.criterion, uniform
             )
             gains = np.where(gains >= 0.0, gains, -np.inf)
-            k = gains.argmax(axis=1)
+            j = gains.argmax(axis=1)
             # the first best column wins, so a later chunk needs a higher gain
-            better = gains[node, k] > best_gain
-            best_gain[better] = gains[node, k][better]
-            feature = start + k if candidates is None else candidates[node, start + k]
+            better = gains[nodes, j] > best_gain
+            best_gain[better] = gains[nodes, j][better]
+            feature = start + j if candidates is None else candidates[nodes, start + j]
             best_feature[better] = feature[better]
-            best_threshold[better] = thresholds[node, k][better]
-            go = np.where(better[seg], go_left[np.arange(rows.size), k[seg]], go)
-        return [
-            (float(gain), int(j), float(thr), go[lo : lo + n]) if gain >= 0.0 else None
-            for gain, j, thr, lo, n in zip(best_gain, best_feature, best_threshold, starts, sizes)
-        ]
+            best_threshold[better] = thresholds[nodes, j][better]
+            go = np.where(better[node], go_left[np.arange(rows.size), j[node]], go)
+        # one stable partition of every node's positions, its go-left ones
+        # first; an unsplit node's go-left mask is all false
+        order = pos[_stable_order(2 * node + ~go, 2 * k)]
+        cut = starts + np.add.reduceat(go, starts, dtype=np.intp)
+        return best_gain, best_feature, best_threshold, best_threshold, order, cut
 
-    def _exact_split(self, tree: _Growing, sel: np.ndarray, candidates):
-        # the node's sorted order per feature, filtered from the tree's
+    def _exact_splits(self, tree: np.ndarray, seg: Segments, pos: np.ndarray, candidates):
+        # each node's sorted order per column, filtered from its tree's
         # presort: by value, ties by position, as a stable sort of the node
-        member = self.member
-        member[sel] = True
-        width = self.X.shape[1] if candidates is None else candidates.size
-        step = max(1, SPLIT_BLOCK_CELLS // tree.size)
-        best = None
+        k, n_trees = seg.sizes.size, self.size.size
+        if n_trees == 1:
+            trees = tree[:1]
+        elif self.streams is not None:  # one node a tree, in tree order
+            trees = tree
+        else:
+            present = np.zeros(n_trees, dtype=bool)
+            present[tree] = True
+            trees = present.nonzero()[0]
+        whole = trees.size == n_trees
+        # the presort columns of the step's trees
+        wide = self.every_position if whole else _ranges(self.base[trees], self.size[trees])
+        # one node a tree, holding all its positions: its presort as it is
+        every = trees.size == k and pos.size == wide.size
+        node_of = self.node_of
+        if not every:
+            node_of[pos] = seg.node
+        nodes = seg.nodes
+        width = self.X.shape[1] if candidates is None else candidates.shape[1]
+        step = max(1, SPLIT_BLOCK_CELLS // wide.size)
         for start in range(0, width, step):
+            # the step's presort rows, and per node its columns
             if candidates is None:
-                cols = slice(start, start + step)
+                cols = self.every_column[start : start + step]
+                pre = self.pre[start : start + step]
+                if not whole:
+                    pre = pre[:, wide]
+            else:  # one node a tree
+                cols = candidates[:, start : start + step].T
+                pre = self.pre.reshape(-1)[(cols * self.rows.size).repeat(self.size[trees], axis=1) + wide]
+                cols = cols.repeat(seg.sizes, axis=1)
+            if every and candidates is None:  # each node is its tree: the presort as it is
+                at, vs = pre, self.vals[start : start + step]
+                if not whole:
+                    vs = vs[:, wide]
             else:
-                cols = candidates[start : start + step]
-            pre, vals = tree.pre[cols], tree.vals[cols]
-            keep = member[pre]
-            vs = vals[keep].reshape(pre.shape[0], sel.size)
-            gains, at = exact_block_split(
-                vs, self.target[pre[keep]].reshape(vs.shape), self.builder.criterion
+                if every:
+                    at = pre
+                elif trees.size == k:  # one node a tree: its positions, in order
+                    at = pre[node_of[pre] != self.no_node].reshape(-1, pos.size)
+                else:  # a stable sort puts each node's positions in order, node by node
+                    order = _stable_order(node_of[pre], self.no_node + 1)[:, : pos.size]
+                    order += np.arange(0, pre.size, pre.shape[1], dtype=order.dtype)[:, None]
+                    at = pre.reshape(-1)[order]
+                vs = self.columns[cols, at]
+            gains, slot, cut = exact_block_split(vs, self.target[at], seg, self.builder.criterion)
+            # each node's best column in the chunk, the first on ties; its
+            # positions in that column's order put the left child's first
+            gain = gains[slot, nodes]
+            found = (
+                np.where(gain >= 0.0, gain, -np.inf),
+                start + slot if candidates is None else candidates[nodes, start + slot],
+                vs[slot, cut],
+                vs[slot, cut + 1],
+                at[slot[seg.node], seg.index],
+                cut + 1,
             )
-            gains = np.where(gains >= 0.0, gains, -np.inf)
-            k = int(gains.argmax())
-            gain = float(gains[k])
-            if gain >= 0.0 and (best is None or gain > best[0]):
-                j = start + k if candidates is None else int(candidates[start + k])
-                lo, hi = vs[k, at[k]], vs[k, at[k] + 1]
-                best = (gain, j, midpoint(float(lo), float(hi)))
-        member[sel] = False
-        if best is None:
-            return None
-        gain, j, thr = best
-        return gain, j, thr, self.columns[j, sel] <= thr
+            if start == 0:
+                best = found
+            else:  # a later chunk needs a higher gain
+                better = found[0] > best[0]
+                best = tuple(np.where(better[seg.node] if i == 4 else better, new, old)
+                             for i, (new, old) in enumerate(zip(found, best)))
+        if not every:
+            node_of[pos] = self.no_node
+        return best

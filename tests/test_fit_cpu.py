@@ -1,0 +1,93 @@
+"""``tools/fit_cpu.py``: two source trees loaded side by side, fits timed in pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "fit_cpu.py"
+
+# a package with the learners interface the tool reads: a model class and
+# model_to_lines, reached through a relative import
+LEARNERS = """from .model import Model, model_to_lines
+"""
+MODEL = '''class Model:
+    def __init__(self, scale=1.0, seed=0):
+        self.scale, self.seed = scale, seed
+
+    def get_params(self):
+        return {{"scale": self.scale, "seed": self.seed}}
+
+    def fit(self, X, y):
+        self.total_ = {total}
+        return self
+
+
+def model_to_lines(model):
+    return [f"total {{model.total_!r}}"]
+'''
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("fit_cpu", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_package(root: Path, total: str) -> Path:
+    learners = root / "vandalstack" / "learners"
+    learners.mkdir(parents=True)
+    (root / "vandalstack" / "__init__.py").write_text("", encoding="utf-8")
+    (learners / "__init__.py").write_text(LEARNERS, encoding="utf-8")
+    (learners / "model.py").write_text(MODEL.format(total=total), encoding="utf-8")
+    return root
+
+
+def test_paired_summary_takes_medians_and_the_share_of_pairs_won():
+    tool = load_tool()
+    row = tool.paired_summary([1.0, 2.0, 3.0, 4.0], [0.5, 2.5, 2.0, 3.0])
+    assert row == {"parent": 2.5, "change": 2.25, "diff": -0.75, "won": 0.75}
+
+
+def test_two_trees_load_side_by_side_and_their_fits_compare(tmp_path):
+    tool = load_tool()
+    parent = tool.load_package(write_package(tmp_path / "a", "float(X.sum()) * self.scale"), "fit_cpu_a")
+    change = tool.load_package(write_package(tmp_path / "b", "float(X.sum() * self.scale)"), "fit_cpu_b")
+    assert parent.__name__ == "fit_cpu_a" and change.__name__ == "fit_cpu_b"
+    X = np.arange(6.0).reshape(3, 2)
+    fits = [("Model", {"scale": 2.0, "seed": 1}, X, np.zeros(3)),
+            ("Model", {"scale": 2.0, "seed": 2}, X, np.zeros(3)),
+            ("Model", {"scale": 0.1, "seed": 1}, X, np.zeros(3))]
+    assert tool.family(fits[0]) == tool.family(fits[1]) == "Model scale=2.0 3x2"
+    rows = tool.compare((parent, change), fits, pairs=3)
+    assert sorted(rows) == ["Model scale=0.1 3x2", "Model scale=2.0 3x2"]
+    assert rows["Model scale=2.0 3x2"]["fits"] == 2
+    # 15.0 * 0.1 and 15.0 * 0.1 agree; the texts are compared fit by fit
+    assert all(row["same"] for row in rows.values())
+    for row in rows.values():
+        assert 0.0 <= row["won"] <= 1.0 and row["parent"] >= 0.0 and len(row["peak_mb"]) == 2
+
+
+def test_a_model_text_that_differs_is_reported(tmp_path):
+    tool = load_tool()
+    parent = tool.load_package(write_package(tmp_path / "a", "float(X.sum())"), "fit_cpu_c")
+    change = tool.load_package(write_package(tmp_path / "b", "float(X.sum()) + 1.0"), "fit_cpu_d")
+    fits = [("Model", {"scale": 1.0, "seed": 0}, np.ones((2, 2)), np.zeros(2))]
+    [row] = tool.compare((parent, change), fits, pairs=2).values()
+    assert row["same"] is False
+
+
+def test_usage_without_two_trees(capsys):
+    assert load_tool().main([]) == 2
+    assert "PARENT_SRC CHANGE_SRC" in capsys.readouterr().err
+
+
+@pytest.fixture(autouse=True)
+def forget_loaded_packages():
+    import sys
+
+    yield
+    for name in [n for n in sys.modules if n.startswith("fit_cpu_")]:
+        del sys.modules[name]

@@ -138,3 +138,26 @@ def test_a_pipeline_whose_spec_and_model_agree_on_a_bad_value_fails_at_load():
         pipeline_from_lines(lines)
     assert info.value.line_no == spec_at + 1
     assert "learning_rate takes finite number > 0" in str(info.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family", sorted(QUICK))
+def test_fit_refuses_a_non_finite_matrix_naming_its_first_bad_cell(family, bad):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 3))
+    y = np.arange(40) % 2
+    X[17, 2] = X[25, 0] = bad
+    model = BUILTIN_FAMILIES[family](**QUICK[family])
+    with pytest.raises(ValueError, match=rf"row 17, column 2 holds {bad}"):
+        model.fit(X, y)
+
+
+@pytest.mark.parametrize("family", ["random_forest", "extra_trees", "gradient_boosting"])
+def test_a_tree_model_still_sends_nan_right_at_prediction(family):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 3))
+    model = BUILTIN_FAMILIES[family](**QUICK[family]).fit(X, (X[:, 0] > 0).astype(int))
+    nan, big = X.copy(), X.copy()
+    nan[:, 0], big[:, 0] = np.nan, np.inf
+    assert model.predict_proba(nan).tobytes() == model.predict_proba(big).tobytes()
+

@@ -15,6 +15,7 @@ from vandalstack.learners import (
 )
 from vandalstack.learners import grower as grower_module
 from vandalstack.learners.grower import (
+    Presort,
     TreeBuilder,
     TreeJob,
     exact_block_split,
@@ -167,34 +168,60 @@ def assert_same_split(got, want):
     assert np.array_equal(got[3], want[3])
 
 
-def block_and_reference(X, rows, sel, t, criterion, max_features, seed, random_threshold):
-    """Both searches from equal generators; also checks the generators end equal.
+def block_and_reference(X, jobs, nodes, criterion, max_features, random_threshold):
+    """Both searches over one grove step; also checks the generators end equal.
 
-    The grower's search runs on a grove of one tree, over one node: one
-    segment of the random rule's block, or one node of the exact rule.
+    ``jobs`` holds per tree its rows and generator seed, ``nodes`` per
+    node its tree, its positions (into the tree's rows) and their
+    targets, tree by tree.  The grower searches all of them as one step
+    of one grove; the reference searches each node alone.  Returns both
+    splits per node.
     """
-    rng_block, rng_ref = generator(seed), generator(seed)
     builder = TreeBuilder(criterion, None, max_features, random_threshold=random_threshold)
-    target = np.zeros(rows.size)
-    target[sel] = t
-    grove = grower_module._Grove(builder, X, [TreeJob(rows, target, None, rng_block)])
-    [got] = grove.splits(grove.trees, [sel])
+    grove_jobs, refs = [], []
+    for i, (rows, seed) in enumerate(jobs):
+        target = np.zeros(rows.size)
+        for tree, sel, t in nodes:
+            if tree == i:
+                target[sel] = t
+        grove_jobs.append(TreeJob(rows, target, None, generator(seed)))
+        refs.append(generator(seed))
+    grove = grower_module._Grove(builder, X, grove_jobs)
+    tree = np.array([tree for tree, _, _ in nodes])
+    sizes = np.array([sel.size for _, sel, _ in nodes])
+    pos = np.concatenate([grove.base[tree] + sel for tree, sel, _ in nodes])
+    gain, feature, low, high, order, cut = grove._search(tree, grower_module.Segments.of(sizes), pos)
+    threshold = midpoint(low, high)
     grove.finish()
-    want = ref_find_split(X, rows, sel, t, criterion, max_features, rng_ref, random_threshold)
-    assert rng_block.bit_generator.state == rng_ref.bit_generator.state
+    got, want = [], []
+    for i, ((tree, sel, t), lo) in enumerate(zip(nodes, np.cumsum(sizes) - sizes)):
+        # the step reorders the node's positions, its left child's first
+        node_pos = pos[lo : lo + sel.size]
+        left = np.isin(node_pos, order[lo : cut[i]])
+        assert np.array_equal(np.sort(order[lo : lo + sel.size]), node_pos)
+        found = (gain[i], feature[i], threshold[i], left)
+        got.append(found if gain[i] >= 0.0 else None)
+        rows, _ = jobs[tree]
+        want.append(ref_find_split(X, rows, sel, t, criterion, max_features, refs[tree], random_threshold))
+    for job, ref in zip(grove_jobs, refs):
+        assert job.rng.bit_generator.state == ref.bit_generator.state
     return got, want
 
 
 def exact_split(block, t, criterion):
-    """``exact_block_split`` over the columns of ``block``, stably sorted here.
+    """``exact_block_split`` over each column of ``block``, stably sorted here.
 
     Returns per column the ``(gain, threshold)`` arrays of its best boundary.
     """
-    order = np.argsort(block, axis=0, kind="mergesort")
-    vs = np.take_along_axis(block, order, axis=0).T
-    gains, at = exact_block_split(vs, t[order].T, criterion)
-    thresholds = [midpoint(float(v[a]), float(v[a + 1])) for v, a in zip(vs, at)]
-    return gains, np.array(thresholds)
+    gains, thresholds = [], []
+    for v in block.T:
+        order = np.argsort(v, kind="mergesort")
+        vs = v[order][None, :]
+        seg = grower_module.Segments.of(np.array([v.size]))
+        best, _, (at,) = exact_block_split(vs, t[order][None, :], seg, criterion)
+        gains.append(best[0, 0])
+        thresholds.append(midpoint(float(vs[0, at]), float(vs[0, at + 1])))
+    return np.array(gains), np.array(thresholds)
 
 
 def random_split(block, t, criterion, rng):
@@ -208,14 +235,8 @@ def random_split(block, t, criterion, rng):
 COLUMN_KINDS = ("few", "float", "adjacent", "constant", "sparse")
 
 
-@st.composite
-def node_searches(draw):
-    """A node of a grower's fit: data, rows, the node's share, targets, rule."""
-    n = draw(st.integers(2, 30))
-    d = draw(st.integers(1, 9))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = np.empty((n, d))
-    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=d, max_size=d))
+def column_data(rng, n, kinds):
+    X = np.empty((n, len(kinds)))
     for j, kind in enumerate(kinds):
         if kind == "few":  # ties and repeated boundaries
             X[:, j] = rng.integers(0, 3, size=n)
@@ -227,29 +248,66 @@ def node_searches(draw):
             X[:, j] = 3.0
         else:
             X[:, j] = rng.random(n) * (rng.random(n) < 0.3)
-    if draw(st.booleans()):  # a bootstrap sample: sorted, with repeats
-        rows = np.sort(rng.integers(0, n, size=n))
-    else:
-        rows = np.arange(n, dtype=np.int64)
-    sel = np.sort(rng.choice(n, size=draw(st.integers(2, n)), replace=False))
+    return X
+
+
+@st.composite
+def node_searches(draw):
+    """One grove step of a grower's fit: data, trees, the step's nodes, rule, budget.
+
+    The step searches one node, a level of one tree (several nodes of a
+    tree that draws nothing), or one node in each of several trees.
+    """
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = column_data(rng, n, draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=d, max_size=d)))
+    shape = draw(st.sampled_from(("node", "level", "trees")))
     criterion = draw(st.sampled_from(("gini", "variance")))
-    random_threshold = draw(st.booleans())
+    if shape == "level":  # nothing drawn: the exact rule over every feature
+        random_threshold = False
+        max_features = draw(st.one_of(st.none(), st.integers(d, d + 1)))
+    else:
+        random_threshold = draw(st.booleans())
+        max_features = draw(st.one_of(st.none(), st.integers(1, d)))
     if criterion == "gini":
-        t = rng.integers(0, 2, size=sel.size).astype(np.float64)
+        kind = "labels"
     elif random_threshold:
         # the random rule sums a column's left side in row order, the
         # reference in the order of a compressed copy: equal only when
         # every partial sum is exact, as the 0/1 Gini sums always are
-        t = rng.integers(-3, 4, size=sel.size).astype(np.float64)
-    elif draw(st.booleans()):
-        t = rng.normal(size=sel.size)
+        kind = "integers"
     else:  # few distinct targets: exact zero-gain splits and exact ties
-        t = rng.choice([-0.5, 0.25, 1.0], size=sel.size)
-    max_features = draw(st.one_of(st.none(), st.integers(1, d)))
+        kind = draw(st.sampled_from(("normal", "few")))
+
+    def targets(size):
+        if kind == "labels":
+            return rng.integers(0, 2, size=size).astype(np.float64)
+        if kind == "integers":
+            return rng.integers(-3, 4, size=size).astype(np.float64)
+        if kind == "normal":
+            return rng.normal(size=size)
+        return rng.choice([-0.5, 0.25, 1.0], size=size)
+
+    jobs, nodes = [], []
+    for i in range(draw(st.integers(2, 4)) if shape == "trees" else 1):
+        if draw(st.booleans()):  # a bootstrap sample: sorted, with repeats
+            rows = np.sort(rng.integers(0, n, size=n))
+        else:
+            rows = np.arange(n, dtype=np.int64)
+        jobs.append((rows, draw(st.integers(0, 2**31))))
+        if shape == "level":  # disjoint nodes of two positions or more
+            k = max(1, min(draw(st.integers(2, 5)), n // 2))
+            sizes = 2 + rng.multinomial(draw(st.integers(2 * k, n)) - 2 * k, [1 / k] * k)
+            cuts = np.cumsum(sizes)
+            order = rng.permutation(n)
+            sels = [np.sort(order[hi - size : hi]) for size, hi in zip(sizes, cuts)]
+        else:
+            sels = [np.sort(rng.choice(n, size=draw(st.integers(2, n)), replace=False))]
+        nodes += [(i, sel, targets(sel.size)) for sel in sels]
     # a small budget forces the column-chunked scan
     cells = draw(st.sampled_from((grower_module.SPLIT_BLOCK_CELLS, 1, 5, 40)))
-    seed = draw(st.integers(0, 2**31))
-    return X, rows, sel, t, criterion, max_features, seed, random_threshold, cells
+    return X, jobs, nodes, criterion, max_features, random_threshold, cells
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -258,7 +316,8 @@ def test_block_search_matches_per_column_reference_bit_for_bit(case):
     *args, cells = case
     with mock.patch.object(grower_module, "SPLIT_BLOCK_CELLS", cells):
         got, want = block_and_reference(*args)
-    assert_same_split(got, want)
+    for got_split, want_split in zip(got, want):
+        assert_same_split(got_split, want_split)
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +383,7 @@ def forest_growths(draw):
     n = draw(st.integers(1, 24))
     d = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = np.empty((n, d))
-    for j, kind in enumerate(draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=d, max_size=d))):
-        if kind == "few":
-            X[:, j] = rng.integers(0, 3, size=n)
-        elif kind == "float":
-            X[:, j] = rng.normal(size=n)
-        elif kind == "adjacent":
-            X[:, j] = np.where(rng.random(n) < 0.5, 1.0, np.nextafter(1.0, 2.0))
-        elif kind == "constant":
-            X[:, j] = 3.0
-        else:
-            X[:, j] = rng.random(n) * (rng.random(n) < 0.3)
+    X = column_data(rng, n, draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=d, max_size=d)))
     if draw(st.booleans()):  # repeated rows
         X = X[rng.integers(0, n, size=n)]
     criterion = draw(st.sampled_from(("gini", "variance")))
@@ -407,6 +455,83 @@ def test_lockstep_grower_matches_per_tree_reference_bit_for_bit(case):
     assert importances.tobytes() == want_importances.tobytes()
 
 
+@st.composite
+def boosting_growths(draw):
+    """Rounds of a boosting fit: data, per round residuals and hessians, max_depth, budget."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = column_data(rng, n, draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=d, max_size=d)))
+    if draw(st.booleans()):  # repeated rows
+        X = X[rng.integers(0, n, size=n)]
+    rounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            residual = rng.normal(size=n)
+        else:  # few distinct targets: exact zero-gain splits and exact ties
+            residual = rng.choice([-0.5, 0.25, 1.0], size=n)
+        rounds.append((residual, rng.random(n)))
+    max_depth = draw(st.one_of(st.none(), st.integers(1, 6)))
+    cells = draw(st.sampled_from((grower_module.SPLIT_BLOCK_CELLS, 1, 5, 40)))
+    return X, rounds, max_depth, cells
+
+
+def newton_leaf(residual, hessian):
+    # pairwise sums: they read the leaf's positions in ascending order
+    return lambda sel: residual[sel].sum() / (hessian[sel].sum() + 1e-16)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(boosting_growths())
+def test_drawless_level_grower_matches_per_tree_reference_bit_for_bit(case):
+    # boosting's shape: one presort for all rounds, a leaf rule per round, no draws
+    X, rounds, max_depth, cells = case
+    rows = np.arange(X.shape[0], dtype=np.int64)
+    presort = Presort.of(X, rows)
+    builder = TreeBuilder("variance", max_depth, None)
+    importances = np.zeros(X.shape[1])
+    want_importances = np.zeros(X.shape[1])
+    for residual, hessian in rounds:
+        leaf = newton_leaf(residual, hessian)
+        with mock.patch.object(grower_module, "SPLIT_BLOCK_CELLS", cells):
+            [(columns, leaf_of)] = builder.build_many(
+                X, [TreeJob(rows, residual, leaf, None, presort)], importances
+            )
+        want, want_leaf_of = ref_build(
+            X, rows, residual, leaf, want_importances, "variance", max_depth, None, None, False
+        )
+        tree = LocalTree.grown(columns)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            got_array, want_array = getattr(tree, name), getattr(want, name)
+            assert got_array.dtype == want_array.dtype
+            assert got_array.tobytes() == want_array.tobytes(), name
+        assert leaf_of.tobytes() == want_leaf_of.tobytes()
+        assert importances.tobytes() == want_importances.tobytes()
+
+
+def test_a_pure_root_beside_trees_that_grow_a_level_a_step():
+    # the second bootstrap holds one class: its root opens nothing, while
+    # the others step without it and its presort columns
+    rng = np.random.default_rng(1)
+    X = rng.random((10, 3))
+    y = np.array([0, 1, 0, 1, 1, 0, 1, 0, 0, 1], dtype=np.float64)
+    rows = [np.arange(10), np.array([0, 0, 2, 2, 5, 7, 7, 8, 8, 8]), np.arange(10)]
+    importances = np.zeros(3)
+    grown = TreeBuilder("gini", None, None).build_many(
+        X, [TreeJob(r, y[r], None, None) for r in rows], importances
+    )
+    want_importances = np.zeros(3)
+    for (columns, leaf_of), r in zip(grown, rows):
+        want, want_leaf_of = ref_build(
+            X, r, y[r], mean_leaf(y[r]), want_importances, "gini", None, None, None, False
+        )
+        tree = LocalTree.grown(columns)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(tree, name).tobytes() == getattr(want, name).tobytes(), name
+        assert np.array_equal(leaf_of, want_leaf_of)
+    assert importances.tobytes() == want_importances.tobytes()
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -441,13 +566,14 @@ def test_block_larger_than_the_cell_budget_is_searched_in_chunks(criterion, rand
     y[:20] = 1.0 - y[:20]  # noise, so a column can separate better
     t = y if criterion == "gini" else 2.0 * y - 1.0
     rows = np.arange(n, dtype=np.int64)
-    got, want = block_and_reference(X, rows, rows, t, criterion, None, 5, random_threshold)
+    case = (X, [(rows, 5)], [(0, rows, t)], criterion, None, random_threshold)
+    [got], [want] = block_and_reference(*case)
     assert_same_split(got, want)
     if not random_threshold:
         assert got[1] == 7
     # a strictly better column in the second chunk wins
     X[:, chunk + 10] = t
-    got, want = block_and_reference(X, rows, rows, t, criterion, None, 5, random_threshold)
+    [got], [want] = block_and_reference(*case)
     assert_same_split(got, want)
     if not random_threshold:
         assert got[1] == chunk + 10
