@@ -17,7 +17,7 @@ from typing import Annotated, Optional
 import numpy as np
 
 from .base import BaseModel, check_predict_input, check_X_y
-from .grower import Presort, TreeBuilder, TreeJob, node_table
+from .grower import Presort, TreeBuilder, TreeJob, node_table, number_trees
 
 _PROB_EPS = 1e-12
 _HESSIAN_EPS = 1e-16
@@ -61,7 +61,7 @@ class GradientBoostingClassifier(BaseModel):
         builder = TreeBuilder("variance", self.max_depth, None)
         raw = np.full(n, self.base_score_)
         importances = np.zeros(d)
-        trees = []
+        rounds = []
         # one sigmoid per round: round r's loss and round r + 1's residual share it
         p = sigmoid(raw)
         losses = [log_loss(labels, p)]
@@ -74,14 +74,13 @@ class GradientBoostingClassifier(BaseModel):
                 # clamped, NaN passing through as np.clip lets it
                 return float(min(max(step, -_MAX_LEAF_VALUE), _MAX_LEAF_VALUE))
 
-            job = TreeJob(rows, residual, newton_leaf, None, presort)
-            [(tree, leaf_of)] = builder.build_many(Xd, [job], importances)
-            _, _, _, value = tree
-            raw = raw + self.learning_rate * value[leaf_of]
-            trees.append(tree)
+            grown = builder.grow(Xd, [TreeJob(rows, residual, newton_leaf, None, presort)])
+            raw = raw + self.learning_rate * grown.values[grown.leaf]
+            rounds.append(grown)
             p = sigmoid(raw)
             losses.append(log_loss(labels, p))
-        self.nodes_ = node_table(trees)
+        # the rounds' trees numbered at once
+        self.nodes_ = node_table(tree for tree, _ in number_trees(rounds, importances))
         self.train_losses_ = np.asarray(losses)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances

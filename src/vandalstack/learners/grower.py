@@ -6,12 +6,14 @@ variant draws one uniform threshold per candidate feature instead of
 scanning.  What a leaf stores is up to the caller (positive fraction,
 mean target, or a Newton step), supplied as a callback.
 
-:meth:`TreeBuilder.build_many` is the one entry point: each tree comes
-as a :class:`TreeJob` that carries its rows, targets, leaf rule and
-generator, and goes out as its node columns in the tree-local layout of
-:func:`~vandalstack.learners.tree.invalid_node`, which
-:func:`node_table` joins into the model's one
-:class:`~vandalstack.learners.tree.NodeTable`.
+Each tree comes as a :class:`TreeJob` that carries its rows, targets,
+leaf rule and generator, and goes out as its node columns in the
+tree-local layout of :func:`~vandalstack.learners.tree.invalid_node`,
+which :func:`node_table` joins into the model's one
+:class:`~vandalstack.learners.tree.NodeTable`.  A forest grows its trees
+with :meth:`TreeBuilder.build_many`; a boosting fit grows each round's
+tree with :meth:`TreeBuilder.grow` and numbers them all with
+:func:`number_trees`.
 
 The models densify their training matrix once per fit.  Trees grow
 together in groves, and each grove step is a fixed number of array passes
@@ -25,8 +27,11 @@ streams bit for bit, as ``choice(d, m, replace=False)`` then
 those calls would;
 ``tests/test_draws.py::test_batched_draw_reads_each_stream_as_choice_then_random``
 fails if a numpy upgrade moves them.  Trees that draw nothing (boosting,
-the selection model) take all their open nodes at once, a level a step,
-and are numbered depth first when grown.  The random rule searches all of
+the selection model) take all their open nodes at once, a level a step.
+A grown grove (:class:`Grown`) has its leaves valued but is not yet
+numbered: :func:`number_trees` numbers its trees depth first, and a
+boosting fit numbers all of its rounds' trees at once, after the last
+round.  The random rule searches all of
 a step's nodes as one segmented block.  The exact rule does too, with
 nothing padded: every candidate column of every node, in the order of a
 presort made once per tree and filtered to the step's nodes, scanned
@@ -93,56 +98,35 @@ def _gini(s, cnt):
     return p
 
 
-def split_scores(sl, nl, total, n, criterion: str) -> np.ndarray:
-    """The part of :func:`split_gains` that tells one node's splits apart, higher for the better.
-
-    Variance: ``sl sl / nl + sr sr / nr``; Gini: ``-(nl gini(sl, nl) + nr
-    gini(sr, nr))``, with ``sr = total - sl`` and ``nr = n - nl`` rows on
-    the right.  The arguments broadcast to ``sl``'s shape, and the terms
-    are computed in place in the order written.
-    """
-    nr = n - nl
-    sr = total - sl
-    if criterion == "gini":
-        score = _gini(sl, nl)
-        score *= -nl
-        sr = _gini(sr, nr)
-        sr *= nr
-        score -= sr
-        return score
-    score = sl * sl
-    score /= nl
-    sr *= sr
-    sr /= nr
-    score += sr
-    return score
-
-
-def gains_of(score, n, parent, criterion: str) -> np.ndarray:
-    """The impurity decreases of splits with :func:`split_scores` ``score`` in nodes of ``n`` rows.
-
-    ``parent`` is the nodes' :func:`parent_term`.  Variance: ``score / n -
-    parent``; Gini: ``parent - (-score) / n``, which is ``score / n +
-    parent`` bit for bit.  Both increase with ``score``, so the best of a
-    node's scores gives its best gain.
-    """
-    gains = score / n
-    if criterion == "gini":
-        gains += parent
-    else:
-        gains -= parent
-    return gains
-
-
 def split_gains(sl, nl, total, n, parent, criterion: str) -> np.ndarray:
     """Impurity decrease of splits that send ``nl`` of ``n`` rows left.
 
     ``sl`` is the target sum on the left, ``total`` the sum over all
     ``n`` rows and ``parent`` their :func:`parent_term`; the arguments
     broadcast to ``sl``'s shape, one entry per candidate split.  Both
-    split rules use this one formula, the exact rule in two parts.
+    split rules use this one formula.  With ``sr = total - sl`` and ``nr =
+    n - nl``, it is ``(sl sl / nl + sr sr / nr) / n - parent`` for
+    variance and ``parent - (nl gini(sl, nl) + nr gini(sr, nr)) / n`` for
+    Gini, each term computed in place in the order written.
     """
-    return gains_of(split_scores(sl, nl, total, n, criterion), n, parent, criterion)
+    nr = n - nl
+    sr = total - sl
+    if criterion == "gini":
+        gains = _gini(sl, nl)
+        gains *= nl
+        sr = _gini(sr, nr)
+        sr *= nr
+        gains += sr
+        gains /= n
+        return np.subtract(parent, gains, out=gains)
+    gains = sl * sl
+    gains /= nl
+    sr *= sr
+    sr /= nr
+    gains += sr
+    gains /= n
+    gains -= parent
+    return gains
 
 
 class Segments(NamedTuple):
@@ -179,8 +163,7 @@ def exact_block_split(vs: np.ndarray, ts: np.ndarray, seg: Segments, criterion: 
     ``vs[:, at]`` and ``vs[:, at + 1]``.
     """
     starts, last, nodes, index, node = seg.starts, seg.last, seg.nodes, seg.index, seg.node
-    n = seg.sizes.astype(np.float64)
-    n_at = n[node]
+    n = seg.sizes
     # the boundary after a node's position q sends q + 1 rows left; the
     # node's last position is no boundary, and is scored with one row
     # right, then masked
@@ -190,18 +173,16 @@ def exact_block_split(vs: np.ndarray, ts: np.ndarray, seg: Segments, criterion: 
     csum = np.empty_like(ts)
     for lo, hi in zip(starts.tolist(), (last + 1).tolist()):
         ts[:, lo:hi].cumsum(axis=1, out=csum[:, lo:hi])
-    total = csum[:, last]
-    score = split_scores(csum, nl, total[:, node], n_at, criterion)
-    score[:, :-1][~(vs[:, 1:] > vs[:, :-1])] = -np.inf
-    score[:, last] = -np.inf
-    # each row's best gain, from its best score: the gain grows with it
+    total = csum.take(last, axis=1)
     parent = parent_term(total, n, criterion)
-    best = gains_of(np.maximum.reduceat(score, starts, axis=1), n, parent, criterion)
+    gains = split_gains(csum, nl, total.take(node, axis=1), n[node], parent.take(node, axis=1), criterion)
+    gains[:, :-1][~(vs[:, 1:] > vs[:, :-1])] = -np.inf
+    gains.T[last] = -np.inf
+    best = np.maximum.reduceat(gains, starts, axis=1)
     slot = np.where(best >= 0.0, best, -np.inf).argmax(axis=0)
-    # the chosen row's gains, to find its first best boundary; a row whose
-    # best is NaN has none, and reports a valid index
-    row = gains_of(score[slot[node], index], n_at, parent[slot, nodes][node], criterion)
-    first = np.where(row == best[slot, nodes][node], index, index.size - 2)
+    # the chosen row's first best boundary; a row whose best is NaN has
+    # none, and reports a valid index
+    first = np.where(gains[slot[node], index] == best[slot, nodes][node], index, index.size - 2)
     return best, slot, np.minimum.reduceat(first, starts)
 
 
@@ -351,12 +332,21 @@ class TreeBuilder:
         group, cells = [], 0
         for job in jobs:
             if group and cells + job.rows.size * width > SPLIT_BLOCK_CELLS:
-                yield from _Grove(self, X, group).grow(importances)
+                yield from number_trees([self.grow(X, group)], importances)
                 group, cells = [], 0
             group.append(job)
             cells += job.rows.size * width
         if group:
-            yield from _Grove(self, X, group).grow(importances)
+            yield from number_trees([self.grow(X, group)], importances)
+
+    def grow(self, X: np.ndarray, jobs: list[TreeJob]) -> Grown:
+        """Grow one tree per :class:`TreeJob` over dense ``X``, all together, and value their leaves.
+
+        :func:`number_trees` numbers them; a boosting round reads what its
+        tree fits to its rows, and numbers its rounds' trees once, at the
+        end of the fit.
+        """
+        return _Grove(self, X, jobs).grow()
 
 
 def node_table(trees: Iterable[tuple]) -> NodeTable:
@@ -367,6 +357,94 @@ def node_table(trees: Iterable[tuple]) -> NodeTable:
         for i, dtype in enumerate((np.int64, np.float64, np.int64, np.float64))
     )
     return NodeTable(*columns, [tree[0].size for tree in trees])
+
+
+class Grown(NamedTuple):
+    """Trees grown together, their leaves valued, before :func:`number_trees` numbers them.
+
+    ``size`` holds each tree's positions (its rows), and ``ids`` counts
+    the node ids given out: tree ``t``'s root has id ``t``.  Per split,
+    in the order searched: its node record ``(tree, id, lo, hi, depth)``
+    (:data:`TREE` ...), the id of its left child (the right is next), its
+    gain and feature, and the two values its threshold lies between.
+    ``leaves`` holds each leaf's tree and id, ``values`` each leaf's value
+    by id, and ``leaf`` each position's leaf id, so that ``values[leaf]``
+    is what the trees fit to their rows.
+    """
+
+    size: np.ndarray
+    ids: int
+    splits: np.ndarray
+    left: np.ndarray
+    gain: np.ndarray
+    feature: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    leaves: np.ndarray
+    values: np.ndarray
+    leaf: np.ndarray
+
+
+def number_trees(groves: list[Grown], importances: Optional[np.ndarray] = None) -> list[tuple[tuple, np.ndarray]]:
+    """Number the trees of ``groves`` depth first, as if each had grown alone one node at a time.
+
+    Returns per tree, in order, its node columns ``(feature, threshold,
+    right, value)`` and each position's leaf id.  When given,
+    ``importances`` accumulates weighted impurity decreases per feature,
+    tree by tree, and within a tree in depth-first order.
+    """
+    if not groves:
+        return []
+    # the trees, ids and positions of the groves before each grove's
+    counts = np.array([(g.size.size, g.ids, g.leaf.size, g.left.size, g.leaves.shape[1]) for g in groves])
+    before = counts.cumsum(axis=0) - counts
+    size = np.concatenate([g.size for g in groves])
+    shift = before[:, :3].repeat(counts[:, 3], axis=0).T
+    tree, nid, lo, hi, depth = np.concatenate([g.splits for g in groves], axis=1)
+    width = hi - lo
+    tree = tree + shift[0]
+    nid = nid + shift[1]
+    left = np.concatenate([g.left for g in groves]) + shift[1]
+    # depth first, a tree's splits come by where their ranges start,
+    # and a parent before its left child, which starts where it does
+    order = ((lo + shift[2]) * (before[-1, 2] + counts[-1, 2]) + depth).argsort()
+    n_splits = np.bincount(tree, minlength=size.size)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    rank -= (n_splits.cumsum() - n_splits)[tree]  # less the splits of the trees before
+    # the k-th split in depth-first order makes children 2k + 1 and 2k + 2
+    new = np.zeros(before[-1, 1] + counts[-1, 1], dtype=np.intp)
+    new[left] = rank = 2 * rank + 1
+    new[left + 1] = rank + 1
+    nodes = 2 * n_splits + 1
+    ends = nodes.cumsum()
+    offset = ends - nodes
+    # per node: split feature and right child (-1 at a leaf), threshold
+    # (NaN at a leaf) and value
+    ints = np.full((2, ends[-1]), -1, dtype=np.int64)
+    floats = np.zeros((2, ends[-1]))
+    floats[0] = np.nan
+    at = offset[tree] + new[nid]
+    feature = np.concatenate([g.feature for g in groves])
+    ints[0, at], ints[1, at] = feature, rank + 1
+    floats[0, at] = midpoint(*(np.concatenate([getattr(g, f) for g in groves]) for f in ("low", "high")))
+    leaf_shift = before[:, :2].repeat(counts[:, 4], axis=0).T
+    leaf_tree, leaf_nid = np.concatenate([g.leaves for g in groves], axis=1) + leaf_shift
+    floats[1, offset[leaf_tree] + new[leaf_nid]] = np.concatenate(
+        [g.values[g.leaves[1]] for g in groves]
+    )
+    if importances is not None:
+        # unbuffered: one addition after another, tree by tree, each in
+        # depth-first order
+        weight = width / size[tree] * np.concatenate([g.gain for g in groves])
+        np.add.at(importances, feature[order], weight[order])
+    columns = (ints[0], floats[0], ints[1], floats[1])
+    leaf_of = np.concatenate([new[g.leaf + b] for g, b in zip(groves, before[:, 1].tolist())])
+    bounds = (size.cumsum() - size).tolist()
+    return [
+        (tuple(c[o : o + k].copy() for c in columns), leaf_of[b : b + n])
+        for o, k, b, n in zip(offset.tolist(), nodes.tolist(), bounds, size.tolist())
+    ]
 
 
 class _Streams:
@@ -532,18 +610,20 @@ def _tail_shuffle(d: int, draws: list) -> list:
 
 
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
-    """``keys.argsort(axis=-1, kind="stable")`` for keys in ``[0, bound)``, by one plain sort.
+    """Per row of integer ``keys`` in ``[0, bound)``, its flat indices sorted stably by key.
 
-    Each key becomes ``key * n + i`` for its index ``i`` of ``n``: the
-    keys are distinct, so any sort is stable, and numpy's plain integer
-    sort is much the faster.
+    ``keys.argsort(axis=-1, kind="stable")`` plus each row's offset, by one
+    plain sort of ``key << b | i`` for each key's flat index ``i`` below
+    ``2**b``: the keys are distinct, so any sort is stable, and numpy's
+    plain integer sort is much the faster.
     """
-    n = keys.shape[-1]
-    composite = keys.astype(np.int32 if bound * n < 2**31 else np.int64)
-    composite *= n
-    composite += np.arange(n, dtype=composite.dtype)
+    b = keys.size.bit_length()
+    if bound.bit_length() + b > 63:
+        raise OverflowError(f"{keys.size} keys below {bound} do not fit one sort key")
+    composite = keys << b
+    composite |= np.arange(keys.size).reshape(keys.shape)
     composite.sort(axis=-1)
-    composite %= n
+    composite &= (1 << b) - 1
     return composite
 
 
@@ -557,8 +637,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 # permutation, its depth.  Tree t's root has id t; the i-th node searched
 # gives its children ids T + 2i and T + 2i + 1, for T trees
 TREE, NID, LO, HI, DEPTH = range(5)
-_RIGHT_LEFT = np.array([0, 1])
-_INT16_MAX = int(np.iinfo(np.int16).max)
 # a grove step's records before any: nodes, gains, features, threshold bounds
 _NOT_SEARCHED = (np.zeros((5, 0), dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
 
@@ -602,40 +680,35 @@ class _Grove:
         if m is not None or builder.random_threshold:
             doubles = (m or d) if builder.random_threshold else 0
             self.streams = _Streams([job.rng for job in jobs], d, m, doubles)
-            # tree t's stack of open nodes at [base + t, base + t + size],
-            # top last: a tree holds fewer open nodes than positions
-            self.stack = np.empty((5, n + n_trees), dtype=np.intp)
+            # tree t's stack of open node records at [base + t, base + t +
+            # size], top last: a tree holds fewer open nodes than positions
+            self.stack = np.empty((n + n_trees, 5), dtype=np.intp)
             self.bottom = self.base + np.arange(n_trees)
             self.height = np.zeros(n_trees, dtype=np.intp)
         self.level = np.zeros((5, 0), dtype=np.intp)  # the open nodes of drawless trees
         if not builder.random_threshold:
+            # every tree's presort positions (into the grove's) and values
             presorts = [Presort.of(X, job.rows) if job.presort is None else job.presort for job in jobs]
             if n_trees == 1:
-                self.columns, self.pre, self.vals = presorts[0]
+                _, self.pre, self.vals = presorts[0]
             else:
-                self.columns, self.pre, self.vals = (
-                    np.concatenate(arrays, axis=1) for arrays in zip(*presorts)
-                )
+                self.pre = np.concatenate([p.order for p in presorts], axis=1)
                 self.pre += np.repeat(self.base, self.size)
-            self.every_position = np.arange(n)
-            self.every_column = np.arange(d)[:, None]
-            # each position's node in the step, no_node outside them; a node
-            # has two positions or more, and small keys sort faster
-            small = n < 2 * _INT16_MAX
-            self.no_node = _INT16_MAX if small else np.iinfo(np.intp).max
-            self.node_of = np.full(n, self.no_node, dtype=np.int16 if small else np.intp)
+                self.vals = np.concatenate([p.values for p in presorts], axis=1)
+            # each position's node in a step, n outside the step's nodes
+            self.node_of = np.full(n, n, dtype=np.intp)
 
-    def grow(self, importances: Optional[np.ndarray]) -> list[tuple[tuple, np.ndarray]]:
-        """Per tree: its node columns and each position's leaf id, as ``build_many`` yields."""
+    def grow(self) -> "Grown":
+        """Grow every tree; value its leaves, but leave it unnumbered."""
         n_trees = self.size.size
-        roots = np.zeros((5, n_trees, 1), dtype=np.intp)
-        roots[TREE, :, 0] = roots[NID, :, 0] = np.arange(n_trees)
-        roots[LO, :, 0], roots[HI, :, 0] = self.base, self.base + self.size
+        roots = np.zeros((5, n_trees), dtype=np.intp)
+        roots[TREE] = roots[NID] = np.arange(n_trees)
+        roots[LO], roots[HI] = self.base, self.base + self.size
         t = self.target
         try:
-            self.made.append(roots[..., 0])
+            self.made.append(roots)
             mixed = np.minimum.reduceat(t, self.base) != np.maximum.reduceat(t, self.base)
-            self._open(roots, mixed[:, None])
+            self._open(roots, mixed)
             while True:
                 nodes = self._take()
                 if not nodes.shape[1]:
@@ -643,7 +716,19 @@ class _Grove:
                 self._step(nodes)
         finally:
             self.finish()
-        return self._trees(importances)
+        made = np.concatenate(self.made, axis=1)
+        nodes, gain, feature, low, high = (
+            np.concatenate(arrays, axis=-1) for arrays in zip(_NOT_SEARCHED, *self.searched)
+        )
+        split = (gain >= 0.0).nonzero()[0]
+        is_split = np.zeros(self.next_id, dtype=bool)
+        is_split[nodes[NID, split]] = True
+        leaves = made.compress(~is_split[made[NID]], axis=1)
+        values, leaf = self._value(leaves)
+        return Grown(
+            self.size, self.next_id, nodes.take(split, axis=1), n_trees + 2 * split, gain[split],
+            feature[split], low[split], high[split], leaves[[TREE, NID]], values, leaf,
+        )
 
     def finish(self) -> None:
         """Leave every tree's generator where its draws so far end."""
@@ -653,20 +738,22 @@ class _Grove:
     def _open(self, kids: np.ndarray, mixed: np.ndarray) -> None:
         """Open each node of ``kids`` whose targets are ``mixed`` and that can split.
 
-        ``kids`` holds the node records of one or two children of
-        searched nodes, of one tree each: the right child first.
+        ``kids`` holds the node records of the roots, or of the children
+        of searched nodes, one node a tree: its right child, then its left.
         """
         can = mixed & (kids[HI] - kids[LO] >= 2)
         if self.builder.max_depth is not None:
             can &= kids[DEPTH] < self.builder.max_depth
+        opened = kids.compress(can, axis=1)
         if self.streams is None:
-            self.level = kids[:, can]
+            self.level = opened
             return
-        # one node a tree: its right child goes on its stack first, the left on top
-        tree = kids[TREE, :, 0]
-        spot = (self.bottom[tree] + self.height[tree])[:, None] + can.cumsum(axis=1) - 1
-        self.stack[:, spot[can]] = kids[:, can]
-        self.height[tree] += can.sum(axis=1)
+        # a tree's right child goes on its stack first, the left on top
+        tree = opened[TREE]
+        second = np.zeros(tree.size, dtype=np.intp)
+        second[1:] = tree[1:] == tree[:-1]
+        self.stack[self.bottom[tree] + self.height[tree] + second] = opened.T
+        self.height += np.bincount(tree, minlength=self.height.size)
 
     def _take(self) -> np.ndarray:
         """This step's node records: each tree's top node, or every open node of drawless trees."""
@@ -675,7 +762,7 @@ class _Grove:
             return nodes
         live = self.height.nonzero()[0]
         self.height[live] -= 1
-        return self.stack[:, self.bottom[live] + self.height[live]]
+        return self.stack[self.bottom[live] + self.height[live]].T
 
     def _step(self, nodes: np.ndarray) -> None:
         """Search ``nodes``, split those that can, and open their children."""
@@ -691,12 +778,15 @@ class _Grove:
         s = (gain >= 0.0).nonzero()[0]
         if not s.size:
             return
-        # the right child before the left, as depth-first order pushes them
-        kids = nodes[:, s, None].repeat(2, axis=2)
-        kids[NID] = (first + 1 + 2 * s)[:, None] - _RIGHT_LEFT
-        kids[LO, :, 0] = kids[HI, :, 1] = (lo - seg.starts + cut)[s]
+        # each split's right child, then its left, as depth-first order
+        # pushes them
+        kids = nodes.take(s, axis=1).repeat(2, axis=1)
+        ids = 2 * s + first
+        kids[NID, 0::2] = ids + 1
+        kids[NID, 1::2] = ids
+        kids[LO, 0::2] = kids[HI, 1::2] = (lo - seg.starts + cut).take(s)
         kids[DEPTH] += 1
-        self.made.append(kids.reshape(5, -1))
+        self.made.append(kids)
         max_depth = self.builder.max_depth
         if max_depth is not None and depth.min() + 1 >= max_depth:
             return  # every child is a leaf
@@ -707,97 +797,59 @@ class _Grove:
         cuts[:, 1] = cut
         cuts = cuts.ravel()
         mixed = np.minimum.reduceat(t, cuts) != np.maximum.reduceat(t, cuts)
-        self._open(kids, mixed.reshape(-1, 2)[s, ::-1])
+        self._open(kids, mixed.reshape(-1, 2).take(s, axis=0)[:, ::-1].ravel())
 
-    def _trees(self, importances: Optional[np.ndarray]) -> list[tuple[tuple, np.ndarray]]:
-        """Number every tree depth first, value its leaves, add its splits to ``importances``."""
-        n_trees = self.size.size
-        made = np.concatenate(self.made, axis=1)
-        nodes, gain, feature, low, high = (
-            np.concatenate(arrays, axis=-1) for arrays in zip(_NOT_SEARCHED, *self.searched)
-        )
-        split = (gain >= 0.0).nonzero()[0]
-        tree, nid, lo, hi, depth = nodes[:, split]
-        # depth first, a tree's splits come by where their ranges start,
-        # and a parent before its left child, which starts where it does
-        order = (lo * self.rows.size + depth).argsort()
-        n_splits = np.bincount(tree, minlength=n_trees)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        if n_trees > 1:  # less the splits of the trees before
-            rank -= (n_splits.cumsum() - n_splits)[tree]
-        # the k-th split in depth-first order makes children 2k + 1 and 2k + 2
-        new = np.zeros(self.next_id, dtype=np.intp)
-        left = n_trees + 2 * split
-        new[left] = rank = 2 * rank + 1
-        new[left + 1] = rank + 1
-        counts = 2 * n_splits + 1
-        ends = counts.cumsum()
-        offset = ends - counts
-        # per node: split feature and right child (-1 at a leaf), threshold
-        # (NaN at a leaf) and value
-        ints = np.full((2, ends[-1]), -1, dtype=np.int64)
-        floats = np.zeros((2, ends[-1]))
-        floats[0] = np.nan
-        at = offset[tree] + new[nid]
-        ints[0, at], ints[1, at] = feature[split], rank + 1
-        floats[0, at] = midpoint(low[split], high[split])
-        columns = (ints[0], floats[0], ints[1], floats[1])
-        is_split = np.zeros(self.next_id, dtype=bool)
-        is_split[nid] = True
-        self._value(made[:, ~is_split[made[NID]]], new, offset, columns[3])
-        if importances is not None:
-            # unbuffered: one addition after another, tree by tree, each in
-            # depth-first order
-            weight = (hi - lo) / self.size[tree] * gain[split]
-            np.add.at(importances, feature[split][order], weight[order])
-        return [
-            (tuple(c[o : o + n].copy() for c in columns), self.leaf_of[b : b + s])
-            for o, n, b, s in zip(offset.tolist(), counts.tolist(), self.base.tolist(), self.size.tolist())
-        ]
-
-    def _value(self, leaves: np.ndarray, new: np.ndarray, offset: np.ndarray, value: np.ndarray) -> None:
-        """Value each leaf into ``value`` and mark its positions' leaf id.
+    def _value(self, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each leaf's value, by node id, and each position's leaf id.
 
         Leaves of a tree without a leaf rule take the mean of their
         targets, summed in one pass; a leaf rule is called per leaf with
         the leaf's positions in ascending order.
         """
         # in order, the leaves' ranges tile the permutation
-        tree, nid, lo, hi, _ = leaves[:, leaves[LO].argsort()]
+        tree, nid, lo, hi, _ = leaves.take(leaves[LO].argsort(), axis=1)
         sizes = hi - lo
-        ids = new[nid]
-        self.leaf_of = np.empty(self.rows.size, dtype=np.int64)
-        self.leaf_of[self.perm] = ids.repeat(sizes)
-        into = offset[tree] + ids
+        n = self.rows.size
+        leaf = np.empty(n, dtype=np.intp)
+        leaf[self.perm] = nid.repeat(sizes)
+        values = np.zeros(self.next_id)
         rule = self.has_rule[tree]
         if not rule.all():
             mean = np.add.reduceat(self.target[self.perm], lo) / sizes
-            value[into[~rule]] = mean[~rule]
+            values[nid[~rule]] = mean[~rule]
             if not rule.any():
-                return
-        # each leaf's positions, ascending: a stable sort of the positions
-        # by leaf, the leaves in the order of their ranges
-        leaf = np.empty(self.rows.size, dtype=np.intp)
-        leaf[self.perm] = np.arange(lo.size).repeat(sizes)
-        at = _stable_order(leaf, lo.size)
-        for i, t, a, b in zip(*(x[rule].tolist() for x in (into, tree, lo, hi))):
-            value[i] = float(self.leaf_values[t](at[a:b] - self.base[t]))
+                return values, leaf
+            nid, tree, lo, hi = (x[rule] for x in (nid, tree, lo, hi))
+        # each leaf's positions, ascending: each range of the permutation
+        # sorted, by one sort of (leaf, position); then each tree's own
+        # positions
+        b = n.bit_length()
+        at = np.arange(sizes.size).repeat(sizes) << b
+        at |= self.perm
+        at.sort()
+        at &= (1 << b) - 1
+        at -= self.base.repeat(self.size)
+        for i, t, a, z in zip(nid.tolist(), tree.tolist(), lo.tolist(), hi.tolist()):
+            values[i] = float(self.leaf_values[t](at[a:z]))
+        return values, leaf
 
     def _search(self, tree: np.ndarray, seg: Segments, pos: np.ndarray):
         """The best split of each node, and its positions with its left child's first.
 
         Node ``k``, of tree ``tree[k]``, holds the positions of ``pos``
-        that ``seg`` gives it, ascending.  Returns per node the gain and
-        feature of its best split and the two values its threshold lies
-        between (:func:`midpoint`; a drawn threshold is both), ``pos``
-        reordered, and per node where its right child's positions begin.  Among the
-        candidates whose gain is >= 0 the highest gain wins, the lowest
+        that ``seg`` gives it, in any order: the exact rule leaves a split
+        node's positions in its chosen column's order, the random rule
+        partitions them stably.  Only a leaf rule needs a leaf's positions
+        ascending, and :meth:`_value` sorts them.  Returns per node the
+        gain and feature of its best split and the two values its
+        threshold lies between (:func:`midpoint`; a drawn threshold is
+        both), ``pos`` reordered, and per node where its right child's
+        positions begin.  Among the candidates whose gain is >= 0 the highest gain wins, the lowest
         feature index on ties.  Zero-gain splits are kept: a boundary that
         does not reduce impurity can still expose one deeper down (the XOR
         pattern), so only constant columns and pure nodes stop the
-        recursion.  A node without a split has gain ``-inf``, and its
-        positions in any order.  Each tree draws its candidates, then its
+        recursion.  A node without a split has a gain that is not >= 0,
+        and its positions in any order.  Each tree draws its candidates, then its
         thresholds.
         """
         streams = self.streams
@@ -846,69 +898,50 @@ class _Grove:
     def _exact_splits(self, tree: np.ndarray, seg: Segments, pos: np.ndarray, candidates):
         # each node's sorted order per column, filtered from its tree's
         # presort: by value, ties by position, as a stable sort of the node
-        k, n_trees = seg.sizes.size, self.size.size
-        if n_trees == 1:
-            trees = tree[:1]
-        elif self.streams is not None:  # one node a tree, in tree order
-            trees = tree
-        else:
-            present = np.zeros(n_trees, dtype=bool)
-            present[tree] = True
-            trees = present.nonzero()[0]
-        whole = trees.size == n_trees
-        # the presort columns of the step's trees
-        wide = self.every_position if whole else _ranges(self.base[trees], self.size[trees])
-        # one node a tree, holding all its positions: its presort as it is
-        every = trees.size == k and pos.size == wide.size
+        n, m = self.rows.size, pos.size
         node_of = self.node_of
-        if not every:
-            node_of[pos] = seg.node
-        nodes = seg.nodes
-        width = self.X.shape[1] if candidates is None else candidates.shape[1]
-        step = max(1, SPLIT_BLOCK_CELLS // wide.size)
+        node_of[pos] = seg.node
+        # one node a tree, in tree order: a compress keeps the nodes'
+        # positions; several nodes of a tree: a stable sort by node
+        several = tree.size > 1 and (self.size.size == 1 or bool((tree[1:] == tree[:-1]).any()))
+        if candidates is None:  # every feature: the grove's presort rows
+            width, span = self.X.shape[1], n
+        else:  # one node a tree: each tree's rows of its own columns
+            width = candidates.shape[1]
+            wide = _ranges(self.base[tree], self.size[tree])
+            span = wide.size
+        step = max(1, SPLIT_BLOCK_CELLS // span)
         for start in range(0, width, step):
-            # the step's presort rows, and per node its columns
             if candidates is None:
-                cols = self.every_column[start : start + step]
-                pre = self.pre[start : start + step]
-                if not whole:
-                    pre = pre[:, wide]
-            else:  # one node a tree
-                cols = candidates[:, start : start + step].T
-                pre = self.pre.reshape(-1)[(cols * self.rows.size).repeat(self.size[trees], axis=1) + wide]
-                cols = cols.repeat(seg.sizes, axis=1)
-            if every and candidates is None:  # each node is its tree: the presort as it is
-                at, vs = pre, self.vals[start : start + step]
-                if not whole:
-                    vs = vs[:, wide]
+                cols = slice(start, start + step)
+                pre, vals = self.pre[cols], self.vals[cols]
             else:
-                if every:
-                    at = pre
-                elif trees.size == k:  # one node a tree: its positions, in order
-                    at = pre[node_of[pre] != self.no_node].reshape(-1, pos.size)
-                else:  # a stable sort puts each node's positions in order, node by node
-                    order = _stable_order(node_of[pre], self.no_node + 1)[:, : pos.size]
-                    order += np.arange(0, pre.size, pre.shape[1], dtype=order.dtype)[:, None]
-                    at = pre.reshape(-1)[order]
-                vs = self.columns[cols, at]
+                cols = candidates[:, start : start + step]
+                flat = (cols.T * n).repeat(self.size[tree], axis=1) + wide
+                pre, vals = self.pre.reshape(-1)[flat], self.vals.reshape(-1)[flat]
+            if several:
+                keep = _stable_order(node_of[pre], n + 1)[:, :m]
+                at, vs = pre.reshape(-1)[keep], vals.reshape(-1)[keep]
+            else:
+                keep = node_of[pre] != n
+                at, vs = pre[keep].reshape(-1, m), vals[keep].reshape(-1, m)
             gains, slot, cut = exact_block_split(vs, self.target[at], seg, self.builder.criterion)
             # each node's best column in the chunk, the first on ties; its
             # positions in that column's order put the left child's first
-            gain = gains[slot, nodes]
+            cut += 1
             found = (
-                np.where(gain >= 0.0, gain, -np.inf),
-                start + slot if candidates is None else candidates[nodes, start + slot],
+                gains[slot, seg.nodes],
+                start + slot if candidates is None else cols[seg.nodes, slot],
+                vs[slot, cut - 1],
                 vs[slot, cut],
-                vs[slot, cut + 1],
                 at[slot[seg.node], seg.index],
-                cut + 1,
+                cut,
             )
             if start == 0:
                 best = found
-            else:  # a later chunk needs a higher gain
-                better = found[0] > best[0]
+            else:  # a later chunk needs a gain >= 0, and higher
+                better = (found[0] >= 0.0) & ~(found[0] <= best[0])
                 best = tuple(np.where(better[seg.node] if i == 4 else better, new, old)
                              for i, (new, old) in enumerate(zip(found, best)))
-        if not every:
-            node_of[pos] = self.no_node
+        node_of[pos] = n
         return best

@@ -509,6 +509,44 @@ def test_drawless_level_grower_matches_per_tree_reference_bit_for_bit(case):
         assert importances.tobytes() == want_importances.tobytes()
 
 
+def test_level_steps_over_more_than_an_int16_of_positions_match_the_reference():
+    # 70,000 positions: a closed leaf's positions lie outside a later
+    # step's nodes while that step sorts several nodes, with sort keys
+    # far past an int16
+    n = 70_000
+    rng = np.random.default_rng(5)
+    X = np.column_stack([np.arange(n, dtype=np.float64), rng.integers(0, 50, size=n).astype(np.float64)])
+    # the root splits off a pure leaf: its positions are in no later node
+    residual = np.where(np.arange(n) < 20_000, 5.0, rng.normal(size=n))
+    hessian = rng.random(n)
+    leaf = newton_leaf(residual, hessian)
+    rows = np.arange(n, dtype=np.int64)
+    sorted_keys = []
+    stable_order = grower_module._stable_order
+
+    def recording(keys, bound):
+        sorted_keys.append((keys.shape, int(keys.max()), bound))
+        return stable_order(keys, bound)
+
+    importances = np.zeros(2)
+    with mock.patch.object(grower_module, "_stable_order", recording):
+        [(columns, leaf_of)] = TreeBuilder("variance", 3, None).build_many(
+            X, [TreeJob(rows, residual, leaf, None)], importances
+        )
+    # a step of several nodes sorted every presort row past a closed leaf
+    assert any(len(shape) == 2 and top == n and bound == n + 1 for shape, top, bound in sorted_keys)
+    want_importances = np.zeros(2)
+    want, want_leaf_of = ref_build(
+        X, rows, residual, leaf, want_importances, "variance", 3, None, None, False
+    )
+    tree = LocalTree.grown(columns)
+    assert tree.feature.size == 9 and tree.feature[1] == -1
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert getattr(tree, name).tobytes() == getattr(want, name).tobytes(), name
+    assert leaf_of.tobytes() == want_leaf_of.tobytes()
+    assert importances.tobytes() == want_importances.tobytes()
+
+
 def test_a_pure_root_beside_trees_that_grow_a_level_a_step():
     # the second bootstrap holds one class: its root opens nothing, while
     # the others step without it and its presort columns
