@@ -22,6 +22,9 @@ from .grower import Presort, TreeBuilder, TreeJob, node_table, number_trees
 _PROB_EPS = 1e-12
 _HESSIAN_EPS = 1e-16
 _MAX_LEAF_VALUE = 16.0
+# rounds whose trees are numbered together: a round's grown tree waits, so
+# that the fixed cost of numbering is shared, but only this many at a time
+_ROUNDS_NUMBERED_AT_ONCE = 32
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -61,7 +64,7 @@ class GradientBoostingClassifier(BaseModel):
         builder = TreeBuilder("variance", self.max_depth, None)
         raw = np.full(n, self.base_score_)
         importances = np.zeros(d)
-        rounds = []
+        trees, rounds = [], []
         # one sigmoid per round: round r's loss and round r + 1's residual share it
         p = sigmoid(raw)
         losses = [log_loss(labels, p)]
@@ -74,13 +77,16 @@ class GradientBoostingClassifier(BaseModel):
                 # clamped, NaN passing through as np.clip lets it
                 return float(min(max(step, -_MAX_LEAF_VALUE), _MAX_LEAF_VALUE))
 
-            grown = builder.grow(Xd, [TreeJob(rows, residual, newton_leaf, None, presort)])
-            raw = raw + self.learning_rate * grown.values[grown.leaf]
+            grown, leaf = builder.grow(Xd, [TreeJob(rows, residual, newton_leaf, None, presort)])
+            raw = raw + self.learning_rate * grown.values[leaf]
             rounds.append(grown)
+            if len(rounds) == _ROUNDS_NUMBERED_AT_ONCE:
+                trees += number_trees(rounds, importances)[0]
+                rounds = []
             p = sigmoid(raw)
             losses.append(log_loss(labels, p))
-        # the rounds' trees numbered at once
-        self.nodes_ = node_table(tree for tree, _ in number_trees(rounds, importances))
+        trees += number_trees(rounds, importances)[0]
+        self.nodes_ = node_table(trees)
         self.train_losses_ = np.asarray(losses)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances

@@ -30,8 +30,7 @@ fails if a numpy upgrade moves them.  Trees that draw nothing (boosting,
 the selection model) take all their open nodes at once, a level a step.
 A grown grove (:class:`Grown`) has its leaves valued but is not yet
 numbered: :func:`number_trees` numbers its trees depth first, and a
-boosting fit numbers all of its rounds' trees at once, after the last
-round.  The random rule searches all of
+boosting fit numbers its rounds' trees together, many rounds at once.  The random rule searches all of
 a step's nodes as one segmented block.  The exact rule does too, with
 nothing padded: every candidate column of every node, in the order of a
 presort made once per tree and filtered to the step's nodes, scanned
@@ -332,19 +331,30 @@ class TreeBuilder:
         group, cells = [], 0
         for job in jobs:
             if group and cells + job.rows.size * width > SPLIT_BLOCK_CELLS:
-                yield from number_trees([self.grow(X, group)], importances)
+                yield from self._numbered(X, group, importances)
                 group, cells = [], 0
             group.append(job)
             cells += job.rows.size * width
         if group:
-            yield from number_trees([self.grow(X, group)], importances)
+            yield from self._numbered(X, group, importances)
 
-    def grow(self, X: np.ndarray, jobs: list[TreeJob]) -> Grown:
+    def _numbered(self, X: np.ndarray, jobs: list[TreeJob], importances) -> Iterator[tuple[tuple, np.ndarray]]:
+        """One grove of ``jobs``, grown and numbered, as :meth:`build_many` yields it."""
+        grown, leaf = self.grow(X, jobs)
+        trees, leaf_node = number_trees([grown], importances)
+        leaf_of = leaf_node[leaf]
+        bases = (grown.size.cumsum() - grown.size).tolist()
+        for tree, b, n in zip(trees, bases, grown.size.tolist()):
+            yield tree, leaf_of[b : b + n]
+
+    def grow(self, X: np.ndarray, jobs: list[TreeJob]) -> tuple[Grown, np.ndarray]:
         """Grow one tree per :class:`TreeJob` over dense ``X``, all together, and value their leaves.
 
-        :func:`number_trees` numbers them; a boosting round reads what its
-        tree fits to its rows, and numbers its rounds' trees once, at the
-        end of the fit.
+        Returns the trees, unnumbered, and per position of the jobs' rows,
+        back to back, the leaf it reached, as an index into
+        :attr:`Grown.leaves`: ``grown.values[leaf]`` is what the trees fit
+        to their rows.  :func:`number_trees` numbers them; a boosting fit
+        numbers its rounds' trees several rounds at a time.
         """
         return _Grove(self, X, jobs).grow()
 
@@ -363,57 +373,58 @@ class Grown(NamedTuple):
     """Trees grown together, their leaves valued, before :func:`number_trees` numbers them.
 
     ``size`` holds each tree's positions (its rows), and ``ids`` counts
-    the node ids given out: tree ``t``'s root has id ``t``.  Per split,
-    in the order searched: its node record ``(tree, id, lo, hi, depth)``
-    (:data:`TREE` ...), the id of its left child (the right is next), its
-    gain and feature, and the two values its threshold lies between.
-    ``leaves`` holds each leaf's tree and id, ``values`` each leaf's value
-    by id, and ``leaf`` each position's leaf id, so that ``values[leaf]``
-    is what the trees fit to their rows.
+    the node ids given out: tree ``t``'s root has id ``t``.  ``splits``
+    holds per split, in the order searched, its node record (rows
+    :data:`TREE` to :data:`DEPTH`), the id of its left child (the right is
+    next; row :data:`LEFT`) and its feature (row :data:`FEATURE`);
+    ``gains`` its gain and the two values its threshold lies between
+    (rows :data:`GAIN`, :data:`LOW`, :data:`HIGH`).  ``leaves`` holds
+    each leaf's tree and id, and ``values`` its value.
     """
 
     size: np.ndarray
     ids: int
     splits: np.ndarray
-    left: np.ndarray
-    gain: np.ndarray
-    feature: np.ndarray
-    low: np.ndarray
-    high: np.ndarray
+    gains: np.ndarray
     leaves: np.ndarray
     values: np.ndarray
-    leaf: np.ndarray
 
 
-def number_trees(groves: list[Grown], importances: Optional[np.ndarray] = None) -> list[tuple[tuple, np.ndarray]]:
+def number_trees(
+    groves: list[Grown], importances: Optional[np.ndarray] = None
+) -> tuple[list[tuple], np.ndarray]:
     """Number the trees of ``groves`` depth first, as if each had grown alone one node at a time.
 
     Returns per tree, in order, its node columns ``(feature, threshold,
-    right, value)`` and each position's leaf id.  When given,
-    ``importances`` accumulates weighted impurity decreases per feature,
-    tree by tree, and within a tree in depth-first order.
+    right, value)``, and the node of each leaf in its tree, the groves'
+    ``leaves`` back to back.  When given, ``importances`` accumulates
+    weighted impurity decreases per feature, tree by tree, and within a
+    tree in depth-first order.
     """
     if not groves:
-        return []
-    # the trees, ids and positions of the groves before each grove's
-    counts = np.array([(g.size.size, g.ids, g.leaf.size, g.left.size, g.leaves.shape[1]) for g in groves])
-    before = counts.cumsum(axis=0) - counts
+        return [], np.zeros(0, dtype=np.intp)
+    # per grove: its trees, ids, positions, splits and leaves, and those
+    # of the groves before it
     size = np.concatenate([g.size for g in groves])
+    counts = np.array([(g.size.size, g.ids, 0, g.splits.shape[1], g.leaves.shape[1]) for g in groves])
+    counts[:, 2] = np.add.reduceat(size, counts[:, 0].cumsum() - counts[:, 0])
+    before = counts.cumsum(axis=0) - counts
+    tree, nid, lo, hi, depth, left, feature = np.concatenate([g.splits for g in groves], axis=1)
+    gain, low, high = np.concatenate([g.gains for g in groves], axis=1)
     shift = before[:, :3].repeat(counts[:, 3], axis=0).T
-    tree, nid, lo, hi, depth = np.concatenate([g.splits for g in groves], axis=1)
     width = hi - lo
     tree = tree + shift[0]
     nid = nid + shift[1]
-    left = np.concatenate([g.left for g in groves]) + shift[1]
+    left = left + shift[1]
     # depth first, a tree's splits come by where their ranges start,
     # and a parent before its left child, which starts where it does
-    order = ((lo + shift[2]) * (before[-1, 2] + counts[-1, 2]) + depth).argsort()
+    order = ((lo + shift[2]) * counts[:, 2].sum() + depth).argsort()
     n_splits = np.bincount(tree, minlength=size.size)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     rank -= (n_splits.cumsum() - n_splits)[tree]  # less the splits of the trees before
     # the k-th split in depth-first order makes children 2k + 1 and 2k + 2
-    new = np.zeros(before[-1, 1] + counts[-1, 1], dtype=np.intp)
+    new = np.zeros(counts[:, 1].sum(), dtype=np.intp)
     new[left] = rank = 2 * rank + 1
     new[left + 1] = rank + 1
     nodes = 2 * n_splits + 1
@@ -425,26 +436,21 @@ def number_trees(groves: list[Grown], importances: Optional[np.ndarray] = None) 
     floats = np.zeros((2, ends[-1]))
     floats[0] = np.nan
     at = offset[tree] + new[nid]
-    feature = np.concatenate([g.feature for g in groves])
     ints[0, at], ints[1, at] = feature, rank + 1
-    floats[0, at] = midpoint(*(np.concatenate([getattr(g, f) for g in groves]) for f in ("low", "high")))
-    leaf_shift = before[:, :2].repeat(counts[:, 4], axis=0).T
-    leaf_tree, leaf_nid = np.concatenate([g.leaves for g in groves], axis=1) + leaf_shift
-    floats[1, offset[leaf_tree] + new[leaf_nid]] = np.concatenate(
-        [g.values[g.leaves[1]] for g in groves]
-    )
+    floats[0, at] = midpoint(low, high)
+    leaf_tree, leaf_nid = np.concatenate([g.leaves for g in groves], axis=1) + before[:, :2].repeat(
+        counts[:, 4], axis=0
+    ).T
+    leaf_node = new[leaf_nid]
+    floats[1, offset[leaf_tree] + leaf_node] = np.concatenate([g.values for g in groves])
     if importances is not None:
         # unbuffered: one addition after another, tree by tree, each in
         # depth-first order
-        weight = width / size[tree] * np.concatenate([g.gain for g in groves])
+        weight = width / size[tree] * gain
         np.add.at(importances, feature[order], weight[order])
     columns = (ints[0], floats[0], ints[1], floats[1])
-    leaf_of = np.concatenate([new[g.leaf + b] for g, b in zip(groves, before[:, 1].tolist())])
-    bounds = (size.cumsum() - size).tolist()
-    return [
-        (tuple(c[o : o + k].copy() for c in columns), leaf_of[b : b + n])
-        for o, k, b, n in zip(offset.tolist(), nodes.tolist(), bounds, size.tolist())
-    ]
+    trees = [tuple(c[o : o + k] for c in columns) for o, k in zip(offset.tolist(), nodes.tolist())]
+    return trees, leaf_node
 
 
 class _Streams:
@@ -635,8 +641,11 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 # the rows of a node record: its tree, its id, its range of the grove's
 # permutation, its depth.  Tree t's root has id t; the i-th node searched
-# gives its children ids T + 2i and T + 2i + 1, for T trees
-TREE, NID, LO, HI, DEPTH = range(5)
+# gives its children ids T + 2i and T + 2i + 1, for T trees.  A split's
+# record goes on with its left child's id and its feature, and its
+# floats are its gain and the two values its threshold lies between
+TREE, NID, LO, HI, DEPTH, LEFT, FEATURE = range(7)
+GAIN, LOW, HIGH = range(3)
 # a grove step's records before any: nodes, gains, features, threshold bounds
 _NOT_SEARCHED = (np.zeros((5, 0), dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
 
@@ -723,12 +732,16 @@ class _Grove:
         split = (gain >= 0.0).nonzero()[0]
         is_split = np.zeros(self.next_id, dtype=bool)
         is_split[nodes[NID, split]] = True
+        # the leaves in the order of their ranges, which tile the permutation
         leaves = made.compress(~is_split[made[NID]], axis=1)
+        leaves = leaves.take(leaves[LO].argsort(), axis=1)
         values, leaf = self._value(leaves)
-        return Grown(
-            self.size, self.next_id, nodes.take(split, axis=1), n_trees + 2 * split, gain[split],
-            feature[split], low[split], high[split], leaves[[TREE, NID]], values, leaf,
-        )
+        splits = np.empty((7, split.size), dtype=np.intp)
+        splits[:5] = nodes.take(split, axis=1)
+        splits[LEFT] = n_trees + 2 * split
+        splits[FEATURE] = feature.take(split)
+        gains = np.stack((gain, low, high)).take(split, axis=1)
+        return Grown(self.size, self.next_id, splits, gains, leaves[[TREE, NID]], values), leaf
 
     def finish(self) -> None:
         """Leave every tree's generator where its draws so far end."""
@@ -800,36 +813,37 @@ class _Grove:
         self._open(kids, mixed.reshape(-1, 2).take(s, axis=0)[:, ::-1].ravel())
 
     def _value(self, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each leaf's value, by node id, and each position's leaf id.
+        """Each leaf's value, and each position's leaf, as an index into ``leaves``.
 
-        Leaves of a tree without a leaf rule take the mean of their
-        targets, summed in one pass; a leaf rule is called per leaf with
-        the leaf's positions in ascending order.
+        ``leaves`` come in the order of their ranges.  Leaves of a tree
+        without a leaf rule take the mean of their targets, summed in one
+        pass; a leaf rule is called per leaf with the leaf's positions in
+        ascending order.
         """
-        # in order, the leaves' ranges tile the permutation
-        tree, nid, lo, hi, _ = leaves.take(leaves[LO].argsort(), axis=1)
+        tree, _, lo, hi, _ = leaves
         sizes = hi - lo
         n = self.rows.size
         leaf = np.empty(n, dtype=np.intp)
-        leaf[self.perm] = nid.repeat(sizes)
-        values = np.zeros(self.next_id)
+        index = np.arange(sizes.size)
+        leaf[self.perm] = index.repeat(sizes)
+        values = np.zeros(sizes.size)
         rule = self.has_rule[tree]
         if not rule.all():
             mean = np.add.reduceat(self.target[self.perm], lo) / sizes
-            values[nid[~rule]] = mean[~rule]
+            values[~rule] = mean[~rule]
             if not rule.any():
                 return values, leaf
-            nid, tree, lo, hi = (x[rule] for x in (nid, tree, lo, hi))
+            index, tree, lo, hi = (x[rule] for x in (index, tree, lo, hi))
         # each leaf's positions, ascending: each range of the permutation
         # sorted, by one sort of (leaf, position); then each tree's own
         # positions
         b = n.bit_length()
-        at = np.arange(sizes.size).repeat(sizes) << b
-        at |= self.perm
+        at = leaf << b
+        at |= np.arange(n)
         at.sort()
         at &= (1 << b) - 1
         at -= self.base.repeat(self.size)
-        for i, t, a, z in zip(nid.tolist(), tree.tolist(), lo.tolist(), hi.tolist()):
+        for i, t, a, z in zip(index.tolist(), tree.tolist(), lo.tolist(), hi.tolist()):
             values[i] = float(self.leaf_values[t](at[a:z]))
         return values, leaf
 
