@@ -56,11 +56,11 @@ from .tree import NodeTable
 # are cheaper, but their temporaries grow with them.  Measured on the
 # extra-trees and random-forest fits of two benchmark train-stack runs
 # (seeds 81 and 205, 14 fits, 120-181 rows; CPU s, best of 7, one core of
-# a 2-core x86-64 host): 2^14 1.78, 2^15 1.19, 2^16 0.89, 2^17 0.77, 2^18
-# 0.71.  The largest traced peak of the seed-81 fits (MB): 2^16 3.43,
-# 2^17 6.12, 2^18 7.07: the value stays at 2^16, as the CPU a bigger
-# grove saves costs more memory than the fit's own.  Trees are bit for bit
-# the same at any value.
+# a 2-core x86-64 host): 2^14 1.94, 2^15 1.37, 2^16 1.06, 2^17 0.92, 2^18
+# 0.94.  The largest traced peak of the seed-81 fits (MB): 2^15 2.34,
+# 2^16 3.10, 2^17 5.44, 2^18 7.19: the value stays at 2^16, as the CPU a
+# bigger grove saves costs more memory than the fit's own.  Trees are bit
+# for bit the same at any value.
 SPLIT_BLOCK_CELLS = 1 << 16
 
 # raw 64-bit words read ahead from each drawing tree's generator at a time

@@ -547,6 +547,40 @@ def test_level_steps_over_more_than_an_int16_of_positions_match_the_reference():
     assert importances.tobytes() == want_importances.tobytes()
 
 
+def test_numbering_several_groves_at_once_matches_numbering_each_alone():
+    # a boosting fit numbers its rounds' trees together; a forest's groves
+    # mix trees of several sizes
+    rng = np.random.default_rng(8)
+    X = column_data(rng, 30, ("few", "float", "sparse", "adjacent"))
+    rows = np.arange(30, dtype=np.int64)
+    presort = Presort.of(X, rows)
+    builder = TreeBuilder("variance", 4, None)
+    groves, leaves, alone = [], [], []
+    want_importances = np.zeros(X.shape[1])
+    for r in range(5):
+        residual = rng.normal(size=30) if r % 2 else rng.choice([-0.5, 0.25, 1.0], size=30)
+        jobs = [TreeJob(rows, residual, newton_leaf(residual, rng.random(30)), None, presort)]
+        if r == 3:  # a grove of two trees, one on a bootstrap sample
+            boot = np.sort(rng.integers(0, 30, size=30))
+            jobs.append(TreeJob(boot, residual[boot], newton_leaf(residual, rng.random(30)), None))
+        alone += list(builder.build_many(X, jobs, want_importances))
+        grown, leaf = builder.grow(X, jobs)
+        groves.append(grown)
+        leaves.append(leaf)
+    importances = np.zeros(X.shape[1])
+    trees, leaf_node = grower_module.number_trees(groves, importances)
+    assert importances.tobytes() == want_importances.tobytes()
+    assert len(trees) == len(alone) == 6
+    for got, (want, _) in zip(trees, alone):
+        for got_column, want_column in zip(got, want):
+            assert got_column.dtype == want_column.dtype
+            assert got_column.tobytes() == want_column.tobytes()
+    # each grove's leaves, back to back, then each position's leaf
+    starts = np.cumsum([0] + [g.leaves.shape[1] for g in groves])
+    leaf_of = np.concatenate([leaf_node[a:b][leaf] for a, b, leaf in zip(starts, starts[1:], leaves)])
+    assert leaf_of.tobytes() == np.concatenate([want for _, want in alone]).tobytes()
+
+
 def test_a_pure_root_beside_trees_that_grow_a_level_a_step():
     # the second bootstrap holds one class: its root opens nothing, while
     # the others step without it and its presort columns
