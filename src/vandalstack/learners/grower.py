@@ -338,7 +338,7 @@ class TreeBuilder:
         if group:
             yield from self._numbered(X, group, importances)
 
-    def _numbered(self, X: np.ndarray, jobs: list[TreeJob], importances) -> Iterator[tuple[tuple, np.ndarray]]:
+    def _numbered(self, X: np.ndarray, jobs: list[TreeJob], importances) -> Iterator[tuple]:
         """One grove of ``jobs``, grown and numbered, as :meth:`build_many` yields it."""
         grown, leaf = self.grow(X, jobs)
         trees, leaf_node = number_trees([grown], importances)
@@ -647,7 +647,9 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 TREE, NID, LO, HI, DEPTH, LEFT, FEATURE = range(7)
 GAIN, LOW, HIGH = range(3)
 # a grove step's records before any: nodes, gains, features, threshold bounds
-_NOT_SEARCHED = (np.zeros((5, 0), dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
+_NOT_SEARCHED = (
+    np.zeros((5, 0), dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+)
 
 
 class _Grove:
@@ -707,8 +709,8 @@ class _Grove:
             # each position's node in a step, n outside the step's nodes
             self.node_of = np.full(n, n, dtype=np.intp)
 
-    def grow(self) -> "Grown":
-        """Grow every tree; value its leaves, but leave it unnumbered."""
+    def grow(self) -> tuple[Grown, np.ndarray]:
+        """Grow every tree and value its leaves, as :meth:`TreeBuilder.grow` returns them."""
         n_trees = self.size.size
         roots = np.zeros((5, n_trees), dtype=np.intp)
         roots[TREE] = roots[NID] = np.arange(n_trees)
