@@ -245,16 +245,15 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _encode(examples, schema_path: Optional[str]):
-    """Extract, build the schema (saved to ``schema_path`` if given) and encode: schema, X, labels.
+def _encode(examples):
+    """Extract, build the schema and encode: schema, X, labels.
 
     The steps are looked up as names of this module, where perfbench's
-    tracer wraps them.
+    tracer wraps them.  The commands save the schema only once their fit
+    succeeds.
     """
     raws = extract_many([ex.revision for ex in examples])
     schema = build_schema(raws)
-    if schema_path:
-        save_schema(schema, schema_path)
     return schema, encode_matrix(raws, schema), [ex.label for ex in examples]
 
 
@@ -262,7 +261,7 @@ def _cmd_train(args) -> int:
     _, _, joined = _load_joined(args.corpus, args.truth, args.malformed)
     if not joined.examples:
         raise UsageError("no labeled examples to train on")
-    _, X, labels = _encode(joined.examples, args.schema)
+    schema, X, labels = _encode(joined.examples)
     spec = (
         default_spec(args.model, args.seed)
         if args.preset == "default"
@@ -270,6 +269,8 @@ def _cmd_train(args) -> int:
     )
     model = train(spec, X, labels)
     save_model(model, args.output)
+    if args.schema:
+        save_schema(schema, args.schema)
     print(f"trained {args.model} ({args.preset}) on {X.shape[0]} examples, dim {X.shape[1]}")
     return 0
 
@@ -284,7 +285,7 @@ def _cmd_train_stack(args) -> int:
     if not joined.examples:
         raise UsageError("no labeled examples to train on")
     examples = _reduce(joined.examples, cfg)
-    schema, X, labels = _encode(examples, cfg.schema_path())
+    schema, X, labels = _encode(examples)
 
     selection_model = train(
         ModelSpec("gradient_boosting", {}, cfg.selection_seed), X, labels
@@ -296,7 +297,9 @@ def _cmd_train_stack(args) -> int:
         )
 
     pipeline = fit_stack(X, labels, cfg.stack_config(), schema=schema, selected=selected)
+    # the schema and the pipeline go in place only once the fit succeeds
     save_pipeline(pipeline, cfg.pipeline)
+    save_schema(schema, cfg.schema_path())
     print(f"training examples {len(examples)}")
     print(f"encoded dim {schema.total_dim}")
     print(f"selected {len(selected)}")

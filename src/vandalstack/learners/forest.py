@@ -28,7 +28,7 @@ class _BaseForest(BaseModel):
         n, d = Xd.shape
         m = self._resolve_max_features(d)
         every_row = np.arange(n, dtype=np.int64)
-        # each tree's generator and bootstrap draw are made as its group comes up
+        # each tree's bootstrap draw is made as its group comes up
         jobs = (self._job(t, labels, every_row) for t in range(self.n_estimators))
         builder = TreeBuilder("gini", self.max_depth, m, random_threshold=self.random_threshold)
         importances = np.zeros(d)
@@ -40,14 +40,14 @@ class _BaseForest(BaseModel):
         return self
 
     def _job(self, t: int, labels: np.ndarray, every_row: np.ndarray) -> TreeJob:
-        """Tree ``t``: its generator, its rows (a bootstrap draw, if any), its leaf rule."""
-        rng = generator(derive_seed(self.seed, "tree", t))
+        """Tree ``t``: its rows (a bootstrap draw, if any), its leaf rule, its key."""
+        key = derive_seed(self.seed, "tree", t)
         rows, target = every_row, labels
         if self.bootstrap:
-            rows = np.sort(rng.integers(0, labels.size, size=labels.size))
+            rows = np.sort(generator(key).integers(0, labels.size, size=labels.size))
             target = labels[rows]
         # no leaf rule: each leaf holds its mean label, summed exactly as 0/1
-        return TreeJob(rows, target, None, rng)
+        return TreeJob(rows, target, None, key)
 
     def _resolve_max_features(self, d: int) -> Optional[int]:
         if self.max_features == "sqrt":

@@ -13,6 +13,8 @@ from a socket by the same rule, through one bounded buffer.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
 import socket
 from itertools import islice
@@ -110,15 +112,37 @@ class LineReceiver:
 
 
 def write_lines(target: Target, lines: Iterable[str]) -> None:
-    """Write ``lines`` to a path or text handle, each followed by ``\\n``, as UTF-8."""
+    """Write ``lines`` to a path or text handle, each followed by ``\\n``, as UTF-8.
+
+    A path is replaced all or nothing: the lines go to a temporary file in
+    the target's directory, which replaces the target only once every line
+    is written.  If anything fails first (a refused value, a full disk, an
+    interrupt), the temporary file is removed and the target keeps its old
+    bytes.  A path that exists but is no regular file, such as
+    ``/dev/null``, is written in place.
+    """
     if hasattr(target, "write"):
         _write_chunks(target, lines)
         return
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    head, tail = os.path.split(target)
+    temp = target if in_place else os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            _write_chunks(fh, lines)
+        fh = open(temp, "w" if in_place else "x", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from None
+    try:
+        with fh:
+            _write_chunks(fh, lines)
+        if not in_place:
+            os.replace(temp, target)
+    except BaseException as exc:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write {target}: {exc.strerror or exc}") from None
+        raise
 
 
 def parse_int(text: str) -> Optional[int]:

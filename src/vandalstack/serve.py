@@ -134,9 +134,12 @@ class ScoringServer:
     def serve_one(self) -> ServeResult:
         """Accept one client, stream every revision, evaluate the answers.
 
-        ``timeout`` bounds the wait for the client as well as each answer;
-        either raises :class:`Timeout`.  A connection that fails mid-session
-        (reset, broken pipe) raises :class:`ProtocolViolation`.
+        ``timeout`` bounds the wait for the client and each blocking
+        ``recv`` or ``send`` on the connection; either raises
+        :class:`Timeout`.  It bounds no whole answer: a client that sends a
+        byte at a time within each ``timeout`` holds the session open.  A
+        connection that fails mid-session (reset, broken pipe) raises
+        :class:`ProtocolViolation`.
         """
         if self._sock is None:
             raise UsageError("serve_one called before bind")

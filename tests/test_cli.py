@@ -161,6 +161,30 @@ def test_train_stack_is_reproducible(stack_dir):
     assert (stack_dir / "pipeline2.txt").read_bytes() == first_pipeline
 
 
+def test_a_train_stack_that_fails_at_selection_leaves_schema_and_pipeline_unchanged(
+    stack_dir, tmp_path, capsys
+):
+    schema, pipeline = tmp_path / "schema.txt", tmp_path / "pipeline.txt"
+    schema.write_bytes(b"old schema\n")
+    pipeline.write_bytes(b"old pipeline\n")
+    rc = cli.main(
+        [
+            "train-stack",
+            "--corpus", str(stack_dir / "small_corpus.tsv"),
+            "--truth", str(stack_dir / "small_truth.tsv"),
+            "--schema", str(schema),
+            "--pipeline", str(pipeline),
+            "--fraction", "1/3",
+            "--threshold", "2",  # no importance reaches 2
+        ]
+    )
+    assert rc == 2
+    assert "feature selection removed every column" in capsys.readouterr().err
+    assert schema.read_bytes() == b"old schema\n"
+    assert pipeline.read_bytes() == b"old pipeline\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.txt", "schema.txt"]
+
+
 def test_train_stack_requires_paths(tmp_path):
     assert cli.main(["train-stack", "--pipeline", str(tmp_path / "p.txt")]) == 2
 

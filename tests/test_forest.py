@@ -127,3 +127,41 @@ def test_get_params_round_trip():
     params = model.get_params()
     clone = ExtraTreesClassifier(**params)
     assert clone.get_params() == params
+
+
+def count_generators(monkeypatch):
+    """``(seed, bit generator)`` of every ``np.random.PCG64`` made from here on."""
+    made = []
+    pcg64 = np.random.PCG64
+
+    def recording(seed):
+        made.append((seed, pcg64(seed)))
+        return made[-1][1]
+
+    monkeypatch.setattr(np.random, "PCG64", recording)
+    return made
+
+
+def test_an_extra_trees_fit_makes_no_random_generator(monkeypatch):
+    # candidates and thresholds come from the keyed rule, not from numpy
+    made = count_generators(monkeypatch)
+    X, y = two_class_data(np.random.default_rng(7))
+    ExtraTreesClassifier(n_estimators=6, seed=2).fit(X, y)
+    assert made == []
+
+
+def test_a_bootstrapping_forest_makes_one_generator_per_tree_for_its_bootstrap(monkeypatch):
+    X, y = two_class_data(np.random.default_rng(8))
+    made = count_generators(monkeypatch)
+    RandomForestClassifier(n_estimators=5, seed=2, bootstrap=False).fit(X, y)
+    assert made == []  # its candidates are keyed draws
+    RandomForestClassifier(n_estimators=5, seed=2).fit(X, y)
+    assert len(made) == 5 and len({seed for seed, _ in made}) == 5
+    # each generator drew its tree's bootstrap and nothing else
+    for seed, bit_generator in made:
+        alone = np.random.Generator(pcg64_of(seed))
+        alone.integers(0, y.size, size=y.size)
+        assert bit_generator.state == alone.bit_generator.state
+
+
+pcg64_of = np.random.PCG64

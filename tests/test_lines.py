@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import io
+import os
 import re
 import socket
 from pathlib import Path
@@ -147,6 +149,47 @@ def test_paths_that_cannot_be_opened_are_usage_errors(tmp_path):
         read_lines(missing)
     with pytest.raises(UsageError, match=re.escape(str(tmp_path))):
         read_lines(tmp_path)  # a directory
+
+
+def lines_then(exc, count):
+    """``count`` lines, then ``exc`` raised."""
+    yield from (f"new line {i}" for i in range(count))
+    raise exc
+
+
+@pytest.mark.parametrize("exc", [MalformedLine("refused value", 8), KeyboardInterrupt()])
+def test_a_line_source_that_raises_partway_leaves_the_old_bytes_and_no_stray_file(tmp_path, exc):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    # more lines than one write takes: some were written before the raise
+    with pytest.raises(type(exc)):
+        write_lines(path, lines_then(exc, 10_000))
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    # a target that did not exist is not made
+    with pytest.raises(type(exc)):
+        write_lines(tmp_path / "new.txt", lines_then(exc, 10_000))
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_a_refused_pipeline_leaves_the_old_file(tmp_path):
+    path = tmp_path / "pipeline.txt"
+    pipeline = small_fit()[3]
+    save_pipeline(pipeline, path)
+    good = path.read_bytes()
+    bad = copy.deepcopy(pipeline)
+    bad.second_models[-1].coef_[-1] = np.nan  # the writer refuses a non-finite value
+    with pytest.raises(MalformedLine):
+        save_pipeline(bad, path)
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["pipeline.txt"]
+
+
+def test_a_path_that_is_no_regular_file_is_written_in_place(tmp_path):
+    write_lines(os.devnull, ["a", "b"])
+    with pytest.raises(UsageError, match=re.escape(str(tmp_path))):
+        write_lines(tmp_path, ["a"])  # a directory
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_line_reader_positions():
