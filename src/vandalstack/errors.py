@@ -11,10 +11,12 @@ class MalformedLine(VandalstackError):
     """A corpus, truth, score, or protocol line does not match its grammar.
 
     ``line_no`` is 1-based when the offending line came from a file and
-    ``None`` when it came from an in-memory string.
+    ``None`` when it came from an in-memory string; ``reason`` is the
+    message without the line.
     """
 
     def __init__(self, message: str, line_no: int | None = None):
+        self.reason = message
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)

@@ -64,7 +64,7 @@ class GradientBoostingClassifier(BaseModel):
         builder = TreeBuilder("variance", self.max_depth, None)
         raw = np.full(n, self.base_score_)
         importances = np.zeros(d)
-        trees, rounds = [], []
+        blocks, rounds = [], []
         # one sigmoid per round: round r's loss and round r + 1's residual share it
         p = sigmoid(raw)
         losses = [log_loss(labels, p)]
@@ -81,12 +81,12 @@ class GradientBoostingClassifier(BaseModel):
             raw = raw + self.learning_rate * grown.values[leaf]
             rounds.append(grown)
             if len(rounds) == _ROUNDS_NUMBERED_AT_ONCE:
-                trees += number_trees(rounds, importances)[0]
+                blocks.append(number_trees(rounds, importances)[0])
                 rounds = []
             p = sigmoid(raw)
             losses.append(log_loss(labels, p))
-        trees += number_trees(rounds, importances)[0]
-        self.nodes_ = node_table(trees)
+        blocks.append(number_trees(rounds, importances)[0])
+        self.nodes_ = node_table(blocks)
         self.train_losses_ = np.asarray(losses)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..rng import derive_seed, generator
 from .base import BaseModel, check_predict_input, check_X_y
-from .grower import TreeBuilder, TreeJob, node_table
+from .grower import TreeBuilder, TreeJob
 
 
 class _BaseForest(BaseModel):
@@ -32,8 +32,7 @@ class _BaseForest(BaseModel):
         jobs = (self._job(t, labels, every_row) for t in range(self.n_estimators))
         builder = TreeBuilder("gini", self.max_depth, m, random_threshold=self.random_threshold)
         importances = np.zeros(d)
-        grown = builder.build_many(Xd, jobs, importances)
-        self.nodes_ = node_table(tree for tree, _ in grown)
+        self.nodes_ = builder.build_many(Xd, jobs, importances)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
         self.n_features_ = d

@@ -7,13 +7,14 @@ scanning.  What a leaf stores is up to the caller (positive fraction,
 mean target, or a Newton step), supplied as a callback.
 
 Each tree comes as a :class:`TreeJob` that carries its rows, targets,
-leaf rule and key, and goes out as its node columns in the tree-local
-layout of :func:`~vandalstack.learners.tree.invalid_node`, which
-:func:`node_table` joins into the model's one
-:class:`~vandalstack.learners.tree.NodeTable`.  A forest grows its trees
-with :meth:`TreeBuilder.build_many`; a boosting fit grows each round's
-tree with :meth:`TreeBuilder.grow` and numbers them all with
-:func:`number_trees`.
+leaf rule and key.  Trees leave a grove numbered, as one block of whole
+node columns in the tree-local layout of
+:func:`~vandalstack.learners.tree.invalid_node`, and :func:`node_table`
+joins blocks into the model's one
+:class:`~vandalstack.learners.tree.NodeTable`.  A forest fit makes its
+table with :meth:`TreeBuilder.build_many`; a boosting fit grows each
+round's tree with :meth:`TreeBuilder.grow`, numbers its rounds' trees
+with :func:`number_trees` many rounds at once, and joins those blocks.
 
 The models densify their training matrix once per fit.  Trees grow
 together in groves, a level a step, and each grove step is a fixed number
@@ -24,11 +25,12 @@ the node's depth and the start of its range of the tree's positions, and
 a slot, so a tree draws the same whatever grows beside it and in
 whatever order it grows.  A grown grove (:class:`Grown`) has its leaves
 valued but is not yet numbered: :func:`number_trees` numbers its trees
-depth first, and a boosting fit numbers its rounds' trees together, many
-rounds at once.  The random rule searches all of a step's nodes as one
-segmented block.  The exact rule does too, with nothing padded: every
-candidate column of every node, in the order of a presort made once per
-tree and filtered to the step's nodes, scanned over all boundaries
+depth first.  A step searches its candidate columns in chunks, each
+by one split rule, and one merge keeps the first best column.  The
+random rule searches all of a step's nodes as one segmented block.  The
+exact rule does too, with nothing padded: every candidate column of
+every node, in the order of a presort made once per tree and filtered
+to the step's nodes, scanned over all boundaries
 between distinct values (the exact greedy enumeration of XGBoost).  One
 gain formula per criterion serves both rules, and the trees are bit for
 bit those grown one at a time, one node at a time, with the same draws.
@@ -36,7 +38,7 @@ bit those grown one at a time, one node at a time, with the same draws.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -280,16 +282,14 @@ class TreeBuilder:
 
     def build_many(
         self, X: np.ndarray, jobs: Iterable[TreeJob], importances: Optional[np.ndarray] = None
-    ) -> Iterator[tuple[tuple, np.ndarray]]:
-        """Grow one tree per :class:`TreeJob` over dense ``X``, in lockstep.
+    ) -> NodeTable:
+        """Grow one tree per :class:`TreeJob` over dense ``X``, in lockstep: the ensemble's node table.
 
-        Yields per job, in order, the tree's node columns ``(feature,
-        threshold, right, value)`` and, per position of its rows, the id of
-        the leaf it reached.  When given, ``importances``
-        accumulates weighted impurity decreases per feature (caller
-        normalises), tree by tree and within a tree in depth-first order;
-        it is complete once every tree is yielded.  The jobs are taken and
-        grown in groups that fit :data:`SPLIT_BLOCK_CELLS`.
+        The jobs are taken, grown and numbered in groves that fit
+        :data:`SPLIT_BLOCK_CELLS`, and the table holds their trees in the
+        jobs' order.  When given, ``importances`` accumulates weighted
+        impurity decreases per feature (caller normalises), tree by tree
+        and within a tree in depth-first order.
         """
         d = X.shape[1]
         if self.random_threshold:
@@ -298,24 +298,16 @@ class TreeBuilder:
         else:
             # its presort: the rows' values, their order and the sorted values
             width = 3 * d
-        group, cells = [], 0
+        blocks, group, cells = [], [], 0
         for job in jobs:
             if group and cells + job.rows.size * width > SPLIT_BLOCK_CELLS:
-                yield from self._numbered(X, group, importances)
+                blocks.append(number_trees([self.grow(X, group)[0]], importances)[0])
                 group, cells = [], 0
             group.append(job)
             cells += job.rows.size * width
         if group:
-            yield from self._numbered(X, group, importances)
-
-    def _numbered(self, X: np.ndarray, jobs: list[TreeJob], importances) -> Iterator[tuple]:
-        """One grove of ``jobs``, grown and numbered, as :meth:`build_many` yields it."""
-        grown, leaf = self.grow(X, jobs)
-        trees, leaf_node = number_trees([grown], importances)
-        leaf_of = leaf_node[leaf]
-        bases = (grown.size.cumsum() - grown.size).tolist()
-        for tree, b, n in zip(trees, bases, grown.size.tolist()):
-            yield tree, leaf_of[b : b + n]
+            blocks.append(number_trees([self.grow(X, group)[0]], importances)[0])
+        return node_table(blocks)
 
     def grow(self, X: np.ndarray, jobs: list[TreeJob]) -> tuple[Grown, np.ndarray]:
         """Grow one tree per :class:`TreeJob` over dense ``X``, all together, and value their leaves.
@@ -329,14 +321,13 @@ class TreeBuilder:
         return _Grove(self, X, jobs).grow()
 
 
-def node_table(trees: Iterable[tuple]) -> NodeTable:
-    """One table of grown trees' node columns, in order."""
-    trees = list(trees)
-    columns = (
-        np.concatenate([np.zeros(0, dtype)] + [tree[i] for tree in trees])
-        for i, dtype in enumerate((np.int64, np.float64, np.int64, np.float64))
-    )
-    return NodeTable(*columns, [tree[0].size for tree in trees])
+# the node columns of no tree, as number_trees returns them
+_NO_TREES = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.intp))
+
+
+def node_table(blocks: Iterable[tuple]) -> NodeTable:
+    """One table of numbered blocks of trees (:func:`number_trees`), in order."""
+    return NodeTable(*(np.concatenate(column) for column in zip(_NO_TREES, *blocks)))
 
 
 class Grown(NamedTuple):
@@ -360,19 +351,19 @@ class Grown(NamedTuple):
     values: np.ndarray
 
 
-def number_trees(
-    groves: list[Grown], importances: Optional[np.ndarray] = None
-) -> tuple[list[tuple], np.ndarray]:
+def number_trees(groves: list[Grown], importances: Optional[np.ndarray] = None) -> tuple[tuple, np.ndarray]:
     """Number the trees of ``groves`` depth first, as if each had grown alone one node at a time.
 
-    Returns per tree, in order, its node columns ``(feature, threshold,
-    right, value)``, and the node of each leaf in its tree, the groves'
-    ``leaves`` back to back.  When given, ``importances`` accumulates
-    weighted impurity decreases per feature, tree by tree, and within a
-    tree in depth-first order.
+    Returns their node columns as one block, the :class:`NodeTable`
+    constructor's arguments ``(feature, threshold, right, value, sizes)``:
+    each tree's tree-local columns, back to back, and its node count.
+    Also returns the node of each leaf in its tree, the groves' ``leaves``
+    back to back.  When given, ``importances`` accumulates weighted
+    impurity decreases per feature, tree by tree, and within a tree in
+    depth-first order.
     """
     if not groves:
-        return [], np.zeros(0, dtype=np.intp)
+        return _NO_TREES, np.zeros(0, dtype=np.intp)
     # per grove: its trees, ids, positions, splits and leaves, and those
     # of the groves before it
     size = np.concatenate([g.size for g in groves])
@@ -418,9 +409,7 @@ def number_trees(
         # depth-first order
         weight = width / size[tree] * gain
         np.add.at(importances, feature[order], weight[order])
-    columns = (ints[0], floats[0], ints[1], floats[1])
-    trees = [tuple(c[o : o + k] for c in columns) for o, k in zip(offset.tolist(), nodes.tolist())]
-    return trees, leaf_node
+    return (ints[0], floats[0], ints[1], floats[1], nodes), leaf_node
 
 
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -588,14 +577,9 @@ class _Grove:
             if not rule.any():
                 return values, leaf
             index, tree, lo, hi = (x[rule] for x in (index, tree, lo, hi))
-        # each leaf's positions, ascending: each range of the permutation
-        # sorted, by one sort of (leaf, position); then each tree's own
-        # positions
-        b = n.bit_length()
-        at = leaf << b
-        at |= np.arange(n)
-        at.sort()
-        at &= (1 << b) - 1
+        # each leaf's positions, ascending, by one stable sort of their
+        # leaves; then each tree's own positions
+        at = _stable_order(leaf, sizes.size)
         at -= self.base.repeat(self.size)
         for i, t, a, z in zip(index.tolist(), tree.tolist(), lo.tolist(), hi.tolist()):
             values[i] = float(self.leaf_values[t](at[a:z]))
@@ -617,104 +601,91 @@ class _Grove:
         splits are kept: a boundary that does not reduce impurity can still
         expose one deeper down (the XOR pattern), so only constant columns
         and pure nodes stop the recursion.  A node without a split has a
-        gain that is not >= 0, and its positions in any order.  Each node
+        gain that is not >= 0, and sends no position left.  Each node
         draws its candidates, then one threshold per candidate, from its
-        own keyed stream.
+        own keyed stream.  Candidates are searched in column chunks of at
+        most :data:`SPLIT_BLOCK_CELLS` cells, each by one rule, in order.
         """
-        tree = nodes[TREE]
-        candidates = None  # every feature
-        if self.m is not None or self.builder.random_threshold:
+        tree, d = nodes[TREE], self.X.shape[1]
+        candidates = np.zeros((tree.size, 1), dtype=np.intp) + np.arange(d)  # every feature
+        random = self.builder.random_threshold
+        if self.m is not None or random:
             streams = node_streams(self.keys[tree], nodes[DEPTH], nodes[LO] - self.base[tree])
             slot = np.zeros(tree.size, dtype=np.uint64)
             if self.m is not None:
-                candidates, slot = keyed_choice(streams, self.X.shape[1], self.m)
-        if self.builder.random_threshold:
-            return self._random_splits(seg, pos, candidates, streams, slot)
-        return self._exact_splits(seg, pos, candidates)
-
-    def _random_splits(self, seg: Segments, pos: np.ndarray, candidates, streams, slot):
-        # all nodes as one segmented block: node k's rows from starts[k] on
-        rows, t = self.rows[pos], self.target[pos]
-        k, starts, node, nodes = seg.sizes.size, seg.starts, seg.node, seg.nodes
-        best_gain = np.full(k, -np.inf)
-        best_feature = np.zeros(k, dtype=np.int64)
-        best_threshold = np.zeros(k)
-        go = np.zeros(rows.size, dtype=bool)
-        width = self.X.shape[1] if candidates is None else candidates.shape[1]
-        step = max(1, SPLIT_BLOCK_CELLS // rows.size)
-        for start in range(0, width, step):
-            if candidates is None:
-                block = self.X[rows, start : start + step]
-            else:
-                block = self.X[rows[:, None], candidates[:, start : start + step][node]]
-            # candidate j's threshold reads the slot j past the node's candidate draws
-            columns = np.arange(start, start + block.shape[1], dtype=np.uint64)
-            u = keyed_doubles(streams[:, None], slot[:, None] + columns)
-            gains, thresholds, go_left = random_block_split(block, t, starts, self.builder.criterion, u)
-            gains = np.where(gains >= 0.0, gains, -np.inf)
-            j = gains.argmax(axis=1)
-            # the first best column wins, so a later chunk needs a higher gain
-            better = gains[nodes, j] > best_gain
-            best_gain[better] = gains[nodes, j][better]
-            feature = start + j if candidates is None else candidates[nodes, start + j]
-            best_feature[better] = feature[better]
-            best_threshold[better] = thresholds[nodes, j][better]
-            go = np.where(better[node], go_left[np.arange(rows.size), j[node]], go)
-        # one stable partition of every node's positions, its go-left ones
-        # first; an unsplit node's go-left mask is all false
-        order = pos[_stable_order(2 * node + ~go, 2 * k)]
-        cut = starts + np.add.reduceat(go, starts, dtype=np.intp)
-        return best_gain, best_feature, best_threshold, best_threshold, order, cut
-
-    def _exact_splits(self, seg: Segments, pos: np.ndarray, candidates):
-        # each node's sorted order per candidate column, filtered from its
-        # tree's presort: by value, ties by position
-        n, k, d = self.rows.size, seg.nodes.size, self.X.shape[1]
-        if candidates is None:
-            candidates = np.zeros((k, 1), dtype=np.intp) + np.arange(d)
-        width = candidates.shape[1]
-        node_of = self.node_of
-        node_of[pos] = seg.node + 1
-        step = max(1, SPLIT_BLOCK_CELLS // n)
-        for start in range(0, width, step):
+                candidates, slot = keyed_choice(streams, d, self.m)
+        # a chunk's column is a block column of the step's positions (random
+        # rule) or a presort row of all the grove's (exact rule)
+        step = max(1, SPLIT_BLOCK_CELLS // (pos.size if random else self.rows.size))
+        for start in range(0, candidates.shape[1], step):
             chosen = candidates[:, start : start + step]
-            w = chosen.shape[1]
-            # per column and 1 + node (0 outside the step's nodes), the sort
-            # key of the node's cells in that column: its slot in the
-            # chunk, then the node; w k where the node takes no slot there
-            out = w * k
-            keys = np.full((d, k + 1), out)
-            keys[chosen, seg.nodes[:, None] + 1] = np.arange(0, out, k) + seg.nodes[:, None]
-            # the presort rows of the columns some node takes in the chunk
-            taken = np.zeros(d, dtype=bool)
-            taken[chosen] = True
-            cols = taken.nonzero()[0]
-            pre = self.pre.take(cols, axis=0)
-            key = node_of.take(pre)
-            key += (cols * (k + 1))[:, None]
-            # the cells of one (slot, node) pair lie in one presort row, in
-            # its order: a stable sort by key lays each slot's nodes back
-            # to back, and the cells of no pair last
-            kept = _stable_order(keys.take(key).reshape(-1), out + 1)[: w * pos.size]
-            at = pre.take(kept).reshape(w, -1)
-            vs = self.vals.take(cols, axis=0).take(kept).reshape(w, -1)
-            gains, slot, cut = exact_block_split(vs, self.target[at], seg, self.builder.criterion)
-            # each node's best column in the chunk, the first on ties; its
-            # positions in that column's order put the left child's first
-            cut += 1
-            found = (
-                gains[slot, seg.nodes],
-                candidates[seg.nodes, start + slot],
-                vs[slot, cut - 1],
-                vs[slot, cut],
-                at[slot[seg.node], seg.index],
-                cut,
-            )
+            if random:
+                found = self._random_splits(seg, pos, chosen, streams, slot + start)
+            else:
+                found = self._exact_splits(seg, pos, chosen)
             if start == 0:
                 best = found
-            else:  # a later chunk needs a gain >= 0, and higher
+            else:  # the first best column wins: a later chunk needs a gain >= 0, and higher
                 better = (found[0] >= 0.0) & ~(found[0] <= best[0])
                 best = tuple(np.where(better[seg.node] if i == 4 else better, new, old)
                              for i, (new, old) in enumerate(zip(found, best)))
-        node_of[pos] = 0
         return best
+
+    def _random_splits(self, seg: Segments, pos: np.ndarray, chosen: np.ndarray, streams, slot):
+        """:meth:`_search` over the columns ``chosen`` per node, with thresholds from ``slot`` on."""
+        # all nodes as one segmented block: node k's rows from starts[k] on
+        rows, node, nodes = self.rows[pos], seg.node, seg.nodes
+        block = self.X[rows[:, None], chosen[node]]
+        # candidate j's threshold reads the slot j past the node's candidate draws
+        u = keyed_doubles(streams[:, None], slot[:, None] + np.arange(chosen.shape[1], dtype=np.uint64))
+        gains, thresholds, go_left = random_block_split(
+            block, self.target[pos], seg.starts, self.builder.criterion, u
+        )
+        gains = np.where(gains >= 0.0, gains, -np.inf)
+        j = gains.argmax(axis=1)
+        gain, threshold = gains[nodes, j], thresholds[nodes, j]
+        # one stable partition of every node's positions, its go-left ones
+        # first; a node without a split sends none left
+        go = go_left[seg.index, j[node]] & (gain >= 0.0)[node]
+        order = pos[_stable_order(2 * node + ~go, 2 * nodes.size)]
+        cut = seg.starts + np.add.reduceat(go, seg.starts, dtype=np.intp)
+        return gain, chosen[nodes, j], threshold, threshold, order, cut
+
+    def _exact_splits(self, seg: Segments, pos: np.ndarray, chosen: np.ndarray):
+        """:meth:`_search` over the columns ``chosen`` per node."""
+        # each node's sorted order per chosen column, filtered from its
+        # tree's presort: by value, ties by position
+        k, d, w = seg.nodes.size, self.X.shape[1], chosen.shape[1]
+        # per column and 1 + node (0 outside the step's nodes), the sort key
+        # of the node's cells in that column: its slot in the chunk, then
+        # the node; w k where the node takes no slot there
+        out = w * k
+        keys = np.full((d, k + 1), out)
+        keys[chosen, seg.nodes[:, None] + 1] = np.arange(0, out, k) + seg.nodes[:, None]
+        # the presort rows of the columns some node takes
+        taken = np.zeros(d, dtype=bool)
+        taken[chosen] = True
+        cols = taken.nonzero()[0]
+        pre = self.pre.take(cols, axis=0)
+        self.node_of[pos] = seg.node + 1
+        key = self.node_of.take(pre)
+        self.node_of[pos] = 0
+        key += (cols * (k + 1))[:, None]
+        # the cells of one (slot, node) pair lie in one presort row, in its
+        # order: a stable sort by key lays each slot's nodes back to back,
+        # and the cells of no pair last
+        kept = _stable_order(keys.take(key).reshape(-1), out + 1)[: w * pos.size]
+        at = pre.take(kept).reshape(w, -1)
+        vs = self.vals.take(cols, axis=0).take(kept).reshape(w, -1)
+        gains, slot, cut = exact_block_split(vs, self.target[at], seg, self.builder.criterion)
+        # each node's best column, the first on ties; its positions in that
+        # column's order put the left child's first
+        cut += 1
+        return (
+            gains[slot, seg.nodes],
+            chosen[seg.nodes, slot],
+            vs[slot, cut - 1],
+            vs[slot, cut],
+            at[slot[seg.node], seg.index],
+            cut,
+        )

@@ -118,15 +118,17 @@ def write_lines(target: Target, lines: Iterable[str]) -> None:
     the target's directory, which replaces the target only once every line
     is written.  If anything fails first (a refused value, a full disk, an
     interrupt), the temporary file is removed and the target keeps its old
-    bytes.  A path that exists but is no regular file, such as
-    ``/dev/null``, is written in place.
+    bytes.  A symbolic link is written through: the file it names is
+    replaced, beside which the temporary file goes.  A path that exists
+    but is no regular file, such as ``/dev/null``, is written in place.
     """
     if hasattr(target, "write"):
         _write_chunks(target, lines)
         return
-    in_place = os.path.exists(target) and not os.path.isfile(target)
-    head, tail = os.path.split(target)
-    temp = target if in_place else os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    real = os.path.realpath(target)
+    in_place = os.path.exists(real) and not os.path.isfile(real)
+    head, tail = os.path.split(real)
+    temp = real if in_place else os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(temp, "w" if in_place else "x", encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -135,7 +137,7 @@ def write_lines(target: Target, lines: Iterable[str]) -> None:
         with fh:
             _write_chunks(fh, lines)
         if not in_place:
-            os.replace(temp, target)
+            os.replace(temp, real)
     except BaseException as exc:
         if not in_place:
             with contextlib.suppress(OSError):

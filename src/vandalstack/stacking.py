@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -283,28 +283,37 @@ def pipeline_to_lines(pipeline: StackedPipeline) -> Iterator[str]:
 
 def _pipeline_lines(pipeline: StackedPipeline, schema: FeatureSchema) -> Iterator[str]:
     cfg = pipeline.config
-    yield PIPELINE_HEADER
-    yield f"k {cfg.k}"
-    yield f"seed {cfg.seed}"
-    yield "refit_full 0"  # a fixed line: fold averaging is the one meta-feature rule
-    yield f"first_stage {len(cfg.first_stage)}"
-    yield f"second_stage {len(cfg.second_stage)}"
-    for j, spec in enumerate(cfg.first_stage):
-        yield f"spec first {j} {_spec_to_json(spec)}"
-    for j, spec in enumerate(cfg.second_stage):
-        yield f"spec second {j} {_spec_to_json(spec)}"
-    yield "selected " + " ".join(str(j) for j in pipeline.selected)
+    head = [
+        PIPELINE_HEADER,
+        f"k {cfg.k}",
+        f"seed {cfg.seed}",
+        "refit_full 0",  # a fixed line: fold averaging is the one meta-feature rule
+        f"first_stage {len(cfg.first_stage)}",
+        f"second_stage {len(cfg.second_stage)}",
+        *(f"spec first {j} {_spec_to_json(spec)}" for j, spec in enumerate(cfg.first_stage)),
+        *(f"spec second {j} {_spec_to_json(spec)}" for j, spec in enumerate(cfg.second_stage)),
+        "selected " + " ".join(str(j) for j in pipeline.selected),
+    ]
+    yield from head
+    written = len(head)
 
-    def section(name: str, body: list[str]) -> Iterator[str]:
+    def section(name: str, to_lines: Callable, item) -> Iterator[str]:
+        nonlocal written
+        try:
+            body = to_lines(item)
+        except MalformedLine as exc:
+            # a refused value, named by the line it would have in the file
+            raise MalformedLine(exc.reason, written + 1 + exc.line_no) from None
         yield f"section {name} {len(body)}"
         yield from body
+        written += 1 + len(body)
 
-    yield from section("schema", schema_to_lines(schema))
+    yield from section("schema", schema_to_lines, schema)
     for j, per_fold in enumerate(pipeline.fold_models):
         for f, model in enumerate(per_fold):
-            yield from section(f"model first {j} {f}", model_to_lines(model))
+            yield from section(f"model first {j} {f}", model_to_lines, model)
     for j, model in enumerate(pipeline.second_models):
-        yield from section(f"model second {j}", model_to_lines(model))
+        yield from section(f"model second {j}", model_to_lines, model)
     yield "end"
 
 

@@ -104,8 +104,8 @@ class LocalTree(NamedTuple):
 
 
 def table_of(members) -> NodeTable:
-    """One node table of the members, joined as a model joins its grown trees."""
-    return node_table((t.feature, t.threshold, t.right, t.value) for t in members)
+    """One node table of the members, joined as a model joins its numbered blocks, one tree a block."""
+    return node_table((t.feature, t.threshold, t.right, t.value, [t.n_nodes]) for t in members)
 
 
 def predict_dense(tree: LocalTree, X: np.ndarray) -> np.ndarray:

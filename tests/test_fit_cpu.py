@@ -84,10 +84,31 @@ def test_usage_without_two_trees(capsys):
     assert "PARENT_SRC CHANGE_SRC" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["a", "b", "x"], ["a", "b", "81", "2.5"], ["a", "b", "-1"], ["a", "b", "81", "0"]])
+def test_usage_on_a_seed_or_pairs_that_is_no_count(capsys, args):
+    assert load_tool().main(args) == 2
+    assert "PARENT_SRC CHANGE_SRC" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change_total, status", [("float(X.sum())", 0), ("float(X.sum()) + 1.0", 1)])
+def test_the_exit_status_says_whether_every_family_wrote_the_same_text(
+    tmp_path, monkeypatch, capsys, change_total, status
+):
+    tool = load_tool()
+    fits = [("Model", {"scale": 1.0, "seed": 0}, np.ones((2, 2)), np.zeros(2))]
+    monkeypatch.setattr(tool, "capture", lambda package, seed: fits)
+    parent = write_package(tmp_path / "a", "float(X.sum())")
+    change = write_package(tmp_path / "b", change_total)
+    assert tool.main([str(parent), str(change), "3", "2"]) == status
+    [line] = capsys.readouterr().out.splitlines()  # the table is printed either way
+    assert line.startswith("Model scale=1.0 2x2 fits 1 ")
+    assert line.split(" same ")[1].startswith(str(status == 0))
+
+
 @pytest.fixture(autouse=True)
 def forget_loaded_packages():
     import sys
 
     yield
-    for name in [n for n in sys.modules if n.startswith("fit_cpu_")]:
+    for name in [n for n in sys.modules if n.startswith(("fit_cpu_", "parent_vandalstack", "change_vandalstack"))]:
         del sys.modules[name]

@@ -177,12 +177,43 @@ def test_a_refused_pipeline_leaves_the_old_file(tmp_path):
     pipeline = small_fit()[3]
     save_pipeline(pipeline, path)
     good = path.read_bytes()
-    bad = copy.deepcopy(pipeline)
-    bad.second_models[-1].coef_[-1] = np.nan  # the writer refuses a non-finite value
-    with pytest.raises(MalformedLine):
-        save_pipeline(bad, path)
-    assert path.read_bytes() == good
-    assert [p.name for p in tmp_path.iterdir()] == ["pipeline.txt"]
+    lines = good.decode().split("\n")
+    # a refused model value is named by its line in the pipeline file: the
+    # last `coef` and `param l2` lines belong to the last model section,
+    # the second-stage logistic regression
+    for tag, message in [
+        ("coef", "cannot write a non-finite value on 'coef'"),
+        ("param l2", "cannot write a parameter: l2"),
+    ]:
+        line_no = max(i for i, line in enumerate(lines, start=1) if line.startswith(tag + " "))
+        bad = copy.deepcopy(pipeline)
+        if tag == "coef":
+            bad.second_models[-1].coef_[-1] = np.nan
+        else:
+            bad.second_models[-1].l2 = -1.0
+        with pytest.raises(MalformedLine) as info:
+            save_pipeline(bad, path)
+        assert info.value.line_no == line_no
+        assert str(info.value).startswith(f"line {line_no}: {message}")
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["pipeline.txt"]
+    assert lines[107].startswith("coef ")  # line 108
+
+
+def test_a_symbolic_link_is_written_through(tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_bytes(b"old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    write_lines(link, ["new"])
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == b"new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+    # a link to a file not yet made makes that file
+    dangling = tmp_path / "dangling.txt"
+    dangling.symlink_to(tmp_path / "made.txt")
+    write_lines(dangling, ["made"])
+    assert dangling.is_symlink() and (tmp_path / "made.txt").read_bytes() == b"made\n"
 
 
 def test_a_path_that_is_no_regular_file_is_written_in_place(tmp_path):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vandalstack.learners import (
@@ -455,8 +455,37 @@ def mean_leaf(target):
     return lambda sel: target[sel].sum() / sel.size
 
 
+def grown_trees(builder, X, jobs, importances=None):
+    """Per job, its tree's columns ``(feature, threshold, right, value)`` and its rows' leaf ids.
+
+    The columns are ``build_many``'s table, ``local()`` and split by
+    ``sizes``.  The leaf ids come from :meth:`TreeBuilder.grow` over all
+    the jobs as one grove, each position's leaf taken to its node by
+    ``number_trees``.
+    """
+    table = builder.build_many(X, jobs, importances)
+    *columns, sizes = table.local()
+    bounds = np.cumsum(sizes)[:-1]
+    trees = zip(*(np.split(column, bounds) for column in columns))
+    grown, leaf = builder.grow(X, jobs)
+    _, leaf_node = grower_module.number_trees([grown])
+    return list(zip(trees, np.split(leaf_node[leaf], np.cumsum(grown.size)[:-1])))
+
+
+# the extra-trees rule at depth 1: the root sends rows 6-9, constant in
+# both columns and of both labels, right, so the step's last node has no
+# split, while the node before it splits; each column is a chunk of its own
+CONSTANT_LAST_NODE = (
+    np.array([[0.0, 0.5], [0.001, 0.4], [0.002, 0.3], [0.003, 0.2], [0.004, 0.1], [0.005, 0.0]]
+             + [[1.0, 9.0]] * 4),
+    [(np.arange(10), np.array([0, 1, 1, 0, 1, 0, 1, 1, 0, 1], dtype=np.float64), 5)],
+    "gini", None, None, True, 1, False,
+)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(forest_growths())
+@example(CONSTANT_LAST_NODE)
 def test_lockstep_grower_matches_per_tree_reference_bit_for_bit(case):
     X, trees, criterion, max_depth, max_features, random_threshold, cells, grove_means = case
     builder = TreeBuilder(criterion, max_depth, max_features, random_threshold=random_threshold)
@@ -476,7 +505,7 @@ def test_lockstep_grower_matches_per_tree_reference_bit_for_bit(case):
     # chunks
     with mock.patch.object(grower_module, "SPLIT_BLOCK_CELLS", cells), \
             mock.patch.object(grower_module._Grove, "_step", recording):
-        grown = list(builder.build_many(X, jobs, importances))
+        grown = grown_trees(builder, X, jobs, importances)
     # every grove steps a level at a time: its k-th step takes every open
     # node at depth k
     for grove in {id(g): g for g, _ in steps}.values():
@@ -515,7 +544,7 @@ def test_a_tree_whose_root_draw_is_rejected_matches_the_reference(random_thresho
     y = (X[:, 0] > 0.5).astype(np.float64)
     rows = np.arange(12)
     builder = TreeBuilder("gini", None, 1, random_threshold=random_threshold)
-    [(columns, leaf_of)] = builder.build_many(X, [TreeJob(rows, y, None, REJECTED_KEY)])
+    [(columns, leaf_of)] = grown_trees(builder, X, [TreeJob(rows, y, None, REJECTED_KEY)])
     want, want_leaf_of = ref_build(
         X, rows, y, mean_leaf(y), np.zeros(641), "gini", None, 1, REJECTED_KEY, random_threshold
     )
@@ -564,8 +593,8 @@ def test_drawless_level_grower_matches_per_tree_reference_bit_for_bit(case):
     for residual, hessian in rounds:
         leaf = newton_leaf(residual, hessian)
         with mock.patch.object(grower_module, "SPLIT_BLOCK_CELLS", cells):
-            [(columns, leaf_of)] = builder.build_many(
-                X, [TreeJob(rows, residual, leaf, None, presort)], importances
+            [(columns, leaf_of)] = grown_trees(
+                builder, X, [TreeJob(rows, residual, leaf, None, presort)], importances
             )
         want, want_leaf_of = ref_build(
             X, rows, residual, leaf, want_importances, "variance", max_depth, None, None, False
@@ -600,8 +629,8 @@ def test_level_steps_over_more_than_an_int16_of_positions_match_the_reference():
 
     importances = np.zeros(2)
     with mock.patch.object(grower_module, "_stable_order", recording):
-        [(columns, leaf_of)] = TreeBuilder("variance", 3, None).build_many(
-            X, [TreeJob(rows, residual, leaf, None)], importances
+        [(columns, leaf_of)] = grown_trees(
+            TreeBuilder("variance", 3, None), X, [TreeJob(rows, residual, leaf, None)], importances
         )
     # a step of two nodes sorted a column's cells of all 70,000 positions,
     # one column a chunk, the closed leaf's with the key past both nodes'
@@ -634,7 +663,7 @@ def test_numbering_several_groves_at_once_matches_numbering_each_alone():
     rows = np.arange(30, dtype=np.int64)
     presort = Presort.of(X, rows)
     builder = TreeBuilder("variance", 4, None)
-    groves, leaves, alone = [], [], []
+    groves, leaves, alone, alone_leaves = [], [], [], []
     want_importances = np.zeros(X.shape[1])
     for r in range(5):
         residual = rng.normal(size=30) if r % 2 else rng.choice([-0.5, 0.25, 1.0], size=30)
@@ -642,22 +671,23 @@ def test_numbering_several_groves_at_once_matches_numbering_each_alone():
         if r == 3:  # a grove of two trees, one on a bootstrap sample
             boot = np.sort(rng.integers(0, 30, size=30))
             jobs.append(TreeJob(boot, residual[boot], newton_leaf(residual, rng.random(30)), None))
-        alone += list(builder.build_many(X, jobs, want_importances))
+        alone.append(builder.build_many(X, jobs, want_importances).local())
         grown, leaf = builder.grow(X, jobs)
+        alone_leaves.append(grower_module.number_trees([grown])[1][leaf])
         groves.append(grown)
         leaves.append(leaf)
     importances = np.zeros(X.shape[1])
-    trees, leaf_node = grower_module.number_trees(groves, importances)
+    block, leaf_node = grower_module.number_trees(groves, importances)
     assert importances.tobytes() == want_importances.tobytes()
-    assert len(trees) == len(alone) == 6
-    for got, (want, _) in zip(trees, alone):
-        for got_column, want_column in zip(got, want):
-            assert got_column.dtype == want_column.dtype
-            assert got_column.tobytes() == want_column.tobytes()
+    assert block[4].size == 6  # trees
+    for got_column, *want_columns in zip(block, *alone):
+        want_column = np.concatenate(want_columns)
+        assert got_column.dtype == want_column.dtype
+        assert got_column.tobytes() == want_column.tobytes()
     # each grove's leaves, back to back, then each position's leaf
     starts = np.cumsum([0] + [g.leaves.shape[1] for g in groves])
     leaf_of = np.concatenate([leaf_node[a:b][leaf] for a, b, leaf in zip(starts, starts[1:], leaves)])
-    assert leaf_of.tobytes() == np.concatenate([want for _, want in alone]).tobytes()
+    assert leaf_of.tobytes() == np.concatenate(alone_leaves).tobytes()
 
 
 def test_a_pure_root_beside_trees_that_grow_a_level_a_step():
@@ -668,8 +698,8 @@ def test_a_pure_root_beside_trees_that_grow_a_level_a_step():
     y = np.array([0, 1, 0, 1, 1, 0, 1, 0, 0, 1], dtype=np.float64)
     rows = [np.arange(10), np.array([0, 0, 2, 2, 5, 7, 7, 8, 8, 8]), np.arange(10)]
     importances = np.zeros(3)
-    grown = TreeBuilder("gini", None, None).build_many(
-        X, [TreeJob(r, y[r], None, None) for r in rows], importances
+    grown = grown_trees(
+        TreeBuilder("gini", None, None), X, [TreeJob(r, y[r], None, None) for r in rows], importances
     )
     want_importances = np.zeros(3)
     for (columns, leaf_of), r in zip(grown, rows):
@@ -845,7 +875,7 @@ def test_random_split_within_range_and_gain_definition():
 def grow_one(builder, X, y, importances=None, key=0):
     """One tree over every row of ``X``, through the grower's one entry point."""
     job = TreeJob(np.arange(X.shape[0]), y, lambda sel: y[sel].mean(), key)
-    [(columns, leaf_of)] = builder.build_many(X, [job], importances)
+    [(columns, leaf_of)] = grown_trees(builder, X, [job], importances)
     return LocalTree.grown(columns), leaf_of
 
 

@@ -5,7 +5,8 @@ Usage, from the root of a checkout::
     PYTHONPATH=src:. python tools/fit_cpu.py PARENT_SRC CHANGE_SRC [SEED [PAIRS]]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts;
-SEED defaults to 81 and PAIRS to 20.  The script loads the package from
+SEED, a non-negative integer, defaults to 81 and PAIRS, a positive one,
+to 20.  The script loads the package from
 each tree under its own module name.  It writes the benchmark's train
 split of SEED (``perfbench.corpusgen.write_labeled(SPEC, seed, dir)``)
 into a temporary directory and runs ``train-stack`` on it with
@@ -23,6 +24,10 @@ the median of the paired differences (change minus parent), the share of
 pairs the change was faster in, whether both sides wrote the same model
 text for every fit, and each side's largest traced peak (``tracemalloc``,
 MB) over one more fit of each.  It only reads ``perfbench/``.
+
+It exits 0 when both sides wrote the same model text for every fit, 1
+(after the table) when any family reads ``same False``, and 2 on a bad
+argument.
 """
 
 from __future__ import annotations
@@ -154,21 +159,22 @@ def compare(sides: tuple, fits: list[tuple], pairs: int) -> dict[str, dict]:
 
 
 def main(argv: list[str]) -> int:
-    if not 2 <= len(argv) <= 4:
+    numbers = argv[2:] + ["81", "20"][len(argv) - 2 :]  # SEED and PAIRS, defaults filled in
+    if not (2 <= len(argv) <= 4 and all(n.isascii() and n.isdigit() for n in numbers) and int(numbers[1]) > 0):
         print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
         return 2
-    seed = int(argv[2]) if len(argv) > 2 else 81
-    pairs = int(argv[3]) if len(argv) > 3 else 20
+    seed, pairs = map(int, numbers)
     sides = (load_package(Path(argv[0]), "parent_vandalstack"),
              load_package(Path(argv[1]), "change_vandalstack"))
     fits = capture(sides[1], seed)
-    for key, row in compare(sides, fits, pairs).items():
+    rows = compare(sides, fits, pairs)
+    for key, row in rows.items():
         print(
             f"{key} fits {row['fits']} parent {row['parent']:.3f} change {row['change']:.3f}"
             f" diff {row['diff']:+.3f} won {row['won']:.2f} same {row['same']}"
             f" peak_mb {row['peak_mb'][0]:.2f} {row['peak_mb'][1]:.2f}"
         )
-    return 0
+    return 0 if all(row["same"] for row in rows.values()) else 1
 
 
 if __name__ == "__main__":
