@@ -6,8 +6,8 @@ Usage, from the root of a checkout::
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts;
 SEED, a non-negative integer, defaults to 81 and PAIRS, a positive one,
-to 20.  The script loads the package from
-each tree under its own module name.  It writes the benchmark's train
+to 20.  The script loads the package from each tree under its own
+module name.  It writes the benchmark's train
 split of SEED (``perfbench.corpusgen.write_labeled(SPEC, seed, dir)``)
 into a temporary directory and runs ``train-stack`` on it with
 CHANGE_SRC's package, capturing every model fit: its class, parameters
