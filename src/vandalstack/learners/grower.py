@@ -213,15 +213,13 @@ def random_block_split(block: np.ndarray, t: np.ndarray, starts: np.ndarray, cri
 
 
 class Presort(NamedTuple):
-    """``X[rows]`` sorted once for the exact rule, all ``(features, rows)``.
+    """``X[rows]`` sorted once for the exact rule, both ``(features, rows)``.
 
-    ``columns`` holds the rows' values feature by feature, ``order`` per
-    feature the positions (into ``rows``) sorted stably by value, and
-    ``values`` the values in that order.  A node's own sorted order is
-    this one filtered by membership, so no node sorts.
+    ``order`` holds per feature the positions (into ``rows``) sorted
+    stably by value, and ``values`` the values in that order.  A node's
+    own sorted order is this one filtered by membership, so no node sorts.
     """
 
-    columns: np.ndarray
     order: np.ndarray
     values: np.ndarray
 
@@ -229,7 +227,7 @@ class Presort(NamedTuple):
     def of(cls, X: np.ndarray, rows: np.ndarray) -> "Presort":
         columns = np.ascontiguousarray(X[rows].T)
         order = columns.argsort(axis=1, kind="mergesort")
-        return cls(columns, order, np.take_along_axis(columns, order, axis=1))
+        return cls(order, np.take_along_axis(columns, order, axis=1))
 
 
 class TreeJob(NamedTuple):
@@ -296,7 +294,7 @@ class TreeBuilder:
             # cells per row of a tree: its root's candidate block
             width = d if self.max_features is None else min(self.max_features, d)
         else:
-            # its presort: the rows' values, their order and the sorted values
+            # its presort (order and sorted values) and the column copy that makes it
             width = 3 * d
         blocks, group, cells = [], [], 0
         for job in jobs:
@@ -477,7 +475,7 @@ class _Grove:
             # every tree's presort positions (into the grove's) and values
             presorts = [Presort.of(X, job.rows) if job.presort is None else job.presort for job in jobs]
             if n_trees == 1:
-                _, self.pre, self.vals = presorts[0]
+                self.pre, self.vals = presorts[0]
             else:
                 self.pre = np.concatenate([p.order for p in presorts], axis=1)
                 self.pre += np.repeat(self.base, self.size)

@@ -37,6 +37,21 @@ def test_summary_takes_the_median_difference_and_counts_the_lower_seeds():
     assert median == pytest.approx(-0.05) and lower == 2
 
 
+def test_sign_interval_takes_order_statistics_by_the_binomial_tail():
+    tool = load_tool()
+    diffs = [i / 1000 for i in range(20, 0, -1)]
+    # n = 20: P(B <= 5) = 0.0207 <= 0.025 < P(B <= 6), so k = 6
+    low, high, coverage = tool.sign_interval(diffs)
+    assert (low, high) == (0.006, 0.015)
+    assert round(coverage, 4) == 0.9586
+    assert tool.interval_line(diffs) == "interval [+0.006000, +0.015000] coverage 0.9586"
+    # n = 6: P(B <= 0) = 1/64, so k = 1 and the interval spans every difference
+    assert tool.sign_interval([0.3, -0.1, 0.2, 0.0, -0.4, 0.1]) == (-0.4, 0.3, 1.0 - 2.0 / 64)
+    # n = 5: P(B <= 0) = 1/32 > 0.025
+    assert tool.sign_interval([0.1] * 5) is None
+    assert tool.interval_line([0.1] * 5) == "interval none"
+
+
 def test_usage_without_two_trees_and_a_seed(capsys):
     assert load_tool().main(["a", "b"]) == 2
     assert "PARENT_SRC CHANGE_SRC SEED" in capsys.readouterr().err

@@ -17,23 +17,31 @@ per seed::
     seed 563 parent 0.912340 change 0.908760 diff -0.003580
 
 then the median of the paired differences (change minus parent) and the
-number of seeds on which the change scored lower::
+number of seeds on which the change scored lower, and the sign-test
+interval of the median difference with its coverage::
 
     median diff -0.001230 lower 9 of 20
+    interval [-0.002100, +0.004300] coverage 0.9586
 
-A two-sided sign test at 5% finds the change worse on 20 seeds only if
-it is lower on 15 or more.  It only reads ``perfbench/``.  The commands'
-own output goes to stderr.
+The interval is ``[d(k), d(n-k+1)]`` of the n sorted differences, with
+``k`` the largest for which P(Binom(n, 1/2) <= k-1) <= 0.025; it holds
+the median difference with probability ``1 - 2 P(Binom(n, 1/2) <= k-1)``
+whatever the differences' distribution.  Below 6 seeds no ``k`` qualifies
+and the line reads ``interval none``.  A two-sided sign test at 5% finds
+the change worse on 20 seeds only if it is lower on 15 or more.  It only
+reads ``perfbench/``.  The commands' own output goes to stderr.
 """
 
 from __future__ import annotations
 
 import contextlib
 import importlib
+import math
 import statistics
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -80,6 +88,26 @@ def summary(rows: list[tuple[int, float, float]]) -> tuple[float, int]:
     return statistics.median(diffs), sum(d < 0 for d in diffs)
 
 
+def sign_interval(diffs: list[float]) -> Optional[tuple[float, float, float]]:
+    """``(low, high, coverage)``: the sign-test interval of the median of ``diffs``, or ``None`` when too few."""
+    n = len(diffs)
+    # tail[j] = P(Binom(n, 1/2) <= j)
+    tail = [sum(math.comb(n, i) for i in range(j + 1)) / 2**n for j in range(n)]
+    k = sum(1 for j in range(n) if tail[j] <= 0.025)
+    if k == 0:
+        return None
+    ordered = sorted(diffs)
+    return ordered[k - 1], ordered[n - k], 1.0 - 2.0 * tail[k - 1]
+
+
+def interval_line(diffs: list[float]) -> str:
+    found = sign_interval(diffs)
+    if found is None:
+        return "interval none"
+    low, high, coverage = found
+    return f"interval [{low:+.6f}, {high:+.6f}] coverage {coverage:.4f}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 3:
         print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
@@ -91,6 +119,7 @@ def main(argv: list[str]) -> int:
         print(f"seed {seed} parent {parent:.6f} change {change:.6f} diff {change - parent:+.6f}")
     median, lower = summary(rows)
     print(f"median diff {median:+.6f} lower {lower} of {len(rows)}")
+    print(interval_line([change - parent for _, parent, change in rows]))
     return 0
 
 
