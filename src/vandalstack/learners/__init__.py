@@ -17,10 +17,12 @@ from .boosting import GradientBoostingClassifier, log_loss, sigmoid
 from .forest import ExtraTreesClassifier, RandomForestClassifier
 from .io import (
     BUILTIN_FAMILIES,
+    TreeColumns,
     family_name,
     load_model,
     model_from_lines,
     model_to_lines,
+    read_model,
     save_model,
 )
 from .linear import LogisticRegression

@@ -100,3 +100,7 @@ class GradientBoostingClassifier(BaseModel):
 
     def predict_proba(self, X) -> np.ndarray:
         return sigmoid(self.decision_function(X))
+
+    def proba_from_leaves(self, leaves: np.ndarray) -> np.ndarray:
+        """:meth:`predict_proba` from each row's leaf in each tree (``nodes_.leaf_ids``)."""
+        return sigmoid(self.nodes_.leaf_sums(leaves, self.base_score_, self.learning_rate))

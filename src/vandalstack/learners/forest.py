@@ -58,6 +58,10 @@ class _BaseForest(BaseModel):
         X = check_predict_input(self, X)
         return self.nodes_.sum_leaves(X, 0.0, 1.0) / self.nodes_.n_trees
 
+    def proba_from_leaves(self, leaves: np.ndarray) -> np.ndarray:
+        """:meth:`predict_proba` from each row's leaf in each tree (``nodes_.leaf_ids``)."""
+        return self.nodes_.leaf_sums(leaves, 0.0, 1.0) / self.nodes_.n_trees
+
 
 class RandomForestClassifier(_BaseForest):
     """Bootstrap bagging + exact Gini splits over sqrt(d) candidates."""

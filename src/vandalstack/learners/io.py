@@ -17,8 +17,12 @@ read is ASCII text with no ``_`` and no whitespace: an integer is read by
 :func:`~vandalstack.lines.is_plain` and ``float()``.
 
 A tree model's ``NodeTable`` (``nodes_``) is written by :func:`_tree_lines`
-and read back by :func:`_nodes_from`, both on whole tree-local node
-columns, which only the table converts to and from its walk form.
+and read back on whole tree-local node columns, which only the table
+converts to and from its walk form.  :func:`read_model` parses and checks
+a tree model's trees into the next rows of a :class:`TreeColumns`, which
+compiles the trees of every model read into it with one constructor
+call: :func:`model_from_lines` one model's, the pipeline loader a whole
+stage's, into its stage table.
 """
 
 from __future__ import annotations
@@ -150,7 +154,58 @@ def _floats(reader: LineReader, tag: str, line: str, size: int) -> np.ndarray:
     return values
 
 
+class TreeColumns:
+    """The tree-local node columns of one or more tree models, filled as each is read.
+
+    :func:`read_model` parses and checks a tree model's node lines
+    straight into the next free rows, and :meth:`compile` compiles the
+    rows filled into one table with one constructor call, so no model's
+    trees are ever held twice.
+    """
+
+    def __init__(self, capacity: int):
+        # rows for `capacity` nodes at the most: rows never written cost
+        # address space, not memory, so a loose bound will do
+        self.columns = (np.empty(capacity, np.intp), np.empty(capacity), np.empty(capacity, np.intp), np.empty(capacity))
+        self.filled = 0
+        # per model read: the model, its trees' sizes and its `trees` line
+        self.models: list[tuple] = []
+
+    def compile(self) -> Optional[NodeTable]:
+        """One table of the trees filled in, in order, or None when none was; each model gets its range.
+
+        A model's ``nodes_`` is its trees, a tree range of the table.  A
+        tree deeper than its model's ``max_depth`` is refused, named at
+        its ``tree`` line.
+        """
+        if not self.models:
+            return None
+        sizes = np.concatenate([sizes for _, sizes, _ in self.models])
+        table = NodeTable(*(column[: self.filled] for column in self.columns), sizes)
+        lo = 0
+        for model, sizes, trees_line in self.models:
+            nodes = table.trees(lo, lo + sizes.size)
+            lo += sizes.size
+            if model.max_depth is not None and nodes.depth > model.max_depth:
+                t = int(np.argmax(nodes.depths > model.max_depth))
+                raise MalformedLine(
+                    f"tree {t} is {nodes.depths[t]} deep, but max_depth is {model.max_depth}",
+                    trees_line + _below_trees(sizes, int(sizes[:t].sum())) - 1,
+                )
+            model.nodes_ = nodes
+        return table
+
+
 def model_from_lines(lines: Sequence[str], offset: int = 0):
+    """The model of a model block, its trees (if any) compiled into its own table."""
+    trees = TreeColumns(len(lines))
+    model = read_model(lines, trees, offset)
+    trees.compile()
+    return model
+
+
+def read_model(lines: Sequence[str], trees: TreeColumns, offset: int = 0):
+    """The model of a model block; a tree model's trees go to ``trees``, to be compiled there."""
     reader = LineReader(lines, offset)
     if reader.next() != MODEL_HEADER:
         raise MalformedLine(f"expected model header {MODEL_HEADER!r}", reader.line_no)
@@ -179,7 +234,7 @@ def model_from_lines(lines: Sequence[str], offset: int = 0):
             model.base_score_ = float(_floats(reader, "base_score", line, 1)[0])
             line = reader.next()
         model.feature_importances_ = _floats(reader, "importances", line, dim)
-        model.nodes_ = _nodes_from(reader, model)
+        _read_trees(reader, model, trees)
     elif family == "logistic_regression":
         model.intercept_ = float(_floats(reader, "bias", line, 1)[0])
         model.coef_ = _floats(reader, "coef", reader.next(), dim)
@@ -256,7 +311,7 @@ def _below_trees(sizes: Sequence[int], k: int) -> int:
 
 
 def _tree_lines(feature, threshold, right, value, sizes) -> list[str]:
-    """The ``trees``, ``tree`` and ``node`` lines of tree-local columns, for :func:`_nodes_from`.
+    """The ``trees``, ``tree`` and ``node`` lines of tree-local columns, which :func:`read_model` reads.
 
     A node line also lists the left child: ``right - 1``, or ``-1`` at a
     leaf.  Only one tree's values are Python objects at a time.
@@ -273,18 +328,19 @@ def _tree_lines(feature, threshold, right, value, sizes) -> list[str]:
     return lines
 
 
-def _nodes_from(reader: LineReader, model) -> NodeTable:
-    """Read the ``trees`` line and its tree blocks into one table, parsing the nodes at once.
+def _read_trees(reader: LineReader, model, trees: TreeColumns) -> None:
+    """Read the ``trees`` line and its tree blocks, parsing the nodes at once, into ``trees``.
 
-    The trees must be as many as the model's ``n_estimators`` and, when
-    its ``max_depth`` is set, no deeper; each split's threshold and each
-    node's value must be finite.
+    The trees must be as many as the model's ``n_estimators`` and each
+    feature index below its ``dim``; each split's threshold and each
+    node's value must be finite.  Their depth is checked when they are
+    compiled.
     """
     n_trees = reader.expect_int("trees")
     if n_trees != model.n_estimators:
         raise MalformedLine(f"trees must equal n_estimators {model.n_estimators}", reader.line_no)
     trees_line = reader.line_no
-    dim, max_depth = model.n_features_, model.max_depth
+    dim = model.n_features_
     sizes, lines = [], []
     for _ in range(n_trees):
         n_nodes = reader.expect_int("tree", 1)
@@ -317,14 +373,11 @@ def _nodes_from(reader: LineReader, model) -> NodeTable:
     bad = min((problem for problem in problems if problem is not None), default=None)
     if bad is not None:
         raise MalformedLine(f"bad tree node: {bad[1]}", line_of(bad[0]))
-    table = NodeTable(feature, threshold, right, value, sizes)
-    if max_depth is not None and table.depth > max_depth:
-        t = int(np.argmax(table.depths > max_depth))
-        raise MalformedLine(  # named at the tree's `tree` line
-            f"tree {t} is {table.depths[t]} deep, but max_depth is {max_depth}",
-            line_of(sum(sizes[:t])) - 1,
-        )
-    return table
+    rows = slice(trees.filled, trees.filled + feature.size)
+    for column, parsed in zip(trees.columns, (feature, threshold, right, value)):
+        column[rows] = parsed
+    trees.filled = rows.stop
+    trees.models.append((model, np.array(sizes, dtype=np.intp), trees_line))
 
 
 def save_model(model, path: Target) -> None:

@@ -6,10 +6,15 @@ model file lists, and keeps them as one :class:`NodeTable` (``nodes_``).
 The table compiles that layout into its walk form, walks all trees
 together to predict, and alone turns the walk form back into the layout
 (:meth:`NodeTable.local`), which :mod:`vandalstack.learners.io` formats.
+A tree range (:meth:`NodeTable.trees`) is a table of some of a table's
+trees on the same arrays: a loaded pipeline compiles each stage's tree
+models into one table, each model's ``nodes_`` a range of it, so that a
+block of a few rows walks several models' trees in one walk.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 import numpy as np
@@ -71,54 +76,96 @@ class NodeTable:
     with the rest, and stops when none moves.  Only ``right`` is stored:
     the left child is ``right - 1``.  The comparison is the trees' own
     ``x <= threshold``, so NaN goes right.
+
+    :meth:`trees` makes a tree range: a table of some of the trees that
+    shares the node arrays, whose nodes are ``span``.  A pipeline's loader
+    compiles each stage's tree models into one table, the stage table,
+    and each model's ``nodes_`` is its range of it, so a block of a few
+    rows can walk several models' trees in one walk.
     """
 
-    # rows x trees cells walked per step: keeps every temporary in cache.
-    # predict_stack_batch on the benchmark's 4,000-revision batch with its
-    # seed-7 pipeline, finished cells set aside (CPU s, best of 11, one
-    # core of a 2-core x86-64 host): 2^13 0.437, 2^14 0.407, 2^15 0.410,
-    # 2^16 0.461.  Leaf ids are the same at any value.
+    # rows x trees cells walked per step: keeps every temporary in cache,
+    # and a stage table walks a run of its models together while the run's
+    # rows x trees stay within it.  predict_stack_batch with the
+    # benchmark's seed-7 pipeline on blocks of 1 / 4 / 16 / 81 / 200 /
+    # 4,000 rows of its test split, in µs per block (CPU, best of 9, one
+    # core of a 2-core x86-64 host): 2^13 429 / 787 / 1875 / 7445 / 17160
+    # / 312100, 2^14 419 / 744 / 1754 / 5834 / 14198 / 286852, 2^15 416 /
+    # 755 / 1847 / 7112 / 16001 / 304881, 2^16 442 / 795 / 1908 / 7901 /
+    # 16588 / 314462.  Leaf ids are the same at any value.
     BLOCK_CELLS = 1 << 14
     # cells a block needs before its walk sets finished cells aside.  Below
     # it a step costs its numpy calls more than its cells, and counting and
-    # setting aside add calls.  The 12 first-stage walks of that pipeline,
-    # in µs per block of 1 / 4 / 8 / 16 / 81 rows (best of 9, same host):
-    # 2^8 557 / 913 / 1200 / 1659 / 5336, 2^10 547 / 856 / 1198 / 1618 /
-    # 5324, 2^12 537 / 845 / 1283 / 1923 / 5245, never 551 / 865 / 1264 /
-    # 1932 / 7576.  A one-row block (100-200 cells a model) stays below it.
+    # setting aside add calls.  Same runs, blocks of 1 / 2 / 4 / 8 / 16 /
+    # 81 rows: 2^8 491 / 656 / 861 / 1250 / 2029 / 6972, 2^10 486 / 629 /
+    # 850 / 1256 / 1979 / 7136, 2^11 547 / 636 / 849 / 1237 / 1992 / 7204,
+    # 2^12 545 / 777 / 850 / 1278 / 1965 / 7046, never 547 / 753 / 1075 /
+    # 2122 / 2889 / 8074.  A one-row block's first-stage group (1,800
+    # cells) is above it.
     COMPACT_CELLS = 1 << 10
 
     def __init__(self, feature, threshold, right, value, sizes):
         """Compile trees from their tree-local columns, concatenated, and their sizes.
 
-        The trees must pass :func:`invalid_node`, which makes every left
-        child ``right - 1``: the grower's trees do by construction, and the
-        model loader checks a file's.
+        The trees must pass :func:`invalid_node`, which makes every leaf's
+        feature -1 and every left child ``right - 1``: the grower's trees
+        do by construction, and the model loader checks a file's.  The
+        table takes the columns as its own, so that it costs one copy of
+        its trees: ``feature``, ``threshold`` and ``right`` are compiled
+        into the walk form in place, and ``value`` is kept.  Only a column
+        that is not a contiguous array of the table's type is copied.
         """
         sizes = np.asarray(sizes, dtype=np.intp)
         self.roots = np.cumsum(sizes) - sizes
-        leaf = feature < 0
-        own = np.arange(feature.size) + 1
-        self.feature = np.where(leaf, 0, feature + 1)
-        self.threshold = np.where(leaf, np.inf, threshold)
-        self.right = np.where(leaf, own, right + np.repeat(self.roots, sizes))
+        self.feature = np.ascontiguousarray(feature, dtype=np.intp)
+        self.threshold = np.ascontiguousarray(threshold, dtype=np.float64)
+        self.right = np.ascontiguousarray(right, dtype=np.intp)
         self.value = np.ascontiguousarray(value, dtype=np.float64)
-        self.width = int(self.feature.max(initial=0))
+        leaf = self.feature < 0
+        self.feature += 1  # 0 at a leaf
+        self.threshold[leaf] = np.inf
+        self.right += np.repeat(self.roots, sizes)
+        self.right[leaf] = np.flatnonzero(leaf) + 1  # a leaf goes left to itself
+        self.span = (0, self.value.size)
+        # per tree: the widest input column it splits on, plus one, and its depth
+        self.widths = (
+            np.maximum.reduceat(self.feature, self.roots) if sizes.size else np.zeros(0, np.intp)
+        )
         self.depths = self._tree_depths()
+        self._measure()
+
+    def _measure(self) -> None:
+        self.width = int(self.widths.max(initial=0))
         self.depth = int(self.depths.max(initial=0))
+
+    def trees(self, lo: int, hi: int) -> "NodeTable":
+        """Trees ``lo`` up to ``hi`` as a tree range: a table that shares these node arrays."""
+        if (lo, hi) == (0, self.n_trees):
+            return self
+        part = copy.copy(self)
+        end = self.span[1]
+        part.span = (
+            int(self.roots[lo]) if lo < self.n_trees else end,
+            int(self.roots[hi]) if hi < self.n_trees else end,
+        )
+        part.roots, part.widths, part.depths = self.roots[lo:hi], self.widths[lo:hi], self.depths[lo:hi]
+        part._measure()
+        return part
 
     def local(self) -> tuple:
         """``(feature, threshold, right, value, sizes)``: the constructor's arguments.
 
-        Undoes the walk form on whole columns: the feature index less one,
-        tree-local right children, and ``-1 nan -1`` at a leaf.
+        Undoes the walk form on whole columns of the table's ``span``: the
+        feature index less one, tree-local right children, and ``-1 nan
+        -1`` at a leaf.
         """
-        sizes = np.diff(self.roots, append=self.value.size)
-        leaf = self.feature == 0
-        feature = self.feature - 1
-        threshold = np.where(leaf, np.nan, self.threshold)
-        right = np.where(leaf, -1, self.right - np.repeat(self.roots, sizes))
-        return feature, threshold, right, self.value, sizes
+        start, stop = self.span
+        sizes = np.diff(self.roots, append=stop)
+        feature = self.feature[start:stop]
+        leaf = feature == 0
+        threshold = np.where(leaf, np.nan, self.threshold[start:stop])
+        right = np.where(leaf, -1, self.right[start:stop] - np.repeat(self.roots, sizes))
+        return feature - 1, threshold, right, self.value[start:stop], sizes
 
     @property
     def n_trees(self) -> int:
@@ -175,20 +222,23 @@ class NodeTable:
         return leaf.reshape(n, self.n_trees)
 
     def sum_leaves(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
-        """``start + weight*v_1 + ... + weight*v_T`` per row of dense ``X``.
+        """:meth:`leaf_sums` of dense ``X``, walked in blocks of :attr:`BLOCK_CELLS` cells."""
+        n = X.shape[0]
+        out = np.empty(n)
+        step = max(1, self.BLOCK_CELLS // max(1, self.n_trees))
+        for lo in range(0, n, step):
+            out[lo : lo + step] = self.leaf_sums(self.leaf_ids(X[lo : lo + step]), start, weight)
+        return out
+
+    def leaf_sums(self, leaves: np.ndarray, start: float, weight: float) -> np.ndarray:
+        """``start + weight*v_1 + ... + weight*v_T`` per row of :meth:`leaf_ids` of these trees.
 
         ``v_t`` is the leaf value of tree ``t``.  The sum runs strictly in
         tree order, one addition after another, so it matches a loop over
         the trees bit for bit (pairwise summation would not).
         """
-        n = X.shape[0]
-        out = np.empty(n)
-        step = max(1, self.BLOCK_CELLS // max(1, self.n_trees))
-        for lo in range(0, n, step):
-            block = X[lo : lo + step]
-            terms = np.empty((block.shape[0], self.n_trees + 1))
-            terms[:, 0] = start
-            np.multiply(self.value[self.leaf_ids(block)], weight, out=terms[:, 1:])
-            out[lo : lo + step] = np.add.accumulate(terms, axis=1)[:, -1]
-        return out
+        terms = np.empty((leaves.shape[0], leaves.shape[1] + 1))
+        terms[:, 0] = start
+        np.multiply(self.value[leaves], weight, out=terms[:, 1:])
+        return np.add.accumulate(terms, axis=1)[:, -1]
 

@@ -18,6 +18,19 @@ and the pipeline loader, which reports a breach at the ``k`` line.
 see (a non-empty, strictly ascending tuple of indices below the input
 width) for ``fit_stack`` and the loader, which reports a breach at the
 ``selected`` line.
+
+The loader compiles each stage's tree models into one node table, the
+stage's :class:`StageTable`, before anything is scored; each model's
+``nodes_`` is a range of it.  A block is then scored in groups: a run of
+the stage's tree models, in stage order, as long as rows x trees stay
+within ``NodeTable.BLOCK_CELLS``.  A group of several models is walked
+once, and each model's leaves are summed in its own tree order and
+finished by that model, so each scores bit for bit as its own
+``predict_proba``.  A group of one, and every other model, is scored by
+its own ``predict_proba``.  A one-row block walks the first stage's
+1,800 trees (the default stack's) in one walk; from 82 rows up every
+group holds one model.  A pipeline from ``fit_stack`` has no stage
+tables and scores model by model, with the same scores.
 """
 
 from __future__ import annotations
@@ -46,14 +59,16 @@ from .learners import (
     BUILTIN_FAMILIES,
     BaseModel,
     ModelSpec,
+    TreeColumns,
     default_spec,
-    model_from_lines,
     model_to_lines,
     optimized_spec,
     project_matrix,
+    read_model,
     train,
 )
 from .learners.base import check_dense, check_X_y, param_problem
+from .learners.tree import NodeTable
 from .lines import LineReader, Source, Target, parse_int, read_lines, write_lines
 from .rng import derive_seed, generator
 
@@ -126,6 +141,81 @@ def check_selection(columns: Iterable[int], width: int) -> tuple[int, ...]:
     return selected
 
 
+@dataclass(frozen=True)
+class StageTable:
+    """One stage's tree models compiled into one :class:`NodeTable`, the stage table.
+
+    ``members`` holds, in stage order, each tree model's index among the
+    stage's models (the first stage's spec by spec, fold by fold) and the
+    tree range of ``table`` it got as its ``nodes_``.  The ranges follow
+    one another: member ``m``'s trees are ``bounds[m]`` up to
+    ``bounds[m + 1]``.
+    """
+
+    table: NodeTable
+    members: tuple[tuple[int, NodeTable], ...]
+    bounds: tuple[int, ...]
+
+    @classmethod
+    def compile(cls, models: Sequence[BaseModel], trees: TreeColumns) -> Optional[StageTable]:
+        """The stage table of a stage's models as read, their trees read into ``trees``."""
+        table = trees.compile()
+        if table is None:
+            return None
+        members = tuple((i, model.nodes_) for i, model in enumerate(models) if hasattr(model, "nodes_"))
+        sizes = [nodes.n_trees for _, nodes in members]
+        return cls(table, members, tuple(np.cumsum([0] + sizes).tolist()))
+
+    def runs(self, models: Sequence[BaseModel], shape: tuple[int, int]) -> Iterator[list[int]]:
+        """The members, in runs of at most ``BLOCK_CELLS`` cells for input of ``shape``.
+
+        A member whose ``nodes_`` is no longer its range, or which takes
+        another input width, is in no run, so its own ``predict_proba``
+        scores it (or refuses the input).
+        """
+        rows, width = shape
+        run, trees = [], 0
+        for m, (i, nodes) in enumerate(self.members):
+            model = models[i]
+            if getattr(model, "nodes_", None) is not nodes or model.n_features_ != width:
+                yield run
+                run, trees = [], 0
+                continue
+            if run and rows * (trees + nodes.n_trees) > NodeTable.BLOCK_CELLS:
+                yield run
+                run, trees = [], 0
+            run.append(m)
+            trees += nodes.n_trees
+        yield run
+
+    def walk(self, models: Sequence[BaseModel], run: list[int], X: np.ndarray) -> Iterator[tuple]:
+        """``(index, predict_proba of X)`` of each member in ``run``, from one walk of their trees."""
+        lo = self.bounds[run[0]]
+        leaves = self.table.trees(lo, self.bounds[run[-1] + 1]).leaf_ids(X)
+        for m in run:
+            i = self.members[m][0]
+            own = leaves[:, self.bounds[m] - lo : self.bounds[m + 1] - lo]
+            yield i, models[i].proba_from_leaves(own)
+
+
+def _stage_scores(
+    models: Sequence[BaseModel], stage: Optional[StageTable], X: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Each model's ``predict_proba`` of dense ``X``, in order.
+
+    A run of several of the stage table's members is walked once and
+    each member's leaves summed by its own rule; every other model,
+    and every run of one, is scored by its own ``predict_proba``.
+    """
+    walked = {}
+    if stage is not None:
+        for run in stage.runs(models, X.shape):
+            if len(run) > 1:
+                walked.update(stage.walk(models, run, X))
+    for i, model in enumerate(models):
+        yield walked.pop(i) if i in walked else model.predict_proba(X)
+
+
 @dataclass
 class StackedPipeline:
     """Everything needed to score a revision, plus training diagnostics.
@@ -134,7 +224,9 @@ class StackedPipeline:
     columns the models were fit on.  ``schema``, when present, fixes that
     width; only a pipeline with one can be saved.  ``oof_`` (the
     training-time out-of-fold meta-feature matrix) is a diagnostic and is
-    not persisted.
+    not persisted.  A loaded pipeline has each stage's tree models
+    compiled into a :class:`StageTable` (``first_table`` and
+    ``second_table``); a fitted one has none and scores model by model.
     """
 
     config: StackConfig
@@ -143,6 +235,8 @@ class StackedPipeline:
     selected: tuple[int, ...]
     schema: Optional[FeatureSchema] = None
     oof_: Optional[np.ndarray] = None
+    first_table: Optional[StageTable] = field(default=None, repr=False, compare=False)
+    second_table: Optional[StageTable] = field(default=None, repr=False, compare=False)
 
 
 def fit_stack(
@@ -212,11 +306,13 @@ def stack_meta_features(pipeline: StackedPipeline, X) -> np.ndarray:
     """
     Xmat = check_dense(X)
     n_first = len(pipeline.config.first_stage)
+    models = [model for per_fold in pipeline.fold_models for model in per_fold]
+    scores = _stage_scores(models, pipeline.first_table, Xmat)
     meta = np.zeros((Xmat.shape[0], n_first))
     for j, per_fold in enumerate(pipeline.fold_models):
         acc = np.zeros(Xmat.shape[0])
-        for model in per_fold:
-            acc += model.predict_proba(Xmat)
+        for _ in per_fold:
+            acc += next(scores)
         meta[:, j] = acc / len(per_fold)
     return meta
 
@@ -225,8 +321,8 @@ def predict_stack_batch(pipeline: StackedPipeline, X) -> np.ndarray:
     """Scores for full-width input (projection applied internally)."""
     meta = stack_meta_features(pipeline, _model_input(X, pipeline.schema, pipeline.selected))
     scores = np.zeros((meta.shape[0], len(pipeline.second_models)))
-    for j, model in enumerate(pipeline.second_models):
-        scores[:, j] = model.predict_proba(meta)
+    for j, score in enumerate(_stage_scores(pipeline.second_models, pipeline.second_table, meta)):
+        scores[:, j] = score
     return scores.mean(axis=1)
 
 
@@ -318,7 +414,7 @@ def _pipeline_lines(pipeline: StackedPipeline, schema: FeatureSchema) -> Iterato
 
 
 def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
-    """Parse a pipeline file; any violation raises ``MalformedLine`` naming its line."""
+    """Parse a pipeline file, compiling its stage tables; any violation raises ``MalformedLine`` naming its line."""
     if not lines or lines[0] != PIPELINE_HEADER:
         raise MalformedLine(f"expected pipeline header {PIPELINE_HEADER!r}", 1)
     reader = LineReader(lines, end_line=len(lines) + 1)
@@ -368,10 +464,10 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
         reader.pos += len(body)
         return body, at
 
-    def take_model(name: str, spec: ModelSpec, width: int) -> BaseModel:
-        """The next section's model, checked against its spec and its width."""
+    def take_model(name: str, spec: ModelSpec, width: int, trees: TreeColumns) -> BaseModel:
+        """The next section's model, checked against its spec and its width; its trees go to ``trees``."""
         body, at = section(name)
-        model = model_from_lines(body, offset=at)
+        model = read_model(body, trees, offset=at)
         # a model's family and dim lines are the second and third of its section
         if body[1] != f"family {spec.family}":
             raise MalformedLine(f"{name} is not a {spec.family} model", at + 2)
@@ -386,19 +482,26 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
                 raise MalformedLine(f"{name} has {key} {held!r}, spec {value!r}", at + 1 + where)
         return model
 
+    def take_stage(names: Iterable[tuple[str, ModelSpec]], width: int) -> tuple:
+        """The next sections' models, their stage table compiled here, before any scoring."""
+        # a node per line left at the most
+        trees = TreeColumns(len(lines) - reader.pos)
+        models = tuple(take_model(name, spec, width, trees) for name, spec in names)
+        return models, StageTable.compile(models, trees)
+
     body, at = section("schema")
     schema = schema_from_lines(body, offset=at)
     try:
         selected = check_selection(columns, schema.total_dim)
     except UsageError as exc:
         raise MalformedLine(str(exc), selected_line) from None
-    fold_models = tuple(
-        # a huge `k` fails at the first section it lacks
-        tuple(take_model(f"model first {j} {f}", spec, len(selected)) for f in range(k))
-        for j, spec in enumerate(first)
+    # a huge `k` fails at the first section it lacks
+    first_models, first_table = take_stage(
+        ((f"model first {j} {f}", spec) for j, spec in enumerate(first) for f in range(k)),
+        len(selected),
     )
-    second_models = tuple(
-        take_model(f"model second {j}", spec, n_first) for j, spec in enumerate(second)
+    second_models, second_table = take_stage(
+        ((f"model second {j}", spec) for j, spec in enumerate(second)), n_first
     )
     last = reader.next()
     if last != "end":
@@ -407,10 +510,12 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
         raise MalformedLine("trailing content after 'end'", reader.line_no + 1)
     return StackedPipeline(
         config=config,
-        fold_models=fold_models,
+        fold_models=tuple(first_models[j * k : (j + 1) * k] for j in range(n_first)),
         second_models=second_models,
         selected=selected,
         schema=schema,
+        first_table=first_table,
+        second_table=second_table,
     )
 
 

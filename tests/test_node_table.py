@@ -27,10 +27,12 @@ from vandalstack.errors import MalformedLine
 from vandalstack.learners import (
     ExtraTreesClassifier,
     GradientBoostingClassifier,
+    LogisticRegression,
     RandomForestClassifier,
 )
-from vandalstack.learners.io import model_from_lines, model_to_lines
+from vandalstack.learners.io import TreeColumns, model_from_lines, model_to_lines, read_model
 from vandalstack.learners.tree import NodeTable, invalid_node
+from vandalstack.stacking import StageTable, _stage_scores
 
 N_FEATURES = 3
 CUTS = [-np.inf, -1.0, 0.0, 0.5, 1.0, 2.5, np.inf]
@@ -314,6 +316,77 @@ def test_reassigned_trees_are_never_served_stale(first, second, X):
     assert bitwise_equal(model.predict_proba(X), forest_reference(first, X))
     model.nodes_ = table_of(second)
     assert bitwise_equal(model.predict_proba(X), forest_reference(second, X))
+
+
+def assert_same_table(got, want):
+    for name in ("roots", "feature", "right", "depths", "widths"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("threshold", "value"):
+        assert bitwise_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.width, got.depth, got.n_trees) == (want.width, want.depth, want.n_trees)
+
+
+@SETTINGS
+@given(st.lists(trees(), min_size=0, max_size=8), inputs(), st.data())
+def test_a_tree_range_is_its_trees_alone_on_shared_arrays(members, X, data):
+    table = table_of(members)
+    lo = data.draw(st.integers(0, len(members)), label="lo")
+    hi = data.draw(st.integers(lo, len(members)), label="hi")
+    part, alone = table.trees(lo, hi), table_of(members[lo:hi])
+    assert part.feature is table.feature and part.value is table.value
+    # its leaves are global ids into the shared arrays
+    assert np.array_equal(part.leaf_ids(X), alone.leaf_ids(X) + part.span[0])
+    assert bitwise_equal(part.sum_leaves(X, 0.5, 0.25), alone.sum_leaves(X, 0.5, 0.25))
+    # it converts back to its own trees' columns, and compiles to their table
+    for got, want in zip(part.local(), alone.local()):
+        assert bitwise_equal(got.astype(np.float64), want.astype(np.float64))
+    assert_same_table(NodeTable(*part.local()), alone)
+    # a range of a range is a range of the table
+    a = data.draw(st.integers(0, hi - lo), label="a")
+    b = data.draw(st.integers(a, hi - lo), label="b")
+    inner, direct = part.trees(a, b), table.trees(lo + a, lo + b)
+    assert inner.span == direct.span and np.array_equal(inner.roots, direct.roots)
+    assert table.trees(0, len(members)) is table
+
+
+def fitted_linear():
+    rng = np.random.default_rng(2)
+    X = rng.random((20, N_FEATURES))
+    return LogisticRegression().fit(X, (X[:, 0] > 0.5).astype(np.int64))
+
+
+# a stage's members, as a model file holds them (finite thresholds):
+# forests, boosting (with no trees too) and a model without trees, in
+# any order
+file_trees = trees(cuts=st.sampled_from(CUTS[1:-1]))
+stage_members = st.lists(
+    st.one_of(
+        st.lists(file_trees, min_size=1, max_size=4).map(forest_of),
+        st.builds(boosting_of, st.lists(file_trees, min_size=0, max_size=4), leaf_values,
+                  st.floats(0.01, 1.0)),
+        st.just(None),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@SETTINGS
+@given(stage_members, inputs(max_rows=20), st.sampled_from([1, 5, 16, NodeTable.BLOCK_CELLS]),
+       compact_cells)
+def test_a_stage_walk_scores_each_model_as_its_own_predict_proba(members, X, cells, compact):
+    models = [fitted_linear() if model is None else model for model in members]
+    texts = [model_to_lines(model) for model in models]
+    columns = TreeColumns(sum(map(len, texts)))
+    loaded = [read_model(text, columns) for text in texts]
+    stage = StageTable.compile(loaded, columns)
+    assert (stage is None) == all(model is None for model in members)
+    with pytest.MonkeyPatch.context() as mp:
+        sizes(mp, cells, compact)
+        got = list(_stage_scores(loaded, stage, X))
+    for model, score in zip(models, got):
+        assert bitwise_equal(score, model.predict_proba(X))
+    assert [model_to_lines(model) for model in loaded] == texts
 
 
 # floats a writer may get wrong: signed zeros, subnormals, the extremes

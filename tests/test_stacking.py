@@ -19,6 +19,7 @@ from vandalstack.errors import (
 from vandalstack.featurize import FeatureVector, build_schema, extract_many
 from vandalstack.learners import ModelSpec, register_family, _REGISTRY
 from vandalstack.learners.base import check_dense
+from vandalstack.learners.tree import NodeTable
 from vandalstack.rng import derive_seed, generator
 from vandalstack.stacking import (
     StackConfig,
@@ -545,3 +546,149 @@ def test_every_pipeline_save_accepts_loads_and_scores_the_same(data):
     assert loaded.selected == pipeline.selected and loaded.schema == pipeline.schema
     assert predict_stack_batch(loaded, X).tobytes() == predict_stack_batch(pipeline, X).tobytes()
     assert list(pipeline_to_lines(loaded)) == lines
+
+
+# ---------------------------------------------------------------------------
+# The stage walk: a loaded pipeline scores a small block's tree models
+# together from its stage tables, bit for bit as each model's own
+# predict_proba does.  The default stack's 1,800 first-stage trees make
+# a one-row block one group, 9 rows the last that fit one group and 81
+# rows the last at which two 100-tree models share one.
+
+STAGE_ROWS = (0, 1, 2, 9, 10, 16, 17, 81, 82, 4000)
+
+
+@pytest.fixture(scope="module")
+def default_stack():
+    """The default 6 -> 4 stack fitted on 60 rows, its file lines, and a loaded copy."""
+    rng = np.random.default_rng(11)
+    X = rng.random((60, 4))
+    X[:, 3] = rng.integers(0, 3, size=60)
+    y = (X[:, 0] + 0.3 * rng.random(60) > 0.6).astype(np.int64)
+    fitted = fit_stack(X, y, StackConfig(seed=3), schema=schema_of_width(4))
+    lines = list(pipeline_to_lines(fitted))
+    return fitted, lines, pipeline_from_lines(lines)
+
+
+def stage_input(rows, seed=12):
+    """``rows`` rows like the training data's, NaN in about one cell in eight."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((rows, 4))
+    X[:, 3] = rng.integers(0, 3, size=rows)
+    X[rng.random((rows, 4)) < 0.125] = np.nan
+    return X
+
+
+def model_by_model(pipeline, X):
+    """The stack's meta-features and scores from each model's own predict_proba."""
+    meta = np.zeros((X.shape[0], len(pipeline.fold_models)))
+    for j, per_fold in enumerate(pipeline.fold_models):
+        acc = np.zeros(X.shape[0])
+        for model in per_fold:
+            acc += model.predict_proba(X)
+        meta[:, j] = acc / len(per_fold)
+    scores = np.zeros((X.shape[0], len(pipeline.second_models)))
+    for j, model in enumerate(pipeline.second_models):
+        scores[:, j] = model.predict_proba(meta)
+    return meta, scores.mean(axis=1)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def first_models(pipeline):
+    return [model for per_fold in pipeline.fold_models for model in per_fold]
+
+
+@pytest.mark.parametrize("rows", STAGE_ROWS)
+def test_a_loaded_stack_scores_as_each_model_does_and_as_the_fitted_one(default_stack, rows):
+    fitted, _, loaded = default_stack
+    X = stage_input(rows)
+    meta, scores = model_by_model(loaded, X)
+    assert same_bits(stack_meta_features(loaded, X), meta)
+    assert same_bits(predict_stack_batch(loaded, X), scores)
+    # a pipeline never saved has no stage tables and scores model by model
+    assert fitted.first_table is None and fitted.second_table is None
+    assert same_bits(predict_stack_batch(fitted, X), scores)
+
+
+@pytest.mark.parametrize("rows", STAGE_ROWS)
+def test_groups_hold_runs_of_tree_models_within_the_block_cells(default_stack, rows):
+    _, _, loaded = default_stack
+    table = loaded.first_table
+    runs = [run for run in table.runs(first_models(loaded), (rows, 4)) if run]
+    # every member once, in stage order, each run within the block's cells
+    assert [m for run in runs for m in run] == list(range(len(table.members)))
+    for run in runs:
+        trees = table.bounds[run[-1] + 1] - table.bounds[run[0]]
+        assert len(run) == 1 or rows * trees <= NodeTable.BLOCK_CELLS
+    if rows <= 9:
+        assert len(runs) == 1  # 1,800 trees
+    if rows >= 82:
+        assert all(len(run) == 1 for run in runs)
+
+
+def test_the_second_stage_group_skips_the_mlp_between_its_tree_models(default_stack):
+    _, _, loaded = default_stack
+    table = loaded.second_table
+    # random forest, MLP, boosting, boosting
+    assert [i for i, _ in table.members] == [0, 2, 3]
+    assert list(table.runs(loaded.second_models, (1, 6))) == [[0, 1, 2]]
+    meta = stage_input(3)[:, [0, 1, 2, 3, 0, 1]]
+    want = [model.predict_proba(meta) for model in loaded.second_models]
+    got = list(stacking._stage_scores(loaded.second_models, table, meta))
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_every_tree_model_is_a_range_of_its_stage_table(default_stack):
+    _, _, loaded = default_stack
+    for table, models in ((loaded.first_table, first_models(loaded)),
+                          (loaded.second_table, loaded.second_models)):
+        for i, nodes in table.members:
+            assert models[i].nodes_ is nodes
+            for name in ("feature", "threshold", "right", "value"):
+                assert np.shares_memory(getattr(nodes, name), getattr(table.table, name)), name
+    assert sum(nodes.n_trees for _, nodes in loaded.first_table.members) == 1800
+
+
+def test_saving_a_loaded_stack_writes_the_file_it_came_from(default_stack):
+    _, lines, loaded = default_stack
+    assert list(pipeline_to_lines(loaded)) == lines
+
+
+def test_reassigned_trees_of_a_loaded_model_are_never_served_stale():
+    rng = np.random.default_rng(13)
+    X, y = random_data(rng, n=24)
+    loaded = pipeline_from_lines(list(pipeline_to_lines(
+        fit_stack(X, y, small_real_config(), schema=schema_of_width(4))
+    )))
+    models = first_models(loaded)
+    # boosting fold 0 takes fold 1's trees; fold 2 a new learning rate
+    models[0].nodes_ = models[1].nodes_
+    models[2].learning_rate = 0.5
+    assert [run for run in loaded.first_table.runs(models, (1, 4)) if run] == [[1, 2]]
+    for rows in (1, 24):
+        Xq = stage_input(rows, seed=rows)
+        meta, scores = model_by_model(loaded, Xq)
+        assert same_bits(stack_meta_features(loaded, Xq), meta)
+        assert same_bits(predict_stack_batch(loaded, Xq), scores)
+
+
+def test_a_stage_of_one_tree_model_or_none_has_a_table_or_none():
+    rng = np.random.default_rng(14)
+    X, y = random_data(rng, n=24)
+    config = StackConfig(
+        first_stage=(ModelSpec("logistic_regression"),),
+        second_stage=(ModelSpec("gradient_boosting", {"n_estimators": 0}),),
+        k=2,
+        seed=1,
+    )
+    loaded = pipeline_from_lines(list(pipeline_to_lines(
+        fit_stack(X, y, config, schema=schema_of_width(4))
+    )))
+    assert loaded.first_table is None
+    [(_, nodes)] = loaded.second_table.members
+    assert nodes.n_trees == 0
+    Xq = stage_input(5)
+    assert same_bits(predict_stack_batch(loaded, Xq), model_by_model(loaded, Xq)[1])

@@ -1,0 +1,130 @@
+"""Time ``predict_stack_batch`` by block size under two source trees, in one process.
+
+Usage, from the root of a checkout::
+
+    PYTHONPATH=src:. python tools/score_cpu.py PARENT_SRC CHANGE_SRC [SEED [PAIRS]]
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts;
+SEED, a non-negative integer, defaults to 7 (the seed of the pipeline
+the benchmark's ``batch`` and ``stream`` score with) and PAIRS, a
+positive one, to 20.  The script loads the package from each tree under
+its own module name.  It writes the benchmark's split of SEED
+(``perfbench.corpusgen.write_labeled(SPEC, seed, dir)``) into a
+temporary directory, runs ``train-stack`` on its train files with
+CHANGE_SRC's package, and encodes the test corpus with it.  Each side
+then loads the pipeline with its own ``load_pipeline``.  For each block
+size in :data:`BLOCKS` it scores the first rows of the test corpus in
+blocks of that size, at least :data:`ROWS` rows when the block is
+smaller, PAIRS times with both packages, alternating which goes first,
+and times each side in CPU seconds (``time.process_time``); pin the
+process to one CPU for steady figures.  Per block size it prints one
+line::
+
+    block 1 rows 400 parent 843.2 change 590.6 diff -251.7 won 1.00 same True
+
+with the median CPU µs per revision on each side, the median of the
+paired differences (change minus parent), the share of pairs the change
+was faster in, and whether both sides gave the same scores, bit for
+bit, for every block.  It only reads ``perfbench/``.
+
+It exits 0 when every block size reads ``same True``, 1 (after the
+table) when any reads ``same False``, and 2 on a bad argument.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from fit_cpu import load_package, paired_summary  # noqa: E402
+from perfbench.corpusgen import write_labeled  # noqa: E402
+from perfbench.workloads import SPEC, train_args  # noqa: E402
+
+# the streaming client's blocks (1-16 rows), the last block size whose
+# groups can hold two first-stage models (81), and batch-sized blocks
+BLOCKS = (1, 2, 4, 8, 16, 32, 81, 200, 4000)
+# rows scored per measurement at the least, in whole blocks
+ROWS = 400
+
+
+def prepare(package, seed: int, tmp: Path) -> tuple[Path, np.ndarray]:
+    """The path of a pipeline trained on the seed's train split, and its encoded test corpus."""
+    cli = importlib.import_module(package.__name__ + ".cli")
+    corpus = importlib.import_module(package.__name__ + ".corpus")
+    featurize = importlib.import_module(package.__name__ + ".featurize")
+    stacking = importlib.import_module(package.__name__ + ".stacking")
+    write_labeled(SPEC, seed, tmp)
+    with contextlib.redirect_stdout(sys.stderr):
+        status = cli.main(train_args(tmp))
+    if status != 0:
+        raise SystemExit(f"train-stack exited with {status}")
+    schema = stacking.load_pipeline(tmp / "pipeline.txt").schema
+    revisions = corpus.load_corpus(tmp / "test_corpus.tsv").revisions
+    return tmp / "pipeline.txt", featurize.encode_matrix(featurize.extract_many(revisions), schema)
+
+
+def blocks_of(X: np.ndarray, size: int) -> list[np.ndarray]:
+    """Whole blocks of ``size`` rows from the top of ``X``: at least :data:`ROWS` rows, or all of ``X``."""
+    count = max(1, min(ROWS, X.shape[0]) // size)
+    return [X[lo : lo + size] for lo in range(0, count * size, size)]
+
+
+def score_once(package, pipeline, blocks: list[np.ndarray]) -> tuple[float, np.ndarray]:
+    """CPU seconds of scoring ``blocks`` one after another with ``package``, and the scores."""
+    stacking = importlib.import_module(package.__name__ + ".stacking")
+    start = time.process_time()
+    scores = [stacking.predict_stack_batch(pipeline, block) for block in blocks]
+    return time.process_time() - start, np.concatenate(scores)
+
+
+def compare(sides: tuple, pipelines: tuple, X: np.ndarray, sizes, pairs: int) -> dict[int, dict]:
+    """Per block size, the paired summary of CPU µs per revision over ``pairs`` alternating pairs."""
+    rows = {}
+    for size in sizes:
+        blocks = blocks_of(X, size)
+        n = sum(block.shape[0] for block in blocks)
+        times, same = ([], []), True
+        for pair in range(pairs):
+            scores = [None, None]
+            for side in (0, 1) if pair % 2 == 0 else (1, 0):
+                seconds, scores[side] = score_once(sides[side], pipelines[side], blocks)
+                times[side].append(seconds * 1e6 / n)
+            same = same and scores[0].shape == scores[1].shape and np.array_equal(
+                scores[0].view(np.uint64), scores[1].view(np.uint64)
+            )
+        rows[size] = {**paired_summary(*times), "rows": n, "same": same}
+    return rows
+
+
+def main(argv: list[str]) -> int:
+    numbers = argv[2:] + ["7", "20"][len(argv) - 2 :]  # SEED and PAIRS, defaults filled in
+    if not (2 <= len(argv) <= 4 and all(n.isascii() and n.isdigit() for n in numbers) and int(numbers[1]) > 0):
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
+        return 2
+    seed, pairs = map(int, numbers)
+    sides = (load_package(Path(argv[0]), "parent_vandalstack"),
+             load_package(Path(argv[1]), "change_vandalstack"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, X = prepare(sides[1], seed, Path(tmp))
+        pipelines = tuple(
+            importlib.import_module(side.__name__ + ".stacking").load_pipeline(path) for side in sides
+        )
+    rows = compare(sides, pipelines, X, BLOCKS, pairs)
+    for size, row in rows.items():
+        print(
+            f"block {size} rows {row['rows']} parent {row['parent']:.1f} change {row['change']:.1f}"
+            f" diff {row['diff']:+.1f} won {row['won']:.2f} same {row['same']}"
+        )
+    return 0 if all(row["same"] for row in rows.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
