@@ -61,9 +61,13 @@ class RawFeatures:
         )
 
 
-@lru_cache(maxsize=None)
 def _char_flags(ch: str) -> tuple[bool, bool, bool, bool, bool, bool, bool, bool]:
-    """(lower, upper, digit, alnum, space, punct, alpha, latin) for one char."""
+    """(lower, upper, digit, alnum, space, punct, alpha, latin) for one char.
+
+    The one classification rule of the content features; the class table
+    (:class:`_ClassTable`) holds it as class marks, a character's at its
+    first sight.
+    """
     alpha = ch.isalpha()
     latin = False
     if alpha:
@@ -81,6 +85,51 @@ def _char_flags(ch: str) -> tuple[bool, bool, bool, bool, bool, bool, bool, bool
         alpha,
         latin,
     )
+
+
+# one mark per flag of _char_flags, in its order; the space flag's mark is
+# a space, so that the marks of a comment split where the comment does
+_FLAG_MARKS = "ludn paL"
+_ALPHA_MARK = _FLAG_MARKS[6]
+
+
+class _ClassTable(dict):
+    """Code point -> class marks of its character, for ``str.translate``; filled as characters are met.
+
+    A character's marks are the marks of its flags in :func:`_char_flags`,
+    or ``.`` when it has none.  So a white space character's marks are
+    one space, and every other character's are some marks, none of them
+    white space.
+    """
+
+    def __missing__(self, code: int) -> str:
+        flags = _char_flags(chr(code))
+        marks = "".join(mark for mark, flag in zip(_FLAG_MARKS, flags) if flag) or "."
+        self[code] = marks
+        return marks
+
+
+_CLASSES = _ClassTable()
+
+
+def _longest_run(text: str) -> int:
+    """The length of the longest run of one character in ``text``, in one pass.
+
+    A plain loop: on the corpus's comments it is quicker than a regular
+    expression, ``(.)\\1+``, whose repeat also grows the matcher's stack
+    by about 85 bytes a character of a run.
+    """
+    longest = run = 0
+    prev = None
+    for ch in text:
+        if ch == prev:
+            run += 1
+        else:
+            run = 1
+            prev = ch
+        if run > longest:
+            longest = run
+    return longest
 
 
 @lru_cache(maxsize=1)
@@ -111,37 +160,25 @@ def extract_content(comment: str) -> RawFeatures:
     Every ratio is 0.0 on the empty comment; ratios over letters (latin /
     non-latin) and over cased words fall back to 0.0 when their
     denominator is empty.
+
+    Each character class is counted over the comment's class marks
+    (``str.translate`` by the class table), one ``str.count`` a class.
+    A word (of ``str.split()``) is cased when its marks, the same split
+    of the marks, hold the alpha mark, and its case is
+    ``str.islower``/``str.isupper`` of the word.  The longest run of one
+    character is the one loop over characters left (:func:`_longest_run`).
     """
     n = len(comment)
-    lower = upper = digit = alnum = space = punct = alpha = latin = 0
-    longest_run = 0
-    run = 0
-    prev = None
-    for ch in comment:
-        lo, up, dg, an, sp, pu, al, la = _char_flags(ch)
-        lower += lo
-        upper += up
-        digit += dg
-        alnum += an
-        space += sp
-        punct += pu
-        alpha += al
-        latin += la
-        if ch == prev:
-            run += 1
-        else:
-            run = 1
-            prev = ch
-        if run > longest_run:
-            longest_run = run
+    marks = comment.translate(_CLASSES)
+    lower, upper, digit, alnum, space, punct, alpha, latin = map(marks.count, _FLAG_MARKS)
+    longest_run = _longest_run(comment)
 
     words = comment.split()
-    longest_word = max((len(w) for w in words), default=0)
-    cased = [w for w in words if any(c.isalpha() for c in w)]
-    lower_words = sum(1 for w in cased if w.islower())
-    upper_words = sum(1 for w in cased if w.isupper())
-    known = lang_words()
-    lang_hits = sum(1 for w in words if w.lower() in known)
+    longest_word = max(map(len, words), default=0)
+    cased = [word for word, word_marks in zip(words, marks.split()) if _ALPHA_MARK in word_marks]
+    lower_words = sum(map(str.islower, cased))
+    upper_words = sum(map(str.isupper, cased))
+    lang_hits = sum(map(lang_words().__contains__, map(str.lower, words)))
 
     def ratio(count: int, denom: int) -> float:
         return count / denom if denom else 0.0

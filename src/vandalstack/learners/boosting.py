@@ -96,11 +96,16 @@ class GradientBoostingClassifier(BaseModel):
     def decision_function(self, X) -> np.ndarray:
         """Raw additive score before the sigmoid."""
         X = check_predict_input(self, X)
-        return self.nodes_.sum_leaves(X, self.base_score_, self.learning_rate)
+        return self.nodes_.sum_leaves(X, *self.leaf_rule())
 
     def predict_proba(self, X) -> np.ndarray:
-        return sigmoid(self.decision_function(X))
+        return self.proba_from_sums(self.decision_function(X), self.nodes_.n_trees)
 
-    def proba_from_leaves(self, leaves: np.ndarray) -> np.ndarray:
-        """:meth:`predict_proba` from each row's leaf in each tree (``nodes_.leaf_ids``)."""
-        return sigmoid(self.nodes_.leaf_sums(leaves, self.base_score_, self.learning_rate))
+    def leaf_rule(self) -> tuple[float, float]:
+        """``(start, weight)`` of the leaf sums that :meth:`proba_from_sums` finishes."""
+        return self.base_score_, self.learning_rate
+
+    @staticmethod
+    def proba_from_sums(sums: np.ndarray, n_trees) -> np.ndarray:
+        """P(positive) from the raw scores (leaf sums) of ``n_trees`` trees, element by element."""
+        return sigmoid(sums)

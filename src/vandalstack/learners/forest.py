@@ -56,11 +56,16 @@ class _BaseForest(BaseModel):
     def predict_proba(self, X) -> np.ndarray:
         """P(positive) per row: the mean of the per-tree leaf fractions."""
         X = check_predict_input(self, X)
-        return self.nodes_.sum_leaves(X, 0.0, 1.0) / self.nodes_.n_trees
+        return self.proba_from_sums(self.nodes_.sum_leaves(X, *self.leaf_rule()), self.nodes_.n_trees)
 
-    def proba_from_leaves(self, leaves: np.ndarray) -> np.ndarray:
-        """:meth:`predict_proba` from each row's leaf in each tree (``nodes_.leaf_ids``)."""
-        return self.nodes_.leaf_sums(leaves, 0.0, 1.0) / self.nodes_.n_trees
+    def leaf_rule(self) -> tuple[float, float]:
+        """``(start, weight)`` of the leaf sums that :meth:`proba_from_sums` finishes."""
+        return 0.0, 1.0
+
+    @staticmethod
+    def proba_from_sums(sums: np.ndarray, n_trees) -> np.ndarray:
+        """P(positive) from the leaf sums of ``n_trees`` trees, element by element: their mean."""
+        return sums / n_trees
 
 
 class RandomForestClassifier(_BaseForest):

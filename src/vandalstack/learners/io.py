@@ -262,20 +262,19 @@ _NODE_LINE = np.dtype(
         ("value", np.float64),
     ]
 )
+# node lines parsed at once: bounds the joined text and the parsed lines
+# held together to a few hundred kB, whatever the size of a model
+_PARSE_LINES = 4096
 
 
-def _parse_nodes(lines: Sequence[str]) -> tuple:
-    """The ``(feature, threshold, left, right, value)`` columns of node lines, parsed in bulk."""
-    nodes = np.zeros(0, dtype=_NODE_LINE)
-    if lines:
-        if not _bulk_parsable("\n".join(lines)):
-            raise ValueError("not node lines in the file's number text")
-        nodes = np.loadtxt(
-            lines, dtype=_NODE_LINE, delimiter=" ", comments=None, quotechar=None, ndmin=1
-        )
-        if nodes.size != len(lines) or not np.all(nodes["tag"] == "node"):
-            raise ValueError("not a node line")
-    return tuple(nodes[name] for name in _NODE_LINE.names[1:])
+def _parse_nodes(lines: Sequence[str]) -> np.ndarray:
+    """Node lines, at least one, parsed in bulk: a record array of :data:`_NODE_LINE`."""
+    if not _bulk_parsable("\n".join(lines)):
+        raise ValueError("not node lines in the file's number text")
+    nodes = np.loadtxt(lines, dtype=_NODE_LINE, delimiter=" ", comments=None, quotechar=None, ndmin=1)
+    if nodes.size != len(lines) or not np.all(nodes["tag"] == "node"):
+        raise ValueError("not a node line")
+    return nodes
 
 
 def _bulk_parsable(text: str) -> bool:
@@ -354,15 +353,23 @@ def _read_trees(reader: LineReader, model, trees: TreeColumns) -> None:
         # the file line of the model's k-th node line
         return trees_line + _below_trees(sizes, k)
 
-    try:
-        feature, threshold, left, right, value = _parse_nodes(lines)
-    except ValueError:
-        for k, line in enumerate(lines):
-            try:
-                _parse_nodes([line])
-            except ValueError:
-                raise MalformedLine(f"bad tree node line {line!r}", line_of(k))
-        raise MalformedLine("bad tree node lines", line_of(0))
+    # parsed a bounded number of lines at a time, straight into the next rows
+    rows = slice(trees.filled, trees.filled + len(lines))
+    feature, threshold, right, value = (column[rows] for column in trees.columns)
+    left = np.empty(len(lines), np.intp)
+    for lo in range(0, len(lines), _PARSE_LINES):
+        chunk = lines[lo : lo + _PARSE_LINES]
+        try:
+            nodes = _parse_nodes(chunk)
+        except ValueError:
+            for k, line in enumerate(chunk, lo):
+                try:
+                    _parse_nodes([line])
+                except ValueError:
+                    raise MalformedLine(f"bad tree node line {line!r}", line_of(k))
+            raise MalformedLine("bad tree node lines", line_of(0))
+        for column, name in zip((feature, threshold, left, right, value), _NODE_LINE.names[1:]):
+            column[lo : lo + len(chunk)] = nodes[name]
     problems = [invalid_node(feature, threshold, left, right, sizes)]
     wide = np.nonzero(feature >= dim)[0]
     if wide.size:
@@ -373,9 +380,6 @@ def _read_trees(reader: LineReader, model, trees: TreeColumns) -> None:
     bad = min((problem for problem in problems if problem is not None), default=None)
     if bad is not None:
         raise MalformedLine(f"bad tree node: {bad[1]}", line_of(bad[0]))
-    rows = slice(trees.filled, trees.filled + feature.size)
-    for column, parsed in zip(trees.columns, (feature, threshold, right, value)):
-        column[rows] = parsed
     trees.filled = rows.stop
     trees.models.append((model, np.array(sizes, dtype=np.intp), trees_line))
 

@@ -185,7 +185,12 @@ class NodeTable:
         return depths
 
     def leaf_ids(self, X: np.ndarray) -> np.ndarray:
-        """Global leaf index, shape ``(rows, trees)``, for a dense block."""
+        """Global leaf index, shape ``(trees, rows)``, for a dense block.
+
+        The cells are laid out tree-major: cell ``t * rows + r`` is row
+        ``r`` in tree ``t``, so one tree's leaves, and a tree range's, are
+        contiguous rows of the result.
+        """
         n, d = X.shape
         if self.width > d:
             raise DimensionMismatch(
@@ -194,9 +199,10 @@ class NodeTable:
         padded = np.zeros((n, d + 1))
         padded[:, 1:] = X
         flat = padded.ravel()
-        # cell (row r, tree t) sits at r * trees + t
-        row_base = np.repeat(np.arange(0, n * (d + 1), d + 1), self.n_trees)
-        node = np.tile(self.roots, n)
+        row_base = np.empty((self.n_trees, n), dtype=np.intp)
+        row_base[:] = np.arange(0, n * (d + 1), d + 1)
+        row_base = row_base.ravel()
+        node = np.repeat(self.roots, n)
         feature, threshold, right = self.feature, self.threshold, self.right
         # `node` holds the walked cells; `cell` their indices once finished
         # cells have been set aside in `leaf`, or None while all are walked
@@ -217,9 +223,9 @@ class NodeTable:
             x = flat.take(row_base + f)
             node = right.take(node) - (x <= threshold.take(node))
         if cell is None:
-            return node.reshape(n, self.n_trees)
+            return node.reshape(self.n_trees, n)
         leaf[cell] = node
-        return leaf.reshape(n, self.n_trees)
+        return leaf.reshape(self.n_trees, n)
 
     def sum_leaves(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
         """:meth:`leaf_sums` of dense ``X``, walked in blocks of :attr:`BLOCK_CELLS` cells."""
@@ -233,12 +239,33 @@ class NodeTable:
     def leaf_sums(self, leaves: np.ndarray, start: float, weight: float) -> np.ndarray:
         """``start + weight*v_1 + ... + weight*v_T`` per row of :meth:`leaf_ids` of these trees.
 
-        ``v_t`` is the leaf value of tree ``t``.  The sum runs strictly in
-        tree order, one addition after another, so it matches a loop over
-        the trees bit for bit (pairwise summation would not).
+        ``v_t`` is the leaf value of tree ``t``.  The terms are the rows of
+        a :func:`term_table`, ``start`` first and tree ``t``'s in row ``t``,
+        added by :func:`tree_order_sums`: in tree order, one addition after
+        another, so each sum matches a loop over the trees bit for bit.
         """
-        terms = np.empty((leaves.shape[0], leaves.shape[1] + 1))
-        terms[:, 0] = start
-        np.multiply(self.value[leaves], weight, out=terms[:, 1:])
-        return np.add.accumulate(terms, axis=1)[:, -1]
+        trees, n = leaves.shape
+        terms = term_table(trees + 1, n)
+        terms[0, :n] = start
+        np.multiply(self.value.take(leaves), weight, out=terms[1:, :n])
+        return tree_order_sums(terms)[:n]
 
+
+def term_table(terms: int, sums: int) -> np.ndarray:
+    """Zeros for ``terms`` terms of each of ``sums`` sums, a row a term, and one spare column."""
+    return np.zeros((terms, sums + 1))
+
+
+def tree_order_sums(terms: np.ndarray) -> np.ndarray:
+    """The sum of each column of a table of terms at least two columns wide, added row by row.
+
+    The one summation rule of tree scores, at every row count: each sum
+    runs down its column, one addition after another.  ``np.add.reduce``
+    over axis 0 adds whole rows in order while a row holds at least two
+    cells, which the spare column of a :func:`term_table` ensures: on one
+    column numpy sees one contiguous run and sums it pairwise, as
+    ``np.add.reduceat`` sums every segment at any width.  The sums start
+    from ``-0.0``, which adds nothing to any first term (numpy's default
+    start, ``0.0``, would turn a sum of ``-0.0`` terms into ``0.0``).
+    """
+    return np.add.reduce(terms, axis=0, initial=-0.0)

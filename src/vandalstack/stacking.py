@@ -24,12 +24,12 @@ stage's :class:`StageTable`, before anything is scored; each model's
 ``nodes_`` is a range of it.  A block is then scored in groups: a run of
 the stage's tree models, in stage order, as long as rows x trees stay
 within ``NodeTable.BLOCK_CELLS``.  A group of several models is walked
-once, and each model's leaves are summed in its own tree order and
-finished by that model, so each scores bit for bit as its own
-``predict_proba``.  A group of one, and every other model, is scored by
-its own ``predict_proba``.  A one-row block walks the first stage's
-1,800 trees (the default stack's) in one walk; from 82 rows up every
-group holds one model.  A pipeline from ``fit_stack`` has no stage
+once; each model's leaves are summed in its own tree order, all in one
+pass, and finished by its family's rule, one call a family, so each
+scores bit for bit as its own ``predict_proba``.  A group of one, and
+every other model, is scored by its own ``predict_proba``.  A one-row
+block walks the first stage's 1,800 trees (the default stack's) in one
+walk; from 82 rows up every group holds one model.  A pipeline from ``fit_stack`` has no stage
 tables and scores model by model, with the same scores.
 """
 
@@ -68,7 +68,7 @@ from .learners import (
     train,
 )
 from .learners.base import check_dense, check_X_y, param_problem
-from .learners.tree import NodeTable
+from .learners.tree import NodeTable, term_table, tree_order_sums
 from .lines import LineReader, Source, Target, parse_int, read_lines, write_lines
 from .rng import derive_seed, generator
 
@@ -155,6 +155,8 @@ class StageTable:
     table: NodeTable
     members: tuple[tuple[int, NodeTable], ...]
     bounds: tuple[int, ...]
+    # per run walked, (first member, members): its sizes and term layout
+    layouts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def compile(cls, models: Sequence[BaseModel], trees: TreeColumns) -> Optional[StageTable]:
@@ -188,14 +190,53 @@ class StageTable:
             trees += nodes.n_trees
         yield run
 
+    def layout(self, run: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The tree counts of the members in ``run``, and where each of their terms is.
+
+        A run's values are the rows of a :func:`term_table`: the members'
+        starts, their weighted leaf values in tree order, then one row of
+        ``-0.0``.  Column ``k`` of the layout lists the rows that make
+        member ``k``'s terms: its start, its trees' values, then the
+        ``-0.0`` row, which adds nothing, down to the longest member's
+        length.
+        """
+        key = run[0], len(run)
+        if key not in self.layouts:
+            bounds = np.array(self.bounds[run[0] : run[-1] + 2])
+            sizes, own = np.diff(bounds), bounds[:-1] - bounds[0]
+            depth = np.arange(sizes.max() + 1)[:, None]
+            rows = np.where(depth <= sizes, len(run) + own + depth - 1, len(run) + bounds[-1] - bounds[0])
+            rows[0] = np.arange(len(run))
+            self.layouts[key] = sizes, rows
+        return self.layouts[key]
+
     def walk(self, models: Sequence[BaseModel], run: list[int], X: np.ndarray) -> Iterator[tuple]:
-        """``(index, predict_proba of X)`` of each member in ``run``, from one walk of their trees."""
-        lo = self.bounds[run[0]]
-        leaves = self.table.trees(lo, self.bounds[run[-1] + 1]).leaf_ids(X)
-        for m in run:
-            i = self.members[m][0]
-            own = leaves[:, self.bounds[m] - lo : self.bounds[m + 1] - lo]
-            yield i, models[i].proba_from_leaves(own)
+        """``(index, predict_proba of X)`` of each member in ``run``, from one walk of their trees.
+
+        The walk's leaves are tree-major, so the group's weighted leaf
+        values are taken at once, each member's a range of rows.  One take
+        lays each member's terms out in a column (:meth:`layout`), so
+        :func:`tree_order_sums` adds every member's in one pass, and the
+        members of one family are finished together.
+        """
+        lo, hi, n = self.bounds[run[0]], self.bounds[run[-1] + 1], X.shape[0]
+        leaves = self.table.trees(lo, hi).leaf_ids(X)
+        indices = [self.members[m][0] for m in run]
+        starts, weights = zip(*(models[i].leaf_rule() for i in indices))
+        sizes, rows = self.layout(run)
+        values = term_table(len(run) + hi - lo + 1, n)
+        values[: len(run), :n] = np.array(starts)[:, None]
+        np.multiply(
+            self.table.value.take(leaves), np.repeat(weights, sizes)[:, None], out=values[len(run) : -1, :n]
+        )
+        values[-1] = -0.0
+        terms = values.take(rows, axis=0)
+        sums = tree_order_sums(terms.reshape(rows.shape[0], -1)).reshape(len(run), n + 1)
+        families = {}
+        for k, i in enumerate(indices):
+            families.setdefault(type(models[i]).proba_from_sums, []).append(k)
+        for finish, ks in families.items():
+            yield from zip([indices[k] for k in ks], finish(sums[ks, :n], sizes[ks, None]))
 
 
 def _stage_scores(

@@ -111,7 +111,7 @@ def table_of(members) -> NodeTable:
 def predict_dense(tree: LocalTree, X: np.ndarray) -> np.ndarray:
     """The leaf value every row of dense ``X`` reaches in one tree."""
     table = table_of([tree])
-    return table.value[table.leaf_ids(X)[:, 0]]
+    return table.value[table.leaf_ids(X)[0]]
 
 
 def reference_tree_lines(members) -> list[str]:

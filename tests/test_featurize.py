@@ -21,6 +21,7 @@ from vandalstack.featurize import (
     extract_content,
     extract_context,
     extract_features,
+    lang_words,
     load_schema,
     parse_comment_header,
     save_schema,
@@ -28,6 +29,7 @@ from vandalstack.featurize import (
     schema_to_lines,
     vectors_to_csr,
 )
+from vandalstack.featurize import _char_flags, _find_hashtag
 
 FULL_LINE = (
     "308612969\t/* wbsetclaim-create:2||1 */ [[Property:P800]]: [[Q5974487]]"
@@ -443,3 +445,89 @@ def test_non_finite_numeric_feature_fails_the_same_way_in_both_encoders(bad):
     with pytest.raises(ValueError) as via_matrix:
         encode_matrix(raws, schema)
     assert str(via_matrix.value) == str(via_encode.value) == f"numeric feature b is not finite: {bad!r}"
+
+
+def reference_content(comment):
+    """The content features one character at a time: the definition :func:`extract_content` must meet."""
+    n = len(comment)
+    lower = upper = digit = alnum = space = punct = alpha = latin = 0
+    longest_run = 0
+    run = 0
+    prev = None
+    for ch in comment:
+        lo, up, dg, an, sp, pu, al, la = _char_flags(ch)
+        lower += lo
+        upper += up
+        digit += dg
+        alnum += an
+        space += sp
+        punct += pu
+        alpha += al
+        latin += la
+        if ch == prev:
+            run += 1
+        else:
+            run = 1
+            prev = ch
+        if run > longest_run:
+            longest_run = run
+
+    words = comment.split()
+    longest_word = max((len(w) for w in words), default=0)
+    cased = [w for w in words if any(c.isalpha() for c in w)]
+    lower_words = sum(1 for w in cased if w.islower())
+    upper_words = sum(1 for w in cased if w.isupper())
+    known = lang_words()
+    lang_hits = sum(1 for w in words if w.lower() in known)
+
+    def ratio(count, denom):
+        return count / denom if denom else 0.0
+
+    return {
+        "alphanumericRatio": ratio(alnum, n),
+        "commentLength": float(n),
+        "containsHashTag": 1.0 if _find_hashtag(comment) is not None else 0.0,
+        "containsLangWord": 1.0 if lang_hits else 0.0,
+        "containsURL": 1.0 if any(m in comment for m in ("http://", "https://", "www.")) else 0.0,
+        "digitRatio": ratio(digit, n),
+        "isSpecContriUser": 1.0 if "[[Special:Contributions/" in comment else 0.0,
+        "langWordRatio": ratio(lang_hits, len(words)),
+        "latinRatio": ratio(latin, alpha),
+        "longestCharSeq": float(longest_run),
+        "longestWord": float(longest_word),
+        "lowerCaseRatio": ratio(lower, n),
+        "lowerCaseWordRatio": ratio(lower_words, len(cased)),
+        "nonLatinRatio": ratio(alpha - latin, alpha),
+        "punctuationRatio": ratio(punct, n),
+        "upperCaseRatio": ratio(upper, n),
+        "upperCaseWordRatio": ratio(upper_words, len(cased)),
+        "whitespaceRatio": ratio(space, n),
+    }
+
+
+# characters whose classes are easy to get wrong: every white space
+# character, titlecase letters, cased characters that are not letters,
+# symbols with no flag, letters of several scripts, non-BMP characters and
+# a lone surrogate, beside plain ASCII and words of the language list
+CHAR_POOL = (
+    [chr(c) for c in range(0x3000 + 1) if chr(c).isspace()]
+    + list("ǅǈªʰⅠⅰⓐͅ+^#")
+    + list("aZ09_.,!?-/:|[]*'\"éßİΣσЖж中٣½")
+    + ["\U0001d400", "\U00010400", "\U00010428", "\U0001f600", "\ud800"]
+    + ["the", "The", "THE", "und", "ǅungla", "ⅰⅱ", "Ⓐⓑ", "http://", "aaaa"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(CHAR_POOL), st.characters()), max_size=60).map("".join))
+def test_content_features_equal_the_per_character_definition(comment):
+    got = extract_content(comment).numeric
+    want = reference_content(comment)
+    assert list(got) == list(want)
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+
+
+@pytest.mark.parametrize("comment", ["a" * 100_000, "ab" * 50_000, "ab cd ef " * 11_111, " " * 1000])
+def test_long_comments_equal_the_per_character_definition(comment):
+    got = extract_content(comment).numeric
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in reference_content(comment).items()}

@@ -30,6 +30,7 @@ from vandalstack.learners import (
     LogisticRegression,
     RandomForestClassifier,
 )
+from vandalstack.learners import io as io_module
 from vandalstack.learners.io import TreeColumns, model_from_lines, model_to_lines, read_model
 from vandalstack.learners.tree import NodeTable, invalid_node
 from vandalstack.stacking import StageTable, _stage_scores
@@ -260,7 +261,7 @@ def assert_walk_matches_reference(members, X, compact):
         table = table_of(members)
         leaves = table.value[table.leaf_ids(X)]
         got = boosting_of(members, 0.25, 0.5).decision_function(X)
-    want = np.stack([reference_leaf_values(t, X) for t in members], axis=1)
+    want = np.stack([reference_leaf_values(t, X) for t in members])
     assert bitwise_equal(leaves, want)
     assert bitwise_equal(got, boosting_reference(members, X, 0.25, 0.5))
 
@@ -300,7 +301,7 @@ def test_a_table_without_trees_has_no_leaves(compact):
     with pytest.MonkeyPatch.context() as mp:
         sizes(mp, compact=compact)
         table = table_of([])
-        assert table.leaf_ids(X).shape == (X.shape[0], 0)
+        assert table.leaf_ids(X).shape == (0, X.shape[0])
         got = boosting_of([], 0.25, 0.5).decision_function(X)
     assert bitwise_equal(got, np.full(X.shape[0], 0.25))
 
@@ -547,3 +548,51 @@ def test_corrupt_node_lines_fail_closed(data):
         assert 1 <= outcome["error"].line_no <= len(lines)
     else:
         assert outcome["scores"].shape == (2,)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 81, 82, 4000])
+def test_leaf_sums_add_in_tree_order_at_every_row_count(rows):
+    # a sum that pairwise or reordered addition would change: leaf values
+    # spanning 16 orders of magnitude, either sign, on 150 stumps
+    rng = np.random.default_rng(rows)
+    magnitude = lambda size: rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 8, size)
+    members = [stump(int(f), 0.0, *magnitude(2)) for f in rng.integers(0, N_FEATURES, 150)]
+    table = table_of(members)
+    X = rng.standard_normal((rows, N_FEATURES))
+    leaves = table.leaf_ids(X)
+    for start, weight in ((0.0, 1.0), (float(magnitude(1)[0]), 0.1)):
+        want = np.full(rows, start)
+        for t in range(len(members)):
+            want = want + weight * table.value[leaves[t]]
+        assert bitwise_equal(table.leaf_sums(leaves, start, weight), want)
+    # a sum of negative zeros is a negative zero
+    zeros = table_of([LocalTree.leaf(-0.0)] * 3)
+    got = zeros.leaf_sums(zeros.leaf_ids(X), -0.0, 0.5)
+    assert bitwise_equal(got, np.full(rows, -0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_node_lines_parsed_a_few_at_a_time_fail_at_the_same_line(data):
+    lines, _ = fitted_tree_lines()
+    node_lines = [i for i, line in enumerate(lines) if line.startswith("node ")]
+    at = data.draw(st.sampled_from(node_lines))
+    parts = lines[at].split(" ")
+    parts[data.draw(st.integers(0, 5))] = data.draw(st.sampled_from(TOKENS + ["nodes", " 1"]))
+    corrupt = list(lines)
+    corrupt[at] = " ".join(parts)
+
+    def outcome():
+        got = load_within(corrupt)
+        error = got.get("error")
+        return (error.reason, error.line_no) if error else got
+
+    whole = outcome()
+    for chunk in (1, 2, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io_module, "_PARSE_LINES", chunk)
+            got = outcome()
+        if isinstance(whole, tuple):
+            assert got == whole
+        else:
+            assert bitwise_equal(got["scores"], whole["scores"])

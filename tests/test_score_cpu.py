@@ -1,4 +1,4 @@
-"""``tools/score_cpu.py``: two source trees loaded side by side, scoring timed in pairs by block size."""
+"""``tools/score_cpu.py``: two source trees loaded side by side, scoring and featurize timed in pairs by block size."""
 
 import importlib.util
 import sys
@@ -9,17 +9,31 @@ import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "score_cpu.py"
 
-# a package with the stacking interface the tool reads: a pipeline loader
-# and a block scorer
-STACKING = '''import numpy as np
+# a package with the stacking and featurize interfaces the tool reads: a
+# pipeline loader and a block scorer; a revision's features and a block's
+# encoding with the pipeline's schema
+STACKING = '''import types
+
+import numpy as np
 
 
 def load_pipeline(path):
-    return {{"scale": float(open(path).read())}}
+    scale = float(open(path).read())
+    return types.SimpleNamespace(scale=scale, schema=scale)
 
 
 def predict_stack_batch(pipeline, X):
     return {score}
+'''
+FEATURIZE = '''import numpy as np
+
+
+def extract_features(rev):
+    return [float(rev), 2.0 * rev]
+
+
+def encode_matrix(raws, schema):
+    return {encode}
 '''
 
 
@@ -30,11 +44,12 @@ def load_tool():
     return module
 
 
-def write_package(root: Path, score: str) -> Path:
+def write_package(root: Path, score: str, encode: str = "np.array(raws).reshape(len(raws), 2) * schema") -> Path:
     package = root / "vandalstack"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("", encoding="utf-8")
     (package / "stacking.py").write_text(STACKING.format(score=score), encoding="utf-8")
+    (package / "featurize.py").write_text(FEATURIZE.format(encode=encode), encoding="utf-8")
     return root
 
 
@@ -60,8 +75,8 @@ def test_blocks_are_whole_and_cover_the_least_rows():
 
 def test_two_trees_load_side_by_side_and_their_scores_compare(tmp_path):
     tool = load_tool()
-    parent = tool.load_package(write_package(tmp_path / "a", "X.sum(axis=1) * pipeline['scale']"), "score_cpu_a")
-    change = tool.load_package(write_package(tmp_path / "b", "pipeline['scale'] * X.sum(axis=1)"), "score_cpu_b")
+    parent = tool.load_package(write_package(tmp_path / "a", "X.sum(axis=1) * pipeline.scale"), "score_cpu_a")
+    change = tool.load_package(write_package(tmp_path / "b", "pipeline.scale * X.sum(axis=1)"), "score_cpu_b")
     sides = (parent, change)
     X = np.arange(12.0).reshape(6, 2)
     rows = tool.compare(sides, pipelines(tool, sides, tmp_path), X, (1, 4), pairs=3)
@@ -97,22 +112,48 @@ def test_usage_on_a_seed_or_pairs_that_is_no_count(capsys, args):
     assert "PARENT_SRC CHANGE_SRC" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("change_score, status", [("X.sum(axis=1)", 0), ("X.sum(axis=1) + 1.0", 1)])
-def test_the_exit_status_says_whether_every_block_scored_the_same(
-    tmp_path, monkeypatch, capsys, change_score, status
+def test_two_trees_featurize_side_by_side_and_their_matrices_compare(tmp_path):
+    tool = load_tool()
+    parent = tool.load_package(write_package(tmp_path / "a", "X.sum(axis=1)"), "score_cpu_e")
+    change = tool.load_package(
+        write_package(tmp_path / "b", "X.sum(axis=1)", "np.array(raws) * schema + 0.0"), "score_cpu_f"
+    )
+    sides = (parent, change)
+    schemas = tuple(pipeline.schema for pipeline in pipelines(tool, sides, tmp_path))
+    rows = tool.compare_featurize(sides, schemas, [1, 2, 3, 4, 5], (1, 2), pairs=3)
+    assert rows[1]["rows"] == 5 and rows[2]["rows"] == 4
+    assert all(row["same"] is True for row in rows.values())
+    odd = tool.load_package(
+        write_package(tmp_path / "c", "X.sum(axis=1)", "np.nextafter(np.array(raws) * schema, 9.0)"), "score_cpu_g"
+    )
+    [row] = tool.compare_featurize((parent, odd), schemas, [1, 2], (2,), pairs=2).values()
+    assert row["same"] is False
+
+
+@pytest.mark.parametrize(
+    "change_score, change_encode, status",
+    [
+        ("X.sum(axis=1)", "np.array(raws) * schema", 0),
+        ("X.sum(axis=1) + 1.0", "np.array(raws) * schema", 1),
+        ("X.sum(axis=1)", "np.array(raws) * schema + 1.0", 1),
+    ],
+)
+def test_the_exit_status_says_whether_every_block_scored_and_featurized_the_same(
+    tmp_path, monkeypatch, capsys, change_score, change_encode, status
 ):
     tool = load_tool()
     path = tmp_path / "pipeline.txt"
     path.write_text("1.0", encoding="utf-8")
-    X = np.arange(10.0).reshape(5, 2)
-    monkeypatch.setattr(tool, "prepare", lambda package, seed, tmp: (path, X))
+    monkeypatch.setattr(tool, "prepare", lambda package, seed, tmp: (path, [1, 2, 3, 4, 5]))
     monkeypatch.setattr(tool, "BLOCKS", (1, 5))
     parent = write_package(tmp_path / "a", "X.sum(axis=1)")
-    change = write_package(tmp_path / "b", change_score)
+    change = write_package(tmp_path / "b", change_score, change_encode)
     assert tool.main([str(parent), str(change), "3", "2"]) == status
     lines = capsys.readouterr().out.splitlines()  # the table is printed either way
     assert [line.split(" rows ")[0] for line in lines] == ["block 1", "block 5"]
-    assert all(line.endswith(f" same {status == 0}") for line in lines)
+    scored, featurized = change_score == "X.sum(axis=1)", change_encode == "np.array(raws) * schema"
+    assert all(f" same {scored} featurize " in line for line in lines)
+    assert all(line.endswith(f" same {featurized}") for line in lines)
 
 
 @pytest.fixture(autouse=True)

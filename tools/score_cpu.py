@@ -1,4 +1,4 @@
-"""Time ``predict_stack_batch`` by block size under two source trees, in one process.
+"""Time scoring and the client's featurize step by block size under two source trees, in one process.
 
 Usage, from the root of a checkout::
 
@@ -11,23 +11,30 @@ positive one, to 20.  The script loads the package from each tree under
 its own module name.  It writes the benchmark's split of SEED
 (``perfbench.corpusgen.write_labeled(SPEC, seed, dir)``) into a
 temporary directory, runs ``train-stack`` on its train files with
-CHANGE_SRC's package, and encodes the test corpus with it.  Each side
-then loads the pipeline with its own ``load_pipeline``.  For each block
-size in :data:`BLOCKS` it scores the first rows of the test corpus in
-blocks of that size, at least :data:`ROWS` rows when the block is
-smaller, PAIRS times with both packages, alternating which goes first,
-and times each side in CPU seconds (``time.process_time``); pin the
-process to one CPU for steady figures.  Per block size it prints one
-line::
+CHANGE_SRC's package, and reads the test corpus.  Each side then loads
+the pipeline with its own ``load_pipeline``.  For each block size in
+:data:`BLOCKS` it takes the first revisions of the test corpus in blocks
+of that size, at least :data:`ROWS` rows when the block is smaller, and
+times, PAIRS times with both packages, alternating which goes first, in
+CPU seconds (``time.process_time``; pin the process to one CPU for
+steady figures):
 
-    block 1 rows 400 parent 843.2 change 590.6 diff -251.7 won 1.00 same True
+* the streaming client's featurize step: ``extract_features`` per
+  revision, then ``encode_matrix`` of the block with the side's schema;
+* ``predict_stack_batch`` on those blocks of the test corpus as the
+  change encodes it.
 
-with the median CPU µs per revision on each side, the median of the
-paired differences (change minus parent), the share of pairs the change
-was faster in, and whether both sides gave the same scores, bit for
+Per block size it prints one line::
+
+    block 1 rows 400 parent 843.2 change 590.6 diff -251.7 won 1.00 same True featurize parent 27.0 change 15.1 diff -11.9 won 1.00 same True
+
+with, for scoring and then for featurize, the median CPU µs per
+revision on each side, the median of the paired differences (change
+minus parent), the share of pairs the change was faster in, and whether
+both sides gave the same scores (the same encoded matrices), bit for
 bit, for every block.  It only reads ``perfbench/``.
 
-It exits 0 when every block size reads ``same True``, 1 (after the
+It exits 0 when every block size reads ``same True`` twice, 1 (after the
 table) when any reads ``same False``, and 2 on a bad argument.
 """
 
@@ -55,25 +62,21 @@ BLOCKS = (1, 2, 4, 8, 16, 32, 81, 200, 4000)
 ROWS = 400
 
 
-def prepare(package, seed: int, tmp: Path) -> tuple[Path, np.ndarray]:
-    """The path of a pipeline trained on the seed's train split, and its encoded test corpus."""
+def prepare(package, seed: int, tmp: Path) -> tuple[Path, list]:
+    """The path of a pipeline trained on the seed's train split, and the revisions of its test corpus."""
     cli = importlib.import_module(package.__name__ + ".cli")
     corpus = importlib.import_module(package.__name__ + ".corpus")
-    featurize = importlib.import_module(package.__name__ + ".featurize")
-    stacking = importlib.import_module(package.__name__ + ".stacking")
     write_labeled(SPEC, seed, tmp)
     with contextlib.redirect_stdout(sys.stderr):
         status = cli.main(train_args(tmp))
     if status != 0:
         raise SystemExit(f"train-stack exited with {status}")
-    schema = stacking.load_pipeline(tmp / "pipeline.txt").schema
-    revisions = corpus.load_corpus(tmp / "test_corpus.tsv").revisions
-    return tmp / "pipeline.txt", featurize.encode_matrix(featurize.extract_many(revisions), schema)
+    return tmp / "pipeline.txt", corpus.load_corpus(tmp / "test_corpus.tsv").revisions
 
 
-def blocks_of(X: np.ndarray, size: int) -> list[np.ndarray]:
+def blocks_of(X, size: int) -> list:
     """Whole blocks of ``size`` rows from the top of ``X``: at least :data:`ROWS` rows, or all of ``X``."""
-    count = max(1, min(ROWS, X.shape[0]) // size)
+    count = max(1, min(ROWS, len(X)) // size)
     return [X[lo : lo + size] for lo in range(0, count * size, size)]
 
 
@@ -85,23 +88,46 @@ def score_once(package, pipeline, blocks: list[np.ndarray]) -> tuple[float, np.n
     return time.process_time() - start, np.concatenate(scores)
 
 
+def featurize_once(package, schema, blocks: list) -> tuple[float, np.ndarray]:
+    """CPU seconds of the client's featurize step on blocks of revisions, and the encoded rows."""
+    featurize = importlib.import_module(package.__name__ + ".featurize")
+    start = time.process_time()
+    rows = [
+        featurize.encode_matrix([featurize.extract_features(rev) for rev in block], schema)
+        for block in blocks
+    ]
+    return time.process_time() - start, np.concatenate(rows)
+
+
+def paired(run, blocks: list, pairs: int) -> dict:
+    """The paired summary of ``run(side, blocks)`` in CPU µs per row over ``pairs`` alternating pairs."""
+    n = sum(len(block) for block in blocks)
+    times, same = ([], []), True
+    for pair in range(pairs):
+        outputs = [None, None]
+        for side in (0, 1) if pair % 2 == 0 else (1, 0):
+            seconds, outputs[side] = run(side, blocks)
+            times[side].append(seconds * 1e6 / n)
+        same = same and outputs[0].shape == outputs[1].shape and np.array_equal(
+            outputs[0].view(np.uint64), outputs[1].view(np.uint64)
+        )
+    return {**paired_summary(*times), "rows": n, "same": same}
+
+
 def compare(sides: tuple, pipelines: tuple, X: np.ndarray, sizes, pairs: int) -> dict[int, dict]:
-    """Per block size, the paired summary of CPU µs per revision over ``pairs`` alternating pairs."""
-    rows = {}
-    for size in sizes:
-        blocks = blocks_of(X, size)
-        n = sum(block.shape[0] for block in blocks)
-        times, same = ([], []), True
-        for pair in range(pairs):
-            scores = [None, None]
-            for side in (0, 1) if pair % 2 == 0 else (1, 0):
-                seconds, scores[side] = score_once(sides[side], pipelines[side], blocks)
-                times[side].append(seconds * 1e6 / n)
-            same = same and scores[0].shape == scores[1].shape and np.array_equal(
-                scores[0].view(np.uint64), scores[1].view(np.uint64)
-            )
-        rows[size] = {**paired_summary(*times), "rows": n, "same": same}
-    return rows
+    """Per block size, the paired summary of scoring ``X`` in blocks of that size."""
+    return {
+        size: paired(lambda k, blocks: score_once(sides[k], pipelines[k], blocks), blocks_of(X, size), pairs)
+        for size in sizes
+    }
+
+
+def compare_featurize(sides: tuple, schemas: tuple, revisions: list, sizes, pairs: int) -> dict[int, dict]:
+    """Per block size, the paired summary of featurizing ``revisions`` in blocks of that size."""
+    return {
+        size: paired(lambda k, blocks: featurize_once(sides[k], schemas[k], blocks), blocks_of(revisions, size), pairs)
+        for size in sizes
+    }
 
 
 def main(argv: list[str]) -> int:
@@ -113,17 +139,24 @@ def main(argv: list[str]) -> int:
     sides = (load_package(Path(argv[0]), "parent_vandalstack"),
              load_package(Path(argv[1]), "change_vandalstack"))
     with tempfile.TemporaryDirectory() as tmp:
-        path, X = prepare(sides[1], seed, Path(tmp))
+        path, revisions = prepare(sides[1], seed, Path(tmp))
         pipelines = tuple(
             importlib.import_module(side.__name__ + ".stacking").load_pipeline(path) for side in sides
         )
+    schemas = tuple(pipeline.schema for pipeline in pipelines)
+    featurized = compare_featurize(sides, schemas, revisions, BLOCKS, pairs)
+    X = featurize_once(sides[1], schemas[1], [revisions])[1]
     rows = compare(sides, pipelines, X, BLOCKS, pairs)
     for size, row in rows.items():
+        feat = featurized[size]
         print(
             f"block {size} rows {row['rows']} parent {row['parent']:.1f} change {row['change']:.1f}"
             f" diff {row['diff']:+.1f} won {row['won']:.2f} same {row['same']}"
+            f" featurize parent {feat['parent']:.1f} change {feat['change']:.1f}"
+            f" diff {feat['diff']:+.1f} won {feat['won']:.2f} same {feat['same']}"
         )
-    return 0 if all(row["same"] for row in rows.values()) else 1
+    results = [*rows.values(), *featurized.values()]
+    return 0 if all(row["same"] for row in results) else 1
 
 
 if __name__ == "__main__":
