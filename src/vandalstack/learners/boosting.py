@@ -73,7 +73,8 @@ class GradientBoostingClassifier(BaseModel):
             hessian = p * (1.0 - p)
 
             def newton_leaf(sel: np.ndarray) -> float:
-                step = residual[sel].sum() / (hessian[sel].sum() + _HESSIAN_EPS)
+                # np.add.reduce is ndarray.sum's pairwise sum, without its wrapper
+                step = np.add.reduce(residual.take(sel)) / (np.add.reduce(hessian.take(sel)) + _HESSIAN_EPS)
                 # clamped, NaN passing through as np.clip lets it
                 return float(min(max(step, -_MAX_LEAF_VALUE), _MAX_LEAF_VALUE))
 

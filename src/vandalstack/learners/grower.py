@@ -28,12 +28,16 @@ valued but is not yet numbered: :func:`number_trees` numbers its trees
 depth first.  A step searches its candidate columns in chunks, each
 by one split rule, and one merge keeps the first best column.  The
 random rule searches all of a step's nodes as one segmented block.  The
-exact rule does too, with nothing padded: every candidate column of
-every node, in the order of a presort made once per tree and filtered
-to the step's nodes, scanned over all boundaries
-between distinct values (the exact greedy enumeration of XGBoost).  One
-gain formula per criterion serves both rules, and the trees are bit for
-bit those grown one at a time, one node at a time, with the same draws.
+exact rule does too, with nothing padded, over the level's cells
+(:class:`Presort`): every candidate column of every node in sorted order,
+its boundaries between distinct values marked, scanned over all of them
+(the exact greedy enumeration of XGBoost).  A tree sorts once, as SLIQ
+does: with every feature a candidate, its root's cells are its presort
+as it stands (a boosting fit makes one for all its rounds), and each
+later level's, and a root's that draws candidates, are that presort
+filtered to the level's nodes.  One gain formula per criterion serves
+both rules, and the trees are bit for bit those grown one at a time, one
+node at a time, with the same draws.
 """
 
 from __future__ import annotations
@@ -48,8 +52,10 @@ from .tree import NodeTable
 
 # cells searched at once: the trees grown together are grouped so that a
 # step's block of candidate values (or, for the exact rule, the trees'
-# presorts) stays within this many, and a step over more is searched in
-# column chunks.  A grove step's cost is mostly per call, so bigger groves
+# presorts; a grove holds per presort cell a position, a value and a
+# boundary mark, and as much again for its level's cells) stays within
+# this many, and a step over more is filtered and searched in column
+# chunks.  A grove step's cost is mostly per call, so bigger groves
 # are cheaper, but their temporaries grow with them.  Measured on the
 # extra-trees and random-forest fits of two benchmark train-stack runs
 # (seeds 81 and 205, 14 fits, 120-181 rows; CPU s, best of 5, one core of
@@ -63,14 +69,14 @@ def parent_term(total, n, criterion: str) -> np.ndarray:
     """The node's own term of :func:`split_gains`, one per entry of ``total / n``.
 
     Gini: the impurity of the ``n`` rows whose targets sum to ``total``.
-    Variance: their squared mean, squared one float at a time: numpy
-    squares an array by a multiplication but a scalar with C pow, and the
-    two differ in the last bit on about one value in a thousand, enough
-    to flip an exact tie.
+    Variance: their squared mean, squared by C pow (``np.float_power``)
+    as a scalar is: an array's ``**`` and ``np.square`` multiply, which
+    differs in the last bit on about one value in a thousand, enough to
+    flip an exact tie.
     """
     if criterion == "gini":
         return _gini(total, n)
-    return np.array([m**2 for m in np.ravel(total / n).tolist()]).reshape(np.shape(total))
+    return np.float_power(total / n, 2.0)
 
 
 def _gini(s, cnt):
@@ -134,34 +140,31 @@ class Segments(NamedTuple):
         return cls(sizes, last + 1 - sizes, last, nodes, np.arange(last[-1] + 1), nodes.repeat(sizes))
 
 
-def exact_block_split(vs: np.ndarray, ts: np.ndarray, seg: Segments, criterion: str):
+def exact_block_split(ts: np.ndarray, closed: np.ndarray, left: np.ndarray, seg: Segments, criterion: str):
     """Scan every boundary between distinct values of several nodes at once.
 
-    ``vs`` holds the nodes' positions back to back along its second axis,
-    as ``seg`` lays them out; a row of ``vs`` holds one candidate
-    feature's values, each node's sorted stably, and ``ts`` the targets in
-    the same order.  Returns per ``(row, node)`` the gain of its best
+    ``ts`` holds the nodes' positions back to back along its second axis,
+    as ``seg`` lays them out; a row of ``ts`` holds the targets in the
+    order of one candidate feature's values, each node's sorted stably.
+    ``closed`` marks, in the same layout, the cells that no boundary
+    follows (the next value is equal, or the cell is its node's last), and
+    ``left`` holds per position the rows a boundary after it sends left
+    (:class:`Presort`).  Returns per ``(row, node)`` the gain of its best
     boundary (``-inf`` for a constant row), per node the row of the
     highest gain >= 0 (the first on ties), and per node that row's first
-    best boundary ``at``, an index into the second axis, between
-    ``vs[:, at]`` and ``vs[:, at + 1]``.
+    best boundary ``at``, an index into the second axis: the last cell
+    its left side holds.
     """
     starts, last, nodes, index, node = seg.starts, seg.last, seg.nodes, seg.index, seg.node
-    n = seg.sizes
-    # the boundary after a node's position q sends q + 1 rows left; the
-    # node's last position is no boundary, and is scored with one row
-    # right, then masked
-    nl = index + 1.0 - starts[node]
-    nl[last] -= 1.0
+    n = seg.sizes.astype(float)
     # running sums per node, each in its own sequential order
     csum = np.empty_like(ts)
     for lo, hi in zip(starts.tolist(), (last + 1).tolist()):
         ts[:, lo:hi].cumsum(axis=1, out=csum[:, lo:hi])
     total = csum.take(last, axis=1)
     parent = parent_term(total, n, criterion)
-    gains = split_gains(csum, nl, total.take(node, axis=1), n[node], parent.take(node, axis=1), criterion)
-    gains[:, :-1][~(vs[:, 1:] > vs[:, :-1])] = -np.inf
-    gains.T[last] = -np.inf
+    gains = split_gains(csum, left, total.take(node, axis=1), n[node], parent.take(node, axis=1), criterion)
+    gains[closed] = -np.inf
     best = np.maximum.reduceat(gains, starts, axis=1)
     slot = np.where(best >= 0.0, best, -np.inf).argmax(axis=0)
     # the chosen row's first best boundary; a row whose best is NaN has
@@ -212,22 +215,47 @@ def random_block_split(block: np.ndarray, t: np.ndarray, starts: np.ndarray, cri
     return gains, threshold, go_left
 
 
-class Presort(NamedTuple):
-    """``X[rows]`` sorted once for the exact rule, both ``(features, rows)``.
+def _sorted_columns(X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``X[rows]``'s columns sorted stably, both ``(features, rows)``: positions in order, their values."""
+    columns = np.ascontiguousarray(X[rows].T)
+    order = columns.argsort(axis=1, kind="mergesort")
+    return order, np.take_along_axis(columns, order, axis=1)
 
-    ``order`` holds per feature the positions (into ``rows``) sorted
-    stably by value, and ``values`` the values in that order.  A node's
-    own sorted order is this one filtered by membership, so no node sorts.
+
+class Presort(NamedTuple):
+    """Nodes' positions sorted by candidate features' values, arrays ``(slots, positions)``: a level's cells.
+
+    Row ``j`` of ``order`` holds the positions (into the rows) of every
+    node, the nodes back to back, each node's sorted stably by its
+    ``j``-th candidate feature, which is feature ``j`` where every feature
+    is a candidate; ``values`` holds their values in that order.
+    ``closed`` marks the cells that no boundary follows: the next value is
+    not higher, or the cell is its node's last.  ``left`` holds per
+    position, the same in every row, how many rows the boundary after it
+    sends left; a node's last counts one fewer, as if it sent one right.
+    :meth:`of` makes a tree root's, the tree's one sort, and a grove
+    filters its roots' to each later level's nodes and candidates.
     """
 
     order: np.ndarray
     values: np.ndarray
+    closed: np.ndarray
+    left: np.ndarray
 
     @classmethod
     def of(cls, X: np.ndarray, rows: np.ndarray) -> "Presort":
-        columns = np.ascontiguousarray(X[rows].T)
-        order = columns.argsort(axis=1, kind="mergesort")
-        return cls(order, np.take_along_axis(columns, order, axis=1))
+        """The root's cells of the tree on ``X[rows]``."""
+        return cls.laid_out(*_sorted_columns(X, rows), Segments.of(np.array([rows.size])))
+
+    @classmethod
+    def laid_out(cls, order: np.ndarray, values: np.ndarray, seg: Segments) -> "Presort":
+        """The cells of the nodes ``seg`` lays out, from their sorted ``order`` and ``values``."""
+        closed = np.empty(values.shape, dtype=bool)
+        closed[:, :-1] = ~(values[:, 1:] > values[:, :-1])
+        closed.T[seg.last] = True
+        left = np.arange(1.0, seg.index.size + 1.0) - seg.starts.astype(float).repeat(seg.sizes)
+        left[seg.last] -= 1.0
+        return cls(order, values, closed, left)
 
 
 class TreeJob(NamedTuple):
@@ -294,7 +322,8 @@ class TreeBuilder:
             # cells per row of a tree: its root's candidate block
             width = d if self.max_features is None else min(self.max_features, d)
         else:
-            # its presort (order and sorted values) and the column copy that makes it
+            # its presort (order and sorted values) and the column copy
+            # that makes it; a level's cells take no more than the first two
             width = 3 * d
         blocks, group, cells = [], [], 0
         for job in jobs:
@@ -447,8 +476,11 @@ class _Grove:
     by its tree's key, its depth and where its range starts in its tree
     (:func:`~vandalstack.rng.node_streams`), none of which depends on the
     order of growth, so every tree comes out bit for bit as if grown alone,
-    one node at a time.  When all are grown, the trees are numbered depth
-    first and their leaves valued.
+    one node at a time.  The exact rule searches the level's cells
+    (:class:`Presort`): with every feature a candidate the roots' are the
+    trees' presorts as they stand, and otherwise, and at every later
+    level, those filtered to the level's nodes.  When all are grown, the
+    trees are numbered depth first and their leaves valued.
     """
 
     def __init__(self, builder: TreeBuilder, X: np.ndarray, jobs):
@@ -472,15 +504,18 @@ class _Grove:
         if self.m is not None or builder.random_threshold:
             self.keys = np.array([job.key for job in jobs], dtype=np.uint64)
         if not builder.random_threshold:
-            # every tree's presort positions (into the grove's) and values
-            presorts = [Presort.of(X, job.rows) if job.presort is None else job.presort for job in jobs]
-            if n_trees == 1:
-                self.pre, self.vals = presorts[0]
-            else:
-                self.pre = np.concatenate([p.order for p in presorts], axis=1)
-                self.pre += np.repeat(self.base, self.size)
-                self.vals = np.concatenate([p.values for p in presorts], axis=1)
-            # each position's node in a step plus 1, 0 outside the step's nodes
+            # the roots' cells: a tree's given presort, or every tree's
+            # sorted columns, positions into the grove's
+            self.presort = jobs[0].presort if n_trees == 1 else None
+            if self.presort is None:
+                order, values = (np.concatenate(columns, axis=1) for columns in zip(*(
+                    job.presort[:2] if job.presort else _sorted_columns(X, job.rows) for job in jobs)))
+                order += np.repeat(self.base, self.size)
+                # drawn candidates filter the roots' cells, and never read
+                # their boundaries
+                self.presort = (Presort.laid_out(order, values, Segments.of(self.size)) if self.m is None
+                                else Presort(order, values, None, None))
+            # each position's node in a level plus 1, 0 outside the level's nodes
             self.node_of = np.zeros(n, dtype=np.intp)
 
     def grow(self) -> tuple[Grown, np.ndarray]:
@@ -491,7 +526,11 @@ class _Grove:
         roots[LO], roots[HI] = self.base, self.base + self.size
         t = self.target
         self.made.append(roots)
-        level = self._open(roots, np.minimum.reduceat(t, self.base) != np.maximum.reduceat(t, self.base))
+        mixed = np.minimum.reduceat(t, self.base) != np.maximum.reduceat(t, self.base)
+        # with every feature a candidate, the roots' cells are the presort
+        # as it stands
+        every = self.m is None and not self.builder.random_threshold
+        level = self._open(roots, mixed, self.presort if every else None)
         while level.shape[1]:
             level = self._step(level)
         made = np.concatenate(self.made, axis=1)
@@ -509,22 +548,51 @@ class _Grove:
         splits[:5] = nodes.take(split, axis=1)
         splits[LEFT] = n_trees + 2 * split
         splits[FEATURE] = feature.take(split)
-        gains = np.stack((gain, low, high)).take(split, axis=1)
+        gains = np.array((gain, low, high)).take(split, axis=1)
         return Grown(self.size, self.next_id, splits, gains, leaves[[TREE, NID]], values), leaf
 
-    def _open(self, kids: np.ndarray, mixed: np.ndarray) -> np.ndarray:
-        """The node records of ``kids`` whose targets are ``mixed`` and that can split: the next level."""
+    def _open(self, kids: np.ndarray, mixed: np.ndarray, cells: Optional[Presort] = None) -> np.ndarray:
+        """The node records of ``kids`` whose targets are ``mixed`` and that can split: the next level.
+
+        The level is laid out for its step (:meth:`_lay_out`), with
+        ``cells``, those of every kid, if every kid opens.
+        """
         can = mixed & (kids[HI] - kids[LO] >= 2)
         if self.builder.max_depth is not None:
             can &= kids[DEPTH] < self.builder.max_depth
-        return kids.compress(can, axis=1)
+        level = kids.compress(can, axis=1)
+        if not level.shape[1]:
+            return level
+        lo = level[LO]
+        seg = Segments.of(level[HI] - lo)
+        self.at = seg.index + (lo - seg.starts)[seg.node]
+        self._lay_out(level, seg, self.perm[self.at], cells if level.shape[1] == kids.shape[1] else None)
+        return level
+
+    def _lay_out(self, nodes: np.ndarray, seg: Segments, pos: np.ndarray, cells: Optional[Presort] = None):
+        """Make ``nodes`` the level to search; node ``k`` holds the positions of ``pos`` ``seg`` gives it.
+
+        Keeps its layout, draws each node's candidate features, in slots,
+        and each node's stream for its thresholds, and for the exact rule
+        makes its cells, one row per slot (:meth:`_filter`), unless
+        ``cells`` are given, as they stand.
+        """
+        self.seg, self.pos, self.cells = seg, pos, cells
+        tree, d = nodes[TREE], self.X.shape[1]
+        if self.m is not None or self.builder.random_threshold:
+            self.streams = node_streams(self.keys[tree], nodes[DEPTH], nodes[LO] - self.base[tree])
+            self.slot = np.zeros(tree.size, dtype=np.uint64)
+        if self.m is None:
+            self.candidates = np.zeros((tree.size, 1), dtype=np.intp) + np.arange(d)  # every feature
+        else:
+            self.candidates, self.slot = keyed_choice(self.streams, d, self.m)
+        if not self.builder.random_threshold and cells is None:
+            self.cells = self._filter(seg, pos)
 
     def _step(self, nodes: np.ndarray) -> np.ndarray:
-        """Search ``nodes``, split those that can, and return the children that open."""
-        lo, depth = nodes[LO], nodes[DEPTH]
-        seg = Segments.of(nodes[HI] - lo)
-        at = seg.index + (lo - seg.starts)[seg.node]
-        gain, feature, low, high, order, cut = self._search(nodes, seg, self.perm[at])
+        """Search ``nodes``, the level laid out, split those that can, and return the children that open."""
+        seg, at, lo, depth = self.seg, self.at, nodes[LO], nodes[DEPTH]
+        gain, feature, low, high, order, cut, t = self._search(seg, self.pos)
         # each node's positions, its left child's first
         self.perm[at] = order
         self.searched.append((nodes, gain, feature, low, high))
@@ -544,14 +612,57 @@ class _Grove:
         max_depth = self.builder.max_depth
         if max_depth is not None and depth[0] + 1 >= max_depth:
             return kids[:, :0]  # every child is a leaf
-        # each node's left and right positions, for the children's purity
-        t = self.target[order]
-        cuts = np.empty((lo.size, 2), dtype=np.intp)
-        cuts[:, 0] = seg.starts
-        cuts[:, 1] = cut
-        cuts = cuts.ravel()
+        # each node's left and right targets, for the children's purity
+        cuts = np.ravel((seg.starts, cut), order="F")
         mixed = np.minimum.reduceat(t, cuts) != np.maximum.reduceat(t, cuts)
         return self._open(kids, mixed.reshape(-1, 2).take(s, axis=0).ravel())
+
+    def _filter(self, seg: Segments, pos: np.ndarray) -> Presort:
+        """The level's cells, row ``j`` for each node's ``j``-th candidate: the roots' filtered to the level.
+
+        The slots are filtered a chunk at a time, as :meth:`_search`
+        takes them.
+        """
+        k, n = seg.nodes.size, pos.size
+        roots, candidates = self.presort, self.candidates
+        d, slots = roots.order.shape[0], candidates.shape[1]
+        order = np.empty((slots, n), dtype=np.intp)
+        values = np.empty((slots, n))
+        self.node_of[pos] = seg.node + 1
+        step = max(1, SPLIT_BLOCK_CELLS // self.rows.size)
+        for start in range(0, slots, step):
+            chosen = candidates[:, start : start + step]
+            w = chosen.shape[1]
+            if self.m is None:
+                # slot j is column start + j of every node: a cell's sort
+                # key is its slot, then its node plus 1, and the cells of
+                # no node come first in each slot
+                pre, vals = roots.order[start : start + w], roots.values[start : start + w]
+                key = self.node_of.take(pre)
+                key += np.arange(0, w * (k + 1), k + 1)[:, None]
+                kept = _stable_order(key.reshape(-1), w * (k + 1)).reshape(w, -1)[:, -n:]
+            else:
+                # per column and 1 + node (0 outside the level's nodes),
+                # the sort key of the node's cells in that column: its slot
+                # in the chunk, then the node; w k, last, where the node
+                # takes no slot there
+                out = w * k
+                keys = np.full((d, k + 1), out)
+                keys[chosen, seg.nodes[:, None] + 1] = np.arange(0, out, k) + seg.nodes[:, None]
+                # the roots' rows of the columns some node takes
+                taken = np.zeros(d, dtype=bool)
+                taken[chosen] = True
+                cols = taken.nonzero()[0]
+                pre, vals = roots.order.take(cols, axis=0), roots.values.take(cols, axis=0)
+                key = self.node_of.take(pre)
+                key += (cols * (k + 1))[:, None]
+                kept = _stable_order(keys.take(key).reshape(-1), out + 1)[: w * n]
+            # the cells of one (slot, node) pair lie in one row, in its
+            # order: a stable sort by key lays each slot's nodes back to back
+            pre.take(kept, out=order[start : start + w].reshape(kept.shape), mode="clip")
+            vals.take(kept, out=values[start : start + w].reshape(kept.shape), mode="clip")
+        self.node_of[pos] = 0
+        return Presort.laid_out(order, values, seg)
 
     def _value(self, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each leaf's value, and each position's leaf, as an index into ``leaves``.
@@ -583,107 +694,83 @@ class _Grove:
             values[i] = float(self.leaf_values[t](at[a:z]))
         return values, leaf
 
-    def _search(self, nodes: np.ndarray, seg: Segments, pos: np.ndarray):
-        """The best split of each node, and its positions with its left child's first.
+    def _search(self, seg: Segments, pos: np.ndarray):
+        """The best split of each node of the level, and its positions with its left child's first.
 
-        Node ``k``, the record ``nodes[:, k]``, holds the positions of
-        ``pos`` that ``seg`` gives it, in any order: the exact rule leaves a
-        split node's positions in its chosen column's order, the random
-        rule partitions them stably.  Only a leaf rule needs a leaf's
-        positions ascending, and :meth:`_value` sorts them.  Returns per
-        node the gain and feature of its best split and the two values its
-        threshold lies between (:func:`midpoint`; a drawn threshold is
-        both), ``pos`` reordered, and per node where its right child's
-        positions begin.  Among the candidates whose gain is >= 0 the
-        highest gain wins, the lowest feature index on ties.  Zero-gain
+        Node ``k`` holds the positions of ``pos`` that ``seg`` gives it, in
+        any order: the exact rule leaves a split node's positions in its
+        chosen column's order, the random rule partitions them stably.
+        Only a leaf rule needs a leaf's positions ascending, and
+        :meth:`_value` sorts them.  Returns per node the gain and feature of
+        its best split and the two values its threshold lies between
+        (:func:`midpoint`; a drawn threshold is both), ``pos`` reordered
+        and their targets in that order, and per node where its right
+        child's positions begin.  Among the candidates whose gain is >= 0
+        the highest gain wins, the lowest feature index on ties.  Zero-gain
         splits are kept: a boundary that does not reduce impurity can still
         expose one deeper down (the XOR pattern), so only constant columns
         and pure nodes stop the recursion.  A node without a split has a
-        gain that is not >= 0, and sends no position left.  Each node
-        draws its candidates, then one threshold per candidate, from its
-        own keyed stream.  Candidates are searched in column chunks of at
-        most :data:`SPLIT_BLOCK_CELLS` cells, each by one rule, in order.
+        gain that is not >= 0, and sends no position left.  A candidate
+        reads its threshold from its node's stream, past the node's draws
+        of candidates.  Candidates are searched in slot chunks of at most
+        :data:`SPLIT_BLOCK_CELLS` cells, each by one rule, in order.
         """
-        tree, d = nodes[TREE], self.X.shape[1]
-        candidates = np.zeros((tree.size, 1), dtype=np.intp) + np.arange(d)  # every feature
         random = self.builder.random_threshold
-        if self.m is not None or random:
-            streams = node_streams(self.keys[tree], nodes[DEPTH], nodes[LO] - self.base[tree])
-            slot = np.zeros(tree.size, dtype=np.uint64)
-            if self.m is not None:
-                candidates, slot = keyed_choice(streams, d, self.m)
-        # a chunk's column is a block column of the step's positions (random
-        # rule) or a presort row of all the grove's (exact rule)
+        # a chunk's slot is a block column of the step's positions (random
+        # rule) or a row of the level's cells (exact rule)
         step = max(1, SPLIT_BLOCK_CELLS // (pos.size if random else self.rows.size))
-        for start in range(0, candidates.shape[1], step):
-            chosen = candidates[:, start : start + step]
+        for start in range(0, self.candidates.shape[1], step):
+            chosen = self.candidates[:, start : start + step]
             if random:
-                found = self._random_splits(seg, pos, chosen, streams, slot + start)
+                found = self._random_splits(seg, pos, chosen, self.slot + start)
             else:
-                found = self._exact_splits(seg, pos, chosen)
+                found = self._exact_splits(seg, pos, chosen, start)
             if start == 0:
                 best = found
             else:  # the first best column wins: a later chunk needs a gain >= 0, and higher
                 better = (found[0] >= 0.0) & ~(found[0] <= best[0])
-                best = tuple(np.where(better[seg.node] if i == 4 else better, new, old)
+                best = tuple(np.where(better[seg.node] if i in (4, 6) else better, new, old)
                              for i, (new, old) in enumerate(zip(found, best)))
         return best
 
-    def _random_splits(self, seg: Segments, pos: np.ndarray, chosen: np.ndarray, streams, slot):
+    def _random_splits(self, seg: Segments, pos: np.ndarray, chosen: np.ndarray, slot: np.ndarray):
         """:meth:`_search` over the columns ``chosen`` per node, with thresholds from ``slot`` on."""
         # all nodes as one segmented block: node k's rows from starts[k] on
         rows, node, nodes = self.rows[pos], seg.node, seg.nodes
         block = self.X[rows[:, None], chosen[node]]
+        t = self.target[pos]
         # candidate j's threshold reads the slot j past the node's candidate draws
-        u = keyed_doubles(streams[:, None], slot[:, None] + np.arange(chosen.shape[1], dtype=np.uint64))
-        gains, thresholds, go_left = random_block_split(
-            block, self.target[pos], seg.starts, self.builder.criterion, u
-        )
+        u = keyed_doubles(self.streams[:, None], slot[:, None] + np.arange(chosen.shape[1], dtype=np.uint64))
+        gains, thresholds, go_left = random_block_split(block, t, seg.starts, self.builder.criterion, u)
         gains = np.where(gains >= 0.0, gains, -np.inf)
         j = gains.argmax(axis=1)
         gain, threshold = gains[nodes, j], thresholds[nodes, j]
         # one stable partition of every node's positions, its go-left ones
         # first; a node without a split sends none left
         go = go_left[seg.index, j[node]] & (gain >= 0.0)[node]
-        order = pos[_stable_order(2 * node + ~go, 2 * nodes.size)]
+        order = _stable_order(2 * node + ~go, 2 * nodes.size)
         cut = seg.starts + np.add.reduceat(go, seg.starts, dtype=np.intp)
-        return gain, chosen[nodes, j], threshold, threshold, order, cut
+        return gain, chosen[nodes, j], threshold, threshold, pos[order], cut, t[order]
 
-    def _exact_splits(self, seg: Segments, pos: np.ndarray, chosen: np.ndarray):
-        """:meth:`_search` over the columns ``chosen`` per node."""
-        # each node's sorted order per chosen column, filtered from its
-        # tree's presort: by value, ties by position
-        k, d, w = seg.nodes.size, self.X.shape[1], chosen.shape[1]
-        # per column and 1 + node (0 outside the step's nodes), the sort key
-        # of the node's cells in that column: its slot in the chunk, then
-        # the node; w k where the node takes no slot there
-        out = w * k
-        keys = np.full((d, k + 1), out)
-        keys[chosen, seg.nodes[:, None] + 1] = np.arange(0, out, k) + seg.nodes[:, None]
-        # the presort rows of the columns some node takes
-        taken = np.zeros(d, dtype=bool)
-        taken[chosen] = True
-        cols = taken.nonzero()[0]
-        pre = self.pre.take(cols, axis=0)
-        self.node_of[pos] = seg.node + 1
-        key = self.node_of.take(pre)
-        self.node_of[pos] = 0
-        key += (cols * (k + 1))[:, None]
-        # the cells of one (slot, node) pair lie in one presort row, in its
-        # order: a stable sort by key lays each slot's nodes back to back,
-        # and the cells of no pair last
-        kept = _stable_order(keys.take(key).reshape(-1), out + 1)[: w * pos.size]
-        at = pre.take(kept).reshape(w, -1)
-        vs = self.vals.take(cols, axis=0).take(kept).reshape(w, -1)
-        gains, slot, cut = exact_block_split(vs, self.target[at], seg, self.builder.criterion)
+    def _exact_splits(self, seg: Segments, pos: np.ndarray, chosen: np.ndarray, start: int):
+        """:meth:`_search` over the columns ``chosen`` per node, the level's cells from row ``start`` on."""
+        rows = slice(start, start + chosen.shape[1])
+        at, values = self.cells.order[rows], self.cells.values[rows]
+        ts = self.target.take(at)
+        gains, slot, cut = exact_block_split(
+            ts, self.cells.closed[rows], self.cells.left, seg, self.builder.criterion
+        )
         # each node's best column, the first on ties; its positions in that
         # column's order put the left child's first
+        best = (slot * pos.size)[seg.node] + seg.index
+        low = values[slot, cut]
         cut += 1
         return (
             gains[slot, seg.nodes],
             chosen[seg.nodes, slot],
-            vs[slot, cut - 1],
-            vs[slot, cut],
-            at[slot[seg.node], seg.index],
+            low,
+            values[slot, cut],
+            at.take(best),
             cut,
+            ts.take(best),
         )

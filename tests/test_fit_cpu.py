@@ -62,8 +62,9 @@ def test_two_trees_load_side_by_side_and_their_fits_compare(tmp_path):
             ("Model", {"scale": 0.1, "seed": 1}, X, np.zeros(3))]
     assert tool.family(fits[0]) == tool.family(fits[1]) == "Model scale=2.0 3x2"
     rows = tool.compare((parent, change), fits, pairs=3)
-    assert sorted(rows) == ["Model scale=0.1 3x2", "Model scale=2.0 3x2"]
-    assert rows["Model scale=2.0 3x2"]["fits"] == 2
+    # the families in the order met, then all of them
+    assert list(rows) == ["Model scale=2.0 3x2", "Model scale=0.1 3x2", "all"]
+    assert rows["Model scale=2.0 3x2"]["fits"] == 2 and rows["all"]["fits"] == 3
     # 15.0 * 0.1 and 15.0 * 0.1 agree; the texts are compared fit by fit
     assert all(row["same"] for row in rows.values())
     for row in rows.values():
@@ -74,9 +75,37 @@ def test_a_model_text_that_differs_is_reported(tmp_path):
     tool = load_tool()
     parent = tool.load_package(write_package(tmp_path / "a", "float(X.sum())"), "fit_cpu_c")
     change = tool.load_package(write_package(tmp_path / "b", "float(X.sum()) + 1.0"), "fit_cpu_d")
-    fits = [("Model", {"scale": 1.0, "seed": 0}, np.ones((2, 2)), np.zeros(2))]
-    [row] = tool.compare((parent, change), fits, pairs=2).values()
-    assert row["same"] is False
+    fits = [("Model", {"scale": 1.0, "seed": 0}, np.ones((2, 2)), np.zeros(2)),
+            ("Model", {"scale": 2.0, "seed": 0}, np.ones((2, 2)), np.zeros(2))]
+    rows = tool.compare((parent, change), fits, pairs=2)
+    assert [row["same"] for row in rows.values()] == [False, False, False]
+
+
+def test_the_all_row_pairs_the_cpu_of_every_fit(tmp_path, monkeypatch):
+    tool = load_tool()
+    parent = tool.load_package(write_package(tmp_path / "a", "0.0"), "fit_cpu_e")
+    change = tool.load_package(write_package(tmp_path / "b", "0.0"), "fit_cpu_f")
+    fits = [("Model", {"scale": s, "seed": 0}, np.ones((2, 2)), np.zeros(2)) for s in (1.0, 2.0)]
+    # per fit and side, CPU seconds that depend on the pair: the change is
+    # slower on the first family and faster on the second, faster in all
+    # but the last pair
+    seconds = {(parent, 1.0): [1.0, 1.0, 1.0], (parent, 2.0): [2.0, 2.0, 2.0],
+               (change, 1.0): [1.5, 1.5, 1.5], (change, 2.0): [0.5, 1.0, 3.0]}
+    calls = {}
+
+    def fit_once(package, fit):
+        key = (package, fit[1]["scale"])
+        calls[key] = calls.get(key, 0) + 1
+        return seconds[key][min(calls[key], 3) - 1], ["same"]
+
+    monkeypatch.setattr(tool, "fit_once", fit_once)
+    rows = tool.compare((parent, change), fits, pairs=3)
+    assert rows["all"] == {
+        "parent": 3.0, "change": 2.5, "diff": -0.5, "won": 2 / 3, "fits": 2, "same": True,
+        "peak_mb": rows["all"]["peak_mb"],
+    }
+    assert rows["Model scale=1.0 2x2"]["won"] == 0.0
+    assert rows["all"]["peak_mb"] == [max(row["peak_mb"][side] for row in rows.values()) for side in (0, 1)]
 
 
 def test_usage_without_two_trees(capsys):
@@ -100,9 +129,10 @@ def test_the_exit_status_says_whether_every_family_wrote_the_same_text(
     parent = write_package(tmp_path / "a", "float(X.sum())")
     change = write_package(tmp_path / "b", change_total)
     assert tool.main([str(parent), str(change), "3", "2"]) == status
-    [line] = capsys.readouterr().out.splitlines()  # the table is printed either way
-    assert line.startswith("Model scale=1.0 2x2 fits 1 ")
+    line, last = capsys.readouterr().out.splitlines()  # the table is printed either way
+    assert line.startswith("Model scale=1.0 2x2 fits 1 ") and last.startswith("all fits 1 ")
     assert line.split(" same ")[1].startswith(str(status == 0))
+    assert last.split(" same ")[1].startswith(str(status == 0))
 
 
 @pytest.fixture(autouse=True)

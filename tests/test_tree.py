@@ -232,7 +232,10 @@ def block_and_reference(X, jobs, nodes, criterion, max_features, random_threshol
     position = (np.arange(tree.size) - first) * 1_000_003
     records[grower_module.LO] = grove.base[tree] + position
     records[grower_module.DEPTH] = depth = 3 + tree
-    gain, feature, low, high, order, cut = grove._search(records, grower_module.Segments.of(sizes), pos)
+    seg = grower_module.Segments.of(sizes)
+    grove._lay_out(records, seg, pos)
+    gain, feature, low, high, order, cut, targets = grove._search(seg, pos)
+    assert targets.tobytes() == grove.target[order].tobytes()
     threshold = midpoint(low, high)
     got, want = [], []
     for i, ((tree, sel, t), lo) in enumerate(zip(nodes, np.cumsum(sizes) - sizes)):
@@ -258,7 +261,8 @@ def exact_split(block, t, criterion):
         order = np.argsort(v, kind="mergesort")
         vs = v[order][None, :]
         seg = grower_module.Segments.of(np.array([v.size]))
-        best, _, (at,) = exact_block_split(vs, t[order][None, :], seg, criterion)
+        cells = Presort.laid_out(order[None, :], vs, seg)
+        best, _, (at,) = exact_block_split(t[order][None, :], cells.closed, cells.left, seg, criterion)
         gains.append(best[0, 0])
         thresholds.append(midpoint(float(vs[0, at]), float(vs[0, at + 1])))
     return np.array(gains), np.array(thresholds)
@@ -711,6 +715,112 @@ def test_a_pure_root_beside_trees_that_grow_a_level_a_step():
             assert getattr(tree, name).tobytes() == getattr(want, name).tobytes(), name
         assert np.array_equal(leaf_of, want_leaf_of)
     assert importances.tobytes() == want_importances.tobytes()
+
+
+@st.composite
+def exact_groves(draw):
+    """Trees of one exact-rule grove: data with tied values and a constant column, 1-4 jobs, a pure root."""
+    n = draw(st.integers(2, 20))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = column_data(rng, n, draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=d, max_size=d)))
+    X[:, draw(st.integers(0, d - 1))] = 3.0
+    criterion = draw(st.sampled_from(("gini", "variance")))
+    trees = []
+    for i in range(draw(st.integers(1, 4))):
+        rows = np.sort(rng.integers(0, n, size=n)) if draw(st.booleans()) else np.arange(n, dtype=np.int64)
+        if criterion == "gini":
+            y = rng.integers(0, 2, size=n).astype(np.float64)
+        else:  # few distinct targets: exact zero-gain splits and exact ties
+            y = rng.choice([-0.5, 0.25, 1.0], size=n) if draw(st.booleans()) else rng.normal(size=n)
+        if i == 0 and draw(st.booleans()):  # a pure root
+            y = np.full(n, y[0])
+        trees.append((rows, y[rows], draw(st.integers(0, 2**64 - 1))))
+    max_features = draw(st.one_of(st.none(), st.integers(1, d)))
+    max_depth = draw(st.sampled_from((1, 3, None)))
+    return X, trees, criterion, max_depth, max_features
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(exact_groves())
+def test_every_step_searches_its_nodes_presort_and_grows_the_reference(case):
+    X, trees, criterion, max_depth, max_features = case
+    builder = TreeBuilder(criterion, max_depth, max_features)
+    jobs = [TreeJob(rows, target, mean_leaf(target), key) for rows, target, key in trees]
+    seen = []
+    step = grower_module._Grove._step
+
+    def recording(grove, nodes):
+        seen.append((grove, grove.seg, grove.pos.copy(), grove.candidates.copy(), grove.cells))
+        return step(grove, nodes)
+
+    with mock.patch.object(grower_module._Grove, "_step", recording):
+        grown = grown_trees(builder, X, jobs)
+    # a node's cells in a column are its tree's presort of that column
+    # filtered to the node's positions
+    for grove, seg, pos, candidates, cells in seen:
+        rows = np.concatenate([job.rows for job in jobs])
+        for k, (lo, hi) in enumerate(zip(seg.starts, seg.last + 1)):
+            members = set(pos[lo:hi].tolist())
+            tree = int(np.searchsorted(grove.base, pos[lo], side="right")) - 1
+            base, tree_rows = grove.base[tree], jobs[tree].rows
+            for j, column in enumerate(candidates[k]):
+                presort = base + np.argsort(X[tree_rows, column], kind="stable")
+                want = np.array([p for p in presort.tolist() if p in members])
+                values = X[rows[want], column]
+                assert cells.order[j, lo:hi].tolist() == want.tolist()
+                assert cells.values[j, lo:hi].tobytes() == values.tobytes()
+                closed = np.append(~(values[1:] > values[:-1]), True)
+                assert cells.closed[j, lo:hi].tolist() == closed.tolist()
+            left = np.arange(1.0, hi - lo + 1.0)
+            left[-1] -= 1.0
+            assert cells.left[lo:hi].tobytes() == left.tobytes()
+    for (columns, leaf_of), (rows, target, key) in zip(grown, trees):
+        want, want_leaf_of = ref_build(
+            X, rows, target, mean_leaf(target), np.zeros(X.shape[1]), criterion, max_depth,
+            max_features, key, False,
+        )
+        tree = LocalTree.grown(columns)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(tree, name).tobytes() == getattr(want, name).tobytes(), name
+        assert np.array_equal(leaf_of, want_leaf_of)
+
+
+@pytest.mark.parametrize("n_estimators", [0, 1])
+def test_boosting_fits_of_zero_and_one_round_match_the_reference(n_estimators):
+    X, y = pinned_data()
+    model = GradientBoostingClassifier(n_estimators=n_estimators).fit(X, y)
+    *columns, sizes = model.nodes_.local()
+    assert sizes.size == n_estimators
+    prior = y.mean()
+    assert model.base_score_ == float(np.log(prior / (1.0 - prior)))
+    if n_estimators:
+        p = np.full(y.size, 1.0 / (1.0 + np.exp(-model.base_score_)))
+        residual, hessian = y - p, p * (1.0 - p)
+
+        def leaf(sel):
+            return float(min(max(residual[sel].sum() / (hessian[sel].sum() + 1e-16), -16.0), 16.0))
+
+        rows = np.arange(y.size, dtype=np.int64)
+        want, _ = ref_build(X, rows, residual, leaf, np.zeros(X.shape[1]), "variance", 3, None, None, False)
+        tree = LocalTree.grown(columns)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(tree, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_variance_parent_term_is_c_pow_on_a_million_means():
+    # means spanning 1e-300 to 1e300 of both signs, zeros and a subnormal:
+    # each squared as a numpy scalar is (C pow), and as a Python float is
+    # where the square is finite
+    rng = np.random.default_rng(26)
+    n = 1_000_000
+    m = np.concatenate([rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n), [0.0, -0.0, 5e-324]])
+    with np.errstate(over="ignore"):
+        got = grower_module.parent_term(m, 1.0, "variance")
+        assert got.tobytes() == np.array([np.float64(v) ** 2 for v in m]).tobytes()
+        assert (m * m != got).any()  # an array's multiply differs
+    finite = np.abs(m) < 1e150
+    assert got[finite].tobytes() == np.array([v**2 for v in m[finite].tolist()]).tobytes()
 
 
 @pytest.mark.parametrize("random_threshold", [False, True])

@@ -23,7 +23,9 @@ with the median CPU seconds of the family's fits per pair on each side,
 the median of the paired differences (change minus parent), the share of
 pairs the change was faster in, whether both sides wrote the same model
 text for every fit, and each side's largest traced peak (``tracemalloc``,
-MB) over one more fit of each.  It only reads ``perfbench/``.
+MB) over one more fit of each.  A last line, ``all``, reads the same
+over every captured fit: per pair the CPU of all of them, ``same`` over
+all families, and each side's largest peak.  It only reads ``perfbench/``.
 
 It exits 0 when both sides wrote the same model text for every fit, 1
 (after the table) when any family reads ``same False``, and 2 on a bad
@@ -129,7 +131,7 @@ def paired_summary(parent: list[float], change: list[float]) -> dict:
 
 
 def compare(sides: tuple, fits: list[tuple], pairs: int) -> dict[str, dict]:
-    """Per family, the paired summary of its fits' CPU over ``pairs`` alternating pairs."""
+    """Per family, the paired summary of its fits' CPU over ``pairs`` alternating pairs; then of ``all``."""
     groups: dict[str, list[int]] = {}
     for i, fit in enumerate(fits):
         groups.setdefault(family(fit), []).append(i)
@@ -147,7 +149,7 @@ def compare(sides: tuple, fits: list[tuple], pairs: int) -> dict[str, dict]:
             times[key][0].append(totals[0])
             times[key][1].append(totals[1])
             same[key] = same[key] and texts[0] == texts[1]
-    return {
+    rows = {
         key: {
             **paired_summary(*times[key]),
             "fits": len(members),
@@ -156,6 +158,15 @@ def compare(sides: tuple, fits: list[tuple], pairs: int) -> dict[str, dict]:
         }
         for key, members in groups.items()
     }
+    # per pair, each side's CPU summed over every family
+    totals = [[sum(pair) for pair in zip(*(times[key][side] for key in groups))] for side in (0, 1)]
+    rows["all"] = {
+        **paired_summary(*totals),
+        "fits": len(fits),
+        "same": all(same.values()),
+        "peak_mb": [max(row["peak_mb"][side] for row in rows.values()) for side in (0, 1)],
+    }
+    return rows
 
 
 def main(argv: list[str]) -> int:
