@@ -18,6 +18,7 @@ import numpy as np
 
 from .base import BaseModel, check_predict_input, check_X_y
 from .grower import Presort, TreeBuilder, TreeJob, node_table, number_trees
+from .tree import range_sums
 
 _PROB_EPS = 1e-12
 _HESSIAN_EPS = 1e-16
@@ -97,7 +98,7 @@ class GradientBoostingClassifier(BaseModel):
     def decision_function(self, X) -> np.ndarray:
         """Raw additive score before the sigmoid."""
         X = check_predict_input(self, X)
-        return self.nodes_.sum_leaves(X, *self.leaf_rule())
+        return range_sums(self.nodes_, X, [self.nodes_.n_trees], [self.leaf_rule()])[0]
 
     def predict_proba(self, X) -> np.ndarray:
         return self.proba_from_sums(self.decision_function(X), self.nodes_.n_trees)

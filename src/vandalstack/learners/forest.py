@@ -17,6 +17,7 @@ import numpy as np
 from ..rng import derive_seed, generator
 from .base import BaseModel, check_predict_input, check_X_y
 from .grower import TreeBuilder, TreeJob
+from .tree import range_sums
 
 
 class _BaseForest(BaseModel):
@@ -56,7 +57,8 @@ class _BaseForest(BaseModel):
     def predict_proba(self, X) -> np.ndarray:
         """P(positive) per row: the mean of the per-tree leaf fractions."""
         X = check_predict_input(self, X)
-        return self.proba_from_sums(self.nodes_.sum_leaves(X, *self.leaf_rule()), self.nodes_.n_trees)
+        sums = range_sums(self.nodes_, X, [self.nodes_.n_trees], [self.leaf_rule()])[0]
+        return self.proba_from_sums(sums, self.nodes_.n_trees)
 
     def leaf_rule(self) -> tuple[float, float]:
         """``(start, weight)`` of the leaf sums that :meth:`proba_from_sums` finishes."""

@@ -10,12 +10,15 @@ A tree range (:meth:`NodeTable.trees`) is a table of some of a table's
 trees on the same arrays: a loaded pipeline compiles each stage's tree
 models into one table, each model's ``nodes_`` a range of it, so that a
 block of a few rows walks several models' trees in one walk.
+:func:`range_sums` is the one code that turns a range's leaves into
+sums: of one model's trees for its own ``predict_proba``, and of a run
+of a stage's models at once.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,7 +84,8 @@ class NodeTable:
     shares the node arrays, whose nodes are ``span``.  A pipeline's loader
     compiles each stage's tree models into one table, the stage table,
     and each model's ``nodes_`` is its range of it, so a block of a few
-    rows can walk several models' trees in one walk.
+    rows can walk several models' trees in one walk.  The table walks
+    and finds leaves; :func:`range_sums` alone sums their values.
     """
 
     # rows x trees cells walked per step: keeps every temporary in cache,
@@ -227,33 +231,44 @@ class NodeTable:
         leaf[cell] = node
         return leaf.reshape(self.n_trees, n)
 
-    def sum_leaves(self, X: np.ndarray, start: float, weight: float) -> np.ndarray:
-        """:meth:`leaf_sums` of dense ``X``, walked in blocks of :attr:`BLOCK_CELLS` cells."""
-        n = X.shape[0]
-        out = np.empty(n)
-        step = max(1, self.BLOCK_CELLS // max(1, self.n_trees))
-        for lo in range(0, n, step):
-            out[lo : lo + step] = self.leaf_sums(self.leaf_ids(X[lo : lo + step]), start, weight)
-        return out
 
-    def leaf_sums(self, leaves: np.ndarray, start: float, weight: float) -> np.ndarray:
-        """``start + weight*v_1 + ... + weight*v_T`` per row of :meth:`leaf_ids` of these trees.
+def range_sums(
+    nodes: NodeTable, X: np.ndarray, sizes: Sequence[int], rules: Sequence[tuple]
+) -> np.ndarray:
+    """Per member, ``start + weight*v_1 + ... + weight*v_T`` at each row of dense ``X``: ``(members, rows)``.
 
-        ``v_t`` is the leaf value of tree ``t``.  The terms are the rows of
-        a :func:`term_table`, ``start`` first and tree ``t``'s in row ``t``,
-        added by :func:`tree_order_sums`: in tree order, one addition after
-        another, so each sum matches a loop over the trees bit for bit.
-        """
-        trees, n = leaves.shape
-        terms = term_table(trees + 1, n)
-        terms[0, :n] = start
-        np.multiply(self.value.take(leaves), weight, out=terms[1:, :n])
-        return tree_order_sums(terms)[:n]
-
-
-def term_table(terms: int, sums: int) -> np.ndarray:
-    """Zeros for ``terms`` terms of each of ``sums`` sums, a row a term, and one spare column."""
-    return np.zeros((terms, sums + 1))
+    The one code that turns leaves into sums, for a tree model (a range
+    of one member) and for a stage table's run of models alike.
+    ``nodes`` is a tree range whose trees are its members' one after
+    another: member ``k`` has the next ``sizes[k]`` trees, with leaf
+    values ``v_t``, and ``rules[k]`` is its ``(start, weight)``.  ``X``
+    is walked in chunks of rows of at most :attr:`NodeTable.BLOCK_CELLS`
+    cells.  A chunk's terms are laid out as a table, a row a term: each
+    member has a column per row of the chunk, which holds its start, its
+    weighted leaf values in tree order, written straight there, then
+    ``-0.0``, which adds nothing, down to the longest member's length.
+    :func:`tree_order_sums` adds every member's at once, so each sum
+    matches a loop over its trees bit for bit.
+    """
+    n, members, longest = X.shape[0], len(sizes), max(sizes, default=0)
+    sums = np.empty((members, n))
+    step = max(1, NodeTable.BLOCK_CELLS // max(1, nodes.n_trees))
+    for lo in range(0, n, step):
+        leaves = nodes.leaf_ids(X[lo : lo + step])
+        values, rows = nodes.value.take(leaves), leaves.shape[1]
+        # one member at one row gets a spare column: tree_order_sums needs two
+        terms = np.zeros((longest + 1, max(2, members * rows)))
+        layout = terms[:, : members * rows].reshape(-1, members, rows)
+        end = 0
+        for k, (start, weight) in enumerate(rules):
+            size = sizes[k]
+            layout[0, k] = start
+            np.multiply(values[end : end + size], weight, out=layout[1 : 1 + size, k])
+            if size < longest:
+                layout[1 + size :, k] = -0.0
+            end += size
+        sums[:, lo : lo + rows] = tree_order_sums(terms)[: members * rows].reshape(members, rows)
+    return sums
 
 
 def tree_order_sums(terms: np.ndarray) -> np.ndarray:
@@ -262,10 +277,11 @@ def tree_order_sums(terms: np.ndarray) -> np.ndarray:
     The one summation rule of tree scores, at every row count: each sum
     runs down its column, one addition after another.  ``np.add.reduce``
     over axis 0 adds whole rows in order while a row holds at least two
-    cells, which the spare column of a :func:`term_table` ensures: on one
-    column numpy sees one contiguous run and sums it pairwise, as
-    ``np.add.reduceat`` sums every segment at any width.  The sums start
-    from ``-0.0``, which adds nothing to any first term (numpy's default
-    start, ``0.0``, would turn a sum of ``-0.0`` terms into ``0.0``).
+    cells, which the spare column of a one-column :func:`range_sums`
+    table ensures: on one column numpy sees one contiguous run and sums
+    it pairwise, as ``np.add.reduceat`` sums every segment at any width.
+    The sums start from ``-0.0``, which adds nothing to any first term
+    (numpy's default start, ``0.0``, would turn a sum of ``-0.0`` terms
+    into ``0.0``).
     """
     return np.add.reduce(terms, axis=0, initial=-0.0)

@@ -19,18 +19,24 @@ see (a non-empty, strictly ascending tuple of indices below the input
 width) for ``fit_stack`` and the loader, which reports a breach at the
 ``selected`` line.
 
-The loader compiles each stage's tree models into one node table, the
-stage's :class:`StageTable`, before anything is scored; each model's
-``nodes_`` is a range of it.  A block is then scored in groups: a run of
-the stage's tree models, in stage order, as long as rows x trees stay
-within ``NodeTable.BLOCK_CELLS``.  A group of several models is walked
-once; each model's leaves are summed in its own tree order, all in one
-pass, and finished by its family's rule, one call a family, so each
-scores bit for bit as its own ``predict_proba``.  A group of one, and
-every other model, is scored by its own ``predict_proba``.  A one-row
-block walks the first stage's 1,800 trees (the default stack's) in one
-walk; from 82 rows up every group holds one model.  A pipeline from ``fit_stack`` has no stage
-tables and scores model by model, with the same scores.
+Every tree model sums its leaves with one function,
+:func:`~vandalstack.learners.tree.range_sums`, whether it scores alone
+or with others.  The loader compiles each stage's tree models into one
+node table, the stage's :class:`StageTable`, before anything is scored;
+each model's ``nodes_`` is a range of it.  A block is then scored in
+groups: a run of the stage's tree models, in stage order, as long as
+rows x trees stay within ``NodeTable.BLOCK_CELLS``.  A group of several
+models is one range of several members: walked once, each model's
+leaves summed in its own tree order, all in one pass, and finished by
+its family's rule, one call a family, so each scores bit for bit as its
+own ``predict_proba``.  A group of one, and every other model, is
+scored by its own ``predict_proba``.  A one-row block walks the first
+stage's 1,800 trees (the default stack's) in one walk; from 82 rows up
+every group holds one model.  A pipeline from ``fit_stack`` has no
+stage tables, and its tree models sum their leaves one model at a time
+through the same function, with the same scores.  It is not compiled
+because its one command caller, ``train-stack``, saves it without
+scoring it, and a stage table would copy every node column.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ from .learners import (
     train,
 )
 from .learners.base import check_dense, check_X_y, param_problem
-from .learners.tree import NodeTable, term_table, tree_order_sums
+from .learners.tree import NodeTable, range_sums
 from .lines import LineReader, Source, Target, parse_int, read_lines, write_lines
 from .rng import derive_seed, generator
 
@@ -155,8 +161,6 @@ class StageTable:
     table: NodeTable
     members: tuple[tuple[int, NodeTable], ...]
     bounds: tuple[int, ...]
-    # per run walked, (first member, members): its sizes and term layout
-    layouts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def compile(cls, models: Sequence[BaseModel], trees: TreeColumns) -> Optional[StageTable]:
@@ -190,53 +194,23 @@ class StageTable:
             trees += nodes.n_trees
         yield run
 
-    def layout(self, run: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The tree counts of the members in ``run``, and where each of their terms is.
-
-        A run's values are the rows of a :func:`term_table`: the members'
-        starts, their weighted leaf values in tree order, then one row of
-        ``-0.0``.  Column ``k`` of the layout lists the rows that make
-        member ``k``'s terms: its start, its trees' values, then the
-        ``-0.0`` row, which adds nothing, down to the longest member's
-        length.
-        """
-        key = run[0], len(run)
-        if key not in self.layouts:
-            bounds = np.array(self.bounds[run[0] : run[-1] + 2])
-            sizes, own = np.diff(bounds), bounds[:-1] - bounds[0]
-            depth = np.arange(sizes.max() + 1)[:, None]
-            rows = np.where(depth <= sizes, len(run) + own + depth - 1, len(run) + bounds[-1] - bounds[0])
-            rows[0] = np.arange(len(run))
-            self.layouts[key] = sizes, rows
-        return self.layouts[key]
-
     def walk(self, models: Sequence[BaseModel], run: list[int], X: np.ndarray) -> Iterator[tuple]:
         """``(index, predict_proba of X)`` of each member in ``run``, from one walk of their trees.
 
-        The walk's leaves are tree-major, so the group's weighted leaf
-        values are taken at once, each member's a range of rows.  One take
-        lays each member's terms out in a column (:meth:`layout`), so
-        :func:`tree_order_sums` adds every member's in one pass, and the
-        members of one family are finished together.
+        :func:`~vandalstack.learners.tree.range_sums`, the code of each
+        tree model's own ``predict_proba``, sums every member's leaves by
+        its own rule at once, and the members of one family are finished
+        together.
         """
-        lo, hi, n = self.bounds[run[0]], self.bounds[run[-1] + 1], X.shape[0]
-        leaves = self.table.trees(lo, hi).leaf_ids(X)
         indices = [self.members[m][0] for m in run]
-        starts, weights = zip(*(models[i].leaf_rule() for i in indices))
-        sizes, rows = self.layout(run)
-        values = term_table(len(run) + hi - lo + 1, n)
-        values[: len(run), :n] = np.array(starts)[:, None]
-        np.multiply(
-            self.table.value.take(leaves), np.repeat(weights, sizes)[:, None], out=values[len(run) : -1, :n]
-        )
-        values[-1] = -0.0
-        terms = values.take(rows, axis=0)
-        sums = tree_order_sums(terms.reshape(rows.shape[0], -1)).reshape(len(run), n + 1)
-        families = {}
+        sizes = [self.members[m][1].n_trees for m in run]
+        nodes = self.table.trees(self.bounds[run[0]], self.bounds[run[-1] + 1])
+        sums = range_sums(nodes, X, sizes, [models[i].leaf_rule() for i in indices])
+        counts, families = np.array(sizes)[:, None], {}
         for k, i in enumerate(indices):
             families.setdefault(type(models[i]).proba_from_sums, []).append(k)
         for finish, ks in families.items():
-            yield from zip([indices[k] for k in ks], finish(sums[ks, :n], sizes[ks, None]))
+            yield from zip([indices[k] for k in ks], finish(sums[ks], counts[ks]))
 
 
 def _stage_scores(
@@ -267,7 +241,9 @@ class StackedPipeline:
     training-time out-of-fold meta-feature matrix) is a diagnostic and is
     not persisted.  A loaded pipeline has each stage's tree models
     compiled into a :class:`StageTable` (``first_table`` and
-    ``second_table``); a fitted one has none and scores model by model.
+    ``second_table``).  A fitted one has none and scores model by model,
+    its tree models through the same leaf-sum code: ``train-stack``
+    saves it unscored, so compiling it would only copy its node columns.
     """
 
     config: StackConfig

@@ -108,6 +108,26 @@ def table_of(members) -> NodeTable:
     return node_table((t.feature, t.threshold, t.right, t.value, [t.n_nodes]) for t in members)
 
 
+def tree_loop_sums(nodes: NodeTable, X: np.ndarray, start: float, weight: float) -> np.ndarray:
+    """``start``, then ``weight`` times each tree's leaf value, added one tree after another.
+
+    The reference for :func:`~vandalstack.learners.tree.range_sums`,
+    which every tree model's ``predict_proba`` and the stage walk share:
+    each tree of ``nodes`` is walked alone, and its values are added to
+    the running sums in a Python loop over the trees.
+    """
+    sums = np.full(X.shape[0], float(start))
+    for t in range(nodes.n_trees):
+        sums = sums + weight * nodes.value[nodes.trees(t, t + 1).leaf_ids(X)[0]]
+    return sums
+
+
+def reference_proba(model, X: np.ndarray) -> np.ndarray:
+    """A tree model's P(positive) from :func:`tree_loop_sums`, finished by its family's rule."""
+    sums = tree_loop_sums(model.nodes_, X, *model.leaf_rule())
+    return model.proba_from_sums(sums, model.nodes_.n_trees)
+
+
 def predict_dense(tree: LocalTree, X: np.ndarray) -> np.ndarray:
     """The leaf value every row of dense ``X`` reaches in one tree."""
     table = table_of([tree])

@@ -20,8 +20,10 @@ from tests._util import (
     LocalTree,
     fitted_tree_models,
     predict_dense,
+    reference_proba,
     reference_tree_lines,
     table_of,
+    tree_loop_sums,
 )
 from vandalstack.errors import MalformedLine
 from vandalstack.learners import (
@@ -32,7 +34,7 @@ from vandalstack.learners import (
 )
 from vandalstack.learners import io as io_module
 from vandalstack.learners.io import TreeColumns, model_from_lines, model_to_lines, read_model
-from vandalstack.learners.tree import NodeTable, invalid_node
+from vandalstack.learners.tree import NodeTable, invalid_node, range_sums
 from vandalstack.stacking import StageTable, _stage_scores
 
 N_FEATURES = 3
@@ -76,13 +78,13 @@ def trees(draw, max_nodes=25, cuts=st.sampled_from(CUTS), values=leaf_values):
     )
 
 
-def inputs(max_rows=12):
-    return st.integers(1, max_rows).flatmap(
+def inputs(max_rows=12, min_rows=1):
+    return st.integers(min_rows, max_rows).flatmap(
         lambda n: st.lists(
             st.lists(st.sampled_from(INPUTS), min_size=N_FEATURES, max_size=N_FEATURES),
             min_size=n,
             max_size=n,
-        ).map(lambda rows: np.array(rows, dtype=np.float64))
+        ).map(lambda rows: np.array(rows, dtype=np.float64).reshape(n, N_FEATURES))
     )
 
 
@@ -337,7 +339,9 @@ def test_a_tree_range_is_its_trees_alone_on_shared_arrays(members, X, data):
     assert part.feature is table.feature and part.value is table.value
     # its leaves are global ids into the shared arrays
     assert np.array_equal(part.leaf_ids(X), alone.leaf_ids(X) + part.span[0])
-    assert bitwise_equal(part.sum_leaves(X, 0.5, 0.25), alone.sum_leaves(X, 0.5, 0.25))
+    got = range_sums(part, X, [part.n_trees], [(0.5, 0.25)])[0]
+    assert bitwise_equal(got, range_sums(alone, X, [alone.n_trees], [(0.5, 0.25)])[0])
+    assert bitwise_equal(got, tree_loop_sums(part, X, 0.5, 0.25))
     # it converts back to its own trees' columns, and compiles to their table
     for got, want in zip(part.local(), alone.local()):
         assert bitwise_equal(got.astype(np.float64), want.astype(np.float64))
@@ -373,8 +377,10 @@ stage_members = st.lists(
 
 
 @SETTINGS
-@given(stage_members, inputs(max_rows=20), st.sampled_from([1, 5, 16, NodeTable.BLOCK_CELLS]),
+@given(stage_members, inputs(max_rows=20, min_rows=0), st.sampled_from([1, 5, 16, NodeTable.BLOCK_CELLS]),
        compact_cells)
+@example([boosting_of([], 0.25, 0.5), None], np.zeros((0, N_FEATURES)), NodeTable.BLOCK_CELLS,
+         NodeTable.COMPACT_CELLS)
 def test_a_stage_walk_scores_each_model_as_its_own_predict_proba(members, X, cells, compact):
     models = [fitted_linear() if model is None else model for model in members]
     texts = [model_to_lines(model) for model in models]
@@ -387,6 +393,9 @@ def test_a_stage_walk_scores_each_model_as_its_own_predict_proba(members, X, cel
         got = list(_stage_scores(loaded, stage, X))
     for model, score in zip(models, got):
         assert bitwise_equal(score, model.predict_proba(X))
+        # the walk and predict_proba share their sums; the loop over trees does not
+        if hasattr(model, "nodes_"):
+            assert bitwise_equal(score, reference_proba(model, X))
     assert [model_to_lines(model) for model in loaded] == texts
 
 
@@ -550,8 +559,8 @@ def test_corrupt_node_lines_fail_closed(data):
         assert outcome["scores"].shape == (2,)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 81, 82, 4000])
-def test_leaf_sums_add_in_tree_order_at_every_row_count(rows):
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 81, 82, 4000])
+def test_range_sums_add_in_tree_order_at_every_row_count(rows):
     # a sum that pairwise or reordered addition would change: leaf values
     # spanning 16 orders of magnitude, either sign, on 150 stumps
     rng = np.random.default_rng(rows)
@@ -560,15 +569,25 @@ def test_leaf_sums_add_in_tree_order_at_every_row_count(rows):
     table = table_of(members)
     X = rng.standard_normal((rows, N_FEATURES))
     leaves = table.leaf_ids(X)
-    for start, weight in ((0.0, 1.0), (float(magnitude(1)[0]), 0.1)):
+    rules = [(0.0, 1.0), (float(magnitude(1)[0]), 0.1)]
+    for start, weight in rules:
         want = np.full(rows, start)
         for t in range(len(members)):
             want = want + weight * table.value[leaves[t]]
-        assert bitwise_equal(table.leaf_sums(leaves, start, weight), want)
-    # a sum of negative zeros is a negative zero
-    zeros = table_of([LocalTree.leaf(-0.0)] * 3)
-    got = zeros.leaf_sums(zeros.leaf_ids(X), -0.0, 0.5)
-    assert bitwise_equal(got, np.full(rows, -0.0))
+        assert bitwise_equal(range_sums(table, X, [len(members)], [(start, weight)])[0], want)
+        assert bitwise_equal(tree_loop_sums(table, X, start, weight), want)
+    # several members of one range, a zero-tree one among them, each by its own rule
+    sizes = [40, 0, 1, 109]
+    got = range_sums(table, X, sizes, rules + rules)
+    assert got.shape == (len(sizes), rows)
+    for k, (start, weight) in enumerate(rules + rules):
+        lo = sum(sizes[:k])
+        assert bitwise_equal(got[k], tree_loop_sums(table.trees(lo, lo + sizes[k]), X, start, weight))
+    # a sum of negative zeros is a negative zero, alone or beside a longer member
+    zeros = table_of([LocalTree.leaf(-0.0)] * 2 + [LocalTree.leaf(1.5)] * 3)
+    got = range_sums(zeros, X, [2, 3], [(-0.0, 0.5), (-0.0, 0.5)])
+    assert bitwise_equal(got, np.stack([np.full(rows, -0.0), np.full(rows, 2.25)]))
+    assert bitwise_equal(range_sums(zeros.trees(0, 2), X, [2], [(-0.0, 0.5)])[0], np.full(rows, -0.0))
 
 
 @settings(max_examples=100, deadline=None)

@@ -130,6 +130,34 @@ def test_two_trees_featurize_side_by_side_and_their_matrices_compare(tmp_path):
     assert row["same"] is False
 
 
+def test_cold_scoring_sleeps_the_open_loop_spacing_before_each_of_its_first_blocks(tmp_path, monkeypatch):
+    tool = load_tool()
+    parent = tool.load_package(write_package(tmp_path / "a", "X.sum(axis=1)"), "score_cpu_h")
+    change = tool.load_package(write_package(tmp_path / "b", "X.sum(axis=1) + 1.0"), "score_cpu_i")
+    sides = (parent, change)
+    slept = []
+    monkeypatch.setattr(tool.time, "sleep", slept.append)
+    monkeypatch.setattr(tool, "COLD_BLOCKS", 3)
+    X = np.arange(20.0).reshape(10, 2)
+    rows = tool.compare(sides, pipelines(tool, sides, tmp_path), X, (1, 2), pairs=2, cold=True)
+    # 3 blocks a measurement, 2 sides, 2 pairs, 2 block sizes
+    assert slept == [tool.SPACING] * 24 and tool.SPACING == 0.05
+    assert rows[1]["rows"] == 3 and rows[2]["rows"] == 6
+    assert all(row["same"] is False for row in rows.values())
+
+
+def run_main(tool, tmp_path, monkeypatch, change_score="X.sum(axis=1)", change_encode="np.array(raws) * schema"):
+    """The exit status and printed lines of the tool on two toy packages, blocks 1 and 5, block 1 also cold."""
+    path = tmp_path / "pipeline.txt"
+    path.write_text("1.0", encoding="utf-8")
+    monkeypatch.setattr(tool, "prepare", lambda package, seed, tmp: (path, [1, 2, 3, 4, 5]))
+    monkeypatch.setattr(tool, "BLOCKS", (1, 5))
+    monkeypatch.setattr(tool, "SPACING", 0.0)
+    parent = write_package(tmp_path / "a", "X.sum(axis=1)")
+    change = write_package(tmp_path / "b", change_score, change_encode)
+    return tool.main([str(parent), str(change), "3", "2"])
+
+
 @pytest.mark.parametrize(
     "change_score, change_encode, status",
     [
@@ -142,18 +170,32 @@ def test_the_exit_status_says_whether_every_block_scored_and_featurized_the_same
     tmp_path, monkeypatch, capsys, change_score, change_encode, status
 ):
     tool = load_tool()
-    path = tmp_path / "pipeline.txt"
-    path.write_text("1.0", encoding="utf-8")
-    monkeypatch.setattr(tool, "prepare", lambda package, seed, tmp: (path, [1, 2, 3, 4, 5]))
-    monkeypatch.setattr(tool, "BLOCKS", (1, 5))
-    parent = write_package(tmp_path / "a", "X.sum(axis=1)")
-    change = write_package(tmp_path / "b", change_score, change_encode)
-    assert tool.main([str(parent), str(change), "3", "2"]) == status
+    assert run_main(tool, tmp_path, monkeypatch, change_score, change_encode) == status
     lines = capsys.readouterr().out.splitlines()  # the table is printed either way
     assert [line.split(" rows ")[0] for line in lines] == ["block 1", "block 5"]
     scored, featurized = change_score == "X.sum(axis=1)", change_encode == "np.array(raws) * schema"
-    assert all(f" same {scored} featurize " in line for line in lines)
-    assert all(line.endswith(f" same {featurized}") for line in lines)
+    hot, rest = zip(*(line.split(" featurize ") for line in lines))
+    assert all(line.endswith(f" same {scored}") for line in hot)
+    # block 1 is also scored cold, block 5 is not
+    assert rest[0].split(" cold ")[0].endswith(f" same {featurized}") and rest[1].endswith(f" same {featurized}")
+    assert " cold " not in rest[1]
+    cold = rest[0].split(" cold ")[1]
+    assert cold.startswith("rows 5 parent ") and cold.endswith(f" same {scored}")
+
+
+def test_cold_scores_that_differ_set_the_exit_status(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    score_cold = tool.score_cold
+
+    def change_differs_when_cold(package, pipeline, blocks):
+        seconds, scores = score_cold(package, pipeline, blocks)
+        return seconds, scores + (package.__name__ == "change_vandalstack")
+
+    monkeypatch.setattr(tool, "score_cold", change_differs_when_cold)
+    assert run_main(tool, tmp_path, monkeypatch) == 1
+    [first, second] = capsys.readouterr().out.splitlines()
+    assert first.endswith(" same False") and " same False" not in first.split(" cold ")[0]
+    assert " same False" not in second
 
 
 @pytest.fixture(autouse=True)

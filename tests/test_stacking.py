@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from tests._util import schema_of_width
+from tests._util import reference_proba, schema_of_width
 from vandalstack import stacking
 from vandalstack.errors import (
     DimensionMismatch,
@@ -579,17 +579,25 @@ def stage_input(rows, seed=12):
     return X
 
 
+def own_proba(model, X):
+    """A model's own predict_proba; a tree model's checked against the tree-by-tree loop."""
+    score = model.predict_proba(X)
+    if hasattr(model, "nodes_"):
+        assert same_bits(score, reference_proba(model, X))
+    return score
+
+
 def model_by_model(pipeline, X):
     """The stack's meta-features and scores from each model's own predict_proba."""
     meta = np.zeros((X.shape[0], len(pipeline.fold_models)))
     for j, per_fold in enumerate(pipeline.fold_models):
         acc = np.zeros(X.shape[0])
         for model in per_fold:
-            acc += model.predict_proba(X)
+            acc += own_proba(model, X)
         meta[:, j] = acc / len(per_fold)
     scores = np.zeros((X.shape[0], len(pipeline.second_models)))
     for j, model in enumerate(pipeline.second_models):
-        scores[:, j] = model.predict_proba(meta)
+        scores[:, j] = own_proba(model, meta)
     return meta, scores.mean(axis=1)
 
 

@@ -22,20 +22,26 @@ steady figures):
 * the streaming client's featurize step: ``extract_features`` per
   revision, then ``encode_matrix`` of the block with the side's schema;
 * ``predict_stack_batch`` on those blocks of the test corpus as the
-  change encodes it.
+  change encodes it, hot: one block after another;
+* for the block sizes in :data:`COLD_SIZES`, the same scoring cold, as
+  the benchmark's open loop scores: its first :data:`COLD_BLOCKS`
+  blocks, each timed alone after sleeping the open loop's spacing
+  between revisions (:data:`SPACING`, from ``perfbench``'s
+  ``OPEN_RATE``).
 
 Per block size it prints one line::
 
-    block 1 rows 400 parent 843.2 change 590.6 diff -251.7 won 1.00 same True featurize parent 27.0 change 15.1 diff -11.9 won 1.00 same True
+    block 1 rows 400 parent 843.2 change 590.6 diff -251.7 won 1.00 same True featurize parent 27.0 change 15.1 diff -11.9 won 1.00 same True cold rows 20 parent 1210.4 change 1187.9 diff -20.3 won 0.70 same True
 
-with, for scoring and then for featurize, the median CPU µs per
-revision on each side, the median of the paired differences (change
-minus parent), the share of pairs the change was faster in, and whether
-both sides gave the same scores (the same encoded matrices), bit for
-bit, for every block.  It only reads ``perfbench/``.
+with, for hot scoring, for featurize and, at a cold size, for cold
+scoring, the median CPU µs per revision on each side, the median of the
+paired differences (change minus parent), the share of pairs the change
+was faster in, and whether both sides gave the same scores (the same
+encoded matrices), bit for bit, for every block.  It only reads
+``perfbench/``.
 
-It exits 0 when every block size reads ``same True`` twice, 1 (after the
-table) when any reads ``same False``, and 2 on a bad argument.
+It exits 0 when every figure on every line reads ``same True``, 1 (after
+the table) when any reads ``same False``, and 2 on a bad argument.
 """
 
 from __future__ import annotations
@@ -53,13 +59,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from fit_cpu import load_package, paired_summary  # noqa: E402
 from perfbench.corpusgen import write_labeled  # noqa: E402
-from perfbench.workloads import SPEC, train_args  # noqa: E402
+from perfbench.workloads import OPEN_RATE, SPEC, train_args  # noqa: E402
 
 # the streaming client's blocks (1-16 rows), the last block size whose
 # groups can hold two first-stage models (81), and batch-sized blocks
 BLOCKS = (1, 2, 4, 8, 16, 32, 81, 200, 4000)
 # rows scored per measurement at the least, in whole blocks
 ROWS = 400
+# block sizes also timed cold: the open loop's one-row blocks and the
+# closed loop's 16-row windows
+COLD_SIZES = (1, 16)
+# blocks per cold measurement, each after SPACING idle
+COLD_BLOCKS = 20
+# seconds between revisions in the benchmark's open loop
+SPACING = 1.0 / OPEN_RATE
 
 
 def prepare(package, seed: int, tmp: Path) -> tuple[Path, list]:
@@ -88,6 +101,18 @@ def score_once(package, pipeline, blocks: list[np.ndarray]) -> tuple[float, np.n
     return time.process_time() - start, np.concatenate(scores)
 
 
+def score_cold(package, pipeline, blocks: list[np.ndarray]) -> tuple[float, np.ndarray]:
+    """CPU seconds of scoring ``blocks`` with ``package``, each timed alone after :data:`SPACING` asleep, and the scores."""
+    stacking = importlib.import_module(package.__name__ + ".stacking")
+    seconds, scores = 0.0, []
+    for block in blocks:
+        time.sleep(SPACING)
+        start = time.process_time()
+        scores.append(stacking.predict_stack_batch(pipeline, block))
+        seconds += time.process_time() - start
+    return seconds, np.concatenate(scores)
+
+
 def featurize_once(package, schema, blocks: list) -> tuple[float, np.ndarray]:
     """CPU seconds of the client's featurize step on blocks of revisions, and the encoded rows."""
     featurize = importlib.import_module(package.__name__ + ".featurize")
@@ -114,10 +139,18 @@ def paired(run, blocks: list, pairs: int) -> dict:
     return {**paired_summary(*times), "rows": n, "same": same}
 
 
-def compare(sides: tuple, pipelines: tuple, X: np.ndarray, sizes, pairs: int) -> dict[int, dict]:
-    """Per block size, the paired summary of scoring ``X`` in blocks of that size."""
+def compare(sides: tuple, pipelines: tuple, X: np.ndarray, sizes, pairs: int, cold: bool = False) -> dict[int, dict]:
+    """Per block size, the paired summary of scoring ``X`` in blocks of that size.
+
+    Cold, it scores the first :data:`COLD_BLOCKS` blocks with :func:`score_cold`.
+    """
+    score = score_cold if cold else score_once
     return {
-        size: paired(lambda k, blocks: score_once(sides[k], pipelines[k], blocks), blocks_of(X, size), pairs)
+        size: paired(
+            lambda k, blocks: score(sides[k], pipelines[k], blocks),
+            blocks_of(X, size)[: COLD_BLOCKS if cold else None],
+            pairs,
+        )
         for size in sizes
     }
 
@@ -147,15 +180,23 @@ def main(argv: list[str]) -> int:
     featurized = compare_featurize(sides, schemas, revisions, BLOCKS, pairs)
     X = featurize_once(sides[1], schemas[1], [revisions])[1]
     rows = compare(sides, pipelines, X, BLOCKS, pairs)
+    cold = compare(sides, pipelines, X, [size for size in COLD_SIZES if size in BLOCKS], pairs, cold=True)
     for size, row in rows.items():
         feat = featurized[size]
-        print(
+        line = (
             f"block {size} rows {row['rows']} parent {row['parent']:.1f} change {row['change']:.1f}"
             f" diff {row['diff']:+.1f} won {row['won']:.2f} same {row['same']}"
             f" featurize parent {feat['parent']:.1f} change {feat['change']:.1f}"
             f" diff {feat['diff']:+.1f} won {feat['won']:.2f} same {feat['same']}"
         )
-    results = [*rows.values(), *featurized.values()]
+        if size in cold:
+            idle = cold[size]
+            line += (
+                f" cold rows {idle['rows']} parent {idle['parent']:.1f} change {idle['change']:.1f}"
+                f" diff {idle['diff']:+.1f} won {idle['won']:.2f} same {idle['same']}"
+            )
+        print(line)
+    results = [*rows.values(), *featurized.values(), *cold.values()]
     return 0 if all(row["same"] for row in results) else 1
 
 
