@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..errors import UnsupportedFamily
-from .base import BaseModel, check_X_y
-from .boosting import GradientBoostingClassifier, log_loss, sigmoid
+from .base import BaseModel
+from .boosting import GradientBoostingClassifier
 from .forest import ExtraTreesClassifier, RandomForestClassifier
 from .io import (
     BUILTIN_FAMILIES,
     TreeColumns,
-    family_name,
     load_model,
     model_from_lines,
     model_to_lines,
@@ -26,13 +25,8 @@ from .io import (
     save_model,
 )
 from .linear import LogisticRegression
-from .mlp import MLPClassifier, loss_and_grad
-from .selection import (
-    DEFAULT_THRESHOLD,
-    feature_importances,
-    project_matrix,
-    select_features,
-)
+from .mlp import MLPClassifier
+from .selection import feature_importances, project_matrix, select_features
 
 _REGISTRY: dict[str, type] = dict(BUILTIN_FAMILIES)
 

@@ -22,7 +22,7 @@ converts to and from its walk form.  :func:`read_model` parses and checks
 a tree model's trees into the next rows of a :class:`TreeColumns`, which
 compiles the trees of every model read into it with one constructor
 call: :func:`model_from_lines` one model's, the pipeline loader a whole
-stage's, into its stage table.
+stage's, each model's ``nodes_`` a range of that table.
 """
 
 from __future__ import annotations
@@ -171,15 +171,15 @@ class TreeColumns:
         # per model read: the model, its trees' sizes and its `trees` line
         self.models: list[tuple] = []
 
-    def compile(self) -> Optional[NodeTable]:
-        """One table of the trees filled in, in order, or None when none was; each model gets its range.
+    def compile(self) -> None:
+        """Compile the trees filled in, in order, into one table, when any was.
 
-        A model's ``nodes_`` is its trees, a tree range of the table.  A
+        Each model's ``nodes_`` is its trees, a tree range of the table.  A
         tree deeper than its model's ``max_depth`` is refused, named at
         its ``tree`` line.
         """
         if not self.models:
-            return None
+            return
         sizes = np.concatenate([sizes for _, sizes, _ in self.models])
         table = NodeTable(*(column[: self.filled] for column in self.columns), sizes)
         lo = 0
@@ -193,7 +193,6 @@ class TreeColumns:
                     trees_line + _below_trees(sizes, int(sizes[:t].sum())) - 1,
                 )
             model.nodes_ = nodes
-        return table
 
 
 def model_from_lines(lines: Sequence[str], offset: int = 0):

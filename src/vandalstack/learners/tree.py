@@ -7,9 +7,10 @@ The table compiles that layout into its walk form, walks all trees
 together to predict, and alone turns the walk form back into the layout
 (:meth:`NodeTable.local`), which :mod:`vandalstack.learners.io` formats.
 A tree range (:meth:`NodeTable.trees`) is a table of some of a table's
-trees on the same arrays: a loaded pipeline compiles each stage's tree
-models into one table, each model's ``nodes_`` a range of it, so that a
-block of a few rows walks several models' trees in one walk.
+trees on the same arrays, which records that table and its first tree
+there: a loaded pipeline compiles each stage's tree models into one
+table, each model's ``nodes_`` a range of it, so that a block of a few
+rows walks the models whose ranges follow one another in one walk.
 :func:`range_sums` is the one code that turns a range's leaves into
 sums: of one model's trees for its own ``predict_proba``, and of a run
 of a stage's models at once.
@@ -81,22 +82,24 @@ class NodeTable:
     ``x <= threshold``, so NaN goes right.
 
     :meth:`trees` makes a tree range: a table of some of the trees that
-    shares the node arrays, whose nodes are ``span``.  A pipeline's loader
-    compiles each stage's tree models into one table, the stage table,
-    and each model's ``nodes_`` is its range of it, so a block of a few
-    rows can walk several models' trees in one walk.  The table walks
-    and finds leaves; :func:`range_sums` alone sums their values.
+    shares the node arrays.  It records the table it was cut from
+    (``table``) and the index of its first tree there (``first``), from
+    which its nodes, ``span``, follow; a table is the range of all its
+    trees.  A pipeline's loader compiles each stage's tree models into
+    one table, and each model's ``nodes_`` is its range of it, so a block
+    of a few rows can walk several models' trees in one walk.  The table
+    walks and finds leaves; :func:`range_sums` alone sums their values.
     """
 
-    # rows x trees cells walked per step: keeps every temporary in cache,
-    # and a stage table walks a run of its models together while the run's
-    # rows x trees stay within it.  predict_stack_batch with the
-    # benchmark's seed-7 pipeline on blocks of 1 / 4 / 16 / 81 / 200 /
-    # 4,000 rows of its test split, in µs per block (CPU, best of 9, one
-    # core of a 2-core x86-64 host): 2^13 429 / 787 / 1875 / 7445 / 17160
-    # / 312100, 2^14 419 / 744 / 1754 / 5834 / 14198 / 286852, 2^15 416 /
-    # 755 / 1847 / 7112 / 16001 / 304881, 2^16 442 / 795 / 1908 / 7901 /
-    # 16588 / 314462.  Leaf ids are the same at any value.
+    # rows x trees cells walked per step: keeps every temporary in cache, and
+    # a stage's models whose ranges follow one another are walked together
+    # while their rows x trees stay within it.  predict_stack_batch with the
+    # benchmark's seed-7 pipeline on blocks of 1 / 4 / 16 / 81 / 200 / 4,000
+    # rows of its test split, in µs per block (CPU, best of 9, one core of a
+    # 2-core x86-64 host): 2^13 429 / 787 / 1875 / 7445 / 17160 / 312100, 2^14
+    # 419 / 744 / 1754 / 5834 / 14198 / 286852, 2^15 416 / 755 / 1847 / 7112 /
+    # 16001 / 304881, 2^16 442 / 795 / 1908 / 7901 / 16588 / 314462.  Leaf ids
+    # are the same at any value.
     BLOCK_CELLS = 1 << 14
     # cells a block needs before its walk sets finished cells aside.  Below
     # it a step costs its numpy calls more than its cells, and counting and
@@ -130,7 +133,7 @@ class NodeTable:
         self.threshold[leaf] = np.inf
         self.right += np.repeat(self.roots, sizes)
         self.right[leaf] = np.flatnonzero(leaf) + 1  # a leaf goes left to itself
-        self.span = (0, self.value.size)
+        self.table, self.first = self, 0  # a table is the range of all its trees
         # per tree: the widest input column it splits on, plus one, and its depth
         self.widths = (
             np.maximum.reduceat(self.feature, self.roots) if sizes.size else np.zeros(0, np.intp)
@@ -142,17 +145,20 @@ class NodeTable:
         self.width = int(self.widths.max(initial=0))
         self.depth = int(self.depths.max(initial=0))
 
+    @property
+    def span(self) -> tuple[int, int]:
+        """The range's nodes in the shared arrays: its first root up to the next tree's, or the end."""
+        bounds = np.append(self.table.roots, self.value.size)
+        return int(bounds[self.first]), int(bounds[self.first + self.n_trees])
+
     def trees(self, lo: int, hi: int) -> "NodeTable":
-        """Trees ``lo`` up to ``hi`` as a tree range: a table that shares these node arrays."""
-        if (lo, hi) == (0, self.n_trees):
-            return self
-        part = copy.copy(self)
-        end = self.span[1]
-        part.span = (
-            int(self.roots[lo]) if lo < self.n_trees else end,
-            int(self.roots[hi]) if hi < self.n_trees else end,
-        )
-        part.roots, part.widths, part.depths = self.roots[lo:hi], self.widths[lo:hi], self.depths[lo:hi]
+        """Trees ``lo`` up to ``hi`` of this range, as a range of the table it was cut from."""
+        table, lo, hi = self.table, self.first + lo, self.first + hi
+        if (lo, hi) == (0, table.n_trees):
+            return table
+        part = copy.copy(table)
+        part.first = lo
+        part.roots, part.widths, part.depths = table.roots[lo:hi], table.widths[lo:hi], table.depths[lo:hi]
         part._measure()
         return part
 
@@ -238,7 +244,7 @@ def range_sums(
     """Per member, ``start + weight*v_1 + ... + weight*v_T`` at each row of dense ``X``: ``(members, rows)``.
 
     The one code that turns leaves into sums, for a tree model (a range
-    of one member) and for a stage table's run of models alike.
+    of one member) and for a run of a stage's models alike.
     ``nodes`` is a tree range whose trees are its members' one after
     another: member ``k`` has the next ``sizes[k]`` trees, with leaf
     values ``v_t``, and ``rules[k]`` is its ``(start, weight)``.  ``X``

@@ -22,21 +22,22 @@ width) for ``fit_stack`` and the loader, which reports a breach at the
 Every tree model sums its leaves with one function,
 :func:`~vandalstack.learners.tree.range_sums`, whether it scores alone
 or with others.  The loader compiles each stage's tree models into one
-node table, the stage's :class:`StageTable`, before anything is scored;
-each model's ``nodes_`` is a range of it.  A block is then scored in
-groups: a run of the stage's tree models, in stage order, as long as
-rows x trees stay within ``NodeTable.BLOCK_CELLS``.  A group of several
-models is one range of several members: walked once, each model's
-leaves summed in its own tree order, all in one pass, and finished by
-its family's rule, one call a family, so each scores bit for bit as its
-own ``predict_proba``.  A group of one, and every other model, is
-scored by its own ``predict_proba``.  A one-row block walks the first
-stage's 1,800 trees (the default stack's) in one walk; from 82 rows up
-every group holds one model.  A pipeline from ``fit_stack`` has no
-stage tables, and its tree models sum their leaves one model at a time
-through the same function, with the same scores.  It is not compiled
-because its one command caller, ``train-stack``, saves it without
-scoring it, and a stage table would copy every node column.
+node table before anything is scored, and each model's ``nodes_`` is a
+tree range of it that records the table and its first tree there.  A
+block is then scored in runs (:func:`_runs`), read from the models as
+they are: tree models, in stage order, whose ranges follow one another
+in one table, as long as rows x trees stay within
+``NodeTable.BLOCK_CELLS``.  A run of several models is one range of
+several members: walked once, each model's leaves summed in its own
+tree order, all in one pass, and finished by its family's rule, one call
+a family, so each scores bit for bit as its own ``predict_proba``.  A
+run of one, and every other model, is scored by its own
+``predict_proba``.  A one-row block walks the first stage's 1,800 trees
+(the default stack's) in one walk; from 82 rows up every run holds one
+model.  A pipeline from ``fit_stack`` scores by the same rule: each of
+its tree models owns its table, so each is a run of one.  It is not
+compiled because its one command caller, ``train-stack``, saves it
+without scoring it, and one table a stage would copy every node column.
 """
 
 from __future__ import annotations
@@ -147,86 +148,56 @@ def check_selection(columns: Iterable[int], width: int) -> tuple[int, ...]:
     return selected
 
 
-@dataclass(frozen=True)
-class StageTable:
-    """One stage's tree models compiled into one :class:`NodeTable`, the stage table.
+def _runs(models: Sequence[BaseModel], shape: tuple[int, int]) -> Iterator[list[int]]:
+    """The indices of ``models`` walked together on input of ``shape``, run by run.
 
-    ``members`` holds, in stage order, each tree model's index among the
-    stage's models (the first stage's spec by spec, fold by fold) and the
-    tree range of ``table`` it got as its ``nodes_``.  The ranges follow
-    one another: member ``m``'s trees are ``bounds[m]`` up to
-    ``bounds[m + 1]``.
+    A run is a sequence of tree models, in order, that take the input's
+    width and whose ``nodes_`` lie one after another in one table, while
+    rows x trees stay within ``NodeTable.BLOCK_CELLS``.  Every other
+    model is in no run.
     """
-
-    table: NodeTable
-    members: tuple[tuple[int, NodeTable], ...]
-    bounds: tuple[int, ...]
-
-    @classmethod
-    def compile(cls, models: Sequence[BaseModel], trees: TreeColumns) -> Optional[StageTable]:
-        """The stage table of a stage's models as read, their trees read into ``trees``."""
-        table = trees.compile()
-        if table is None:
-            return None
-        members = tuple((i, model.nodes_) for i, model in enumerate(models) if hasattr(model, "nodes_"))
-        sizes = [nodes.n_trees for _, nodes in members]
-        return cls(table, members, tuple(np.cumsum([0] + sizes).tolist()))
-
-    def runs(self, models: Sequence[BaseModel], shape: tuple[int, int]) -> Iterator[list[int]]:
-        """The members, in runs of at most ``BLOCK_CELLS`` cells for input of ``shape``.
-
-        A member whose ``nodes_`` is no longer its range, or which takes
-        another input width, is in no run, so its own ``predict_proba``
-        scores it (or refuses the input).
-        """
-        rows, width = shape
-        run, trees = [], 0
-        for m, (i, nodes) in enumerate(self.members):
-            model = models[i]
-            if getattr(model, "nodes_", None) is not nodes or model.n_features_ != width:
+    rows, width = shape
+    run, table, end, trees = [], None, None, 0
+    for i, model in enumerate(models):
+        nodes = getattr(model, "nodes_", None)
+        if nodes is None or model.n_features_ != width:
+            continue
+        first, size = nodes.first, nodes.n_trees
+        trees += size
+        if nodes.table is not table or first != end or rows * trees > NodeTable.BLOCK_CELLS:
+            if run:
                 yield run
-                run, trees = [], 0
-                continue
-            if run and rows * (trees + nodes.n_trees) > NodeTable.BLOCK_CELLS:
-                yield run
-                run, trees = [], 0
-            run.append(m)
-            trees += nodes.n_trees
+            run, table, trees = [], nodes.table, size
+        run.append(i)
+        end = first + size
+    if run:
         yield run
 
-    def walk(self, models: Sequence[BaseModel], run: list[int], X: np.ndarray) -> Iterator[tuple]:
-        """``(index, predict_proba of X)`` of each member in ``run``, from one walk of their trees.
 
-        :func:`~vandalstack.learners.tree.range_sums`, the code of each
-        tree model's own ``predict_proba``, sums every member's leaves by
-        its own rule at once, and the members of one family are finished
-        together.
-        """
-        indices = [self.members[m][0] for m in run]
-        sizes = [self.members[m][1].n_trees for m in run]
-        nodes = self.table.trees(self.bounds[run[0]], self.bounds[run[-1] + 1])
-        sums = range_sums(nodes, X, sizes, [models[i].leaf_rule() for i in indices])
-        counts, families = np.array(sizes)[:, None], {}
-        for k, i in enumerate(indices):
-            families.setdefault(type(models[i]).proba_from_sums, []).append(k)
-        for finish, ks in families.items():
-            yield from zip([indices[k] for k in ks], finish(sums[ks], counts[ks]))
-
-
-def _stage_scores(
-    models: Sequence[BaseModel], stage: Optional[StageTable], X: np.ndarray
-) -> Iterator[np.ndarray]:
+def _stage_scores(models: Sequence[BaseModel], X: np.ndarray) -> Iterator[np.ndarray]:
     """Each model's ``predict_proba`` of dense ``X``, in order.
 
-    A run of several of the stage table's members is walked once and
-    each member's leaves summed by its own rule; every other model,
-    and every run of one, is scored by its own ``predict_proba``.
+    Each run of several models (:func:`_runs`) is one tree range, walked
+    once: :func:`~vandalstack.learners.tree.range_sums`, the code of each
+    tree model's own ``predict_proba``, sums every member's leaves by its
+    own rule, and the members of one family are finished together.  Every
+    other model, and every run of one, is scored by its own
+    ``predict_proba``.
     """
     walked = {}
-    if stage is not None:
-        for run in stage.runs(models, X.shape):
-            if len(run) > 1:
-                walked.update(stage.walk(models, run, X))
+    for run in _runs(models, X.shape):
+        if len(run) == 1:
+            continue
+        members = [models[i] for i in run]
+        sizes = [model.nodes_.n_trees for model in members]
+        head = members[0].nodes_
+        nodes = head.table.trees(head.first, head.first + sum(sizes))
+        sums = range_sums(nodes, X, sizes, [model.leaf_rule() for model in members])
+        counts, families = np.array(sizes)[:, None], {}
+        for k, model in enumerate(members):
+            families.setdefault(type(model).proba_from_sums, []).append(k)
+        for finish, ks in families.items():
+            walked.update(zip([run[k] for k in ks], finish(sums[ks], counts[ks])))
     for i, model in enumerate(models):
         yield walked.pop(i) if i in walked else model.predict_proba(X)
 
@@ -239,11 +210,10 @@ class StackedPipeline:
     columns the models were fit on.  ``schema``, when present, fixes that
     width; only a pipeline with one can be saved.  ``oof_`` (the
     training-time out-of-fold meta-feature matrix) is a diagnostic and is
-    not persisted.  A loaded pipeline has each stage's tree models
-    compiled into a :class:`StageTable` (``first_table`` and
-    ``second_table``).  A fitted one has none and scores model by model,
-    its tree models through the same leaf-sum code: ``train-stack``
-    saves it unscored, so compiling it would only copy its node columns.
+    not persisted.  A loaded pipeline's tree models are ranges of one
+    table a stage, so that a block of a few rows walks several of them at
+    once; a fitted one's own a table each.  Both score through
+    :func:`_stage_scores`, with the same scores.
     """
 
     config: StackConfig
@@ -252,8 +222,6 @@ class StackedPipeline:
     selected: tuple[int, ...]
     schema: Optional[FeatureSchema] = None
     oof_: Optional[np.ndarray] = None
-    first_table: Optional[StageTable] = field(default=None, repr=False, compare=False)
-    second_table: Optional[StageTable] = field(default=None, repr=False, compare=False)
 
 
 def fit_stack(
@@ -324,7 +292,7 @@ def stack_meta_features(pipeline: StackedPipeline, X) -> np.ndarray:
     Xmat = check_dense(X)
     n_first = len(pipeline.config.first_stage)
     models = [model for per_fold in pipeline.fold_models for model in per_fold]
-    scores = _stage_scores(models, pipeline.first_table, Xmat)
+    scores = _stage_scores(models, Xmat)
     meta = np.zeros((Xmat.shape[0], n_first))
     for j, per_fold in enumerate(pipeline.fold_models):
         acc = np.zeros(Xmat.shape[0])
@@ -338,7 +306,7 @@ def predict_stack_batch(pipeline: StackedPipeline, X) -> np.ndarray:
     """Scores for full-width input (projection applied internally)."""
     meta = stack_meta_features(pipeline, _model_input(X, pipeline.schema, pipeline.selected))
     scores = np.zeros((meta.shape[0], len(pipeline.second_models)))
-    for j, score in enumerate(_stage_scores(pipeline.second_models, pipeline.second_table, meta)):
+    for j, score in enumerate(_stage_scores(pipeline.second_models, meta)):
         scores[:, j] = score
     return scores.mean(axis=1)
 
@@ -431,7 +399,7 @@ def _pipeline_lines(pipeline: StackedPipeline, schema: FeatureSchema) -> Iterato
 
 
 def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
-    """Parse a pipeline file, compiling its stage tables; any violation raises ``MalformedLine`` naming its line."""
+    """Parse a pipeline file, compiling a table a stage; any violation raises ``MalformedLine`` naming its line."""
     if not lines or lines[0] != PIPELINE_HEADER:
         raise MalformedLine(f"expected pipeline header {PIPELINE_HEADER!r}", 1)
     reader = LineReader(lines, end_line=len(lines) + 1)
@@ -499,12 +467,13 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
                 raise MalformedLine(f"{name} has {key} {held!r}, spec {value!r}", at + 1 + where)
         return model
 
-    def take_stage(names: Iterable[tuple[str, ModelSpec]], width: int) -> tuple:
-        """The next sections' models, their stage table compiled here, before any scoring."""
+    def take_stage(names: Iterable[tuple[str, ModelSpec]], width: int) -> tuple[BaseModel, ...]:
+        """The next sections' models, their trees compiled into one table, each model's a range of it."""
         # a node per line left at the most
         trees = TreeColumns(len(lines) - reader.pos)
         models = tuple(take_model(name, spec, width, trees) for name, spec in names)
-        return models, StageTable.compile(models, trees)
+        trees.compile()
+        return models
 
     body, at = section("schema")
     schema = schema_from_lines(body, offset=at)
@@ -513,11 +482,11 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
     except UsageError as exc:
         raise MalformedLine(str(exc), selected_line) from None
     # a huge `k` fails at the first section it lacks
-    first_models, first_table = take_stage(
+    first_models = take_stage(
         ((f"model first {j} {f}", spec) for j, spec in enumerate(first) for f in range(k)),
         len(selected),
     )
-    second_models, second_table = take_stage(
+    second_models = take_stage(
         ((f"model second {j}", spec) for j, spec in enumerate(second)), n_first
     )
     last = reader.next()
@@ -531,8 +500,6 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
         second_models=second_models,
         selected=selected,
         schema=schema,
-        first_table=first_table,
-        second_table=second_table,
     )
 
 

@@ -35,7 +35,7 @@ from vandalstack.learners import (
 from vandalstack.learners import io as io_module
 from vandalstack.learners.io import TreeColumns, model_from_lines, model_to_lines, read_model
 from vandalstack.learners.tree import NodeTable, invalid_node, range_sums
-from vandalstack.stacking import StageTable, _stage_scores
+from vandalstack.stacking import _stage_scores
 
 N_FEATURES = 3
 CUTS = [-np.inf, -1.0, 0.0, 0.5, 1.0, 2.5, np.inf]
@@ -351,6 +351,7 @@ def test_a_tree_range_is_its_trees_alone_on_shared_arrays(members, X, data):
     b = data.draw(st.integers(a, hi - lo), label="b")
     inner, direct = part.trees(a, b), table.trees(lo + a, lo + b)
     assert inner.span == direct.span and np.array_equal(inner.roots, direct.roots)
+    assert inner.table is direct.table is table and inner.first == direct.first == lo + a
     assert table.trees(0, len(members)) is table
 
 
@@ -386,11 +387,13 @@ def test_a_stage_walk_scores_each_model_as_its_own_predict_proba(members, X, cel
     texts = [model_to_lines(model) for model in models]
     columns = TreeColumns(sum(map(len, texts)))
     loaded = [read_model(text, columns) for text in texts]
-    stage = StageTable.compile(loaded, columns)
-    assert (stage is None) == all(model is None for model in members)
+    columns.compile()
+    # every tree model is a range of one table
+    tables = {id(model.nodes_.table) for model in loaded if hasattr(model, "nodes_")}
+    assert len(tables) == (0 if all(model is None for model in members) else 1)
     with pytest.MonkeyPatch.context() as mp:
         sizes(mp, cells, compact)
-        got = list(_stage_scores(loaded, stage, X))
+        got = list(_stage_scores(loaded, X))
     for model, score in zip(models, got):
         assert bitwise_equal(score, model.predict_proba(X))
         # the walk and predict_proba share their sums; the loop over trees does not

@@ -1,6 +1,7 @@
 """Fold plans, out-of-fold purity, meta-features and pipeline persistence."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -616,20 +617,26 @@ def test_a_loaded_stack_scores_as_each_model_does_and_as_the_fitted_one(default_
     meta, scores = model_by_model(loaded, X)
     assert same_bits(stack_meta_features(loaded, X), meta)
     assert same_bits(predict_stack_batch(loaded, X), scores)
-    # a pipeline never saved has no stage tables and scores model by model
-    assert fitted.first_table is None and fitted.second_table is None
+    # a pipeline never saved: each tree model owns its table, so each walks alone
+    for models, width in ((first_models(fitted), 4), (fitted.second_models, 6)):
+        assert all(model.nodes_.table is model.nodes_ for model in models if hasattr(model, "nodes_"))
+        assert all(len(run) == 1 for run in stacking._runs(models, (rows, width)))
     assert same_bits(predict_stack_batch(fitted, X), scores)
+
+
+def tree_models(models):
+    return [i for i, model in enumerate(models) if hasattr(model, "nodes_")]
 
 
 @pytest.mark.parametrize("rows", STAGE_ROWS)
 def test_groups_hold_runs_of_tree_models_within_the_block_cells(default_stack, rows):
     _, _, loaded = default_stack
-    table = loaded.first_table
-    runs = [run for run in table.runs(first_models(loaded), (rows, 4)) if run]
-    # every member once, in stage order, each run within the block's cells
-    assert [m for run in runs for m in run] == list(range(len(table.members)))
+    models = first_models(loaded)
+    runs = list(stacking._runs(models, (rows, 4)))
+    # every tree model once, in stage order, each run within the block's cells
+    assert [i for run in runs for i in run] == tree_models(models)
     for run in runs:
-        trees = table.bounds[run[-1] + 1] - table.bounds[run[0]]
+        trees = sum(models[i].nodes_.n_trees for i in run)
         assert len(run) == 1 or rows * trees <= NodeTable.BLOCK_CELLS
     if rows <= 9:
         assert len(runs) == 1  # 1,800 trees
@@ -639,25 +646,30 @@ def test_groups_hold_runs_of_tree_models_within_the_block_cells(default_stack, r
 
 def test_the_second_stage_group_skips_the_mlp_between_its_tree_models(default_stack):
     _, _, loaded = default_stack
-    table = loaded.second_table
+    models = loaded.second_models
     # random forest, MLP, boosting, boosting
-    assert [i for i, _ in table.members] == [0, 2, 3]
-    assert list(table.runs(loaded.second_models, (1, 6))) == [[0, 1, 2]]
+    assert tree_models(models) == [0, 2, 3]
+    assert list(stacking._runs(models, (1, 6))) == [[0, 2, 3]]
     meta = stage_input(3)[:, [0, 1, 2, 3, 0, 1]]
-    want = [model.predict_proba(meta) for model in loaded.second_models]
-    got = list(stacking._stage_scores(loaded.second_models, table, meta))
+    want = [model.predict_proba(meta) for model in models]
+    got = list(stacking._stage_scores(models, meta))
     assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 def test_every_tree_model_is_a_range_of_its_stage_table(default_stack):
     _, _, loaded = default_stack
-    for table, models in ((loaded.first_table, first_models(loaded)),
-                          (loaded.second_table, loaded.second_models)):
-        for i, nodes in table.members:
-            assert models[i].nodes_ is nodes
+    for models in (first_models(loaded), loaded.second_models):
+        ranges = [models[i].nodes_ for i in tree_models(models)]
+        table = ranges[0].table
+        # the ranges follow one another, from the table's first tree to its last
+        sizes = [nodes.n_trees for nodes in ranges]
+        assert [nodes.first for nodes in ranges] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert sum(sizes) == table.n_trees
+        for nodes in ranges:
+            assert nodes.table is table
             for name in ("feature", "threshold", "right", "value"):
-                assert np.shares_memory(getattr(nodes, name), getattr(table.table, name)), name
-    assert sum(nodes.n_trees for _, nodes in loaded.first_table.members) == 1800
+                assert np.shares_memory(getattr(nodes, name), getattr(table, name)), name
+    assert sum(model.nodes_.n_trees for model in first_models(loaded) if hasattr(model, "nodes_")) == 1800
 
 
 def test_saving_a_loaded_stack_writes_the_file_it_came_from(default_stack):
@@ -675,7 +687,8 @@ def test_reassigned_trees_of_a_loaded_model_are_never_served_stale():
     # boosting fold 0 takes fold 1's trees; fold 2 a new learning rate
     models[0].nodes_ = models[1].nodes_
     models[2].learning_rate = 0.5
-    assert [run for run in loaded.first_table.runs(models, (1, 4)) if run] == [[1, 2]]
+    # fold 0 now holds a range that does not follow the one before fold 1's
+    assert list(stacking._runs(models, (1, 4))) == [[0], [1, 2]]
     for rows in (1, 24):
         Xq = stage_input(rows, seed=rows)
         meta, scores = model_by_model(loaded, Xq)
@@ -695,8 +708,35 @@ def test_a_stage_of_one_tree_model_or_none_has_a_table_or_none():
     loaded = pipeline_from_lines(list(pipeline_to_lines(
         fit_stack(X, y, config, schema=schema_of_width(4))
     )))
-    assert loaded.first_table is None
-    [(_, nodes)] = loaded.second_table.members
-    assert nodes.n_trees == 0
+    assert tree_models(first_models(loaded)) == []
+    [model] = loaded.second_models
+    assert model.nodes_.n_trees == 0 and model.nodes_.table is model.nodes_
+    assert list(stacking._runs(loaded.second_models, (5, 1))) == [[0]]
     Xq = stage_input(5)
     assert same_bits(predict_stack_batch(loaded, Xq), model_by_model(loaded, Xq)[1])
+
+
+def test_trees_swapped_in_from_another_loaded_pipeline_join_no_run():
+    rng = np.random.default_rng(15)
+    X, y = random_data(rng, n=24)
+    loaded, other = (
+        pipeline_from_lines(list(pipeline_to_lines(
+            fit_stack(X, y, replace(small_real_config(), seed=seed), schema=schema_of_width(4))
+        )))
+        for seed in (4, 5)
+    )
+    models, others = first_models(loaded), first_models(other)
+    # boosting fold 1 takes the other pipeline's fold 1: the same size, at the same place
+    swapped = others[1].nodes_
+    assert (swapped.first, swapped.n_trees) == (models[1].nodes_.first, models[1].nodes_.n_trees)
+    assert swapped.table is not models[1].nodes_.table
+    models[1].nodes_ = swapped
+    for rows in (1, 24):
+        assert list(stacking._runs(models, (rows, 4))) == [[0], [1], [2]]
+        Xq = stage_input(rows, seed=rows)
+        want = [own_proba(model, Xq) for model in models]
+        got = list(stacking._stage_scores(models, Xq))
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+        meta, scores = model_by_model(loaded, Xq)
+        assert same_bits(stack_meta_features(loaded, Xq), meta)
+        assert same_bits(predict_stack_batch(loaded, Xq), scores)
