@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 from .errors import UsageError
 from .learners.selection import DEFAULT_THRESHOLD
-from .lines import is_plain, parse_int, read_lines
+from .lines import is_plain, iter_lines, parse_int
 from .rng import derive_seed
 from .sampling import SamplingConfig
 from .stacking import StackConfig
@@ -157,7 +157,7 @@ def parse_config_file(path: Union[str, Path]) -> dict[str, str]:
     bad one is a :class:`UsageError` naming its ``path:line``.
     """
     pairs: dict[str, str] = {}
-    for line_no, raw in enumerate(read_lines(path), start=1):
+    for line_no, raw in enumerate(iter_lines(path), start=1):
         line = raw.split("#", 1)[0].strip(" \t")
         if not line:
             continue

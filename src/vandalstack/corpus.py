@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from .errors import DuplicateConflict, MalformedLine
-from .lines import Source, read_lines, write_lines
+from .lines import Source, iter_lines, write_lines
 
 GEO_FIELDS = ("country", "continent", "timezone", "region", "city", "county")
 
@@ -164,7 +164,7 @@ def load_corpus(source: Source, on_malformed: str = "skip") -> CorpusLoad:
     revisions: list[Revision] = []
     bad = 0
     undecodable: set[int] = set()
-    for line_no, line in enumerate(read_lines(source, undecodable), start=1):
+    for line_no, line in enumerate(iter_lines(source, undecodable), start=1):
         try:
             if line_no in undecodable:
                 raise MalformedLine("not valid UTF-8", line_no)
@@ -187,7 +187,7 @@ def load_labels(source: Source) -> dict[int, bool]:
     :class:`DuplicateConflict`.
     """
     labels: dict[int, bool] = {}
-    for line_no, line in enumerate(read_lines(source), start=1):
+    for line_no, line in enumerate(iter_lines(source), start=1):
         rev_id, text = split_keyed(line, line_no)
         token = text.strip(" \t")
         # only ASCII is case-folded: lower() would read the Kelvin sign as k

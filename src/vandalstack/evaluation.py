@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import split_keyed
 from .errors import DuplicateConflict, EmptyDataset, MalformedLine, SingleClass
-from .lines import Source, is_plain, read_lines
+from .lines import Source, is_plain, iter_lines
 
 MDS_CAP = 2000
 N_BINS = 20
@@ -184,7 +184,7 @@ def load_scores(source: Source) -> dict[int, float]:
     tolerated; a contradiction raises :class:`DuplicateConflict`.
     """
     scores: dict[int, float] = {}
-    for line_no, line in enumerate(read_lines(source), start=1):
+    for line_no, line in enumerate(iter_lines(source), start=1):
         if line == "":
             continue
         rev_id, text = split_keyed(line, line_no)

@@ -34,7 +34,7 @@ from .errors import (
     IndexOutOfRange,
     MalformedLine,
 )
-from .lines import Source, Target, read_lines, write_lines
+from .lines import Source, Target, iter_lines, write_lines
 
 SCHEMA_HEADER = "vandalstack-schema v1"
 
@@ -482,19 +482,20 @@ def schema_to_lines(schema: FeatureSchema) -> list[str]:
 
 
 def load_schema(path: Source) -> FeatureSchema:
-    return schema_from_lines(read_lines(path))
+    return schema_from_lines(iter_lines(path))
 
 
-def schema_from_lines(lines: Sequence[str], offset: int = 0) -> FeatureSchema:
-    """Parse a schema file; ``offset`` lines precede it in the file read.
+def schema_from_lines(lines: Iterable[str], offset: int = 0) -> FeatureSchema:
+    """Parse a schema file, its lines as they come; ``offset`` lines precede it in the file read.
 
     Blank lines are skipped.
     """
-    if not lines or lines[0] != SCHEMA_HEADER:
+    lines = iter(lines)
+    if next(lines, None) != SCHEMA_HEADER:
         raise MalformedLine(f"expected schema header {SCHEMA_HEADER!r}", offset + 1)
     numeric: list[str] = []
     vocab: list[tuple[str, str]] = []
-    for line_no, line in enumerate(lines[1:], start=offset + 2):
+    for line_no, line in enumerate(lines, start=offset + 2):
         if line == "":
             continue
         kind, _, rest = line.partition(" ")

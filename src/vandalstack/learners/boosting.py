@@ -17,7 +17,6 @@ from typing import Annotated, Optional
 import numpy as np
 
 from .base import BaseModel, check_predict_input, check_X_y
-from .grower import Presort, TreeBuilder, TreeJob, node_table, number_trees
 from .tree import range_sums
 
 _PROB_EPS = 1e-12
@@ -54,6 +53,9 @@ class GradientBoostingClassifier(BaseModel):
         self.seed = seed
 
     def fit(self, X, y) -> "GradientBoostingClassifier":
+        # only a fit grows trees: scoring never compiles the grower
+        from .grower import Presort, TreeBuilder, TreeJob, node_table, number_trees
+
         self._check_params()
         Xd, labels = check_X_y(X, y)
         n, d = Xd.shape

@@ -10,20 +10,25 @@ sample and draws one uniform threshold per candidate feature.
 from __future__ import annotations
 
 import math
-from typing import Annotated, Literal, Optional, Union
+from typing import TYPE_CHECKING, Annotated, Literal, Optional, Union
 
 import numpy as np
 
 from ..rng import derive_seed, generator
 from .base import BaseModel, check_predict_input, check_X_y
-from .grower import TreeBuilder, TreeJob
 from .tree import range_sums
+
+if TYPE_CHECKING:
+    from .grower import TreeJob
 
 
 class _BaseForest(BaseModel):
     random_threshold = False
 
     def fit(self, X, y) -> "_BaseForest":
+        # only a fit grows trees: scoring never compiles the grower
+        from .grower import TreeBuilder
+
         self._check_params()
         Xd, labels = check_X_y(X, y)
         n, d = Xd.shape
@@ -39,8 +44,10 @@ class _BaseForest(BaseModel):
         self.n_features_ = d
         return self
 
-    def _job(self, t: int, labels: np.ndarray, every_row: np.ndarray) -> TreeJob:
+    def _job(self, t: int, labels: np.ndarray, every_row: np.ndarray) -> "TreeJob":
         """Tree ``t``: its rows (a bootstrap draw, if any), its leaf rule, its key."""
+        from .grower import TreeJob
+
         key = derive_seed(self.seed, "tree", t)
         rows, target = every_row, labels
         if self.bootstrap:

@@ -19,20 +19,21 @@ read is ASCII text with no ``_`` and no whitespace: an integer is read by
 A tree model's ``NodeTable`` (``nodes_``) is written by :func:`_tree_lines`
 and read back on whole tree-local node columns, which only the table
 converts to and from its walk form.  :func:`read_model` parses and checks
-a tree model's trees into the next rows of a :class:`TreeColumns`, which
-compiles the trees of every model read into it with one constructor
-call: :func:`model_from_lines` one model's, the pipeline loader a whole
+a tree model's trees, a few thousand node lines at a time as they are
+read, into the next rows of a :class:`TreeColumns`, which compiles the
+trees of every model read into it with one constructor call:
+:func:`model_from_lines` one model's, the pipeline loader a whole
 stage's, each model's ``nodes_`` a range of that table.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import MalformedLine, UnsupportedFamily
-from ..lines import LineReader, Source, Target, is_plain, parse_int, read_lines, write_lines
+from ..lines import LineReader, Source, Target, is_plain, iter_lines, parse_int, write_lines
 from .base import param_problem
 from .boosting import GradientBoostingClassifier
 from .forest import ExtraTreesClassifier, RandomForestClassifier
@@ -157,19 +158,37 @@ def _floats(reader: LineReader, tag: str, line: str, size: int) -> np.ndarray:
 class TreeColumns:
     """The tree-local node columns of one or more tree models, filled as each is read.
 
-    :func:`read_model` parses and checks a tree model's node lines
-    straight into the next free rows, and :meth:`compile` compiles the
-    rows filled into one table with one constructor call, so no model's
-    trees are ever held twice.
+    :func:`read_model` parses and checks a tree model's node lines a few
+    thousand at a time, as they are read, straight into the next rows
+    (:meth:`rows`), and :meth:`compile` compiles the rows filled into one
+    table with one constructor call, so no model's trees are ever held
+    twice.
     """
 
-    def __init__(self, capacity: int):
-        # rows for `capacity` nodes at the most: rows never written cost
-        # address space, not memory, so a loose bound will do
-        self.columns = (np.empty(capacity, np.intp), np.empty(capacity), np.empty(capacity, np.intp), np.empty(capacity))
+    def __init__(self):
+        self.columns = (np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp), np.empty(0))
         self.filled = 0
         # per model read: the model, its trees' sizes and its `trees` line
         self.models: list[tuple] = []
+
+    def rows(self, count: int) -> tuple[np.ndarray, ...]:
+        """The next ``count`` rows of the columns (feature, threshold, right, value), to be filled.
+
+        The columns grow to hold them, by a quarter at least, with
+        ``ndarray.resize``: a ``realloc``, by which the C library moves a
+        large block by remapping its pages, not by copying them, so that
+        no model's trees are held twice.  No view of a column may outlive
+        the next call, nor :meth:`compile`, which trims the columns to
+        the rows filled.
+        """
+        stop = self.filled + count
+        if stop > self.columns[0].size:
+            size = max(stop, self.columns[0].size * 5 // 4)
+            for column in self.columns:
+                column.resize(size, refcheck=False)
+        rows = slice(self.filled, stop)
+        self.filled = stop
+        return tuple(column[rows] for column in self.columns)
 
     def compile(self) -> None:
         """Compile the trees filled in, in order, into one table, when any was.
@@ -180,8 +199,10 @@ class TreeColumns:
         """
         if not self.models:
             return
+        for column in self.columns:
+            column.resize(self.filled, refcheck=False)
         sizes = np.concatenate([sizes for _, sizes, _ in self.models])
-        table = NodeTable(*(column[: self.filled] for column in self.columns), sizes)
+        table = NodeTable(*self.columns, sizes)
         lo = 0
         for model, sizes, trees_line in self.models:
             nodes = table.trees(lo, lo + sizes.size)
@@ -195,17 +216,27 @@ class TreeColumns:
             model.nodes_ = nodes
 
 
-def model_from_lines(lines: Sequence[str], offset: int = 0):
+def model_from_lines(lines: Iterable[str], offset: int = 0):
     """The model of a model block, its trees (if any) compiled into its own table."""
-    trees = TreeColumns(len(lines))
+    trees = TreeColumns()
     model = read_model(lines, trees, offset)
     trees.compile()
     return model
 
 
-def read_model(lines: Sequence[str], trees: TreeColumns, offset: int = 0):
-    """The model of a model block; a tree model's trees go to ``trees``, to be compiled there."""
-    reader = LineReader(lines, offset)
+def read_model(
+    lines: Union[Iterable[str], LineReader],
+    trees: TreeColumns,
+    offset: int = 0,
+    param_lines: Optional[dict[str, int]] = None,
+):
+    """The model of a model block; a tree model's trees go to ``trees``, to be compiled there.
+
+    ``lines`` is the block's lines, ``offset`` lines into their file, or a
+    :class:`LineReader` of the block.  ``param_lines``, when given, gets
+    the file line of each ``param`` line read, by name.
+    """
+    reader = lines if isinstance(lines, LineReader) else LineReader(lines, offset)
     if reader.next() != MODEL_HEADER:
         raise MalformedLine(f"expected model header {MODEL_HEADER!r}", reader.line_no)
     family = reader.expect("family")
@@ -225,15 +256,18 @@ def read_model(lines: Sequence[str], trees: TreeColumns, offset: int = 0):
         if problem:
             raise MalformedLine(f"bad {family} parameter line {line!r}: {problem}", reader.line_no)
         params[name] = value
+        if param_lines is not None:
+            param_lines.setdefault(name, reader.line_no)
     model = cls(**params)
     model.n_features_ = dim
+    last_trees = None
     # `line` now holds the first line of the fitted block
     if family in ("random_forest", "extra_trees", "gradient_boosting"):
         if family == "gradient_boosting":
             model.base_score_ = float(_floats(reader, "base_score", line, 1)[0])
             line = reader.next()
         model.feature_importances_ = _floats(reader, "importances", line, dim)
-        _read_trees(reader, model, trees)
+        last_trees = _read_trees(reader, model, trees)
     elif family == "logistic_regression":
         model.intercept_ = float(_floats(reader, "bias", line, 1)[0])
         model.coef_ = _floats(reader, "coef", reader.next(), dim)
@@ -246,8 +280,10 @@ def read_model(lines: Sequence[str], trees: TreeColumns, offset: int = 0):
         model.theta_ = _floats(reader, "theta", reader.next(), dim * h + 2 * h + 1)
     if reader.next() != "end":
         raise MalformedLine("model block missing 'end'", reader.line_no)
-    if reader.pos != len(reader.lines):
-        raise MalformedLine("trailing content after model block", reader.line_no)
+    if last_trees is not None:
+        # after 'end' is read: a file cut in the last node lines is cut, not a bad node line
+        last_trees()
+    reader.expect_end("trailing content after model block")
     return model
 
 
@@ -326,61 +362,76 @@ def _tree_lines(feature, threshold, right, value, sizes) -> list[str]:
     return lines
 
 
-def _read_trees(reader: LineReader, model, trees: TreeColumns) -> None:
-    """Read the ``trees`` line and its tree blocks, parsing the nodes at once, into ``trees``.
+def _read_trees(reader: LineReader, model, trees: TreeColumns) -> Callable[[], None]:
+    """Read the ``trees`` line and its tree blocks into ``trees``; returns the parse of the last trees.
 
-    The trees must be as many as the model's ``n_estimators`` and each
-    feature index below its ``dim``; each split's threshold and each
-    node's value must be finite.  Their depth is checked when they are
-    compiled.
+    Whole trees' node lines are parsed and checked once they are at least
+    :data:`_PARSE_LINES` and the next tree's line is read, so a model's
+    lines are never all held; the caller parses the last ones.  The trees
+    must be as many as the model's ``n_estimators`` and each feature index
+    below its ``dim``; each split's threshold and each node's value must
+    be finite.  Their depth is checked when they are compiled.
     """
     n_trees = reader.expect_int("trees")
     if n_trees != model.n_estimators:
         raise MalformedLine(f"trees must equal n_estimators {model.n_estimators}", reader.line_no)
     trees_line = reader.line_no
     dim = model.n_features_
-    sizes, lines = [], []
-    for _ in range(n_trees):
-        n_nodes = reader.expect_int("tree", 1)
-        if reader.pos + n_nodes > len(reader.lines):
-            raise MalformedLine("tree runs past the end of the model block", reader.line_no)
-        sizes.append(n_nodes)
-        lines.extend(reader.lines[reader.pos : reader.pos + n_nodes])
-        reader.pos += n_nodes
+    sizes: list[int] = []
+    piece: list[str] = []  # the node lines of trees `first` on, not parsed yet
+    first = start = 0  # and the model's index of the first of those nodes
 
     def line_of(k: int) -> int:
         # the file line of the model's k-th node line
         return trees_line + _below_trees(sizes, k)
 
-    # parsed a bounded number of lines at a time, straight into the next rows
-    rows = slice(trees.filled, trees.filled + len(lines))
-    feature, threshold, right, value = (column[rows] for column in trees.columns)
-    left = np.empty(len(lines), np.intp)
-    for lo in range(0, len(lines), _PARSE_LINES):
-        chunk = lines[lo : lo + _PARSE_LINES]
-        try:
-            nodes = _parse_nodes(chunk)
-        except ValueError:
-            for k, line in enumerate(chunk, lo):
-                try:
-                    _parse_nodes([line])
-                except ValueError:
-                    raise MalformedLine(f"bad tree node line {line!r}", line_of(k))
-            raise MalformedLine("bad tree node lines", line_of(0))
-        for column, name in zip((feature, threshold, left, right, value), _NODE_LINE.names[1:]):
-            column[lo : lo + len(chunk)] = nodes[name]
-    problems = [invalid_node(feature, threshold, left, right, sizes)]
-    wide = np.nonzero(feature >= dim)[0]
-    if wide.size:
-        problems.append((int(wide[0]), f"feature index not below dim {dim}"))
-    unscorable = _unscorable(feature >= 0, threshold, value)
-    if unscorable is not None:
-        problems.append((unscorable, "a split's threshold and a node's value must be finite"))
-    bad = min((problem for problem in problems if problem is not None), default=None)
-    if bad is not None:
-        raise MalformedLine(f"bad tree node: {bad[1]}", line_of(bad[0]))
-    trees.filled = rows.stop
-    trees.models.append((model, np.array(sizes, dtype=np.intp), trees_line))
+    def parse() -> None:
+        nonlocal piece, first, start
+        n = len(piece)
+        feature, threshold, right, value = trees.rows(n)
+        left = np.empty(n, np.intp)
+        # parsed a bounded number of lines at a time
+        for lo in range(0, n, _PARSE_LINES):
+            chunk = piece[lo : lo + _PARSE_LINES]
+            try:
+                nodes = _parse_nodes(chunk)
+            except ValueError:
+                for k, line in enumerate(chunk, start + lo):
+                    try:
+                        _parse_nodes([line])
+                    except ValueError:
+                        raise MalformedLine(f"bad tree node line {line!r}", line_of(k))
+                raise MalformedLine("bad tree node lines", line_of(start + lo))
+            for column, name in zip((feature, threshold, left, right, value), _NODE_LINE.names[1:]):
+                column[lo : lo + len(chunk)] = nodes[name]
+        problems = [invalid_node(feature, threshold, left, right, sizes[first:])]
+        wide = np.nonzero(feature >= dim)[0]
+        if wide.size:
+            problems.append((int(wide[0]), f"feature index not below dim {dim}"))
+        unscorable = _unscorable(feature >= 0, threshold, value)
+        if unscorable is not None:
+            problems.append((unscorable, "a split's threshold and a node's value must be finite"))
+        bad = min((problem for problem in problems if problem is not None), default=None)
+        if bad is not None:
+            raise MalformedLine(f"bad tree node: {bad[1]}", line_of(start + bad[0]))
+        piece, first, start = [], len(sizes), start + n
+
+    for _ in range(n_trees):
+        n_nodes = reader.expect_int("tree", 1)
+        at = reader.line_no
+        if len(piece) >= _PARSE_LINES:
+            parse()
+        lines = reader.take(n_nodes)
+        if len(lines) < n_nodes:
+            raise MalformedLine("tree runs past the end of the model block", at)
+        sizes.append(n_nodes)
+        piece += lines
+
+    def last() -> None:
+        parse()
+        trees.models.append((model, np.array(sizes, dtype=np.intp), trees_line))
+
+    return last
 
 
 def save_model(model, path: Target) -> None:
@@ -388,4 +439,4 @@ def save_model(model, path: Target) -> None:
 
 
 def load_model(path: Source):
-    return model_from_lines(read_lines(path))
+    return model_from_lines(iter_lines(path))

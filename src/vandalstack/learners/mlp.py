@@ -165,5 +165,9 @@ class MLPClassifier(BaseModel):
         # same alone (the streaming client) as in a batch (offline predict).
         X = check_predict_input(self, X)
         W1, b1, w2, b2 = unpack_params(self.theta_, self.n_features_, self.hidden_units)
-        A1 = np.maximum(np.einsum("ij,jk->ik", X, W1) + b1, 0.0)
+        # the bias and ReLU in place on the first einsum's output: one n x h
+        # temporary, not three
+        A1 = np.einsum("ij,jk->ik", X, W1)
+        A1 += b1
+        np.maximum(A1, 0.0, out=A1)
         return sigmoid(np.einsum("ij,j->i", A1, w2) + b2)

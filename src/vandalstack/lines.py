@@ -6,9 +6,13 @@ line: ``\\v``, ``\\f``, ``\\x1c``–``\\x1e``, ``\\x85``, ``\\u2028`` and
 ``\\u2029`` are ordinary text.  Writers emit UTF-8 with a ``\\n`` after
 every line.  A path that cannot be opened is a :class:`UsageError` naming
 it, and bytes that are not UTF-8 are a :class:`MalformedLine` naming
-their line.  :class:`LineReceiver` reads the scoring protocol's lines
-from a socket by the same rule, through one bounded buffer.
-:func:`parse_int` is the one rule for an integer in a file.  Stdlib only.
+their line.  :func:`iter_lines` reads a file a fixed-size chunk at a
+time and yields its lines as they come, and :class:`LineReader` lets a
+loader take them as they come, so no load holds its whole file; the
+writer, too, writes a few thousand lines at a time.
+:class:`LineReceiver` reads the scoring protocol's lines from a socket by
+the same rule, through one bounded buffer.  :func:`parse_int` is the one
+rule for an integer in a file.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ import contextlib
 import os
 import re
 import socket
-from itertools import islice
+import sys
+from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 from .errors import MalformedLine, UsageError
 
@@ -27,6 +32,8 @@ Source = Union[str, Path, IO[str], IO[bytes], Iterable[str]]
 Target = Union[str, Path, IO[str]]
 
 _CHUNK = 4096
+# bytes (or characters, from a text handle) read at a time
+_READ_BYTES = 1 << 16
 
 # The longest protocol line, in bytes, its LF included.  The longest legal
 # line is a REV line, whose corpus line is led by a 500-character edit
@@ -37,32 +44,25 @@ MAX_PROTOCOL_LINE = 65536
 _LINE = re.compile(rb"[^\n]*\n")
 
 
-def read_lines(source: Source, undecodable: Optional[set[int]] = None) -> list[str]:
-    """The lines of ``source``, without their line ends.
+def iter_lines(source: Source, undecodable: Optional[set[int]] = None) -> Iterator[str]:
+    """The lines of ``source``, without their line ends, as they are read.
 
     ``source`` is a path, a text or bytes handle, or an iterable of lines
     (each item one line, its LF optional).  A final line needs no LF, and
-    an empty source has no lines.  Bytes that are not UTF-8 raise
+    an empty source has no lines.  A path or handle is read
+    :data:`_READ_BYTES` at a time, and the lines each read completes are
+    decoded and split together, so a reader holds one read's lines and
+    never the whole file.  Bytes that are not UTF-8 raise
     :class:`MalformedLine` naming their line; when ``undecodable`` is
-    given, their 1-based line numbers are added to it instead, and each
-    such line reads as the empty string.
+    given, their 1-based line numbers are added to it instead, before the
+    line is yielded, and each such line reads as the empty string.
     """
-    data = _read(source)
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            if undecodable is None:
-                raise MalformedLine(
-                    "not valid UTF-8", data.count(b"\n", 0, exc.start) + 1
-                ) from None
-            data = "\n".join(_decode_each(data.split(b"\n"), undecodable))
-    if "\r" in data:
-        data = data.replace("\r\n", "\n")
-    lines = data.split("\n")
-    if lines[-1] == "":  # the last line's LF, or an empty source
-        lines.pop()
-    return lines
+    return chain.from_iterable(_blocks(source, undecodable))
+
+
+def read_lines(source: Source, undecodable: Optional[set[int]] = None) -> list[str]:
+    """Every line of ``source`` at once: :func:`iter_lines` as a list."""
+    return list(iter_lines(source, undecodable))
 
 
 def decode_line(raw: bytes) -> str:
@@ -173,26 +173,47 @@ def is_plain(text: str) -> bool:
 
 
 class LineReader:
-    """Sequential reader over a block of lines, with tag dispatch and error positions.
+    """Sequential reader over a block of lines, as they come, with tag dispatch and error positions.
 
     ``offset`` lines precede the block in its file, so ``line_no`` is the
     file line of the line read last.  A block that ends early is reported
-    at ``end_line``: by default its own last line, as for a block embedded
-    in a larger file.
+    at ``end_line``: by default at its own last line, as for a block
+    embedded in a larger file, or past it for a ``whole_file``.
     """
 
-    def __init__(self, lines: Sequence[str], offset: int = 0, end_line: Optional[int] = None):
-        self.lines = lines
+    def __init__(
+        self,
+        lines: Iterable[str],
+        offset: int = 0,
+        end_line: Optional[int] = None,
+        whole_file: bool = False,
+    ):
+        self._lines = iter(lines)
         self.pos = 0
         self.offset = offset
-        self.end_line = offset + len(lines) if end_line is None else end_line
+        self.end_line = end_line
+        self.whole_file = whole_file
+        # a section's block: its length, and the error when its file ends first
+        self._cut: Optional[tuple[int, MalformedLine]] = None
 
     def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise MalformedLine("unexpected end of input", self.end_line)
-        line = self.lines[self.pos]
+        line = next(self._lines, None)
+        if line is None:
+            self._ended()
+            end = self.end_line
+            if end is None:
+                end = self.line_no + 1 if self.whole_file else self.line_no
+            raise MalformedLine("unexpected end of input", end)
         self.pos += 1
         return line
+
+    def take(self, count: int) -> list[str]:
+        """The next ``count`` lines, or as many as are left."""
+        lines = list(islice(self._lines, min(count, sys.maxsize)))
+        self.pos += len(lines)
+        if len(lines) < count:
+            self._ended()
+        return lines
 
     def expect(self, tag: str) -> str:
         """The rest of the next line, which must be ``tag`` and a space, or ``tag`` alone."""
@@ -210,21 +231,107 @@ class LineReader:
             raise MalformedLine(f"bad {tag!r} value {rest!r}", self.line_no)
         return value
 
+    def expect_end(self, message: str) -> None:
+        """No line left: one that is raises ``message``, named at that line."""
+        if next(self._lines, None) is not None:
+            self.pos += 1
+            raise MalformedLine(message, self.line_no)
+        self._ended()
+
+    def section(self, count: int, cut: MalformedLine) -> "LineReader":
+        """The next ``count`` lines as a block of their own; ``cut`` if the file ends within them.
+
+        This reader moves past them at once: read the block to its end
+        before reading on here.
+        """
+        block = LineReader(islice(self._lines, count), self.line_no)
+        block._cut = (count, cut)
+        self.pos += count
+        return block
+
+    def __iter__(self) -> Iterator[str]:
+        for line in self._lines:
+            self.pos += 1
+            yield line
+        self._ended()
+
     @property
     def line_no(self) -> int:
         return self.offset + self.pos
 
+    def _ended(self) -> None:
+        if self._cut is not None and self.pos < self._cut[0]:
+            raise self._cut[1]
 
-def _read(source: Source) -> Union[str, bytes]:
+
+def _blocks(source: Source, undecodable: Optional[set[int]]) -> Iterator[list[str]]:
+    """The lines of ``source``, in one list per read that ends any."""
     if isinstance(source, (str, Path)):
+        chunks = _file_chunks(source)
+    elif hasattr(source, "read"):
+        chunks = iter(lambda: source.read(_READ_BYTES), source.read(0))
+    else:
+        # an iterable of lines: each chunk joins some, every one LF-ended
+        items = iter(source)
+        chunks = (
+            "".join(line if line.endswith("\n") else line + "\n" for line in batch)
+            for batch in iter(lambda: list(islice(items, _CHUNK)), [])
+        )
+    done = 0  # lines split so far
+    held: list = []  # the chunks since the last LF: the start of a line not yet ended
+    for chunk in chunks:
+        lf = b"\n" if isinstance(chunk, bytes) else "\n"
+        end = chunk.rfind(lf) + 1
+        if not end:
+            held.append(chunk)
+            continue
+        block = chunk[:end] if not held else chunk[:0].join([*held, chunk[:end]])
+        held = [chunk[end:]]
+        lines = _split(_decode(block, done, undecodable))
+        done += len(lines)
+        yield lines
+        del lines  # gone before the next block is split
+    if held and (rest := held[0][:0].join(held)):
+        # a last line without its LF: kept whole, a CR at its end too
+        yield [_decode(rest, done, undecodable)]
+
+
+def _file_chunks(path: Union[str, Path]) -> Iterator[bytes]:
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_READ_BYTES):
+                yield chunk
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _decode(block: Union[str, bytes], done: int, undecodable: Optional[set[int]]) -> str:
+    """``block``, the lines after the first ``done``, as text."""
+    if isinstance(block, str):
+        return block
+    try:
+        return block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        if undecodable is None:
+            line_no = done + block.count(b"\n", 0, exc.start) + 1
+            raise MalformedLine("not valid UTF-8", line_no) from None
+    lines = []
+    for line_no, raw in enumerate(block.split(b"\n"), start=done + 1):
         try:
-            with open(source, "rb") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {source}: {exc.strerror or exc}") from None
-    if hasattr(source, "read"):
-        return source.read()
-    return "".join(line if line.endswith("\n") else line + "\n" for line in source)
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            undecodable.add(line_no)
+            lines.append("")
+    return "\n".join(lines)
+
+
+def _split(text: str) -> list[str]:
+    """The lines of LF-ended ``text``, one CR before each LF dropped."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    lines.pop()  # the empty text after the last LF
+    return lines
 
 
 def _write_chunks(fh: IO[str], lines: Iterable[str]) -> None:
@@ -232,14 +339,3 @@ def _write_chunks(fh: IO[str], lines: Iterable[str]) -> None:
     it = iter(lines)
     while chunk := list(islice(it, _CHUNK)):
         fh.write("\n".join(chunk) + "\n")
-
-
-def _decode_each(raws: list[bytes], undecodable: set[int]) -> list[str]:
-    lines = []
-    for line_no, raw in enumerate(raws, start=1):
-        try:
-            lines.append(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            undecodable.add(line_no)
-            lines.append("")
-    return lines

@@ -76,7 +76,7 @@ from .learners import (
 )
 from .learners.base import check_dense, check_X_y, param_problem
 from .learners.tree import NodeTable, range_sums
-from .lines import LineReader, Source, Target, parse_int, read_lines, write_lines
+from .lines import LineReader, Source, Target, iter_lines, parse_int, write_lines
 from .rng import derive_seed, generator
 
 PIPELINE_HEADER = "vandalstack-pipeline v1"
@@ -398,12 +398,14 @@ def _pipeline_lines(pipeline: StackedPipeline, schema: FeatureSchema) -> Iterato
     yield "end"
 
 
-def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
-    """Parse a pipeline file, compiling a table a stage; any violation raises ``MalformedLine`` naming its line."""
-    if not lines or lines[0] != PIPELINE_HEADER:
+def pipeline_from_lines(lines: Iterable[str]) -> StackedPipeline:
+    """Parse a pipeline file, compiling a table a stage; any violation raises ``MalformedLine`` naming its line.
+
+    The lines are read as they come, each section's once it is next.
+    """
+    reader = LineReader(lines, whole_file=True)
+    if reader.take(1) != [PIPELINE_HEADER]:
         raise MalformedLine(f"expected pipeline header {PIPELINE_HEADER!r}", 1)
-    reader = LineReader(lines, end_line=len(lines) + 1)
-    reader.next()
 
     def take_specs(stage: str, count: int) -> tuple[ModelSpec, ...]:
         specs = []
@@ -434,8 +436,8 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
     if None in columns:
         raise MalformedLine(f"bad selected columns {selected_raw!r}", selected_line)
 
-    def section(name: str) -> tuple[Sequence[str], int]:
-        """The body of the next section, which must be ``name``, and its header's line."""
+    def section(name: str) -> LineReader:
+        """A reader of the next section's body, which must be ``name``; its offset is its header's line."""
         header = reader.next()
         at = reader.line_no
         head, _, rest = header.partition(" ")
@@ -443,18 +445,16 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
         count = parse_int(count_raw)
         if head != "section" or count is None or count < 0 or found != name:
             raise MalformedLine(f"expected section {name!r}, got {header!r}", at)
-        body = lines[reader.pos : reader.pos + count]
-        if len(body) != count:
-            raise MalformedLine(f"truncated section {name!r}", at)
-        reader.pos += len(body)
-        return body, at
+        return reader.section(count, MalformedLine(f"truncated section {name!r}", at))
 
     def take_model(name: str, spec: ModelSpec, width: int, trees: TreeColumns) -> BaseModel:
         """The next section's model, checked against its spec and its width; its trees go to ``trees``."""
-        body, at = section(name)
-        model = read_model(body, trees, offset=at)
+        body = section(name)
+        at = body.offset
+        param_lines: dict[str, int] = {}
+        model = read_model(body, trees, param_lines=param_lines)
         # a model's family and dim lines are the second and third of its section
-        if body[1] != f"family {spec.family}":
+        if type(model) is not BUILTIN_FAMILIES[spec.family]:
             raise MalformedLine(f"{name} is not a {spec.family} model", at + 2)
         if model.n_features_ != width:
             raise MalformedLine(f"{name} has dim {model.n_features_}, expected {width}", at + 3)
@@ -462,21 +462,18 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
             held = getattr(model, key)  # a model keeps each parameter as an attribute
             if held != value:
                 # name the model's `param` line, or its section header when it has none
-                tag = f"param {key} "
-                where = next((i for i, line in enumerate(body) if line.startswith(tag)), -1)
-                raise MalformedLine(f"{name} has {key} {held!r}, spec {value!r}", at + 1 + where)
+                raise MalformedLine(f"{name} has {key} {held!r}, spec {value!r}", param_lines.get(key, at))
         return model
 
     def take_stage(names: Iterable[tuple[str, ModelSpec]], width: int) -> tuple[BaseModel, ...]:
         """The next sections' models, their trees compiled into one table, each model's a range of it."""
-        # a node per line left at the most
-        trees = TreeColumns(len(lines) - reader.pos)
+        trees = TreeColumns()
         models = tuple(take_model(name, spec, width, trees) for name, spec in names)
         trees.compile()
         return models
 
-    body, at = section("schema")
-    schema = schema_from_lines(body, offset=at)
+    body = section("schema")
+    schema = schema_from_lines(body, offset=body.offset)
     try:
         selected = check_selection(columns, schema.total_dim)
     except UsageError as exc:
@@ -492,8 +489,7 @@ def pipeline_from_lines(lines: Sequence[str]) -> StackedPipeline:
     last = reader.next()
     if last != "end":
         raise MalformedLine(f"expected 'end', got {last!r}", reader.line_no)
-    if reader.pos != len(lines):
-        raise MalformedLine("trailing content after 'end'", reader.line_no + 1)
+    reader.expect_end("trailing content after 'end'")
     return StackedPipeline(
         config=config,
         fold_models=tuple(first_models[j * k : (j + 1) * k] for j in range(n_first)),
@@ -508,4 +504,4 @@ def save_pipeline(pipeline: StackedPipeline, path: Target) -> None:
 
 
 def load_pipeline(path: Source) -> StackedPipeline:
-    return pipeline_from_lines(read_lines(path))
+    return pipeline_from_lines(iter_lines(path))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
 from vandalstack.corpus import LabeledExample, Revision
+from vandalstack.errors import MalformedLine
 from vandalstack.featurize import FeatureSchema
 from vandalstack.learners import (
     ExtraTreesClassifier,
@@ -202,3 +204,39 @@ def fitted_tree_models(draw):
         model = family(n_estimators=draw(st.integers(1, 4)), max_depth=max_depth,
                        bootstrap=draw(st.booleans()), seed=draw(st.integers(0, 2**31)))
     return model.fit(X, y)
+
+
+def whole_file_lines(source, undecodable=None) -> list[str]:
+    """The line rule read the whole-file way, as the line layer once did: the reference for its chunked reader.
+
+    ``source`` is a path, a text or bytes handle, or an iterable of lines.
+    The whole text is decoded and split at once; on bytes that are not
+    UTF-8 each line is decoded alone, to name or collect the bad ones.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            data = fh.read()
+    elif hasattr(source, "read"):
+        data = source.read()
+    else:
+        data = "".join(line if line.endswith("\n") else line + "\n" for line in source)
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            if undecodable is None:
+                raise MalformedLine("not valid UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
+            lines = []
+            for line_no, raw in enumerate(data.split(b"\n"), start=1):
+                try:
+                    lines.append(raw.decode("utf-8"))
+                except UnicodeDecodeError:
+                    undecodable.add(line_no)
+                    lines.append("")
+            data = "\n".join(lines)
+    if "\r" in data:
+        data = data.replace("\r\n", "\n")
+    lines = data.split("\n")
+    if lines[-1] == "":  # the last line's LF, or an empty source
+        lines.pop()
+    return lines

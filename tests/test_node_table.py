@@ -385,7 +385,7 @@ stage_members = st.lists(
 def test_a_stage_walk_scores_each_model_as_its_own_predict_proba(members, X, cells, compact):
     models = [fitted_linear() if model is None else model for model in members]
     texts = [model_to_lines(model) for model in models]
-    columns = TreeColumns(sum(map(len, texts)))
+    columns = TreeColumns()
     loaded = [read_model(text, columns) for text in texts]
     columns.compile()
     # every tree model is a range of one table

@@ -1,6 +1,7 @@
 """``tools/score_cpu.py``: two source trees loaded side by side, scoring and featurize timed in pairs by block size."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +36,20 @@ def extract_features(rev):
 def encode_matrix(raws, schema):
     return {encode}
 '''
+
+
+# one measurement's figures on a printed line: each side's median and quartiles, then the pair
+FIGURES = re.compile(
+    r"parent (\S+) \[(\S+) (\S+)\] change (\S+) \[(\S+) (\S+)\] diff \S+ won \S+ same (True|False)"
+)
+
+
+def figures(text: str) -> list[tuple[float, float, float]]:
+    """Each side's (first quartile, median, third quartile) in ``text``, one measurement's figures."""
+    match = FIGURES.fullmatch(text)
+    assert match, text
+    p, p1, p3, c, c1, c3 = map(float, match.groups()[:6])
+    return [(p1, p, p3), (c1, c, c3)]
 
 
 def load_tool():
@@ -181,6 +196,10 @@ def test_the_exit_status_says_whether_every_block_scored_and_featurized_the_same
     assert " cold " not in rest[1]
     cold = rest[0].split(" cold ")[1]
     assert cold.startswith("rows 5 parent ") and cold.endswith(f" same {scored}")
+    # every median is printed between its side's quartiles
+    measured = [*(line.split(" ", 4)[4] for line in hot), rest[0].split(" cold ")[0], rest[1], cold.split(" ", 2)[2]]
+    for text in measured:
+        assert all(q1 <= median <= q3 for q1, median, q3 in figures(text))
 
 
 def test_cold_scores_that_differ_set_the_exit_status(tmp_path, monkeypatch, capsys):

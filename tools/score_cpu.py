@@ -31,14 +31,15 @@ steady figures):
 
 Per block size it prints one line::
 
-    block 1 rows 400 parent 843.2 change 590.6 diff -251.7 won 1.00 same True featurize parent 27.0 change 15.1 diff -11.9 won 1.00 same True cold rows 20 parent 1210.4 change 1187.9 diff -20.3 won 0.70 same True
+    block 1 rows 400 parent 843.2 [830.1 851.0] change 590.6 [585.3 597.2] diff -251.7 won 1.00 same True featurize parent 27.0 [26.8 27.5] change 15.1 [15.0 15.3] diff -11.9 won 1.00 same True cold rows 20 parent 1210.4 [1187.2 1240.8] change 1187.9 [1170.3 1215.5] diff -20.3 won 0.70 same True
 
 with, for hot scoring, for featurize and, at a cold size, for cold
-scoring, the median CPU µs per revision on each side, the median of the
-paired differences (change minus parent), the share of pairs the change
-was faster in, and whether both sides gave the same scores (the same
-encoded matrices), bit for bit, for every block.  It only reads
-``perfbench/``.
+scoring, the median CPU µs per revision on each side and, in brackets,
+its quartiles (the spread a difference must clear to be told from
+noise), the median of the paired differences (change minus parent), the
+share of pairs the change was faster in, and whether both sides gave
+the same scores (the same encoded matrices), bit for bit, for every
+block.  It only reads ``perfbench/``.
 
 It exits 0 when every figure on every line reads ``same True``, 1 (after
 the table) when any reads ``same False``, and 2 on a bad argument.
@@ -136,7 +137,14 @@ def paired(run, blocks: list, pairs: int) -> dict:
         same = same and outputs[0].shape == outputs[1].shape and np.array_equal(
             outputs[0].view(np.uint64), outputs[1].view(np.uint64)
         )
-    return {**paired_summary(*times), "rows": n, "same": same}
+    quartiles = {name: np.percentile(side, [25, 75]) for name, side in zip(("parent", "change"), times)}
+    return {**paired_summary(*times), "quartiles": quartiles, "rows": n, "same": same}
+
+
+def summary(row: dict) -> str:
+    """``row``'s medians, each with its quartiles, its paired difference, share won and sameness."""
+    sides = " ".join(f"{name} {row[name]:.1f} [{q1:.1f} {q3:.1f}]" for name, (q1, q3) in row["quartiles"].items())
+    return f"{sides} diff {row['diff']:+.1f} won {row['won']:.2f} same {row['same']}"
 
 
 def compare(sides: tuple, pipelines: tuple, X: np.ndarray, sizes, pairs: int, cold: bool = False) -> dict[int, dict]:
@@ -182,19 +190,9 @@ def main(argv: list[str]) -> int:
     rows = compare(sides, pipelines, X, BLOCKS, pairs)
     cold = compare(sides, pipelines, X, [size for size in COLD_SIZES if size in BLOCKS], pairs, cold=True)
     for size, row in rows.items():
-        feat = featurized[size]
-        line = (
-            f"block {size} rows {row['rows']} parent {row['parent']:.1f} change {row['change']:.1f}"
-            f" diff {row['diff']:+.1f} won {row['won']:.2f} same {row['same']}"
-            f" featurize parent {feat['parent']:.1f} change {feat['change']:.1f}"
-            f" diff {feat['diff']:+.1f} won {feat['won']:.2f} same {feat['same']}"
-        )
+        line = f"block {size} rows {row['rows']} {summary(row)} featurize {summary(featurized[size])}"
         if size in cold:
-            idle = cold[size]
-            line += (
-                f" cold rows {idle['rows']} parent {idle['parent']:.1f} change {idle['change']:.1f}"
-                f" diff {idle['diff']:+.1f} won {idle['won']:.2f} same {idle['same']}"
-            )
+            line += f" cold rows {cold[size]['rows']} {summary(cold[size])}"
         print(line)
     results = [*rows.values(), *featurized.values(), *cold.values()]
     return 0 if all(row["same"] for row in results) else 1
