@@ -10,7 +10,7 @@ sample and draws one uniform threshold per candidate feature.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Annotated, Literal, Optional, Union
+from typing import Annotated, Literal, Optional, Union
 
 import numpy as np
 
@@ -18,24 +18,23 @@ from ..rng import derive_seed, generator
 from .base import BaseModel, check_predict_input, check_X_y
 from .tree import range_sums
 
-if TYPE_CHECKING:
-    from .grower import TreeJob
-
 
 class _BaseForest(BaseModel):
     random_threshold = False
 
     def fit(self, X, y) -> "_BaseForest":
         # only a fit grows trees: scoring never compiles the grower
-        from .grower import TreeBuilder
+        from .grower import TreeBuilder, TreeJob
 
         self._check_params()
         Xd, labels = check_X_y(X, y)
         n, d = Xd.shape
         m = self._resolve_max_features(d)
         every_row = np.arange(n, dtype=np.int64)
-        # each tree's bootstrap draw is made as its group comes up
-        jobs = (self._job(t, labels, every_row) for t in range(self.n_estimators))
+        # each tree's bootstrap draw is made as its group comes up; no leaf
+        # rule: each leaf holds its mean label, summed exactly as 0/1
+        draws = (self._draw(t, labels, every_row) for t in range(self.n_estimators))
+        jobs = (TreeJob(rows, target, None, key) for rows, target, key in draws)
         builder = TreeBuilder("gini", self.max_depth, m, random_threshold=self.random_threshold)
         importances = np.zeros(d)
         self.nodes_ = builder.build_many(Xd, jobs, importances)
@@ -44,17 +43,13 @@ class _BaseForest(BaseModel):
         self.n_features_ = d
         return self
 
-    def _job(self, t: int, labels: np.ndarray, every_row: np.ndarray) -> "TreeJob":
-        """Tree ``t``: its rows (a bootstrap draw, if any), its leaf rule, its key."""
-        from .grower import TreeJob
-
+    def _draw(self, t: int, labels: np.ndarray, every_row: np.ndarray) -> tuple:
+        """Tree ``t``'s rows (a bootstrap draw, if any), their labels and its key."""
         key = derive_seed(self.seed, "tree", t)
-        rows, target = every_row, labels
-        if self.bootstrap:
-            rows = np.sort(generator(key).integers(0, labels.size, size=labels.size))
-            target = labels[rows]
-        # no leaf rule: each leaf holds its mean label, summed exactly as 0/1
-        return TreeJob(rows, target, None, key)
+        if not self.bootstrap:
+            return every_row, labels, key
+        rows = np.sort(generator(key).integers(0, labels.size, size=labels.size))
+        return rows, labels[rows], key
 
     def _resolve_max_features(self, d: int) -> Optional[int]:
         if self.max_features == "sqrt":

@@ -28,7 +28,7 @@ stage's, each model's ``nodes_`` a range of that table.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -219,22 +219,17 @@ class TreeColumns:
 def model_from_lines(lines: Iterable[str], offset: int = 0):
     """The model of a model block, its trees (if any) compiled into its own table."""
     trees = TreeColumns()
-    model = read_model(lines, trees, offset)
+    model, _ = read_model(lines, trees, offset)
     trees.compile()
     return model
 
 
-def read_model(
-    lines: Union[Iterable[str], LineReader],
-    trees: TreeColumns,
-    offset: int = 0,
-    param_lines: Optional[dict[str, int]] = None,
-):
-    """The model of a model block; a tree model's trees go to ``trees``, to be compiled there.
+def read_model(lines: Union[Iterable[str], LineReader], trees: TreeColumns, offset: int = 0):
+    """The model of a model block, and the file line of each of its ``param`` lines by name.
 
     ``lines`` is the block's lines, ``offset`` lines into their file, or a
-    :class:`LineReader` of the block.  ``param_lines``, when given, gets
-    the file line of each ``param`` line read, by name.
+    :class:`LineReader` of the block.  A tree model's trees go to
+    ``trees``, to be compiled there.
     """
     reader = lines if isinstance(lines, LineReader) else LineReader(lines, offset)
     if reader.next() != MODEL_HEADER:
@@ -246,6 +241,7 @@ def read_model(
     dim = reader.expect_int("dim")
     seed = reader.expect_int("seed")
     params = {"seed": seed}
+    param_lines: dict[str, int] = {}
     while True:
         line = reader.next()
         if not line.startswith("param "):
@@ -256,18 +252,16 @@ def read_model(
         if problem:
             raise MalformedLine(f"bad {family} parameter line {line!r}: {problem}", reader.line_no)
         params[name] = value
-        if param_lines is not None:
-            param_lines.setdefault(name, reader.line_no)
+        param_lines.setdefault(name, reader.line_no)
     model = cls(**params)
     model.n_features_ = dim
-    last_trees = None
     # `line` now holds the first line of the fitted block
     if family in ("random_forest", "extra_trees", "gradient_boosting"):
         if family == "gradient_boosting":
             model.base_score_ = float(_floats(reader, "base_score", line, 1)[0])
             line = reader.next()
         model.feature_importances_ = _floats(reader, "importances", line, dim)
-        last_trees = _read_trees(reader, model, trees)
+        _read_trees(reader, model, trees)
     elif family == "logistic_regression":
         model.intercept_ = float(_floats(reader, "bias", line, 1)[0])
         model.coef_ = _floats(reader, "coef", reader.next(), dim)
@@ -280,11 +274,8 @@ def read_model(
         model.theta_ = _floats(reader, "theta", reader.next(), dim * h + 2 * h + 1)
     if reader.next() != "end":
         raise MalformedLine("model block missing 'end'", reader.line_no)
-    if last_trees is not None:
-        # after 'end' is read: a file cut in the last node lines is cut, not a bad node line
-        last_trees()
     reader.expect_end("trailing content after model block")
-    return model
+    return model, param_lines
 
 
 _NODE_LINE = np.dtype(
@@ -362,76 +353,77 @@ def _tree_lines(feature, threshold, right, value, sizes) -> list[str]:
     return lines
 
 
-def _read_trees(reader: LineReader, model, trees: TreeColumns) -> Callable[[], None]:
-    """Read the ``trees`` line and its tree blocks into ``trees``; returns the parse of the last trees.
+def _read_trees(reader: LineReader, model, trees: TreeColumns) -> None:
+    """Read the ``trees`` line and its tree blocks into ``trees``.
 
-    Whole trees' node lines are parsed and checked once they are at least
-    :data:`_PARSE_LINES` and the next tree's line is read, so a model's
-    lines are never all held; the caller parses the last ones.  The trees
-    must be as many as the model's ``n_estimators`` and each feature index
-    below its ``dim``; each split's threshold and each node's value must
-    be finite.  Their depth is checked when they are compiled.
+    The node lines are parsed whole trees at a time, as many as fit in
+    :data:`_PARSE_LINES` lines (or one larger tree), so a model's lines are
+    never all held.  The trees must be as many as the model's
+    ``n_estimators``.
     """
     n_trees = reader.expect_int("trees")
     if n_trees != model.n_estimators:
         raise MalformedLine(f"trees must equal n_estimators {model.n_estimators}", reader.line_no)
     trees_line = reader.line_no
-    dim = model.n_features_
     sizes: list[int] = []
     piece: list[str] = []  # the node lines of trees `first` on, not parsed yet
-    first = start = 0  # and the model's index of the first of those nodes
-
-    def line_of(k: int) -> int:
-        # the file line of the model's k-th node line
-        return trees_line + _below_trees(sizes, k)
-
-    def parse() -> None:
-        nonlocal piece, first, start
-        n = len(piece)
-        feature, threshold, right, value = trees.rows(n)
-        left = np.empty(n, np.intp)
-        # parsed a bounded number of lines at a time
-        for lo in range(0, n, _PARSE_LINES):
-            chunk = piece[lo : lo + _PARSE_LINES]
-            try:
-                nodes = _parse_nodes(chunk)
-            except ValueError:
-                for k, line in enumerate(chunk, start + lo):
-                    try:
-                        _parse_nodes([line])
-                    except ValueError:
-                        raise MalformedLine(f"bad tree node line {line!r}", line_of(k))
-                raise MalformedLine("bad tree node lines", line_of(start + lo))
-            for column, name in zip((feature, threshold, left, right, value), _NODE_LINE.names[1:]):
-                column[lo : lo + len(chunk)] = nodes[name]
-        problems = [invalid_node(feature, threshold, left, right, sizes[first:])]
-        wide = np.nonzero(feature >= dim)[0]
-        if wide.size:
-            problems.append((int(wide[0]), f"feature index not below dim {dim}"))
-        unscorable = _unscorable(feature >= 0, threshold, value)
-        if unscorable is not None:
-            problems.append((unscorable, "a split's threshold and a node's value must be finite"))
-        bad = min((problem for problem in problems if problem is not None), default=None)
-        if bad is not None:
-            raise MalformedLine(f"bad tree node: {bad[1]}", line_of(start + bad[0]))
-        piece, first, start = [], len(sizes), start + n
-
+    first = 0
     for _ in range(n_trees):
         n_nodes = reader.expect_int("tree", 1)
         at = reader.line_no
-        if len(piece) >= _PARSE_LINES:
-            parse()
+        if piece and len(piece) + n_nodes > _PARSE_LINES:
+            _parse_trees(piece, sizes, first, model.n_features_, trees, trees_line)
+            piece, first = [], len(sizes)
         lines = reader.take(n_nodes)
         if len(lines) < n_nodes:
             raise MalformedLine("tree runs past the end of the model block", at)
         sizes.append(n_nodes)
         piece += lines
+    _parse_trees(piece, sizes, first, model.n_features_, trees, trees_line)
+    trees.models.append((model, np.array(sizes, dtype=np.intp), trees_line))
 
-    def last() -> None:
-        parse()
-        trees.models.append((model, np.array(sizes, dtype=np.intp), trees_line))
 
-    return last
+def _parse_trees(
+    lines: list[str], sizes: list[int], first: int, dim: int, trees: TreeColumns, trees_line: int
+) -> None:
+    """Parse and check the node lines of a model's trees ``first`` on into the next rows of ``trees``.
+
+    Each feature index must be below ``dim``, and each split's threshold
+    and each node's value finite.  The trees' depth is checked when they
+    are compiled.
+    """
+    start = sum(sizes[:first])  # the model's index of their first node
+
+    def line_of(k: int) -> int:
+        # the file line of the model's k-th node line
+        return trees_line + _below_trees(sizes, start + k)
+
+    feature, threshold, right, value = trees.rows(len(lines))
+    left = np.empty(len(lines), np.intp)
+    # parsed a bounded number of lines at a time
+    for lo in range(0, len(lines), _PARSE_LINES):
+        chunk = lines[lo : lo + _PARSE_LINES]
+        try:
+            nodes = _parse_nodes(chunk)
+        except ValueError:
+            for k, line in enumerate(chunk, lo):
+                try:
+                    _parse_nodes([line])
+                except ValueError:
+                    raise MalformedLine(f"bad tree node line {line!r}", line_of(k))
+            raise MalformedLine("bad tree node lines", line_of(lo))
+        for column, name in zip((feature, threshold, left, right, value), _NODE_LINE.names[1:]):
+            column[lo : lo + len(chunk)] = nodes[name]
+    problems = [invalid_node(feature, threshold, left, right, sizes[first:])]
+    wide = np.nonzero(feature >= dim)[0]
+    if wide.size:
+        problems.append((int(wide[0]), f"feature index not below dim {dim}"))
+    unscorable = _unscorable(feature >= 0, threshold, value)
+    if unscorable is not None:
+        problems.append((unscorable, "a split's threshold and a node's value must be finite"))
+    bad = min((problem for problem in problems if problem is not None), default=None)
+    if bad is not None:
+        raise MalformedLine(f"bad tree node: {bad[1]}", line_of(bad[0]))
 
 
 def save_model(model, path: Target) -> None:

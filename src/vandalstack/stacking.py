@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -80,6 +80,8 @@ from .lines import LineReader, Source, Target, iter_lines, parse_int, write_line
 from .rng import derive_seed, generator
 
 PIPELINE_HEADER = "vandalstack-pipeline v1"
+
+T = TypeVar("T")
 
 
 def kfold_assign(n: int, config: StackConfig) -> np.ndarray:
@@ -436,8 +438,12 @@ def pipeline_from_lines(lines: Iterable[str]) -> StackedPipeline:
     if None in columns:
         raise MalformedLine(f"bad selected columns {selected_raw!r}", selected_line)
 
-    def section(name: str) -> LineReader:
-        """A reader of the next section's body, which must be ``name``; its offset is its header's line."""
+    def section(name: str, read: Callable[[LineReader], T]) -> tuple[T, int]:
+        """``read`` of a reader of the next section's body, which must be ``name``, and its header's line.
+
+        A section that the file ends within is truncated, whatever fault
+        ``read`` finds in it first, as when the file was read whole.
+        """
         header = reader.next()
         at = reader.line_no
         head, _, rest = header.partition(" ")
@@ -445,14 +451,16 @@ def pipeline_from_lines(lines: Iterable[str]) -> StackedPipeline:
         count = parse_int(count_raw)
         if head != "section" or count is None or count < 0 or found != name:
             raise MalformedLine(f"expected section {name!r}, got {header!r}", at)
-        return reader.section(count, MalformedLine(f"truncated section {name!r}", at))
+        body = reader.section(count, MalformedLine(f"truncated section {name!r}", at))
+        try:
+            return read(body), at
+        except MalformedLine:
+            body.drain()
+            raise
 
     def take_model(name: str, spec: ModelSpec, width: int, trees: TreeColumns) -> BaseModel:
         """The next section's model, checked against its spec and its width; its trees go to ``trees``."""
-        body = section(name)
-        at = body.offset
-        param_lines: dict[str, int] = {}
-        model = read_model(body, trees, param_lines=param_lines)
+        (model, param_lines), at = section(name, lambda body: read_model(body, trees))
         # a model's family and dim lines are the second and third of its section
         if type(model) is not BUILTIN_FAMILIES[spec.family]:
             raise MalformedLine(f"{name} is not a {spec.family} model", at + 2)
@@ -472,8 +480,7 @@ def pipeline_from_lines(lines: Iterable[str]) -> StackedPipeline:
         trees.compile()
         return models
 
-    body = section("schema")
-    schema = schema_from_lines(body, offset=body.offset)
+    schema, _ = section("schema", lambda body: schema_from_lines(body, offset=body.offset))
     try:
         selected = check_selection(columns, schema.total_dim)
     except UsageError as exc:

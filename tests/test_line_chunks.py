@@ -22,7 +22,14 @@ from vandalstack import lines as line_layer
 from vandalstack.errors import MalformedLine
 from vandalstack.learners import ModelSpec
 from vandalstack.lines import read_lines
-from vandalstack.stacking import StackConfig, fit_stack, load_pipeline, pipeline_to_lines, save_pipeline
+from vandalstack.stacking import (
+    StackConfig,
+    fit_stack,
+    load_pipeline,
+    pipeline_from_lines,
+    pipeline_to_lines,
+    save_pipeline,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # the reads of one byte, two and three split every multibyte character and CRLF
@@ -185,3 +192,40 @@ def test_a_pipeline_cut_inside_a_node_line_is_a_truncated_section(tmp_path, cut)
     with pytest.raises(MalformedLine) as info:
         load_pipeline(path)
     assert (info.value.reason, info.value.line_no) == (f"truncated section {lines[header][8:].rsplit(' ', 1)[0]!r}", header + 1)
+
+
+def test_a_pipeline_cut_anywhere_in_a_section_is_that_section_truncated(tmp_path):
+    # as when the file was read whole: a section the file ends within is
+    # truncated, whatever fault its first lines show (a cut line, or none)
+    lines = list(pipeline_to_lines(fitted_pipeline(120, 4)))
+    path = tmp_path / "pipeline.txt"
+    checked = 0
+    for header, line in enumerate(lines):
+        if not line.startswith("section "):
+            continue
+        name, count = line[len("section ") :].rsplit(" ", 1)
+        for cut in range(header + 1, header + 1 + int(count)):
+            # the file ends before line `cut`, or inside it when it is not the section's last
+            texts = ["".join(row + "\n" for row in lines[:cut])]
+            if cut < header + int(count):
+                texts.append(texts[0] + lines[cut][: len(lines[cut]) // 2])
+            for text in texts:
+                path.write_text(text, encoding="utf-8")
+                with pytest.raises(MalformedLine) as info:
+                    load_pipeline(path)
+                assert (info.value.reason, info.value.line_no) == (f"truncated section {name!r}", header + 1)
+                checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize("section", ["schema", "model first 0 0"])
+def test_a_section_count_past_any_index_is_a_truncated_section(tmp_path, section):
+    lines = list(pipeline_to_lines(fitted_pipeline(120, 4)))
+    header = next(i for i, line in enumerate(lines) if line.startswith(f"section {section} "))
+    lines[header] = f"section {section} {'9' * 30}"
+    path = tmp_path / "pipeline.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    for load in (lambda: load_pipeline(path), lambda: pipeline_from_lines(lines)):
+        with pytest.raises(MalformedLine) as info:
+            load()
+        assert (info.value.reason, info.value.line_no) == (f"truncated section {section!r}", header + 1)
