@@ -28,7 +28,7 @@ stage's, each model's ``nodes_`` a range of that table.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -216,22 +216,23 @@ class TreeColumns:
             model.nodes_ = nodes
 
 
-def model_from_lines(lines: Iterable[str], offset: int = 0):
-    """The model of a model block, its trees (if any) compiled into its own table."""
+def model_from_lines(lines: Iterable[str]):
+    """The model of a model file's lines, its trees (if any) compiled into its own table.
+
+    The lines are read as a whole file: an end where a line is still due
+    is named at the line past it, line 1 for no lines at all.
+    """
     trees = TreeColumns()
-    model, _ = read_model(lines, trees, offset)
+    model, _ = read_model(LineReader(lines, whole_file=True), trees)
     trees.compile()
     return model
 
 
-def read_model(lines: Union[Iterable[str], LineReader], trees: TreeColumns, offset: int = 0):
-    """The model of a model block, and the file line of each of its ``param`` lines by name.
+def read_model(reader: LineReader, trees: TreeColumns):
+    """The model of the block ``reader`` reads, and the file line of each of its ``param`` lines by name.
 
-    ``lines`` is the block's lines, ``offset`` lines into their file, or a
-    :class:`LineReader` of the block.  A tree model's trees go to
-    ``trees``, to be compiled there.
+    A tree model's trees go to ``trees``, to be compiled there.
     """
-    reader = lines if isinstance(lines, LineReader) else LineReader(lines, offset)
     if reader.next() != MODEL_HEADER:
         raise MalformedLine(f"expected model header {MODEL_HEADER!r}", reader.line_no)
     family = reader.expect("family")

@@ -8,8 +8,8 @@ every line.  A path that cannot be opened is a :class:`UsageError` naming
 it, and bytes that are not UTF-8 are a :class:`MalformedLine` naming
 their line.  :func:`iter_lines` reads a file a fixed-size chunk at a
 time and yields its lines as they come, and :class:`LineReader` lets a
-loader take them as they come, so no load holds its whole file; the
-writer, too, writes a thousand lines at a time.
+loader take them from that one iterator, so no load holds its whole
+file.  The writer writes a thousand lines at a time.
 :class:`LineReceiver` reads the scoring protocol's lines from a socket by
 the same rule, through one bounded buffer.  :func:`parse_int` is the one
 rule for an integer in a file.  Stdlib only.
@@ -21,6 +21,7 @@ import contextlib
 import os
 import re
 import socket
+import sys
 from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
@@ -30,7 +31,7 @@ from .errors import MalformedLine, UsageError
 Source = Union[str, Path, IO[str], IO[bytes], Iterable[str]]
 Target = Union[str, Path, IO[str]]
 
-# lines a writer writes at once, and a LineReader slices from at once
+# lines a writer writes at once, and iter_lines joins from an iterable of lines
 _CHUNK = 1024
 # bytes (or characters, from a text handle) read at a time
 _READ_BYTES = 1 << 16
@@ -177,48 +178,32 @@ class LineReader:
 
     ``offset`` lines precede the block in its file, so ``line_no`` is the
     file line of the line read last.  A block that ends early is reported
-    at ``end_line``: by default at its own last line, as for a block
-    embedded in a larger file, or past it for a ``whole_file``.  The lines
-    come a thousand at a time, and :meth:`take` slices them from those
-    lists.
+    at its own last line, as for a block embedded in a larger file, or
+    past it for a ``whole_file``.  Every line is read from one iterator,
+    through ``islice``; a :meth:`section` reads on from the same one.
     """
 
-    def __init__(
-        self,
-        lines: Iterable[str],
-        offset: int = 0,
-        end_line: Optional[int] = None,
-        whole_file: bool = False,
-    ):
-        self._feed = lines if isinstance(lines, _Feed) else _Feed(lines)
+    def __init__(self, lines: Iterable[str], offset: int = 0, whole_file: bool = False):
+        self._lines = iter(lines)
         self.pos = 0
         self.offset = offset
-        self.end_line = end_line
         self.whole_file = whole_file
         # a section's block: its length, and the error when its file ends first
-        self._stop: Optional[int] = None
+        self._count: Optional[int] = None
         self._cut: Optional[MalformedLine] = None
 
     def next(self) -> str:
-        if self._stop is None or self.pos < self._stop:
-            line = self._feed.line()
-            if line is not None:
-                self.pos += 1
-                return line
-            self._ended()
-        end = self.end_line
-        if end is None:
-            end = self.line_no + 1 if self.whole_file else self.line_no
-        raise MalformedLine("unexpected end of input", end)
+        lines = self.take(1)
+        if not lines:
+            raise MalformedLine("unexpected end of input", self.line_no + 1 if self.whole_file else self.line_no)
+        return lines[0]
 
     def take(self, count: int) -> list[str]:
-        """The next ``count`` lines, or as many as are left."""
-        if self._stop is not None:
-            count = min(count, self._stop - self.pos)
-        lines = self._feed.take(count)
+        """The next ``count`` lines, or as many as are left; a section's ``cut`` if its file ends first."""
+        lines = list(islice(self._lines, min(count, sys.maxsize)))
         self.pos += len(lines)
-        if len(lines) < count:
-            self._ended()
+        if len(lines) < count and self._cut is not None and self.pos < self._count:
+            raise self._cut
         return lines
 
     def expect(self, tag: str) -> str:
@@ -248,65 +233,25 @@ class LineReader:
         This reader moves past them at once: read the block to its end
         before reading on here.
         """
-        block = LineReader(self._feed, self.line_no)
-        block._stop, block._cut = count, cut
+        block = LineReader(islice(self._lines, min(count, sys.maxsize)), self.line_no)
+        block._count, block._cut = count, cut
         self.pos += count
         return block
 
     def drain(self) -> None:
         """Read and drop the lines left; a section's ``cut`` if its file ends within them."""
-        while self.take(_CHUNK):
+        for _ in self:
             pass
 
     def __iter__(self) -> Iterator[str]:
-        while lines := self.take(_CHUNK):
-            for line in lines:
-                yield line
+        for line in self._lines:
+            self.pos += 1
+            yield line
+        self.take(1)  # a section's cut, if its file ended within it
 
     @property
     def line_no(self) -> int:
         return self.offset + self.pos
-
-    def _ended(self) -> None:
-        if self._cut is not None and self.pos < self._stop:
-            raise self._cut
-
-
-class _Feed:
-    """Lines handed out by the slice, from lists of :data:`_CHUNK` taken as they come."""
-
-    def __init__(self, lines: Iterable[str]):
-        if isinstance(lines, list):
-            self._lists: Iterator[list[str]] = iter(())
-            self._list = lines
-        else:
-            it = iter(lines)
-            self._lists = iter(lambda: list(islice(it, _CHUNK)), [])
-            self._list = []
-        self._at = 0  # the index in `_list` of the next line
-
-    def line(self) -> Optional[str]:
-        """The next line; None if there is none."""
-        at = self._at
-        if at < len(self._list):
-            self._at = at + 1
-            return self._list[at]
-        lines = self.take(1)
-        return lines[0] if lines else None
-
-    def take(self, count: int) -> list[str]:
-        """The next ``count`` lines, or as many as are left."""
-        at, stop = self._at, self._at + count
-        lines = self._list[at:stop]
-        while stop > len(self._list):
-            stop -= len(self._list)
-            self._list = next(self._lists, None)
-            if self._list is None:
-                self._list, stop = [], 0
-                break
-            lines += self._list[:stop]
-        self._at = stop
-        return lines
 
 
 def _blocks(source: Source, undecodable: Optional[set[int]]) -> Iterator[list[str]]:

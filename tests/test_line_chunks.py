@@ -207,13 +207,19 @@ def test_a_pipeline_cut_anywhere_in_a_section_is_that_section_truncated(tmp_path
         for cut in range(header + 1, header + 1 + int(count)):
             # the file ends before line `cut`, or inside it when it is not the section's last
             texts = ["".join(row + "\n" for row in lines[:cut])]
+            kept = [lines[:cut]]
             if cut < header + int(count):
-                texts.append(texts[0] + lines[cut][: len(lines[cut]) // 2])
-            for text in texts:
+                part = lines[cut][: len(lines[cut]) // 2]
+                texts.append(texts[0] + part)
+                kept.append(lines[:cut] + [part])
+            for text, rows in zip(texts, kept):
                 path.write_text(text, encoding="utf-8")
-                with pytest.raises(MalformedLine) as info:
-                    load_pipeline(path)
-                assert (info.value.reason, info.value.line_no) == (f"truncated section {name!r}", header + 1)
+                # a path, a list of lines and an iterator over them take one path
+                for load in (lambda: load_pipeline(path), lambda: pipeline_from_lines(rows),
+                             lambda: pipeline_from_lines(iter(rows))):
+                    with pytest.raises(MalformedLine) as info:
+                        load()
+                    assert (info.value.reason, info.value.line_no) == (f"truncated section {name!r}", header + 1)
                 checked += 1
     assert checked > 400
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
 import functools
@@ -9,6 +10,7 @@ import io
 import os
 import re
 import socket
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -235,11 +237,25 @@ def test_line_reader_positions():
     with pytest.raises(MalformedLine) as info:
         reader.next()
     assert info.value.line_no == 13  # an embedded block ends at its last line
-    reader = LineReader(["a"], end_line=2)
+    reader = LineReader(["a"], whole_file=True)
     reader.next()
     with pytest.raises(MalformedLine) as info:
         reader.next()
     assert info.value.line_no == 2  # a whole file ends past its last line
+
+
+def test_the_line_layer_imports_the_stdlib_alone():
+    tree = ast.parse((SRC / "lines.py").read_text(encoding="utf-8"))
+    absolute, relative = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            absolute.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            relative.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module.split(".")[0])
+    assert absolute and absolute <= sys.stdlib_module_names, absolute - sys.stdlib_module_names
+    assert relative == {".errors"}
 
 
 def test_only_the_line_layer_opens_files():

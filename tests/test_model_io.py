@@ -86,6 +86,20 @@ def test_tampered_header_rejected():
         model_from_lines(lines[:1] + ["garbage here"] + lines[1:])
 
 
+def test_a_model_file_that_ends_early_names_a_line_of_it_or_the_one_past_its_end():
+    with pytest.raises(MalformedLine) as info:
+        load_model(io.StringIO(""))
+    assert info.value.line_no == 1
+    models, _ = fitted_models()
+    for model in models:
+        lines = model_to_lines(model)
+        for cut in range(len(lines)):
+            prefix = lines[:cut]
+            with pytest.raises(MalformedLine) as info:
+                load_model(io.StringIO("".join(line + "\n" for line in prefix)))
+            assert 1 <= info.value.line_no <= len(prefix) + 1, (type(model).__name__, cut, info.value)
+
+
 def test_unfitted_model_cannot_be_saved():
     with pytest.raises(Exception):
         model_to_lines(LogisticRegression())

@@ -35,6 +35,7 @@ from vandalstack.learners import (
 from vandalstack.learners import io as io_module
 from vandalstack.learners.io import TreeColumns, model_from_lines, model_to_lines, read_model
 from vandalstack.learners.tree import NodeTable, invalid_node, range_sums
+from vandalstack.lines import LineReader
 from vandalstack.stacking import _stage_scores
 
 N_FEATURES = 3
@@ -386,7 +387,7 @@ def test_a_stage_walk_scores_each_model_as_its_own_predict_proba(members, X, cel
     models = [fitted_linear() if model is None else model for model in members]
     texts = [model_to_lines(model) for model in models]
     columns = TreeColumns()
-    loaded = [read_model(text, columns)[0] for text in texts]
+    loaded = [read_model(LineReader(text), columns)[0] for text in texts]
     columns.compile()
     # every tree model is a range of one table
     tables = {id(model.nodes_.table) for model in loaded if hasattr(model, "nodes_")}
