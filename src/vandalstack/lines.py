@@ -1,4 +1,4 @@
-"""The one line layer: every artifact file is read and written here.
+"""The one line layer: every artifact file is read and written here, and every protocol line read.
 
 A line ends only at LF (``\\n``); one CR (``\\r``) right before the LF is
 dropped, so a CRLF file reads as its LF twin.  No other character ends a
@@ -6,12 +6,13 @@ line: ``\\v``, ``\\f``, ``\\x1c``–``\\x1e``, ``\\x85``, ``\\u2028`` and
 ``\\u2029`` are ordinary text.  Writers emit UTF-8 with a ``\\n`` after
 every line.  A path that cannot be opened is a :class:`UsageError` naming
 it, and bytes that are not UTF-8 are a :class:`MalformedLine` naming
-their line.  :func:`iter_lines` reads a file a fixed-size chunk at a
-time and yields its lines as they come, and :class:`LineReader` lets a
-loader take them from that one iterator, so no load holds its whole
-file.  The writer writes a thousand lines at a time.
-:class:`LineReceiver` reads the scoring protocol's lines from a socket by
-the same rule, through one bounded buffer.  :func:`parse_int` is the one
+their line.  :func:`iter_blocks` is the one splitter: it reads a path, a
+binary handle or a stream socket a read at a time and yields the lines
+each read completes, so no load holds its whole file, and the scoring
+protocol reads its lines through it too, with a bound on their length.
+:func:`iter_lines` yields those lines one by one, and
+:class:`LineReader` lets a loader take them from that one iterator.  The
+writer writes a thousand lines at a time.  :func:`parse_int` is the one
 rule for an integer in a file.  Stdlib only.
 """
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import re
 import socket
 import sys
 from itertools import chain, islice
@@ -28,12 +28,13 @@ from typing import IO, Iterable, Iterator, Optional, Union
 
 from .errors import MalformedLine, UsageError
 
-Source = Union[str, Path, IO[str], IO[bytes], Iterable[str]]
+# a path, a binary handle, or a stream socket, each read being one recv
+Source = Union[str, Path, IO[bytes], socket.socket]
 Target = Union[str, Path, IO[str]]
 
-# lines a writer writes at once, and iter_lines joins from an iterable of lines
+# lines a writer writes at once
 _CHUNK = 1024
-# bytes (or characters, from a text handle) read at a time
+# bytes read at a time
 _READ_BYTES = 1 << 16
 
 # The longest protocol line, in bytes, its LF included.  The longest legal
@@ -42,74 +43,57 @@ _READ_BYTES = 1 << 16
 # still bounds what a peer can make a reader hold.
 MAX_PROTOCOL_LINE = 65536
 
-_LINE = re.compile(rb"[^\n]*\n")
-
 
 def iter_lines(source: Source, undecodable: Optional[set[int]] = None) -> Iterator[str]:
-    """The lines of ``source``, without their line ends, as they are read.
+    """The lines of ``source``, without their line ends, as they are read: see :func:`iter_blocks`."""
+    return chain.from_iterable(iter_blocks(source, undecodable))
 
-    ``source`` is a path, a text or bytes handle, or an iterable of lines
-    (each item one line, its LF optional).  A final line needs no LF, and
-    an empty source has no lines.  A path or handle is read
-    :data:`_READ_BYTES` at a time, and the lines each read completes are
-    decoded and split together, so a reader holds one read's lines and
-    never the whole file.  Bytes that are not UTF-8 raise
-    :class:`MalformedLine` naming their line; when ``undecodable`` is
-    given, their 1-based line numbers are added to it instead, before the
-    line is yielded, and each such line reads as the empty string.
+
+def iter_blocks(
+    source: Source, undecodable: Optional[set[int]] = None, longest: Optional[int] = None
+) -> Iterator[list[str]]:
+    """The lines of ``source``, without their line ends, in one list per read that ends any.
+
+    ``source`` is a path, a binary handle or a stream socket, read
+    :data:`_READ_BYTES` at a time (a socket one ``recv`` at a time, which
+    never waits for more).  The lines each read completes are decoded and
+    split together, so a reader holds one read's lines and never the whole
+    file.  A final line needs no LF, and an empty source has no lines.
+    Bytes that are not UTF-8 raise :class:`MalformedLine` naming their
+    line; when ``undecodable`` is given, their 1-based line numbers are
+    added to it instead, before the line is yielded, and each such line
+    reads as the empty string.  A line longer than ``longest`` bytes, its
+    LF included, raises :class:`MalformedLine` as soon as its bytes pass
+    that bound, so a reader never holds more of it.
     """
-    return chain.from_iterable(_blocks(source, undecodable))
-
-
-def read_lines(source: Source, undecodable: Optional[set[int]] = None) -> list[str]:
-    """Every line of ``source`` at once: :func:`iter_lines` as a list."""
-    return list(iter_lines(source, undecodable))
-
-
-def decode_line(raw: bytes) -> str:
-    """One line received as bytes: UTF-8, with its LF and one CR before it dropped."""
-    try:
-        line = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise MalformedLine("not valid UTF-8") from None
-    if line.endswith("\n"):
-        line = line[:-2] if line.endswith("\r\n") else line[:-1]
-    return line
-
-
-class LineReceiver:
-    """The lines a stream socket delivers, read through one fixed buffer.
-
-    Each :meth:`receive` makes one ``recv`` and returns every line it
-    completes, LF included, for :func:`decode_line`.  It never waits for
-    more: the part of a line not yet received stays in the buffer.  A line
-    longer than :data:`MAX_PROTOCOL_LINE` bytes does not fit there, and
-    raises :class:`MalformedLine` as soon as the buffer fills.
-    """
-
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-        self._buf = bytearray(MAX_PROTOCOL_LINE)
-        self._view = memoryview(self._buf)
-        self._held = 0  # bytes of an incomplete line at the start of the buffer
-
-    def receive(self) -> Optional[list[bytes]]:
-        """The lines completed by one ``recv``, possibly none; ``None`` at end of stream.
-
-        At end of stream a last line without its LF is returned on its own.
-        """
-        n = self._sock.recv_into(self._view[self._held:])
-        if n == 0:
-            rest, self._held = bytes(self._view[: self._held]), 0
-            return [rest] if rest else None
-        end = self._held + n
-        done = self._buf.rfind(b"\n", 0, end) + 1
-        lines = _LINE.findall(self._buf, 0, done)
-        self._held = end - done
-        self._view[: self._held] = self._view[done:end]  # memmove: may overlap
-        if self._held == len(self._buf):
-            raise MalformedLine(f"protocol line longer than {MAX_PROTOCOL_LINE} bytes")
-        return lines
+    size = min(_READ_BYTES, longest or _READ_BYTES)  # a line within one read is never too long
+    if isinstance(source, (str, Path)):
+        chunks = _file_chunks(source, size)
+    elif hasattr(source, "recv"):
+        chunks = iter(lambda: source.recv(size), b"")
+    else:
+        chunks = iter(lambda: source.read(size), b"")
+    done = 0  # lines split so far
+    held: list[bytes] = []  # the chunks since the last LF: the start of a line not yet ended
+    pending = 0  # the bytes in held
+    for chunk in chunks:
+        # the line this read ends or extends has at least this many bytes, its LF included
+        if longest and pending + (chunk.find(b"\n") + 1 or len(chunk) + 1) > longest:
+            raise MalformedLine(f"protocol line longer than {longest} bytes")
+        end = chunk.rfind(b"\n") + 1
+        if not end:
+            held.append(chunk)
+            pending += len(chunk)
+            continue
+        block = b"".join([*held, chunk[:end]]) if pending else chunk[:end]
+        held, pending = [chunk[end:]], len(chunk) - end
+        lines = _split(_decode(block, done, undecodable))
+        done += len(lines)
+        yield lines
+        del lines  # gone before the next block is split
+    if rest := b"".join(held):
+        # a last line without its LF: kept whole, a CR at its end too
+        yield [_decode(rest, done, undecodable)]
 
 
 def write_lines(target: Target, lines: Iterable[str]) -> None:
@@ -254,51 +238,17 @@ class LineReader:
         return self.offset + self.pos
 
 
-def _blocks(source: Source, undecodable: Optional[set[int]]) -> Iterator[list[str]]:
-    """The lines of ``source``, in one list per read that ends any."""
-    if isinstance(source, (str, Path)):
-        chunks = _file_chunks(source)
-    elif hasattr(source, "read"):
-        chunks = iter(lambda: source.read(_READ_BYTES), source.read(0))
-    else:
-        # an iterable of lines: each chunk joins some, every one LF-ended
-        items = iter(source)
-        chunks = (
-            "".join(line if line.endswith("\n") else line + "\n" for line in batch)
-            for batch in iter(lambda: list(islice(items, _CHUNK)), [])
-        )
-    done = 0  # lines split so far
-    held: list = []  # the chunks since the last LF: the start of a line not yet ended
-    for chunk in chunks:
-        lf = b"\n" if isinstance(chunk, bytes) else "\n"
-        end = chunk.rfind(lf) + 1
-        if not end:
-            held.append(chunk)
-            continue
-        block = chunk[:end] if not held else chunk[:0].join([*held, chunk[:end]])
-        held = [chunk[end:]]
-        lines = _split(_decode(block, done, undecodable))
-        done += len(lines)
-        yield lines
-        del lines  # gone before the next block is split
-    if held and (rest := held[0][:0].join(held)):
-        # a last line without its LF: kept whole, a CR at its end too
-        yield [_decode(rest, done, undecodable)]
-
-
-def _file_chunks(path: Union[str, Path]) -> Iterator[bytes]:
+def _file_chunks(path: Union[str, Path], size: int) -> Iterator[bytes]:
     try:
         with open(path, "rb") as fh:
-            while chunk := fh.read(_READ_BYTES):
+            while chunk := fh.read(size):
                 yield chunk
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _decode(block: Union[str, bytes], done: int, undecodable: Optional[set[int]]) -> str:
+def _decode(block: bytes, done: int, undecodable: Optional[set[int]]) -> str:
     """``block``, the lines after the first ``done``, as text."""
-    if isinstance(block, str):
-        return block
     try:
         return block.decode("utf-8")
     except UnicodeDecodeError as exc:

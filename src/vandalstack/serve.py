@@ -11,12 +11,12 @@ The server never has more than ``window`` revisions outstanding; answers
 may arrive out of order and are matched by rev_id.  Any client deviation
 (unknown rev_id, duplicate answer, malformed line, score outside [0,1],
 a line longer than ``lines.MAX_PROTOCOL_LINE`` bytes) closes the session
-with an ERROR line.  Both ends read through ``lines.LineReceiver`` and
-take every complete line already received at once: the server refills
-its window in one write, and the client scores its REV lines as one
-block.  Scores travel as text with 9 significant digits, never in
-exponent notation, so the stream is exactly reproducible against
-offline prediction.
+with an ERROR line.  Both ends read through ``lines.iter_blocks``, the
+splitter files are read with, one ``recv`` at a time, and take every
+complete line already received at once: the server refills its window in
+one write, and the client scores its REV lines as one block.  Scores
+travel as text with 9 significant digits, never in exponent notation, so
+the stream is exactly reproducible against offline prediction.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .evaluation import EvalReport, error_sets, evaluate_scored, join_scored, pa
 # extract_features, format_score and load_pipeline) and fails on a missing
 # name, as perfbench/tests/test_tracer.py shows
 from .featurize import encode, encode_matrix, extract_features  # noqa: F401
-from .lines import LineReceiver, decode_line
+from .lines import MAX_PROTOCOL_LINE, iter_blocks
 from .stacking import (  # noqa: F401
     StackedPipeline,
     load_pipeline,
@@ -163,7 +163,8 @@ class ScoringServer:
         return ServeResult(report=report, scores=scores, trace=list(self.trace))
 
     def _run_session(self, conn: socket.socket) -> dict[int, float]:
-        receiver = LineReceiver(conn)
+        undecodable: set[int] = set()
+        blocks = iter_blocks(conn, undecodable, MAX_PROTOCOL_LINE)
         sent = 0
         outstanding: set[int] = set()
         scores: dict[int, float] = {}
@@ -179,17 +180,20 @@ class ScoringServer:
             if not outstanding:
                 break
             try:
-                raws = receiver.receive()
+                lines = next(blocks, None)
             except (socket.timeout, TimeoutError):
                 self._send_error(conn, "timeout waiting for answer")
                 raise Timeout("timeout waiting for answer")
             except MalformedLine as exc:
                 self._violation(conn, str(exc))
-            if raws is None:
+            if lines is None:
                 raise ProtocolViolation("client closed the connection early")
             # every answer already received, before the window is refilled
-            for raw in raws:
-                rev_id, score = self._parse_answer(conn, raw, outstanding, scores)
+            for line in lines:
+                # each line before this one was an answer taken: it is line len(scores) + 1
+                if len(scores) + 1 in undecodable:
+                    self._violation(conn, "answer is not valid UTF-8")
+                rev_id, score = self._parse_answer(conn, line, outstanding, scores)
                 outstanding.discard(rev_id)
                 scores[rev_id] = score
                 self.trace.append(("recv", rev_id))
@@ -199,14 +203,10 @@ class ScoringServer:
     def _parse_answer(
         self,
         conn: socket.socket,
-        raw: bytes,
+        line: str,
         outstanding: set[int],
         scores: dict[int, float],
     ) -> tuple[int, float]:
-        try:
-            line = decode_line(raw)
-        except MalformedLine:
-            self._violation(conn, "answer is not valid UTF-8")
         if not line.startswith("SCORE\t"):
             self._violation(conn, f"malformed answer line {line!r}")
         try:
@@ -286,9 +286,9 @@ def run_client(
     answered = 0
     try:
         with socket.create_connection(address, timeout=timeout) as sock:
-            receiver = LineReceiver(sock)
-            while (raws := receiver.receive()) is not None:
-                block, end = _rev_block(raws, answered)
+            undecodable: set[int] = set()
+            for lines in iter_blocks(sock, undecodable, MAX_PROTOCOL_LINE):
+                block, end = _rev_block(lines, answered, undecodable)
                 if block:
                     X = encode_matrix([extract_features(rev) for rev in block], pipeline.schema)
                     scores = predict_stack_batch(pipeline, X)
@@ -310,20 +310,19 @@ def run_client(
 
 
 def _rev_block(
-    raws: list[bytes], answered: int
+    lines: list[str], answered: int, undecodable: set[int]
 ) -> tuple[list[Revision], Optional[tuple[int, str]]]:
-    """The revisions of the REV lines that lead ``raws``, and how the session ends, if it does.
+    """The revisions of the REV lines that lead ``lines``, and how the session ends, if it does.
 
-    The first other line ends the session after the block is answered:
-    ``(exit status, message for stderr)``, the message counting the
-    block's answers.
+    The first other line, or one in ``undecodable``, ends the session
+    after the block is answered: ``(exit status, message for stderr)``,
+    the message counting the block's answers.
     """
     block: list[Revision] = []
-    for raw in raws:
+    for line in lines:
         after = answered + len(block)
-        try:
-            line = decode_line(raw)
-        except MalformedLine:
+        # each line before this one was a REV line answered: it is line after + 1
+        if after + 1 in undecodable:
             return block, (1, f"server sent a line that is not UTF-8 after {after} answers")
         if line == "END":
             return block, (0, "")

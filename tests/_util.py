@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import socket
 from pathlib import Path
 from typing import NamedTuple
 
@@ -206,34 +208,42 @@ def fitted_tree_models(draw):
     return model.fit(X, y)
 
 
+@contextlib.contextmanager
+def sent(*pieces: bytes):
+    """A stream socket that has been sent ``pieces``, each in one write, then the end of the stream."""
+    near, far = socket.socketpair()
+    with near, far:
+        for piece in pieces:
+            far.sendall(piece)
+        far.shutdown(socket.SHUT_WR)
+        yield near
+
+
 def whole_file_lines(source, undecodable=None) -> list[str]:
     """The line rule read the whole-file way, as the line layer once did: the reference for its chunked reader.
 
-    ``source`` is a path, a text or bytes handle, or an iterable of lines.
-    The whole text is decoded and split at once; on bytes that are not
-    UTF-8 each line is decoded alone, to name or collect the bad ones.
+    ``source`` is a path or a binary handle.  The whole text is decoded
+    and split at once; on bytes that are not UTF-8 each line is decoded
+    alone, to name or collect the bad ones.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             data = fh.read()
-    elif hasattr(source, "read"):
-        data = source.read()
     else:
-        data = "".join(line if line.endswith("\n") else line + "\n" for line in source)
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            if undecodable is None:
-                raise MalformedLine("not valid UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
-            lines = []
-            for line_no, raw in enumerate(data.split(b"\n"), start=1):
-                try:
-                    lines.append(raw.decode("utf-8"))
-                except UnicodeDecodeError:
-                    undecodable.add(line_no)
-                    lines.append("")
-            data = "\n".join(lines)
+        data = source.read()
+    try:
+        data = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        if undecodable is None:
+            raise MalformedLine("not valid UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
+        lines = []
+        for line_no, raw in enumerate(data.split(b"\n"), start=1):
+            try:
+                lines.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                undecodable.add(line_no)
+                lines.append("")
+        data = "\n".join(lines)
     if "\r" in data:
         data = data.replace("\r\n", "\n")
     lines = data.split("\n")

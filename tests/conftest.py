@@ -11,9 +11,21 @@ from __future__ import annotations
 
 import re
 import time
+import warnings
 from types import SimpleNamespace
 
 import pytest
+
+# Hypothesis imports this module (and libcst, which warns on import) when
+# it reports a failing example.  Under a module's ``filterwarnings("error")``
+# that warning would end the whole run with INTERNALERROR, so it is
+# imported here once, its warnings ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from vandalstack import cli
 from vandalstack.benchmark import make_benchmark, split_holdout, write_split

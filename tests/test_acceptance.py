@@ -415,15 +415,15 @@ def test_criterion_08_mds_exactness():
 
 
 class _RecordingServer(ScoringServer):
-    """Captures the raw answer lines so byte-level parity can be checked."""
+    """Captures the answer lines as received so byte-level parity can be checked."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.raw_answers: list[bytes] = []
+        self.answers: list[str] = []
 
-    def _parse_answer(self, conn, raw, outstanding, scores):
-        self.raw_answers.append(raw)
-        return super()._parse_answer(conn, raw, outstanding, scores)
+    def _parse_answer(self, conn, line, outstanding, scores):
+        self.answers.append(line)
+        return super()._parse_answer(conn, line, outstanding, scores)
 
 
 def test_criterion_09_serve_parity(bench):
@@ -461,8 +461,8 @@ def test_criterion_09_serve_parity(bench):
     assert "error" not in outcome, outcome.get("error")
 
     wire: dict[int, str] = {}
-    for raw in server.raw_answers:
-        _, rev_id, text = raw.decode("utf-8").rstrip("\n").split("\t")
+    for line in server.answers:
+        _, rev_id, text = line.split("\t")
         wire[int(rev_id)] = text
     assert wire == offline  # byte-identical to the offline predict output
 

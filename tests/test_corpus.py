@@ -149,20 +149,20 @@ def test_format_line_refuses_what_parse_line_rejects():
 
 def test_a_cr_inside_a_corpus_line_is_malformed():
     text = "1\ta\t0\t0,,,,,,\r\n2\tab\rcd\t0\t0,,,,,,\r\n3\tc\t0\t0,,,,,,\n"
-    loaded = load_corpus(io.StringIO(text))
+    loaded = load_corpus(io.BytesIO(text.encode()))
     assert [r.rev_id for r in loaded.revisions] == [1, 3]
     assert loaded.malformed_count == 1
     with pytest.raises(MalformedLine) as info:
-        load_corpus(io.StringIO(text), on_malformed="abort")
+        load_corpus(io.BytesIO(text.encode()), on_malformed="abort")
     assert info.value.line_no == 2
 
 
 def test_blank_lines_are_malformed_corpus_and_truth_lines():
-    loaded = load_corpus(io.StringIO("1\ta\t0\t0,,,,,,\n\n2\tb\t0\t0,,,,,,\n"))
+    loaded = load_corpus(io.BytesIO("1\ta\t0\t0,,,,,,\n\n2\tb\t0\t0,,,,,,\n".encode()))
     assert [r.rev_id for r in loaded.revisions] == [1, 2]
     assert loaded.malformed_count == 1
     with pytest.raises(MalformedLine) as info:
-        load_labels(io.StringIO("5\t1\n\n6\t0\n"))
+        load_labels(io.BytesIO("5\t1\n\n6\t0\n".encode()))
     assert info.value.line_no == 2
 
 
@@ -174,20 +174,20 @@ def test_load_corpus_order_and_counts():
             "2\tthird\t1\t1,US,NA,PST,CA,LA,,",
         ]
     )
-    loaded = load_corpus(io.StringIO(text + "\n"))
+    loaded = load_corpus(io.BytesIO((text + "\n").encode()))
     assert [r.rev_id for r in loaded.revisions] == [3, 1, 2]
     assert loaded.malformed_count == 0
 
 
 def test_load_corpus_empty():
-    loaded = load_corpus(io.StringIO(""))
+    loaded = load_corpus(io.BytesIO(b""))
     assert loaded.revisions == []
     assert loaded.malformed_count == 0
 
 
 def test_load_corpus_skip_counts_malformed():
     text = "1\ta\t0\t0,,,,,,\nBAD LINE\n2\tb\t0\t0,,,,,,\n"
-    loaded = load_corpus(io.StringIO(text))
+    loaded = load_corpus(io.BytesIO(text.encode()))
     assert [r.rev_id for r in loaded.revisions] == [1, 2]
     assert loaded.malformed_count == 1
 
@@ -195,36 +195,36 @@ def test_load_corpus_skip_counts_malformed():
 def test_load_corpus_abort_raises():
     text = "1\ta\t0\t0,,,,,,\nBAD LINE\n"
     with pytest.raises(MalformedLine):
-        load_corpus(io.StringIO(text), on_malformed="abort")
+        load_corpus(io.BytesIO(text.encode()), on_malformed="abort")
     with pytest.raises(ValueError):
-        load_corpus(io.StringIO(text), on_malformed="explode")
+        load_corpus(io.BytesIO(text.encode()), on_malformed="explode")
 
 
 def test_load_labels_spellings_and_duplicates():
-    assert load_labels(io.StringIO("5\t1\n6\t0\n")) == {5: True, 6: False}
-    assert load_labels(io.StringIO("5\t1\n5\t1\n")) == {5: True}
+    assert load_labels(io.BytesIO("5\t1\n6\t0\n".encode())) == {5: True, 6: False}
+    assert load_labels(io.BytesIO("5\t1\n5\t1\n".encode())) == {5: True}
     spelled = load_labels(
-        io.StringIO("1\ttrue\n2\tFalse\n3\tROLLBACK_REVERTED\n4\tregular\n")
+        io.BytesIO("1\ttrue\n2\tFalse\n3\tROLLBACK_REVERTED\n4\tregular\n".encode())
     )
     assert spelled == {1: True, 2: False, 3: True, 4: False}
 
 
 def test_load_labels_conflict_raises():
     with pytest.raises(DuplicateConflict):
-        load_labels(io.StringIO("5\t1\n5\t0\n"))
+        load_labels(io.BytesIO("5\t1\n5\t0\n".encode()))
 
 
 def test_load_labels_rejects_unknown_spelling():
     with pytest.raises(MalformedLine):
-        load_labels(io.StringIO("5\tmaybe\n"))
+        load_labels(io.BytesIO("5\tmaybe\n".encode()))
 
 
 def test_load_labels_strips_only_ascii_spaces_around_a_label():
-    assert load_labels(io.StringIO("5\t  yes \n6\tno \n")) == {5: True, 6: False}
+    assert load_labels(io.BytesIO("5\t  yes \n6\tno \n".encode())) == {5: True, 6: False}
     # str.strip() and str.lower() would make each of these a label
     for text in ("1\x1c", "\x1ftrue", "0\x85", "\u2028yes", "ROLLBAC\u212a_REVERTED"):
         with pytest.raises(MalformedLine, match="line 2: unknown label spelling"):
-            load_labels(io.StringIO(f"4\t1\n5\t{text}\n"))
+            load_labels(io.BytesIO(f"4\t1\n5\t{text}\n".encode()))
 
 
 def test_join_labels_counts_and_order():

@@ -218,16 +218,16 @@ def test_load_scores_round_trip_and_errors(tmp_path):
     path = tmp_path / "scores.tsv"
     path.write_text("5\t0.25\n3\t0.5\n5\t0.25\n")
     assert load_scores(path) == {5: 0.25, 3: 0.5}
-    assert load_scores(io.StringIO("1\t1.0\n")) == {1: 1.0}
+    assert load_scores(io.BytesIO("1\t1.0\n".encode())) == {1: 1.0}
 
     with pytest.raises(DuplicateConflict):
-        load_scores(io.StringIO("5\t0.25\n5\t0.3\n"))
+        load_scores(io.BytesIO("5\t0.25\n5\t0.3\n".encode()))
     with pytest.raises(MalformedLine):
-        load_scores(io.StringIO("5\t0.25\textra\n"))
+        load_scores(io.BytesIO("5\t0.25\textra\n".encode()))
     with pytest.raises(MalformedLine):
-        load_scores(io.StringIO("abc\t0.25\n"))
+        load_scores(io.BytesIO("abc\t0.25\n".encode()))
     with pytest.raises(MalformedLine):
-        load_scores(io.StringIO("5\tnot-a-float\n"))
+        load_scores(io.BytesIO("5\tnot-a-float\n".encode()))
 
 
 @pytest.mark.parametrize(
@@ -236,13 +236,13 @@ def test_load_scores_round_trip_and_errors(tmp_path):
 )
 def test_load_scores_rejects_scores_outside_the_unit_interval(bad):
     with pytest.raises(MalformedLine) as info:
-        load_scores(io.StringIO(f"1\t0.5\n2\t{bad}\n"))
+        load_scores(io.BytesIO(f"1\t0.5\n2\t{bad}\n".encode()))
     assert info.value.line_no == 2
 
 
 def test_load_scores_rejects_rev_ids_int_refuses():
     with pytest.raises(MalformedLine) as info:
-        load_scores(io.StringIO("1²\t0.5\n"))
+        load_scores(io.BytesIO("1²\t0.5\n".encode()))
     assert info.value.line_no == 1
 
 

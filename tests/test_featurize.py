@@ -299,9 +299,9 @@ def test_schema_round_trip_bytes(tmp_path):
 
 def test_load_schema_rejects_bad_files():
     with pytest.raises(MalformedLine):
-        load_schema(io.StringIO("not a schema\n"))
+        load_schema(io.BytesIO("not a schema\n".encode()))
     with pytest.raises(MalformedLine):
-        load_schema(io.StringIO("vandalstack-schema v1\nX oops\n"))
+        load_schema(io.BytesIO("vandalstack-schema v1\nX oops\n".encode()))
     # out-of-order columns are rejected, not silently reordered
     schema = build_schema(
         [extract_features(rev(1, "a", country="GB", city="LEEDS"))]
@@ -309,14 +309,14 @@ def test_load_schema_rejects_bad_files():
     lines = schema_to_lines(schema)
     lines[1], lines[2] = lines[2], lines[1]
     with pytest.raises(MalformedLine) as info:
-        load_schema(io.StringIO("\n".join(lines) + "\n"))
+        load_schema(io.BytesIO(("\n".join(lines) + "\n").encode()))
     assert info.value.line_no == 3
     # a repeated column is out of order too, not a second column
     for at in (1, len(lines) - 1):
         repeated = schema_to_lines(schema)
         repeated.insert(at, repeated[at])
         with pytest.raises(MalformedLine) as info:
-            load_schema(io.StringIO("\n".join(repeated) + "\n"))
+            load_schema(io.BytesIO(("\n".join(repeated) + "\n").encode()))
         assert info.value.line_no == at + 2
 
 

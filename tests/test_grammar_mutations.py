@@ -198,34 +198,34 @@ def truth_lines():
 # --- file loaders: each returns the bytes it would write back -----------------
 
 def reload_model(text):
-    return text_of(written(save_model, load_model(io.StringIO(text))))
+    return text_of(written(save_model, load_model(io.BytesIO(text.encode()))))
 
 
 def reload_pipeline(text):
-    return text_of(written(save_pipeline, load_pipeline(io.StringIO(text))))
+    return text_of(written(save_pipeline, load_pipeline(io.BytesIO(text.encode()))))
 
 
 def reload_schema(text):
-    return text_of(written(save_schema, load_schema(io.StringIO(text))))
+    return text_of(written(save_schema, load_schema(io.BytesIO(text.encode()))))
 
 
 def reload_scores(text):
-    scores = load_scores(io.StringIO(text))
+    scores = load_scores(io.BytesIO(text.encode()))
     return text_of(f"{rev_id}\t{format_score(score)}" for rev_id, score in scores.items())
 
 
 def reload_corpus(text):
-    return text_of(format_line(r) for r in load_corpus(io.StringIO(text), "abort").revisions)
+    return text_of(format_line(r) for r in load_corpus(io.BytesIO(text.encode()), "abort").revisions)
 
 
 def reload_corpus_skipping(text):
-    load = load_corpus(io.StringIO(text), "skip")
+    load = load_corpus(io.BytesIO(text.encode()), "skip")
     assert len(load.revisions) + load.malformed_count <= text.count("\n")
     return load
 
 
 def reload_truth(text):
-    labels = load_labels(io.StringIO(text))
+    labels = load_labels(io.BytesIO(text.encode()))
     return text_of(f"{rev_id}\t{1 if label else 0}" for rev_id, label in labels.items())
 
 

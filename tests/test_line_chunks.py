@@ -1,4 +1,4 @@
-"""The line layer reads a file a chunk at a time: the whole-file rule at any chunk size, and a load never holds its file."""
+"""The line layer reads a file or a socket a chunk at a time: the whole-file rule at any chunk size, and a load never holds its file."""
 
 from __future__ import annotations
 
@@ -16,12 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tests._util import rev, schema_of_width, whole_file_lines
+from tests._util import rev, schema_of_width, sent, whole_file_lines
 from vandalstack.corpus import format_line, load_corpus
 from vandalstack import lines as line_layer
 from vandalstack.errors import MalformedLine
 from vandalstack.learners import ModelSpec
-from vandalstack.lines import read_lines
+from vandalstack.lines import iter_lines
 from vandalstack.stacking import (
     StackConfig,
     fit_stack,
@@ -49,7 +49,7 @@ def outcome(read, source, collect: bool):
     """``read(source)``'s lines and undecodable set, or the line its MalformedLine names."""
     undecodable = set() if collect else None
     try:
-        return read(source, undecodable), undecodable
+        return list(read(source, undecodable)), undecodable
     except MalformedLine as exc:
         return "MalformedLine", exc.line_no
 
@@ -85,18 +85,21 @@ def at_every_chunk_size(read):
 @example(b"a\r\nb\r\r\nc\rlast\r", False, [])
 @example(b"ok\nbad \xff\nok\r\nalso \xfe bad\n", True, [])
 @example(b"\xe2\x82\n\xac", True, [])
+@example(b"SCORE\t1\t0.5\r\nx\r\r\n" + "x\u2028y\n".encode() + b"no end", False, [5, 14])
+@example(b"ok\n\xff\n", False, [3])
+@example(b"ok\n\xff\n", True, [4])
 def test_chunked_lines_are_the_whole_file_lines(data, collect, cuts):
     expected = reference(data, collect)
-    assert at_every_chunk_size(lambda: outcome(read_lines, io.BytesIO(data), collect)) == [expected] * 4
-    if expected[0] == "MalformedLine":
-        return
-    # the same text through a text handle and as an iterable of lines, cut anywhere
-    text = data.decode("utf-8", errors="replace")
-    expected = outcome(whole_file_lines, io.StringIO(text), False)
-    assert at_every_chunk_size(lambda: outcome(read_lines, io.StringIO(text), False)) == [expected] * 4
-    bounds = [0, *sorted(cut % (len(text) + 1) for cut in cuts), len(text)]
-    items = [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    assert outcome(read_lines, items, False) == outcome(whole_file_lines, items, False)
+    assert at_every_chunk_size(lambda: outcome(iter_lines, io.BytesIO(data), collect)) == [expected] * 4
+    # the same bytes through a socket, written in pieces cut anywhere
+    bounds = [0, *sorted(cut % (len(data) + 1) for cut in cuts), len(data)]
+    pieces = [data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def from_socket():
+        with sent(*pieces) as near:
+            return outcome(iter_lines, near, collect)
+
+    assert at_every_chunk_size(from_socket) == [expected] * 4
 
 
 @pytest.mark.parametrize(
@@ -108,7 +111,7 @@ def test_a_path_reads_as_the_whole_file_did(tmp_path, data, collect):
     path = tmp_path / "lines.txt"
     path.write_bytes(data)
     expected = reference(data, collect)
-    assert at_every_chunk_size(lambda: outcome(read_lines, path, collect)) == [expected] * 4
+    assert at_every_chunk_size(lambda: outcome(iter_lines, path, collect)) == [expected] * 4
 
 
 def test_a_pipeline_loads_the_same_at_every_chunk_size(tmp_path):

@@ -1,4 +1,4 @@
-"""The line layer: one rule for what a line is, for every artifact file."""
+"""The line layer: one rule for what a line is, for every artifact file and protocol line."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import os
 import re
 import socket
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tests._util import rev
+from tests._util import rev, sent
 from vandalstack.config import parse_config_file
 from vandalstack.corpus import format_line, load_corpus, load_labels
 from vandalstack.errors import MalformedLine, UsageError
@@ -33,14 +34,8 @@ from vandalstack.featurize import (
     schema_to_lines,
 )
 from vandalstack.learners import LogisticRegression, ModelSpec, load_model, model_to_lines
-from vandalstack.lines import (
-    MAX_PROTOCOL_LINE,
-    LineReader,
-    LineReceiver,
-    decode_line,
-    read_lines,
-    write_lines,
-)
+from vandalstack import lines as line_layer
+from vandalstack.lines import MAX_PROTOCOL_LINE, LineReader, iter_blocks, iter_lines, write_lines
 from vandalstack.stacking import (
     StackConfig,
     fit_stack,
@@ -54,81 +49,74 @@ SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 SRC = Path(__file__).resolve().parents[1] / "src" / "vandalstack"
 
 
-# --- read_lines / decode_line / write_lines ------------------------------------
+# --- iter_lines / iter_blocks / write_lines ------------------------------------
+
+def read_all(data: bytes, undecodable=None) -> list[str]:
+    return list(iter_lines(io.BytesIO(data), undecodable))
+
 
 def test_a_line_ends_only_at_lf_and_one_cr_before_it_is_dropped():
     text = "a\r\nb\r\r\nc\rd\n" + "".join(f"x{c}y\n" for c in SPLITLINES_ONLY) + "last\r"
     expected = ["a", "b\r", "c\rd"] + [f"x{c}y" for c in SPLITLINES_ONLY] + ["last\r"]
-    assert read_lines(io.StringIO(text)) == expected
-    assert read_lines(io.BytesIO(text.encode("utf-8"))) == expected
+    assert read_all(text.encode("utf-8")) == expected
 
 
 def test_empty_sources_and_blank_lines():
-    assert read_lines(io.StringIO("")) == []
-    assert read_lines(io.StringIO("\n")) == [""]
-    assert read_lines(io.StringIO("a")) == ["a"]
-    assert read_lines(io.StringIO("a\n\n")) == ["a", ""]
-    assert read_lines(["a\n", "b", "c\r\n"]) == ["a", "b", "c"]
-    assert read_lines([]) == []
+    assert read_all(b"") == []
+    assert read_all(b"\n") == [""]
+    assert read_all(b"a") == ["a"]
+    assert read_all(b"a\n\n") == ["a", ""]
+    assert read_all(b"a\nb\nc\r\n") == ["a", "b", "c"]
 
 
 def test_undecodable_lines_are_named_or_collected():
     data = b"ok\nbad \xff\nok\r\nalso \xfe bad\n"
     with pytest.raises(MalformedLine) as info:
-        read_lines(io.BytesIO(data))
+        read_all(data)
     assert info.value.line_no == 2
     bad: set[int] = set()
-    assert read_lines(io.BytesIO(data), bad) == ["ok", "", "ok", ""]
+    assert read_all(data, bad) == ["ok", "", "ok", ""]
     assert bad == {2, 4}
 
 
-def test_decode_line_uses_the_same_rule():
-    assert decode_line(b"SCORE\t1\t0.5\r\n") == "SCORE\t1\t0.5"
-    assert decode_line(b"x\r\r\n") == "x\r"
-    assert decode_line("x\u2028y\n".encode("utf-8")) == "x\u2028y"
-    assert decode_line(b"no end") == "no end"
-    with pytest.raises(MalformedLine):
-        decode_line(b"\xff\n")
-
-
-def receive_all(receiver):
-    """Every line up to the end of stream, one ``receive`` result per item."""
-    got = []
-    while (lines := receiver.receive()) is not None:
-        got.append(lines)
-    return got
-
-
-def test_the_receiver_returns_each_line_once_complete():
+def test_a_socket_yields_each_line_once_complete():
     near, far = socket.socketpair()
     with near, far:
-        receiver = LineReceiver(near)
+        near.settimeout(10.0)  # a read that waited for more would time out
+        bad: set[int] = set()
+        blocks = iter_blocks(near, bad, MAX_PROTOCOL_LINE)
         far.sendall(b"SCORE\t1\t0.5\r\nSCO")
-        assert receiver.receive() == [b"SCORE\t1\t0.5\r\n"]
+        assert next(blocks) == ["SCORE\t1\t0.5"]
         far.sendall(b"RE\t2")
-        assert receiver.receive() == []  # never waits for the rest
         far.sendall("\t0.25\nx\u2028y\n".encode() + b"\xff\n")
-        lines = receiver.receive()
-        assert lines == [b"SCORE\t2\t0.25\n", "x\u2028y\n".encode(), b"\xff\n"]
-        assert [decode_line(raw) for raw in lines[:2]] == ["SCORE\t2\t0.25", "x\u2028y"]
+        assert next(blocks) == ["SCORE\t2\t0.25", "x\u2028y", ""]
+        assert bad == {4}
         far.sendall(b"no end")
         far.shutdown(socket.SHUT_WR)
-        assert receive_all(receiver) == [[], [b"no end"]]  # the cut-off line comes at the end
+        assert list(blocks) == [["no end"]]  # the cut-off line comes at the end
 
 
-def test_the_receiver_caps_a_line_at_max_protocol_line_bytes():
+@pytest.mark.parametrize("size", [1, 2, 3, line_layer._READ_BYTES])
+def test_a_protocol_line_is_at_most_max_protocol_line_bytes_at_every_read_size(monkeypatch, size):
+    monkeypatch.setattr(line_layer, "_READ_BYTES", size)
     longest = b"x" * (MAX_PROTOCOL_LINE - 1) + b"\n"
+    for head in (b"", b"ok\n"):
+        with sent(head + longest[:1000], longest[1000:] + b"ok\n") as near:
+            lines = list(chain.from_iterable(iter_blocks(near, None, MAX_PROTOCOL_LINE)))
+        assert lines == ["ok"] * bool(head) + ["x" * (MAX_PROTOCOL_LINE - 1), "ok"]
+    # one byte more: its LF in the same write or a later one, after a line or none
+    too_long = b"x" * MAX_PROTOCOL_LINE
+    message = f"^protocol line longer than {MAX_PROTOCOL_LINE} bytes$"
+    for pieces in ([too_long + b"\n"], [b"ok\n" + too_long + b"\n"], [too_long, b"\n"],
+                   [b"ok\n" + too_long[:-3], too_long[-3:] + b"\n"]):
+        with sent(*pieces) as near, pytest.raises(MalformedLine, match=message):
+            list(iter_blocks(near, None, MAX_PROTOCOL_LINE))
+    # and before its LF comes at all
     near, far = socket.socketpair()
-    with near, far:
-        far.sendall(longest + b"ok\n")
-        far.shutdown(socket.SHUT_WR)
-        assert b"".join(sum(receive_all(LineReceiver(near)), [])) == longest + b"ok\n"
-    near, far = socket.socketpair()
-    with near, far:
-        far.sendall(b"ok\n" + b"x" * MAX_PROTOCOL_LINE + b"\n")
-        far.shutdown(socket.SHUT_WR)
-        with pytest.raises(MalformedLine, match=f"longer than {MAX_PROTOCOL_LINE} bytes"):
-            receive_all(LineReceiver(near))
+    with near, far, pytest.raises(MalformedLine, match=message):
+        near.settimeout(10.0)
+        far.sendall(too_long)
+        next(iter_blocks(near, None, MAX_PROTOCOL_LINE))
 
 
 def test_write_lines_writes_lf_terminated_utf8(tmp_path):
@@ -140,7 +128,7 @@ def test_write_lines_writes_lf_terminated_utf8(tmp_path):
     buf = io.StringIO()
     write_lines(buf, (s for s in ["x", "y"]))
     assert buf.getvalue() == "x\ny\n"
-    assert read_lines(path) == []
+    assert list(iter_lines(path)) == []
 
 
 def test_paths_that_cannot_be_opened_are_usage_errors(tmp_path):
@@ -148,9 +136,9 @@ def test_paths_that_cannot_be_opened_are_usage_errors(tmp_path):
     with pytest.raises(UsageError, match=re.escape(str(missing))):
         write_lines(missing, ["a"])
     with pytest.raises(UsageError, match=re.escape(str(missing))):
-        read_lines(missing)
+        list(iter_lines(missing))
     with pytest.raises(UsageError, match=re.escape(str(tmp_path))):
-        read_lines(tmp_path)  # a directory
+        list(iter_lines(tmp_path))  # a directory
 
 
 def lines_then(exc, count):

@@ -70,8 +70,7 @@ def test_save_and_load_via_path_and_stream(tmp_path):
 
     buffer = io.StringIO()
     save_model(model, buffer)
-    buffer.seek(0)
-    loaded2 = load_model(buffer)
+    loaded2 = load_model(io.BytesIO(buffer.getvalue().encode()))
     assert np.array_equal(loaded2.predict_proba(X), model.predict_proba(X))
 
 
@@ -88,7 +87,7 @@ def test_tampered_header_rejected():
 
 def test_a_model_file_that_ends_early_names_a_line_of_it_or_the_one_past_its_end():
     with pytest.raises(MalformedLine) as info:
-        load_model(io.StringIO(""))
+        load_model(io.BytesIO(b""))
     assert info.value.line_no == 1
     models, _ = fitted_models()
     for model in models:
@@ -96,7 +95,7 @@ def test_a_model_file_that_ends_early_names_a_line_of_it_or_the_one_past_its_end
         for cut in range(len(lines)):
             prefix = lines[:cut]
             with pytest.raises(MalformedLine) as info:
-                load_model(io.StringIO("".join(line + "\n" for line in prefix)))
+                load_model(io.BytesIO("".join(line + "\n" for line in prefix).encode()))
             assert 1 <= info.value.line_no <= len(prefix) + 1, (type(model).__name__, cut, info.value)
 
 

@@ -282,17 +282,21 @@ def test_a_window_answered_in_one_write_is_refilled_in_one_write(monkeypatch):
         assert 0 <= in_flight <= 4
 
 
-def test_a_bad_answer_inside_a_chunk_ends_the_session_before_any_refill():
+@pytest.mark.parametrize(
+    "bad, reason",
+    [(b"BOGUS LINE", "malformed answer line 'BOGUS LINE'"), (b"\xff\xfe", "answer is not valid UTF-8")],
+)
+def test_a_bad_answer_inside_a_chunk_ends_the_session_before_any_refill(bad, reason):
     revisions, labels = tiny_corpus(6)
     st = ServerThread(revisions, labels, window=4)
     sock, reader = connect(st.address)
     with sock:
         ids = [int(read_line(reader).split("\t")[1]) for _ in range(4)]
-        sock.sendall(f"SCORE\t{ids[0]}\t0.5\nBOGUS LINE\nSCORE\t{ids[1]}\t0.5\n".encode())
-        assert read_line(reader) == "ERROR\tmalformed answer line 'BOGUS LINE'"
+        sock.sendall(f"SCORE\t{ids[0]}\t0.5\n".encode() + bad + f"\nSCORE\t{ids[1]}\t0.5\n".encode())
+        assert read_line(reader) == f"ERROR\t{reason}"
     st.join()
     assert isinstance(st.error, ProtocolViolation)
-    assert str(st.error) == "malformed answer line 'BOGUS LINE'"
+    assert str(st.error) == reason
     # the answer before it counts; nothing is sent after it
     assert st.server.trace == [("send", i) for i in ids] + [("recv", ids[0])]
 

@@ -214,8 +214,8 @@ def test_pipeline_persistence_round_trip(tmp_path):
 
     buffer = io.StringIO()
     save_pipeline(pipeline, buffer)
-    buffer.seek(0)
-    assert np.array_equal(predict_stack_batch(load_pipeline(buffer), X), before)
+    loaded = load_pipeline(io.BytesIO(buffer.getvalue().encode()))
+    assert np.array_equal(predict_stack_batch(loaded, X), before)
 
 
 def test_fit_twice_gives_identical_pipeline_bytes():
